@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Scale sweep of the scheduler hot path across all three simulator cores.
+"""Scale sweep of the scheduler hot path across both simulator cores.
 
 Runs power-capped and uncapped scheduling across (nodes × jobs) points
-with the structure-of-arrays core (``core="array"``), the event-calendar
-core and the naive ``reference`` loop, and records for each point:
+with the structure-of-arrays core (``core="array"``, the default) and
+the naive ``reference`` loop (the oracle), and records for each point:
 
-* wall-clock seconds and jobs/s per core, the calendar-vs-reference
-  speedup, and the array-vs-calendar speedup;
-* the result content digest of every core that ran, to prove the fast
-  cores replay the reference float-for-float at equal seeds (the
+* wall-clock seconds and jobs/s per core, and the array-vs-reference
+  speedup wherever the reference core ran;
+* the result content digest of every core that ran, to prove the array
+  core replays the reference float-for-float at equal seeds (the
   DESIGN.md §9–10 equivalence contract) — a speedup claim is
   meaningless if the fast core computes something else;
 * a campaign-runner scaling measurement: a fixed policy×cap×seed grid
@@ -24,10 +24,13 @@ configuration the array core's flat loop is built for).
 Run:  python benchmarks/bench_sched.py [--points 64x2000,16384x1000000]
                                        [--out BENCH_sched.json]
 
-Writes ``BENCH_sched.json`` at the repo root by default; the
+Writes ``BENCH_sched.json`` at the repo root by default.  The
 ``--check-against`` gate fails on a >tolerance speedup regression
 against a committed baseline (ratio of ratios, so runner speed cancels
-out) and on any digest mismatch between any pair of cores.
+out), on a digest mismatch between the two cores, and on any (point,
+mode) digest that differs from the baseline's — the cross-commit pin
+that still guards the points above ``--max-ref-jobs``, where the
+reference core does not run.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from repro.scheduler import (  # noqa: E402
+    SIMULATOR_CORES,
     CampaignConfig,
     ClusterSimulator,
     EasyBackfillScheduler,
@@ -121,7 +125,7 @@ def warmup() -> None:
     first-touch costs, skewing whichever core runs first.
     """
     jobs = make_jobs(16, 200)
-    for core in ("array", "calendar", "reference"):
+    for core in SIMULATOR_CORES:
         run_core(jobs, 16, FifoScheduler, capped=True, core=core)
 
 
@@ -154,8 +158,8 @@ def bench_point(n_nodes: int, n_jobs: int, max_ref_jobs: int,
                 ) -> tuple[list[dict], dict[str, dict], dict[str, bool]]:
     """All modes × cores at one sweep point.
 
-    Digest equality is checked across *every* pair of cores that ran the
-    mode; the returned flag is per mode (all pairs equal)."""
+    The returned flag is per mode: whether every core that ran the mode
+    produced the same digest."""
     jobs = make_jobs(n_nodes, n_jobs)
     runs, speedups, digests_equal = [], {}, {}
     for mode, policy_factory, capped in MODES:
@@ -167,34 +171,21 @@ def bench_point(n_nodes: int, n_jobs: int, max_ref_jobs: int,
                "n_nodes": n_nodes, "n_jobs": n_jobs}
         arr = run_core(jobs, n_nodes, policy_factory, capped, core="array",
                        repeats=repeats, budget_s=budget_s)
-        cal = run_core(jobs, n_nodes, policy_factory, capped, core="calendar",
-                       repeats=repeats, budget_s=budget_s)
         runs.append({**rec, **arr})
-        runs.append({**rec, **cal})
-        by_core = {"array": arr, "calendar": cal}
-        mode_speedups = {
-            "array_vs_calendar": round(cal["wall_s"] / arr["wall_s"], 2),
-        }
+        line = (f"n={n_nodes:5d} jobs={n_jobs:7d} {mode:>13}: "
+                f"array {arr['wall_s']:8.2f} s ({arr['jobs_per_s']:>9,.0f} jobs/s)")
+        equal = True
         if n_jobs <= max_ref_jobs:
             ref = run_core(jobs, n_nodes, policy_factory, capped,
                            core="reference", repeats=repeats, budget_s=budget_s)
             runs.append({**rec, **ref})
-            by_core["reference"] = ref
-            mode_speedups["calendar_vs_reference"] = round(
-                ref["wall_s"] / cal["wall_s"], 2)
-        digests = {c: r["digest"] for c, r in by_core.items()}
-        equal = len(set(digests.values())) == 1
-        speedups[mode] = mode_speedups
+            speedup = round(ref["wall_s"] / arr["wall_s"], 2)
+            speedups[mode] = {"array_vs_reference": speedup}
+            equal = ref["digest"] == arr["digest"]
+            line += (f" vs reference {ref['wall_s']:8.2f} s -> {speedup:5.2f}x "
+                     f"(digests {'EQUAL' if equal else 'DIFFER'})")
         digests_equal[mode] = equal
-        ref_note = (
-            f" ref {by_core['reference']['wall_s']:8.2f} s"
-            if "reference" in by_core else ""
-        )
-        print(f"n={n_nodes:5d} jobs={n_jobs:7d} {mode:>13}: "
-              f"array {arr['wall_s']:8.2f} s ({arr['jobs_per_s']:>9,.0f} jobs/s) "
-              f"vs calendar {cal['wall_s']:8.2f} s{ref_note} -> "
-              f"{mode_speedups['array_vs_calendar']:5.2f}x "
-              f"(digests {'EQUAL' if equal else 'DIFFER'})")
+        print(line)
         if profile_dir is not None:
             profile_run(jobs, n_nodes, policy_factory, capped, "array",
                         profile_dir / f"PROFILE_{n_nodes}x{n_jobs}_{mode}_array.txt")
@@ -255,6 +246,12 @@ def _pool_speedup_trusted(campaign: dict | None) -> bool:
         "processes", 1) >= 2
 
 
+def _digest_by_point_mode(runs: list[dict]) -> dict[tuple[str, str], str]:
+    """The array core's digest per (point, mode) of a report's runs."""
+    return {(r["point"], r["mode"]): r["digest"]
+            for r in runs if r["core"] == "array"}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--points",
@@ -284,7 +281,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check-against", default=None, metavar="BASELINE.json",
                         help="fail if a core speedup regressed vs this baseline "
                              "report (ratio-of-ratios, so runner speed cancels "
-                             "out) or any digest pair diverged")
+                             "out) or any (point, mode) digest differs from "
+                             "the baseline's")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional speedup regression (default 0.25)")
     args = parser.parse_args(argv)
@@ -308,6 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         key = f"{n_nodes}x{n_jobs}"
         if point_speedups:
             speedups[key] = point_speedups
+        if point_equal:
             digests_equal[key] = point_equal
 
     campaign = None if args.skip_campaign else bench_campaign(args.campaign_processes)
@@ -332,16 +331,22 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check_against:
         baseline = json.loads(Path(args.check_against).read_text())
+        base_digests = _digest_by_point_mode(baseline["runs"])
+        for (key, mode), digest in _digest_by_point_mode(runs).items():
+            expected = base_digests.get((key, mode))
+            if expected is None:
+                continue
+            status = "ok" if digest == expected else "DIFFERS"
+            print(f"digest check {key}/{mode}: {digest[:16]} vs baseline "
+                  f"{expected[:16]} -> {status}")
+            if digest != expected:
+                ok = False
         base_speedups = baseline.get("core_speedup_by_point", {})
         for key, by_mode in speedups.items():
             for mode, pairs in by_mode.items():
                 base_pairs = base_speedups.get(key, {}).get(mode)
                 if base_pairs is None:
                     continue
-                if not isinstance(pairs, dict):  # pre-array baseline layout
-                    pairs = {"calendar_vs_reference": pairs}
-                if not isinstance(base_pairs, dict):
-                    base_pairs = {"calendar_vs_reference": base_pairs}
                 for pair, measured in pairs.items():
                     expected = base_pairs.get(pair)
                     if expected is None:

@@ -25,6 +25,7 @@ is the identity on parsed configs — the fixed point
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
@@ -35,7 +36,7 @@ from ..scheduler.registries import (
     SEARCHER_REGISTRY,
     WORKLOAD_REGISTRY,
 )
-from ..scheduler.simulate import SIMULATOR_CORES, NodeOutage
+from ..scheduler.simulate import NodeOutage, resolve_core
 
 __all__ = [
     "KINDS",
@@ -111,8 +112,11 @@ def _as_int(where: str, name: str, value: Any) -> int:
 
 
 def _as_float(where: str, name: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _bad(where, name, "a number", value)
+    # TOML spells nan and inf; no knob means anything by them, and a NaN
+    # slips past every ``<=`` range check downstream.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise _bad(where, name, "a finite number", value)
     return float(value)
 
 
@@ -138,12 +142,10 @@ def _check_policy_name(where: str, name: str) -> str:
 
 
 def _check_core(where: str, name: str) -> str:
-    if name not in SIMULATOR_CORES:
-        raise ConfigError(
-            f"{where}: unknown simulator core {name!r}; "
-            f"known: {SIMULATOR_CORES}"
-        )
-    return name
+    try:
+        return resolve_core(name)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _clean(value: Any) -> Any:

@@ -1,12 +1,13 @@
 """Structure-of-arrays core for :class:`~repro.scheduler.simulate.ClusterSimulator`.
 
-The calendar core (:mod:`repro.scheduler.calendar`) made the event loop
-incremental, but it still pays Python-object prices everywhere: one
-``_Running`` box per job, a frozen ``SchedulerContext`` and an O(queue)
-defensive queue copy per decision, a Python loop over every running job
-when the trim ratio moves.  At the scale ROADMAP item 1 targets — 16k
-nodes x 1M jobs, production-log replays in the spirit of the CEEC
-experience report — those costs are the bottleneck.  This core keeps
+The reference loop in :mod:`repro.scheduler.simulate` pays Python-object
+prices everywhere: one ``_Running`` box per job, an O(running) rescan
+of completion ETAs and a re-trim of every running job per event, a
+frozen ``SchedulerContext`` and an O(queue) defensive queue copy per
+decision, a ``remove`` + full re-sort of the ready queue per requeue.
+At the scale ROADMAP item 1 targets — 16k nodes x 1M jobs,
+production-log replays in the spirit of the CEEC experience report —
+those costs are the bottleneck.  This core, the default backend, keeps
 all per-running-job state in NumPy *lanes* and drives policies through
 a batched queue view:
 
@@ -25,10 +26,10 @@ a batched queue view:
   ``(eta, job_id[, serial])`` answers "next completion" in O(log n); a
   trim change invalidates every ETA at once, so the core drops the heap
   and takes ``min`` over the ETA lane instead, rebuilding the heap only
-  after the trim has been quiet for a while (hysteresis) — never the
-  per-event wholesale rebuild the calendar core does.  Stale entries
-  can only exist when outages requeue jobs; without outages the heap
-  entries carry no serial and the validity check disappears.
+  after the trim has been quiet for a while (hysteresis), never once
+  per event.  Stale entries can only exist when outages requeue jobs;
+  without outages the heap entries carry no serial and the validity
+  check disappears.
 * **batched policy decisions** — the ready queue is a backing list plus
   cursor; queue-order policies answer through
   :meth:`~repro.scheduler.policies.ReadyView.prefix_fit` (a scan
@@ -48,14 +49,15 @@ a batched queue view:
   deferred ``_set_speed`` would store) and power resolution reduces to
   the ledger's demand sum, maintained as two locals.
 
-Equal-timestamp events batch exactly like the calendar core: all
-completions within ``_ETA_EPS`` of the event time drain together and
-settle in ascending job id, then power is re-resolved once for the
-whole batch.  Observability counters accumulate locally and publish
-once at the end of the run (same totals, none of the 2-per-job calls).
-Everything observable — records, trace, energy, digests — is
-float-identical to the other two cores; ``tests/diff_harness.py``
-fuzzes that claim across policy x cap x outage x workload scenarios.
+Equal-timestamp events batch: all completions within ``_ETA_EPS`` of
+the event time drain together and settle in ascending job id (the
+order the reference loop settles them in), then power is re-resolved
+once for the whole batch.  Observability counters accumulate locally
+and publish once at the end of the run (same totals, none of the
+2-per-job calls).  Everything observable — records, trace, energy,
+digests — is float-identical to the reference core;
+``tests/diff_harness.py`` fuzzes that claim across policy x cap x
+outage x workload scenarios.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .calendar import _index
 from .contract import (
     _EPOCH_CATCHUP,
     _ETA_EPS,
@@ -101,6 +102,15 @@ _NFIELDS = 12
 #: array mode "next completion" is an O(running) vector min; the heap is
 #: only worth its rebuild cost once the trim ratio stops moving.
 _HEAP_HYSTERESIS = 64
+
+
+def _index(sorted_list: list[int], value: int):
+    """Index of ``value`` in a sorted int list, or None."""
+    i = bisect_left(sorted_list, value)
+    if i < len(sorted_list) and sorted_list[i] == value:
+        return i
+    return None
+
 
 def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
     """Run ``sim`` over ``jobs`` with the structure-of-arrays core."""
@@ -350,7 +360,8 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         operations the scalar helper does, in the same per-job operand
         order, so lane state stays bit-identical to ``_Running`` state.
         Sentinel lanes (speed 0, granted -1) are always "changed", which
-        opens fresh jobs' first segments exactly like the calendar core.
+        opens fresh jobs' first segments exactly like ``_set_speed`` does
+        on a fresh ``_Running``.
 
         Only the rare granted-only trim moves (rho moved but the speed
         float collapsed, e.g. speed_exponent == 0) still take this
@@ -629,8 +640,8 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
             chosen = policy_select_batch(view)
             picked = view.picked
         else:
-            # Pass a copy, like the other cores: a policy that mutates
-            # its queue argument cannot diverge the cores.
+            # Pass a copy, like the reference core: a policy that
+            # mutates its queue argument cannot diverge the cores.
             picked = None
             chosen = policy_select(q_recs[q_head:], _make_ctx())
         if not chosen:
@@ -1031,8 +1042,8 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
     p_append(n_nodes * idle_w)
     trace_t = np.asarray(trace_t_l)
     trace_p = np.asarray(trace_p_l)
-    # Publish the batched observability counters (same totals the other
-    # cores reach through per-event increments).
+    # Publish the batched observability counters (same totals the
+    # reference core reaches through per-event increments).
     sim._m_decisions.inc(n_started_total)
     sim._m_started.inc(n_started_total)
     sim._m_completed.inc(completed)
@@ -1085,14 +1096,14 @@ def _run_fifo_uncapped(
       and ``node_owner`` go unmaintained;
     * nothing needs the free pool sorted ascending — it is kept as an
       ascending list of *negated* ids, so the k smallest ids (the exact
-      nodes the other cores allocate) are k O(1) tail pops, and
+      nodes the reference core allocates) are k O(1) tail pops, and
       completions re-insert with one bisect each, no heap sifting;
     * submissions arrive in queue order, so the ready queue is the
       pending list itself with two cursors (head, submitted) — no
       appends, no per-event record-dict lookups.
 
     Records, trace, energy and digests stay float-identical to the
-    other cores; the differential harness covers this path whenever it
+    reference core; the differential harness covers this path whenever it
     draws a FIFO scenario with no cap and no outages.
     """
     n_jobs = len(pending)

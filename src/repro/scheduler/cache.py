@@ -48,7 +48,7 @@ import numpy as np
 
 from ..power.trace import PowerTrace
 from .job import Job, JobRecord, JobState
-from .simulate import NodeOutage, SimulationResult
+from .simulate import NodeOutage, SimulationResult, resolve_core
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .campaign import CampaignConfig, Scenario, ScenarioResult
@@ -125,15 +125,12 @@ def _canonical_scenario(
     """
     policy = str(scenario.policy)
     cap = scenario.cap_w
-    core = scenario.core
-    if core is None:
-        core = "reference" if scenario.reference else "array"
     entry: dict[str, Any] = {
         "policy": policy,
         "seed_index": int(scenario.seed_index),
         "cap_w": None if cap is None else float(cap),
         "train_fraction": float(scenario.train_fraction),
-        "core": core,
+        "core": resolve_core(scenario.core, scenario.reference),
         "outages": sorted(
             [float(o.at_s), int(o.node_id), float(o.duration_s)]
             for o in scenario.node_outages

@@ -39,7 +39,7 @@ from .cache import CampaignCheckpoint, ResultStore, scenario_fingerprint, scenar
 from .job import Job
 from .policies import SchedulingPolicy
 from .power_aware import request_based_predictor
-from .simulate import ClusterSimulator, NodeOutage, SimulationResult
+from .simulate import ClusterSimulator, NodeOutage, SimulationResult, resolve_core
 from .workload import WorkloadConfig, WorkloadGenerator
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 _POLICIES = ("fifo", "easy", "power-aware")
-_CORES = ("reference", "calendar", "array")
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,8 @@ class Scenario:
     #: (energy-charged priority ordering).  None = no fairshare layer.
     fairshare_decay: Optional[float] = None
     reference: bool = False
-    #: Simulator backend for this cell (None = campaign default: the
-    #: array core, or the reference core when ``reference=True``).  All
+    #: Simulator backend for this cell (None = the simulator default: the
+    #: array core, or the reference core when ``reference=True``).  Both
     #: cores are digest-identical, so this only trades speed — pinned by
     #: ``tests/test_campaign.py``.
     core: Optional[str] = None
@@ -103,10 +102,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.policy not in _POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; pick one of {_POLICIES}")
-        if self.core is not None and self.core not in _CORES:
-            raise ValueError(f"unknown core {self.core!r}; pick one of {_CORES}")
-        if self.reference and self.core not in (None, "reference"):
-            raise ValueError(f"reference=True conflicts with core={self.core!r}")
+        resolve_core(self.core, self.reference)
         if not 0.0 <= self.train_fraction < 1.0:
             raise ValueError("train fraction must lie in [0, 1)")
         if self.backfill_depth is not None and self.backfill_depth < 0:
@@ -299,10 +295,10 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run one grid cell start-to-finish (also the pool worker body).
 
-    The backend defaults to the array core — the fastest of the three
-    digest-identical cores — unless the scenario pins ``core`` or asks
-    for the reference oracle.  ``keep_result=True`` attaches the full
-    :class:`SimulationResult` to the returned cell.
+    The backend is the simulator default (the array core) unless the
+    scenario pins ``core`` or asks for the reference oracle.
+    ``keep_result=True`` attaches the full :class:`SimulationResult` to
+    the returned cell.
     """
     jobs = scenario_workload(config, scenario)
     if scenario.train_fraction > 0.0:
@@ -312,9 +308,6 @@ def run_scenario(
             raise ValueError("train fraction leaves an empty split")
     else:
         train, test = [], jobs
-    core = scenario.core
-    if core is None:
-        core = "reference" if scenario.reference else "array"
     sim = ClusterSimulator(
         n_nodes=config.n_nodes,
         policy=_build_policy(config, scenario, train),
@@ -326,7 +319,8 @@ def run_scenario(
             else config.min_speed
         ),
         node_outages=scenario.node_outages,
-        core=core,
+        reference=scenario.reference,
+        core=scenario.core,
     )
     result = sim.run(test)
     return ScenarioResult(

@@ -1,12 +1,12 @@
 """The arithmetic contract shared by every :class:`ClusterSimulator` core.
 
-Three interchangeable cores execute the same event semantics — the naive
-reference loop (:mod:`repro.scheduler.simulate`), the event-calendar
-core (:mod:`repro.scheduler.calendar`) and the structure-of-arrays core
-(:mod:`repro.scheduler.array_core`).  They are required to produce
-**float-identical** :class:`SimulationResult`\\ s at equal seeds, and the
-way that is achieved is by sharing the arithmetic below: the same
-helpers, operating on the same floats, in the same order.
+Two interchangeable cores execute the same event semantics — the naive
+reference loop (:mod:`repro.scheduler.simulate`) and the
+structure-of-arrays core (:mod:`repro.scheduler.array_core`).  They are
+required to produce **float-identical** :class:`SimulationResult`\\ s at
+equal seeds, and the way that is achieved is by sharing the arithmetic
+below: the same helpers, operating on the same floats, in the same
+order.
 
 The contract, stated once (DESIGN.md §9–10 documents it in prose):
 
@@ -29,7 +29,7 @@ that is contract-preserving because IEEE-754 elementwise double
 arithmetic in NumPy performs bit-for-bit the same operations as CPython
 floats — pinned by ``tests/test_sched_contract.py`` (helper properties
 in isolation) and ``tests/diff_harness.py`` (whole-simulation
-differential fuzzing across all three cores).
+differential fuzzing of the array core against the reference).
 """
 
 from __future__ import annotations
@@ -68,13 +68,12 @@ class _Running:
     and granted power; work, energy and stretch are debited when the
     segment closes (:func:`_settle`), never per event.  ``eta_s`` is the
     completion time implied by the current segment and stays valid until
-    the segment closes; ``eta_serial`` versions it for the calendar
-    core's lazy-invalidation heap.
+    the segment closes.
     """
 
     __slots__ = (
         "record", "remaining_work_s", "speed", "granted_power_w",
-        "seg_start_s", "eta_s", "eta_serial",
+        "seg_start_s", "eta_s",
     )
 
     def __init__(self, record: JobRecord, remaining_work_s: float, now: float):
@@ -85,7 +84,6 @@ class _Running:
         self.granted_power_w = -1.0
         self.seg_start_s = now
         self.eta_s = np.inf
-        self.eta_serial = 0
 
 
 class _PowerLedger:
@@ -147,8 +145,8 @@ def _set_speed(r: _Running, rho: float, speed: float, idle_node_power_w: float,
     """Apply the system trim ratio to one running job.
 
     Settles the open segment and starts a new one iff the job's speed or
-    granted power actually changes; returns whether it did (the calendar
-    core uses this to know the stored ETA moved).
+    granted power actually changes; returns whether it did (i.e. whether
+    the stored ETA moved).
     """
     job = r.record.job
     if rho >= 1.0:

@@ -11,10 +11,15 @@ whole point of the paper's job-power predictors (Section III-A2, refs
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 __all__ = ["JobState", "Job", "JobRecord"]
+
+_FINITE_FIELDS = (
+    "walltime_req_s", "submit_time_s", "true_runtime_s", "true_power_per_node_w",
+)
 
 
 class JobState(enum.Enum):
@@ -47,14 +52,21 @@ class Job:
     true_power_per_node_w: float = 0.0
 
     def __post_init__(self) -> None:
+        # A NaN passes every range check below and would stall the
+        # simulation or poison its energy sums.
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"job {self.job_id}: {name} must be finite, got {value!r}")
         if self.n_nodes < 1:
-            raise ValueError("job needs at least one node")
+            raise ValueError(f"job {self.job_id}: needs at least one node")
         if self.walltime_req_s <= 0:
-            raise ValueError("requested walltime must be positive")
+            raise ValueError(f"job {self.job_id}: requested walltime must be positive")
         if self.true_runtime_s < 0 or self.true_power_per_node_w < 0:
-            raise ValueError("ground truth must be non-negative")
+            raise ValueError(f"job {self.job_id}: ground truth must be non-negative")
         if self.submit_time_s < 0:
-            raise ValueError("submit time must be non-negative")
+            raise ValueError(f"job {self.job_id}: submit time must be non-negative")
 
     @property
     def true_power_w(self) -> float:

@@ -20,24 +20,20 @@ Jobs progress in *work seconds*: a job finishes when its accumulated
 ``speed * dt`` reaches its true runtime, so capping stretches wall-clock
 exactly as the real machine's throttling does.
 
-Three interchangeable cores execute the same event semantics (DESIGN.md
+Two interchangeable cores execute the same event semantics (DESIGN.md
 §9–10 state the equivalence contract):
 
 * the **reference core** (``core="reference"``) is the naive loop: every
   event it rescans all running jobs for the earliest completion and
   re-applies the trim to each of them, and it keeps the ready queue as a
-  plain list with ``remove`` + full re-sort;
-* the **calendar core** (``core="calendar"``, the default,
-  :mod:`repro.scheduler.calendar`) keeps completion ETAs in a
-  lazy-invalidation heap, re-applies the trim only when the trim ratio
-  actually moved, and uses incremental free-node / ready-queue /
-  power-trace structures;
-* the **array core** (``core="array"``,
+  plain list with ``remove`` + full re-sort.  It is the oracle every
+  equivalence test and harness compares against;
+* the **array core** (``core="array"``, the default,
   :mod:`repro.scheduler.array_core`) keeps running-job state in
   structure-of-arrays NumPy lanes, vectorizes trim re-application and
   completion-ETA recomputation, and batches equal-timestamp events.
 
-All cores share the segment arithmetic of
+Both cores share the segment arithmetic of
 :mod:`repro.scheduler.contract` (`_PowerLedger`, `_settle`,
 `_set_speed`, `_resolve_ledger`), so at equal seeds they produce
 float-identical :class:`SimulationResult`\\ s — pinned by
@@ -70,8 +66,25 @@ from .policies import SchedulerContext, SchedulingPolicy
 
 __all__ = ["NodeOutage", "SimulationResult", "ClusterSimulator", "SIMULATOR_CORES"]
 
-#: The selectable simulation backends, cheapest-to-fastest.
-SIMULATOR_CORES = ("reference", "calendar", "array")
+#: The selectable simulation backends: the oracle, then the fast core.
+SIMULATOR_CORES = ("reference", "array")
+
+
+def resolve_core(core: Optional[str], reference: bool = False) -> str:
+    """The backend a ``(core, reference)`` pair selects.
+
+    ``None`` means the array core, or the reference core when
+    ``reference=True`` (the pre-``core`` spelling).  Any name outside
+    :data:`SIMULATOR_CORES` is rejected rather than mapped onto one of
+    them, and so is ``reference=True`` with a different core.
+    """
+    if core is None:
+        return "reference" if reference else "array"
+    if core not in SIMULATOR_CORES:
+        raise ValueError(f"unknown core {core!r}; pick one of {SIMULATOR_CORES}")
+    if reference and core != "reference":
+        raise ValueError(f"reference=True conflicts with core={core!r}")
+    return core
 
 
 @dataclass(frozen=True)
@@ -233,26 +246,20 @@ class ClusterSimulator:
 
         ``core`` picks the simulation backend — one of
         :data:`SIMULATOR_CORES`: ``"reference"`` is the naive rescanning
-        loop (the equivalence oracle and benchmark baseline),
-        ``"calendar"`` (the default) the event-calendar core, and
-        ``"array"`` the structure-of-arrays core for machine-room scale.
-        All three produce float-identical results.  ``reference=True``
-        is the pre-``core`` spelling of ``core="reference"`` and still
-        works."""
+        loop (the equivalence oracle and benchmark baseline), ``"array"``
+        (the default) the structure-of-arrays core.  Both produce
+        float-identical results.  ``reference=True`` is the pre-``core``
+        spelling of ``core="reference"`` and still works."""
         if legacy:
             rename_kwargs("ClusterSimulator", legacy, {"reactive_cap_w": "cap_w"})
             cap_w = pop_alias("ClusterSimulator", legacy, "cap_w", cap_w)
             reject_unknown_kwargs("ClusterSimulator", legacy)
-        if core is None:
-            core = "reference" if reference else "calendar"
-        elif core not in SIMULATOR_CORES:
-            raise ValueError(f"unknown core {core!r}; pick one of {SIMULATOR_CORES}")
-        elif reference and core != "reference":
-            raise ValueError(f"reference=True conflicts with core={core!r}")
+        core = resolve_core(core, reference)
         if n_nodes < 1:
             raise ValueError("need at least one node")
-        if cap_w is not None and cap_w <= 0:
-            raise ValueError("reactive cap must be positive")
+        if cap_w is not None and not cap_w > 0:
+            # ``not >`` so a NaN cap is rejected too (NaN compares false).
+            raise ValueError(f"reactive cap must be positive, got cap_w={cap_w!r}")
         if not 0 < min_speed <= 1:
             raise ValueError("min speed must lie in (0, 1]")
         for outage in node_outages:
@@ -294,15 +301,19 @@ class ClusterSimulator:
         """Simulate the full job stream to completion."""
         if not jobs:
             raise ValueError("empty job stream")
+        for job in jobs:
+            if job.n_nodes > self.n_nodes:
+                # Caught up front, so the error names the job instead of
+                # surfacing later as an anonymous stall.
+                raise RuntimeError(
+                    f"simulation stalled: job {job.job_id} needs {job.n_nodes} "
+                    f"nodes but the machine has {self.n_nodes}"
+                )
         if self.core == "reference":
             return self._run_reference(jobs)
-        if self.core == "array":
-            from .array_core import run_array
+        from .array_core import run_array
 
-            return run_array(self, jobs)
-        from .calendar import run_calendar
-
-        return run_calendar(self, jobs)
+        return run_array(self, jobs)
 
     def _result(
         self,
@@ -338,8 +349,8 @@ class ClusterSimulator:
         ETA, re-applies the trim to each running job, rebuilds the
         scheduler context from scratch (``sorted`` over the free-node
         set), and mutates the ready queue with ``remove`` + full
-        re-sort.  Segment arithmetic is shared with the calendar core,
-        so the two produce float-identical results.
+        re-sort.  Segment arithmetic is shared with the array core, so
+        the two produce float-identical results.
         """
         pending = sorted(jobs, key=lambda j: (j.submit_time_s, j.job_id))
         records = {j.job_id: JobRecord(job=j) for j in pending}

@@ -1,13 +1,13 @@
-"""Differential harness pinning the three simulator cores to one contract.
+"""Differential harness pinning the two simulator cores to one contract.
 
-The repo ships three interchangeable ``ClusterSimulator`` backends —
-``reference`` (O(n) tick loop), ``calendar`` (event calendar) and
-``array`` (structure-of-arrays, vectorized) — that must be
-*float-identical*: every record field, every trace sample, every QoS
-metric, every digest.  This module generates seeded random scenarios
-across the dimensions that have historically diverged cores (policy x
-cap schedule x outage pattern x workload shape), runs each scenario
-through all cores, and compares field by field.
+The repo ships two interchangeable ``ClusterSimulator`` backends —
+``reference`` (O(n) rescanning loop, the oracle) and ``array``
+(structure-of-arrays, vectorized) — that must be *float-identical*:
+every record field, every trace sample, every QoS metric, every digest.
+This module generates seeded random scenarios across the dimensions
+that have historically diverged cores (policy x cap schedule x outage
+pattern x workload shape), runs each scenario through both cores, and
+compares field by field.
 
 Use it three ways:
 
@@ -76,11 +76,16 @@ from repro.scheduler.campaign import (
 from repro.scheduler.job import Job
 from repro.scheduler.policies import EasyBackfillScheduler, FifoScheduler
 from repro.scheduler.power_aware import PowerAwareScheduler, request_based_predictor
-from repro.scheduler.simulate import ClusterSimulator, NodeOutage, SimulationResult
+from repro.scheduler.simulate import (
+    SIMULATOR_CORES,
+    ClusterSimulator,
+    NodeOutage,
+    SimulationResult,
+)
 from repro.scheduler.thermal_aware import TimeVaryingBudgetScheduler, day_night_budget
 from repro.scheduler.workload import WorkloadConfig, WorkloadGenerator
 
-CORES = ("reference", "calendar", "array")
+CORES = SIMULATOR_CORES
 
 #: Per-node power budget used to scale caps to cluster size (matches the
 #: D.A.V.I.D.E. bench settings: ~1150 W/node of rack budget).
@@ -413,7 +418,7 @@ def random_campaign(seed: int) -> CacheScenario:
             cap_w=cap_w,
             seed_index=rng.randrange(3),
             node_outages=outages,
-            core=rng.choice((None, None, "array", "calendar")),
+            core=rng.choice((None, None, *SIMULATOR_CORES)),
             label=f"cell{i}" if rng.random() < 0.5 else "",
         ))
     if rng.random() < 0.5:
@@ -589,7 +594,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--cores", default=",".join(CORES),
-        help="comma-separated core list (default all three)",
+        help="comma-separated core list (default: every simulator core)",
     )
     parser.add_argument(
         "--cap-heavy", type=int, default=0, metavar="N",

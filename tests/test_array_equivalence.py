@@ -1,9 +1,9 @@
-"""Seeded differential sweep pinning all three simulator cores.
+"""Seeded differential sweep pinning the array core to the reference.
 
 Each test expands one seed into a random scenario (policy x cap x
 outages x workload shape, see ``tests/diff_harness.random_scenario``)
-and demands the reference, calendar and array cores produce
-float-identical results — every record field, both trace arrays, every
+and demands the reference and array cores produce float-identical
+results — every record field, both trace arrays, every
 QoS metric and the sha256 digest.  A failure message names the seed and
 the exact ``python tests/diff_harness.py --seed N`` command that
 reproduces it outside pytest.
@@ -65,10 +65,10 @@ def test_cap_heavy_divergence_reports_repro_seed():
     """Cap-heavy failures must point at --cap-heavy-seed, not --seed."""
     scenario = cap_heavy_scenario(0)
     other = cap_heavy_scenario(1)
-    a = run_core(scenario, "calendar")
-    b = run_core(other, "calendar")
+    a = run_core(scenario, "reference")
+    b = run_core(other, "reference")
     with pytest.raises(AssertionError, match=r"--cap-heavy-seed 0"):
-        compare_results(scenario, a, "calendar", b, "array")
+        compare_results(scenario, a, "reference", b, "array")
 
 
 def test_sweep_covers_the_scenario_space():
@@ -94,10 +94,10 @@ def test_divergence_reports_repro_seed():
     """A mismatch must tell the reader how to rerun the scenario."""
     scenario = random_scenario(0)
     other = random_scenario(1)
-    a = run_core(scenario, "calendar")
-    b = run_core(other, "calendar")
+    a = run_core(scenario, "reference")
+    b = run_core(other, "reference")
     with pytest.raises(AssertionError, match=r"--seed 0"):
-        compare_results(scenario, a, "calendar", b, "array")
+        compare_results(scenario, a, "reference", b, "array")
 
 
 def test_scenario_expansion_is_deterministic():

@@ -229,7 +229,7 @@ class TestKeyDistinctness:
         dict(predictor="nameplate"),
         dict(predictor="ridge", train_fraction=0.4),
         dict(train_fraction=0.1),
-        dict(core="calendar"),
+        dict(core="reference"),
         dict(node_outages=(NodeOutage(at_s=10.0, node_id=0, duration_s=60.0),)),
         dict(backfill_depth=4),
         dict(backfill_depth=5),

@@ -92,15 +92,15 @@ class TestScenarioSemantics:
 
     def test_every_grid_cell_is_core_invariant(self):
         """The campaign default (array core) matches an explicit
-        calendar-core run at *every* cell of the grid, digests and QoS
+        reference-core run at *every* cell of the grid, digests and QoS
         alike — pool results stay comparable across core choices."""
         default = run_campaign(CONFIG, GRID, processes=1)
-        calendar = run_campaign(
+        reference = run_campaign(
             CONFIG,
-            [dataclasses.replace(s, core="calendar") for s in GRID],
+            [dataclasses.replace(s, core="reference") for s in GRID],
             processes=1,
         )
-        for a, b in zip(default, calendar):
+        for a, b in zip(default, reference):
             assert a.digest == b.digest
             assert a.qos == b.qos
 

@@ -120,10 +120,10 @@ class TestHitAccounting:
         distinct computation (cores are digest-identical, but the cache
         never assumes a theorem it can re-derive per entry)."""
         array = Scenario(policy="easy", cap_w=CAP, core="array")
-        calendar = Scenario(policy="easy", cap_w=CAP, core="calendar")
-        assert scenario_key(CONFIG, array) != scenario_key(CONFIG, calendar)
+        reference = Scenario(policy="easy", cap_w=CAP, core="reference")
+        assert scenario_key(CONFIG, array) != scenario_key(CONFIG, reference)
         a = run_campaign(CONFIG, [array], processes=1, cache=store)
-        b = run_campaign(CONFIG, [calendar], processes=1, cache=store)
+        b = run_campaign(CONFIG, [reference], processes=1, cache=store)
         assert len(count_runs) == 2
         assert a[0].digest == b[0].digest  # ...and the theorem still holds
 

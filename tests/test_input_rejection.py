@@ -1,0 +1,172 @@
+"""Bad inputs fail fast, with an error that names what is wrong.
+
+Two families:
+
+* **core names** — the simulator has two cores, ``"reference"`` (the
+  oracle) and ``"array"`` (the default).  Any other name, including the
+  removed ``"calendar"`` core, is rejected rather than mapped onto one
+  of them: by ``ClusterSimulator``, by ``Scenario``, by the config
+  loader (the CLI exits 2), by a store entry that records it and by a
+  checkpoint resume that meets one;
+* **non-finite and infeasible numbers** — TOML spells ``nan`` and
+  ``inf``, and a NaN slips past every ``<=`` range check.  Unchecked, a
+  NaN cap or runtime would spin the array core forever, NaN power would
+  give NaN energy, and a job larger than the machine would surface only
+  as an anonymous stall.  Each raises, naming the field or the job.
+
+The CLI cases run in a subprocess with a timeout, so a regression that
+brings a hang back fails the test instead of stalling the suite.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro.runtime import ConfigError, load
+from repro.scheduler import (
+    SIMULATOR_CORES,
+    CampaignCheckpoint,
+    CampaignConfig,
+    ClusterSimulator,
+    DirectoryResultStore,
+    FifoScheduler,
+    Job,
+    Scenario,
+    resume_campaign,
+    run_campaign,
+    scenario_key,
+)
+from repro.scheduler.cache import KEY_VERSION
+
+needs_tomllib = pytest.mark.skipif(
+    importlib.util.find_spec("tomllib") is None,
+    reason="stdlib tomllib needs Python >= 3.11",
+)
+
+_SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: Both cores, as every core error message lists them.
+_CORES_LISTED = r"\('reference', 'array'\)"
+
+CONFIG = CampaignConfig(n_nodes=6, n_jobs=12, root_seed=3, load_factor=1.1)
+
+_TOML_BASE = """\
+[runtime]
+kind = "campaign"
+
+[machine]
+n_nodes = 6
+
+[workload]
+n_jobs = 12
+seed = 3
+
+[policy]
+name = "easy"
+"""
+
+
+def _toml(tmp_path, campaign_body):
+    path = tmp_path / "campaign.toml"
+    path.write_text(_TOML_BASE + "\n[campaign]\nseeds = [0]\n" + campaign_body)
+    return str(path)
+
+
+def _cli(*args):
+    """``python -m repro ...`` in a subprocess; a hang fails, not stalls."""
+    env = dict(os.environ,
+               PYTHONPATH=_SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def _job(job_id, n_nodes=1, runtime=100.0, power=1500.0):
+    return Job(
+        job_id=job_id, user="u", app="qe", n_nodes=n_nodes,
+        walltime_req_s=200.0, submit_time_s=0.0,
+        true_runtime_s=runtime, true_power_per_node_w=power,
+    )
+
+
+class TestCoreNames:
+    def test_two_cores_and_the_array_core_is_the_default(self):
+        assert SIMULATOR_CORES == ("reference", "array")
+        assert ClusterSimulator(4, FifoScheduler()).core == "array"
+        assert ClusterSimulator(4, FifoScheduler(), reference=True).core == "reference"
+
+    def test_simulator_rejects_calendar(self):
+        with pytest.raises(ValueError, match=rf"core 'calendar'.*{_CORES_LISTED}"):
+            ClusterSimulator(4, FifoScheduler(), core="calendar")
+
+    def test_scenario_rejects_calendar(self):
+        with pytest.raises(ValueError, match=rf"core 'calendar'.*{_CORES_LISTED}"):
+            Scenario(policy="easy", core="calendar")
+
+    @needs_tomllib
+    def test_config_rejects_calendar_and_the_cli_exits_2(self, tmp_path):
+        path = _toml(tmp_path, 'core = "calendar"\n\n[[campaign.cells]]\nlabel = "a"\n')
+        with pytest.raises(ConfigError,
+                           match=rf"campaign\.core: .*'calendar'.*{_CORES_LISTED}"):
+            load(path)
+        run = _cli("campaign", path, "--quiet",
+                   "--checkpoint", str(tmp_path / "ckpt"))
+        assert run.returncode == 2
+        assert "campaign.core" in run.stderr and "'calendar'" in run.stderr
+
+    def test_store_entry_recording_calendar_is_rejected(self, tmp_path):
+        store = DirectoryResultStore(tmp_path / "store")
+        (tmp_path / "store" / "k.json").write_text(json.dumps({
+            "v": KEY_VERSION, "payload": False, "qos": {}, "digest": "0" * 64,
+            "scenario": {"policy": "fifo", "core": "calendar"},
+        }))
+        with pytest.raises(ValueError, match=rf"core 'calendar'.*{_CORES_LISTED}"):
+            store.get("k")
+
+    def test_checkpoint_with_a_calendar_cell_fails_on_resume(self, tmp_path):
+        grid = [Scenario(policy="fifo")]
+        checkpoint = CampaignCheckpoint(tmp_path / "ckpt")
+        run_campaign(CONFIG, grid, processes=1, checkpoint=checkpoint)
+        cell = tmp_path / "ckpt" / "cells" / f"{scenario_key(CONFIG, grid[0])}.json"
+        meta = json.loads(cell.read_text())
+        meta["scenario"]["core"] = "calendar"
+        cell.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=rf"core 'calendar'.*{_CORES_LISTED}"):
+            resume_campaign(CONFIG, grid, CampaignCheckpoint(tmp_path / "ckpt"),
+                            processes=1)
+
+
+class TestNonFiniteAndInfeasibleInputs:
+    @needs_tomllib
+    def test_nan_cap_in_config_names_the_field_and_the_cli_exits_2(self, tmp_path):
+        path = _toml(tmp_path, '\n[[campaign.cells]]\nlabel = "a"\ncap_w = nan\n')
+        with pytest.raises(ConfigError,
+                           match=r"campaign\.cells\[0\]\.cap_w must be a finite number"):
+            load(path)
+        run = _cli("campaign", path, "--quiet")
+        assert run.returncode == 2
+        assert "cap_w" in run.stderr
+
+    def test_nan_cap_rejected_by_the_simulator(self):
+        with pytest.raises(ValueError, match="cap_w=nan"):
+            ClusterSimulator(4, FifoScheduler(), cap_w=float("nan"))
+
+    def test_nan_runtime_names_the_job(self):
+        with pytest.raises(ValueError, match="job 7: true_runtime_s must be finite"):
+            _job(7, runtime=float("nan"))
+
+    def test_nan_power_names_the_job(self):
+        with pytest.raises(ValueError,
+                           match="job 8: true_power_per_node_w must be finite"):
+            _job(8, power=float("nan"))
+
+    def test_job_larger_than_the_machine_is_named(self):
+        sim = ClusterSimulator(4, FifoScheduler())
+        with pytest.raises(RuntimeError, match="job 3 needs 5 nodes"):
+            sim.run([_job(0), _job(3, n_nodes=5)])

@@ -1,7 +1,7 @@
 """Property tests for the shared arithmetic contract, in isolation.
 
-``repro.scheduler.contract`` is the float kernel all three simulator
-cores share; the differential harness pins whole simulations, while
+``repro.scheduler.contract`` is the float kernel both simulator cores
+share; the differential harness pins whole simulations, while
 these tests pin the helpers themselves: ``_PowerLedger`` bookkeeping,
 ``_set_speed``/``_settle`` segment and ETA arithmetic, the
 accumulated-stretch ledger, and ``_resolve_ledger``'s trim algebra.

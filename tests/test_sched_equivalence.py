@@ -1,9 +1,8 @@
-"""Equivalence contract between the three simulator cores, the accumulated
+"""Equivalence contract between the two simulator cores, the accumulated
 stretch metric, and combined reactive-cap + node-outage behaviour.
 
-DESIGN.md §9–10: the event-calendar core, the structure-of-arrays core
-(``core="array"``) and the naive reference loop (``reference=True``)
-share the segment arithmetic
+DESIGN.md §9–10: the structure-of-arrays core (``core="array"``) and the
+naive reference loop (``core="reference"``) share the segment arithmetic
 (`_settle`/`_set_speed`/`_PowerLedger`/`_resolve_ledger`), so at equal
 seeds they must produce **float-identical** results — not approximately
 equal.  These tests pin that contract across policies, caps and fault
@@ -20,6 +19,7 @@ import pytest
 
 from repro.prediction import FeatureEncoder, JobPowerModel, OnlineJobPowerModel
 from repro.scheduler import (
+    SIMULATOR_CORES,
     ClusterSimulator,
     EasyBackfillScheduler,
     FifoScheduler,
@@ -86,13 +86,9 @@ def assert_identical(a, b):
 
 
 def _run_both(jobs, policy_factory, **kw):
-    """Reference vs calendar, with the array core pinned to the calendar
-    core as a side effect — every scenario in this file exercises all
-    three backends."""
+    """The reference oracle and the array core on the same stream."""
     ref = ClusterSimulator(N_NODES, policy_factory(), core="reference", **kw).run(jobs)
-    fast = ClusterSimulator(N_NODES, policy_factory(), core="calendar", **kw).run(jobs)
-    arr = ClusterSimulator(N_NODES, policy_factory(), core="array", **kw).run(jobs)
-    assert_identical(fast, arr)
+    fast = ClusterSimulator(N_NODES, policy_factory(), core="array", **kw).run(jobs)
     return ref, fast
 
 
@@ -222,10 +218,9 @@ class TestCapWithOutages:
             ClusterSimulator(
                 N_NODES, EasyBackfillScheduler(), cap_w=48e3,
                 node_outages=OUTAGES, core=core).run(_workload(5))
-            for core in ("reference", "calendar", "array")
+            for core in SIMULATOR_CORES
         ]
-        assert_identical(results[0], results[1])
-        assert_identical(results[0], results[2])
+        assert_identical(*results)
 
 
 class TestBatchPrediction:
