@@ -17,99 +17,41 @@ drill) — or import the subsystem packages directly.  The most-used
 entry points are re-exported here, so::
 
     from repro import ClusterBuilder, FaultInjector, PowerTrace
+
+Re-exports are lazy (PEP 562): a subpackage is imported the first time
+one of its names is looked up, so a process pays only for what it
+uses.  A campaign never loads the hardware, monitoring or DSP stacks,
+nor SciPy or NetworkX.
 """
 
-from . import (
-    analysis,
-    apps,
-    capping,
-    cluster,
-    cooling,
-    core,
-    energyapi,
-    explore,
-    faults,
-    hardware,
-    monitoring,
-    network,
-    observability,
-    power,
-    prediction,
-    runtime,
-    scheduler,
-    sim,
-    telemetry,
-    timesync,
-)
-from .cluster import ClusterBuilder, LiveCluster, TelemetryPlane
-
-# The search entry point deliberately shadows the ``repro.explore``
-# module attribute: ``from repro import explore`` hands you the
-# callable, while ``import repro.explore`` / ``from repro.explore
-# import ...`` keep resolving the package through ``sys.modules``.
-from .explore import (  # noqa: F811
-    Categorical,
-    Continuous,
-    DesignSpace,
-    ExplorationEnv,
-    ExplorationTrace,
-    Integer,
-    Objective,
-    explore,
-)
-from .core import CampaignReport, DavideConfig, DavideSystem
-from .faults import DrillConfig, FaultDrill, FaultInjector, FaultKind, FaultSpec
-from .monitoring import MqttBroker
-from .observability import MetricsRegistry, Observability, Tracer
-from .power import PowerTrace
-from .sim import Environment
+from ._lazy import lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CampaignReport",
-    "Categorical",
-    "ClusterBuilder",
-    "Continuous",
-    "DavideConfig",
-    "DavideSystem",
-    "DesignSpace",
-    "DrillConfig",
-    "Environment",
-    "ExplorationEnv",
-    "ExplorationTrace",
-    "Integer",
-    "Objective",
-    "FaultDrill",
-    "FaultInjector",
-    "FaultKind",
-    "FaultSpec",
-    "LiveCluster",
-    "MetricsRegistry",
-    "MqttBroker",
-    "Observability",
-    "PowerTrace",
-    "TelemetryPlane",
-    "Tracer",
-    "__version__",
-    "analysis",
-    "apps",
-    "capping",
-    "cluster",
-    "cooling",
-    "core",
-    "energyapi",
-    "explore",
-    "faults",
-    "hardware",
-    "monitoring",
-    "network",
-    "observability",
-    "power",
-    "prediction",
-    "runtime",
-    "scheduler",
-    "sim",
-    "telemetry",
-    "timesync",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".": (
+        "analysis", "apps", "capping", "cluster", "cooling", "core", "energyapi",
+        "faults", "hardware", "monitoring", "network", "observability", "power",
+        "prediction", "runtime", "scheduler", "sim", "telemetry", "timesync",
+    ),
+    ".cluster": ("ClusterBuilder", "LiveCluster", "TelemetryPlane"),
+    ".core": ("CampaignReport", "DavideConfig", "DavideSystem"),
+    ".explore": (
+        "Categorical", "Continuous", "DesignSpace", "ExplorationEnv",
+        "ExplorationTrace", "Integer", "Objective", "explore",
+    ),
+    ".faults": ("DrillConfig", "FaultDrill", "FaultInjector", "FaultKind", "FaultSpec"),
+    ".monitoring": ("MqttBroker",),
+    ".observability": ("MetricsRegistry", "Observability", "Tracer"),
+    ".power": ("PowerTrace",),
+    ".sim": ("Environment",),
+})
+__all__.append("__version__")
+
+# The search entry point deliberately shadows the ``repro.explore``
+# subpackage attribute: ``from repro import explore`` hands you the
+# callable, while ``import repro.explore`` / ``from repro.explore
+# import ...`` keep resolving the package through ``sys.modules``.
+# Importing a submodule rebinds its parent's attribute to it, so the
+# callable is bound eagerly, after the subpackage has been imported.
+from .explore.run import explore  # noqa: E402

@@ -1,37 +1,16 @@
 """Analysis: energy metrics, TCO, Top500/Green500 snapshot, exascale projection."""
 
-from .exascale import ExascaleProjection, project_exascale
-from .linpack import HplModel, HplPoint
-from .metrics import (
-    TcoModel,
-    energy_delay_product,
-    energy_to_solution_j,
-    flops_per_watt,
-    pue,
-)
-from .top500 import (
-    NOV2016_SNAPSHOT,
-    SystemEntry,
-    davide_projection,
-    efficiency_ratio,
-    green500_ranking,
-    top500_ranking,
-)
+from .._lazy import lazy
 
-__all__ = [
-    "ExascaleProjection",
-    "HplModel",
-    "HplPoint",
-    "NOV2016_SNAPSHOT",
-    "SystemEntry",
-    "project_exascale",
-    "TcoModel",
-    "davide_projection",
-    "efficiency_ratio",
-    "energy_delay_product",
-    "energy_to_solution_j",
-    "flops_per_watt",
-    "green500_ranking",
-    "pue",
-    "top500_ranking",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".exascale": ("ExascaleProjection", "project_exascale"),
+    ".linpack": ("HplModel", "HplPoint"),
+    ".metrics": (
+        "TcoModel", "energy_delay_product", "energy_to_solution_j", "flops_per_watt",
+        "pue",
+    ),
+    ".top500": (
+        "NOV2016_SNAPSHOT", "SystemEntry", "davide_projection", "efficiency_ratio",
+        "green500_ranking", "top500_ranking",
+    ),
+})

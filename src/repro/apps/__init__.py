@@ -1,34 +1,16 @@
 """Application models (QE, NEMO, SPECFEM3D, BQCD) and real mini-kernels."""
 
-from .base import (
-    ApplicationModel,
-    CommKind,
-    Device,
-    ExecutionPlatform,
-    ExecutionReport,
-    Phase,
-)
-from .codes import ALL_APPS, bqcd, nemo, quantum_espresso, specfem3d
-from .kernels import CgResult, cg_solve, fft_poisson_solve, sem_element_update, stencil_sweep
-from .unified_memory import OversubscriptionPoint, UnifiedMemoryModel
+from .._lazy import lazy
 
-__all__ = [
-    "ALL_APPS",
-    "ApplicationModel",
-    "CgResult",
-    "CommKind",
-    "Device",
-    "ExecutionPlatform",
-    "ExecutionReport",
-    "OversubscriptionPoint",
-    "Phase",
-    "UnifiedMemoryModel",
-    "bqcd",
-    "cg_solve",
-    "fft_poisson_solve",
-    "nemo",
-    "quantum_espresso",
-    "sem_element_update",
-    "specfem3d",
-    "stencil_sweep",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".base": (
+        "ApplicationModel", "CommKind", "Device", "ExecutionPlatform",
+        "ExecutionReport", "Phase",
+    ),
+    ".codes": ("ALL_APPS", "bqcd", "nemo", "quantum_espresso", "specfem3d"),
+    ".kernels": (
+        "CgResult", "cg_solve", "fft_poisson_solve", "sem_element_update",
+        "stencil_sweep",
+    ),
+    ".unified_memory": ("OversubscriptionPoint", "UnifiedMemoryModel"),
+})

@@ -1,26 +1,14 @@
 """Power capping: RAPL-style limiting, DVFS governor, PI capper, power sharing."""
 
-from .controller import CapperTelemetry, NodePowerCapper, PiController, SensorWatchdog
-from .dvfs import DvfsGovernor, PaceResult
-from .rapl import RaplDomain, RaplResult
-from .sharing import (
-    allocation_quality,
-    proportional_share,
-    uniform_share,
-    water_filling,
-)
+from .._lazy import lazy
 
-__all__ = [
-    "CapperTelemetry",
-    "DvfsGovernor",
-    "NodePowerCapper",
-    "PaceResult",
-    "PiController",
-    "RaplDomain",
-    "RaplResult",
-    "SensorWatchdog",
-    "allocation_quality",
-    "proportional_share",
-    "uniform_share",
-    "water_filling",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".controller": (
+        "CapperTelemetry", "NodePowerCapper", "PiController", "SensorWatchdog",
+    ),
+    ".dvfs": ("DvfsGovernor", "PaceResult"),
+    ".rapl": ("RaplDomain", "RaplResult"),
+    ".sharing": (
+        "allocation_quality", "proportional_share", "uniform_share", "water_filling",
+    ),
+})

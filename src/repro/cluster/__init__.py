@@ -6,7 +6,9 @@ kernel, the scheduling simulator, the integrated system, the fault
 drill — from one fluently-configured :class:`ClusterBuilder`.
 """
 
-from ..monitoring.plane import TelemetryPlane
-from .builder import ClusterBuilder, LiveCluster
+from .._lazy import lazy
 
-__all__ = ["ClusterBuilder", "LiveCluster", "TelemetryPlane"]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".builder": ("ClusterBuilder", "LiveCluster"),
+    "..monitoring.plane": ("TelemetryPlane",),
+})

@@ -1,49 +1,19 @@
 """Cooling substrate: RC thermal networks, liquid loop, throttling, datacenter."""
 
-from .hybrid import (
-    COLD_PLATE_CAPTURE,
-    DatacenterCooling,
-    HeatSplit,
-    heat_split_for_node,
-    heat_split_for_rack,
-)
-from .liquid import (
-    WATER_CP_J_PER_KG_K,
-    WATER_DENSITY_KG_PER_L,
-    CoolantStream,
-    HeatExchanger,
-    LiquidLoop,
-    dew_point_c,
-)
-from .thermal import (
-    AIR_COOLED_CPU,
-    AIR_COOLED_GPU,
-    LIQUID_COOLED_CPU,
-    LIQUID_COOLED_GPU,
-    ThermalChain,
-    ThermalStage,
-)
-from .throttling import SustainedOperation, ThrottleGovernor, sustained_performance
+from .._lazy import lazy
 
-__all__ = [
-    "AIR_COOLED_CPU",
-    "AIR_COOLED_GPU",
-    "COLD_PLATE_CAPTURE",
-    "CoolantStream",
-    "DatacenterCooling",
-    "HeatExchanger",
-    "HeatSplit",
-    "LIQUID_COOLED_CPU",
-    "LIQUID_COOLED_GPU",
-    "LiquidLoop",
-    "SustainedOperation",
-    "ThermalChain",
-    "ThermalStage",
-    "ThrottleGovernor",
-    "WATER_CP_J_PER_KG_K",
-    "WATER_DENSITY_KG_PER_L",
-    "dew_point_c",
-    "heat_split_for_node",
-    "heat_split_for_rack",
-    "sustained_performance",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".hybrid": (
+        "COLD_PLATE_CAPTURE", "DatacenterCooling", "HeatSplit", "heat_split_for_node",
+        "heat_split_for_rack",
+    ),
+    ".liquid": (
+        "WATER_CP_J_PER_KG_K", "WATER_DENSITY_KG_PER_L", "CoolantStream",
+        "HeatExchanger", "LiquidLoop", "dew_point_c",
+    ),
+    ".thermal": (
+        "AIR_COOLED_CPU", "AIR_COOLED_GPU", "LIQUID_COOLED_CPU", "LIQUID_COOLED_GPU",
+        "ThermalChain", "ThermalStage",
+    ),
+    ".throttling": ("SustainedOperation", "ThrottleGovernor", "sustained_performance"),
+})

@@ -1,6 +1,8 @@
 """The integrated D.A.V.I.D.E. system: configuration and the Fig.-4 pipeline."""
 
-from .config import DavideConfig
-from .system import CampaignReport, DavideSystem
+from .._lazy import lazy
 
-__all__ = ["CampaignReport", "DavideConfig", "DavideSystem"]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".config": ("DavideConfig",),
+    ".system": ("CampaignReport", "DavideSystem"),
+})

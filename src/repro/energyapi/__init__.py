@@ -1,13 +1,8 @@
 """Energy-proportionality node API and application instrumentation."""
 
-from .instrumentation import Instrumentation, TradeoffPoint, TradeoffRecorder
-from .nodeapi import ApiCallLog, ComponentConfig, NodeEnergyApi
+from .._lazy import lazy
 
-__all__ = [
-    "ApiCallLog",
-    "ComponentConfig",
-    "Instrumentation",
-    "NodeEnergyApi",
-    "TradeoffPoint",
-    "TradeoffRecorder",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".instrumentation": ("Instrumentation", "TradeoffPoint", "TradeoffRecorder"),
+    ".nodeapi": ("ApiCallLog", "ComponentConfig", "NodeEnergyApi"),
+})

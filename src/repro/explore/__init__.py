@@ -15,34 +15,16 @@ run?" into a seeded optimization loop:
   cache state.
 """
 
-from .env import ExplorationEnv
-from .objective import Objective
-from .run import BATCH_SIZE, explore
-from .searchers import (
-    SEARCHER_REGISTRY,
-    EvolutionarySearcher,
-    GridSearcher,
-    RandomSearcher,
-    Searcher,
-)
-from .space import Categorical, Continuous, DesignSpace, Integer, Knob
-from .trace import ExplorationStep, ExplorationTrace
+from .._lazy import lazy
 
-__all__ = [
-    "DesignSpace",
-    "Continuous",
-    "Integer",
-    "Categorical",
-    "Knob",
-    "Objective",
-    "ExplorationEnv",
-    "ExplorationStep",
-    "ExplorationTrace",
-    "Searcher",
-    "RandomSearcher",
-    "GridSearcher",
-    "EvolutionarySearcher",
-    "SEARCHER_REGISTRY",
-    "explore",
-    "BATCH_SIZE",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".env": ("ExplorationEnv",),
+    ".objective": ("Objective",),
+    ".run": ("BATCH_SIZE", "explore"),
+    ".searchers": (
+        "SEARCHER_REGISTRY", "EvolutionarySearcher", "GridSearcher", "RandomSearcher",
+        "Searcher",
+    ),
+    ".space": ("Categorical", "Continuous", "DesignSpace", "Integer", "Knob"),
+    ".trace": ("ExplorationStep", "ExplorationTrace"),
+})

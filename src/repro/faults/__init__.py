@@ -8,34 +8,14 @@ properties while they land; :mod:`.drill` wires both into a full-stack
 16-node scenario harness.
 """
 
-from .drill import DrillConfig, DrillReport, FaultDrill
-from .injector import FaultInjector, FaultKind, FaultSpec
-from .invariants import (
-    InvariantChecker,
-    InvariantViolation,
-    Violation,
-    all_jobs_completed,
-    cap_respected,
-    energy_ledger_balances,
-    monotonic_time_hooks,
-    node_timestamps_monotonic,
-    requeued_jobs_completed,
-)
+from .._lazy import lazy
 
-__all__ = [
-    "DrillConfig",
-    "DrillReport",
-    "FaultDrill",
-    "FaultInjector",
-    "FaultKind",
-    "FaultSpec",
-    "InvariantChecker",
-    "InvariantViolation",
-    "Violation",
-    "all_jobs_completed",
-    "cap_respected",
-    "energy_ledger_balances",
-    "monotonic_time_hooks",
-    "node_timestamps_monotonic",
-    "requeued_jobs_completed",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".drill": ("DrillConfig", "DrillReport", "FaultDrill"),
+    ".injector": ("FaultInjector", "FaultKind", "FaultSpec"),
+    ".invariants": (
+        "InvariantChecker", "InvariantViolation", "Violation", "all_jobs_completed",
+        "cap_respected", "energy_ledger_balances", "monotonic_time_hooks",
+        "node_timestamps_monotonic", "requeued_jobs_completed",
+    ),
+})

@@ -1,86 +1,23 @@
 """Hardware substrate: datasheet specs and component/node/rack/cluster models."""
 
-from .arm import ARM_DDR4, ARM_SOC, PHASE2_NODE, arm_pstates, phase2_fabric
-from .burnin import BurnInCheck, BurnInReport, BurnInSuite
-from .cluster import Cluster
-from .management import Asset, RackManagementController
-from .cpu import CpuModel, PState, default_pstates
-from .gpu import GpuModel, GpuOperatingPoint
-from .interconnect import Endpoint, NodeFabric, TransferCost
-from .memory import CentaurLink, MemorySubsystem
-from .node import ComputeNode, PowerBreakdown
-from .psu import NodeLevelSupply, PsuModel, RackLevelSupply, consolidation_savings
-from .rack import Rack
-from .specs import (
-    CENTAUR_DDR4,
-    DAVIDE_RACK,
-    DAVIDE_SYSTEM,
-    EDR_IB,
-    GARRISON_NODE,
-    GIGA,
-    KILO,
-    MEGA,
-    NVLINK_1,
-    PCIE_GEN3_X16,
-    POWER8_PLUS,
-    TERA,
-    TESLA_P100,
-    CpuSpec,
-    GpuSpec,
-    LinkSpec,
-    MemorySpec,
-    NodeSpec,
-    RackSpec,
-    SystemSpec,
-)
+from .._lazy import lazy
 
-__all__ = [
-    "ARM_DDR4",
-    "ARM_SOC",
-    "Asset",
-    "BurnInCheck",
-    "BurnInReport",
-    "BurnInSuite",
-    "CENTAUR_DDR4",
-    "CentaurLink",
-    "PHASE2_NODE",
-    "RackManagementController",
-    "arm_pstates",
-    "phase2_fabric",
-    "Cluster",
-    "ComputeNode",
-    "CpuModel",
-    "CpuSpec",
-    "DAVIDE_RACK",
-    "DAVIDE_SYSTEM",
-    "EDR_IB",
-    "Endpoint",
-    "GARRISON_NODE",
-    "GIGA",
-    "GpuModel",
-    "GpuOperatingPoint",
-    "GpuSpec",
-    "KILO",
-    "LinkSpec",
-    "MEGA",
-    "MemorySpec",
-    "MemorySubsystem",
-    "NVLINK_1",
-    "NodeFabric",
-    "NodeLevelSupply",
-    "NodeSpec",
-    "PCIE_GEN3_X16",
-    "POWER8_PLUS",
-    "PState",
-    "PowerBreakdown",
-    "PsuModel",
-    "Rack",
-    "RackLevelSupply",
-    "RackSpec",
-    "SystemSpec",
-    "TERA",
-    "TESLA_P100",
-    "TransferCost",
-    "consolidation_savings",
-    "default_pstates",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".arm": ("ARM_DDR4", "ARM_SOC", "PHASE2_NODE", "arm_pstates", "phase2_fabric"),
+    ".burnin": ("BurnInCheck", "BurnInReport", "BurnInSuite"),
+    ".cluster": ("Cluster",),
+    ".management": ("Asset", "RackManagementController"),
+    ".cpu": ("CpuModel", "PState", "default_pstates"),
+    ".gpu": ("GpuModel", "GpuOperatingPoint"),
+    ".interconnect": ("Endpoint", "NodeFabric", "TransferCost"),
+    ".memory": ("CentaurLink", "MemorySubsystem"),
+    ".node": ("ComputeNode", "PowerBreakdown"),
+    ".psu": ("NodeLevelSupply", "PsuModel", "RackLevelSupply", "consolidation_savings"),
+    ".rack": ("Rack",),
+    ".specs": (
+        "CENTAUR_DDR4", "DAVIDE_RACK", "DAVIDE_SYSTEM", "EDR_IB", "GARRISON_NODE",
+        "GIGA", "KILO", "MEGA", "NVLINK_1", "PCIE_GEN3_X16", "POWER8_PLUS", "TERA",
+        "TESLA_P100", "CpuSpec", "GpuSpec", "LinkSpec", "MemorySpec", "NodeSpec",
+        "RackSpec", "SystemSpec",
+    ),
+})

@@ -1,63 +1,24 @@
 """Monitoring stack: MQTT broker, energy gateway, baselines, PowerAPI façade."""
 
-from .baselines import (
-    ArduPowerMonitor,
-    EnergyGatewayMonitor,
-    HdeemMonitor,
-    IpmiMonitor,
-    MonitoringSystem,
-    PowerInsightMonitor,
-    standard_monitors,
-)
-from .comparison import MonitorScore, aliasing_spread, compare_monitors
-from .daemon import CappingAgent, GatewayArray, GatewayDaemon
-from .gateway import EnergyGateway, GatewayConfig
-from .insight import EfficiencyAuditor, Finding, HazardDetector, PowerAnomalyDetector
-from .plane import TelemetryPlane
-from .mqtt import (
-    BrokerUnavailableError,
-    Message,
-    MqttBroker,
-    MqttClient,
-    Subscription,
-    topic_matches,
-    validate_filter,
-    validate_topic,
-)
-from .powerapi import Attribute, NodeObject, PlatformObject, PwrObject, make_platform
+from .._lazy import lazy
 
-__all__ = [
-    "ArduPowerMonitor",
-    "Attribute",
-    "BrokerUnavailableError",
-    "CappingAgent",
-    "EfficiencyAuditor",
-    "EnergyGateway",
-    "Finding",
-    "GatewayArray",
-    "GatewayDaemon",
-    "HazardDetector",
-    "PowerAnomalyDetector",
-    "EnergyGatewayMonitor",
-    "GatewayConfig",
-    "HdeemMonitor",
-    "IpmiMonitor",
-    "Message",
-    "MonitorScore",
-    "MonitoringSystem",
-    "MqttBroker",
-    "MqttClient",
-    "NodeObject",
-    "PlatformObject",
-    "PowerInsightMonitor",
-    "PwrObject",
-    "Subscription",
-    "TelemetryPlane",
-    "aliasing_spread",
-    "compare_monitors",
-    "make_platform",
-    "standard_monitors",
-    "topic_matches",
-    "validate_filter",
-    "validate_topic",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".baselines": (
+        "ArduPowerMonitor", "EnergyGatewayMonitor", "HdeemMonitor", "IpmiMonitor",
+        "MonitoringSystem", "PowerInsightMonitor", "standard_monitors",
+    ),
+    ".comparison": ("MonitorScore", "aliasing_spread", "compare_monitors"),
+    ".daemon": ("CappingAgent", "GatewayArray", "GatewayDaemon"),
+    ".gateway": ("EnergyGateway", "GatewayConfig"),
+    ".insight": (
+        "EfficiencyAuditor", "Finding", "HazardDetector", "PowerAnomalyDetector",
+    ),
+    ".plane": ("TelemetryPlane",),
+    ".mqtt": (
+        "BrokerUnavailableError", "Message", "MqttBroker", "MqttClient", "Subscription",
+        "topic_matches", "validate_filter", "validate_topic",
+    ),
+    ".powerapi": (
+        "Attribute", "NodeObject", "PlatformObject", "PwrObject", "make_platform",
+    ),
+})

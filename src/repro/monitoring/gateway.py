@@ -20,6 +20,7 @@ plain callable).
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -86,8 +87,9 @@ class EnergyGateway:
     def _sensor_for(self, rail: str) -> PowerSensor:
         if rail not in self._sensors:
             # Each rail gets its own sensor instance with a derived RNG so
-            # channel noise is independent but deterministic.
-            seed = abs(hash((self.node_id, rail))) % (2**32)
+            # channel noise is independent but deterministic (crc32, not
+            # hash(): string hashes are salted per process).
+            seed = np.random.SeedSequence([self.node_id, zlib.crc32(rail.encode())])
             self._sensors[rail] = PowerSensor(self._sensor_spec, rng=np.random.default_rng(seed))
         return self._sensors[rail]
 

@@ -1,33 +1,16 @@
 """InfiniBand fabric: fat-tree topology, routing analysis, collective models."""
 
-from .collectives import EDR_DUAL_RAIL, CommModel
-from .fattree import DualRailFabric, FatTree
-from .flows import (
-    FlowAllocation,
-    allocate_fat_tree_flows,
-    completion_time_s,
-    max_min_fair,
-)
-from .routing import (
-    RouteAnalysis,
-    analyze_traffic,
-    dmodk_spine,
-    permutation_traffic,
-    uniform_traffic,
-)
+from .._lazy import lazy
 
-__all__ = [
-    "CommModel",
-    "DualRailFabric",
-    "EDR_DUAL_RAIL",
-    "FatTree",
-    "FlowAllocation",
-    "RouteAnalysis",
-    "allocate_fat_tree_flows",
-    "completion_time_s",
-    "max_min_fair",
-    "analyze_traffic",
-    "dmodk_spine",
-    "permutation_traffic",
-    "uniform_traffic",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".collectives": ("EDR_DUAL_RAIL", "CommModel"),
+    ".fattree": ("DualRailFabric", "FatTree"),
+    ".flows": (
+        "FlowAllocation", "allocate_fat_tree_flows", "completion_time_s",
+        "max_min_fair",
+    ),
+    ".routing": (
+        "RouteAnalysis", "analyze_traffic", "dmodk_spine", "permutation_traffic",
+        "uniform_traffic",
+    ),
+})

@@ -1,44 +1,17 @@
 """Power-sensing chain: traces, sensors, ADC, decimation, synthetic workloads."""
 
-from .adc import AM335X_ADC, AdcSpec, SarAdc, quantization_snr_db
-from .calibration import Calibration, calibrate, verification_error
-from .decimation import (
-    boxcar_decimate,
-    cascaded_average,
-    effective_bits_gain,
-    naive_decimate,
-)
-from .sensors import HALL_SENSOR, SHUNT_SENSOR, PowerSensor, SensorSpec
-from .trace import PowerTrace, trace_from_function
-from .workloads import (
-    PhaseAlternation,
-    hpc_job_power,
-    random_phase_workload,
-    sine_ripple,
-    square_wave,
-)
+from .._lazy import lazy
 
-__all__ = [
-    "AM335X_ADC",
-    "AdcSpec",
-    "Calibration",
-    "HALL_SENSOR",
-    "calibrate",
-    "verification_error",
-    "PhaseAlternation",
-    "PowerSensor",
-    "PowerTrace",
-    "SHUNT_SENSOR",
-    "SarAdc",
-    "SensorSpec",
-    "boxcar_decimate",
-    "cascaded_average",
-    "effective_bits_gain",
-    "hpc_job_power",
-    "naive_decimate",
-    "quantization_snr_db",
-    "random_phase_workload",
-    "sine_ripple",
-    "square_wave",
-    "trace_from_function",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".adc": ("AM335X_ADC", "AdcSpec", "SarAdc", "quantization_snr_db"),
+    ".calibration": ("Calibration", "calibrate", "verification_error"),
+    ".decimation": (
+        "boxcar_decimate", "cascaded_average", "effective_bits_gain", "naive_decimate",
+    ),
+    ".sensors": ("HALL_SENSOR", "SHUNT_SENSOR", "PowerSensor", "SensorSpec"),
+    ".trace": ("PowerTrace", "trace_from_function"),
+    ".workloads": (
+        "PhaseAlternation", "hpc_job_power", "random_phase_workload", "sine_ripple",
+        "square_wave",
+    ),
+})

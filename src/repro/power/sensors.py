@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .trace import PowerTrace
 
@@ -96,6 +95,8 @@ class PowerSensor:
         # Single-pole IIR low-pass at the sensor bandwidth (skip if the
         # trace is sampled too slowly to resolve the pole).
         if self.spec.bandwidth_hz < fs / 2:
+            from scipy.signal import lfilter
+
             alpha = 1.0 - np.exp(-2 * np.pi * self.spec.bandwidth_hz / fs)
             p = lfilter([alpha], [1, -(1 - alpha)], p, zi=[p[0] * (1 - alpha)])[0]
         p = p * (1.0 + self.spec.gain_error) + self.spec.offset_w

@@ -1,25 +1,14 @@
 """Job power prediction: features, regressors, evaluation."""
 
-from .evaluate import (
-    PredictionScore,
-    chronological_split,
-    evaluate_model,
-    score_predictions,
-)
-from .features import FeatureEncoder
-from .models import JobPowerModel, KnnRegressor, PerKeyMeanPredictor, RidgeRegressor
-from .online import OnlineJobPowerModel, OnlineRidge
+from .._lazy import lazy
 
-__all__ = [
-    "FeatureEncoder",
-    "JobPowerModel",
-    "KnnRegressor",
-    "OnlineJobPowerModel",
-    "OnlineRidge",
-    "PerKeyMeanPredictor",
-    "PredictionScore",
-    "RidgeRegressor",
-    "chronological_split",
-    "evaluate_model",
-    "score_predictions",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".evaluate": (
+        "PredictionScore", "chronological_split", "evaluate_model", "score_predictions",
+    ),
+    ".features": ("FeatureEncoder",),
+    ".models": (
+        "JobPowerModel", "KnnRegressor", "PerKeyMeanPredictor", "RidgeRegressor",
+    ),
+    ".online": ("OnlineJobPowerModel", "OnlineRidge"),
+})

@@ -21,49 +21,23 @@ A ten-line TOML file is a complete, content-addressed experiment::
     results = plan.run()
 """
 
-from .build import CampaignPlan, ExplorationPlan, build
-from .cli import main
-from .dump import dump
-from .loader import load, loads
-from .models import (
-    CampaignSection,
-    CapSection,
-    CellSpec,
-    ConfigError,
-    ExplorationSection,
-    KnobSpec,
-    LiveSection,
-    MachineSection,
-    ObjectiveSpec,
-    ObservabilitySection,
-    OutageSpec,
-    PolicySection,
-    RuntimeConfig,
-    RuntimeSection,
-    WorkloadSection,
-)
+from .._lazy import lazy
 
-__all__ = [
-    "CampaignPlan",
-    "CampaignSection",
-    "CapSection",
-    "CellSpec",
-    "ConfigError",
-    "ExplorationPlan",
-    "ExplorationSection",
-    "KnobSpec",
-    "LiveSection",
-    "MachineSection",
-    "ObjectiveSpec",
-    "ObservabilitySection",
-    "OutageSpec",
-    "PolicySection",
-    "RuntimeConfig",
-    "RuntimeSection",
-    "WorkloadSection",
-    "build",
-    "dump",
-    "load",
-    "loads",
-    "main",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".build": ("CampaignPlan", "ExplorationPlan", "build"),
+    ".cli": ("main",),
+    ".dump": ("dump",),
+    ".loader": ("load", "loads"),
+    ".models": (
+        "CampaignSection", "CapSection", "CellSpec", "ConfigError",
+        "ExplorationSection", "KnobSpec", "LiveSection", "MachineSection",
+        "ObjectiveSpec", "ObservabilitySection", "OutageSpec", "PolicySection",
+        "RuntimeConfig", "RuntimeSection", "WorkloadSection",
+    ),
+})
+
+# ``build`` and ``dump`` share their submodules' names, and importing a
+# submodule rebinds the package attribute to it: bind the functions
+# eagerly so they win in every import order.
+from .build import build  # noqa: E402
+from .dump import dump  # noqa: E402

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
-from ..cluster.builder import ClusterBuilder, LiveCluster
 from ..observability import Observability
 from ..scheduler.cache import CampaignCheckpoint, ResultStore, config_key
 from ..scheduler.campaign import (
@@ -45,6 +44,9 @@ from .models import (
     LiveSection,
     RuntimeConfig,
 )
+
+if TYPE_CHECKING:
+    from ..cluster.builder import LiveCluster
 
 __all__ = ["CampaignPlan", "ExplorationPlan", "build"]
 
@@ -223,6 +225,8 @@ def _build_exploration(cfg: RuntimeConfig) -> ExplorationPlan:
 
 
 def _build_live(cfg: RuntimeConfig) -> LiveCluster:
+    from ..cluster.builder import ClusterBuilder
+
     live = cfg.live if cfg.live is not None else LiveSection()
     builder = (
         ClusterBuilder(n_nodes=cfg.machine.n_nodes, seed=live.seed)

@@ -735,7 +735,7 @@ class ExplorationSection:
         _check_keys(where, data, cls._KEYS)
 
         searcher = _as_str(where, "searcher", data.get("searcher", "random"))
-        import repro.explore  # noqa: F401  (populates SEARCHER_REGISTRY)
+        import repro.explore.searchers  # noqa: F401  (populates SEARCHER_REGISTRY)
         if searcher not in SEARCHER_REGISTRY:
             raise ConfigError(
                 f"{where}.searcher: unknown searcher {searcher!r}; "

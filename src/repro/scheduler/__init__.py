@@ -1,116 +1,40 @@
 """Resource manager: jobs, workload generation, scheduling policies, simulator."""
 
-from .cache import (
-    CampaignCheckpoint,
-    DirectoryResultStore,
-    MemoryResultStore,
-    ResultStore,
-    config_key,
-    scenario_fingerprint,
-    scenario_key,
-)
-from .campaign import (
-    QOS_METRICS,
-    CampaignConfig,
-    Scenario,
-    ScenarioResult,
-    campaign_digest,
-    merge_results,
-    result_digest,
-    resume_campaign,
-    run_campaign,
-    run_scenario,
-    scenario_rng,
-    scenario_workload,
-)
-from .service import CampaignJob, CampaignService
-from .job import Job, JobRecord, JobState
-from .policies import (
-    EasyBackfillScheduler,
-    FifoScheduler,
-    ReadyView,
-    SchedulerContext,
-    SchedulingPolicy,
-)
-from .fairshare import (
-    EnergyFairShareScheduler,
-    FairShareState,
-    MultifactorPriority,
-    PriorityScheduler,
-)
-from .plugins import LiveNodePower, SchedulerMonitorPlugin
-from .power_aware import PowerAwareScheduler, request_based_predictor
-from .registries import (
-    POLICY_REGISTRY,
-    SEARCHER_REGISTRY,
-    WORKLOAD_REGISTRY,
-    Registry,
-    make_policy,
-    make_searcher,
-    make_workload,
-)
-from .simulate import SIMULATOR_CORES, ClusterSimulator, NodeOutage, SimulationResult
-from .thermal_aware import (
-    TimeVaryingBudgetScheduler,
-    day_night_budget,
-    heat_wave_budget,
-)
-from .workload import DEFAULT_APP_MIX, AppProfile, WorkloadConfig, WorkloadGenerator
+from .._lazy import lazy
 
-__all__ = [
-    "AppProfile",
-    "CampaignCheckpoint",
-    "CampaignConfig",
-    "CampaignJob",
-    "CampaignService",
-    "ClusterSimulator",
-    "DirectoryResultStore",
-    "MemoryResultStore",
-    "ResultStore",
-    "DEFAULT_APP_MIX",
-    "EasyBackfillScheduler",
-    "EnergyFairShareScheduler",
-    "FairShareState",
-    "FifoScheduler",
-    "Job",
-    "JobRecord",
-    "JobState",
-    "LiveNodePower",
-    "MultifactorPriority",
-    "NodeOutage",
-    "POLICY_REGISTRY",
-    "PriorityScheduler",
-    "PowerAwareScheduler",
-    "QOS_METRICS",
-    "ReadyView",
-    "Registry",
-    "SEARCHER_REGISTRY",
-    "SIMULATOR_CORES",
-    "Scenario",
-    "ScenarioResult",
-    "SchedulerContext",
-    "SchedulerMonitorPlugin",
-    "SchedulingPolicy",
-    "SimulationResult",
-    "TimeVaryingBudgetScheduler",
-    "WORKLOAD_REGISTRY",
-    "WorkloadConfig",
-    "WorkloadGenerator",
-    "campaign_digest",
-    "config_key",
-    "day_night_budget",
-    "heat_wave_budget",
-    "make_policy",
-    "make_searcher",
-    "make_workload",
-    "merge_results",
-    "request_based_predictor",
-    "result_digest",
-    "resume_campaign",
-    "run_campaign",
-    "run_scenario",
-    "scenario_fingerprint",
-    "scenario_key",
-    "scenario_rng",
-    "scenario_workload",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".cache": (
+        "CampaignCheckpoint", "DirectoryResultStore", "MemoryResultStore",
+        "ResultStore", "config_key", "scenario_fingerprint", "scenario_key",
+    ),
+    ".campaign": (
+        "QOS_METRICS", "CampaignConfig", "Scenario", "ScenarioResult",
+        "campaign_digest", "merge_results", "result_digest", "resume_campaign",
+        "run_campaign", "run_scenario", "scenario_rng", "scenario_workload",
+    ),
+    ".service": ("CampaignJob", "CampaignService"),
+    ".job": ("Job", "JobRecord", "JobState"),
+    ".policies": (
+        "EasyBackfillScheduler", "FifoScheduler", "ReadyView", "SchedulerContext",
+        "SchedulingPolicy",
+    ),
+    ".fairshare": (
+        "EnergyFairShareScheduler", "FairShareState", "MultifactorPriority",
+        "PriorityScheduler",
+    ),
+    ".plugins": ("LiveNodePower", "SchedulerMonitorPlugin"),
+    ".power_aware": ("PowerAwareScheduler", "request_based_predictor"),
+    ".registries": (
+        "POLICY_REGISTRY", "SEARCHER_REGISTRY", "WORKLOAD_REGISTRY", "Registry",
+        "make_policy", "make_searcher", "make_workload",
+    ),
+    ".simulate": (
+        "SIMULATOR_CORES", "ClusterSimulator", "NodeOutage", "SimulationResult",
+    ),
+    ".thermal_aware": (
+        "TimeVaryingBudgetScheduler", "day_night_budget", "heat_wave_budget",
+    ),
+    ".workload": (
+        "DEFAULT_APP_MIX", "AppProfile", "WorkloadConfig", "WorkloadGenerator",
+    ),
+})

@@ -216,6 +216,6 @@ def make_searcher(name: str, **kwargs: Any):
     registry still lists ``random``/``grid``/``evolutionary`` whenever
     anyone asks.
     """
-    from .. import explore as _explore  # noqa: F401  (registers searchers)
+    import repro.explore.searchers  # noqa: F401  (registers the searchers)
 
     return SEARCHER_REGISTRY.make(name, **kwargs)

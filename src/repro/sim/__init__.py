@@ -1,32 +1,11 @@
 """Discrete-event simulation kernel used by every time-domain subsystem."""
 
-from .engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    KernelHooks,
-    PeriodicTask,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from .resources import Container, Request, Resource, Store
+from .._lazy import lazy
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Container",
-    "Environment",
-    "Event",
-    "Interrupt",
-    "KernelHooks",
-    "PeriodicTask",
-    "Process",
-    "Request",
-    "Resource",
-    "SimulationError",
-    "Store",
-    "Timeout",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".engine": (
+        "AllOf", "AnyOf", "Environment", "Event", "Interrupt", "KernelHooks",
+        "PeriodicTask", "Process", "SimulationError", "Timeout",
+    ),
+    ".resources": ("Container", "Request", "Resource", "Store"),
+})

@@ -1,23 +1,11 @@
 """Telemetry: time-series DB, energy accounting, phase-correlating profiler."""
 
-from .accounting import EnergyAccountant, JobEnergyBill, UserStatement
-from .eventlog import TelemetryEvent, TelemetryEventLog
-from .events import EventCorrelator, EventTrace, events_from_execution
-from .profiler import PhaseMarker, PowerProfiler, RegionProfile
-from .tsdb import SeriesKey, TimeSeriesDB
+from .._lazy import lazy
 
-__all__ = [
-    "EnergyAccountant",
-    "EventCorrelator",
-    "EventTrace",
-    "JobEnergyBill",
-    "PhaseMarker",
-    "TelemetryEvent",
-    "TelemetryEventLog",
-    "events_from_execution",
-    "PowerProfiler",
-    "RegionProfile",
-    "SeriesKey",
-    "TimeSeriesDB",
-    "UserStatement",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".accounting": ("EnergyAccountant", "JobEnergyBill", "UserStatement"),
+    ".eventlog": ("TelemetryEvent", "TelemetryEventLog"),
+    ".events": ("EventCorrelator", "EventTrace", "events_from_execution"),
+    ".profiler": ("PhaseMarker", "PowerProfiler", "RegionProfile"),
+    ".tsdb": ("SeriesKey", "TimeSeriesDB"),
+})

@@ -1,25 +1,12 @@
 """Time synchronization: drifting clocks, PTP (IEEE 1588), NTP baseline."""
 
-from .clocks import TCXO, XO_CHEAP, DisciplinedClock, LocalClock, OscillatorSpec
-from .ntp import NtpClient
-from .ptp import (
-    HW_TIMESTAMPING,
-    SW_TIMESTAMPING,
-    NetworkPathSpec,
-    PtpExchange,
-    PtpSlave,
-)
+from .._lazy import lazy
 
-__all__ = [
-    "DisciplinedClock",
-    "HW_TIMESTAMPING",
-    "LocalClock",
-    "NetworkPathSpec",
-    "NtpClient",
-    "OscillatorSpec",
-    "PtpExchange",
-    "PtpSlave",
-    "SW_TIMESTAMPING",
-    "TCXO",
-    "XO_CHEAP",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".clocks": ("TCXO", "XO_CHEAP", "DisciplinedClock", "LocalClock", "OscillatorSpec"),
+    ".ntp": ("NtpClient",),
+    ".ptp": (
+        "HW_TIMESTAMPING", "SW_TIMESTAMPING", "NetworkPathSpec", "PtpExchange",
+        "PtpSlave",
+    ),
+})

@@ -1,5 +1,10 @@
 """Integration tests for the end-to-end Fig.-4 pipeline."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -108,3 +113,35 @@ class TestCampaign:
         late = system.broker.connect("late-profiler")
         late.subscribe("davide/+/power/node")
         assert late.poll() is not None  # retained last batches replayed
+
+
+class TestHashSeedIndependence:
+    def test_billed_energy_same_under_any_pythonhashseed(self):
+        """Gateway sensor noise is seeded without ``hash()``, whose string
+        salt changes per process: two interpreters with different
+        ``PYTHONHASHSEED`` bill the same joules."""
+        code = textwrap.dedent("""
+            import dataclasses
+            import numpy as np
+            from repro.core import DavideConfig, DavideSystem
+            from repro.hardware.specs import DAVIDE_RACK, DAVIDE_SYSTEM
+            from repro.scheduler import WorkloadConfig, WorkloadGenerator
+            rack = dataclasses.replace(DAVIDE_RACK, nodes_per_rack=4)
+            spec = dataclasses.replace(DAVIDE_SYSTEM, compute_racks=1, rack=rack)
+            jobs = WorkloadGenerator(
+                WorkloadConfig(n_jobs=12, cluster_nodes=4, load_factor=1.0),
+                rng=np.random.default_rng(0)).generate()
+            report = DavideSystem(DavideConfig(system=spec), seed=0).run_campaign(
+                jobs, power_budget_w=None)
+            print(repr(report.total_billed_energy_j))
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        billed = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            billed.append(out.stdout.strip())
+        assert billed[0] == billed[1]
