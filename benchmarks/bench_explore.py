@@ -34,6 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import _gate  # noqa: E402
 from repro.explore import (  # noqa: E402
     Categorical,
     Continuous,
@@ -73,12 +74,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--min-speedup", type=float, default=5.0,
                         help="absolute warm-speedup floor (default 5x)")
-    parser.add_argument("--tolerance", type=float, default=0.5,
-                        help="allowed fractional regression vs baseline "
-                             "(default 0.5 — wall-clock ratios are noisy)")
+    _gate.add_arguments(parser, tolerance=0.5,
+                        checks="the warm speedup (wall-clock ratios are "
+                               "noisy, hence the loose default)")
     parser.add_argument("--out", default=str(Path(__file__).resolve().parent.parent
                                              / "BENCH_explore.json"))
-    parser.add_argument("--check-against", dest="check_against", default=None)
     args = parser.parse_args(argv)
 
     store = MemoryResultStore()
@@ -131,15 +131,9 @@ def main(argv: list[str] | None = None) -> int:
         ok = False
 
     if args.check_against:
-        baseline = json.loads(Path(args.check_against).read_text())
-        expected = baseline.get("warm_speedup")
-        if expected is not None:
-            floor = expected * (1.0 - args.tolerance)
-            status = "ok" if speedup >= floor else "REGRESSED"
-            print(f"speedup check: measured {speedup:.1f}x vs baseline "
-                  f"{expected:.1f}x (floor {floor:.1f}x) -> {status}")
-            if speedup < floor:
-                ok = False
+        ok &= _gate.check_speedups({"warm_speedup": speedup},
+                                   _gate.load_baseline(args.check_against),
+                                   args.tolerance)
 
     return 0 if ok else 1
 

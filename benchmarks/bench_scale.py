@@ -38,6 +38,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import _gate  # noqa: E402
 from repro.cluster import ClusterBuilder  # noqa: E402
 from repro.faults import FaultKind, FaultSpec  # noqa: E402
 from repro.scheduler import EasyBackfillScheduler, WorkloadConfig, WorkloadGenerator  # noqa: E402
@@ -146,12 +147,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="where to write the JSON report")
     parser.add_argument("--skip-scheduling", action="store_true",
                         help="only run the fault-drill sweep")
-    parser.add_argument("--check-against", default=None, metavar="BASELINE.json",
-                        help="fail if the batched speedup regressed vs this "
-                             "baseline report (ratio-of-ratios, so runner "
-                             "speed cancels out)")
-    parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed fractional speedup regression (default 0.20)")
+    _gate.add_arguments(parser, tolerance=0.20,
+                        checks="the batched speedup (ratio-of-ratios, so "
+                               "runner speed cancels out)")
     args = parser.parse_args(argv)
     node_counts = [int(n) for n in args.nodes.split(",") if n]
 
@@ -189,18 +187,12 @@ def main(argv: list[str] | None = None) -> int:
         print("ERROR: batched and per-sample telemetry digests diverged", file=sys.stderr)
 
     if args.check_against:
-        baseline = json.loads(Path(args.check_against).read_text())
+        baseline = _gate.load_baseline(args.check_against)
         base_speedups = baseline.get("batched_speedup_by_nodes", {})
-        for key, measured in speedups.items():
-            expected = base_speedups.get(key)
-            if expected is None:
-                continue
-            floor = expected * (1.0 - args.tolerance)
-            status = "ok" if measured >= floor else "REGRESSED"
-            print(f"speedup check n={key}: measured {measured:.2f}x vs baseline "
-                  f"{expected:.2f}x (floor {floor:.2f}x) -> {status}")
-            if measured < floor:
-                ok = False
+        ok &= _gate.check_speedups(
+            {f"n={key}": value for key, value in speedups.items()},
+            {f"n={key}": value for key, value in base_speedups.items()},
+            args.tolerance)
 
     return 0 if ok else 1
 

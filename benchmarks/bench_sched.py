@@ -49,6 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+import _gate  # noqa: E402
 from repro.scheduler import (  # noqa: E402
     SIMULATOR_CORES,
     CampaignConfig,
@@ -246,10 +247,18 @@ def _pool_speedup_trusted(campaign: dict | None) -> bool:
         "processes", 1) >= 2
 
 
-def _digest_by_point_mode(runs: list[dict]) -> dict[tuple[str, str], str]:
-    """The array core's digest per (point, mode) of a report's runs."""
-    return {(r["point"], r["mode"]): r["digest"]
+def _digest_by_point_mode(runs: list[dict]) -> dict[str, str]:
+    """The array core's digest per ``point/mode`` of a report's runs."""
+    return {f"{r['point']}/{r['mode']}": r["digest"]
             for r in runs if r["core"] == "array"}
+
+
+def _speedup_by_label(by_point: dict[str, dict[str, dict]]) -> dict[str, float]:
+    """``{point: {mode: {pair: x}}}`` flattened to ``point/mode/pair``."""
+    return {f"{point}/{mode}/{pair}": value
+            for point, by_mode in by_point.items()
+            for mode, pairs in by_mode.items()
+            for pair, value in pairs.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -278,13 +287,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=str(Path(__file__).resolve().parent.parent
                                              / "BENCH_sched.json"),
                         help="where to write the JSON report")
-    parser.add_argument("--check-against", default=None, metavar="BASELINE.json",
-                        help="fail if a core speedup regressed vs this baseline "
-                             "report (ratio-of-ratios, so runner speed cancels "
-                             "out) or any (point, mode) digest differs from "
-                             "the baseline's")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed fractional speedup regression (default 0.25)")
+    _gate.add_arguments(parser, tolerance=0.25,
+                        checks="a core or pool speedup (ratio-of-ratios, so "
+                               "runner speed cancels out) or any (point, "
+                               "mode) digest")
     args = parser.parse_args(argv)
     points = []
     for token in args.points.split(","):
@@ -330,47 +336,20 @@ def main(argv: list[str] | None = None) -> int:
         ok = False
 
     if args.check_against:
-        baseline = json.loads(Path(args.check_against).read_text())
-        base_digests = _digest_by_point_mode(baseline["runs"])
-        for (key, mode), digest in _digest_by_point_mode(runs).items():
-            expected = base_digests.get((key, mode))
-            if expected is None:
-                continue
-            status = "ok" if digest == expected else "DIFFERS"
-            print(f"digest check {key}/{mode}: {digest[:16]} vs baseline "
-                  f"{expected[:16]} -> {status}")
-            if digest != expected:
-                ok = False
-        base_speedups = baseline.get("core_speedup_by_point", {})
-        for key, by_mode in speedups.items():
-            for mode, pairs in by_mode.items():
-                base_pairs = base_speedups.get(key, {}).get(mode)
-                if base_pairs is None:
-                    continue
-                for pair, measured in pairs.items():
-                    expected = base_pairs.get(pair)
-                    if expected is None:
-                        continue
-                    floor = expected * (1.0 - args.tolerance)
-                    status = "ok" if measured >= floor else "REGRESSED"
-                    print(f"speedup check {key}/{mode}/{pair}: measured "
-                          f"{measured:.2f}x vs baseline {expected:.2f}x "
-                          f"(floor {floor:.2f}x) -> {status}")
-                    if measured < floor:
-                        ok = False
+        baseline = _gate.load_baseline(args.check_against)
+        ok &= _gate.check_digests(_digest_by_point_mode(runs),
+                                  _digest_by_point_mode(baseline["runs"]))
+        ok &= _gate.check_speedups(
+            _speedup_by_label(speedups),
+            _speedup_by_label(baseline.get("core_speedup_by_point", {})),
+            args.tolerance)
         base_campaign = baseline.get("campaign")
         if (campaign is not None
                 and _pool_speedup_trusted(campaign)
                 and _pool_speedup_trusted(base_campaign)):
-            measured = campaign["pool_speedup"]
-            expected = base_campaign["pool_speedup"]
-            floor = expected * (1.0 - args.tolerance)
-            status = "ok" if measured >= floor else "REGRESSED"
-            print(f"speedup check campaign/pool_speedup: measured "
-                  f"{measured:.2f}x vs baseline {expected:.2f}x "
-                  f"(floor {floor:.2f}x) -> {status}")
-            if measured < floor:
-                ok = False
+            ok &= _gate.check_speedup(
+                "campaign/pool_speedup", campaign["pool_speedup"],
+                base_campaign["pool_speedup"], args.tolerance)
         elif campaign is not None:
             print("speedup check campaign/pool_speedup: skipped "
                   "(untrusted on <2 CPUs)")

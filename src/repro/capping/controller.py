@@ -17,7 +17,6 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ..compat import pop_alias, reject_unknown_kwargs, rename_kwargs
 from ..hardware.node import ComputeNode
 from ..observability import Observability, null_observability
 
@@ -145,13 +144,11 @@ class CapperTelemetry:
 class NodePowerCapper:
     """PI loop from measured node power to the node's cap actuator."""
 
-    _ALIASES = {"setpoint_w": "cap_w", "control_period_s": "period_s"}
-
     def __init__(
         self,
         node: ComputeNode,
-        cap_w: Optional[float] = None,
-        period_s: Optional[float] = None,
+        cap_w: float,
+        period_s: float = 0.1,
         kp: float = 0.6,
         ki: float = 2.0,
         sensor_noise_w: float = 2.0,
@@ -159,25 +156,17 @@ class NodePowerCapper:
         failsafe_cap_w: Optional[float] = None,
         failsafe_after_s: Optional[float] = None,
         obs: Optional[Observability] = None,
-        **legacy,
     ):
         """``failsafe_cap_w`` is the deep protective cap applied once the
         sensor stream has been silent for ``failsafe_after_s`` (defaults:
         80 % of the cap, after 5 control periods).  Until then the
         controller freezes (holds the last commanded cap) rather than
-        integrating on phantom error.  The old ``setpoint_w`` /
-        ``control_period_s`` spellings still work but warn."""
-        if legacy:
-            rename_kwargs("NodePowerCapper", legacy, self._ALIASES)
-            cap_w = pop_alias("NodePowerCapper", legacy, "cap_w", cap_w)
-            period_s = pop_alias("NodePowerCapper", legacy, "period_s", period_s)
-            reject_unknown_kwargs("NodePowerCapper", legacy)
-        if period_s is None:
-            period_s = 0.1
-        if cap_w is None:
-            raise TypeError("NodePowerCapper() missing required argument 'cap_w'")
-        if cap_w <= 0 or period_s <= 0:
-            raise ValueError("setpoint and period must be positive")
+        integrating on phantom error."""
+        # ``not >`` so a NaN cap or period is rejected too (NaN compares false).
+        if not cap_w > 0:
+            raise ValueError(f"cap_w must be positive, got {cap_w!r}")
+        if not period_s > 0:
+            raise ValueError(f"period_s must be positive, got {period_s!r}")
         self.node = node
         self.cap_w = float(cap_w)
         self.period_s = float(period_s)
@@ -199,16 +188,6 @@ class NodePowerCapper:
             kp=kp, ki=ki, setpoint=self.cap_w,
             out_min=-self.cap_w * 0.5, out_max=self.cap_w * 0.5,
         )
-
-    @property
-    def setpoint_w(self) -> float:
-        """Deprecated spelling of :attr:`cap_w` (kept one release)."""
-        return self.cap_w
-
-    @property
-    def control_period_s(self) -> float:
-        """Deprecated spelling of :attr:`period_s` (kept one release)."""
-        return self.period_s
 
     def run(
         self,

@@ -19,7 +19,6 @@ from typing import Any, Mapping, Optional, Union
 
 import numpy as np
 
-from ..compat import pop_alias, reject_unknown_kwargs, rename_kwargs
 from ..observability import Observability
 from ..scheduler.cache import ResultStore
 from ..scheduler.campaign import CampaignConfig
@@ -37,24 +36,18 @@ __all__ = ["explore", "BATCH_SIZE"]
 #: searchers' trajectories and therefore the trace digest.
 BATCH_SIZE = 8
 
-_DEPRECATED_ALIASES = {
-    "n_steps": "budget",
-    "rng_seed": "seed",
-}
-
 
 def explore(
     space: DesignSpace,
     objective: Objective,
     searcher: Union[str, Searcher] = "random",
-    budget: Optional[int] = None,
-    seed: Optional[int] = None,
+    budget: int = 16,
+    seed: int = 0,
     config: Optional[CampaignConfig] = None,
     base: Optional[Mapping[str, Any]] = None,
     cache: Optional[ResultStore] = None,
     processes: Optional[int] = None,
     obs: Optional[Observability] = None,
-    **legacy: Any,
 ) -> ExplorationTrace:
     """Run one seeded design-space search and return its trace.
 
@@ -64,19 +57,10 @@ def explore(
     replays count, simulations don't get extra budget.  The same
     ``(space, objective, searcher, seed, budget)`` always walks the same
     trajectory; pool size and cache state change wall-clock only.
-
-    Deprecated spellings ``n_steps`` (→ ``budget``) and ``rng_seed``
-    (→ ``seed``) are remapped with a :class:`DeprecationWarning`.
     """
-    rename_kwargs("explore", legacy, _DEPRECATED_ALIASES)
-    budget = pop_alias("explore", legacy, "budget", budget)
-    seed = pop_alias("explore", legacy, "seed", seed)
-    reject_unknown_kwargs("explore", legacy)
-    if budget is None:
-        budget = 16
     if budget < 1:
         raise ValueError("explore() needs a positive budget")
-    seed = 0 if seed is None else int(seed)
+    seed = int(seed)
     if config is None:
         # D.A.V.I.D.E.-shaped default: the full 45-node rack under a
         # moderate synthetic load, small enough for interactive search.

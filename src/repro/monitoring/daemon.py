@@ -26,7 +26,6 @@ from typing import Callable, Deque, Optional, Sequence
 
 import numpy as np
 
-from ..compat import pop_alias, reject_unknown_kwargs, rename_kwargs
 from ..hardware.node import ComputeNode
 from ..observability import Observability, null_observability
 from ..sim.engine import Environment, PeriodicTask
@@ -41,8 +40,6 @@ SensorFault = Callable[[float, float], Optional[float]]
 #: Vectorized fault hook for :class:`GatewayArray`:
 #: (now_s, measured_w[n]) -> (keep_mask[n] or None, perturbed_w[n]).
 BatchSensorFault = Callable[[float, np.ndarray], "tuple[Optional[np.ndarray], np.ndarray]"]
-
-_GATEWAY_ALIASES = {"interval_s": "period_s", "rng_seed": "seed"}
 
 
 class GatewayDaemon:
@@ -61,7 +58,7 @@ class GatewayDaemon:
         env: Environment,
         node: ComputeNode,
         broker: MqttBroker,
-        period_s: Optional[float] = None,
+        period_s: float = 0.1,
         sensor_noise_w: float = 2.0,
         topic_prefix: str = "davide",
         rng: np.random.Generator | None = None,
@@ -72,7 +69,6 @@ class GatewayDaemon:
         clock: Optional[Callable[[float], float]] = None,
         seed: Optional[int] = None,
         obs: Optional[Observability] = None,
-        **legacy,
     ):
         """``clock`` maps true simulated time to the gateway's stamped
         time (the PTP-disciplined clock; identity by default).  ``seed``
@@ -80,15 +76,9 @@ class GatewayDaemon:
         explicit ``rng`` wins over both.  ``obs`` wires the daemon into a
         shared :class:`~repro.observability.Observability`; omitted, the
         instrumentation is no-op."""
-        if legacy:
-            rename_kwargs("GatewayDaemon", legacy, _GATEWAY_ALIASES)
-            period_s = pop_alias("GatewayDaemon", legacy, "period_s", period_s)
-            seed = pop_alias("GatewayDaemon", legacy, "seed", seed)
-            reject_unknown_kwargs("GatewayDaemon", legacy)
-        if period_s is None:
-            period_s = 0.1
-        if period_s <= 0:
-            raise ValueError("period must be positive")
+        if not period_s > 0:
+            # ``not >`` so a NaN period is rejected too (NaN compares false).
+            raise ValueError(f"period_s must be positive, got {period_s!r}")
         if buffer_limit < 1 or retry_backoff_s <= 0 or backoff_factor < 1 or max_backoff_s < retry_backoff_s:
             raise ValueError("invalid resilience parameters")
         self.env = env
@@ -242,7 +232,7 @@ class GatewayArray:
         env: Environment,
         nodes: Sequence[ComputeNode],
         broker: MqttBroker,
-        period_s: Optional[float] = None,
+        period_s: float = 0.1,
         sensor_noise_w: float = 2.0,
         topic_prefix: str = "davide",
         rngs: Optional[Sequence[np.random.Generator]] = None,
@@ -256,22 +246,14 @@ class GatewayArray:
         start_delay_s: float = 0.0,
         seed: Optional[int] = None,
         obs: Optional[Observability] = None,
-        **legacy,
     ):
         """``powers_fn`` (optional) returns all true node powers as one
         array — supply a vectorized implementation to avoid N Python
         calls per tick; the default calls each node's ``power_w()``.
         ``clock_fn`` maps true time to the n stamped times (PTP clocks);
         identity by default."""
-        if legacy:
-            rename_kwargs("GatewayArray", legacy, _GATEWAY_ALIASES)
-            period_s = pop_alias("GatewayArray", legacy, "period_s", period_s)
-            seed = pop_alias("GatewayArray", legacy, "seed", seed)
-            reject_unknown_kwargs("GatewayArray", legacy)
-        if period_s is None:
-            period_s = 0.1
-        if period_s <= 0:
-            raise ValueError("period must be positive")
+        if not period_s > 0:
+            raise ValueError(f"period_s must be positive, got {period_s!r}")
         if buffer_limit < 1 or retry_backoff_s <= 0 or backoff_factor < 1 or max_backoff_s < retry_backoff_s:
             raise ValueError("invalid resilience parameters")
         if not nodes:
@@ -469,28 +451,21 @@ class CappingAgent:
     picking its node's reading out of each block.
     """
 
-    _ALIASES = {"setpoint_w": "cap_w"}
-
     def __init__(
         self,
         env: Environment,
         node: ComputeNode,
         broker: MqttBroker,
-        cap_w: Optional[float] = None,
+        cap_w: float,
         hysteresis_w: float = 25.0,
         actuation_delay_s: float = 0.01,
         topic_prefix: str = "davide",
         batch_topic: Optional[str] = None,
         obs: Optional[Observability] = None,
-        **legacy,
     ):
-        if legacy:
-            rename_kwargs("CappingAgent", legacy, self._ALIASES)
-            cap_w = pop_alias("CappingAgent", legacy, "cap_w", cap_w)
-            reject_unknown_kwargs("CappingAgent", legacy)
-        if cap_w is None:
-            raise TypeError("CappingAgent() missing required argument 'cap_w'")
-        if cap_w <= 0 or hysteresis_w < 0 or actuation_delay_s < 0:
+        if not cap_w > 0:
+            raise ValueError(f"cap_w must be positive, got {cap_w!r}")
+        if hysteresis_w < 0 or actuation_delay_s < 0:
             raise ValueError("invalid capping agent parameters")
         self.env = env
         self.node = node
@@ -509,11 +484,6 @@ class CappingAgent:
         self.obs = obs if obs is not None else null_observability()
         self._tracer = self.obs.tracer
         self._m_actuations = self.obs.metrics.counter("cap_actuations_total")
-
-    @property
-    def setpoint_w(self) -> float:
-        """Deprecated spelling of :attr:`cap_w` (kept one release)."""
-        return self.cap_w
 
     def _on_sample(self, message: Message) -> None:
         payload = message.payload

@@ -3,8 +3,8 @@
 A config file is a tree of tables (TOML) or objects (JSON); every table
 maps onto one frozen dataclass here, parsed by its ``from_dict``
 classmethod.  Parsing is strict on *names* — an unknown key or section
-raises through :func:`~repro.compat.reject_unknown_kwargs`, so the
-error lists every misspelling at once *and* the known fields — and
+raises through :func:`reject_unknown_kwargs`, so the error lists every
+misspelling at once *and* the known fields — and
 strict on *types* (TOML already distinguishes ints, floats, booleans
 and strings; JSON configs are held to the same rules).
 
@@ -27,9 +27,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
-from ..compat import reject_unknown_kwargs
 from ..scheduler.campaign import QOS_METRICS, Scenario
 from ..scheduler.registries import (
     POLICY_REGISTRY,
@@ -74,6 +73,29 @@ class ConfigError(ValueError):
 # parse helpers
 # --------------------------------------------------------------------------
 
+def reject_unknown_kwargs(
+    owner: str, kwargs: dict[str, Any], known: Sequence[str] = ()
+) -> None:
+    """Raise the usual TypeError for unknown keyword names.
+
+    Every unknown name is reported, in sorted order — a file with three
+    typos gets all three back at once instead of one arbitrary pick per
+    retry.  ``known`` optionally names the accepted spellings in the
+    message.  The wording matches Python's own unexpected-keyword error,
+    so CLI and Python callers read the same error shape.
+    """
+    if not kwargs:
+        return
+    names = ", ".join(repr(name) for name in sorted(kwargs))
+    if len(kwargs) > 1:
+        message = f"{owner}() got unexpected keyword arguments {names}"
+    else:
+        message = f"{owner}() got an unexpected keyword argument {names}"
+    if known:
+        message += f" (known: {', '.join(sorted(known))})"
+    raise TypeError(message)
+
+
 def _require_table(where: str, value: Any) -> Mapping[str, Any]:
     if not isinstance(value, Mapping):
         raise ConfigError(
@@ -83,7 +105,7 @@ def _require_table(where: str, value: Any) -> Mapping[str, Any]:
 
 
 def _check_keys(where: str, data: Mapping[str, Any], known: tuple) -> None:
-    """Unknown keys raise through the shared kwargs error path."""
+    """Unknown keys raise a TypeError naming each one and the known keys."""
     unknown = {k: data[k] for k in data if k not in known}
     reject_unknown_kwargs(where, unknown, known=known)
 

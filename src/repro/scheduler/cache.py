@@ -9,8 +9,8 @@ memo table.  Three pieces:
   outages).  Two specs that would run the identical simulation map to
   the identical key even when they are spelled differently —
   ``budget_w=None`` with a cap vs the budget written out,
-  ``"nameplate"`` vs ``"nameplate:2000.0"``, ``reference=True`` vs
-  ``core="reference"`` — and cosmetic fields (``label``) are excluded.
+  ``"nameplate"`` vs ``"nameplate:2000.0"``, ``core=None`` vs
+  ``core="array"`` — and cosmetic fields (``label``) are excluded.
   The derivation is pure data (sorted-key canonical JSON → SHA-256):
   no ``repr``, no ``id()``, no interpreter hash seed, so keys are
   stable across field reordering, processes, and runs.
@@ -130,7 +130,7 @@ def _canonical_scenario(
         "seed_index": int(scenario.seed_index),
         "cap_w": None if cap is None else float(cap),
         "train_fraction": float(scenario.train_fraction),
-        "core": resolve_core(scenario.core, scenario.reference),
+        "core": resolve_core(scenario.core),
         "outages": sorted(
             [float(o.at_s), int(o.node_id), float(o.duration_s)]
             for o in scenario.node_outages
@@ -239,7 +239,6 @@ def _scenario_to_dict(scenario: "Scenario") -> dict[str, Any]:
         "backfill_depth": scenario.backfill_depth,
         "dvfs_floor": scenario.dvfs_floor,
         "fairshare_decay": scenario.fairshare_decay,
-        "reference": scenario.reference,
         "core": scenario.core,
         "label": scenario.label,
     }
@@ -249,6 +248,9 @@ def _scenario_from_dict(data: dict[str, Any]) -> "Scenario":
     from .campaign import Scenario
 
     fields = dict(data)
+    # Entries written before the ``reference`` flag was folded into ``core``.
+    if fields.pop("reference", False):
+        fields["core"] = "reference"
     fields["node_outages"] = tuple(
         NodeOutage(at_s=o[0], node_id=o[1], duration_s=o[2])
         for o in fields.get("node_outages", [])

@@ -91,18 +91,16 @@ class Scenario:
     #: :class:`~repro.scheduler.fairshare.EnergyFairShareScheduler`
     #: (energy-charged priority ordering).  None = no fairshare layer.
     fairshare_decay: Optional[float] = None
-    reference: bool = False
-    #: Simulator backend for this cell (None = the simulator default: the
-    #: array core, or the reference core when ``reference=True``).  Both
-    #: cores are digest-identical, so this only trades speed — pinned by
-    #: ``tests/test_campaign.py``.
+    #: Simulator backend for this cell (None = the simulator default, the
+    #: array core).  Both cores are digest-identical, so this only trades
+    #: speed — pinned by ``tests/test_campaign.py``.
     core: Optional[str] = None
     label: str = ""
 
     def __post_init__(self) -> None:
         if self.policy not in _POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; pick one of {_POLICIES}")
-        resolve_core(self.core, self.reference)
+        resolve_core(self.core)
         if not 0.0 <= self.train_fraction < 1.0:
             raise ValueError("train fraction must lie in [0, 1)")
         if self.backfill_depth is not None and self.backfill_depth < 0:
@@ -296,7 +294,7 @@ def run_scenario(
     """Run one grid cell start-to-finish (also the pool worker body).
 
     The backend is the simulator default (the array core) unless the
-    scenario pins ``core`` or asks for the reference oracle.
+    scenario pins ``core``.
     ``keep_result=True`` attaches the full :class:`SimulationResult` to
     the returned cell.
     """
@@ -319,7 +317,6 @@ def run_scenario(
             else config.min_speed
         ),
         node_outages=scenario.node_outages,
-        reference=scenario.reference,
         core=scenario.core,
     )
     result = sim.run(test)
@@ -503,8 +500,8 @@ def merge_results(
     Duplicates are recognized by :func:`~repro.scheduler.cache.
     scenario_fingerprint` — the canonical content key — not by
     ``repr``: default-equivalent spellings of one cell (``budget_w``
-    omitted vs written out as the cap, ``reference=True`` vs
-    ``core="reference"``, differing ``label``\\ s, permuted outage
+    omitted vs written out as the cap, ``core=None`` vs
+    ``core="array"``, differing ``label``\\ s, permuted outage
     tuples) collapse correctly instead of silently duplicating the
     cell.  Shards must come from campaigns sharing one
     :class:`CampaignConfig`; the fingerprint deliberately excludes it.

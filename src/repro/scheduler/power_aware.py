@@ -28,7 +28,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..compat import pop_alias, reject_unknown_kwargs, rename_kwargs
 from ..observability import Observability, null_observability
 
 from .job import Job, JobRecord
@@ -70,22 +69,16 @@ class PowerAwareScheduler:
 
     def __init__(
         self,
-        cap_w: Optional[float] = None,
+        cap_w: float,
         predictor: PowerPredictor | None = None,
         idle_node_power_w: float = 300.0,
         headroom_margin: float = 0.03,
         backfill_depth: Optional[int] = None,
         obs: Optional[Observability] = None,
-        **legacy,
     ):
-        if legacy:
-            rename_kwargs("PowerAwareScheduler", legacy, {"power_budget_w": "cap_w"})
-            cap_w = pop_alias("PowerAwareScheduler", legacy, "cap_w", cap_w)
-            reject_unknown_kwargs("PowerAwareScheduler", legacy)
-        if cap_w is None:
-            raise TypeError("PowerAwareScheduler() missing required argument 'cap_w'")
-        if cap_w <= 0:
-            raise ValueError("power budget must be positive")
+        if not cap_w > 0:
+            # ``not >`` so a NaN cap is rejected too (NaN compares false).
+            raise ValueError(f"cap_w must be positive, got {cap_w!r}")
         if not 0.0 <= headroom_margin < 1.0:
             raise ValueError("headroom margin must lie in [0, 1)")
         if backfill_depth is not None and backfill_depth < 0:
@@ -103,15 +96,6 @@ class PowerAwareScheduler:
         self._m_select = m.counter("scheduler_select_calls_total")
         self._m_admitted = m.counter("scheduler_admitted_total")
         self._m_backfilled = m.counter("scheduler_backfills_total")
-
-    @property
-    def power_budget_w(self) -> float:
-        """Deprecated spelling of :attr:`cap_w` (kept one release)."""
-        return self.cap_w
-
-    @power_budget_w.setter
-    def power_budget_w(self, value: float) -> None:
-        self.cap_w = float(value)
 
     # -- power bookkeeping ---------------------------------------------------
     def _predicted(self, rec: JobRecord) -> float:

@@ -141,9 +141,7 @@ def _fairshare_policy(
 def make_policy(name: str, **kwargs: Any):
     """Build a scheduling policy by registry name.
 
-    The deprecated keyword spellings the constructors accept
-    (``power_budget_w`` for ``cap_w``) keep warning-and-working through
-    this path — the factory forwards keywords verbatim.
+    The factory forwards keywords verbatim to the registered constructor.
     """
     return POLICY_REGISTRY.make(name, **kwargs)
 

@@ -50,7 +50,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..compat import pop_alias, reject_unknown_kwargs, rename_kwargs
 from ..observability import Observability, null_observability
 from ..power.trace import PowerTrace
 from .contract import (
@@ -70,20 +69,16 @@ __all__ = ["NodeOutage", "SimulationResult", "ClusterSimulator", "SIMULATOR_CORE
 SIMULATOR_CORES = ("reference", "array")
 
 
-def resolve_core(core: Optional[str], reference: bool = False) -> str:
-    """The backend a ``(core, reference)`` pair selects.
+def resolve_core(core: Optional[str]) -> str:
+    """The backend ``core`` selects: ``None`` means the array core.
 
-    ``None`` means the array core, or the reference core when
-    ``reference=True`` (the pre-``core`` spelling).  Any name outside
-    :data:`SIMULATOR_CORES` is rejected rather than mapped onto one of
-    them, and so is ``reference=True`` with a different core.
+    Any name outside :data:`SIMULATOR_CORES` is rejected rather than
+    mapped onto one of them.
     """
     if core is None:
-        return "reference" if reference else "array"
+        return "array"
     if core not in SIMULATOR_CORES:
         raise ValueError(f"unknown core {core!r}; pick one of {SIMULATOR_CORES}")
-    if reference and core != "reference":
-        raise ValueError(f"reference=True conflicts with core={core!r}")
     return core
 
 
@@ -229,12 +224,9 @@ class ClusterSimulator:
         node_outages: Sequence[NodeOutage] = (),
         on_job_requeue=None,
         obs: Optional[Observability] = None,
-        reference: bool = False,
         core: Optional[str] = None,
-        **legacy,
     ):
-        """``cap_w`` is the reactive RAPL-style trim threshold (the old
-        ``reactive_cap_w`` spelling still works but warns).
+        """``cap_w`` is the reactive RAPL-style trim threshold.
 
         ``on_job_start(record)`` / ``on_job_end(record)`` fire at the
         corresponding lifecycle instants — the hook the Fig.-4 scheduler
@@ -248,13 +240,8 @@ class ClusterSimulator:
         :data:`SIMULATOR_CORES`: ``"reference"`` is the naive rescanning
         loop (the equivalence oracle and benchmark baseline), ``"array"``
         (the default) the structure-of-arrays core.  Both produce
-        float-identical results.  ``reference=True`` is the pre-``core``
-        spelling of ``core="reference"`` and still works."""
-        if legacy:
-            rename_kwargs("ClusterSimulator", legacy, {"reactive_cap_w": "cap_w"})
-            cap_w = pop_alias("ClusterSimulator", legacy, "cap_w", cap_w)
-            reject_unknown_kwargs("ClusterSimulator", legacy)
-        core = resolve_core(core, reference)
+        float-identical results."""
+        core = resolve_core(core)
         if n_nodes < 1:
             raise ValueError("need at least one node")
         if cap_w is not None and not cap_w > 0:
@@ -276,7 +263,6 @@ class ClusterSimulator:
         self.node_outages = tuple(sorted(node_outages, key=lambda o: (o.at_s, o.node_id)))
         self.on_job_requeue = on_job_requeue
         self.core = core
-        self.reference = core == "reference"
         # Observability handles, resolved once (no-op when not wired in).
         self.obs = obs if obs is not None else null_observability()
         m = self.obs.metrics
@@ -285,11 +271,6 @@ class ClusterSimulator:
         self._m_completed = m.counter("scheduler_jobs_completed_total")
         self._m_requeued = m.counter("scheduler_jobs_requeued_total")
         self._m_overdemand = m.counter("cap_violation_seconds_total")
-
-    @property
-    def reactive_cap_w(self) -> Optional[float]:
-        """Deprecated spelling of :attr:`cap_w` (kept one release)."""
-        return self.cap_w
 
     @property
     def _rho_min(self) -> float:

@@ -14,8 +14,6 @@ from collections import deque
 
 import numpy as np
 
-from ..compat import pop_alias, reject_unknown_kwargs, rename_kwargs
-
 from .clocks import DisciplinedClock, LocalClock
 from .ptp import NetworkPathSpec, PtpExchange, SW_TIMESTAMPING
 
@@ -29,19 +27,15 @@ class NtpClient:
         self,
         local_clock: LocalClock,
         path: NetworkPathSpec = SW_TIMESTAMPING,
-        period_s: float | None = None,
+        period_s: float = 16.0,
         servo_kp: float = 0.5,
         filter_depth: int = 8,
         rng: np.random.Generator | None = None,
-        **legacy,
     ):
-        if legacy:
-            rename_kwargs("NtpClient", legacy, {"poll_interval_s": "period_s"})
-            period_s = pop_alias("NtpClient", legacy, "period_s", period_s)
-            reject_unknown_kwargs("NtpClient", legacy)
-        if period_s is None:
-            period_s = 16.0
-        if period_s <= 0 or filter_depth < 1:
+        if not period_s > 0:
+            # ``not >`` so a NaN period is rejected too (NaN compares false).
+            raise ValueError(f"period_s must be positive, got {period_s!r}")
+        if filter_depth < 1:
             raise ValueError("invalid NTP parameters")
         self.clock = DisciplinedClock(local_clock)
         self.path = path
@@ -51,11 +45,6 @@ class NtpClient:
         self._filter: deque[PtpExchange] = deque(maxlen=filter_depth)
         self._prev_applied: PtpExchange | None = None
         self.history: list[PtpExchange] = []
-
-    @property
-    def poll_interval_s(self) -> float:
-        """Deprecated spelling of :attr:`period_s` (kept one release)."""
-        return self.period_s
 
     def _stamp_noise(self) -> float:
         return float(self.rng.normal(0.0, self.path.timestamp_error_s))

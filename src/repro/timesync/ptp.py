@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..compat import pop_alias, reject_unknown_kwargs, rename_kwargs
-
 from .clocks import DisciplinedClock, LocalClock
 
 __all__ = ["NetworkPathSpec", "PtpExchange", "PtpSlave", "HW_TIMESTAMPING", "SW_TIMESTAMPING"]
@@ -80,19 +78,13 @@ class PtpSlave:
         self,
         local_clock: LocalClock,
         path: NetworkPathSpec = HW_TIMESTAMPING,
-        period_s: float | None = None,
+        period_s: float = 1.0,
         servo_kp: float = 0.7,
         rng: np.random.Generator | None = None,
-        **legacy,
     ):
-        if legacy:
-            rename_kwargs("PtpSlave", legacy, {"sync_interval_s": "period_s"})
-            period_s = pop_alias("PtpSlave", legacy, "period_s", period_s)
-            reject_unknown_kwargs("PtpSlave", legacy)
-        if period_s is None:
-            period_s = 1.0
-        if period_s <= 0:
-            raise ValueError("sync interval must be positive")
+        if not period_s > 0:
+            # ``not >`` so a NaN period is rejected too (NaN compares false).
+            raise ValueError(f"period_s must be positive, got {period_s!r}")
         self.clock = DisciplinedClock(local_clock)
         self.path = path
         self.period_s = float(period_s)
@@ -100,11 +92,6 @@ class PtpSlave:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._prev: PtpExchange | None = None
         self.history: list[PtpExchange] = []
-
-    @property
-    def sync_interval_s(self) -> float:
-        """Deprecated spelling of :attr:`period_s` (kept one release)."""
-        return self.period_s
 
     # -- one protocol round --------------------------------------------------
     def _stamp_noise(self) -> float:

@@ -32,12 +32,15 @@ from repro.scheduler import (
     MemoryResultStore,
     NodeOutage,
     Scenario,
+    campaign_digest,
     config_key,
     result_digest,
+    run_campaign,
     run_scenario,
     scenario_fingerprint,
     scenario_key,
 )
+from repro.scheduler.cache import _scenario_from_dict, _scenario_to_dict
 
 CONFIG = CampaignConfig(n_nodes=8, n_jobs=20, root_seed=11, load_factor=1.1)
 CAP = 9e3
@@ -53,7 +56,6 @@ class ReorderedScenario:
 
     label: str = ""
     core: Optional[str] = None
-    reference: bool = False
     fairshare_decay: Optional[float] = None
     dvfs_floor: Optional[float] = None
     backfill_depth: Optional[int] = None
@@ -98,10 +100,13 @@ class TestKeyStability:
     def test_core_spellings_collapse(self):
         default = Scenario(policy="fifo")
         explicit = Scenario(policy="fifo", core="array")
-        ref_flag = Scenario(policy="fifo", reference=True)
-        ref_core = Scenario(policy="fifo", core="reference")
         assert scenario_key(CONFIG, default) == scenario_key(CONFIG, explicit)
-        assert scenario_key(CONFIG, ref_flag) == scenario_key(CONFIG, ref_core)
+        # Stored specs written while Scenario had a ``reference`` flag
+        # read back onto ``core``.
+        stored = _scenario_from_dict(
+            {**_scenario_to_dict(default), "reference": True})
+        assert scenario_key(CONFIG, stored) == scenario_key(
+            CONFIG, Scenario(policy="fifo", core="reference"))
 
     def test_label_is_cosmetic(self):
         a = Scenario(policy="easy", cap_w=CAP, label="")
@@ -217,6 +222,26 @@ class TestKeyStability:
             predictor="nameplate:1500", train_fraction=0.25,
             node_outages=(NodeOutage(at_s=50.0, node_id=1, duration_s=100.0),)))
         assert out.stdout.strip() == here
+
+
+class TestPinnedKeys:
+    """Literal keys: warmed stores and checkpoints stay valid only while
+    the canonical form of an unchanged spec does not move."""
+
+    @pytest.mark.parametrize("scenario, key", [
+        (Scenario(policy="fifo"),
+         "6fb0615545e66efc1644895fa9435d74407a5ebe9035585cf8e5bf1857752745"),
+        (Scenario(policy="fifo", core="reference"),
+         "5d245c7fe876d209da73b9eca16d32b96462ef7974f9aa8c635ce6dcd5a98fe8"),
+        (Scenario(policy="easy", cap_w=CAP, node_outages=(
+            NodeOutage(at_s=50.0, node_id=3, duration_s=200.0),)),
+         "fb17140e822788d6a157dd61122978c6c8499ebcea989b1bf7e45f043e160afe"),
+        (Scenario(policy="power-aware", cap_w=CAP, predictor="nameplate:1500"),
+         "2e6a0ab482b030dd84eada5400b64a3259363cf13da0c1229e3004c238ba276f"),
+    ], ids=["fifo", "fifo-reference-core", "easy-outage",
+            "power-aware-nameplate"])
+    def test_key_is_pinned(self, scenario, key):
+        assert scenario_key(CONFIG, scenario) == key
 
 
 class TestKeyDistinctness:
@@ -393,6 +418,28 @@ class TestDirectoryStore:
         store = DirectoryResultStore(tmp_path / "store")
         (tmp_path / "store" / "deadbeef.json").write_text("{not json")
         assert store.get("deadbeef") is None
+
+    @pytest.mark.parametrize("flag, core", [(True, None), (False, "reference")])
+    def test_entry_with_reference_flag_loads_and_hits(self, tmp_path, flag, core):
+        """Entries written while Scenario had a ``reference`` flag carry
+        ``"reference": true|false`` in their JSON.  They load with the
+        flag folded onto ``core`` and a re-run replays them."""
+        import json
+
+        scenario = Scenario(policy="easy", cap_w=CAP, core="reference")
+        cold = run_campaign(CONFIG, [scenario], processes=1,
+                            cache=DirectoryResultStore(tmp_path / "store"))
+        key = scenario_key(CONFIG, scenario)
+        path = tmp_path / "store" / f"{key}.json"
+        meta = json.loads(path.read_text())
+        meta["scenario"].update(reference=flag, core=core)
+        path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")))
+
+        store = DirectoryResultStore(tmp_path / "store")
+        assert store.get(key).scenario.core == "reference"
+        warm = run_campaign(CONFIG, [scenario], processes=1, cache=store)
+        assert (store.hits, store.misses) == (2, 0)
+        assert campaign_digest(warm) == campaign_digest(cold)
 
     def test_persists_across_instances(self, tmp_path):
         cell = run_scenario(CONFIG, Scenario(policy="fifo"), keep_result=False)

@@ -86,7 +86,7 @@ class TestScenarioSemantics:
         equivalence contract, certified through the digest path."""
         fast = run_scenario(CONFIG, Scenario(policy="easy", cap_w=20e3))
         ref = run_scenario(
-            CONFIG, Scenario(policy="easy", cap_w=20e3, reference=True))
+            CONFIG, Scenario(policy="easy", cap_w=20e3, core="reference"))
         assert fast.digest == ref.digest
         assert fast.qos == ref.qos
 
@@ -247,13 +247,6 @@ class TestValidation:
     def test_unknown_core_rejected(self):
         with pytest.raises(ValueError, match="unknown core"):
             Scenario(policy="fifo", core="gpu")
-
-    def test_reference_flag_conflicts_with_other_core(self):
-        with pytest.raises(ValueError, match="conflicts"):
-            Scenario(policy="fifo", reference=True, core="array")
-        # reference=True with core="reference" (or unset) is fine.
-        Scenario(policy="fifo", reference=True, core="reference")
-        Scenario(policy="fifo", reference=True)
 
     def test_unknown_predictor_rejected(self):
         with pytest.raises(ValueError, match="unknown predictor"):

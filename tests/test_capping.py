@@ -149,7 +149,7 @@ class TestPiController:
 class TestNodePowerCapper:
     def test_holds_setpoint_under_full_load(self):
         node = ComputeNode()
-        capper = NodePowerCapper(node, setpoint_w=1500.0, rng=np.random.default_rng(0))
+        capper = NodePowerCapper(node, cap_w=1500.0, rng=np.random.default_rng(0))
         telemetry = capper.run(duration_s=20.0)
         tail = telemetry.achieved_w[len(telemetry.achieved_w) // 2:]
         assert np.mean(tail) == pytest.approx(1500.0, rel=0.05)
@@ -157,7 +157,7 @@ class TestNodePowerCapper:
 
     def test_releases_cap_when_load_drops(self):
         node = ComputeNode()
-        capper = NodePowerCapper(node, setpoint_w=1500.0, rng=np.random.default_rng(1))
+        capper = NodePowerCapper(node, cap_w=1500.0, rng=np.random.default_rng(1))
 
         def util(t):
             return (1.0, 1.0) if t < 10.0 else (0.1, 0.1)
@@ -172,8 +172,8 @@ class TestNodePowerCapper:
     def test_validation(self):
         node = ComputeNode()
         with pytest.raises(ValueError):
-            NodePowerCapper(node, setpoint_w=0.0)
-        capper = NodePowerCapper(node, setpoint_w=1000.0)
+            NodePowerCapper(node, cap_w=0.0)
+        capper = NodePowerCapper(node, cap_w=1000.0)
         with pytest.raises(ValueError):
             capper.run(duration_s=0.0)
 

@@ -150,7 +150,7 @@ class TestOverloadBehaviour:
         broker = MqttBroker()
         node = ComputeNode()
         node.set_utilization(cpu=1.0, gpu=1.0, memory_intensity=1.0)
-        agent = CappingAgent(env, node, broker, setpoint_w=1000.0)
+        agent = CappingAgent(env, node, broker, cap_w=1000.0)
         env.run(until=5.0)  # no daemon attached
         assert agent.actuations == 0
 

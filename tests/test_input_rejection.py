@@ -12,7 +12,10 @@ Two families:
   ``inf``, and a NaN slips past every ``<=`` range check.  Unchecked, a
   NaN cap or runtime would spin the array core forever, NaN power would
   give NaN energy, and a job larger than the machine would surface only
-  as an anonymous stall.  Each raises, naming the field or the job.
+  as an anonymous stall.  The live constructors take the same ``not x >
+  0`` check: a NaN gateway period hangs the kernel, a NaN dispatcher cap
+  runs uncapped and a NaN capper cap returns NaN telemetry.  Each
+  raises, naming the field or the job.
 
 The CLI cases run in a subprocess with a timeout, so a regression that
 brings a hang back fails the test instead of stalling the suite.
@@ -26,6 +29,9 @@ import sys
 
 import pytest
 
+from repro.capping import NodePowerCapper
+from repro.hardware import ComputeNode
+from repro.monitoring import CappingAgent, GatewayArray, GatewayDaemon, MqttBroker
 from repro.runtime import ConfigError, load
 from repro.scheduler import (
     SIMULATOR_CORES,
@@ -35,12 +41,15 @@ from repro.scheduler import (
     DirectoryResultStore,
     FifoScheduler,
     Job,
+    PowerAwareScheduler,
     Scenario,
     resume_campaign,
     run_campaign,
     scenario_key,
 )
 from repro.scheduler.cache import KEY_VERSION
+from repro.sim import Environment
+from repro.timesync import LocalClock, NtpClient, PtpSlave
 
 needs_tomllib = pytest.mark.skipif(
     importlib.util.find_spec("tomllib") is None,
@@ -54,6 +63,8 @@ _SRC = os.path.join(
 _CORES_LISTED = r"\('reference', 'array'\)"
 
 CONFIG = CampaignConfig(n_nodes=6, n_jobs=12, root_seed=3, load_factor=1.1)
+
+_NAN = float("nan")
 
 _TOML_BASE = """\
 [runtime]
@@ -99,7 +110,7 @@ class TestCoreNames:
     def test_two_cores_and_the_array_core_is_the_default(self):
         assert SIMULATOR_CORES == ("reference", "array")
         assert ClusterSimulator(4, FifoScheduler()).core == "array"
-        assert ClusterSimulator(4, FifoScheduler(), reference=True).core == "reference"
+        assert ClusterSimulator(4, FifoScheduler(), core="reference").core == "reference"
 
     def test_simulator_rejects_calendar(self):
         with pytest.raises(ValueError, match=rf"core 'calendar'.*{_CORES_LISTED}"):
@@ -170,3 +181,33 @@ class TestNonFiniteAndInfeasibleInputs:
         sim = ClusterSimulator(4, FifoScheduler())
         with pytest.raises(RuntimeError, match="job 3 needs 5 nodes"):
             sim.run([_job(0), _job(3, n_nodes=5)])
+
+
+class TestNaNCapOrPeriod:
+    """The live constructors' ``not x > 0`` checks.  Unchecked, a NaN
+    gateway period hangs ``env.run``, a NaN dispatcher cap runs uncapped
+    and a NaN capper cap returns NaN telemetry."""
+
+    @pytest.mark.parametrize("field, build", [
+        ("period_s", lambda env, node, broker: GatewayDaemon(
+            env, node, broker, period_s=_NAN)),
+        ("period_s", lambda env, node, broker: GatewayArray(
+            env, [node], broker, period_s=_NAN)),
+        ("cap_w", lambda env, node, broker: CappingAgent(
+            env, node, broker, cap_w=_NAN)),
+        ("cap_w", lambda env, node, broker: NodePowerCapper(node, cap_w=_NAN)),
+        ("period_s", lambda env, node, broker: NodePowerCapper(
+            node, cap_w=1500.0, period_s=_NAN)),
+        ("cap_w", lambda env, node, broker: PowerAwareScheduler(cap_w=_NAN)),
+        ("period_s", lambda env, node, broker: NtpClient(
+            LocalClock(), period_s=_NAN)),
+        ("period_s", lambda env, node, broker: PtpSlave(
+            LocalClock(), period_s=_NAN)),
+    ], ids=["GatewayDaemon", "GatewayArray", "CappingAgent",
+            "NodePowerCapper-cap", "NodePowerCapper-period",
+            "PowerAwareScheduler", "NtpClient", "PtpSlave"])
+    def test_constructor_rejects_it(self, field, build):
+        env = Environment()
+        broker = MqttBroker(clock=lambda: env.now)
+        with pytest.raises(ValueError, match=rf"{field} must be positive, got nan"):
+            build(env, ComputeNode(node_id=0), broker)

@@ -213,7 +213,7 @@ class TestDrillUnderFaults:
         caps = [c for _, c in drill.cap_steps]
         assert min(caps) == pytest.approx(6000.0)   # 2 live PSUs
         assert drill.cap_steps[-1][1] == pytest.approx(8000.0)  # restored
-        assert drill.policy.power_budget_w == pytest.approx(8000.0)
+        assert drill.policy.cap_w == pytest.approx(8000.0)
 
     def test_sensor_faults_never_break_invariants(self):
         drill = FaultDrill(_small_config(seed=6))

@@ -227,10 +227,10 @@ class TestCapperFailsafe:
     def _capper(self, **kw):
         node = ComputeNode()
         node.set_utilization(cpu=1.0, gpu=1.0, memory_intensity=1.0)
-        kw.setdefault("control_period_s", 0.1)
+        kw.setdefault("period_s", 0.1)
         kw.setdefault("sensor_noise_w", 0.0)
         kw.setdefault("rng", np.random.default_rng(0))
-        return NodePowerCapper(node, setpoint_w=1200.0, **kw)
+        return NodePowerCapper(node, cap_w=1200.0, **kw)
 
     def test_healthy_path_unchanged_by_failsafe_machinery(self):
         run_a = self._capper().run(5.0)
@@ -258,7 +258,7 @@ class TestCapperFailsafe:
         t_fs = tele.times_s[in_failsafe]
         # Silence is timed from the last good sample (one period before
         # the gap opens), so allow one control period of slack.
-        assert t_fs.min() >= 2.0 + 0.5 - capper.control_period_s - 1e-9
+        assert t_fs.min() >= 2.0 + 0.5 - capper.period_s - 1e-9
         assert t_fs.max() < 5.0
         # After telemetry returns, control resumes (no stuck fail-safe).
         tail = tele.commanded_cap_w[tele.times_s >= 5.0]
@@ -267,7 +267,7 @@ class TestCapperFailsafe:
     def test_failsafe_defaults(self):
         capper = self._capper()
         assert capper.failsafe_cap_w == pytest.approx(1200.0 * 0.8)
-        assert capper.failsafe_after_s == pytest.approx(5 * capper.control_period_s)
+        assert capper.failsafe_after_s == pytest.approx(5 * capper.period_s)
 
 
 class TestPsuShelfFailure:

@@ -408,3 +408,33 @@ class TestDump:
         data["outage"] = [{"at_s": 9.0, "node_id": 1, "duration_s": 2.0}]
         cfg = RuntimeConfig.from_dict(data)
         assert loads(dump(cfg, "toml"), "toml") == cfg
+
+
+class TestRejectUnknownKwargs:
+    """The loader's unknown-key error names *every* unknown spelling
+    (sorted), not one arbitrary pick, plus the known fields."""
+
+    def test_single_unknown_keeps_the_classic_message(self):
+        from repro.runtime.models import reject_unknown_kwargs
+        with pytest.raises(TypeError,
+                           match="got an unexpected keyword argument 'zap'"):
+            reject_unknown_kwargs("Thing", {"zap": 1})
+
+    def test_all_unknowns_reported_in_sorted_order(self):
+        """Regression: only ``next(iter(kwargs))`` — one arbitrary
+        name — used to be reported when several were left over."""
+        from repro.runtime.models import reject_unknown_kwargs
+        with pytest.raises(
+            TypeError,
+            match=r"unexpected keyword arguments 'alpha', 'beta', 'zeta'",
+        ):
+            reject_unknown_kwargs("Thing", {"zeta": 1, "alpha": 2, "beta": 3})
+
+    def test_known_fields_named_when_provided(self):
+        from repro.runtime.models import reject_unknown_kwargs
+        with pytest.raises(TypeError, match=r"\(known: bar, foo\)"):
+            reject_unknown_kwargs("Section", {"baz": 1}, known=("foo", "bar"))
+
+    def test_empty_kwargs_pass_silently(self):
+        from repro.runtime.models import reject_unknown_kwargs
+        reject_unknown_kwargs("Thing", {}, known=("a",))

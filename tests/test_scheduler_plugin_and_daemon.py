@@ -136,7 +136,7 @@ class TestCappingAgent:
         node = ComputeNode()
         node.set_utilization(cpu=1.0, gpu=1.0, memory_intensity=1.0)
         GatewayDaemon(env, node, broker, period_s=0.05, sensor_noise_w=0.0)
-        agent = CappingAgent(env, node, broker, setpoint_w=1500.0, hysteresis_w=100.0)
+        agent = CappingAgent(env, node, broker, cap_w=1500.0, hysteresis_w=100.0)
         env.run(until=1.0)
         assert agent.capped
         assert node.power_w() <= 1500.0 * 1.1
@@ -151,7 +151,7 @@ class TestCappingAgent:
         broker = MqttBroker()
         node = ComputeNode()  # idle: well below the setpoint
         GatewayDaemon(env, node, broker, period_s=0.05, sensor_noise_w=0.0)
-        agent = CappingAgent(env, node, broker, setpoint_w=1800.0)
+        agent = CappingAgent(env, node, broker, cap_w=1800.0)
         env.run(until=1.0)
         assert agent.actuations == 0
         assert not agent.capped
@@ -162,7 +162,7 @@ class TestCappingAgent:
         node = ComputeNode()
         node.set_utilization(cpu=1.0, gpu=1.0, memory_intensity=1.0)
         GatewayDaemon(env, node, broker, period_s=0.05, sensor_noise_w=0.0)
-        CappingAgent(env, node, broker, setpoint_w=1500.0, actuation_delay_s=0.3)
+        CappingAgent(env, node, broker, cap_w=1500.0, actuation_delay_s=0.3)
         env.run(until=0.2)
         assert node.power_cap_w is None  # still inside the actuation delay
         env.run(until=0.5)
@@ -171,6 +171,6 @@ class TestCappingAgent:
     def test_validation(self):
         env, broker, node = Environment(), MqttBroker(), ComputeNode()
         with pytest.raises(ValueError):
-            CappingAgent(env, node, broker, setpoint_w=0.0)
+            CappingAgent(env, node, broker, cap_w=0.0)
         with pytest.raises(ValueError):
-            CappingAgent(env, node, broker, setpoint_w=100.0, hysteresis_w=-1.0)
+            CappingAgent(env, node, broker, cap_w=100.0, hysteresis_w=-1.0)

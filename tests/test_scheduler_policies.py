@@ -103,7 +103,7 @@ class TestFifoVsBackfill:
 class TestPowerAwareScheduler:
     def test_validation(self):
         with pytest.raises(ValueError):
-            PowerAwareScheduler(power_budget_w=0.0)
+            PowerAwareScheduler(cap_w=0.0)
         with pytest.raises(ValueError):
             PowerAwareScheduler(1000.0, headroom_margin=1.0)
         with pytest.raises(ValueError):
@@ -151,7 +151,7 @@ class TestPowerAwareScheduler:
             45, PowerAwareScheduler(budget, predictor=oracle_predictor)
         ).run(jobs)
         reactive = ClusterSimulator(
-            45, EasyBackfillScheduler(), reactive_cap_w=budget
+            45, EasyBackfillScheduler(), cap_w=budget
         ).run(jobs)
         assert proactive.mean_stretch() == pytest.approx(1.0)
         assert reactive.mean_stretch() > 1.05
@@ -185,7 +185,7 @@ class TestReactiveCapping:
         stream = [job(i, 1, 100.0, submit=0.0, power=1900.0) for i in range(4)]
         uncapped = ClusterSimulator(4, FifoScheduler(), idle_node_power_w=300.0).run(stream)
         capped = ClusterSimulator(
-            4, FifoScheduler(), idle_node_power_w=300.0, reactive_cap_w=5000.0
+            4, FifoScheduler(), idle_node_power_w=300.0, cap_w=5000.0
         ).run(stream)
         assert uncapped.peak_power_w() == pytest.approx(4 * 1900.0)
         assert capped.peak_power_w() <= 5000.0 + 1e-6
@@ -194,7 +194,7 @@ class TestReactiveCapping:
 
     def test_cap_violation_fraction_zero_when_within_floor(self):
         stream = [job(0, 1, 100.0, power=1000.0)]
-        capped = ClusterSimulator(2, FifoScheduler(), reactive_cap_w=50e3).run(stream)
+        capped = ClusterSimulator(2, FifoScheduler(), cap_w=50e3).run(stream)
         assert capped.cap_violation_fraction() == 0.0
         assert capped.overdemand_s == 0.0
 
@@ -202,7 +202,7 @@ class TestReactiveCapping:
         # A cap below the controllable floor cannot be met.
         stream = [job(0, 2, 100.0, power=1900.0)]
         sim = ClusterSimulator(2, FifoScheduler(), idle_node_power_w=300.0,
-                               reactive_cap_w=700.0, min_speed=0.5)
+                               cap_w=700.0, min_speed=0.5)
         result = sim.run(stream)
         assert result.cap_violation_fraction() > 0.9
         assert result.records[0].stretch <= 2.0 + 1e-9
@@ -211,6 +211,6 @@ class TestReactiveCapping:
         with pytest.raises(ValueError):
             ClusterSimulator(0, FifoScheduler())
         with pytest.raises(ValueError):
-            ClusterSimulator(4, FifoScheduler(), reactive_cap_w=0.0)
+            ClusterSimulator(4, FifoScheduler(), cap_w=0.0)
         with pytest.raises(ValueError):
             ClusterSimulator(4, FifoScheduler(), min_speed=0.0)

@@ -32,7 +32,7 @@ def run_one(seed: int, policy_name: str, load: float, cap: float | None):
         WorkloadConfig(n_jobs=40, cluster_nodes=45, load_factor=load),
         rng=np.random.default_rng(seed),
     ).generate()
-    sim = ClusterSimulator(45, POLICIES[policy_name](), reactive_cap_w=cap)
+    sim = ClusterSimulator(45, POLICIES[policy_name](), cap_w=cap)
     return jobs, sim.run(jobs)
 
 

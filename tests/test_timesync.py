@@ -63,7 +63,7 @@ class TestDisciplinedClock:
 class TestPtp:
     def test_hw_timestamping_reaches_sub_10us(self):
         local = LocalClock(XO_CHEAP, rng=np.random.default_rng(0))
-        slave = PtpSlave(local, HW_TIMESTAMPING, sync_interval_s=1.0, rng=np.random.default_rng(1))
+        slave = PtpSlave(local, HW_TIMESTAMPING, period_s=1.0, rng=np.random.default_rng(1))
         assert slave.steady_state_error_s(duration_s=120.0) < 10e-6
 
     def test_sw_timestamping_much_worse(self):
@@ -95,7 +95,7 @@ class TestPtp:
     def test_validation(self):
         local = LocalClock()
         with pytest.raises(ValueError):
-            PtpSlave(local, sync_interval_s=0.0)
+            PtpSlave(local, period_s=0.0)
         slave = PtpSlave(LocalClock())
         with pytest.raises(ValueError):
             slave.synchronize(0.0)
@@ -105,7 +105,7 @@ class TestNtp:
     def test_ntp_converges_but_coarser_than_ptp(self):
         local_ntp = LocalClock(XO_CHEAP, rng=np.random.default_rng(4))
         local_ptp = LocalClock(XO_CHEAP, rng=np.random.default_rng(4))
-        ntp = NtpClient(local_ntp, poll_interval_s=16.0, rng=np.random.default_rng(5))
+        ntp = NtpClient(local_ntp, period_s=16.0, rng=np.random.default_rng(5))
         ptp = PtpSlave(local_ptp, HW_TIMESTAMPING, rng=np.random.default_rng(5))
         ntp_err = ntp.steady_state_error_s(duration_s=1600.0)
         ptp_err = ptp.steady_state_error_s(duration_s=120.0)
@@ -122,7 +122,7 @@ class TestNtp:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            NtpClient(LocalClock(), poll_interval_s=0.0)
+            NtpClient(LocalClock(), period_s=0.0)
         with pytest.raises(ValueError):
             NtpClient(LocalClock(), filter_depth=0)
         client = NtpClient(LocalClock())
