@@ -32,22 +32,22 @@ from .objective import Objective
 from .space import DesignSpace
 from .trace import ExplorationStep
 
-__all__ = ["ExplorationEnv"]
+__all__ = ["SCENARIO_KNOBS", "ExplorationEnv"]
 
-#: Scenario fields a knob vector may write.
-_SCENARIO_FIELDS = frozenset(
-    (
-        "policy",
-        "cap_w",
-        "budget_w",
-        "predictor",
-        "train_fraction",
-        "backfill_depth",
-        "dvfs_floor",
-        "fairshare_decay",
-        "seed_index",
-        "core",
-    )
+#: The Scenario fields a knob vector (or the fixed ``base``) may set.
+#: The config loader checks ``[exploration.space]`` and
+#: ``[exploration.base]`` names against the same tuple.
+SCENARIO_KNOBS = (
+    "policy",
+    "cap_w",
+    "budget_w",
+    "predictor",
+    "train_fraction",
+    "backfill_depth",
+    "dvfs_floor",
+    "fairshare_decay",
+    "seed_index",
+    "core",
 )
 
 
@@ -76,17 +76,17 @@ class ExplorationEnv:
         self.objective = objective
         self.config = config
         self.base = dict(base) if base else {}
-        unknown = set(self.base) - _SCENARIO_FIELDS
+        unknown = set(self.base).difference(SCENARIO_KNOBS)
         if unknown:
             raise KeyError(
                 f"unknown base scenario field(s) {sorted(unknown)}; "
-                f"allowed: {sorted(_SCENARIO_FIELDS)}"
+                f"allowed: {sorted(SCENARIO_KNOBS)}"
             )
-        bad_knobs = set(space.names()) - _SCENARIO_FIELDS
+        bad_knobs = set(space.names()).difference(SCENARIO_KNOBS)
         if bad_knobs:
             raise KeyError(
                 f"knob(s) {sorted(bad_knobs)} do not name scenario fields; "
-                f"allowed: {sorted(_SCENARIO_FIELDS)}"
+                f"allowed: {sorted(SCENARIO_KNOBS)}"
             )
         overlap = set(space.names()) & set(self.base)
         if overlap:

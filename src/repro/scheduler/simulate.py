@@ -249,6 +249,8 @@ class ClusterSimulator:
             raise ValueError(f"reactive cap must be positive, got cap_w={cap_w!r}")
         if not 0 < min_speed <= 1:
             raise ValueError("min speed must lie in (0, 1]")
+        if not speed_exponent > 0:
+            raise ValueError(f"speed_exponent must be positive, got {speed_exponent!r}")
         for outage in node_outages:
             if outage.node_id >= n_nodes:
                 raise ValueError(f"outage targets node {outage.node_id} of {n_nodes}")

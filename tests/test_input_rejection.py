@@ -1,6 +1,6 @@
 """Bad inputs fail fast, with an error that names what is wrong.
 
-Two families:
+Three families:
 
 * **core names** — the simulator has two cores, ``"reference"`` (the
   oracle) and ``"array"`` (the default).  Any other name, including the
@@ -15,12 +15,20 @@ Two families:
   as an anonymous stall.  The live constructors take the same ``not x >
   0`` check: a NaN gateway period hangs the kernel, a NaN dispatcher cap
   runs uncapped and a NaN capper cap returns NaN telemetry.  Each
-  raises, naming the field or the job.
+  raises, naming the field or the job;
+* **config values the run cannot use** — a zero speed exponent,
+  negative seeds, capping or noise knobs, an outage on a node the
+  machine does not have, and exploration names or NaNs the search cannot
+  set.  Unchecked, each would load and then die mid-run with a bare
+  NumPy, ``KeyError`` or ``ZeroDivisionError`` traceback; each fails at
+  load naming ``section.field``, and the CLI exits 2.
 
-The CLI cases run in a subprocess with a timeout, so a regression that
-brings a hang back fails the test instead of stalling the suite.
+The CLI cases that could reach the simulator run in a subprocess with
+a timeout, so a regression that brings a hang back fails the test
+instead of stalling the suite; the load-time cases call ``main()``.
 """
 
+import copy
 import importlib.util
 import json
 import os
@@ -33,6 +41,7 @@ from repro.capping import NodePowerCapper
 from repro.hardware import ComputeNode
 from repro.monitoring import CappingAgent, GatewayArray, GatewayDaemon, MqttBroker
 from repro.runtime import ConfigError, load
+from repro.runtime.cli import main
 from repro.scheduler import (
     SIMULATOR_CORES,
     CampaignCheckpoint,
@@ -211,3 +220,98 @@ class TestNaNCapOrPeriod:
         broker = MqttBroker(clock=lambda: env.now)
         with pytest.raises(ValueError, match=rf"{field} must be positive, got nan"):
             build(env, ComputeNode(node_id=0), broker)
+
+
+#: A small valid config of each kind, in the JSON spelling.
+_CONFIGS = {
+    "campaign": {
+        "runtime": {"kind": "campaign"},
+        "machine": {"n_nodes": 4},
+        "workload": {"n_jobs": 8},
+        "policy": {"name": "easy"},
+        "campaign": {"cells": [{"label": "a"}]},
+    },
+    "live": {
+        "runtime": {"kind": "live"},
+        "machine": {"n_nodes": 2},
+        "cap": {"cap_w": 1500.0},
+        "live": {"until_s": 0.5},
+    },
+    "exploration": {
+        "runtime": {"kind": "exploration"},
+        "machine": {"n_nodes": 4},
+        "workload": {"n_jobs": 8},
+        "exploration": {
+            "budget": 2,
+            "space": {
+                "cap_w": {"type": "continuous", "lo": 4e3, "hi": 8e3},
+                "policy": {"type": "categorical", "choices": ["easy", "fifo"]},
+            },
+            "objective": {"metrics": ["total_energy_j"]},
+        },
+    },
+}
+
+_SUBCOMMAND = {"campaign": "campaign", "live": "run", "exploration": "explore"}
+
+_OUTAGE = {"at_s": 10.0, "duration_s": 5.0}
+
+
+class TestValuesTheRunCannotUseFailAtLoad:
+    """``load`` names the field, and every subcommand that reads the
+    file exits 2 instead of failing mid-run."""
+
+    @pytest.mark.parametrize("kind, path, value, error, match", [
+        ("campaign", ("machine", "speed_exponent"), 0.0, ConfigError,
+         r"machine\.speed_exponent must be positive, got 0\.0"),
+        ("campaign", ("workload", "seed"), -1, ConfigError,
+         r"workload\.seed must be non-negative, got -1"),
+        ("campaign", ("campaign", "seeds"), [0, -2], ConfigError,
+         r"campaign\.seeds\[1\] must be non-negative, got -2"),
+        ("live", ("live", "seed"), -3, ConfigError,
+         r"live\.seed must be non-negative, got -3"),
+        ("live", ("cap", "hysteresis_w"), -1.0, ConfigError,
+         r"cap\.hysteresis_w must be non-negative, got -1\.0"),
+        ("live", ("cap", "actuation_delay_s"), -0.5, ConfigError,
+         r"cap\.actuation_delay_s must be non-negative, got -0\.5"),
+        ("live", ("live", "sensor_noise_w"), -2.0, ConfigError,
+         r"live\.sensor_noise_w must be non-negative, got -2\.0"),
+        ("campaign", ("outage",), [dict(_OUTAGE, node_id=99)], ConfigError,
+         r"outage\[0\]\.node_id must be below machine\.n_nodes = 4, got 99"),
+        ("campaign", ("campaign", "cells", 0, "outages"),
+         [dict(_OUTAGE, node_id=4)], ConfigError,
+         r"campaign\.cells\[0\]\.outages\[0\]\.node_id must be below "
+         r"machine\.n_nodes = 4, got 4"),
+        ("exploration", ("exploration", "space", "cap_ww"),
+         {"type": "continuous", "lo": 1.0, "hi": 2.0}, TypeError,
+         r"exploration\.space\(\) got an unexpected keyword argument 'cap_ww'"),
+        ("exploration", ("exploration", "base"), {"label": "x"}, TypeError,
+         r"exploration\.base\(\) got an unexpected keyword argument 'label'"),
+        ("exploration", ("exploration", "base"), {"dvfs_floor": _NAN},
+         ConfigError, r"exploration\.base\.dvfs_floor must be a finite number"),
+        ("exploration", ("exploration", "space", "policy", "choices"),
+         ["easy", _NAN], ConfigError,
+         r"exploration\.space\.policy\.choices\[1\] must be a finite number"),
+    ], ids=["speed-exponent", "workload-seed", "campaign-seeds", "live-seed",
+            "hysteresis", "actuation-delay", "sensor-noise", "outage-node",
+            "cell-outage-node", "space-knob-name", "base-field-name",
+            "base-nan", "choices-nan"])
+    def test_load_names_the_field_and_the_cli_exits_2(
+            self, tmp_path, capsys, kind, path, value, error, match):
+        data = copy.deepcopy(_CONFIGS[kind])
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(data))
+        with pytest.raises(error, match=match):
+            load(config)
+        for command in ("report", _SUBCOMMAND[kind]):
+            assert main([command, str(config)]) == 2
+            assert "bad.json" in capsys.readouterr().err
+
+    def test_simulator_rejects_a_non_positive_speed_exponent(self):
+        with pytest.raises(ValueError,
+                           match="speed_exponent must be positive, got 0.0"):
+            ClusterSimulator(4, FifoScheduler(), speed_exponent=0.0)

@@ -13,6 +13,7 @@ The load-bearing guarantees:
   what *is* registered.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -95,6 +96,29 @@ class TestZoo:
         cfg = load(path)
         assert loads(dump(cfg, "toml"), "toml") == cfg
         assert loads(dump(cfg, "json"), "json") == cfg
+
+    #: sha256 of ``dump(load(path), "toml")``.  The round trip above holds
+    #: for any key order, so these pin the canonical bytes themselves.
+    DUMP_SHA256 = {
+        "e07b.toml":
+            "8d6ba50f4f165c2b23aba76a7f3c1ce2cc2e2e3c0a1308e932f37289c556cebf",
+        "e08a.toml":
+            "92d33f085e5ba5cbb7a4a3a4b2486c24ef81ebef0ef1ce65ce036325370b9f98",
+        "e09a.toml":
+            "5e783257d8166edb0e85226895c589b7f08a5a1aadbcd1e3fefc9858561933f4",
+        "explore_cap.toml":
+            "df3f1b46dc26cebbb11b0dea5e556afdbfe766c9bb2e5f0d823e682744de2729",
+        "live_small.toml":
+            "b1e44ba6b11200ffc0a6bd1391b9c554475d4b42c291debdfb4b812427228014",
+    }
+
+    @needs_tomllib
+    @pytest.mark.parametrize(
+        "path", ZOO_FILES, ids=[os.path.basename(p) for p in ZOO_FILES])
+    def test_canonical_toml_dump_is_pinned(self, path):
+        text = dump(load(path), "toml")
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == self.DUMP_SHA256[os.path.basename(path)]
 
     @needs_tomllib
     @pytest.mark.parametrize("bench,zoo", [
