@@ -32,7 +32,7 @@ class PowerTrace:
             raise ValueError("trace arrays must be 1-D")
         if t.shape != p.shape:
             raise ValueError(f"shape mismatch: {t.shape} vs {p.shape}")
-        if t.size >= 2 and np.any(np.diff(t) <= 0):
+        if t.size >= 2 and (t[1:] - t[:-1] <= 0).any():
             raise ValueError("timestamps must be strictly increasing")
         object.__setattr__(self, "times_s", t)
         object.__setattr__(self, "power_w", p)

@@ -326,41 +326,45 @@ def _result_to_arrays(result: SimulationResult) -> dict[str, np.ndarray]:
     }
 
 
-def _result_from_arrays(data: Any) -> SimulationResult:
-    """Rebuild a SimulationResult from :func:`_result_to_arrays` output."""
-    n = int(data["job_id"].shape[0])
+def _result_from_arrays(data: dict[str, np.ndarray]) -> SimulationResult:
+    """Rebuild a SimulationResult from :func:`_result_to_arrays` output.
+
+    ``data`` maps names to arrays already read, never a lazy ``NpzFile``,
+    where each lookup re-reads and re-inflates the member from the zip.
+    The records are built from ``.tolist()`` columns, so every field is
+    a plain Python ``int``/``float``/``str``/``bool``, never a NumPy
+    scalar.
+    """
+    col = {name: column.tolist() for name, column in data.items()
+           if name.startswith(("job_", "rec_"))}
+    nodes_flat, off = col["rec_nodes_flat"], col["rec_nodes_offsets"]
     records = []
-    off = data["rec_nodes_offsets"]
-    for i in range(n):
+    for i in range(len(col["job_id"])):
         job = Job(
-            job_id=int(data["job_id"][i]),
-            user=str(data["job_user"][i]),
-            app=str(data["job_app"][i]),
-            n_nodes=int(data["job_n_nodes"][i]),
-            walltime_req_s=float(data["job_walltime_req_s"][i]),
-            submit_time_s=float(data["job_submit_time_s"][i]),
-            threads_per_rank=int(data["job_threads"][i]),
-            uses_gpus=bool(data["job_uses_gpus"][i]),
-            true_runtime_s=float(data["job_true_runtime_s"][i]),
-            true_power_per_node_w=float(data["job_true_power_per_node_w"][i]),
+            job_id=col["job_id"][i],
+            user=col["job_user"][i],
+            app=col["job_app"][i],
+            n_nodes=col["job_n_nodes"][i],
+            walltime_req_s=col["job_walltime_req_s"][i],
+            submit_time_s=col["job_submit_time_s"][i],
+            threads_per_rank=col["job_threads"][i],
+            uses_gpus=col["job_uses_gpus"][i],
+            true_runtime_s=col["job_true_runtime_s"][i],
+            true_power_per_node_w=col["job_true_power_per_node_w"][i],
         )
         records.append(JobRecord(
             job=job,
-            state=JobState(str(data["rec_state"][i])),
-            start_time_s=(
-                float(data["rec_start_s"][i]) if data["rec_has_start"][i] else None),
-            end_time_s=(
-                float(data["rec_end_s"][i]) if data["rec_has_end"][i] else None),
-            nodes=tuple(
-                int(x) for x in data["rec_nodes_flat"][int(off[i]):int(off[i + 1])]),
-            energy_j=float(data["rec_energy_j"][i]),
+            state=JobState(col["rec_state"][i]),
+            start_time_s=col["rec_start_s"][i] if col["rec_has_start"][i] else None,
+            end_time_s=col["rec_end_s"][i] if col["rec_has_end"][i] else None,
+            nodes=tuple(nodes_flat[off[i]:off[i + 1]]),
+            energy_j=col["rec_energy_j"][i],
             predicted_power_w=(
-                float(data["rec_predicted_w"][i])
-                if data["rec_has_predicted"][i] else None),
-            stretch=float(data["rec_stretch"][i]),
-            requeues=int(data["rec_requeues"][i]),
-            elapsed_running_s=float(data["rec_elapsed_running_s"][i]),
-            work_progressed_s=float(data["rec_work_progressed_s"][i]),
+                col["rec_predicted_w"][i] if col["rec_has_predicted"][i] else None),
+            stretch=col["rec_stretch"][i],
+            requeues=col["rec_requeues"][i],
+            elapsed_running_s=col["rec_elapsed_running_s"][i],
+            work_progressed_s=col["rec_work_progressed_s"][i],
         ))
     return SimulationResult(
         records=tuple(records),
@@ -521,8 +525,9 @@ class DirectoryResultStore(ResultStore):
             return None
         result = None
         if meta["payload"]:
-            with np.load(self._npz_path(key)) as data:
-                result = _result_from_arrays(data)
+            with np.load(self._npz_path(key)) as npz:
+                data = {name: npz[name] for name in npz.files}
+            result = _result_from_arrays(data)
             if self.verify and result_digest(result) != meta["digest"]:
                 raise ValueError(
                     f"corrupt store entry {key[:16]}…: payload digest does not "

@@ -298,7 +298,21 @@ def run_scenario(
     ``keep_result=True`` attaches the full :class:`SimulationResult` to
     the returned cell.
     """
-    jobs = scenario_workload(config, scenario)
+    return _simulate(config, scenario, scenario_workload(config, scenario), keep_result)
+
+
+def _simulate(
+    config: CampaignConfig,
+    scenario: Scenario,
+    jobs: list[Job],
+    keep_result: bool,
+) -> ScenarioResult:
+    """Run one grid cell on its already generated (pre-split) stream.
+
+    The per-cell seam: ``run_scenario`` and the serial campaign path
+    both simulate through it.  ``jobs`` is only read, so one stream can
+    serve every cell on its seed.
+    """
     if scenario.train_fraction > 0.0:
         split = int(len(jobs) * scenario.train_fraction)
         train, test = jobs[:split], jobs[split:]
@@ -332,6 +346,27 @@ def _run_cell(payload: tuple[CampaignConfig, Scenario, bool]) -> ScenarioResult:
     return run_scenario(*payload)
 
 
+def _run_serial(
+    config: CampaignConfig, scenarios: list[Scenario], keep_result: bool
+) -> Iterator[ScenarioResult]:
+    """Simulate ``scenarios`` in order, generating each seed's stream once.
+
+    A stream depends only on ``(config, seed_index)``, so every cell on
+    one seed can run on the same list.  It is dropped after the last
+    cell on its seed; nothing outlives the call.
+    """
+    last = {s.seed_index: i for i, s in enumerate(scenarios)}
+    streams: dict[int, list[Job]] = {}
+    for i, scenario in enumerate(scenarios):
+        seed = scenario.seed_index
+        jobs = streams.get(seed)
+        if jobs is None:
+            jobs = streams[seed] = scenario_workload(config, scenario)
+        if last[seed] == i:
+            del streams[seed]
+        yield _simulate(config, scenario, jobs, keep_result)
+
+
 def run_campaign(
     config: CampaignConfig,
     scenarios: Sequence[Scenario],
@@ -345,7 +380,9 @@ def run_campaign(
     """Run a scenario grid, results merged in submission order.
 
     ``processes=None`` uses ``min(novel cells, cpu_count)``;
-    ``processes<=1`` runs serially in-process (no pool, no pickling).
+    ``processes<=1`` runs serially in-process (no pool, no pickling) and
+    generates each ``seed_index``'s job stream once per call, for all
+    the novel cells on that seed; pool workers generate their own.
     The result list is bitwise independent of the pool size — pinned by
     ``tests/test_campaign.py``.  ``keep_results=True`` ships each cell's
     full :class:`SimulationResult` back with it (through the pickle
@@ -433,13 +470,11 @@ def run_campaign(
                 on_result(cell, replayed)
         return out
 
-    payloads = [(config, scenarios[i], keep_results) for i in todo]
     if processes is None:
-        processes = min(len(payloads), os.cpu_count() or 1)
-    if processes <= 1 or len(payloads) <= 1:
-        # Serial path goes through the module-level run_scenario so test
-        # instrumentation (hit-accounting monkeypatches) sees every call.
-        return consume(run_scenario(*p) for p in payloads)
+        processes = min(len(todo), os.cpu_count() or 1)
+    if processes <= 1 or len(todo) <= 1:
+        return consume(_run_serial(config, [scenarios[i] for i in todo], keep_results))
+    payloads = [(config, scenarios[i], keep_results) for i in todo]
     if start_method is None:
         start_method = (
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"

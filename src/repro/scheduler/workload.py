@@ -19,6 +19,7 @@ predictors of experiment E08 learn.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,29 @@ class WorkloadConfig:
             raise ValueError("load factor must lie in (0, 2]")
 
 
+#: Threads per rank, drawn uniformly.
+_THREADS = (1, 2, 4, 8)
+
+
+def _cdf(weights: tuple[float, ...] | list[float], what: str) -> list[float]:
+    """The normalised CDF ``rng.choice(p=w / w.sum())`` searches.
+
+    Built with the same NumPy operations ``Generator.choice`` applies to
+    ``p`` (``cumsum``, then divide by the last entry), so
+    ``bisect_right(cdf, rng.random())`` picks the index ``choice`` would
+    from the same draw.  The weight checks ``choice`` made on every draw
+    are made here once.
+    """
+    w = np.asarray(weights, dtype=float)
+    total = w.sum()
+    if not (np.all(w >= 0) and 0 < total < np.inf):
+        raise ValueError(
+            f"{what} must be finite, non-negative and not all zero, got {tuple(weights)}")
+    cdf = (w / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 class WorkloadGenerator:
     """Deterministic (seeded) job-stream generator."""
 
@@ -84,44 +108,19 @@ class WorkloadGenerator:
     ):
         self.config = config
         self.app_mix = app_mix if app_mix is not None else DEFAULT_APP_MIX
-        weights = np.array([w for _, w in self.app_mix.values()], dtype=float)
-        if weights.sum() <= 0:
-            raise ValueError("app mix weights must sum to a positive value")
-        self._app_names = list(self.app_mix)
-        self._app_probs = weights / weights.sum()
+        self._app_cdf = _cdf([w for _, w in self.app_mix.values()], "app mix weights")
+        #: Per app, in mix order: (profile, log of its median runtime,
+        #: node-count CDF over 1, 2, 4, ... nodes).
+        self._apps = [
+            (profile, float(np.log(profile.runtime_median_s)),
+             _cdf(profile.node_count_weights, f"{profile.name} node-count weights"))
+            for profile, _ in self.app_mix.values()
+        ]
         self.rng = rng if rng is not None else np.random.default_rng(0)
         #: Per-user power bias (some users run better-tuned inputs).
         self._user_bias = {
             f"user{u}": float(self.rng.normal(1.0, 0.04)) for u in range(config.n_users)
         }
-
-    # -- component samplers ------------------------------------------------------
-    def _sample_app(self) -> AppProfile:
-        name = self.rng.choice(self._app_names, p=self._app_probs)
-        return self.app_mix[name][0]
-
-    def _sample_nodes(self, profile: AppProfile) -> int:
-        sizes = 2 ** np.arange(len(profile.node_count_weights))  # 1,2,4,8,16
-        w = np.asarray(profile.node_count_weights, dtype=float)
-        n = int(self.rng.choice(sizes, p=w / w.sum()))
-        return min(n, self.config.cluster_nodes)
-
-    def _sample_runtime(self, profile: AppProfile) -> float:
-        rt = float(self.rng.lognormal(np.log(profile.runtime_median_s), profile.runtime_sigma))
-        return float(np.clip(rt, self.config.min_runtime_s, self.config.max_walltime_s))
-
-    def _sample_walltime_request(self, true_runtime: float) -> float:
-        factor = 1.0 + float(self.rng.lognormal(
-            np.log(self.config.overestimate_mu), self.config.overestimate_sigma
-        ))
-        return float(min(true_runtime * factor, self.config.max_walltime_s))
-
-    def _sample_power(self, profile: AppProfile, user: str) -> float:
-        bias = self._user_bias[user]
-        p = profile.mean_power_per_node_w * bias * (
-            1.0 + float(self.rng.normal(0.0, profile.power_cv))
-        )
-        return float(np.clip(p, 400.0, 2100.0))
 
     def _mean_interarrival_s(self) -> float:
         # Offered load: sum(nodes*runtime)/interarrival*n = load*cluster.
@@ -142,27 +141,51 @@ class WorkloadGenerator:
 
     # -- generation ------------------------------------------------------------------
     def generate(self) -> list[Job]:
-        """Produce the job stream sorted by submit time."""
+        """Produce the job stream sorted by submit time.
+
+        Each job draws, in this order: its interarrival gap, its app, its
+        user, its true runtime, its node count, its walltime overestimate,
+        its threads per rank and its power noise.  A categorical draw is
+        one ``rng.random()`` bisected into a cached CDF, the draw
+        ``rng.choice(p=...)`` makes, so the stream is the one the
+        per-draw samplers gave (pinned against them over many seeds in
+        ``tests/test_workload_parity.py``).
+        """
+        cfg = self.config
+        rng = self.rng
+        exponential, random, integers = rng.exponential, rng.random, rng.integers
+        lognormal, normal = rng.lognormal, rng.normal
         interarrival = self._mean_interarrival_s()
+        log_overestimate = np.log(cfg.overestimate_mu)
+        users = list(self._user_bias)
+        apps, app_cdf = self._apps, self._app_cdf
+        min_rt, max_wall, max_nodes = cfg.min_runtime_s, cfg.max_walltime_s, cfg.cluster_nodes
         jobs: list[Job] = []
         t = 0.0
-        for jid in range(self.config.n_jobs):
-            t += float(self.rng.exponential(interarrival))
-            profile = self._sample_app()
-            user = f"user{int(self.rng.integers(0, self.config.n_users))}"
-            runtime = self._sample_runtime(profile)
+        for jid in range(cfg.n_jobs):
+            t += float(exponential(interarrival))
+            profile, log_median, node_cdf = apps[bisect_right(app_cdf, random())]
+            user = users[integers(0, cfg.n_users)]
+            runtime = min(max(float(lognormal(log_median, profile.runtime_sigma)), min_rt),
+                          max_wall)
+            n_nodes = min(1 << bisect_right(node_cdf, random()), max_nodes)
+            factor = 1.0 + float(lognormal(log_overestimate, cfg.overestimate_sigma))
+            threads = _THREADS[integers(0, 4)]
+            power = profile.mean_power_per_node_w * self._user_bias[user] * (
+                1.0 + float(normal(0.0, profile.power_cv))
+            )
             jobs.append(
                 Job(
                     job_id=jid,
                     user=user,
                     app=profile.name,
-                    n_nodes=self._sample_nodes(profile),
-                    walltime_req_s=self._sample_walltime_request(runtime),
+                    n_nodes=n_nodes,
+                    walltime_req_s=min(runtime * factor, max_wall),
                     submit_time_s=t,
-                    threads_per_rank=int(self.rng.choice([1, 2, 4, 8])),
+                    threads_per_rank=threads,
                     uses_gpus=profile.uses_gpus,
                     true_runtime_s=runtime,
-                    true_power_per_node_w=self._sample_power(profile, user),
+                    true_power_per_node_w=min(max(power, 400.0), 2100.0),
                 )
             )
         return jobs

@@ -29,6 +29,7 @@ from repro.scheduler import (
     CampaignCheckpoint,
     CampaignConfig,
     DirectoryResultStore,
+    JobState,
     MemoryResultStore,
     NodeOutage,
     Scenario,
@@ -313,6 +314,21 @@ class TestKeyDistinctness:
         assert scenario_key(CONFIG, a) != scenario_key(CONFIG, c)
 
 
+JOB_FIELD_TYPES = {
+    "job_id": int, "user": str, "app": str, "n_nodes": int,
+    "walltime_req_s": float, "submit_time_s": float, "threads_per_rank": int,
+    "uses_gpus": bool, "true_runtime_s": float, "true_power_per_node_w": float,
+}
+#: ``None`` is also allowed: ``start_time_s``, ``end_time_s`` and
+#: ``predicted_power_w`` are optional.
+RECORD_FIELD_TYPES = {
+    "state": JobState, "start_time_s": float, "end_time_s": float,
+    "nodes": tuple, "energy_j": float, "predicted_power_w": float,
+    "stretch": float, "requeues": int, "elapsed_running_s": float,
+    "work_progressed_s": float,
+}
+
+
 @pytest.fixture(params=["memory", "disk"])
 def store(request, tmp_path):
     if request.param == "memory":
@@ -360,6 +376,13 @@ class TestResultStores:
                           "energy_j", "predicted_power_w", "stretch",
                           "requeues", "elapsed_running_s", "work_progressed_s"):
                 assert getattr(ra, field) == getattr(rb, field), field
+            # Loaded fields are plain Python values, never NumPy scalars.
+            for field, kind in JOB_FIELD_TYPES.items():
+                assert type(getattr(rb.job, field)) is kind, field
+            for field, kind in RECORD_FIELD_TYPES.items():
+                value = getattr(rb, field)
+                assert type(value) is kind or value is None, field
+            assert all(type(n) is int for n in rb.nodes)
         assert np.array_equal(a.power_trace.times_s, b.power_trace.times_s)
         assert np.array_equal(a.power_trace.power_w, b.power_trace.power_w)
         for field in ("makespan_s", "total_energy_j", "cap_w",
@@ -397,6 +420,34 @@ class TestResultStores:
 
 
 class TestDirectoryStore:
+    def test_load_reads_each_payload_member_once(self, tmp_path, monkeypatch):
+        """Indexing an ``NpzFile`` re-reads and re-inflates the member
+        from the zip, so a load must pull each member out exactly once,
+        not once per record and field."""
+        config = CampaignConfig(n_nodes=8, n_jobs=24, root_seed=3, load_factor=1.1)
+        scenario = Scenario(policy="easy", cap_w=CAP)
+        store = DirectoryResultStore(tmp_path / "store")
+        key = scenario_key(config, scenario)
+        store.put(key, run_scenario(config, scenario, keep_result=True))
+
+        loads, reads = [], {}
+        real_load, real_getitem = np.load, np.lib.npyio.NpzFile.__getitem__
+
+        def counting_load(*args, **kwargs):
+            loads.append(args)
+            return real_load(*args, **kwargs)
+
+        def counting_getitem(self, name):
+            reads[name] = reads.get(name, 0) + 1
+            return real_getitem(self, name)
+
+        monkeypatch.setattr(np, "load", counting_load)
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting_getitem)
+        loaded = store.get(key)
+        assert loaded.result is not None and len(loaded.result.records) == 24
+        assert len(loads) == 1 and reads
+        assert max(reads.values()) == 1, reads
+
     def test_verify_refuses_tampered_payload(self, tmp_path):
         store = DirectoryResultStore(tmp_path / "store")
         cell = run_scenario(CONFIG, Scenario(policy="fifo"), keep_result=True)

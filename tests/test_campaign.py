@@ -23,10 +23,12 @@ from repro.scheduler import (
     merge_results,
     result_digest,
     run_campaign,
+    WorkloadGenerator,
     run_scenario,
     scenario_rng,
     scenario_workload,
 )
+from repro.scheduler import campaign as campaign_module
 
 CONFIG = CampaignConfig(n_nodes=16, n_jobs=50, root_seed=42, load_factor=1.1)
 
@@ -78,6 +80,72 @@ class TestDeterminism:
         first = run_campaign(CONFIG, GRID[:3], processes=1)
         second = run_campaign(CONFIG, GRID[:3], processes=1)
         assert campaign_digest(first) == campaign_digest(second)
+
+
+#: Cells on two shared seeds, each exercising a different reader of the
+#: stream: the ridge training split, outages, the fair-share wrapper and
+#: the reference core.
+MIXED_GRID = [
+    Scenario(policy="power-aware", cap_w=20e3, predictor="ridge",
+             train_fraction=0.4, seed_index=0),
+    Scenario(policy="easy", cap_w=18e3, seed_index=1,
+             node_outages=(NodeOutage(at_s=5000.0, node_id=1, duration_s=2000.0),)),
+    Scenario(policy="easy", seed_index=0, fairshare_decay=3600.0),
+    Scenario(policy="fifo", cap_w=20e3, seed_index=1, core="reference"),
+    Scenario(policy="power-aware", cap_w=20e3, predictor="ridge", train_fraction=0.3,
+             seed_index=1, fairshare_decay=1800.0, core="reference"),
+    Scenario(policy="easy", cap_w=20e3, seed_index=0, core="reference",
+             node_outages=(NodeOutage(at_s=100.0, node_id=0, duration_s=9000.0),)),
+]
+
+
+class TestStreamSharing:
+    """The serial path generates each seed's stream once per call and
+    hands it to every cell on that seed."""
+
+    def test_each_seed_generates_once_per_call(self, monkeypatch):
+        calls = []
+        real = WorkloadGenerator.generate
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(WorkloadGenerator, "generate", counting)
+        grid = [
+            Scenario(policy="fifo", seed_index=0),
+            Scenario(policy="easy", cap_w=20e3, seed_index=1),
+            Scenario(policy="easy", cap_w=20e3, seed_index=0),
+            Scenario(policy="fifo", cap_w=20e3, seed_index=1),
+        ]
+        run_campaign(CONFIG, grid, processes=1)
+        assert len(calls) == 2
+        # Nothing is cached across calls: a second call generates again.
+        run_campaign(CONFIG, grid, processes=1)
+        assert len(calls) == 4
+
+    def test_shared_stream_is_left_as_generated(self, monkeypatch):
+        seen = []
+        real = campaign_module._simulate
+
+        def capturing(config, scenario, jobs, keep_result):
+            seen.append((scenario, jobs))
+            return real(config, scenario, jobs, keep_result)
+
+        monkeypatch.setattr(campaign_module, "_simulate", capturing)
+        run_campaign(CONFIG, MIXED_GRID, processes=1)
+        assert [s for s, _ in seen] == MIXED_GRID
+        by_seed = {}
+        for scenario, jobs in seen:
+            assert by_seed.setdefault(scenario.seed_index, jobs) is jobs
+        for scenario, jobs in seen:
+            assert jobs == scenario_workload(CONFIG, scenario)
+
+    def test_shared_streams_give_per_cell_digests(self):
+        shared = run_campaign(CONFIG, MIXED_GRID, processes=1)
+        alone = [run_scenario(CONFIG, s) for s in MIXED_GRID]
+        assert [r.digest for r in shared] == [r.digest for r in alone]
+        assert [r.qos for r in shared] == [r.qos for r in alone]
 
 
 class TestScenarioSemantics:

@@ -1,8 +1,8 @@
 """Cache-hit accounting and warm-vs-cold identity for ``run_campaign``.
 
 The service contract of ROADMAP item 1: a second campaign overlapping a
-warmed store must invoke ``run_scenario`` only for novel cells (counted
-two independent ways — a monkeypatched ``run_scenario`` and the
+warmed store must simulate only novel cells (counted two independent
+ways — a monkeypatched per-cell seam, ``campaign._simulate``, and the
 ``on_result`` replay flags), and every replayed cell must be
 byte-identical to a cold simulation, on both store backends.  The
 seeded end-to-end sweep (cold vs warm vs kill-and-resume, field by
@@ -51,15 +51,15 @@ def store(request, tmp_path):
 
 @pytest.fixture
 def count_runs(monkeypatch):
-    """Count ``run_scenario`` invocations through the campaign runner."""
+    """Count cells simulated through the campaign runner's per-cell seam."""
     calls = []
-    real = campaign_module.run_scenario
+    real = campaign_module._simulate
 
-    def counting(config, scenario, keep_result=False):
+    def counting(config, scenario, jobs, keep_result):
         calls.append(scenario)
-        return real(config, scenario, keep_result=keep_result)
+        return real(config, scenario, jobs, keep_result)
 
-    monkeypatch.setattr(campaign_module, "run_scenario", counting)
+    monkeypatch.setattr(campaign_module, "_simulate", counting)
     return calls
 
 

@@ -26,6 +26,38 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PowerTrace(np.array([0.0, 2.0, 1.0]), np.zeros(3))
 
+    INF, NAN = float("inf"), float("nan")
+
+    @pytest.mark.parametrize("times, accepted", [
+        ([], True),
+        ([5.0], True),
+        ([NAN], True),
+        ([0.0, 1.0], True),
+        ([0.0, 0.0], False),
+        ([1.0, 0.0], False),
+        ([0.0, 1.0, 1.0, 2.0], False),
+        ([0.0, 1e-300, 2.0], True),
+        # A step that involves NaN compares false, so it is not rejected.
+        ([0.0, NAN, 2.0], True),
+        ([3.0, NAN, 1.0], True),
+        ([0.0, INF], True),
+        ([-INF, 0.0, INF], True),
+        ([INF, 0.0], False),
+        ([0.0, -INF], False),
+        # inf - inf is NaN: repeated infinities pass, as NaN steps do.
+        ([0.0, INF, INF], True),
+        ([-INF, -INF, 0.0], True),
+    ])
+    def test_time_order_verdicts(self, times, accepted):
+        """Times must rise: a step ``t[i+1] - t[i]`` that is ``<= 0``
+        is refused, one that is NaN is not."""
+        with np.errstate(invalid="ignore"):
+            if accepted:
+                assert len(PowerTrace(np.array(times), np.zeros(len(times)))) == len(times)
+            else:
+                with pytest.raises(ValueError, match="strictly increasing"):
+                    PowerTrace(np.array(times), np.zeros(len(times)))
+
     def test_empty_trace_allowed(self):
         t = PowerTrace(np.array([]), np.array([]))
         assert len(t) == 0
