@@ -385,6 +385,20 @@ class MachineSection(_Section):
 
     from_dict = _from_dict("machine")
 
+    @classmethod
+    def _cross(cls, where: str, values: dict[str, Any]) -> dict[str, Any]:
+        """The simulator's trim floor ``min_speed ** (1 / speed_exponent)``
+        must not underflow to 0, or a cap below the idle floor stops
+        every job dead."""
+        exponent = values.get("speed_exponent", cls.speed_exponent)
+        floor = values.get("min_speed", cls.min_speed)
+        if not floor ** (1.0 / exponent) > 0:
+            raise ConfigError(
+                f"{where}.speed_exponent = {exponent!r} with {where}.min_speed = "
+                f"{floor!r} puts the trim floor min_speed ** (1 / speed_exponent) at 0"
+            )
+        return values
+
 
 @dataclass(frozen=True)
 class WorkloadSection(_Section):

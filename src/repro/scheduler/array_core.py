@@ -11,9 +11,10 @@ those costs are the bottleneck.  This core, the default backend, keeps
 all per-running-job state in NumPy *lanes* and drives policies through
 a batched queue view:
 
-* **SoA lanes** — one row of a ``(max_running, 10)`` float64 array per
+* **SoA lanes** — one row of a ``(max_running, 12)`` float64 array per
   running job (remaining work, speed, granted power, segment start,
-  ETA, energy/elapsed/work accumulators, true power, idle floor), with
+  ETA, energy/elapsed/work accumulators, true power, idle floor,
+  controllable power share, accounting-settled time), with
   swap-remove compaction and a job-id -> lane map.  Completion events
   touch one contiguous row; a trim change is ~10 vector ops over the
   compact prefix instead of a Python loop.
@@ -23,22 +24,21 @@ a batched queue view:
   IEEE-754 identical to the scalar contract helpers, so the lanes hold
   bit-for-bit the values ``_Running`` objects would.
 * **hybrid completion calendar** — while the trim is stable, a heap of
-  ``(eta, job_id[, serial])`` answers "next completion" in O(log n); a
-  trim change invalidates every ETA at once, so the core drops the heap
-  and takes ``min`` over the ETA lane instead, rebuilding the heap only
-  after the trim has been quiet for a while (hysteresis), never once
-  per event.  Stale entries can only exist when outages requeue jobs;
-  without outages the heap entries carry no serial and the validity
-  check disappears.
+  ``(eta, job_id)`` answers "next completion" in O(log n).  A trim
+  change invalidates every ETA at once, and a crash-requeue leaves its
+  victim's entry behind, so either event drops the heap and the core
+  takes ``min`` over the ETA lane instead, rebuilding the heap from the
+  live lanes only after a quiet stretch (hysteresis), never once per
+  event.  Every entry in a valid heap is therefore live.
 * **batched policy decisions** — the ready queue is a backing list plus
-  cursor; queue-order policies answer through
+  cursor; every policy, FIFO included, decides through one admission
+  path.  Queue-order policies answer through
   :meth:`~repro.scheduler.policies.ReadyView.prefix_fit` (a scan
   bounded by the number of jobs that start, not the backlog) and the
   frozen context dataclass is built only when a policy asks for it.
-  Plain FIFO — the replay-scale configuration — never consults the
-  context at all, so its admission loop runs inline and the running-
-  record map and sorted free list are skipped entirely (the free pool
-  degrades to a min-heap, which allocates the same ascending node ids).
+  The one FIFO special case is the flat loop for the replay-scale
+  configuration, FIFO with no cap and no outages
+  (:func:`_run_fifo_uncapped`).
 * **deferred record flush** — accumulators live in the lanes (seeded
   from the record at start, in case of a requeued earlier life) and are
   written back only at completion/requeue, when downstream consumers
@@ -144,24 +144,11 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
     completed_state = JobState.COMPLETED
 
     uncapped = cap_w is None
-    # node_owner is only read by the crash path; stale heap entries can
-    # only arise from crash-requeues.  No outages -> skip both, and drop
-    # the serial from heap entries (2-tuples compare faster).
+    # node_owner is only read by the crash path: no outages -> skip it.
     track_owner = n_outages > 0
-    stale_possible = n_outages > 0
-    # Exactly FifoScheduler (not a subclass overriding select): admission
-    # is a pure queue-order prefix scan that never builds a context, so
-    # the inline loop below replaces the whole view/select_batch hop and
-    # the running-record map goes unmaintained.
-    fifo_fast = type(policy) is FifoScheduler
-    track_running = not fifo_fast
-    # With no context consumer and no crash path, nothing ever needs the
-    # free pool *sorted* — a min-heap allocates the same ascending ids
-    # (k pops == first k of the sorted list) without O(free) memmoves.
-    heap_pool = fifo_fast and n_outages == 0
 
     ledger = _PowerLedger(idle_w)
-    free: list[int] = list(range(n_nodes))  # sorted ascending (a valid heap)
+    free: list[int] = list(range(n_nodes))  # sorted ascending
     running_recs: dict[int, JobRecord] = {}  # insertion-ordered (start order)
     node_owner: dict[int, int] = {}  # node id -> owning job id
 
@@ -171,9 +158,7 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
     eta_col = F[:, _ETA]
     lane_jid: list[int] = []  # lane -> job id (len == live lanes)
     lane_recs: list[JobRecord] = []  # lane -> record
-    lane_serial: list[int] = []  # lane -> heap-entry serial
     pos: dict[int, int] = {}  # job id -> lane
-    pos_get = pos.get
     pos_pop = pos.pop
 
     # --- trim-epoch history (capped path) ------------------------------
@@ -191,10 +176,9 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
     acct_idx = np.zeros(max_running, dtype=np.int64)
 
     # --- completion calendar (hybrid heap / vector-min) ----------------
-    eta_heap: list = []
+    eta_heap: list[tuple[float, int]] = []
     heap_valid = True  # empty heap over zero lanes is trivially right
     stable_events = 0
-    eta_serial = 0
     # Cached vector-min of the ETA column, recomputed only when an
     # epoch/open/start/removal dirtied the lanes (submission-only events
     # reuse the cache instead of an O(running) min per loop trip).
@@ -282,39 +266,37 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         releases=releases if track_releases else None,
     )
 
-    def _replay_acct(row, k: int):
-        """Replay the lane's pending accounting epochs scalarly.
+    def _stop(jid: int) -> JobRecord:
+        """Take a running job off the machine at ``now``; return its record.
 
-        Delegates to the contract's :func:`_replay_epoch_acct`: walks
+        The one lane-stop routine, shared by completion and crash-requeue.
+        First the flush, the scalar twin of the contract's ``_settle``:
+        same ops on the same values, so the record fields land
+        bit-identical.  Pending trim epochs (lazy accounting) replay
+        through the contract's :func:`_replay_epoch_acct`, which walks
         ``epochs[k:]`` reproducing the exact per-segment ``_settle``
         sequence the eager core would have run.  Every pending epoch is
         speed-changing by construction (granted-only moves are applied
-        eagerly), so every positive-length segment settles — exactly
-        the scalar contract's change condition.  Returns the (energy,
-        elapsed, work) accumulators settled through the lane's current
-        kinematic segment start (``row[_SEG]``).
-        """
-        return _replay_epoch_acct(
-            epochs, k, row[_ASEG],
-            row[_PWR], row[_FLR], row[_DYN],
-            row[_ENG], row[_ELP], row[_WRK],
-        )
+        eagerly), so every positive-length segment settles — exactly the
+        scalar contract's change condition.  The final open segment then
+        settles at the lane's current speed/granted.  Stretch is a pure
+        function of the totals (elapsed / work), so deferring it to the
+        flush reproduces the reference's last-settle value.
 
-    def _flush(lane: int, rec: JobRecord) -> None:
-        """Settle the open segment and write the accumulators back.
-
-        The scalar twin of the contract's ``_settle``: same ops on the
-        same values, so the record fields land bit-identical.  Pending
-        trim epochs (lazy accounting) replay first; the final open
-        segment then settles at the lane's current speed/granted.
-        Stretch is a pure function of the totals (elapsed / work), so
-        deferring it to the flush reproduces the reference's
-        last-settle value.
+        Then the last lane fills the hole (swap-remove) and the job's
+        running-record, release-list, node-owner and ledger entries go.
+        The caller returns the nodes to the free pool.
         """
+        lane = pos_pop(jid)
+        rec = lane_recs[lane]
         row = F[lane]
         k = acct_idx[lane]
         if k < len(epochs):
-            energy, elapsed, workt = _replay_acct(row, k)
+            energy, elapsed, workt = _replay_epoch_acct(
+                epochs, k, row[_ASEG],
+                row[_PWR], row[_FLR], row[_DYN],
+                row[_ENG], row[_ELP], row[_WRK],
+            )
         else:
             energy = row[_ENG]
             elapsed = row[_ELP]
@@ -329,9 +311,6 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         rec.work_progressed_s = float(workt)
         if workt > 0.0:
             rec.stretch = float(elapsed / workt)
-
-    def _remove_lane(lane: int) -> None:
-        """Swap-remove: the last lane fills the hole; maps follow."""
         last = len(lane_jid) - 1
         if lane != last:
             F[lane] = F[last]
@@ -339,11 +318,17 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
             moved = lane_jid[last]
             lane_jid[lane] = moved
             lane_recs[lane] = lane_recs[last]
-            lane_serial[lane] = lane_serial[last]
             pos[moved] = lane
         lane_jid.pop()
         lane_recs.pop()
-        lane_serial.pop()
+        del running_recs[jid]
+        if track_releases:
+            _release_remove(rec)
+        if track_owner:
+            for node_id in rec.nodes:
+                del node_owner[node_id]
+        ledger.remove(rec.job)
+        return rec
 
     def _release_remove(rec: JobRecord) -> None:
         """Drop a finished/requeued job's entry from the release list."""
@@ -363,10 +348,10 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         opens fresh jobs' first segments exactly like ``_set_speed`` does
         on a fresh ``_Running``.
 
-        Only the rare granted-only trim moves (rho moved but the speed
-        float collapsed, e.g. speed_exponent == 0) still take this
-        masked path — a per-lane change test is unavoidable there.  The
-        common speed-changing move takes ``_apply_epoch`` instead.
+        Only the rare granted-only trim moves (rho moved but two trim
+        ratios rounded to one speed float) still take this masked path —
+        a per-lane change test is unavoidable there.  The common
+        speed-changing move takes ``_apply_epoch`` instead.
         """
         n = len(lane_jid)
         if not n:
@@ -424,7 +409,7 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
           exactly as the scalar ``_set_speed`` does for changed lanes.
 
         The accounting accumulators are *not* touched: the epoch entry
-        appended here lets ``_replay_acct`` (or ``_acct_catchup``)
+        appended here lets ``_stop``'s replay (or ``_acct_catchup``)
         reproduce the deferred ``_settle`` sequence exactly.
         """
         epochs.append((now, rho, speed))
@@ -450,7 +435,7 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
     def _acct_catchup() -> None:
         """Vectorized replay of every lane's pending accounting epochs.
 
-        The masked twin of ``_replay_acct``: epoch k's segment is
+        The masked twin of ``_replay_epoch_acct``: epoch k's segment is
         billed, for every lane whose pending range covers it, at the
         uniform pre-epoch (rho, speed) — uniform because a lane synced
         at epoch j joined at exactly the state epochs[j-1] established.
@@ -500,7 +485,6 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         "changed" branch with a zero-length segment: no settle, just the
         new speed/granted/ETA — replicated here in scalar form.
         """
-        nonlocal eta_serial
         lane = pos[jid]
         job = lane_recs[lane].job
         if rho >= 1.0:
@@ -516,25 +500,13 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         eta = now + float(row[_REM]) / speed
         row[_ETA] = eta
         if heap_valid:
-            if stale_possible:
-                eta_serial += 1
-                lane_serial[lane] = eta_serial
-                heappush(eta_heap, (eta, jid, eta_serial))
-            else:
-                heappush(eta_heap, (eta, jid))
+            heappush(eta_heap, (eta, jid))
 
     def _rebuild_heap() -> None:
-        nonlocal eta_heap, heap_valid, eta_serial
+        nonlocal eta_heap, heap_valid
         n = len(lane_jid)
         etas = eta_col[:n].tolist()
-        if stale_possible:
-            eta_heap = []
-            for i in range(n):
-                eta_serial += 1
-                lane_serial[i] = eta_serial
-                eta_heap.append((etas[i], lane_jid[i], eta_serial))
-        else:
-            eta_heap = [(etas[i], lane_jid[i]) for i in range(n)]
+        eta_heap = [(etas[i], lane_jid[i]) for i in range(n)]
         heapq.heapify(eta_heap)
         heap_valid = True
 
@@ -563,8 +535,8 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         q_recs.insert(lo, rec)
 
     def _start_one(rec: JobRecord) -> None:
-        """Shared start bookkeeping for the generic (non-FIFO) path."""
-        nonlocal n_started_total, eta_serial
+        """Start bookkeeping for one job the policy admitted."""
+        nonlocal n_started_total
         job = rec.job
         k = job.n_nodes
         if k > len(free):
@@ -581,7 +553,6 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         lane = len(lane_jid)
         lane_jid.append(jid)
         lane_recs.append(rec)
-        lane_serial.append(0)
         pos[jid] = lane
         runtime = job.true_runtime_s
         power = job.true_power_w
@@ -600,12 +571,7 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
                 rec.work_progressed_s, power, floor, dynpos, now,
             )
             if heap_valid:
-                if stale_possible:
-                    eta_serial += 1
-                    lane_serial[lane] = eta_serial
-                    heappush(eta_heap, (eta, jid, eta_serial))
-                else:
-                    heappush(eta_heap, (eta, jid))
+                heappush(eta_heap, (eta, jid))
         else:
             # Sentinel speed/granted: the first segment opens at the
             # next loop top, after power is re-resolved.
@@ -627,7 +593,7 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
             on_start(rec)
 
     def try_start() -> None:
-        nonlocal q_head, power_dirty, ctx_dirty, q_cap, qcol_n, qcol_w
+        nonlocal q_head, power_dirty, ctx_dirty, eta_min_dirty, q_cap, qcol_n, qcol_w
         if q_head >= len(q_recs):
             return
         if policy_select_batch is not None:
@@ -698,90 +664,9 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
                 qcol_w[i] = job.walltime_req_s
         power_dirty = True
         ctx_dirty = True
-
-    def try_start_fifo() -> None:
-        """Inline FIFO admission: the batched prefix scan fused with the
-        start bookkeeping — no view, no context, no list slicing.  The
-        arithmetic per start is identical to :func:`_start_one`."""
-        nonlocal q_head, power_dirty, ctx_dirty, n_started_total, eta_serial
-        i = q_head
-        recs = q_recs
-        n_queued = len(recs)
-        if i >= n_queued:
-            return
-        free_n = len(free)
-        started_any = False
-        while i < n_queued:
-            rec = recs[i]
-            job = rec.job
-            k = job.n_nodes
-            if k > free_n:
-                break
-            free_n -= k
-            if heap_pool:
-                alloc = tuple([heappop(free) for _ in range(k)])
-            else:
-                alloc = tuple(free[:k])
-                del free[:k]
-            jid = job.job_id
-            rec.nodes = alloc
-            rec.state = running_state
-            rec.start_time_s = now
-            lane = len(lane_jid)
-            lane_jid.append(jid)
-            lane_recs.append(rec)
-            lane_serial.append(0)
-            pos[jid] = lane
-            runtime = job.true_runtime_s
-            power = job.true_power_w
-            floor = k * idle_w
-            dynamic = power - floor
-            dynpos = dynamic if dynamic > 0.0 else 0.0
-            acct_idx[lane] = len(epochs)
-            if uncapped:
-                eta = now + runtime
-                F[lane] = (
-                    runtime, 1.0, power, now, eta,
-                    rec.energy_j, rec.elapsed_running_s,
-                    rec.work_progressed_s, power, floor, dynpos, now,
-                )
-                if heap_valid:
-                    if stale_possible:
-                        eta_serial += 1
-                        lane_serial[lane] = eta_serial
-                        heappush(eta_heap, (eta, jid, eta_serial))
-                    else:
-                        heappush(eta_heap, (eta, jid))
-            else:
-                F[lane] = (
-                    runtime, 0.0, -1.0, now, _INF,
-                    rec.energy_j, rec.elapsed_running_s,
-                    rec.work_progressed_s, power, floor, dynpos, now,
-                )
-                fresh_jids.append(jid)
-            if track_running:
-                running_recs[jid] = rec
-            if track_owner:
-                for node_id in alloc:
-                    node_owner[node_id] = jid
-            # _PowerLedger.add, inlined (same float ops, same order).
-            ledger.busy_nodes += k
-            ledger.running_power_w += power
-            if not uncapped:
-                dynamic = power - k * idle_w
-                if dynamic > 0.0:
-                    ledger.running_dynamic_w += dynamic
-            n_started_total += 1
-            if on_start is not None:
-                on_start(rec)
-            started_any = True
-            i += 1
-        if started_any:
-            q_head = i
-            power_dirty = True
-            ctx_dirty = True
-
-    start_fn = try_start_fifo if fifo_fast else try_start
+        # An uncapped start writes its ETA straight into the lanes, and
+        # after a requeue an uncapped run is in vector-min mode too.
+        eta_min_dirty = True
 
     while completed < n_jobs:
         if power_dirty:
@@ -814,11 +699,11 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
                         ) >= _EPOCH_CATCHUP:
                             _acct_catchup()
                     else:
-                        # Granted-only move (the speed float collapsed,
-                        # e.g. speed_exponent == 0): catch accounting
-                        # up, run the masked eager path, and record the
-                        # rho move so later replays bill the granted
-                        # power history correctly.
+                        # Granted-only move (two trim ratios rounded to
+                        # one speed float): catch accounting up, run
+                        # the masked eager path, and record the rho
+                        # move so later replays bill the granted power
+                        # history correctly.
                         _acct_catchup()
                         _apply_trim(rho, speed)
                         epochs.append((now, rho, speed))
@@ -846,18 +731,7 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
                 eta_min_dirty = False
             t_complete = eta_min_cache
         elif eta_heap:
-            if stale_possible:
-                while True:
-                    eta, jid, ser = eta_heap[0]
-                    lane = pos_get(jid)
-                    if lane is not None and lane_serial[lane] == ser:
-                        break
-                    heappop(eta_heap)  # stale
-                    if not eta_heap:
-                        break
-                t_complete = eta_heap[0][0] if eta_heap else _INF
-            else:
-                t_complete = eta_heap[0][0]
+            t_complete = eta_heap[0][0]
         else:
             t_complete = _INF
         # Next event: submission, earliest ETA, crash or repair.
@@ -885,15 +759,8 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
             deadline = now + _ETA_EPS
             finished_jids: list[int] = []
             if heap_valid:
-                if stale_possible:
-                    while eta_heap and eta_heap[0][0] <= deadline:
-                        eta, jid, ser = heappop(eta_heap)
-                        lane = pos_get(jid)
-                        if lane is not None and lane_serial[lane] == ser:
-                            finished_jids.append(jid)
-                else:
-                    while eta_heap and eta_heap[0][0] <= deadline:
-                        finished_jids.append(heappop(eta_heap)[1])
+                while eta_heap and eta_heap[0][0] <= deadline:
+                    finished_jids.append(heappop(eta_heap)[1])
                 if len(finished_jids) > 1:
                     finished_jids.sort()
             else:
@@ -901,67 +768,11 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
                 due = np.nonzero(eta_col[:n_run] <= deadline)[0]
                 finished_jids = sorted(lane_jid[i] for i in due)
             for jid in finished_jids:
-                lane = pos_pop(jid)
-                rec = lane_recs[lane]
-                # Inline flush + swap-remove (see _flush/_remove_lane).
-                row = F[lane]
-                if acct_idx[lane] < len(epochs):
-                    # Pending trim epochs: replay the lane's exact
-                    # deferred `_settle` sequence before the final
-                    # segment (the epoch-settled lazy accounting).
-                    energy, elapsed, workt = _replay_acct(row, acct_idx[lane])
-                else:
-                    energy = row[_ENG]
-                    elapsed = row[_ELP]
-                    workt = row[_WRK]
-                f_dt = now - row[_SEG]
-                if f_dt > 0.0:
-                    energy = energy + row[_GRT] * f_dt
-                    elapsed = elapsed + f_dt
-                    workt = workt + f_dt * row[_SPD]
-                rec.energy_j = float(energy)
-                rec.elapsed_running_s = float(elapsed)
-                rec.work_progressed_s = float(workt)
-                if workt > 0.0:
-                    rec.stretch = float(elapsed / workt)
-                power = float(row[_PWR])
-                k = len(rec.nodes)
-                last = len(lane_jid) - 1
-                if lane != last:
-                    F[lane] = F[last]
-                    acct_idx[lane] = acct_idx[last]
-                    moved = lane_jid[last]
-                    lane_jid[lane] = moved
-                    lane_recs[lane] = lane_recs[last]
-                    lane_serial[lane] = lane_serial[last]
-                    pos[moved] = lane
-                lane_jid.pop()
-                lane_recs.pop()
-                lane_serial.pop()
-                if track_running:
-                    del running_recs[jid]
-                if track_releases:
-                    _release_remove(rec)
-                # _PowerLedger.remove, inlined: the lane's _PWR/_FLR hold
-                # the exact floats `job.true_power_w` / floor would give.
-                ledger.busy_nodes -= k
-                ledger.running_power_w -= power
-                if not uncapped:
-                    dynamic = power - k * idle_w
-                    if dynamic > 0.0:
-                        ledger.running_dynamic_w -= dynamic
+                rec = _stop(jid)
                 rec.state = completed_state
                 rec.end_time_s = now
-                if heap_pool:
-                    for node_id in rec.nodes:
-                        heappush(free, node_id)
-                elif track_owner:
-                    for node_id in rec.nodes:
-                        del node_owner[node_id]
-                        insort(free, node_id)
-                else:
-                    for node_id in rec.nodes:
-                        insort(free, node_id)
+                for node_id in rec.nodes:
+                    insort(free, node_id)
                 completed += 1
                 if on_end is not None:
                     on_end(rec)
@@ -1004,22 +815,19 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
                     if i is not None:
                         del free[i]
                     continue
-                lane = pos_pop(victim_jid)
-                rec = lane_recs[lane]
-                _flush(lane, rec)
-                _remove_lane(lane)
-                eta_min_dirty = True
-                if track_running:
-                    del running_recs[victim_jid]
-                if track_releases:
-                    _release_remove(rec)
-                ledger.remove(rec.job)
+                rec = _stop(victim_jid)
                 if victim_jid in fresh_jids:
                     fresh_jids.remove(victim_jid)
                 for alloc_node in rec.nodes:
-                    del node_owner[alloc_node]
                     if alloc_node != node_id:
                         insort(free, alloc_node)
+                # The victim's heap entry is now stale: drop the heap
+                # (vector-min mode), as a trim move does; the rebuild
+                # reads only live lanes.
+                eta_heap = []
+                heap_valid = False
+                stable_events = 0
+                eta_min_dirty = True
                 rec.state = JobState.PENDING
                 rec.nodes = ()
                 rec.start_time_s = None
@@ -1035,7 +843,7 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
             _q_append(records[job.job_id])
             submit_idx += 1
             t_submit = pending[submit_idx].submit_time_s if submit_idx < n_jobs else _INF
-        start_fn()
+        try_start()
 
     makespan = now
     t_append(now)

@@ -260,6 +260,13 @@ class ClusterSimulator:
         self.cap_w = cap_w
         self.speed_exponent = float(speed_exponent)
         self.min_speed = float(min_speed)
+        if not self._rho_min > 0:
+            # A zero trim floor lets a cap below the idle floor clip rho
+            # to 0, and a zero speed has no ETA.
+            raise ValueError(
+                f"min_speed ** (1 / speed_exponent) underflows to 0 for "
+                f"speed_exponent={speed_exponent!r}, min_speed={min_speed!r}"
+            )
         self.on_job_start = on_job_start
         self.on_job_end = on_job_end
         self.node_outages = tuple(sorted(node_outages, key=lambda o: (o.at_s, o.node_id)))

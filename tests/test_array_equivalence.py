@@ -14,10 +14,14 @@ FIFO loop that is not an IEEE-754 identity of the contract expression
 shows up here as a one-ULP divergence.
 """
 
+import math
+
 import pytest
 
+from repro.scheduler import ClusterSimulator, NodeOutage
 from tests.diff_harness import (
     CORES,
+    HarnessScenario,
     assert_cap_heavy_equivalent,
     assert_equivalent,
     cap_heavy_scenario,
@@ -61,6 +65,39 @@ def test_cap_heavy_sweep_is_actually_cap_heavy():
     assert any(s.outages for s in scenarios)
 
 
+#: rho_min = nextafter(1, 0) ** 1e15 is about 0.895, and on [rho_min, 1]
+#: ``rho ** 1e-15`` rounds to at most two floats, so most trim moves
+#: change rho but not speed: the granted-only branch of the array core,
+#: which neither sampler reaches.
+_COLLAPSED_SPEED = dict(speed_exponent=1e-15, min_speed=math.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("policy_kind", ("fifo", "easy"))
+@pytest.mark.parametrize(
+    "outages",
+    [(), (NodeOutage(at_s=5000.0, node_id=2, duration_s=4000.0),)],
+    ids=["no-outage", "outage"],
+)
+def test_cores_equivalent_on_granted_only_trim_moves(seed, policy_kind, outages):
+    scenario = HarnessScenario(
+        seed=seed,
+        label=f"granted-only/{policy_kind}/seed{seed}/out{len(outages)}",
+        n_nodes=8, n_jobs=60, load_factor=1.2, policy_kind=policy_kind,
+        cap_w=11000.0, outages=outages,
+    )
+    results = [
+        ClusterSimulator(
+            n_nodes=scenario.n_nodes, policy=scenario.build_policy(),
+            cap_w=scenario.cap_w, node_outages=outages, core=core,
+            **_COLLAPSED_SPEED,
+        ).run(scenario.build_jobs())
+        for core in CORES
+    ]
+    assert results[0].overdemand_s > 0  # the cap binds, so rho moves
+    compare_results(scenario, results[0], CORES[0], results[1], CORES[1])
+
+
 def test_cap_heavy_divergence_reports_repro_seed():
     """Cap-heavy failures must point at --cap-heavy-seed, not --seed."""
     scenario = cap_heavy_scenario(0)
@@ -88,6 +125,11 @@ def test_sweep_covers_the_scenario_space():
         s.policy_kind == "fifo" and s.cap_w is None and not s.outages
         for s in scenarios
     )
+    # FIFO with a cap or with outages admits through the generic path,
+    # and a requeue drops the completion heap in uncapped runs too.
+    assert any(s.policy_kind == "fifo" and s.cap_w is not None for s in scenarios)
+    assert any(s.policy_kind == "fifo" and s.outages for s in scenarios)
+    assert any(s.cap_w is None and s.outages for s in scenarios)
 
 
 def test_divergence_reports_repro_seed():

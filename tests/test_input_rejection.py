@@ -16,12 +16,14 @@ Three families:
   0`` check: a NaN gateway period hangs the kernel, a NaN dispatcher cap
   runs uncapped and a NaN capper cap returns NaN telemetry.  Each
   raises, naming the field or the job;
-* **config values the run cannot use** — a zero speed exponent,
-  negative seeds, capping or noise knobs, an outage on a node the
-  machine does not have, and exploration names or NaNs the search cannot
-  set.  Unchecked, each would load and then die mid-run with a bare
-  NumPy, ``KeyError`` or ``ZeroDivisionError`` traceback; each fails at
-  load naming ``section.field``, and the CLI exits 2.
+* **config values the run cannot use** — a zero speed exponent, or
+  one whose trim floor ``min_speed ** (1 / speed_exponent)`` underflows
+  to 0 (the simulator rejects that pair too), negative seeds, capping
+  or noise knobs, an outage on a node the machine does not have, and
+  exploration names or NaNs the search cannot set.  Unchecked, each
+  would load and then die mid-run with a bare NumPy, ``KeyError`` or
+  ``ZeroDivisionError`` traceback; each fails at load naming
+  ``section.field``, and the CLI exits 2.
 
 The CLI cases that could reach the simulator run in a subprocess with
 a timeout, so a regression that brings a hang back fails the test
@@ -264,6 +266,9 @@ class TestValuesTheRunCannotUseFailAtLoad:
     @pytest.mark.parametrize("kind, path, value, error, match", [
         ("campaign", ("machine", "speed_exponent"), 0.0, ConfigError,
          r"machine\.speed_exponent must be positive, got 0\.0"),
+        ("campaign", ("machine", "speed_exponent"), 0.001, ConfigError,
+         r"machine\.speed_exponent = 0\.001 with machine\.min_speed = 0\.3 "
+         r"puts the trim floor min_speed \*\* \(1 / speed_exponent\) at 0"),
         ("campaign", ("workload", "seed"), -1, ConfigError,
          r"workload\.seed must be non-negative, got -1"),
         ("campaign", ("campaign", "seeds"), [0, -2], ConfigError,
@@ -292,7 +297,8 @@ class TestValuesTheRunCannotUseFailAtLoad:
         ("exploration", ("exploration", "space", "policy", "choices"),
          ["easy", _NAN], ConfigError,
          r"exploration\.space\.policy\.choices\[1\] must be a finite number"),
-    ], ids=["speed-exponent", "workload-seed", "campaign-seeds", "live-seed",
+    ], ids=["speed-exponent", "speed-floor-underflow", "workload-seed",
+            "campaign-seeds", "live-seed",
             "hysteresis", "actuation-delay", "sensor-noise", "outage-node",
             "cell-outage-node", "space-knob-name", "base-field-name",
             "base-nan", "choices-nan"])
@@ -315,3 +321,15 @@ class TestValuesTheRunCannotUseFailAtLoad:
         with pytest.raises(ValueError,
                            match="speed_exponent must be positive, got 0.0"):
             ClusterSimulator(4, FifoScheduler(), speed_exponent=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"speed_exponent": 0.001},
+        {"min_speed": 1e-300},
+    ], ids=["tiny-exponent", "tiny-min-speed"])
+    def test_simulator_rejects_a_speed_floor_that_underflows(self, kwargs):
+        """``min_speed ** (1 / speed_exponent)`` is the trim floor; at 0 a
+        cap below the idle floor would stop every job with a bare
+        ``ZeroDivisionError``."""
+        with pytest.raises(ValueError,
+                           match=r"underflows to 0 for speed_exponent=.*min_speed="):
+            ClusterSimulator(8, FifoScheduler(), **kwargs)
