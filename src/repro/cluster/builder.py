@@ -185,7 +185,8 @@ class ClusterBuilder:
 
         ``batched=True`` selects the vectorized :class:`GatewayArray`
         hot path (one kernel event samples every node); the default
-        builds one daemon process per node.  Extra keywords flow to the
+        builds one :class:`GatewayDaemon` per node, each on its own
+        periodic kernel task.  Extra keywords flow to the
         underlying gateway constructor (buffer limits, backoff...).
         """
         self._gateway_kw = {"period_s": period_s, "sensor_noise_w": sensor_noise_w, **gateway_kw}

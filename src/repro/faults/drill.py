@@ -98,7 +98,7 @@ class DrillConfig:
     shelf_psu_rating_w: float = 3_000.0
     shelf_psus: int = 6
     #: Sample all nodes through one vectorized :class:`GatewayArray`
-    #: kernel event instead of one daemon process per node.  Same
+    #: kernel event instead of one :class:`GatewayDaemon` per node.  Same
     #: per-node noise streams, sample stamps and controller inputs — at
     #: equal seeds the telemetry log digest is unchanged — but the hot
     #: path scales to hundreds of nodes.  (Scenarios where a sensor
@@ -235,6 +235,9 @@ class FaultDrill:
         )
         # -- cluster state ----------------------------------------------------
         self.nodes = [_DrillNode(i) for i in range(cfg.n_nodes)]
+        #: Nodes up, kept next to the ``_up_w`` mirror by the crash and
+        #: repair handlers, so the bookkeeping never scans every node.
+        self._n_up = cfg.n_nodes
         self.records: dict[int, JobRecord] = {}
         self.queue: list[JobRecord] = []
         self.running: dict[int, _RunningJob] = {}
@@ -353,10 +356,10 @@ class FaultDrill:
         return powers
 
     def _system_power_w(self) -> float:
-        total = 0.0
-        for node in self.nodes:
-            if node.up:
-                total += self.config.idle_node_power_w
+        # ``n * idle`` is bit-identical to summing ``idle`` over the up
+        # nodes when the idle power is integer-valued (every shipped
+        # config): sums of integer-valued floats are exact.
+        total = self._n_up * self.config.idle_node_power_w
         for run in self.running.values():
             total += run.dynamic_w * run.rho
         return total
@@ -367,7 +370,7 @@ class FaultDrill:
         dt = now - self._last_account_t
         if dt <= 0:
             return
-        idle_w = sum(self.config.idle_node_power_w for n in self.nodes if n.up)
+        idle_w = self._n_up * self.config.idle_node_power_w
         job_w = 0.0
         for run in self.running.values():
             # A job is billed its nodes' idle floor plus its trimmed
@@ -480,12 +483,11 @@ class FaultDrill:
         if not self.queue:
             return
         free = self._free_up_nodes()
-        alive = sum(1 for n in self.nodes if n.up)
         ctx = SchedulerContext(
             now_s=self.env.now,
             free_nodes=tuple(sorted(free)),
             running=tuple(run.record for run in self.running.values()),
-            total_nodes=alive,
+            total_nodes=self._n_up,
             system_power_w=self._system_power_w(),
             power_budget_w=self.cap_w,
         )
@@ -556,6 +558,7 @@ class FaultDrill:
         node_id = self._target_node(spec)
         node = self.nodes[node_id]
         self._account()
+        self._n_up -= node.up
         node.up = False
         self._up_w[node_id] = 0.0
         victim = self.running.get(node.job_id) if node.job_id is not None else None
@@ -582,7 +585,9 @@ class FaultDrill:
     def _repair_node(self, spec: FaultSpec) -> None:
         node_id = self._target_node(spec)
         self._account()
-        self.nodes[node_id].up = True
+        node = self.nodes[node_id]
+        self._n_up += not node.up
+        node.up = True
         self._up_w[node_id] = 1.0
         self._power_changed()
         self._run_checks()
@@ -648,8 +653,7 @@ class FaultDrill:
         while not self._done.triggered:
             yield self.env.timeout(cfg.control_period_s)
             now = self.env.now
-            alive = sum(1 for n in self.nodes if n.up)
-            idle_floor = alive * cfg.idle_node_power_w
+            idle_floor = self._n_up * cfg.idle_node_power_w
             nominal_dyn = sum(run.dynamic_w for run in self.running.values())
             if self.watchdog.all_silent(now):
                 # Flying blind: every stream silent past the fail-safe

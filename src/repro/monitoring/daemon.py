@@ -1,12 +1,13 @@
 """Simulation-kernel integration: the gateway and capper as live agents.
 
 The rest of :mod:`repro.monitoring` exposes batch APIs (measure a trace,
-publish it).  This module runs the same components as *processes* on the
+publish it).  This module runs the same components as live agents on the
 discrete-event kernel of :mod:`repro.sim`, reproducing the runtime
 behaviour of the deployed system:
 
 * :class:`GatewayDaemon` — samples its node every period, publishes the
-  reading over MQTT (the BBB's firmware loop);
+  reading over MQTT (the BBB's firmware loop), on one
+  :class:`~repro.sim.engine.PeriodicTask` per node;
 * :class:`GatewayArray` — the scale-out variant: one kernel event
   samples N nodes with NumPy and publishes a single batched message,
   preserving the daemon's store-and-forward semantics;
@@ -41,6 +42,11 @@ SensorFault = Callable[[float, float], Optional[float]]
 #: (now_s, measured_w[n]) -> (keep_mask[n] or None, perturbed_w[n]).
 BatchSensorFault = Callable[[float, np.ndarray], "tuple[Optional[np.ndarray], np.ndarray]"]
 
+#: Sensor-noise draws a :class:`GatewayDaemon` takes from its generator
+#: at once.  A block costs one NumPy call instead of one per sample and
+#: yields the same values as that many scalar draws.
+NOISE_BLOCK = 64
+
 
 class GatewayDaemon:
     """Periodic out-of-band sampling of one node, published over MQTT.
@@ -51,6 +57,13 @@ class GatewayDaemon:
     buffer) and probes for reconnection with exponential backoff.  On
     reconnect the backlog is re-published in order before live sampling
     resumes, so a broker outage costs latency, not joules.
+
+    The live cadence is one :class:`~repro.sim.engine.PeriodicTask`
+    (``self.task``); a failed publish suspends it and chains the backoff
+    probes as kernel timeouts until a probe drains the backlog.  The
+    noise generator belongs to the daemon: it is drawn in blocks of
+    :data:`NOISE_BLOCK`, so one generator shared by several daemons
+    would hand each a different slice than per-sample draws would.
     """
 
     def __init__(
@@ -88,6 +101,9 @@ class GatewayDaemon:
         if rng is None:
             rng = np.random.default_rng(node.node_id if seed is None else seed)
         self.rng = rng
+        # Drawn lazily, so ``rng`` is untouched until the first sample.
+        self._noise: list[float] = []
+        self._noise_i = 0
         self.client: MqttClient = broker.connect(f"eg-daemon-{node.node_id}")
         self.topic = f"{topic_prefix}/node{node.node_id}/power/node"
         self.samples_published = 0
@@ -97,6 +113,8 @@ class GatewayDaemon:
         self.backoff_factor = float(backoff_factor)
         self.max_backoff_s = float(max_backoff_s)
         self._buffer: Deque[dict] = deque()
+        self._backoff_s = self.retry_backoff_s
+        self._outage_t0 = 0.0
         self.buffered_count = 0
         self.buffer_dropped_count = 0
         self.republished_count = 0
@@ -107,6 +125,8 @@ class GatewayDaemon:
         self.sensor_fault: Optional[SensorFault] = None
         # -- observability (handles resolved once; no-op when disabled) --------
         self.obs = obs if obs is not None else null_observability()
+        # The per-sample instrument calls are skipped outright when off.
+        self._observed = self.obs.enabled
         m = self.obs.metrics
         self._tracer = self.obs.tracer
         self._m_published = m.counter("telemetry_samples_total", mode="daemon")
@@ -115,23 +135,31 @@ class GatewayDaemon:
         self._m_dropped_buffer = m.counter("telemetry_dropped_total", reason="buffer")
         self._m_failures = m.counter("telemetry_publish_failures_total", mode="daemon")
         self._m_backlog_peak = m.gauge("telemetry_backlog_peak_samples")
-        self.process = env.process(self._run(), name=f"gateway-{node.node_id}")
+        self.task: PeriodicTask = env.periodic(
+            self.period_s, self._tick, start_delay_s=0.0, name=f"gateway-{node.node_id}"
+        )
 
     @property
     def backlog(self) -> int:
         """Samples waiting locally for the broker to come back."""
         return len(self._buffer)
 
-    def _sample(self) -> Optional[dict]:
-        measured = self.node.power_w() + float(self.rng.normal(0.0, self.sensor_noise_w))
+    def _sample(self, now_s: float) -> Optional[dict]:
+        noise = self._noise
+        i = self._noise_i
+        if i == len(noise):
+            noise = self._noise = self.rng.normal(0.0, self.sensor_noise_w, NOISE_BLOCK).tolist()
+            i = 0
+        self._noise_i = i + 1
+        measured = self.node.power_w() + noise[i]
         if self.sensor_fault is not None:
-            faulted = self.sensor_fault(self.env.now, measured)
+            faulted = self.sensor_fault(now_s, measured)
             if faulted is None:
                 self.samples_dropped_by_sensor += 1
                 self._m_dropped_sensor.inc()
                 return None
             measured = faulted
-        return {"node": self.node.node_id, "t": self.clock(self.env.now), "p": max(measured, 0.0)}
+        return {"node": self.node.node_id, "t": self.clock(now_s), "p": max(measured, 0.0)}
 
     def _buffer_sample(self, payload: dict) -> None:
         if len(self._buffer) >= self.buffer_limit:
@@ -151,8 +179,9 @@ class GatewayDaemon:
             self._buffer.popleft()
             self.republished_count += 1
             self.samples_published += 1
-            self._m_published.inc()
-            self._m_latency.observe(max(0.0, self.env.now - payload["t"]))
+            if self._observed:
+                self._m_published.inc()
+                self._m_latency.observe(max(0.0, self.env.now - payload["t"]))
 
     def _drain_then_publish(self, payload: dict) -> None:
         """Deliver any backlog strictly before the live sample.
@@ -167,41 +196,49 @@ class GatewayDaemon:
             self.reconnects += 1
         self.client.publish(self.topic, payload, retain=True)
         self.samples_published += 1
-        self._m_published.inc()
-        self._m_latency.observe(max(0.0, self.env.now - payload["t"]))
+        if self._observed:
+            self._m_published.inc()
+            self._m_latency.observe(max(0.0, self.env.now - payload["t"]))
 
-    def _recover(self):
-        """Bounded exponential backoff while the broker is down; keep
-        sampling into the buffer at each probe so no telemetry interval
-        is unaccounted."""
-        t0 = self.env.now
-        backoff = self.retry_backoff_s
-        while True:
-            yield self.env.timeout(min(backoff, self.max_backoff_s))
-            probe = self._sample()
-            if probe is not None:
-                self._buffer_sample(probe)
-            try:
-                self._flush_buffer()
-            except BrokerUnavailableError:
-                self._m_failures.inc()
-                backoff = min(backoff * self.backoff_factor, self.max_backoff_s)
-                continue
-            self.reconnects += 1
-            self._tracer.record("gateway.recover", t0, node=self.node.node_id)
+    def _tick(self, now_s: float) -> None:
+        payload = self._sample(now_s)
+        if payload is None:
             return
+        try:
+            self._drain_then_publish(payload)
+        except BrokerUnavailableError:
+            self._m_failures.inc()
+            self._buffer_sample(payload)
+            # Off the live cadence until a probe drains the backlog.  The
+            # first probe is armed here, inside the failing tick: that
+            # fixes its place among equal-time events (an env.process
+            # bootstrap would push it behind them).
+            self.task.suspend()
+            self._outage_t0 = now_s
+            self._backoff_s = self.retry_backoff_s
+            self._arm_probe()
 
-    def _run(self):
-        while True:
-            payload = self._sample()
-            if payload is not None:
-                try:
-                    self._drain_then_publish(payload)
-                except BrokerUnavailableError:
-                    self._m_failures.inc()
-                    self._buffer_sample(payload)
-                    yield from self._recover()
-            yield self.env.timeout(self.period_s)
+    def _arm_probe(self) -> None:
+        self.env.timeout(min(self._backoff_s, self.max_backoff_s)).callbacks.append(self._probe)
+
+    def _probe(self, _event) -> None:
+        """One backoff probe while the broker is down: sample into the
+        buffer (so no telemetry interval is unaccounted), try to drain
+        it, then arm the next, longer probe or resume the live cadence."""
+        probe = self._sample(self.env.now)
+        if probe is not None:
+            self._buffer_sample(probe)
+        try:
+            self._flush_buffer()
+        except BrokerUnavailableError:
+            self._m_failures.inc()
+            self._backoff_s = min(self._backoff_s * self.backoff_factor, self.max_backoff_s)
+            self._arm_probe()
+            return
+        self.reconnects += 1
+        self._tracer.record("gateway.recover", self._outage_t0, node=self.node.node_id)
+        # Live cadence resumes one full period after the reconnect probe.
+        self.task.resume(delay_s=self.period_s)
 
 
 class GatewayArray:

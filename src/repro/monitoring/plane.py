@@ -26,7 +26,8 @@ __all__ = ["TelemetryPlane"]
 class TelemetryPlane:
     """N node samplers, one broker, one collector hookup.
 
-    ``batched=False`` builds one :class:`GatewayDaemon` process per node
+    ``batched=False`` builds one :class:`GatewayDaemon` per node, each
+    sampling on its own kernel :class:`~repro.sim.engine.PeriodicTask`
     (the production-faithful shape); ``batched=True`` builds a single
     :class:`GatewayArray` that samples every node per kernel event (the
     scale shape).  Both publish under ``topic_prefix`` and both keep the

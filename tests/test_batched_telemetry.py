@@ -1,5 +1,9 @@
 """The vectorized telemetry hot path: GatewayArray units, per-sample vs
-batched digest equivalence, invariants at scale, backlog ordering."""
+batched digest equivalence, the per-sample stream pin, invariants at
+scale, backlog ordering."""
+
+import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +25,12 @@ EQUIVALENCE_CAMPAIGN = [
     FaultSpec(FaultKind.PSU_FAILURE, at_s=70.0, duration_s=40.0),
     FaultSpec(FaultKind.CLOCK_DRIFT, at_s=80.0, duration_s=25.0, target=7, magnitude=2e-4),
     FaultSpec(FaultKind.SENSOR_DROPOUT, at_s=100.0, duration_s=8.0, target=9),
+]
+
+#: The same campaign with the sensor dropout moved inside the broker
+#: outage, so daemons enter backoff at different ticks.
+OVERLAP_CAMPAIGN = EQUIVALENCE_CAMPAIGN[:-1] + [
+    FaultSpec(FaultKind.SENSOR_DROPOUT, at_s=42.0, duration_s=8.0, target=9),
 ]
 
 
@@ -123,6 +133,12 @@ class TestDigestEquivalence:
         assert per.summary["log_digest"] == bat.summary["log_digest"]
         assert per.summary["violations"] == bat.summary["violations"] == 0
 
+    def test_same_seed_same_digest_64_nodes(self):
+        per = run_drill(64, batched=False)
+        bat = run_drill(64, batched=True)
+        assert per.summary["log_digest"] == bat.summary["log_digest"]
+        assert per.summary["violations"] == bat.summary["violations"] == 0
+
     def test_different_seed_different_digest(self):
         a = run_drill(16, batched=True, seed=1)
         b = run_drill(16, batched=True, seed=2)
@@ -132,6 +148,47 @@ class TestDigestEquivalence:
         a = run_drill(16, batched=True)
         b = run_drill(16, batched=True)
         assert a.summary == b.summary
+
+
+class TestPerSampleStream:
+    def test_per_sample_stream_is_pinned(self):
+        """Every message the collector receives, not just the log.
+
+        The log digest cannot see a changed sample: with the dropout
+        overlapping the outage, per-sample and batched logs still agree.
+        So this hashes each message's node, stamp, power, broker
+        timestamp and message id, and pins the daemons' resilience
+        counters with it."""
+        drill = (
+            ClusterBuilder(n_nodes=16, seed=2026)
+            .with_gateways(period_s=1.0, batched=False)
+            .with_scheduler(cap_w=14000)
+            .with_faults(shelf_psu_rating_w=3000)
+            .build_drill()
+        )
+        digest = hashlib.sha256()
+        count = 0
+        collect = drill._collector.on_message
+
+        def tap(msg):
+            nonlocal count
+            p = msg.payload
+            digest.update(struct.pack("<idddi", p["node"], p["t"], p["p"],
+                                      msg.timestamp, msg.message_id))
+            count += 1
+            collect(msg)
+
+        drill._collector.on_message = tap
+        drill.run(faults=OVERLAP_CAMPAIGN)
+        gateways = drill.gateways
+        assert count == 4910
+        assert digest.hexdigest() == (
+            "da4318acc42aa1da7b17d442f12df015627e46cd872555e575d82f6f2f868f7a")
+        assert sum(gw.buffered_count for gw in gateways) == 94
+        assert sum(gw.republished_count for gw in gateways) == 94
+        assert sum(gw.reconnects for gw in gateways) == 16
+        assert sum(gw.samples_dropped_by_sensor for gw in gateways) == 2
+        assert drill.broker.rejected_count == 80
 
 
 class TestInvariantsAtScale:

@@ -236,6 +236,22 @@ class TestInboxOverflow:
         assert len(got) == 1 and got[0].payload == 42
         assert sub.poll() is None
 
+    def test_qos1_redelivery_respects_inbox_limit(self):
+        """Redelivered duplicates go through the same drop-oldest bound
+        as first deliveries, and every eviction is counted."""
+        broker = MqttBroker()
+        sub = broker.connect("c", inbox_limit=2)
+        sub.subscribe("t", qos=1)
+        broker.publish("t", 0, qos=1)
+        broker.publish("t", 1, qos=1)
+        assert len(sub.redeliver_inflight()) == 2
+        assert len(sub.redeliver_inflight()) == 2
+        assert len(sub.inbox) <= 2
+        assert sub.dropped_count == 4
+        kept = sub.drain()
+        assert [m.payload for m in kept] == [0, 1]
+        assert all(m.duplicate for m in kept)
+
 
 class TestClockIntegration:
     def test_timestamps_use_broker_clock(self):

@@ -128,6 +128,41 @@ class TestGatewayDaemon:
         with pytest.raises(ValueError):
             GatewayDaemon(Environment(), ComputeNode(), MqttBroker(), period_s=0.0)
 
+    def test_noise_equals_scalar_draws_across_refills(self):
+        """Block-drawn noise equals one scalar ``normal`` draw per sample
+        from ``default_rng(node_id)``, across several block refills."""
+        env = Environment()
+        broker = MqttBroker(clock=lambda: env.now)
+        node = ComputeNode(node_id=5)
+        daemon = GatewayDaemon(env, node, broker, period_s=1.0, sensor_noise_w=2.0)
+        sub = broker.connect("sub")
+        sub.subscribe(daemon.topic)
+        env.run(until=300.5)
+        published = [m.payload["p"] for m in sub.drain()]
+        assert len(published) == 301
+        rng = np.random.default_rng(5)
+        expected = [max(node.power_w() + float(rng.normal(0.0, 2.0)), 0.0)
+                    for _ in published]
+        assert published == expected
+
+    def test_sensor_fault_exception_leaves_run_with_its_type(self):
+        class AdcFault(RuntimeError):
+            pass
+
+        def fault(now, measured):
+            if now >= 3.0:
+                raise AdcFault("ADC read failed")
+            return measured
+
+        env = Environment()
+        broker = MqttBroker()
+        daemon = GatewayDaemon(env, ComputeNode(), broker, period_s=1.0)
+        daemon.sensor_fault = fault
+        with pytest.raises(AdcFault, match="ADC read failed"):
+            env.run(until=10.0)
+        assert env.now == 3.0
+        assert daemon.samples_published == 3
+
 
 class TestCappingAgent:
     def test_caps_on_overload_and_releases_on_idle(self):
