@@ -5,8 +5,8 @@ The paper hand-picks one production configuration (proactive dispatch
 under a 45-node envelope). This example treats that choice as an
 *optimization problem*: declare the knobs (``policy``, ``cap_w``,
 ``backfill_depth``) as a typed :class:`DesignSpace`, score each cell
-with an energy/QoS :class:`Objective`, and let the registry-named
-searchers walk the space through the content-addressed campaign cache —
+with an energy/QoS :class:`Objective`, and let searchers, picked by
+name, walk the space through the content-addressed campaign cache —
 revisited cells replay byte-identically, for free.
 
 Shows three searchers over the same shared store (``random``, ``grid``,

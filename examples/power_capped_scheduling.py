@@ -20,17 +20,21 @@ import numpy as np
 
 from repro.cluster import ClusterBuilder
 from repro.prediction import JobPowerModel, chronological_split
-from repro.scheduler import make_policy, make_workload
+from repro.scheduler import (
+    EasyBackfillScheduler,
+    PowerAwareScheduler,
+    WorkloadConfig,
+    WorkloadGenerator,
+)
 
 N_NODES = 45
 
 
 def main() -> None:
     budget_w = float(sys.argv[1]) * 1e3 if len(sys.argv) > 1 else 52e3
-    jobs = make_workload(
-        "davide",
+    jobs = WorkloadGenerator(
+        WorkloadConfig(n_jobs=250, cluster_nodes=N_NODES, load_factor=1.15),
         rng=np.random.default_rng(7),
-        n_jobs=250, cluster_nodes=N_NODES, load_factor=1.15,
     ).generate()
 
     # Train a predictor on the first 40% of the stream (the history the
@@ -42,12 +46,12 @@ def main() -> None:
     print(f"predictor trained on {len(history)} historical jobs\n")
 
     policies = {
-        "uncapped EASY": (make_policy("easy"), None),
-        "reactive only": (make_policy("easy"), budget_w),
+        "uncapped EASY": (EasyBackfillScheduler(), None),
+        "reactive only": (EasyBackfillScheduler(), budget_w),
         "proactive only": (
-            make_policy("power-aware", cap_w=budget_w, predictor=model), None),
+            PowerAwareScheduler(cap_w=budget_w, predictor=model), None),
         "combined": (
-            make_policy("power-aware", cap_w=budget_w, predictor=model), budget_w),
+            PowerAwareScheduler(cap_w=budget_w, predictor=model), budget_w),
     }
 
     header = (f"{'policy':16s} {'peak kW':>8s} {'mean wait':>10s} "

@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import ClusterBuilder
-from repro.scheduler import make_workload
+from repro.scheduler import WorkloadConfig, WorkloadGenerator
 
 
 def main() -> None:
@@ -22,12 +22,11 @@ def main() -> None:
     print(f"cluster: {system.cluster.n_nodes} nodes, "
           f"{system.cluster.nameplate_flops / 1e15:.2f} PFlops nameplate")
 
-    # 2. A synthetic production workload (the CINECA-trace stand-in),
-    #    built by registry name — "davide" is the four-application mix.
-    jobs = make_workload(
-        "davide",
+    # 2. A synthetic production workload (the CINECA-trace stand-in):
+    #    the paper's four-application mix.
+    jobs = WorkloadGenerator(
+        WorkloadConfig(n_jobs=150, cluster_nodes=45, load_factor=1.1),
         rng=np.random.default_rng(0),
-        n_jobs=150, cluster_nodes=45, load_factor=1.1,
     ).generate()
     print(f"workload: {len(jobs)} jobs from "
           f"{len({j.user for j in jobs})} users, apps "

@@ -8,8 +8,8 @@ run?" into a seeded optimization loop:
 * :class:`Objective` — QoS metrics → scalar/vector fitness;
 * :class:`ExplorationEnv` — gym-style ``reset()/step()/evaluate()``
   over content-addressed campaign cells with a shared result store;
-* searchers (``random``, ``grid``, ``evolutionary``) behind
-  :data:`~repro.scheduler.registries.SEARCHER_REGISTRY`;
+* searchers (``random``, ``grid``, ``evolutionary``), named in
+  :data:`~repro.explore.searchers.SEARCHERS`;
 * :func:`explore` — the one-call driver returning an
   :class:`ExplorationTrace` whose digest is invariant to pool size and
   cache state.
@@ -22,7 +22,7 @@ __getattr__, __dir__, __all__ = lazy(__name__, {
     ".objective": ("Objective",),
     ".run": ("BATCH_SIZE", "explore"),
     ".searchers": (
-        "SEARCHER_REGISTRY", "EvolutionarySearcher", "GridSearcher", "RandomSearcher",
+        "SEARCHERS", "EvolutionarySearcher", "GridSearcher", "RandomSearcher",
         "Searcher",
     ),
     ".space": ("Categorical", "Continuous", "DesignSpace", "Integer", "Knob"),

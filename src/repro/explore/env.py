@@ -2,8 +2,8 @@
 
 :class:`ExplorationEnv` turns the deterministic campaign machinery into
 an optimization environment: a knob vector compiles into one
-:class:`~repro.scheduler.campaign.Scenario` cell (policy and friends
-resolved by name through :mod:`repro.scheduler.registries`), batches of
+:class:`~repro.scheduler.campaign.Scenario` cell (the campaign runner
+builds its policy from the ``policy`` name), batches of
 points dispatch through :func:`~repro.scheduler.campaign.run_campaign`
 with a shared content-addressed
 :class:`~repro.scheduler.cache.ResultStore`, and fitness comes back
@@ -18,6 +18,7 @@ counts those hits per step and on the shared observability handle
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Mapping, Optional, Sequence
 
 from ..observability import Observability, null_observability
@@ -34,20 +35,13 @@ from .trace import ExplorationStep
 
 __all__ = ["SCENARIO_KNOBS", "ExplorationEnv"]
 
-#: The Scenario fields a knob vector (or the fixed ``base``) may set.
-#: The config loader checks ``[exploration.space]`` and
+#: The Scenario fields a knob vector (or the fixed ``base``) may set:
+#: all but the label, which compile() writes, and the outages.  The
+#: config loader checks ``[exploration.space]`` and
 #: ``[exploration.base]`` names against the same tuple.
-SCENARIO_KNOBS = (
-    "policy",
-    "cap_w",
-    "budget_w",
-    "predictor",
-    "train_fraction",
-    "backfill_depth",
-    "dvfs_floor",
-    "fairshare_decay",
-    "seed_index",
-    "core",
+SCENARIO_KNOBS = tuple(
+    f.name for f in dataclasses.fields(Scenario)
+    if f.name not in ("label", "node_outages")
 )
 
 

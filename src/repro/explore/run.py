@@ -1,7 +1,7 @@
 """The single-call search driver: ``explore(space, objective, ...)``.
 
-``explore`` wires a name-addressed searcher (resolved through
-:data:`~repro.scheduler.registries.SEARCHER_REGISTRY`) to an
+``explore`` wires a searcher, by name (see
+:data:`~repro.explore.searchers.SEARCHERS`) or as an instance, to an
 :class:`~repro.explore.env.ExplorationEnv` and runs the ask/evaluate/tell
 loop for ``budget`` evaluations, returning the
 :class:`~repro.explore.trace.ExplorationTrace` artifact.
@@ -51,7 +51,7 @@ def explore(
 ) -> ExplorationTrace:
     """Run one seeded design-space search and return its trace.
 
-    ``searcher`` is a registry name (``"random"``, ``"grid"``,
+    ``searcher`` is a searcher name (``"random"``, ``"grid"``,
     ``"evolutionary"``) or an instance implementing the ask/tell
     protocol.  ``budget`` is the total number of evaluations — cache
     replays count, simulations don't get extra budget.  The same

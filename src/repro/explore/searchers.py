@@ -11,9 +11,9 @@ All randomness flows through the ``numpy.random.Generator`` handed to
 search is one deterministic function of ``(space, objective, searcher,
 seed, budget)`` — the property the trace digest tests pin.
 
-The registry lives in :data:`repro.scheduler.registries.SEARCHER_REGISTRY`
-(one construction façade for the whole package); this module populates
-it on import::
+:data:`SEARCHERS` names every searcher; the config loader checks
+``[exploration].searcher`` against it, and
+:func:`repro.scheduler.registries.make_searcher` builds from it::
 
     make_searcher("evolutionary", seed=7, population=12)
 """
@@ -24,7 +24,6 @@ from typing import Any, Optional, Protocol, Sequence
 
 import numpy as np
 
-from ..scheduler.registries import SEARCHER_REGISTRY
 from .objective import Objective
 from .space import DesignSpace
 
@@ -33,7 +32,7 @@ __all__ = [
     "RandomSearcher",
     "GridSearcher",
     "EvolutionarySearcher",
-    "SEARCHER_REGISTRY",
+    "SEARCHERS",
 ]
 
 
@@ -79,7 +78,6 @@ class _SeededSearcher:
         pass
 
 
-@SEARCHER_REGISTRY.register("random")
 class RandomSearcher(_SeededSearcher):
     """Uniform i.i.d. sampling — the baseline every searcher must beat."""
 
@@ -90,7 +88,6 @@ class RandomSearcher(_SeededSearcher):
         return [self.space.sample(self.rng) for _ in range(n)]
 
 
-@SEARCHER_REGISTRY.register("grid")
 class GridSearcher(_SeededSearcher):
     """Deterministic lattice sweep (categoricals fully, ordered axes at
     ``resolution`` levels), cycling when the budget exceeds the lattice
@@ -121,7 +118,6 @@ class GridSearcher(_SeededSearcher):
         return out
 
 
-@SEARCHER_REGISTRY.register("evolutionary")
 class EvolutionarySearcher(_SeededSearcher):
     """Seeded (μ+λ) evolution: random init, then mutate tournament winners.
 
@@ -197,3 +193,9 @@ class EvolutionarySearcher(_SeededSearcher):
         sense_min = self.objective.sense == "min"
         self._archive.sort(key=lambda pf: pf[1] if sense_min else -pf[1])
         del self._archive[self.elite:]
+
+
+#: Every searcher, by the name a config file or ``explore()`` uses.
+SEARCHERS = {
+    cls.name: cls for cls in (RandomSearcher, GridSearcher, EvolutionarySearcher)
+}

@@ -518,6 +518,11 @@ class CappingAgent:
         self.actuations = 0
         self.capped = False
         self._pending = False
+        # The last batch's node tuple and this node's index in it: a
+        # GatewayArray publishes the same tuple every tick without a
+        # dropout, so the lookup is an identity check, not a scan.
+        self._batch_nodes: Optional[Sequence[int]] = None
+        self._batch_index: Optional[int] = None
         self.obs = obs if obs is not None else null_observability()
         self._tracer = self.obs.tracer
         self._m_actuations = self.obs.metrics.counter("cap_actuations_total")
@@ -526,11 +531,12 @@ class CappingAgent:
         payload = message.payload
         nodes = payload.get("nodes")
         if nodes is not None:
-            try:
-                idx = nodes.index(self.node.node_id)
-            except ValueError:
-                return
-            self._observe(float(payload["p"][idx]))
+            if nodes is not self._batch_nodes:
+                self._batch_nodes = nodes
+                node_id = self.node.node_id
+                self._batch_index = nodes.index(node_id) if node_id in nodes else None
+            if self._batch_index is not None:
+                self._observe(float(payload["p"][self._batch_index]))
         else:
             self._observe(float(payload["p"]))
 

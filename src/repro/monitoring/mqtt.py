@@ -387,7 +387,9 @@ class MqttBroker:
         # Positional: keywords cost ~0.4 us more per message (Python 3.11,
         # 2-vCPU x86-64 VM), and the gateways publish every sample.
         msg = Message(topic, payload, qos, retain, self._clock(), next(self._msg_ids))
+        replaced = None
         if retain:
+            replaced = self._retained.get(topic)
             if payload is None:
                 self._retained.pop(topic, None)
             else:
@@ -399,6 +401,16 @@ class MqttBroker:
             self._m_delivered.inc(len(subs))
         for sub in subs:
             sub.client._deliver(msg, sub.qos)
+        # A QoS-1 id is kept only while its message can still reach a
+        # client again un-flagged: through another overlapping
+        # subscription during this fan-out, or as a retained message
+        # replayed by a later subscribe.
+        if qos and (not retain or payload is None):
+            for sub in subs:
+                sub.client._seen_qos1.discard(msg.message_id)
+        if replaced is not None and replaced.qos:
+            for client in self._clients.values():
+                client._seen_qos1.discard(replaced.message_id)
         return msg
 
     def retained_topics(self) -> list[str]:

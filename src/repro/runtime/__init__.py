@@ -4,7 +4,7 @@ The pieces, in data-flow order:
 
 * :mod:`~repro.runtime.models` — typed config sections
   (:class:`RuntimeConfig` and friends), strict about key names and
-  registry-backed component names.
+  the component names each consumer accepts.
 * :mod:`~repro.runtime.loader` — :func:`load` / :func:`loads` for the
   TOML (stdlib ``tomllib``) and JSON spellings of the same tree.
 * :mod:`~repro.runtime.build` — :func:`build` compiles a config into a

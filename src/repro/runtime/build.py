@@ -18,8 +18,8 @@ One entry point, three artifact shapes, keyed by ``runtime.kind``:
 Campaign cells inherit unset knobs from the shared ``[policy]`` /
 ``[cap]`` / ``[[outage]]`` sections; the compiled
 :class:`~repro.scheduler.campaign.Scenario` cells run through the same
-registry-backed construction path (``make_policy`` inside the campaign
-runner) as hand-wired grids, so digests cannot diverge by construction.
+policy construction (``_build_policy`` inside the campaign runner) as
+hand-wired grids, so digests cannot diverge by construction.
 """
 
 from __future__ import annotations
@@ -133,12 +133,6 @@ class ExplorationPlan:
 
 def _campaign_config(cfg: RuntimeConfig) -> CampaignConfig:
     """[machine] + [workload] → the shared per-cell CampaignConfig."""
-    if cfg.workload.generator != "davide":
-        raise ConfigError(
-            f"campaign and exploration runs use the paper's 'davide' "
-            f"workload mix; [workload].generator = "
-            f"{cfg.workload.generator!r} only drives live runs"
-        )
     return CampaignConfig(
         n_nodes=cfg.machine.n_nodes,
         n_jobs=cfg.workload.n_jobs,

@@ -18,12 +18,14 @@ speed exponent, a negative seed, an outage on a node the machine does
 not have) fails at load with a :class:`ConfigError` naming
 ``section.field``.
 
-Component names are validated against the construction registries
-(:data:`~repro.scheduler.registries.POLICY_REGISTRY`,
-:data:`~repro.scheduler.registries.WORKLOAD_REGISTRY`,
-:data:`~repro.scheduler.registries.SEARCHER_REGISTRY`), so a policy or
-searcher registered by third-party code is immediately addressable from
-a config file, and a typo'd name fails naming everything registered.
+Component names are checked against the lists their consumers own:
+policies against :data:`~repro.scheduler.campaign.POLICIES` (what
+``Scenario`` accepts), searchers against
+:data:`~repro.explore.searchers.SEARCHERS`, and the workload generator
+against the one job stream campaigns generate, ``"davide"``.  A typo'd
+name fails naming every accepted one.  Exploration values are checked
+the same way: every value a search can compile must make a valid
+``Scenario``.
 
 ``to_dict`` is the inverse: the *canonical* plain-data form, with
 ``None``-valued knobs and empty collections omitted (TOML has no null)
@@ -40,15 +42,9 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from ..explore import searchers  # noqa: F401  (fills SEARCHER_REGISTRY)
 from ..explore.env import SCENARIO_KNOBS
-from ..scheduler.campaign import QOS_METRICS
-from ..scheduler.registries import (
-    POLICY_REGISTRY,
-    SEARCHER_REGISTRY,
-    WORKLOAD_REGISTRY,
-    Registry,
-)
+from ..explore.searchers import SEARCHERS
+from ..scheduler.campaign import POLICIES, QOS_METRICS, Scenario
 from ..scheduler.simulate import NodeOutage, resolve_core
 
 __all__ = [
@@ -214,17 +210,6 @@ def _one_of(options: tuple[str, ...]) -> Conv:
     def parse(at: str, value: Any) -> str:
         if _as_str(at, value) not in options:
             raise ConfigError(f"{at}: {value!r} is not one of {options}")
-        return value
-    return parse
-
-
-def _registered(registry: Registry) -> Conv:
-    def parse(at: str, value: Any) -> str:
-        if _as_str(at, value) not in registry:
-            raise ConfigError(
-                f"{at}: unknown {registry.kind} {value!r}; "
-                f"registered: {registry.names()}"
-            )
         return value
     return parse
 
@@ -404,7 +389,9 @@ class MachineSection(_Section):
 class WorkloadSection(_Section):
     """``[workload]`` — the job stream: generator name, size, seed."""
 
-    generator: str = _field("davide", conv=_registered(WORKLOAD_REGISTRY))
+    #: Campaigns generate the paper's four-application mix, the only
+    #: stream; the field stays so that every written dump still loads.
+    generator: str = _field("davide", conv=_one_of(("davide",)))
     n_jobs: int = _field(100, conv=_positive(_as_int))
     load_factor: float = _field(0.85, conv=_positive(_as_float))
     seed: int = _field(0, conv=_non_negative(_as_int))
@@ -421,7 +408,7 @@ class PolicySection(_Section):
     :class:`~repro.scheduler.campaign.Scenario`.
     """
 
-    name: str = _field("fifo", conv=_registered(POLICY_REGISTRY))
+    name: str = _field("fifo", conv=_one_of(POLICIES))
     predictor: str = _field("oracle", conv=_as_str)
     train_fraction: float = _field(0.0, conv=_as_float)
     backfill_depth: Optional[int] = _field(None, conv=_as_int)
@@ -507,7 +494,7 @@ class CellSpec(_Section):
     """
 
     label: str = _field("", conv=_as_str)
-    policy: Optional[str] = _field(None, conv=_registered(POLICY_REGISTRY))
+    policy: Optional[str] = _field(None, conv=_one_of(POLICIES))
     cap_w: Optional[float] = _field(None, conv=_positive(_as_float))
     budget_w: Optional[float] = _field(None, conv=_positive(_as_float))
     predictor: Optional[str] = _field(None, conv=_as_str)
@@ -603,14 +590,15 @@ class ExplorationSection(_Section):
     """``[exploration]`` — searcher, budget, knob space, objective, base.
 
     Space and base names must be Scenario fields a search may set
-    (:data:`~repro.explore.env.SCENARIO_KNOBS`); their values are checked
-    for type here and against ``Scenario`` when a point is compiled.
+    (:data:`~repro.explore.env.SCENARIO_KNOBS`), and every value a
+    search can compile must pass ``Scenario``'s own checks: each base
+    entry, each knob's ``lo`` and ``hi`` and each choice.
     """
 
     space: tuple[tuple[str, KnobSpec], ...] = _field(
         conv=_knob_table(_section(KnobSpec), non_empty=True), dump=dict)
     objective: ObjectiveSpec = _field(conv=_section(ObjectiveSpec))
-    searcher: str = _field("random", conv=_registered(SEARCHER_REGISTRY))
+    searcher: str = _field("random", conv=_one_of(tuple(SEARCHERS)))
     budget: int = _field(16, conv=_positive(_as_int))
     seed: int = _field(0, conv=_non_negative(_as_int))
     #: Fixed scenario fields merged under every evaluated point.
@@ -633,7 +621,44 @@ class ExplorationSection(_Section):
                 f"{where}: scenarios need a policy — add a 'policy' knob to "
                 f"the space or set base.policy"
             )
+        _check_compiles(where, values["space"], values.get("base", ()))
         return values
+
+
+def _refusal(point: Mapping[str, Any]) -> Optional[str]:
+    """Why ``Scenario(**point)`` refuses the point, or None."""
+    try:
+        Scenario(**point)
+    except (TypeError, ValueError, AttributeError) as exc:
+        return str(exc)
+    return None
+
+
+def _check_compiles(where: str, space: tuple, base: tuple) -> None:
+    """Every value a search can compile must make a valid ``Scenario``.
+
+    The reference point takes each base entry and each knob's first
+    value (``lo`` or the first choice); every other value (``hi``, each
+    later choice) is then tried on it alone.  A refused reference point
+    is blamed on the first entry whose removal, or whose other value,
+    repairs it.
+    """
+    entries = [(f"{where}.base.{name}", name, (value,)) for name, value in base]
+    entries += [(f"{where}.space.{name}", name, spec.choices or (spec.lo, spec.hi))
+                for name, spec in space]
+    ref = {name: options[0] for _, name, options in entries}
+    error = _refusal(ref)
+    if error is not None:
+        for at, name, options in entries:
+            if _refusal({k: v for k, v in ref.items() if k != name}) is None or any(
+                    _refusal(dict(ref, **{name: v})) is None for v in options[1:]):
+                raise ConfigError(f"{at} = {options[0]!r}: {error}")
+        raise ConfigError(f"{where}: {error}")
+    for at, name, options in entries:
+        for value in options[1:]:
+            error = _refusal(dict(ref, **{name: value}))
+            if error is not None:
+                raise ConfigError(f"{at} = {value!r}: {error}")
 
 
 # --------------------------------------------------------------------------

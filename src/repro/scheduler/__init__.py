@@ -8,7 +8,7 @@ __getattr__, __dir__, __all__ = lazy(__name__, {
         "ResultStore", "config_key", "scenario_fingerprint", "scenario_key",
     ),
     ".campaign": (
-        "QOS_METRICS", "CampaignConfig", "Scenario", "ScenarioResult",
+        "POLICIES", "QOS_METRICS", "CampaignConfig", "Scenario", "ScenarioResult",
         "campaign_digest", "merge_results", "result_digest", "resume_campaign",
         "run_campaign", "run_scenario", "scenario_rng", "scenario_workload",
     ),
@@ -24,10 +24,7 @@ __getattr__, __dir__, __all__ = lazy(__name__, {
     ),
     ".plugins": ("LiveNodePower", "SchedulerMonitorPlugin"),
     ".power_aware": ("PowerAwareScheduler", "request_based_predictor"),
-    ".registries": (
-        "POLICY_REGISTRY", "SEARCHER_REGISTRY", "WORKLOAD_REGISTRY", "Registry",
-        "make_policy", "make_searcher", "make_workload",
-    ),
+    ".registries": ("make_searcher",),
     ".simulate": (
         "SIMULATOR_CORES", "ClusterSimulator", "NodeOutage", "SimulationResult",
     ),

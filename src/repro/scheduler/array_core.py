@@ -36,18 +36,17 @@ a batched queue view:
   :meth:`~repro.scheduler.policies.ReadyView.prefix_fit` (a scan
   bounded by the number of jobs that start, not the backlog) and the
   frozen context dataclass is built only when a policy asks for it.
-  The one FIFO special case is the flat loop for the replay-scale
+  The queue is spliced one way: the chosen slots (reported in
+  ``ReadyView.picked``, or else found by one identity scan from the
+  head that stops at the last of them) advance the cursor over their
+  leading contiguous run, and the rest are deleted as holes.  The one
+  FIFO special case is the flat loop for the replay-scale
   configuration, FIFO with no cap and no outages
   (:func:`_run_fifo_uncapped`).
 * **deferred record flush** — accumulators live in the lanes (seeded
   from the record at start, in case of a requeued earlier life) and are
   written back only at completion/requeue, when downstream consumers
   (hooks, fair-share charging, digests) observe them.
-* **uncapped fast path** — with no power cap the trim ratio is pinned
-  at 1.0, so a started job's first segment opens inline (speed 1,
-  granted = true power, ETA = now + runtime; bit-identical to what the
-  deferred ``_set_speed`` would store) and power resolution reduces to
-  the ledger's demand sum, maintained as two locals.
 
 Equal-timestamp events batch: all completions within ``_ETA_EPS`` of
 the event time drain together and settle in ascending job id (the
@@ -143,7 +142,6 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
     running_state = JobState.RUNNING
     completed_state = JobState.COMPLETED
 
-    uncapped = cap_w is None
     # node_owner is only read by the crash path: no outages -> skip it.
     track_owner = n_outages > 0
 
@@ -560,27 +558,14 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         dynamic = power - floor
         dynpos = dynamic if dynamic > 0.0 else 0.0
         acct_idx[lane] = len(epochs)
-        if uncapped:
-            # rho is pinned at 1.0: open the first segment inline.
-            # `runtime / 1.0 == runtime`, so the stored ETA is the exact
-            # float the deferred `_set_speed` would produce.
-            eta = now + runtime
-            F[lane] = (
-                runtime, 1.0, power, now, eta,
-                rec.energy_j, rec.elapsed_running_s,
-                rec.work_progressed_s, power, floor, dynpos, now,
-            )
-            if heap_valid:
-                heappush(eta_heap, (eta, jid))
-        else:
-            # Sentinel speed/granted: the first segment opens at the
-            # next loop top, after power is re-resolved.
-            F[lane] = (
-                runtime, 0.0, -1.0, now, _INF,
-                rec.energy_j, rec.elapsed_running_s,
-                rec.work_progressed_s, power, floor, dynpos, now,
-            )
-            fresh_jids.append(jid)
+        # Sentinel speed/granted: the first segment opens at the next
+        # loop top, after power is re-resolved.
+        F[lane] = (
+            runtime, 0.0, -1.0, now, _INF,
+            rec.energy_j, rec.elapsed_running_s,
+            rec.work_progressed_s, power, floor, dynpos, now,
+        )
+        fresh_jids.append(jid)
         running_recs[jid] = rec
         if track_releases:
             insort(releases, (now + job.walltime_req_s, k, jid, rec))
@@ -593,7 +578,7 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
             on_start(rec)
 
     def try_start() -> None:
-        nonlocal q_head, power_dirty, ctx_dirty, eta_min_dirty, q_cap, qcol_n, qcol_w
+        nonlocal q_head, power_dirty, ctx_dirty
         if q_head >= len(q_recs):
             return
         if policy_select_batch is not None:
@@ -615,112 +600,91 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         for rec in chosen:
             _start_one(rec)
         m = len(chosen)
-        if picked is not None and len(picked) == m:
-            # The policy reported exactly which queue slots it took:
-            # advance the cursor over the leading contiguous run, then
-            # close the (few) backfill holes with C-level deletes — no
-            # per-record Python sweep over the backlog.
-            p = 0
-            while p < m and picked[p] == q_head + p:
-                p += 1
-            q_head += p
-            holes = picked[p:]
-            if holes:
-                n_q = len(q_recs)
-                for j in reversed(holes):
-                    del q_recs[j]
-                # Compress the column tail once, from the first hole on.
-                j0 = holes[0]
-                keep = np.ones(n_q - j0, dtype=bool)
-                for j in holes:
-                    keep[j - j0] = False
-                seg = qcol_n[j0:n_q][keep]
-                qcol_n[j0 : j0 + seg.size] = seg
-                seg = qcol_w[j0:n_q][keep]
-                qcol_w[j0 : j0 + seg.size] = seg
-        elif (
-            chosen[0] is q_recs[q_head]
-            if m == 1
-            else all(chosen[i] is q_recs[q_head + i] for i in range(m))
-        ):
-            # Queue-order prefix (FIFO, EASY phase 1): just advance.
-            q_head += m
-        else:
-            # Unknown selection shape (no picked indices): rebuild the
-            # pending region with a C-speed identity filter, then
-            # refresh the queue columns to match.
-            chosen_ids = {id(r) for r in chosen}
-            q_recs[:] = [r for r in q_recs[q_head:] if id(r) not in chosen_ids]
-            q_head = 0
+        if picked is None:
+            # The policy did not report its queue slots: find them with
+            # one identity scan from the head that stops once all are
+            # found (O(m) for a queue-order prefix).
+            want = {id(rec) for rec in chosen}
+            picked = []
+            for j in range(q_head, len(q_recs)):
+                if id(q_recs[j]) in want:
+                    picked.append(j)
+                    if len(picked) == m:
+                        break
+            else:
+                raise RuntimeError(
+                    f"policy {policy.name} started a job that is not queued"
+                )
+        # Advance the cursor over the leading contiguous run, then close
+        # the (few) backfill holes with C-level deletes: no per-record
+        # Python sweep over the backlog.
+        p = 0
+        while p < m and picked[p] == q_head + p:
+            p += 1
+        q_head += p
+        holes = picked[p:]
+        if holes:
             n_q = len(q_recs)
-            while n_q > q_cap:
-                q_cap *= 2
-            if qcol_n.size < q_cap:
-                qcol_n = np.empty(q_cap, dtype=np.int64)
-                qcol_w = np.empty(q_cap, dtype=np.float64)
-            for i, r in enumerate(q_recs):
-                job = r.job
-                qcol_n[i] = job.n_nodes
-                qcol_w[i] = job.walltime_req_s
+            for j in reversed(holes):
+                del q_recs[j]
+            # Compress the column tail once, from the first hole on.
+            j0 = holes[0]
+            keep = np.ones(n_q - j0, dtype=bool)
+            for j in holes:
+                keep[j - j0] = False
+            seg = qcol_n[j0:n_q][keep]
+            qcol_n[j0 : j0 + seg.size] = seg
+            seg = qcol_w[j0:n_q][keep]
+            qcol_w[j0 : j0 + seg.size] = seg
         power_dirty = True
         ctx_dirty = True
-        # An uncapped start writes its ETA straight into the lanes, and
-        # after a requeue an uncapped run is in vector-min mode too.
-        eta_min_dirty = True
 
     while completed < n_jobs:
         if power_dirty:
             power_dirty = False
-            if uncapped:
-                # `_resolve_ledger`'s cap-free early return, inlined:
-                # demand = idle power + running power, rho/speed stay 1.
-                cur_system = cur_demand = (
-                    (n_alive - ledger.busy_nodes) * idle_w + ledger.running_power_w
-                )
-            else:
-                cur_system, cur_demand, rho, speed = _resolve_ledger(
-                    ledger, n_alive, cap_w, rho_min, speed_exponent,
-                )
-                if rho != cur_rho or speed != cur_speed:
-                    # The trim moved.  Cascade batching means this runs
-                    # at most once per loop trip: every same-timestamp
-                    # completion/outage/start already drained and the
-                    # ledger resolved once for the whole batch.  Every
-                    # ETA shifts at once, so drop the heap (vector-min
-                    # mode) instead of rebuilding it per change.
-                    if speed != cur_speed:
-                        # Speed-changing move (the common case): record
-                        # one trim epoch, update the kinematic lanes
-                        # with the cheap unmasked path, and defer the
-                        # accounting settle to replay/catch-up.
-                        _apply_epoch(rho, speed, cur_speed)
-                        if lane_jid and len(epochs) - int(
-                            acct_idx[: len(lane_jid)].min()
-                        ) >= _EPOCH_CATCHUP:
-                            _acct_catchup()
-                    else:
-                        # Granted-only move (two trim ratios rounded to
-                        # one speed float): catch accounting up, run
-                        # the masked eager path, and record the rho
-                        # move so later replays bill the granted power
-                        # history correctly.
+            cur_system, cur_demand, rho, speed = _resolve_ledger(
+                ledger, n_alive, cap_w, rho_min, speed_exponent,
+            )
+            if rho != cur_rho or speed != cur_speed:
+                # The trim moved.  Cascade batching means this runs
+                # at most once per loop trip: every same-timestamp
+                # completion/outage/start already drained and the
+                # ledger resolved once for the whole batch.  Every
+                # ETA shifts at once, so drop the heap (vector-min
+                # mode) instead of rebuilding it per change.
+                if speed != cur_speed:
+                    # Speed-changing move (the common case): record
+                    # one trim epoch, update the kinematic lanes
+                    # with the cheap unmasked path, and defer the
+                    # accounting settle to replay/catch-up.
+                    _apply_epoch(rho, speed, cur_speed)
+                    if lane_jid and len(epochs) - int(
+                        acct_idx[: len(lane_jid)].min()
+                    ) >= _EPOCH_CATCHUP:
                         _acct_catchup()
-                        _apply_trim(rho, speed)
-                        epochs.append((now, rho, speed))
-                        n_live = len(lane_jid)
-                        acct_idx[:n_live] = len(epochs)
-                        F[:n_live, _ASEG] = F[:n_live, _SEG]
-                    cur_rho, cur_speed = rho, speed
-                    eta_heap = []
-                    heap_valid = False
-                    stable_events = 0
-                    fresh_jids.clear()
-                    eta_min_dirty = True
-                elif fresh_jids:
-                    for jid in fresh_jids:
-                        _open_fresh(jid, rho, speed)
-                    fresh_jids.clear()
-                    eta_min_dirty = True
+                else:
+                    # Granted-only move (two trim ratios rounded to
+                    # one speed float): catch accounting up, run
+                    # the masked eager path, and record the rho
+                    # move so later replays bill the granted power
+                    # history correctly.
+                    _acct_catchup()
+                    _apply_trim(rho, speed)
+                    epochs.append((now, rho, speed))
+                    n_live = len(lane_jid)
+                    acct_idx[:n_live] = len(epochs)
+                    F[:n_live, _ASEG] = F[:n_live, _SEG]
+                cur_rho, cur_speed = rho, speed
+                eta_heap = []
+                heap_valid = False
+                stable_events = 0
+                fresh_jids.clear()
+                eta_min_dirty = True
+            elif fresh_jids:
+                for jid in fresh_jids:
+                    _open_fresh(jid, rho, speed)
+                fresh_jids.clear()
+                eta_min_dirty = True
         if not heap_valid:
             stable_events += 1
             if stable_events >= _HEAP_HYSTERESIS:
@@ -749,7 +713,7 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
             p_append(cur_system)
             last_power = cur_system
             total_energy += cur_system * dt
-            if not uncapped and cur_demand > cap_w:
+            if cap_w is not None and cur_demand > cap_w:
                 overdemand_s += dt
             busy_node_seconds += dt * ledger.busy_nodes
         now = t_next

@@ -36,13 +36,15 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .cache import CampaignCheckpoint, ResultStore, scenario_fingerprint, scenario_key
+from .fairshare import EnergyFairShareScheduler
 from .job import Job
-from .policies import SchedulingPolicy
-from .power_aware import request_based_predictor
+from .policies import EasyBackfillScheduler, FifoScheduler, SchedulingPolicy
+from .power_aware import PowerAwareScheduler, request_based_predictor
 from .simulate import ClusterSimulator, NodeOutage, SimulationResult, resolve_core
 from .workload import WorkloadConfig, WorkloadGenerator
 
 __all__ = [
+    "POLICIES",
     "Scenario",
     "CampaignConfig",
     "ScenarioResult",
@@ -57,7 +59,8 @@ __all__ = [
     "campaign_digest",
 ]
 
-_POLICIES = ("fifo", "easy", "power-aware")
+#: The policy names a scenario (and so a config file) may use.
+POLICIES = ("fifo", "easy", "power-aware")
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,8 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.policy not in _POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}; pick one of {_POLICIES}")
+        if self.policy not in POLICIES:
+            raise ValueError(f"unknown policy {self.policy!r}; pick one of {POLICIES}")
         resolve_core(self.core)
         if not 0.0 <= self.train_fraction < 1.0:
             raise ValueError("train fraction must lie in [0, 1)")
@@ -192,31 +195,27 @@ def _build_predictor(spec: str, train_jobs: list[Job]):
 
 def _build_policy(config: CampaignConfig, scenario: Scenario,
                   train_jobs: list[Job]) -> SchedulingPolicy:
-    """Compile a scenario's policy spec through the name registry.
+    """Construct a scenario's policy, wrapped in energy fair-share when
+    ``fairshare_decay`` is set.
 
-    Every cell — hand-written or emitted by the design-space explorer —
-    goes through :func:`~repro.scheduler.registries.make_policy`, so a
-    policy registered by name is immediately sweepable.
+    Every cell, hand-written or emitted by the design-space explorer,
+    is built here, from one of the :data:`POLICIES` names.
     """
-    from .registries import make_policy
-
     if scenario.policy == "fifo":
-        policy: SchedulingPolicy = make_policy("fifo")
+        policy: SchedulingPolicy = FifoScheduler()
     elif scenario.policy == "easy":
-        policy = make_policy("easy", backfill_depth=scenario.backfill_depth)
+        policy = EasyBackfillScheduler(backfill_depth=scenario.backfill_depth)
     else:
         budget = scenario.budget_w if scenario.budget_w is not None else scenario.cap_w
-        policy = make_policy(
-            "power-aware",
+        policy = PowerAwareScheduler(
             cap_w=budget,
             predictor=_build_predictor(scenario.predictor, train_jobs),
             idle_node_power_w=config.idle_node_power_w,
             backfill_depth=scenario.backfill_depth,
         )
     if scenario.fairshare_decay is not None:
-        policy = make_policy(
-            "fairshare",
-            inner=policy,
+        policy = EnergyFairShareScheduler(
+            policy,
             half_life_s=scenario.fairshare_decay,
             total_nodes=config.n_nodes,
         )

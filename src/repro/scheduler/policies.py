@@ -62,7 +62,7 @@ class ReadyView:
     Cores maintain it incrementally (one ``insort`` per start, one
     bisect-remove per completion/requeue) only when the policy opts in
     via the ``wants_releases`` class attribute; otherwise it stays
-    ``None`` and policies fall back to the context path.  Because a
+    ``None``.  Because a
     job's requested end is ``start_time_s + walltime_req_s`` — the same
     two floats whenever the sum is computed — the incremental list holds
     bit-identical keys to the per-decision rebuild, and full
@@ -80,10 +80,9 @@ class ReadyView:
 
     ``picked`` is an out-channel: a ``select_batch`` policy that knows
     the queue indices of its selection stores them (ascending, aligned
-    with the returned list) so the core can splice the queue with a few
-    targeted C-level deletes instead of an O(queue) rebuild.  The core
-    resets it to ``None`` before every decision and must treat a stale
-    or missing value as "unknown" (fall back to filtering).
+    with the returned list), and the core splices the queue at those
+    slots.  The core resets it to ``None`` before every decision; a
+    missing value means the core finds the slots itself.
     """
 
     __slots__ = (
@@ -228,11 +227,11 @@ class EasyBackfillScheduler:
         FIFO prefix nor any backfill candidate can start — return empty
         without materializing anything.  Otherwise the FIFO prefix is
         the same bounded scan FIFO uses, and phases 2–3 run on the
-        backing list in place (no tail copy).  When the core maintains
-        ``view.releases``, the head-reservation scan lazily merges that
-        sorted list with the handful of just-started jobs instead of
-        re-sorting every running job — and the frozen context (with its
-        O(running) tuple builds) is never constructed at all.
+        backing list in place (no tail copy).  The head-reservation scan
+        lazily merges the core-maintained ``view.releases`` with the
+        handful of just-started jobs instead of re-sorting every running
+        job — and the frozen context (with its O(running) tuple builds)
+        is never constructed at all.
         """
         free = view.n_free
         if free == 0:
@@ -249,28 +248,20 @@ class EasyBackfillScheduler:
         for rec in started:
             free -= rec.job.n_nodes
         rel = view.releases
-        if rel is None:
-            ctx = view.ctx()
-            now_s = ctx.now_s
-            releases = sorted(
-                (self._requested_end(rec, now_s), rec.job.n_nodes)
-                for rec in list(ctx.running) + started
+        now_s = view.now_s
+        if started:
+            fresh = sorted(
+                (now_s + rec.job.walltime_req_s, rec.job.n_nodes)
+                for rec in started
             )
+            # Lazy merge: the reservation scan usually stops after a
+            # few entries, so never materialize the merged list.
+            # Mixed tuple widths compare by common prefix; a 2-tuple
+            # sorting before an equal-(end, n) 3/4-tuple is a full
+            # tie, which any prefix-sum scan treats identically.
+            releases = _heap_merge(rel, fresh)
         else:
-            now_s = view.now_s
-            if started:
-                fresh = sorted(
-                    (now_s + rec.job.walltime_req_s, rec.job.n_nodes)
-                    for rec in started
-                )
-                # Lazy merge: the reservation scan usually stops after a
-                # few entries, so never materialize the merged list.
-                # Mixed tuple widths compare by common prefix; a 2-tuple
-                # sorting before an equal-(end, n) 3/4-tuple is a full
-                # tie, which any prefix-sum scan treats identically.
-                releases = _heap_merge(rel, fresh)
-            else:
-                releases = rel
+            releases = rel
         started = self._reserve_and_backfill(
             started, recs, qpos, free, now_s, releases,
             qn=view.qn, qw=view.qw, picked=picked,

@@ -31,7 +31,7 @@ import numpy as np
 from ..observability import Observability, null_observability
 
 from .job import Job, JobRecord
-from .policies import EasyBackfillScheduler, ReadyView, SchedulerContext
+from .policies import ReadyView, SchedulerContext
 
 __all__ = ["PowerAwareScheduler", "request_based_predictor"]
 
@@ -88,7 +88,6 @@ class PowerAwareScheduler:
         self.predictor = predictor if predictor is not None else request_based_predictor()
         self.idle_node_power_w = float(idle_node_power_w)
         self.headroom_margin = float(headroom_margin)
-        self._backfill = EasyBackfillScheduler()
         self.name = "power-aware"
         # Observability handles, resolved once (no-op when not wired in).
         self.obs = obs if obs is not None else null_observability()

@@ -98,6 +98,41 @@ def test_cores_equivalent_on_granted_only_trim_moves(seed, policy_kind, outages)
     compare_results(scenario, results[0], CORES[0], results[1], CORES[1])
 
 
+class _BackToFront:
+    """Starts whatever fits, scanning the queue from its tail: a
+    ``select``-only policy whose picks are neither a queue prefix nor in
+    queue order, so the array core must find their slots itself."""
+
+    name = "back-to-front"
+
+    def select(self, queue, ctx):
+        free = len(ctx.free_nodes)
+        started = []
+        for rec in reversed(queue):
+            if rec.job.n_nodes <= free:
+                started.append(rec)
+                free -= rec.job.n_nodes
+        return started
+
+
+@pytest.mark.parametrize("cap_w", [None, 9000.0], ids=["uncapped", "capped"])
+def test_cores_equivalent_on_unreported_out_of_order_picks(cap_w):
+    scenario = HarnessScenario(
+        seed=3, label=f"back-to-front/cap{cap_w}", n_nodes=8, n_jobs=80,
+        load_factor=1.3, policy_kind="fifo", cap_w=cap_w,
+        outages=(NodeOutage(at_s=4000.0, node_id=5, duration_s=3000.0),),
+    )
+    results = [
+        ClusterSimulator(
+            n_nodes=scenario.n_nodes, policy=_BackToFront(),
+            cap_w=cap_w, node_outages=scenario.outages, core=core,
+        ).run(scenario.build_jobs())
+        for core in CORES
+    ]
+    assert all(r.end_time_s is not None for r in results[1].records)
+    compare_results(scenario, results[0], CORES[0], results[1], CORES[1])
+
+
 def test_cap_heavy_divergence_reports_repro_seed():
     """Cap-heavy failures must point at --cap-heavy-seed, not --seed."""
     scenario = cap_heavy_scenario(0)

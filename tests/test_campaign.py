@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.scheduler import (
+    POLICIES,
     CampaignConfig,
     ClusterSimulator,
     FifoScheduler,
@@ -305,6 +306,18 @@ class TestKeepAndMerge:
         merged = merge_results(bare, kept)
         assert len(merged) == 2
         assert all(r.result is not None for r in merged)
+
+
+class TestBuildPolicy:
+    """Cells name only ``Scenario``'s own policies; ``_build_policy``'s
+    construction of each is tested in tests/test_registries.py."""
+
+    def test_policy_names_are_the_scenarios_own(self):
+        assert POLICIES == ("fifo", "easy", "power-aware")
+        for name in POLICIES:
+            Scenario(policy=name, cap_w=20e3)
+        with pytest.raises(ValueError, match="unknown policy 'fairshare'"):
+            Scenario(policy="fairshare")
 
 
 class TestValidation:

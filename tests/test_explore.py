@@ -19,9 +19,11 @@ import pytest
 
 from repro.explore import (
     BATCH_SIZE,
+    SEARCHERS,
     Categorical,
     Continuous,
     DesignSpace,
+    EvolutionarySearcher,
     ExplorationEnv,
     ExplorationTrace,
     Integer,
@@ -29,7 +31,12 @@ from repro.explore import (
     explore,
 )
 from repro.observability import Observability
-from repro.scheduler import CampaignConfig, MemoryResultStore, scenario_key
+from repro.scheduler import (
+    CampaignConfig,
+    MemoryResultStore,
+    make_searcher,
+    scenario_key,
+)
 
 CONFIG = CampaignConfig(n_nodes=8, n_jobs=20, root_seed=11, load_factor=1.1)
 
@@ -254,7 +261,6 @@ class TestExploreDeterminism:
         assert a.digest() != b.digest()
 
     def test_searcher_instance_and_name_agree(self):
-        from repro.scheduler import make_searcher
         kw = dict(budget=6, seed=4, config=CONFIG)
         by_name = explore(small_space(), small_objective(),
                           searcher="evolutionary", **kw)
@@ -301,6 +307,20 @@ class TestExploreSearchQuality:
         assert len(curve) == 10
         assert all(b <= a for a, b in zip(curve, curve[1:]))  # sense=min
         assert curve[-1] == trace.best_fitness
+
+
+class TestMakeSearcher:
+    def test_make_searcher_builds_by_name(self):
+        assert tuple(SEARCHERS) == ("random", "grid", "evolutionary")
+        searcher = make_searcher("evolutionary", seed=11, population=4)
+        assert type(searcher) is EvolutionarySearcher
+        assert searcher.name == "evolutionary"
+        assert searcher.seed == 11 and searcher.population == 4
+
+    def test_unknown_searcher_lists_known(self):
+        with pytest.raises(KeyError,
+                           match=r"'simulated-annealing'.*'random'.*'evolutionary'"):
+            make_searcher("simulated-annealing")
 
 
 class TestTraceArtifact:

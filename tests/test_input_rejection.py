@@ -19,8 +19,9 @@ Three families:
 * **config values the run cannot use** — a zero speed exponent, or
   one whose trim floor ``min_speed ** (1 / speed_exponent)`` underflows
   to 0 (the simulator rejects that pair too), negative seeds, capping
-  or noise knobs, an outage on a node the machine does not have, and
-  exploration names or NaNs the search cannot set.  Unchecked, each
+  or noise knobs, an outage on a node the machine does not have,
+  policy or workload names no run accepts, and exploration names, NaNs
+  or values ``Scenario`` refuses that the search would set.  Unchecked, each
   would load and then die mid-run with a bare NumPy, ``KeyError`` or
   ``ZeroDivisionError`` traceback; each fails at load naming
   ``section.field``, and the CLI exits 2.
@@ -297,11 +298,36 @@ class TestValuesTheRunCannotUseFailAtLoad:
         ("exploration", ("exploration", "space", "policy", "choices"),
          ["easy", _NAN], ConfigError,
          r"exploration\.space\.policy\.choices\[1\] must be a finite number"),
+        ("campaign", ("policy", "name"), "fairshare", ConfigError,
+         r"policy\.name: 'fairshare' is not one of "
+         r"\('fifo', 'easy', 'power-aware'\)"),
+        ("campaign", ("workload", "generator"), "qe", ConfigError,
+         r"workload\.generator: 'qe' is not one of \('davide',\)"),
+        ("live", ("workload",), {"generator": "qe"}, ConfigError,
+         r"workload\.generator: 'qe' is not one of \('davide',\)"),
+        ("exploration", ("workload", "generator"), "qe", ConfigError,
+         r"workload\.generator: 'qe' is not one of \('davide',\)"),
+        ("exploration", ("exploration", "base"), {"dvfs_floor": 5.0}, ConfigError,
+         r"exploration\.base\.dvfs_floor = 5\.0: DVFS floor must lie in \(0, 1\]"),
+        ("exploration", ("exploration",), dict(
+            _CONFIGS["exploration"]["exploration"], searcher="grid",
+            space={"dvfs_floor": {"type": "continuous", "lo": 0.0, "hi": 1.0},
+                   "policy": {"type": "categorical", "choices": ["easy"]}}),
+         ConfigError,
+         r"exploration\.space\.dvfs_floor = 0\.0: DVFS floor must lie in \(0, 1\]"),
+        ("exploration", ("exploration", "space"),
+         {"policy": {"type": "categorical", "choices": ["easy", "power-aware"]}},
+         ConfigError,
+         r"exploration\.space\.policy = 'power-aware': power-aware scenarios "
+         r"need budget_w or cap_w"),
     ], ids=["speed-exponent", "speed-floor-underflow", "workload-seed",
             "campaign-seeds", "live-seed",
             "hysteresis", "actuation-delay", "sensor-noise", "outage-node",
             "cell-outage-node", "space-knob-name", "base-field-name",
-            "base-nan", "choices-nan"])
+            "base-nan", "choices-nan", "policy-fairshare",
+            "generator-campaign", "generator-live", "generator-exploration",
+            "base-out-of-range", "grid-knob-lo-out-of-range",
+            "choice-needs-a-cap"])
     def test_load_names_the_field_and_the_cli_exits_2(
             self, tmp_path, capsys, kind, path, value, error, match):
         data = copy.deepcopy(_CONFIGS[kind])

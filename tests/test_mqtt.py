@@ -215,6 +215,55 @@ class TestQos:
         sub.acknowledge(sub.poll())
         assert sub.redeliver_inflight() == []
 
+    def test_overlapping_subscriptions_acking_in_the_callback_get_one_copy(self):
+        """The ack lands inside the fan-out, before the second matching
+        subscription is served: that one must still see the id."""
+        broker = MqttBroker()
+        sub = broker.connect("s")
+        got = []
+        sub.on_message = lambda m: (got.append(m), sub.acknowledge(m))
+        sub.subscribe("a/#", qos=1)
+        sub.subscribe("a/b", qos=1)
+        broker.publish("a/b", 1, qos=1)
+        assert [m.payload for m in got] == [1]
+        assert sub.inflight_count == 0
+
+    def test_delivered_retained_message_is_not_replayed_to_the_same_client(self):
+        broker = MqttBroker()
+        sub = broker.connect("s")
+        sub.subscribe("a/#", qos=1)
+        broker.publish("a/b", 1, qos=1, retain=True)
+        sub.acknowledge(sub.poll())
+        sub.subscribe("a/b", qos=1)
+        assert sub.poll() is None
+        # The newer retained message replaces the old one, and is not
+        # replayed either.
+        broker.publish("a/b", 2, qos=1, retain=True)
+        assert [m.payload for m in sub.drain()] == [2]
+        sub.subscribe("+/b", qos=1)
+        assert sub.poll() is None
+        # A new client still gets the retained message.
+        late = broker.connect("late")
+        late.subscribe("a/b", qos=1)
+        assert late.poll().payload == 2
+
+    def test_dedupe_ids_stay_bounded_over_a_long_run(self):
+        """The Fig.-4 collector subscribes at QoS 1 and acks inside
+        ``on_message``.  Once a publish's fan-out returns, the client
+        keeps only ids still in flight or of retained messages."""
+        broker = MqttBroker()
+        sub = broker.connect("collector")
+        sub.on_message = sub.acknowledge
+        sub.subscribe("davide/+/power/#", qos=1)
+        for i in range(100_000):
+            broker.publish(f"davide/node{i % 4}/power/node", i, qos=1,
+                           retain=i % 5 == 4)
+        retained = {broker._retained[t].message_id
+                    for t in broker.retained_topics()}
+        assert sub.inflight_count == 0
+        assert sub._seen_qos1 <= set(sub._inflight) | retained
+        assert len(sub._seen_qos1) <= len(retained) == 4
+
 
 class TestInboxOverflow:
     def test_oldest_dropped_and_counted(self):

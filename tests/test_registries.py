@@ -1,7 +1,12 @@
-"""Name-addressable construction: the policy/workload/searcher registries."""
+"""Name-addressed construction: how a cell's policy name becomes a policy.
 
-import numpy as np
-import pytest
+A campaign cell names one of ``Scenario``'s policies and
+``campaign._build_policy`` constructs it, wrapping it in energy
+fair-share when the cell sets ``fairshare_decay``.  Searcher names go
+through ``make_searcher``, tested with the explorer.
+"""
+
+import dataclasses
 
 from repro.scheduler import (
     CampaignConfig,
@@ -9,97 +14,65 @@ from repro.scheduler import (
     EnergyFairShareScheduler,
     FifoScheduler,
     PowerAwareScheduler,
-    Registry,
     Scenario,
-    make_policy,
-    make_searcher,
-    make_workload,
     run_campaign,
 )
-from repro.scheduler.registries import (
-    POLICY_REGISTRY,
-    SEARCHER_REGISTRY,
-    WORKLOAD_REGISTRY,
-)
+from repro.scheduler import campaign as campaign_module
+
+CONFIG = CampaignConfig(n_nodes=16, n_jobs=50, root_seed=42, load_factor=1.1)
 
 
-class TestRegistry:
-    def test_register_make_roundtrip(self):
-        reg = Registry("widget")
-        reg.register("a", lambda x=1: ("a", x))
-        assert reg.make("a") == ("a", 1)
-        assert reg.make("a", x=5) == ("a", 5)
-
-    def test_decorator_form(self):
-        reg = Registry("widget")
-
-        @reg.register("b")
-        def build(n=2):
-            return n * 2
-
-        assert reg.make("b", n=3) == 6
-        assert build(3) == 6  # the decorator hands the factory back
-
-    def test_unknown_name_lists_known(self):
-        reg = Registry("widget")
-        reg.register("only", lambda: None)
-        with pytest.raises(KeyError, match=r"unknown widget 'nope'.*only"):
-            reg.make("nope")
-
-    def test_duplicate_name_rejected(self):
-        reg = Registry("widget")
-        reg.register("x", lambda: 1)
-        with pytest.raises(ValueError, match="already has an entry"):
-            reg.register("x", lambda: 2)
-
-    def test_container_surface(self):
-        reg = Registry("widget")
-        reg.register("b", lambda: 1)
-        reg.register("a", lambda: 2)
-        assert "a" in reg and "missing" not in reg
-        assert reg.names() == ("a", "b")
-        assert list(reg) == ["a", "b"]
-        assert len(reg) == 2
+def build(scenario):
+    return campaign_module._build_policy(CONFIG, scenario, [])
 
 
 class TestPolicyRegistry:
-    def test_builtin_names(self):
-        for name in ("fifo", "easy", "power-aware", "fairshare"):
-            assert name in POLICY_REGISTRY
-
     def test_make_policy_types(self):
-        assert isinstance(make_policy("fifo"), FifoScheduler)
-        assert isinstance(make_policy("easy"), EasyBackfillScheduler)
-        assert isinstance(make_policy("power-aware", cap_w=20e3),
-                          PowerAwareScheduler)
+        assert type(build(Scenario(policy="fifo"))) is FifoScheduler
+        assert type(build(Scenario(policy="easy"))) is EasyBackfillScheduler
+        assert type(build(Scenario(policy="power-aware", cap_w=20e3))) \
+            is PowerAwareScheduler
 
     def test_make_policy_forwards_kwargs(self):
-        easy = make_policy("easy", backfill_depth=8)
+        easy = build(Scenario(policy="easy", backfill_depth=8))
         assert easy.backfill_depth == 8
-        pa = make_policy("power-aware", cap_w=20e3, backfill_depth=3)
-        assert pa.cap_w == 20e3 and pa.backfill_depth == 3
+        pa = build(Scenario(policy="power-aware", cap_w=20e3, budget_w=18e3,
+                            backfill_depth=3))
+        assert pa.cap_w == 18e3 and pa.backfill_depth == 3
+        assert pa.idle_node_power_w == CONFIG.idle_node_power_w
+        assert build(Scenario(policy="power-aware", cap_w=20e3)).cap_w == 20e3
 
     def test_fairshare_wraps_named_inner(self):
-        policy = make_policy("fairshare", inner="easy", backfill_depth=4,
-                             half_life_s=3600.0)
-        assert isinstance(policy, EnergyFairShareScheduler)
+        policy = build(Scenario(policy="easy", backfill_depth=4,
+                                fairshare_decay=3600.0))
+        assert type(policy) is EnergyFairShareScheduler
         assert policy.name == "fairshare+easy-backfill"
-        assert policy.half_life_s == 3600.0
+        assert policy.half_life_s == 3600.0 and policy.energy_weighted
+        assert policy.priority.total_nodes == CONFIG.n_nodes
+        assert type(policy.inner) is EasyBackfillScheduler
         assert policy.inner.backfill_depth == 4
 
     def test_fairshare_wraps_instance(self):
-        inner = EasyBackfillScheduler()
-        policy = make_policy("fairshare", inner=inner)
-        assert policy.inner is inner
-
-    def test_fairshare_instance_plus_inner_kwargs_rejected(self):
-        with pytest.raises(TypeError, match="registry name"):
-            make_policy("fairshare", inner=EasyBackfillScheduler(),
-                        backfill_depth=4)
+        """The wrapper holds the policy the cell builds without it."""
+        for cell in (
+            Scenario(policy="fifo"),
+            Scenario(policy="easy", backfill_depth=2),
+            Scenario(policy="power-aware", cap_w=20e3, budget_w=18e3,
+                     backfill_depth=3),
+        ):
+            plain = build(cell)
+            policy = build(dataclasses.replace(cell, fairshare_decay=600.0))
+            assert type(policy) is EnergyFairShareScheduler
+            assert policy.name == f"fairshare+{plain.name}"
+            assert type(policy.inner) is type(plain)
+            assert getattr(policy.inner, "backfill_depth", None) \
+                == getattr(plain, "backfill_depth", None)
+            assert getattr(policy.inner, "cap_w", None) \
+                == getattr(plain, "cap_w", None)
 
     def test_campaign_cells_compile_through_registry(self):
-        """_build_policy resolves names via the registry, so a campaign
-        accepts exactly the registered spellings."""
+        """Campaign cells run on the policies ``_build_policy`` constructs,
+        the fair-share wrap included."""
         config = CampaignConfig(n_nodes=4, n_jobs=8, root_seed=3,
                                 load_factor=1.1)
         cells = [
@@ -108,40 +81,3 @@ class TestPolicyRegistry:
         ]
         results = run_campaign(config, cells, processes=1)
         assert len(results) == 2 and all(r.digest for r in results)
-
-
-class TestWorkloadRegistry:
-    def test_davide_and_single_app_streams(self):
-        assert "davide" in WORKLOAD_REGISTRY
-        jobs = make_workload("davide", seed=7, n_jobs=40,
-                             cluster_nodes=8).generate()
-        assert len(jobs) == 40
-        assert len({j.app for j in jobs}) > 1
-        qe_only = make_workload("qe", seed=7, n_jobs=20,
-                                cluster_nodes=8).generate()
-        assert {j.app for j in qe_only} == {"qe"}
-
-    def test_seed_equals_rng(self):
-        a = make_workload("davide", seed=5, n_jobs=10, cluster_nodes=8)
-        b = make_workload("davide", rng=np.random.default_rng(5), n_jobs=10,
-                          cluster_nodes=8)
-        for x, y in zip(a.generate(), b.generate()):
-            assert x.submit_time_s == y.submit_time_s and x.app == y.app
-
-    def test_seed_and_rng_together_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            make_workload("davide", seed=1, rng=np.random.default_rng(1))
-
-
-class TestSearcherRegistry:
-    def test_make_searcher_populates_lazily(self):
-        searcher = make_searcher("evolutionary", seed=11, population=4)
-        assert searcher.name == "evolutionary"
-        assert searcher.seed == 11 and searcher.population == 4
-        for name in ("random", "grid", "evolutionary"):
-            assert name in SEARCHER_REGISTRY
-
-    def test_unknown_searcher_lists_known(self):
-        make_searcher("random")  # force registration
-        with pytest.raises(KeyError, match="random"):
-            make_searcher("simulated-annealing")

@@ -12,7 +12,7 @@ know.  The loader's contract:
 * whatever ``loads`` accepts dumps back to itself;
 * ``build()`` compiles it, or refuses it with a ``ConfigError`` under a
   rule that spans sections (a power-aware cell with no envelope
-  anywhere, a campaign on a non-``davide`` workload);
+  anywhere);
 * a built exploration plan constructs its :class:`ExplorationEnv`.
 """
 
@@ -75,7 +75,7 @@ BASES = {
 }
 
 #: Values the mutations draw from besides random ones, so that they reach
-#: past the type checks: edge numbers, registered component names,
+#: past the type checks: edge numbers, accepted component names,
 #: kinds, knob types, and keys that exist in some other section.
 EDGE = (-1, 0, -0.5, 0.0, 1e300, 2**63, 10**400, -(10**400), float("nan"),
         float("inf"), float("-inf"), None, True, "", "x")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hardware import ComputeNode
-from repro.monitoring import CappingAgent, GatewayDaemon, MqttBroker
+from repro.monitoring import CappingAgent, GatewayArray, GatewayDaemon, MqttBroker
 from repro.scheduler import Job, JobRecord, SchedulerMonitorPlugin
 from repro.sim import Environment
 
@@ -202,6 +202,30 @@ class TestCappingAgent:
         assert node.power_cap_w is None  # still inside the actuation delay
         env.run(until=0.5)
         assert node.power_cap_w is not None
+
+    def test_batch_agents_read_their_own_node_through_a_dropout(self):
+        """A sensor dropout takes node 0 out of the GatewayArray batch for
+        three ticks: every agent must keep acting on its own node's
+        reading, never on the neighbour that moved into its index."""
+        env = Environment()
+        broker = MqttBroker(clock=lambda: env.now)
+        nodes = [ComputeNode(node_id=i) for i in range(4)]
+        powers = np.array([1000.0, 1100.0, 1200.0, 1300.0])
+        array = GatewayArray(env, nodes, broker, period_s=0.1,
+                             sensor_noise_w=0.0, powers_fn=lambda: powers)
+        array.batch_fault = lambda now, measured: (
+            np.array([not 0.25 <= now < 0.55, True, True, True]), measured)
+        agents = [CappingAgent(env, node, broker, cap_w=1250.0,
+                               batch_topic=array.topic) for node in nodes]
+        readings = [[] for _ in nodes]
+        for agent, got in zip(agents, readings):
+            agent._observe = lambda p, got=got, real=agent._observe: (
+                got.append(p), real(p))
+        env.run(until=0.95)
+        assert array.samples_dropped_by_sensor == 3
+        assert [len(got) for got in readings] == [7, 10, 10, 10]
+        assert [set(got) for got in readings] == [{p} for p in powers]
+        assert [agent.capped for agent in agents] == [False, False, False, True]
 
     def test_validation(self):
         env, broker, node = Environment(), MqttBroker(), ComputeNode()
