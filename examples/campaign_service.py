@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Campaign service tour: submit → poll → replay → crash → resume.
+"""Campaign service tour: submit → poll → replay → crash → rerun.
 
-Runs the whole ROADMAP item-1 surface in one sitting: a
+Runs the whole campaign-service surface in one sitting: a
 ``CampaignService`` over an on-disk content-addressed store takes two
 overlapping campaign submissions (the second replays its shared cells
-from cache instead of simulating), a checkpointed campaign is killed
-mid-grid and resumed to the same campaign digest, and the service's
-``campaign`` ops-report section tallies it all.
+from cache instead of simulating), a campaign over another store is
+killed mid-grid and run again over that store to the same campaign
+digest, and the service's ``campaign`` ops-report section tallies it
+all.
 
 Run:  python examples/campaign_service.py
 """
@@ -16,13 +17,11 @@ import time
 
 from repro.observability import Observability
 from repro.scheduler import (
-    CampaignCheckpoint,
     CampaignService,
     CampaignConfig,
     DirectoryResultStore,
     Scenario,
     campaign_digest,
-    resume_campaign,
     run_campaign,
 )
 
@@ -75,8 +74,10 @@ def main() -> None:
         assert s["replayed"] == len(grid), "shared cells should replay"
         assert s["simulated"] == 2, "only the novel cells should simulate"
 
-        # 3. Crash and resume: kill a checkpointed campaign partway,
-        #    then stitch the rest — same digest as never having died.
+        # 3. Crash and rerun: kill a campaign partway, then run it again
+        #    over the same store.  Every completed cell was stored before
+        #    its on_result fired, so the rerun replays those and
+        #    simulates the rest — same digest as never having died.
         class Killed(Exception):
             pass
 
@@ -93,19 +94,19 @@ def main() -> None:
         fresh = CampaignConfig(n_nodes=12, n_jobs=60, root_seed=9,
                                load_factor=1.1)
         baseline = run_campaign(fresh, grid, processes=1)
-        checkpoint = CampaignCheckpoint(f"{tmp}/checkpoint")
+        crashed = DirectoryResultStore(f"{tmp}/crashed")
         try:
-            run_campaign(fresh, grid, processes=1, checkpoint=checkpoint,
+            run_campaign(fresh, grid, processes=1, cache=crashed,
                          on_result=kill_after(3))
         except Killed:
             pass
-        print(f"killed after {len(checkpoint)} cells "
-              f"(checkpoint is durable per completed cell)")
-        resumed = resume_campaign(fresh, grid, checkpoint, processes=1)
+        print(f"killed after {len(crashed)} cells "
+              f"(the store is durable per completed cell)")
+        resumed = run_campaign(fresh, grid, processes=1, cache=crashed)
         assert campaign_digest(resumed) == campaign_digest(baseline), \
-            "resume must equal the uninterrupted run"
-        print(f"resumed: digest {campaign_digest(resumed)[:16]}… "
-              f"(equals the uninterrupted run)")
+            "the rerun must equal the uninterrupted run"
+        print(f"rerun: {crashed.hits} cells replayed, digest "
+              f"{campaign_digest(resumed)[:16]}… (equals the uninterrupted run)")
 
         # 4. The ops report tallies the service traffic.
         report = obs.ops_report()["campaign"]

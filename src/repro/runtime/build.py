@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from ..observability import Observability
-from ..scheduler.cache import CampaignCheckpoint, ResultStore, config_key
+from ..scheduler.cache import ResultStore, config_key
 from ..scheduler.campaign import (
     CampaignConfig,
     Scenario,
@@ -72,7 +72,6 @@ class CampaignPlan:
         processes: Optional[int] = None,
         keep_results: bool = False,
         cache: Optional[ResultStore] = None,
-        checkpoint: Optional[CampaignCheckpoint] = None,
         on_result: Optional[Callable[[ScenarioResult, bool], None]] = None,
     ) -> list[ScenarioResult]:
         return run_campaign(
@@ -81,7 +80,6 @@ class CampaignPlan:
             processes=processes,
             keep_results=keep_results,
             cache=cache,
-            checkpoint=checkpoint,
             on_result=on_result,
         )
 

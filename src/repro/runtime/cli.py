@@ -10,10 +10,10 @@ Four subcommands, one per artifact shape plus a dry one::
 ``campaign`` and ``explore`` print the artifact's content digest and
 accept ``--check DIGEST`` (exit 1 on mismatch), so a shell one-liner
 can assert that a config file reproduces a hand-wired run bit for bit.
-``--cache`` / ``--checkpoint`` map onto the content-addressed
-:class:`~repro.scheduler.cache.DirectoryResultStore` and
-:class:`~repro.scheduler.cache.CampaignCheckpoint`, giving warm reruns
-and kill-resume from the command line.
+``--cache`` maps onto the content-addressed
+:class:`~repro.scheduler.cache.DirectoryResultStore`: a rerun over the
+same directory replays every stored cell, so a warm rerun simulates
+nothing and a killed campaign resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ import json
 import sys
 from typing import Any, Optional, Sequence
 
-from ..scheduler.cache import (
-    CampaignCheckpoint,
-    DirectoryResultStore,
-    scenario_key,
-)
+from ..scheduler.cache import DirectoryResultStore, scenario_key
 from ..scheduler.campaign import campaign_digest
 from .build import CampaignPlan, ExplorationPlan, build
 from .dump import dump
@@ -134,8 +130,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return _fail(f"{args.config} is kind={cfg.runtime.kind!r}, "
                      f"not a campaign")
     cache = None if args.cache is None else DirectoryResultStore(args.cache)
-    checkpoint = (None if args.checkpoint is None
-                  else CampaignCheckpoint(args.checkpoint))
 
     done = {"count": 0}
 
@@ -148,12 +142,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                   f"{label} (seed {cell.scenario.seed_index})",
                   file=sys.stderr)
 
-    results = plan.run(
-        processes=args.processes,
-        cache=cache,
-        checkpoint=checkpoint,
-        on_result=on_result,
-    )
+    results = plan.run(processes=args.processes, cache=cache, on_result=on_result)
     digest = campaign_digest(results)
     if not args.quiet:
         header = f"{'label':<24} {'policy':<12} {'seed':>4} " \
@@ -236,8 +225,6 @@ def _parser() -> argparse.ArgumentParser:
                           help="worker pool size (default: auto)")
     campaign.add_argument("--cache", metavar="DIR", default=None,
                           help="content-addressed result store directory")
-    campaign.add_argument("--checkpoint", metavar="DIR", default=None,
-                          help="durable kill-resume checkpoint directory")
     campaign.add_argument("--out", metavar="FILE", default=None,
                           help="write a JSON artifact (keys, QoS, digest)")
     campaign.add_argument("--check", metavar="DIGEST", default=None,

@@ -4,13 +4,13 @@ from .._lazy import lazy
 
 __getattr__, __dir__, __all__ = lazy(__name__, {
     ".cache": (
-        "CampaignCheckpoint", "DirectoryResultStore", "MemoryResultStore",
-        "ResultStore", "config_key", "scenario_fingerprint", "scenario_key",
+        "DirectoryResultStore", "MemoryResultStore", "ResultStore", "config_key",
+        "scenario_key",
     ),
     ".campaign": (
         "POLICIES", "QOS_METRICS", "CampaignConfig", "Scenario", "ScenarioResult",
-        "campaign_digest", "merge_results", "result_digest", "resume_campaign",
-        "run_campaign", "run_scenario", "scenario_rng", "scenario_workload",
+        "campaign_digest", "result_digest", "run_campaign", "run_scenario",
+        "scenario_rng", "scenario_workload",
     ),
     ".service": ("CampaignJob", "CampaignService"),
     ".job": ("Job", "JobRecord", "JobState"),

@@ -1,8 +1,8 @@
-"""Content-addressed result cache and checkpointing for campaign grids.
+"""Content-addressed result cache for campaign grids.
 
 The campaign runner already certifies every cell with a SHA-256
 ``result_digest``; this module turns those digests into a service-grade
-memo table.  Three pieces:
+memo table.  Two pieces:
 
 * :func:`scenario_key` — a canonical digest of *what a cell computes*
   (machine shape, workload stream, policy/predictor spec, cap, core,
@@ -23,15 +23,11 @@ memo table.  Three pieces:
   :class:`~repro.scheduler.simulate.SimulationResult` field-by-field).
   ``run_campaign(..., cache=store)`` simulates only novel cells and
   replays hits byte-identical to a cold run — pinned by the cache mode
-  of ``tests/diff_harness.py``.
-
-* :class:`CampaignCheckpoint` — durable campaign progress: a manifest
-  binding the (config, grid) identity plus one store entry per
-  completed cell, written *after every completed cell* with
-  atomic-rename file ordering (payload first, then the JSON marker), so
-  a kill at any instant leaves only fully-valid cells behind and
-  :func:`~repro.scheduler.campaign.resume_campaign` reproduces the
-  uninterrupted ``campaign_digest`` exactly.
+  of ``tests/diff_harness.py``.  It stores each novel cell before
+  ``on_result`` fires, and the on-disk backend writes it crash-atomically
+  (payload first, then the JSON marker), so a campaign killed at any
+  instant and run again over the same directory replays what it
+  completed and reaches the uninterrupted ``campaign_digest``.
 """
 
 from __future__ import annotations
@@ -41,8 +37,10 @@ import io
 import json
 import os
 import tempfile
+import zipfile
+import zlib
 from pathlib import Path
-from typing import Any, Iterator, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Iterator, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -56,12 +54,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 __all__ = [
     "KEY_VERSION",
     "scenario_key",
-    "scenario_fingerprint",
     "config_key",
     "ResultStore",
     "MemoryResultStore",
     "DirectoryResultStore",
-    "CampaignCheckpoint",
 ]
 
 #: Bump when the key derivation changes — old store entries then miss
@@ -91,7 +87,7 @@ def _canonical_predictor(spec: str) -> dict[str, Any]:
 
 
 def _canonical_scenario(
-    scenario: "Scenario", config: "Optional[CampaignConfig]" = None
+    scenario: "Scenario", config: "CampaignConfig"
 ) -> dict[str, Any]:
     """The semantic content of one cell, independent of its spelling.
 
@@ -109,8 +105,7 @@ def _canonical_scenario(
     * ``backfill_depth`` is dropped for FIFO (no backfill phase reads
       it);
     * ``dvfs_floor`` is dropped when uncapped (the trim never runs, so
-      the floor is dead), and — when ``config`` is available, i.e. in
-      :func:`scenario_key` — when it equals ``config.min_speed``
+      the floor is dead), and when it equals ``config.min_speed``
       (writing the default out explicitly is the same simulation);
     * ``fairshare_decay`` is dropped when ``None`` (no priority
       wrapper).
@@ -150,7 +145,7 @@ def _canonical_scenario(
         entry["backfill_depth"] = int(depth)
     floor = scenario.dvfs_floor
     if floor is not None and cap is not None:
-        if config is None or float(floor) != float(config.min_speed):
+        if float(floor) != float(config.min_speed):
             entry["dvfs_floor"] = float(floor)
     if scenario.fairshare_decay is not None:
         entry["fairshare_decay"] = float(scenario.fairshare_decay)
@@ -174,27 +169,6 @@ def _digest_of(payload: dict[str, Any]) -> str:
         payload, sort_keys=True, separators=(",", ":"), allow_nan=False
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def scenario_fingerprint(
-    scenario: "Scenario", config: "Optional[CampaignConfig]" = None
-) -> str:
-    """Canonical digest of one scenario spec, config excluded.
-
-    The dedup key for :func:`~repro.scheduler.campaign.merge_results`:
-    shards of one campaign share a config by construction, so the
-    scenario part alone identifies a cell within it.
-
-    Passing the shared ``config`` makes the fingerprint agree with
-    :func:`scenario_key` on config-relative defaults — a cell writing
-    ``dvfs_floor == config.min_speed`` out explicitly collapses to the
-    omitted-floor spelling, exactly as the key does.  Without it the
-    config-free path must keep the entry (it cannot know the default),
-    so default-equivalent floor spellings fingerprint apart.
-    """
-    return _digest_of(
-        {"v": KEY_VERSION, "scenario": _canonical_scenario(scenario, config)}
-    )
 
 
 def config_key(config: "CampaignConfig") -> str:
@@ -435,9 +409,6 @@ class ResultStore:
                 return
         self._store(key, cell)
 
-    def __contains__(self, key: str) -> bool:
-        return self._load(key) is not None
-
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
 
@@ -464,16 +435,15 @@ class DirectoryResultStore(ResultStore):
 
     Writes are crash-safe by ordering: the NPZ payload lands first, the
     JSON marker last, each via write-to-temp + :func:`os.replace` — an
-    entry whose JSON exists is complete.  ``verify=True`` (default)
-    recomputes the payload digest on every load and refuses corrupted
-    entries loudly.
+    entry whose JSON exists is complete.  Every load recomputes the
+    payload digest, and a payload that is missing, unreadable or does
+    not match its digest raises a ``ValueError`` naming the entry.
     """
 
-    def __init__(self, root: str | os.PathLike, verify: bool = True) -> None:
+    def __init__(self, root: str | os.PathLike) -> None:
         super().__init__()
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.verify = verify
 
     def _json_path(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -525,10 +495,17 @@ class DirectoryResultStore(ResultStore):
             return None
         result = None
         if meta["payload"]:
-            with np.load(self._npz_path(key)) as npz:
-                data = {name: npz[name] for name in npz.files}
+            npz_path = self._npz_path(key)
+            try:
+                with np.load(npz_path) as npz:
+                    data = {name: npz[name] for name in npz.files}
+            except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+                raise ValueError(
+                    f"corrupt store entry {key[:16]}…: cannot read its payload "
+                    f"{npz_path} ({exc!r})"
+                ) from exc
             result = _result_from_arrays(data)
-            if self.verify and result_digest(result) != meta["digest"]:
+            if result_digest(result) != meta["digest"]:
                 raise ValueError(
                     f"corrupt store entry {key[:16]}…: payload digest does not "
                     f"match its recorded digest ({path})"
@@ -543,82 +520,3 @@ class DirectoryResultStore(ResultStore):
     def keys(self) -> Iterator[str]:
         for path in sorted(self.root.glob("*.json")):
             yield path.stem
-
-
-# --------------------------------------------------------------------------
-# checkpointing
-# --------------------------------------------------------------------------
-
-class CampaignCheckpoint:
-    """Durable progress of one campaign: manifest + per-cell store.
-
-    ``run_campaign(..., checkpoint=cp)`` binds the manifest (config key
-    + ordered grid keys) before the first cell and records every
-    completed cell — simulated *and* replayed — as it lands, so a kill
-    at any point leaves a resumable prefix.
-    :func:`~repro.scheduler.campaign.resume_campaign` replays recorded
-    cells and simulates only the remainder; the merged list and its
-    ``campaign_digest`` are identical to an uninterrupted run.
-    """
-
-    def __init__(self, path: str | os.PathLike, verify: bool = True) -> None:
-        self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
-        self.store = DirectoryResultStore(self.path / "cells", verify=verify)
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.path / "manifest.json"
-
-    def has_manifest(self) -> bool:
-        return self.manifest_path.exists()
-
-    def _read_manifest(self) -> Optional[dict[str, Any]]:
-        try:
-            return json.loads(self.manifest_path.read_text("utf-8"))
-        except (OSError, ValueError):
-            return None
-
-    def bind(
-        self,
-        config: "CampaignConfig",
-        scenarios: "Sequence[Scenario]",
-        keys: Optional[list[str]] = None,
-    ) -> list[str]:
-        """Create the manifest, or validate an existing one against it.
-
-        A checkpoint is bound to exactly one (config, grid): resuming
-        with a different config, a different grid, or even a reordered
-        grid raises instead of silently mixing campaigns.
-        """
-        if keys is None:
-            keys = [scenario_key(config, s) for s in scenarios]
-        manifest = {
-            "v": KEY_VERSION,
-            "config_key": config_key(config),
-            "grid": keys,
-        }
-        existing = self._read_manifest()
-        if existing is None:
-            DirectoryResultStore._atomic_write(
-                self.manifest_path,
-                json.dumps(manifest, sort_keys=True,
-                           separators=(",", ":")).encode("utf-8"),
-            )
-        elif existing != manifest:
-            raise ValueError(
-                f"checkpoint at {self.path} belongs to a different campaign "
-                "(config or grid mismatch); use a fresh checkpoint directory"
-            )
-        return keys
-
-    def record(self, key: str, cell: "ScenarioResult") -> None:
-        """Persist one completed cell (idempotent: replays are free)."""
-        if key not in self.store:
-            self.store.put(key, cell)
-
-    def completed_keys(self) -> set[str]:
-        return set(self.store.keys())
-
-    def __len__(self) -> int:
-        return len(self.store)

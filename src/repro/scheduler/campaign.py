@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import multiprocessing
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -35,7 +37,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .cache import CampaignCheckpoint, ResultStore, scenario_fingerprint, scenario_key
+from .cache import ResultStore, scenario_key
 from .fairshare import EnergyFairShareScheduler
 from .job import Job
 from .policies import EasyBackfillScheduler, FifoScheduler, SchedulingPolicy
@@ -53,8 +55,6 @@ __all__ = [
     "scenario_workload",
     "run_scenario",
     "run_campaign",
-    "resume_campaign",
-    "merge_results",
     "result_digest",
     "campaign_digest",
 ]
@@ -106,8 +106,16 @@ class Scenario:
         resolve_core(self.core)
         if not 0.0 <= self.train_fraction < 1.0:
             raise ValueError("train fraction must lie in [0, 1)")
-        if self.backfill_depth is not None and self.backfill_depth < 0:
-            raise ValueError("backfill depth must be non-negative")
+        for name in ("cap_w", "budget_w"):
+            watts = getattr(self, name)
+            if watts is not None and not 0.0 < watts < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {watts!r}")
+        depth = self.backfill_depth
+        if depth is not None and (isinstance(depth, bool)
+                                  or not isinstance(depth, numbers.Integral)
+                                  or depth < 0):
+            raise ValueError(
+                f"backfill_depth must be a non-negative integer, got {depth!r}")
         if self.dvfs_floor is not None and not 0.0 < self.dvfs_floor <= 1.0:
             raise ValueError("DVFS floor must lie in (0, 1]")
         if self.fairshare_decay is not None and self.fairshare_decay <= 0.0:
@@ -370,10 +378,8 @@ def run_campaign(
     config: CampaignConfig,
     scenarios: Sequence[Scenario],
     processes: Optional[int] = None,
-    start_method: Optional[str] = None,
     keep_results: bool = False,
     cache: Optional[ResultStore] = None,
-    checkpoint: Optional[CampaignCheckpoint] = None,
     on_result: Optional[Callable[[ScenarioResult, bool], None]] = None,
 ) -> list[ScenarioResult]:
     """Run a scenario grid, results merged in submission order.
@@ -394,41 +400,34 @@ def run_campaign(
     * ``cache`` — a :class:`~repro.scheduler.cache.ResultStore`; cells
       whose :func:`~repro.scheduler.cache.scenario_key` is already
       stored replay from it instead of simulating (byte-identical
-      digests), novel cells are stored after they complete, and
+      digests), novel cells are stored as they complete, and
       duplicate-equivalent cells *within* one grid simulate once.  A
       stored cell without its full payload does not satisfy
       ``keep_results=True`` — it is re-simulated and the store entry
       upgraded in place.
-    * ``checkpoint`` — a :class:`~repro.scheduler.cache.
-      CampaignCheckpoint` bound to this (config, grid); every completed
-      cell is persisted as it lands, and recorded cells replay on the
-      next run (see :func:`resume_campaign`).
     * ``on_result(cell, replayed)`` — called in submission order as
-      each cell completes, with ``replayed=True`` for cache/checkpoint
-      hits and within-grid duplicates.  Raising from the hook aborts
-      the campaign (the checkpoint keeps the completed prefix).
+      each cell completes, with ``replayed=True`` for cache hits and
+      within-grid duplicates.  Raising from the hook aborts the
+      campaign.
+
+    A novel cell is stored before ``on_result`` fires, so a campaign
+    killed partway and run again over the same
+    :class:`~repro.scheduler.cache.DirectoryResultStore` replays every
+    cell it completed, simulates the rest, and returns the list — and
+    the :func:`campaign_digest` — of an uninterrupted run (pinned by
+    ``tests/test_campaign_resume.py``).
     """
     scenarios = list(scenarios)
-    if checkpoint is not None:
-        keys = checkpoint.bind(config, scenarios)
-    elif cache is not None:
-        keys = [scenario_key(config, s) for s in scenarios]
-    else:
-        keys = None
     if not scenarios:
         return []
     n = len(scenarios)
+    keys = None if cache is None else [scenario_key(config, s) for s in scenarios]
 
-    # Resolve replayable cells up front (checkpoint first: it is the
-    # campaign's own history, the cache may be shared and payload-less).
+    # Hits resolve before any pool spins up.
     resolved: list[Optional[ScenarioResult]] = [None] * n
-    if keys is not None:
+    if cache is not None:
         for i, s in enumerate(scenarios):
-            hit = None
-            if checkpoint is not None:
-                hit = checkpoint.store.get(keys[i])
-            if hit is None and cache is not None:
-                hit = cache.get(keys[i])
+            hit = cache.get(keys[i])
             if hit is not None and keep_results and hit.result is None:
                 hit = None  # payload required but never stored: re-simulate
             if hit is not None:
@@ -463,8 +462,6 @@ def run_campaign(
                     cell = dataclasses.replace(out[first_at[keys[i]]], scenario=s)
                     replayed = True
             out.append(cell)
-            if checkpoint is not None:
-                checkpoint.record(keys[i], cell)
             if on_result is not None:
                 on_result(cell, replayed)
         return out
@@ -474,95 +471,13 @@ def run_campaign(
     if processes <= 1 or len(todo) <= 1:
         return consume(_run_serial(config, [scenarios[i] for i in todo], keep_results))
     payloads = [(config, scenarios[i], keep_results) for i in todo]
-    if start_method is None:
-        start_method = (
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
-    ctx = multiprocessing.get_context(start_method)
+    ctx = multiprocessing.get_context("fork" if hasattr(os, "fork") else "spawn")
     with ctx.Pool(processes=processes) as pool:
         # chunksize=1 and imap (not map): cells are coarse, the
         # order-preserving lazy iterator streams completed cells back in
-        # submission order so checkpoints land as cells finish, and
+        # submission order so each is stored as it finishes, and
         # stragglers don't serialize whole chunks.
         return consume(pool.imap(_run_cell, payloads, chunksize=1))
-
-
-def resume_campaign(
-    config: CampaignConfig,
-    scenarios: Sequence[Scenario],
-    checkpoint: CampaignCheckpoint,
-    **kwargs,
-) -> list[ScenarioResult]:
-    """Continue an interrupted campaign from its checkpoint.
-
-    Cells the killed run completed replay from the checkpoint store;
-    only the remainder simulates.  The merged list — and therefore
-    :func:`campaign_digest` — is identical to an uninterrupted
-    ``run_campaign`` of the same (config, grid), pinned by
-    ``tests/diff_harness.py --cache`` and the crash-resume fuzz in
-    ``tests/test_campaign_resume.py``.  Raises if the checkpoint was
-    never started or belongs to a different campaign.
-    """
-    if not checkpoint.has_manifest():
-        raise ValueError(
-            f"nothing to resume at {checkpoint.path}: no manifest — start the "
-            "campaign with run_campaign(..., checkpoint=...) first"
-        )
-    return run_campaign(config, scenarios, checkpoint=checkpoint, **kwargs)
-
-
-def merge_results(
-    *result_lists: Sequence[ScenarioResult],
-    config: Optional[CampaignConfig] = None,
-) -> list[ScenarioResult]:
-    """Merge result lists from split campaign runs into one.
-
-    Shards of one grid can run on different pools (or different hosts)
-    and be merged afterwards; concatenation preserves the given order
-    while enforcing the campaign invariants: a scenario that appears in
-    several shards must have produced the *same digest* everywhere
-    (anything else means the shards did not share a root seed or code
-    version — raise, never silently pick one), and identical duplicates
-    collapse to one entry at the first occurrence's position — keeping
-    whichever copy still carries its full ``result`` payload
-    (``keep_results=True``), so merging a metrics-only shard with a kept
-    shard never loses data.  Payloads ride along untouched; their QoS
-    caches were dropped at the shard's pickle boundary, so the merged
-    list rebuilds metrics from records on next access instead of
-    serving stale cached values.
-
-    Duplicates are recognized by :func:`~repro.scheduler.cache.
-    scenario_fingerprint` — the canonical content key — not by
-    ``repr``: default-equivalent spellings of one cell (``budget_w``
-    omitted vs written out as the cap, ``core=None`` vs
-    ``core="array"``, differing ``label``\\ s, permuted outage
-    tuples) collapse correctly instead of silently duplicating the
-    cell.  Shards must come from campaigns sharing one
-    :class:`CampaignConfig`; the fingerprint deliberately excludes it.
-    Pass that shared config via ``config=`` to also collapse
-    config-relative default spellings — a shard writing ``dvfs_floor ==
-    config.min_speed`` out explicitly against one that omitted it —
-    which the config-free fingerprint cannot recognize on its own.
-    """
-    merged: list[ScenarioResult] = []
-    seen: dict[str, int] = {}
-    for results in result_lists:
-        for r in results:
-            key = scenario_fingerprint(r.scenario, config)
-            at = seen.get(key)
-            if at is None:
-                seen[key] = len(merged)
-                merged.append(r)
-                continue
-            prev = merged[at]
-            if prev.digest != r.digest:
-                raise ValueError(
-                    f"conflicting digests for scenario {r.scenario.label or key}: "
-                    f"{prev.digest[:16]}… vs {r.digest[:16]}…"
-                )
-            if prev.result is None and r.result is not None:
-                merged[at] = r
-    return merged
 
 
 def campaign_digest(results: Sequence[ScenarioResult]) -> str:

@@ -24,7 +24,7 @@ import threading
 from typing import Any, Optional, Sequence
 
 from ..observability import Observability, null_observability
-from .cache import CampaignCheckpoint, MemoryResultStore, ResultStore
+from .cache import MemoryResultStore, ResultStore
 from .campaign import (
     CampaignConfig,
     Scenario,
@@ -147,8 +147,6 @@ class CampaignService:
         config: CampaignConfig,
         scenarios: Sequence[Scenario],
         keep_results: bool = False,
-        checkpoint: Optional[CampaignCheckpoint] = None,
-        processes: Optional[int] = None,
         label: str = "",
     ) -> CampaignJob:
         """Queue one campaign; returns its handle immediately."""
@@ -175,10 +173,9 @@ class CampaignService:
                 results = run_campaign(
                     config,
                     scenarios,
-                    processes=processes if processes is not None else self.processes,
+                    processes=self.processes,
                     keep_results=keep_results,
                     cache=self.store,
-                    checkpoint=checkpoint,
                     on_result=on_result,
                 )
             except BaseException as exc:  # surface through the handle

@@ -106,9 +106,8 @@ class SimulationResult:
     metric-heavy campaign post-processing does not re-materialize a
     Python list + NumPy array per metric call.  The caches are derived
     state: they are dropped on pickling (results shipped through the
-    campaign runner's process pool, or merged by
-    :func:`~repro.scheduler.campaign.merge_results`, must rebuild them
-    from their own records rather than inherit a donor's arrays).
+    campaign runner's process pool must rebuild them from their own
+    records rather than inherit a donor's arrays).
     """
 
     records: tuple[JobRecord, ...]

@@ -25,11 +25,11 @@ the time-varying policy, and outage/requeue interleavings.
 **Cache mode** pins the content-addressed campaign cache the same way
 the core sweep pins the simulator backends: every seeded random
 campaign grid runs cold (no cache), then against a cache being seeded,
-then warm (must simulate zero cells), then killed after a random number
-of completed cells and resumed from its checkpoint — and every pair of
-runs must agree field by field: per-cell digests, QoS dicts, full
-record/trace payloads (through the on-disk JSON/NPZ round-trip on odd
-seeds), and the campaign digest.
+then warm (must simulate zero cells), then over a fresh store killed
+after a random number of completed cells and run again over what that
+store kept — and every pair of runs must agree field by field: per-cell
+digests, QoS dicts, full record/trace payloads (through the on-disk
+JSON/NPZ round-trip on odd seeds), and the campaign digest.
 
 * library: ``assert_cache_equivalent(seed)`` from any test;
 * pytest: ``tests/test_campaign_cache.py`` parametrizes over seeds;
@@ -59,18 +59,13 @@ if _SRC not in sys.path:  # let `python tests/diff_harness.py` work bare
 
 import dataclasses
 
-from repro.scheduler.cache import (
-    CampaignCheckpoint,
-    DirectoryResultStore,
-    MemoryResultStore,
-)
+from repro.scheduler.cache import DirectoryResultStore, MemoryResultStore
 from repro.scheduler.campaign import (
     CampaignConfig,
     Scenario,
     ScenarioResult,
     campaign_digest,
     result_digest,
-    resume_campaign,
     run_campaign,
 )
 from repro.scheduler.job import Job
@@ -352,7 +347,7 @@ def assert_cap_heavy_equivalent(
 
 
 # --------------------------------------------------------------------------
-# cache mode: cold vs warm vs kill-and-resume campaigns
+# cache mode: cold vs warm vs kill-and-rerun campaigns
 # --------------------------------------------------------------------------
 
 _CACHE_POLICIES = ("fifo", "easy", "power-aware")
@@ -367,7 +362,7 @@ class CacheScenario:
     config: CampaignConfig
     grid: tuple[Scenario, ...]
     kill_after: int
-    #: On-disk store/checkpoint on odd seeds, in-memory on even —
+    #: On-disk stores on odd seeds, in-memory on even —
     #: alternating exercises both backends across any sweep.
     on_disk: bool
 
@@ -495,15 +490,18 @@ class _KillSwitch(Exception):
 
 
 def assert_cache_equivalent(seed: int, processes: int = 1) -> CacheScenario:
-    """Cold vs warm vs kill-and-resume equality for one seeded grid."""
+    """Cold vs warm vs kill-and-rerun equality for one seeded grid."""
     scenario = random_campaign(seed)
     config, grid = scenario.config, list(scenario.grid)
 
     cold = run_campaign(config, grid, processes=processes, keep_results=True)
 
     with tempfile.TemporaryDirectory(prefix="diff-harness-cache-") as tmp:
-        store = (DirectoryResultStore(os.path.join(tmp, "store"))
-                 if scenario.on_disk else MemoryResultStore())
+        def fresh_store(name: str):
+            return (DirectoryResultStore(os.path.join(tmp, name))
+                    if scenario.on_disk else MemoryResultStore())
+
+        store = fresh_store("store")
 
         # Pass 1 seeds the store; results must equal the cache-less run.
         flags: list[bool] = []
@@ -524,9 +522,10 @@ def assert_cache_equivalent(seed: int, processes: int = 1) -> CacheScenario:
             _fail(scenario, f"warm run simulated {flags.count(False)} cells (want 0)")
         compare_cells(scenario, cold, "cold", warm, "warm")
 
-        # Kill after `kill_after` completed cells, then resume: the
-        # stitched run must reproduce the uninterrupted digest exactly.
-        checkpoint = CampaignCheckpoint(os.path.join(tmp, "checkpoint"))
+        # Kill a run over a fresh store after `kill_after` completed
+        # cells, then run again over what it stored: the rerun must
+        # reproduce the uninterrupted digest exactly.
+        killed = fresh_store("killed")
         completed: list[ScenarioResult] = []
 
         def killer(cell: ScenarioResult, replayed: bool) -> None:
@@ -536,15 +535,15 @@ def assert_cache_equivalent(seed: int, processes: int = 1) -> CacheScenario:
 
         try:
             run_campaign(config, grid, processes=processes,
-                         keep_results=True, checkpoint=checkpoint, on_result=killer)
+                         keep_results=True, cache=killed, on_result=killer)
         except _KillSwitch:
             pass
         else:
             _fail(scenario, "kill switch never fired")
-        if len(checkpoint) < 1:
-            _fail(scenario, "killed run checkpointed no cells")
-        resumed = resume_campaign(config, grid, checkpoint,
-                                  processes=processes, keep_results=True)
+        if len(killed) < 1:
+            _fail(scenario, "killed run stored no cells")
+        resumed = run_campaign(config, grid, processes=processes,
+                               keep_results=True, cache=killed)
         compare_cells(scenario, cold, "cold", resumed, "resumed")
     return scenario
 
@@ -609,7 +608,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--cache", type=int, default=0, metavar="N",
         help="cache mode: sweep N seeded campaign grids through "
-             "cold/warm/kill-and-resume equality (skips the core sweep)",
+             "cold/warm/kill-and-rerun equality (skips the core sweep)",
     )
     parser.add_argument(
         "--cache-seed", type=int,
@@ -633,7 +632,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"cache seed {seed:>5}  OK  {scenario.label} [{backend}]")
         if cache_seeds:
             print(f"{len(cache_seeds)} campaign grids: cold, warm and "
-                  "kill-and-resume all byte-identical")
+                  "kill-and-rerun all byte-identical")
         if args.bench_grids:
             check_bench_grids()
         return 0

@@ -11,14 +11,18 @@ Three families of properties pin it:
    randomized 200-cell grid yields 200 distinct keys.
 3. **Stores** — both backends round-trip ``ScenarioResult``\\ s exactly
    (the on-disk backend field-by-field through JSON+NPZ), account
-   hits/misses, refuse corruption, and never downgrade a
-   payload-carrying entry.
+   hits/misses, refuse corruption (a tampered, truncated or missing
+   payload names the entry), never downgrade a payload-carrying entry,
+   and serve only misses or complete cells while four processes write
+   the same keys.
 """
 
 import dataclasses
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +30,6 @@ import numpy as np
 import pytest
 
 from repro.scheduler import (
-    CampaignCheckpoint,
     CampaignConfig,
     DirectoryResultStore,
     JobState,
@@ -38,7 +41,6 @@ from repro.scheduler import (
     result_digest,
     run_campaign,
     run_scenario,
-    scenario_fingerprint,
     scenario_key,
 )
 from repro.scheduler.cache import _scenario_from_dict, _scenario_to_dict
@@ -76,7 +78,6 @@ class TestKeyStability:
         clone = ReorderedScenario(policy="power-aware", cap_w=CAP, seed_index=2,
                                   predictor="nameplate:1500", train_fraction=0.2)
         assert scenario_key(CONFIG, real) == scenario_key(CONFIG, clone)
-        assert scenario_fingerprint(real) == scenario_fingerprint(clone)
 
     def test_budget_default_equivalent_to_cap(self):
         implicit = Scenario(policy="power-aware", cap_w=CAP)
@@ -149,16 +150,14 @@ class TestKeyStability:
     def test_outage_order_is_cosmetic(self):
         """Permuted outage tuples are one cell: the simulator sorts its
         outages before running (``ClusterSimulator.__init__``), so two
-        listings of the same set must share ``scenario_key`` *and*
-        ``scenario_fingerprint`` — a reordered twin used to miss a warm
-        store and duplicate through ``merge_results``."""
+        listings of the same set must share ``scenario_key`` — a
+        reordered twin used to miss a warm store."""
         o1 = NodeOutage(at_s=10.0, node_id=0, duration_s=60.0)
         o2 = NodeOutage(at_s=20.0, node_id=1, duration_s=60.0)
         o3 = NodeOutage(at_s=20.0, node_id=3, duration_s=90.0)
         a = Scenario(policy="fifo", node_outages=(o1, o2, o3))
         b = Scenario(policy="fifo", node_outages=(o3, o1, o2))
         assert scenario_key(CONFIG, a) == scenario_key(CONFIG, b)
-        assert scenario_fingerprint(a) == scenario_fingerprint(b)
 
     def test_sorted_outages_keep_their_key(self):
         """The canonical form of an already-sorted spec is the spec
@@ -177,19 +176,6 @@ class TestKeyStability:
         assert _json.dumps(entry["outages"]) == _json.dumps(
             [[float(o.at_s), int(o.node_id), float(o.duration_s)]
              for o in (o1, o2)])
-
-    def test_fingerprint_collapses_written_out_floor_with_config(self):
-        """`scenario_key` drops ``dvfs_floor == config.min_speed`` (the
-        default written out); the config-free fingerprint cannot — but
-        handed the shared config it must agree with the key."""
-        base = Scenario(policy="easy", cap_w=CAP)
-        spelled = dataclasses.replace(base, dvfs_floor=CONFIG.min_speed)
-        # Config-free: conservative, keeps the entry, fingerprints apart.
-        assert scenario_fingerprint(base) != scenario_fingerprint(spelled)
-        # Config-threaded: consistent with scenario_key.
-        assert scenario_fingerprint(base, CONFIG) == \
-            scenario_fingerprint(spelled, CONFIG)
-        assert scenario_key(CONFIG, base) == scenario_key(CONFIG, spelled)
 
     def test_stable_across_runs_in_this_process(self):
         s = Scenario(policy="power-aware", cap_w=CAP,
@@ -226,8 +212,8 @@ class TestKeyStability:
 
 
 class TestPinnedKeys:
-    """Literal keys: warmed stores and checkpoints stay valid only while
-    the canonical form of an unchanged spec does not move."""
+    """Literal keys: warmed stores stay valid only while the canonical
+    form of an unchanged spec does not move."""
 
     @pytest.mark.parametrize("scenario, key", [
         (Scenario(policy="fifo"),
@@ -288,7 +274,6 @@ class TestKeyDistinctness:
 
         rng = random.Random(77)
         keys = set()
-        fingerprints = set()
         for idx in range(200):
             s = Scenario(
                 policy=rng.choice(("fifo", "easy", "power-aware")),
@@ -297,9 +282,7 @@ class TestKeyDistinctness:
                 train_fraction=rng.choice((0.0, 0.2)),
             )
             keys.add(scenario_key(CONFIG, s))
-            fingerprints.add(scenario_fingerprint(s))
         assert len(keys) == 200
-        assert len(fingerprints) == 200
 
     def test_outage_sets_are_semantic(self):
         """Different outage *sets* still key apart — only the listing
@@ -329,6 +312,22 @@ RECORD_FIELD_TYPES = {
 }
 
 
+#: The two cells every writer of the cross-process hammer stores.
+HAMMER_CELLS = (Scenario(policy="fifo"), Scenario(policy="easy", cap_w=CAP))
+
+
+def _hammer_writer(root: str) -> None:
+    """One writer process: put both cells 40 times, every third put
+    without its payload."""
+    store = DirectoryResultStore(root)
+    cells = [run_scenario(CONFIG, s, keep_result=True) for s in HAMMER_CELLS]
+    for i in range(40):
+        for cell in cells:
+            if i % 3 == 2:
+                cell = dataclasses.replace(cell, result=None)
+            store.put(scenario_key(CONFIG, cell.scenario), cell)
+
+
 @pytest.fixture(params=["memory", "disk"])
 def store(request, tmp_path):
     if request.param == "memory":
@@ -349,7 +348,7 @@ class TestResultStores:
         store.put(key, cell)
         assert store.get(key) is not None
         assert (store.hits, store.misses) == (1, 1)
-        assert key in store and len(store) == 1
+        assert len(store) == 1
         assert list(store.keys()) == [key]
 
     def test_round_trip_metrics_only(self, store):
@@ -462,8 +461,26 @@ class TestDirectoryStore:
             (tmp_path / "donor" / "k.npz").read_bytes())
         with pytest.raises(ValueError, match="corrupt store entry"):
             store.get(key)
-        # verify=False serves it anyway (caller opted out).
-        assert DirectoryResultStore(tmp_path / "store", verify=False).get(key)
+
+    @pytest.mark.parametrize("cut", [0, 10, "half", -5, "delete"])
+    def test_missing_or_truncated_payload_is_a_named_corrupt_entry(
+            self, tmp_path, cut):
+        """The JSON marker is intact but its NPZ sidecar is gone or cut
+        short: the load names the entry and the sidecar's path instead
+        of leaking ``EOFError``, ``BadZipFile`` or ``FileNotFoundError``."""
+        store = DirectoryResultStore(tmp_path / "store")
+        cell = run_scenario(CONFIG, Scenario(policy="fifo"), keep_result=True)
+        key = scenario_key(CONFIG, cell.scenario)
+        store.put(key, cell)
+        npz = tmp_path / "store" / f"{key}.npz"
+        if cut == "delete":
+            npz.unlink()
+        else:
+            data = npz.read_bytes()
+            npz.write_bytes(data[:len(data) // 2 if cut == "half" else cut])
+        with pytest.raises(ValueError,
+                           match=rf"corrupt store entry {key[:16]}.*{npz.name}"):
+            store.get(key)
 
     def test_unreadable_json_is_a_miss(self, tmp_path):
         store = DirectoryResultStore(tmp_path / "store")
@@ -492,35 +509,43 @@ class TestDirectoryStore:
         assert (store.hits, store.misses) == (2, 0)
         assert campaign_digest(warm) == campaign_digest(cold)
 
+    def test_same_key_writers_in_four_processes(self, tmp_path):
+        """Four processes put the same two keys while this one keeps
+        reading them.  Every read is a miss or the cold run's cell,
+        every writer exits 0, and no temp file is left in the root."""
+        cold = {scenario_key(CONFIG, s): run_scenario(CONFIG, s).digest
+                for s in HAMMER_CELLS}
+        root = tmp_path / "store"
+        reader = DirectoryResultStore(root)
+        ctx = multiprocessing.get_context("spawn")
+        writers = [ctx.Process(target=_hammer_writer, args=(str(root),))
+                   for _ in range(4)]
+        reads = []
+        try:
+            for writer in writers:
+                writer.start()
+            deadline = time.monotonic() + 120.0
+            while (any(w.is_alive() for w in writers)
+                   and time.monotonic() < deadline):
+                reads += [(key, reader.get(key)) for key in cold]
+            for writer in writers:
+                writer.join(timeout=10.0)
+        finally:
+            for writer in writers:
+                if writer.is_alive():
+                    writer.terminate()
+        assert [w.exitcode for w in writers] == [0] * 4
+        reads += [(key, reader.get(key)) for key in cold]
+        for key, cell in reads:
+            assert cell is None or cell.digest == cold[key]
+            if cell is not None and cell.result is not None:
+                assert result_digest(cell.result) == cold[key]
+        assert all(cell is not None for _, cell in reads[-len(cold):])
+        assert not [p.name for p in root.iterdir() if p.name.startswith(".")]
+
     def test_persists_across_instances(self, tmp_path):
         cell = run_scenario(CONFIG, Scenario(policy="fifo"), keep_result=False)
         key = scenario_key(CONFIG, cell.scenario)
         DirectoryResultStore(tmp_path / "store").put(key, cell)
         again = DirectoryResultStore(tmp_path / "store")
         assert again.get(key).digest == cell.digest
-
-
-class TestCheckpoint:
-    def test_bind_creates_then_validates_manifest(self, tmp_path):
-        grid = [Scenario(policy="fifo"), Scenario(policy="easy", cap_w=CAP)]
-        cp = CampaignCheckpoint(tmp_path / "cp")
-        assert not cp.has_manifest()
-        keys = cp.bind(CONFIG, grid)
-        assert cp.has_manifest()
-        assert keys == [scenario_key(CONFIG, s) for s in grid]
-        # Re-binding the same campaign is fine; a different one raises.
-        CampaignCheckpoint(tmp_path / "cp").bind(CONFIG, grid)
-        with pytest.raises(ValueError, match="different campaign"):
-            CampaignCheckpoint(tmp_path / "cp").bind(CONFIG, grid[:1])
-        with pytest.raises(ValueError, match="different campaign"):
-            CampaignCheckpoint(tmp_path / "cp").bind(
-                dataclasses.replace(CONFIG, root_seed=99), grid)
-
-    def test_record_is_idempotent(self, tmp_path):
-        cp = CampaignCheckpoint(tmp_path / "cp")
-        cell = run_scenario(CONFIG, Scenario(policy="fifo"))
-        key = scenario_key(CONFIG, cell.scenario)
-        cp.record(key, cell)
-        cp.record(key, cell)
-        assert len(cp) == 1
-        assert cp.completed_keys() == {key}

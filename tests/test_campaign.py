@@ -21,7 +21,6 @@ from repro.scheduler import (
     NodeOutage,
     Scenario,
     campaign_digest,
-    merge_results,
     result_digest,
     run_campaign,
     WorkloadGenerator,
@@ -232,80 +231,6 @@ class TestKeepAndMerge:
             want = getattr(local.result, metric)()
             assert getattr(pooled.result, metric)() == want
             assert getattr(roundtrip, metric)() == want
-
-    def test_merge_results_dedups_and_preserves_order(self):
-        a = run_campaign(CONFIG, GRID[:4], processes=1)
-        b = run_campaign(CONFIG, GRID[2:], processes=1)
-        merged = merge_results(a, b)
-        assert [r.scenario for r in merged] == GRID
-        assert campaign_digest(merged) == campaign_digest(
-            run_campaign(CONFIG, GRID, processes=1))
-
-    def test_merge_results_rejects_conflicting_digests(self):
-        a = run_campaign(CONFIG, GRID[:2], processes=1)
-        conflicting = dataclasses.replace(a[1], digest="0" * 64)
-        with pytest.raises(ValueError, match="conflicting digests"):
-            merge_results(a, [conflicting])
-
-    def test_merge_dedups_respelled_and_relabeled_scenarios(self):
-        """Regression: merge used to key on ``repr(scenario)``, so a
-        default-equivalent respelling (power-aware ``budget_w=None``
-        falling back to ``cap_w`` vs. spelling the budget out) or a
-        cosmetic label produced duplicate rows.  Keys now come from
-        ``scenario_fingerprint``, which canonicalizes both."""
-        spelled = Scenario(policy="power-aware", cap_w=20e3, budget_w=20e3,
-                           seed_index=1)
-        relabeled = dataclasses.replace(GRID[3], label="same cell, new name")
-        a = run_campaign(CONFIG, [GRID[3]], processes=1)
-        b = run_campaign(CONFIG, [spelled, relabeled], processes=1)
-        merged = merge_results(a, b)
-        assert len(merged) == 1
-        assert merged[0].digest == a[0].digest
-        assert merged[0].scenario == GRID[3]  # first occurrence wins
-
-    def test_merge_dedups_reordered_outage_twins(self):
-        """Regression: outage listing order used to be part of the
-        fingerprint, so two shards listing the same outage set in
-        different orders duplicated the cell instead of collapsing."""
-        outages = (NodeOutage(at_s=5000.0, node_id=1, duration_s=2000.0),
-                   NodeOutage(at_s=800.0, node_id=3, duration_s=1500.0))
-        cell = Scenario(policy="easy", cap_w=18e3, seed_index=2,
-                        node_outages=outages)
-        twin = dataclasses.replace(
-            cell, node_outages=tuple(reversed(outages)), label="twin")
-        a = run_campaign(CONFIG, [cell], processes=1)
-        b = run_campaign(CONFIG, [twin], processes=1)
-        merged = merge_results(a, b)
-        assert len(merged) == 1
-        assert merged[0].digest == a[0].digest == b[0].digest
-        assert merged[0].scenario == cell  # first occurrence wins
-
-    def test_merge_collapses_written_out_floor_with_config(self):
-        """Regression: a shard writing ``dvfs_floor == config.min_speed``
-        out explicitly fingerprinted apart from the omitted-floor shard
-        (scenario_key collapsed them, the config-free fingerprint did
-        not), so ``merge_results`` duplicated the cell.  Threading the
-        shared config through ``merge_results(config=...)`` makes the
-        merge agree with the key."""
-        spelled = dataclasses.replace(GRID[2], dvfs_floor=CONFIG.min_speed)
-        a = run_campaign(CONFIG, [GRID[2]], processes=1)
-        b = run_campaign(CONFIG, [spelled], processes=1)
-        assert a[0].digest == b[0].digest  # same simulation either way
-        merged = merge_results(a, b, config=CONFIG)
-        assert len(merged) == 1
-        assert merged[0].scenario == GRID[2]
-        # Without the config the fingerprint cannot know the default:
-        # the conservative config-free path keeps both spellings.
-        assert len(merge_results(a, b)) == 2
-
-    def test_merge_prefers_kept_payload_over_dropped(self):
-        """Merging a digest-identical pair keeps the copy that still
-        carries its SimulationResult payload."""
-        bare = run_campaign(CONFIG, GRID[:2], processes=1)
-        kept = run_campaign(CONFIG, GRID[:2], processes=1, keep_results=True)
-        merged = merge_results(bare, kept)
-        assert len(merged) == 2
-        assert all(r.result is not None for r in merged)
 
 
 class TestBuildPolicy:

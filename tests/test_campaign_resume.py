@@ -1,30 +1,32 @@
-"""Crash-resume fuzz for checkpointed campaigns.
+"""Kill-and-rerun fuzz for campaigns over a content-addressed store.
 
 A campaign killed after an arbitrary number of completed cells and then
-resumed must be indistinguishable from one that never died: same
-``campaign_digest``, same per-cell ``result_digest``s, in the same
-submission order.  The kill is simulated by an ``on_result`` callback
-that raises after N cells — the checkpoint has already recorded cell N
-by then (write-after-every-chunk), which is exactly the durability
+run again over the same ``DirectoryResultStore`` must be
+indistinguishable from one that never died: same ``campaign_digest``,
+same per-cell ``result_digest``s, in the same submission order.  The
+kill is simulated by an ``on_result`` callback that raises after N
+cells — the runner stores each novel cell before ``on_result`` fires,
+so cell N is already on disk by then, which is exactly the durability
 contract being pinned.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.scheduler import (
-    CampaignCheckpoint,
     CampaignConfig,
+    DirectoryResultStore,
     Scenario,
     campaign_digest,
-    resume_campaign,
     run_campaign,
+    scenario_key,
 )
 
 CONFIG = CampaignConfig(n_nodes=8, n_jobs=18, root_seed=7, load_factor=1.1)
 
-# The ISSUE's 3x3x4 fuzz grid: 3 policies x 3 caps x 4 seed indices.
+# The 3x3x4 fuzz grid: 3 policies x 3 caps x 4 seed indices.
 GRID = [
     Scenario(policy=policy, cap_w=cap, seed_index=s)
     for policy in ("fifo", "easy", "power-aware")
@@ -48,6 +50,15 @@ def kill_after(n):
     return hook
 
 
+def killed_store(path, n, processes=1):
+    """A store left behind by a run of ``GRID`` killed after ``n`` cells."""
+    store = DirectoryResultStore(path)
+    with pytest.raises(Killed):
+        run_campaign(CONFIG, GRID, processes=processes, cache=store,
+                     on_result=kill_after(n))
+    return store
+
+
 @pytest.fixture(scope="module")
 def uninterrupted():
     results = run_campaign(CONFIG, GRID, processes=1)
@@ -61,13 +72,10 @@ class TestCrashResumeFuzz:
         baseline, baseline_digest = uninterrupted
         n = random.Random(kill_seed).randrange(1, len(GRID))
 
-        checkpoint = CampaignCheckpoint(tmp_path / "ckpt")
-        with pytest.raises(Killed):
-            run_campaign(CONFIG, GRID, processes=1,
-                         checkpoint=checkpoint, on_result=kill_after(n))
-        assert len(checkpoint) == n  # every completed cell was durable
+        store = killed_store(tmp_path / "store", n)
+        assert len(store) == n  # every completed cell was durable
 
-        resumed = resume_campaign(CONFIG, GRID, checkpoint, processes=1)
+        resumed = run_campaign(CONFIG, GRID, processes=1, cache=store)
         assert campaign_digest(resumed) == baseline_digest
         for want, got in zip(baseline, resumed):
             assert got.digest == want.digest
@@ -75,65 +83,57 @@ class TestCrashResumeFuzz:
 
     def test_resume_replays_checkpointed_cells(self, tmp_path):
         n = 5
-        checkpoint = CampaignCheckpoint(tmp_path / "ckpt")
-        with pytest.raises(Killed):
-            run_campaign(CONFIG, GRID, processes=1,
-                         checkpoint=checkpoint, on_result=kill_after(n))
+        store = killed_store(tmp_path / "store", n)
         flags = []
-        resume_campaign(CONFIG, GRID, checkpoint, processes=1,
-                        on_result=lambda cell, replayed: flags.append(replayed))
+        run_campaign(CONFIG, GRID, processes=1, cache=store,
+                     on_result=lambda cell, replayed: flags.append(replayed))
         assert flags[:n] == [True] * n
         assert flags[n:] == [False] * (len(GRID) - n)
 
     def test_resume_after_complete_simulates_nothing(
             self, uninterrupted, tmp_path):
         _, baseline_digest = uninterrupted
-        checkpoint = CampaignCheckpoint(tmp_path / "ckpt")
-        run_campaign(CONFIG, GRID, processes=1, checkpoint=checkpoint)
-        assert len(checkpoint) == len(GRID)
+        store = DirectoryResultStore(tmp_path / "store")
+        run_campaign(CONFIG, GRID, processes=1, cache=store)
+        assert len(store) == len(GRID)
         flags = []
-        again = resume_campaign(CONFIG, GRID, checkpoint, processes=1,
-                                on_result=lambda cell, replayed: flags.append(replayed))
+        again = run_campaign(CONFIG, GRID, processes=1, cache=store,
+                             on_result=lambda cell, replayed: flags.append(replayed))
         assert flags == [True] * len(GRID)
         assert campaign_digest(again) == baseline_digest
 
     def test_pooled_kill_and_resume(self, uninterrupted, tmp_path):
         _, baseline_digest = uninterrupted
-        checkpoint = CampaignCheckpoint(tmp_path / "ckpt")
-        with pytest.raises(Killed):
-            run_campaign(CONFIG, GRID, processes=2,
-                         checkpoint=checkpoint, on_result=kill_after(7))
-        assert len(checkpoint) >= 7
-        resumed = resume_campaign(CONFIG, GRID, checkpoint, processes=2)
+        store = killed_store(tmp_path / "store", 7, processes=2)
+        assert len(store) >= 7
+        resumed = run_campaign(CONFIG, GRID, processes=2, cache=store)
         assert campaign_digest(resumed) == baseline_digest
 
 
 class TestResumeGuards:
-    def test_resume_without_manifest_raises(self, tmp_path):
-        checkpoint = CampaignCheckpoint(tmp_path / "empty")
-        with pytest.raises(ValueError, match="nothing to resume"):
-            resume_campaign(CONFIG, GRID, checkpoint, processes=1)
-
-    def test_checkpoint_rejects_different_campaign(self, tmp_path):
-        checkpoint = CampaignCheckpoint(tmp_path / "ckpt")
-        with pytest.raises(Killed):
-            run_campaign(CONFIG, GRID, processes=1,
-                         checkpoint=checkpoint, on_result=kill_after(3))
-        other = CampaignConfig(n_nodes=8, n_jobs=18, root_seed=8,
-                               load_factor=1.1)
-        with pytest.raises(ValueError, match="different campaign"):
-            resume_campaign(other, GRID, checkpoint, processes=1)
-        with pytest.raises(ValueError, match="different campaign"):
-            resume_campaign(CONFIG, GRID[:-1], checkpoint, processes=1)
+    def test_other_campaigns_replay_only_the_keys_they_share(self, tmp_path):
+        """Another root seed shares no key with the killed run and a
+        shorter grid shares the cells the killed run finished: each
+        replays exactly those and lands on its own cold digest."""
+        store = killed_store(tmp_path / "store", 5)
+        other_seed = dataclasses.replace(CONFIG, root_seed=8)
+        for config, grid, replays in ((other_seed, GRID, 0),
+                                      (CONFIG, GRID[:-1], 5)):
+            stored = set(store.keys())
+            flags = []
+            results = run_campaign(
+                config, grid, processes=1, cache=store,
+                on_result=lambda cell, replayed: flags.append(replayed))
+            assert flags == [scenario_key(config, s) in stored for s in grid]
+            assert flags.count(True) == replays
+            assert campaign_digest(results) == campaign_digest(
+                run_campaign(config, grid, processes=1))
 
     def test_checkpoint_survives_reopen(self, tmp_path):
-        checkpoint = CampaignCheckpoint(tmp_path / "ckpt")
-        with pytest.raises(Killed):
-            run_campaign(CONFIG, GRID, processes=1,
-                         checkpoint=checkpoint, on_result=kill_after(4))
+        killed_store(tmp_path / "store", 4)
         # A fresh process sees the same durable state through a new handle.
-        reopened = CampaignCheckpoint(tmp_path / "ckpt")
-        assert reopened.has_manifest()
+        reopened = DirectoryResultStore(tmp_path / "store")
         assert len(reopened) == 4
-        resumed = resume_campaign(CONFIG, GRID, reopened, processes=1)
+        resumed = run_campaign(CONFIG, GRID, processes=1, cache=reopened)
         assert len(resumed) == len(GRID)
+        assert (reopened.hits, reopened.misses) == (4, len(GRID) - 4)

@@ -6,8 +6,7 @@ Three families:
   oracle) and ``"array"`` (the default).  Any other name, including the
   removed ``"calendar"`` core, is rejected rather than mapped onto one
   of them: by ``ClusterSimulator``, by ``Scenario``, by the config
-  loader (the CLI exits 2), by a store entry that records it and by a
-  checkpoint resume that meets one;
+  loader (the CLI exits 2) and by a store entry that records it;
 * **non-finite and infeasible numbers** — TOML spells ``nan`` and
   ``inf``, and a NaN slips past every ``<=`` range check.  Unchecked, a
   NaN cap or runtime would spin the array core forever, NaN power would
@@ -47,17 +46,12 @@ from repro.runtime import ConfigError, load
 from repro.runtime.cli import main
 from repro.scheduler import (
     SIMULATOR_CORES,
-    CampaignCheckpoint,
-    CampaignConfig,
     ClusterSimulator,
     DirectoryResultStore,
     FifoScheduler,
     Job,
     PowerAwareScheduler,
     Scenario,
-    resume_campaign,
-    run_campaign,
-    scenario_key,
 )
 from repro.scheduler.cache import KEY_VERSION
 from repro.sim import Environment
@@ -73,8 +67,6 @@ _SRC = os.path.join(
 
 #: Both cores, as every core error message lists them.
 _CORES_LISTED = r"\('reference', 'array'\)"
-
-CONFIG = CampaignConfig(n_nodes=6, n_jobs=12, root_seed=3, load_factor=1.1)
 
 _NAN = float("nan")
 
@@ -139,7 +131,7 @@ class TestCoreNames:
                            match=rf"campaign\.core: .*'calendar'.*{_CORES_LISTED}"):
             load(path)
         run = _cli("campaign", path, "--quiet",
-                   "--checkpoint", str(tmp_path / "ckpt"))
+                   "--cache", str(tmp_path / "store"))
         assert run.returncode == 2
         assert "campaign.core" in run.stderr and "'calendar'" in run.stderr
 
@@ -152,18 +144,6 @@ class TestCoreNames:
         with pytest.raises(ValueError, match=rf"core 'calendar'.*{_CORES_LISTED}"):
             store.get("k")
 
-    def test_checkpoint_with_a_calendar_cell_fails_on_resume(self, tmp_path):
-        grid = [Scenario(policy="fifo")]
-        checkpoint = CampaignCheckpoint(tmp_path / "ckpt")
-        run_campaign(CONFIG, grid, processes=1, checkpoint=checkpoint)
-        cell = tmp_path / "ckpt" / "cells" / f"{scenario_key(CONFIG, grid[0])}.json"
-        meta = json.loads(cell.read_text())
-        meta["scenario"]["core"] = "calendar"
-        cell.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=rf"core 'calendar'.*{_CORES_LISTED}"):
-            resume_campaign(CONFIG, grid, CampaignCheckpoint(tmp_path / "ckpt"),
-                            processes=1)
-
 
 class TestNonFiniteAndInfeasibleInputs:
     @needs_tomllib
@@ -175,6 +155,28 @@ class TestNonFiniteAndInfeasibleInputs:
         run = _cli("campaign", path, "--quiet")
         assert run.returncode == 2
         assert "cap_w" in run.stderr
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(cap_w=float("inf")), r"cap_w must be positive and finite, got inf"),
+        (dict(policy="power-aware", budget_w=float("inf")),
+         r"budget_w must be positive and finite, got inf"),
+        (dict(cap_w=-100.0), r"cap_w must be positive and finite, got -100\.0"),
+        (dict(cap_w=_NAN), r"cap_w must be positive and finite, got nan"),
+        (dict(backfill_depth=2.5),
+         r"backfill_depth must be a non-negative integer, got 2\.5"),
+        (dict(backfill_depth=3.0),
+         r"backfill_depth must be a non-negative integer, got 3\.0"),
+        (dict(backfill_depth=True),
+         r"backfill_depth must be a non-negative integer, got True"),
+    ], ids=["cap-inf", "budget-inf", "cap-negative", "cap-nan",
+            "depth-fraction", "depth-float", "depth-bool"])
+    def test_scenario_refuses_what_the_key_and_the_simulator_cannot_take(
+            self, kwargs, match):
+        """An infinite cap cannot be keyed (canonical JSON refuses it), a
+        non-positive one dies in the simulator, and a depth of 2.5, 3.0
+        or True would share the key of depth 2, 3 or 1."""
+        with pytest.raises(ValueError, match=match):
+            Scenario(**{"policy": "easy", **kwargs})
 
     def test_nan_cap_rejected_by_the_simulator(self):
         with pytest.raises(ValueError, match="cap_w=nan"):
@@ -320,6 +322,16 @@ class TestValuesTheRunCannotUseFailAtLoad:
          ConfigError,
          r"exploration\.space\.policy = 'power-aware': power-aware scenarios "
          r"need budget_w or cap_w"),
+        ("exploration", ("exploration",), dict(
+            _CONFIGS["exploration"]["exploration"], base={"cap_w": -100.0},
+            space={"policy": {"type": "categorical", "choices": ["easy", "fifo"]}}),
+         ConfigError,
+         r"exploration\.base\.cap_w = -100\.0: cap_w must be positive and "
+         r"finite, got -100\.0"),
+        ("exploration", ("exploration", "space", "backfill_depth"),
+         {"type": "continuous", "lo": 1.0, "hi": 8.0}, ConfigError,
+         r"exploration\.space\.backfill_depth = 1\.0: backfill_depth must be "
+         r"a non-negative integer, got 1\.0"),
     ], ids=["speed-exponent", "speed-floor-underflow", "workload-seed",
             "campaign-seeds", "live-seed",
             "hysteresis", "actuation-delay", "sensor-noise", "outage-node",
@@ -327,7 +339,7 @@ class TestValuesTheRunCannotUseFailAtLoad:
             "base-nan", "choices-nan", "policy-fairshare",
             "generator-campaign", "generator-live", "generator-exploration",
             "base-out-of-range", "grid-knob-lo-out-of-range",
-            "choice-needs-a-cap"])
+            "choice-needs-a-cap", "base-negative-cap", "continuous-depth"])
     def test_load_names_the_field_and_the_cli_exits_2(
             self, tmp_path, capsys, kind, path, value, error, match):
         data = copy.deepcopy(_CONFIGS[kind])

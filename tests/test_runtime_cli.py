@@ -106,16 +106,6 @@ class TestCampaignCommand:
             scenario_key(plan.config, s) for s in plan.grid]
         assert artifact["campaign_digest"] in capsys.readouterr().out
 
-    def test_checkpoint_flag_records_cells(self, tmp_path):
-        path = _small_campaign(tmp_path)
-        ckpt = tmp_path / "ckpt"
-        assert main(["campaign", path, "--quiet",
-                     "--checkpoint", str(ckpt)]) == 0
-        # a second run replays entirely from the checkpoint
-        from repro.scheduler.cache import CampaignCheckpoint
-
-        assert len(CampaignCheckpoint(ckpt)) == 2
-
     def test_progress_lines_name_each_cell(self, tmp_path, capsys):
         assert main(["campaign", _small_campaign(tmp_path)]) == 0
         captured = capsys.readouterr()
