@@ -39,7 +39,7 @@ from ..faults.drill import DrillConfig, FaultDrill
 from ..hardware.cluster import Cluster
 from ..hardware.node import ComputeNode
 from ..hardware.rack import Rack
-from ..hardware.specs import DAVIDE_SYSTEM, GARRISON_NODE, NodeSpec, SystemSpec
+from ..hardware.specs import DAVIDE_SYSTEM, SystemSpec
 from ..monitoring.daemon import CappingAgent
 from ..monitoring.gateway import EnergyGateway, GatewayConfig
 from ..monitoring.mqtt import MqttBroker, MqttClient
@@ -140,7 +140,6 @@ class ClusterBuilder:
         spec: SystemSpec = DAVIDE_SYSTEM,
     ):
         self._spec = spec
-        self._node_spec: NodeSpec = spec.node
         self._n_nodes = n_nodes
         self.seed = int(seed)
         self.topic_prefix = topic_prefix
@@ -156,23 +155,10 @@ class ClusterBuilder:
         self._sched_kw: dict = {}
         # fault drill overrides
         self._drill_kw: dict = {}
-        # integrated-system config
-        self._system_config: Optional[DavideConfig] = None
         # observability (metrics + tracing); None = disabled (no-op)
         self._obs_kw: Optional[dict] = None
 
     # ------------------------------------------------------------ mutators
-    def with_spec(self, spec: SystemSpec) -> "ClusterBuilder":
-        """Swap the whole-system envelope (racks, node spec, targets)."""
-        self._spec = spec
-        self._node_spec = spec.node
-        return self
-
-    def with_node_spec(self, node_spec: NodeSpec) -> "ClusterBuilder":
-        """Override just the per-node hardware spec."""
-        self._node_spec = node_spec
-        return self
-
     def with_gateways(
         self,
         period_s: float = 0.1,
@@ -229,11 +215,6 @@ class ClusterBuilder:
         self._drill_kw.update(drill_overrides)
         return self
 
-    def with_system_config(self, config: DavideConfig) -> "ClusterBuilder":
-        """Use an explicit :class:`DavideConfig` for :meth:`build_system`."""
-        self._system_config = config
-        return self
-
     def with_observability(
         self, enabled: bool = True, max_spans: int = 65536
     ) -> "ClusterBuilder":
@@ -261,14 +242,14 @@ class ClusterBuilder:
     # ------------------------------------------------------------ terminals
     def build_nodes(self) -> list[ComputeNode]:
         """Bare compute nodes (power/thermal models, no plumbing)."""
-        return [ComputeNode(node_id=i, spec=self._node_spec) for i in range(self.n_nodes)]
+        return [ComputeNode(node_id=i, spec=self._spec.node) for i in range(self.n_nodes)]
 
     def build_rack(self, rack_id: int = 0) -> Rack:
         """One populated rack from the configured specs."""
         return Rack(
             rack_id=rack_id,
             spec=self._spec.rack,
-            node_spec=self._node_spec,
+            node_spec=self._spec.node,
             n_nodes=self._n_nodes,
         )
 
@@ -348,11 +329,8 @@ class ClusterBuilder:
 
     def build_system(self) -> DavideSystem:
         """The integrated Fig.-4 measurement/accounting pipeline."""
-        config = self._system_config
-        if config is None:
-            config = DavideConfig(system=self._spec)
         obs = Observability(**self._obs_kw) if self._obs_kw is not None else None
-        return DavideSystem(config, seed=self.seed, obs=obs)
+        return DavideSystem(DavideConfig(system=self._spec), seed=self.seed, obs=obs)
 
     def build_drill(self, fail_fast: bool = False) -> FaultDrill:
         """A :class:`FaultDrill` sharing the builder's knobs.

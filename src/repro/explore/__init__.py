@@ -6,8 +6,8 @@ run?" into a seeded optimization loop:
 * :class:`DesignSpace` — named, typed knobs (``cap_w``, ``policy``,
   ``backfill_depth``, ``dvfs_floor``, ``fairshare_decay``, ...);
 * :class:`Objective` — QoS metrics → scalar/vector fitness;
-* :class:`ExplorationEnv` — gym-style ``reset()/step()/evaluate()``
-  over content-addressed campaign cells with a shared result store;
+* :class:`ExplorationEnv` — ``compile()/evaluate()`` over
+  content-addressed campaign cells with a shared result store;
 * searchers (``random``, ``grid``, ``evolutionary``), named in
   :data:`~repro.explore.searchers.SEARCHERS`;
 * :func:`explore` — the one-call driver returning an

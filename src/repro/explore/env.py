@@ -1,4 +1,4 @@
-"""The gym-style exploration environment over the campaign runner.
+"""The exploration environment over the campaign runner.
 
 :class:`ExplorationEnv` turns the deterministic campaign machinery into
 an optimization environment: a knob vector compiles into one
@@ -13,7 +13,9 @@ Because every cell is content-addressed, a searcher revisiting a knob
 vector — or a whole search re-run against a warmed store — replays
 byte-identically and performs **zero** simulations; the environment
 counts those hits per step and on the shared observability handle
-(``ops_report()["exploration"]``).
+(``ops_report()["exploration"]``).  :func:`~repro.explore.run.explore`
+is the search driver: it asks a searcher for batches of points and
+evaluates each batch here.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ SCENARIO_KNOBS = tuple(
 
 
 class ExplorationEnv:
-    """reset()/step()/evaluate() over content-addressed campaign cells.
+    """compile()/evaluate() over content-addressed campaign cells.
 
     ``base`` carries the fixed scenario fields every compiled cell
     shares (e.g. ``{"policy": "easy"}`` when policy is not a knob);
@@ -102,7 +104,6 @@ class ExplorationEnv:
         self._m_hits = m.counter("explore_cache_hits_total")
         self._m_batches = m.counter("explore_batches_total")
         self._m_best = m.counter("explore_best_updates_total")
-        self._episode: list[ExplorationStep] = []
 
     # -- compilation ---------------------------------------------------------
     def compile(self, point: Mapping[str, Any]) -> Scenario:
@@ -112,10 +113,6 @@ class ExplorationEnv:
         fields.update(point)
         label = ",".join(f"{k}={point[k]}" for k in sorted(point))
         return Scenario(label=label, **fields)
-
-    def key(self, point: Mapping[str, Any]) -> str:
-        """The content address the cache files this point's result under."""
-        return scenario_key(self.config, self.compile(point))
 
     # -- batch evaluation ----------------------------------------------------
     def evaluate(
@@ -171,50 +168,3 @@ class ExplorationEnv:
             qos=dict(result.qos),
             cache_hit=replayed,
         )
-
-    # -- gym-style episode surface ------------------------------------------
-    def reset(self) -> dict[str, Any]:
-        """Start a fresh episode (the store persists; trajectories don't)."""
-        self._episode = []
-        return self.observation()
-
-    def step(
-        self, point: Mapping[str, Any]
-    ) -> tuple[dict[str, Any], float, dict[str, Any]]:
-        """Evaluate one knob vector: ``(observation, fitness, info)``."""
-        prev_best = self._best_fitness()
-        s = self.evaluate([point], start_index=len(self._episode))[0]
-        self._episode.append(s)
-        if prev_best is None or self.objective.better(s.fitness, prev_best):
-            self._m_best.inc()
-        info = {
-            "key": s.key,
-            "result_digest": s.result_digest,
-            "cache_hit": s.cache_hit,
-            "qos": dict(s.qos),
-            "vector": s.vector,
-        }
-        return self.observation(), s.fitness, info
-
-    def _best_fitness(self) -> Optional[float]:
-        best = None
-        for s in self._episode:
-            if best is None or self.objective.better(s.fitness, best):
-                best = s.fitness
-        return best
-
-    def observation(self) -> dict[str, Any]:
-        """What a searcher may look at between steps."""
-        best = None
-        for s in self._episode:
-            if best is None or self.objective.better(s.fitness, best.fitness):
-                best = s
-        return {
-            "t": len(self._episode),
-            "best_fitness": None if best is None else best.fitness,
-            "best_point": None if best is None else dict(best.point),
-            "last_fitness": (
-                self._episode[-1].fitness if self._episode else None
-            ),
-            "cache_hits": sum(1 for s in self._episode if s.cache_hit),
-        }

@@ -488,8 +488,6 @@ class FaultDrill:
             free_nodes=tuple(sorted(free)),
             running=tuple(run.record for run in self.running.values()),
             total_nodes=self._n_up,
-            system_power_w=self._system_power_w(),
-            power_budget_w=self.cap_w,
         )
         for rec in self.policy.select(list(self.queue), ctx):
             free = self._free_up_nodes()

@@ -163,7 +163,6 @@ def _cell_scenario(cfg: RuntimeConfig, cell: CellSpec, index: int,
             backfill_depth=pick(cell.backfill_depth, pol.backfill_depth),
             dvfs_floor=pick(cell.dvfs_floor, pol.dvfs_floor),
             fairshare_decay=pick(cell.fairshare_decay, pol.fairshare_decay),
-            core=pick(cell.core, cfg.campaign.core),
             label=cell.label,
         )
     except ValueError as exc:

@@ -45,7 +45,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 from ..explore.env import SCENARIO_KNOBS
 from ..explore.searchers import SEARCHERS
 from ..scheduler.campaign import POLICIES, QOS_METRICS, Scenario
-from ..scheduler.simulate import NodeOutage, resolve_core
+from ..scheduler.simulate import NodeOutage
 
 __all__ = [
     "KINDS",
@@ -179,14 +179,6 @@ def _as_scalar(at: str, value: Any) -> Any:
     if isinstance(value, (int, float)):
         return _as_number(at, value)
     raise _bad(at, "a scalar (non-empty string, number or boolean)", value)
-
-
-def _as_core(at: str, value: Any) -> str:
-    name = _as_str(at, value)
-    try:
-        return resolve_core(name)
-    except ValueError as exc:
-        raise ConfigError(f"{at}: {exc}") from None
 
 
 def _range(conv: Conv, ok: Callable[[Any], bool], want: str) -> Conv:
@@ -488,7 +480,7 @@ class CellSpec(_Section):
     """One ``[[campaign.cells]]`` entry — a partial scenario.
 
     Unset knobs (``None``) inherit from ``[policy]`` / ``[cap]`` /
-    ``[[outage]]`` / ``campaign.core`` at build time; there is no
+    ``[[outage]]`` at build time; there is no
     per-cell spelling for "force the inherited knob back off", so leave
     the section default unset when some cells need the knob off.
     """
@@ -502,7 +494,6 @@ class CellSpec(_Section):
     backfill_depth: Optional[int] = _field(None, conv=_as_int)
     dvfs_floor: Optional[float] = _field(None, conv=_as_float)
     fairshare_decay: Optional[float] = _field(None, conv=_as_float)
-    core: Optional[str] = _field(None, conv=_as_core)
     outages: tuple[OutageSpec, ...] = _field(
         (), conv=_array(_section(OutageSpec)))
 
@@ -523,7 +514,6 @@ class CampaignSection(_Section):
         conv=_array(_section(CellSpec), non_empty=True))
     seeds: tuple[int, ...] = _field(
         (0,), conv=_array(_non_negative(_as_int), non_empty=True))
-    core: Optional[str] = _field(None, conv=_as_core)
 
     from_dict = _from_dict("campaign")
 

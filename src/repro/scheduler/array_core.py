@@ -221,7 +221,6 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
     trace_p_l: list[float] = []
     t_append = trace_t_l.append
     p_append = trace_p_l.append
-    last_power = n_nodes * idle_w
 
     power_dirty = True
     cur_system = cur_demand = 0.0
@@ -255,8 +254,6 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
             free_nodes=free_tuple,
             running=running_tuple,
             total_nodes=n_alive,
-            system_power_w=last_power,
-            power_budget_w=cap_w,
         )
 
     view = ReadyView(
@@ -711,7 +708,6 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         if dt > 0:
             t_append(now)
             p_append(cur_system)
-            last_power = cur_system
             total_energy += cur_system * dt
             if cap_w is not None and cur_demand > cap_w:
                 overdemand_s += dt

@@ -5,12 +5,12 @@ The campaign runner already certifies every cell with a SHA-256
 memo table.  Two pieces:
 
 * :func:`scenario_key` — a canonical digest of *what a cell computes*
-  (machine shape, workload stream, policy/predictor spec, cap, core,
+  (machine shape, workload stream, policy/predictor spec, cap,
   outages).  Two specs that would run the identical simulation map to
   the identical key even when they are spelled differently —
   ``budget_w=None`` with a cap vs the budget written out,
-  ``"nameplate"`` vs ``"nameplate:2000.0"``, ``core=None`` vs
-  ``core="array"`` — and cosmetic fields (``label``) are excluded.
+  ``"nameplate"`` vs ``"nameplate:2000.0"`` — and cosmetic fields
+  (``label``) are excluded.
   The derivation is pure data (sorted-key canonical JSON → SHA-256):
   no ``repr``, no ``id()``, no interpreter hash seed, so keys are
   stable across field reordering, processes, and runs.
@@ -125,7 +125,9 @@ def _canonical_scenario(
         "seed_index": int(scenario.seed_index),
         "cap_w": None if cap is None else float(cap),
         "train_fraction": float(scenario.train_fraction),
-        "core": resolve_core(scenario.core),
+        # Every cell runs the array core; the entry stays so that no
+        # stored key or exploration trace digest moves.
+        "core": "array",
         "outages": sorted(
             [float(o.at_s), int(o.node_id), float(o.duration_s)]
             for o in scenario.node_outages
@@ -183,7 +185,7 @@ def scenario_key(config: "CampaignConfig", scenario: "Scenario") -> str:
     :class:`SimulationResult` — the full :class:`CampaignConfig`
     (machine shape, workload stream, root seed) and the canonicalized
     scenario (policy, cap, budget, predictor, train split, outages,
-    core, seed index) — and nothing that does not (labels).  Equal keys
+    seed index) — and nothing that does not (labels).  Equal keys
     ⇒ byte-identical results; the converse direction (distinct specs ⇒
     distinct keys) is property-tested in ``tests/test_cache.py``.
     """
@@ -213,7 +215,6 @@ def _scenario_to_dict(scenario: "Scenario") -> dict[str, Any]:
         "backfill_depth": scenario.backfill_depth,
         "dvfs_floor": scenario.dvfs_floor,
         "fairshare_decay": scenario.fairshare_decay,
-        "core": scenario.core,
         "label": scenario.label,
     }
 
@@ -222,9 +223,11 @@ def _scenario_from_dict(data: dict[str, Any]) -> "Scenario":
     from .campaign import Scenario
 
     fields = dict(data)
-    # Entries written before the ``reference`` flag was folded into ``core``.
-    if fields.pop("reference", False):
-        fields["core"] = "reference"
+    # Entries written while a cell could pick its simulator carry a
+    # ``core`` name (older ones a ``reference`` flag).  The cores are
+    # digest-identical, so any valid name loads as the plain cell.
+    fields.pop("reference", None)
+    resolve_core(fields.pop("core", None))
     fields["node_outages"] = tuple(
         NodeOutage(at_s=o[0], node_id=o[1], duration_s=o[2])
         for o in fields.get("node_outages", [])
@@ -436,8 +439,11 @@ class DirectoryResultStore(ResultStore):
     Writes are crash-safe by ordering: the NPZ payload lands first, the
     JSON marker last, each via write-to-temp + :func:`os.replace` — an
     entry whose JSON exists is complete.  Every load recomputes the
-    payload digest, and a payload that is missing, unreadable or does
-    not match its digest raises a ``ValueError`` naming the entry.
+    payload digest.  A payload that is missing, unreadable or does not
+    match its digest, and a marker that parses but lacks a field or
+    holds a spec :class:`Scenario` refuses, raise a ``ValueError``
+    naming the entry and the damaged file; a marker that does not parse
+    is a miss.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
@@ -493,29 +499,33 @@ class DirectoryResultStore(ResultStore):
             return None
         if meta.get("v") != KEY_VERSION:
             return None
+        try:
+            scenario = _scenario_from_dict(meta["scenario"])
+            qos, digest = dict(meta["qos"]), meta["digest"]
+            has_payload = meta["payload"]
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"corrupt store entry {key[:16]}…: unusable marker {path} ({exc!r})"
+            ) from exc
         result = None
-        if meta["payload"]:
+        if has_payload:
             npz_path = self._npz_path(key)
             try:
                 with np.load(npz_path) as npz:
                     data = {name: npz[name] for name in npz.files}
-            except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+                result = _result_from_arrays(data)
+            except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
+                    zipfile.BadZipFile, zlib.error) as exc:
                 raise ValueError(
                     f"corrupt store entry {key[:16]}…: cannot read its payload "
                     f"{npz_path} ({exc!r})"
                 ) from exc
-            result = _result_from_arrays(data)
-            if result_digest(result) != meta["digest"]:
+            if result_digest(result) != digest:
                 raise ValueError(
                     f"corrupt store entry {key[:16]}…: payload digest does not "
                     f"match its recorded digest ({path})"
                 )
-        return ScenarioResult(
-            scenario=_scenario_from_dict(meta["scenario"]),
-            qos=dict(meta["qos"]),
-            digest=meta["digest"],
-            result=result,
-        )
+        return ScenarioResult(scenario=scenario, qos=qos, digest=digest, result=result)
 
     def keys(self) -> Iterator[str]:
         for path in sorted(self.root.glob("*.json")):

@@ -42,7 +42,7 @@ from .fairshare import EnergyFairShareScheduler
 from .job import Job
 from .policies import EasyBackfillScheduler, FifoScheduler, SchedulingPolicy
 from .power_aware import PowerAwareScheduler, request_based_predictor
-from .simulate import ClusterSimulator, NodeOutage, SimulationResult, resolve_core
+from .simulate import ClusterSimulator, NodeOutage, SimulationResult
 from .workload import WorkloadConfig, WorkloadGenerator
 
 __all__ = [
@@ -94,16 +94,11 @@ class Scenario:
     #: :class:`~repro.scheduler.fairshare.EnergyFairShareScheduler`
     #: (energy-charged priority ordering).  None = no fairshare layer.
     fairshare_decay: Optional[float] = None
-    #: Simulator backend for this cell (None = the simulator default, the
-    #: array core).  Both cores are digest-identical, so this only trades
-    #: speed — pinned by ``tests/test_campaign.py``.
-    core: Optional[str] = None
     label: str = ""
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; pick one of {POLICIES}")
-        resolve_core(self.core)
         if not 0.0 <= self.train_fraction < 1.0:
             raise ValueError("train fraction must lie in [0, 1)")
         for name in ("cap_w", "budget_w"):
@@ -300,8 +295,6 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run one grid cell start-to-finish (also the pool worker body).
 
-    The backend is the simulator default (the array core) unless the
-    scenario pins ``core``.
     ``keep_result=True`` attaches the full :class:`SimulationResult` to
     the returned cell.
     """
@@ -338,7 +331,6 @@ def _simulate(
             else config.min_speed
         ),
         node_outages=scenario.node_outages,
-        core=scenario.core,
     )
     result = sim.run(test)
     return ScenarioResult(

@@ -34,10 +34,6 @@ class SchedulerContext:
     free_nodes: tuple[int, ...]
     running: tuple[JobRecord, ...]
     total_nodes: int
-    #: Current total system power (watts) as the monitoring stack reports it.
-    system_power_w: float = 0.0
-    #: Active system power budget (None = uncapped).
-    power_budget_w: float | None = None
 
 
 class ReadyView:

@@ -374,8 +374,6 @@ class ClusterSimulator:
                 free_nodes=tuple(sorted(free_nodes)),
                 running=tuple(r.record for r in running),
                 total_nodes=self.n_nodes - len(down_nodes),
-                system_power_w=trace_p[-1] if trace_p else self.n_nodes * self.idle_node_power_w,
-                power_budget_w=self.cap_w,
             )
             for rec in self.policy.select(list(queue), ctx):
                 if rec.job.n_nodes > len(free_nodes):

@@ -374,11 +374,10 @@ def random_campaign(seed: int) -> CacheScenario:
 
     Dimensions: machine shape (4–16 nodes, 12–36 jobs, light to
     oversubscribed), 3–8 cells across policy × cap × seed-index ×
-    outage (up to three outages per cell), occasional pinned cores and
-    labels — and, with probability ~1/2 each, one *default-equivalent
-    respelling* of an earlier cell (budget written out vs inherited
-    from the cap, ``core="array"`` vs the default) and one
-    *reordered-outage twin* (the same outage set listed in a different
+    outage (up to three outages per cell) and occasional labels — and,
+    with probability ~1/2 each, one *default-equivalent respelling* of
+    an earlier cell (budget written out vs inherited from the cap) and
+    one *reordered-outage twin* (the same outage set listed in a different
     order) so within-grid dedup is exercised under content addressing:
     both twins must replay their donor's cell, and their independent
     cold simulations must be byte-identical to it.
@@ -413,7 +412,6 @@ def random_campaign(seed: int) -> CacheScenario:
             cap_w=cap_w,
             seed_index=rng.randrange(3),
             node_outages=outages,
-            core=rng.choice((None, None, *SIMULATOR_CORES)),
             label=f"cell{i}" if rng.random() < 0.5 else "",
         ))
     if rng.random() < 0.5:
@@ -423,7 +421,6 @@ def random_campaign(seed: int) -> CacheScenario:
             donor,
             budget_w=(donor.cap_w if donor.policy == "power-aware"
                       and donor.budget_w is None else donor.budget_w),
-            core=donor.core if donor.core is not None else "array",
             label="respelled",
         ))
     multi_outage = [s for s in grid if len(s.node_outages) >= 2]

@@ -11,13 +11,14 @@ Three families of properties pin it:
    randomized 200-cell grid yields 200 distinct keys.
 3. **Stores** — both backends round-trip ``ScenarioResult``\\ s exactly
    (the on-disk backend field-by-field through JSON+NPZ), account
-   hits/misses, refuse corruption (a tampered, truncated or missing
-   payload names the entry), never downgrade a payload-carrying entry,
+   hits/misses, refuse corruption (a tampered, truncated, missing or
+   damaged payload, and a damaged marker, name the entry), never downgrade a payload-carrying entry,
    and serve only misses or complete cells while four processes write
    the same keys.
 """
 
 import dataclasses
+import json
 import multiprocessing
 import os
 import subprocess
@@ -58,7 +59,6 @@ class ReorderedScenario:
     """
 
     label: str = ""
-    core: Optional[str] = None
     fairshare_decay: Optional[float] = None
     dvfs_floor: Optional[float] = None
     backfill_depth: Optional[int] = None
@@ -69,6 +69,23 @@ class ReorderedScenario:
     seed_index: int = 0
     cap_w: Optional[float] = None
     policy: str = "fifo"
+
+
+#: The simulator annotations a stored spec written before cells lost
+#: their ``core`` field carries: ``core`` (``None`` when unset) and, in
+#: entries older still, a ``reference`` flag beside it (``flag=None``
+#: leaves that key out).
+OLD_CORE_ANNOTATIONS = pytest.mark.parametrize("flag, core", [
+    (None, None), (None, "array"), (None, "reference"),
+    (True, None), (False, "reference"),
+])
+
+
+def _annotated(spec: dict, flag, core) -> dict:
+    spec = {**spec, "core": core}
+    if flag is not None:
+        spec["reference"] = flag
+    return spec
 
 
 class TestKeyStability:
@@ -99,16 +116,16 @@ class TestKeyStability:
                      predictor="ridge:1.0", train_fraction=0.4)
         assert scenario_key(CONFIG, a) == scenario_key(CONFIG, b)
 
-    def test_core_spellings_collapse(self):
-        default = Scenario(policy="fifo")
-        explicit = Scenario(policy="fifo", core="array")
-        assert scenario_key(CONFIG, default) == scenario_key(CONFIG, explicit)
-        # Stored specs written while Scenario had a ``reference`` flag
-        # read back onto ``core``.
+    @OLD_CORE_ANNOTATIONS
+    def test_core_spellings_collapse(self, flag, core):
+        """Every cell runs the array core, and the cores are
+        digest-identical, so a stored spec that names one reads back as
+        the plain cell under the plain cell's key."""
+        plain = Scenario(policy="fifo")
         stored = _scenario_from_dict(
-            {**_scenario_to_dict(default), "reference": True})
-        assert scenario_key(CONFIG, stored) == scenario_key(
-            CONFIG, Scenario(policy="fifo", core="reference"))
+            _annotated(_scenario_to_dict(plain), flag, core))
+        assert stored == plain
+        assert scenario_key(CONFIG, stored) == scenario_key(CONFIG, plain)
 
     def test_label_is_cosmetic(self):
         a = Scenario(policy="easy", cap_w=CAP, label="")
@@ -218,14 +235,12 @@ class TestPinnedKeys:
     @pytest.mark.parametrize("scenario, key", [
         (Scenario(policy="fifo"),
          "6fb0615545e66efc1644895fa9435d74407a5ebe9035585cf8e5bf1857752745"),
-        (Scenario(policy="fifo", core="reference"),
-         "5d245c7fe876d209da73b9eca16d32b96462ef7974f9aa8c635ce6dcd5a98fe8"),
         (Scenario(policy="easy", cap_w=CAP, node_outages=(
             NodeOutage(at_s=50.0, node_id=3, duration_s=200.0),)),
          "fb17140e822788d6a157dd61122978c6c8499ebcea989b1bf7e45f043e160afe"),
         (Scenario(policy="power-aware", cap_w=CAP, predictor="nameplate:1500"),
          "2e6a0ab482b030dd84eada5400b64a3259363cf13da0c1229e3004c238ba276f"),
-    ], ids=["fifo", "fifo-reference-core", "easy-outage",
+    ], ids=["fifo", "easy-outage",
             "power-aware-nameplate"])
     def test_key_is_pinned(self, scenario, key):
         assert scenario_key(CONFIG, scenario) == key
@@ -241,7 +256,7 @@ class TestKeyDistinctness:
         dict(predictor="nameplate"),
         dict(predictor="ridge", train_fraction=0.4),
         dict(train_fraction=0.1),
-        dict(core="reference"),
+        dict(predictor="nameplate:1500"),
         dict(node_outages=(NodeOutage(at_s=10.0, node_id=0, duration_s=60.0),)),
         dict(backfill_depth=4),
         dict(backfill_depth=5),
@@ -326,6 +341,18 @@ def _hammer_writer(root: str) -> None:
             if i % 3 == 2:
                 cell = dataclasses.replace(cell, result=None)
             store.put(scenario_key(CONFIG, cell.scenario), cell)
+
+
+def _set_zip_fields(raw: bytes, offsets: dict, value: int) -> bytes:
+    """Write ``value`` into the 2-byte field at ``offsets[signature]``
+    after every zip header that starts with ``signature``."""
+    out = bytearray(raw)
+    for signature, offset in offsets.items():
+        at = raw.find(signature)
+        while at != -1:
+            out[at + offset:at + offset + 2] = value.to_bytes(2, "little")
+            at = raw.find(signature, at + 1)
+    return bytes(out)
 
 
 @pytest.fixture(params=["memory", "disk"])
@@ -462,16 +489,22 @@ class TestDirectoryStore:
         with pytest.raises(ValueError, match="corrupt store entry"):
             store.get(key)
 
+    @staticmethod
+    def _stored_fifo(tmp_path):
+        """A store holding the FIFO cell with its payload, and its key."""
+        store = DirectoryResultStore(tmp_path / "store")
+        cell = run_scenario(CONFIG, Scenario(policy="fifo"), keep_result=True)
+        key = scenario_key(CONFIG, cell.scenario)
+        store.put(key, cell)
+        return store, key
+
     @pytest.mark.parametrize("cut", [0, 10, "half", -5, "delete"])
     def test_missing_or_truncated_payload_is_a_named_corrupt_entry(
             self, tmp_path, cut):
         """The JSON marker is intact but its NPZ sidecar is gone or cut
         short: the load names the entry and the sidecar's path instead
         of leaking ``EOFError``, ``BadZipFile`` or ``FileNotFoundError``."""
-        store = DirectoryResultStore(tmp_path / "store")
-        cell = run_scenario(CONFIG, Scenario(policy="fifo"), keep_result=True)
-        key = scenario_key(CONFIG, cell.scenario)
-        store.put(key, cell)
+        store, key = self._stored_fifo(tmp_path)
         npz = tmp_path / "store" / f"{key}.npz"
         if cut == "delete":
             npz.unlink()
@@ -482,29 +515,66 @@ class TestDirectoryStore:
                            match=rf"corrupt store entry {key[:16]}.*{npz.name}"):
             store.get(key)
 
+    @pytest.mark.parametrize("damage", [
+        lambda raw: raw.replace(b"rec_nodes_flat.npy", b"rec_nodes_flaX.npy"),
+        lambda raw: _set_zip_fields(raw, {b"PK\x01\x02": 6}, 255),
+        lambda raw: _set_zip_fields(raw, {b"PK\x03\x04": 8, b"PK\x01\x02": 10}, 99),
+    ], ids=["renamed-member", "version-needed", "compression-method"])
+    def test_damaged_payload_headers_are_a_named_corrupt_entry(
+            self, tmp_path, damage):
+        """Zip headers the member CRCs do not cover: a renamed member
+        (``KeyError``), a "version needed" of 25.5 or an unknown
+        compression method (``NotImplementedError``) name the entry and
+        the sidecar's path."""
+        store, key = self._stored_fifo(tmp_path)
+        npz = tmp_path / "store" / f"{key}.npz"
+        raw = npz.read_bytes()
+        npz.write_bytes(damage(raw))
+        assert npz.read_bytes() != raw
+        with pytest.raises(ValueError,
+                           match=rf"corrupt store entry {key[:16]}.*{npz.name}"):
+            store.get(key)
+
+    @pytest.mark.parametrize("damage", [
+        lambda meta: meta.pop("digest"),
+        lambda meta: meta["scenario"].update(policx=meta["scenario"].pop("policy")),
+        lambda meta: meta["scenario"].update(policy="dasy"),
+    ], ids=["no-digest", "renamed-policy", "unknown-policy"])
+    def test_damaged_marker_is_a_named_corrupt_entry(self, tmp_path, damage):
+        """A marker that parses but lacks a field, or holds a spec
+        ``Scenario`` refuses, names the entry and the marker's path
+        instead of leaking ``KeyError``, ``TypeError`` or a bare
+        ``ValueError``."""
+        store, key = self._stored_fifo(tmp_path)
+        path = tmp_path / "store" / f"{key}.json"
+        meta = json.loads(path.read_text())
+        damage(meta)
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError,
+                           match=rf"corrupt store entry {key[:16]}.*{path.name}"):
+            store.get(key)
+
     def test_unreadable_json_is_a_miss(self, tmp_path):
         store = DirectoryResultStore(tmp_path / "store")
         (tmp_path / "store" / "deadbeef.json").write_text("{not json")
         assert store.get("deadbeef") is None
 
-    @pytest.mark.parametrize("flag, core", [(True, None), (False, "reference")])
+    @OLD_CORE_ANNOTATIONS
     def test_entry_with_reference_flag_loads_and_hits(self, tmp_path, flag, core):
-        """Entries written while Scenario had a ``reference`` flag carry
-        ``"reference": true|false`` in their JSON.  They load with the
-        flag folded onto ``core`` and a re-run replays them."""
-        import json
-
-        scenario = Scenario(policy="easy", cap_w=CAP, core="reference")
+        """Entries written while a cell could name its simulator core
+        carry ``"core"`` (and, older still, ``"reference"``) in their
+        JSON.  They load as the plain cell and a re-run replays them."""
+        scenario = Scenario(policy="easy", cap_w=CAP)
         cold = run_campaign(CONFIG, [scenario], processes=1,
                             cache=DirectoryResultStore(tmp_path / "store"))
         key = scenario_key(CONFIG, scenario)
         path = tmp_path / "store" / f"{key}.json"
         meta = json.loads(path.read_text())
-        meta["scenario"].update(reference=flag, core=core)
+        meta["scenario"] = _annotated(meta["scenario"], flag, core)
         path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")))
 
         store = DirectoryResultStore(tmp_path / "store")
-        assert store.get(key).scenario.core == "reference"
+        assert store.get(key).scenario == scenario
         warm = run_campaign(CONFIG, [scenario], processes=1, cache=store)
         assert (store.hits, store.misses) == (2, 0)
         assert campaign_digest(warm) == campaign_digest(cold)

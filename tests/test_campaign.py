@@ -7,7 +7,7 @@ merge in submission order, and the campaign digest is the single string
 that certifies all of it.
 """
 
-import dataclasses
+import functools
 import pickle
 
 import numpy as np
@@ -83,18 +83,17 @@ class TestDeterminism:
 
 
 #: Cells on two shared seeds, each exercising a different reader of the
-#: stream: the ridge training split, outages, the fair-share wrapper and
-#: the reference core.
+#: stream: the ridge training split, outages and the fair-share wrapper.
 MIXED_GRID = [
     Scenario(policy="power-aware", cap_w=20e3, predictor="ridge",
              train_fraction=0.4, seed_index=0),
     Scenario(policy="easy", cap_w=18e3, seed_index=1,
              node_outages=(NodeOutage(at_s=5000.0, node_id=1, duration_s=2000.0),)),
     Scenario(policy="easy", seed_index=0, fairshare_decay=3600.0),
-    Scenario(policy="fifo", cap_w=20e3, seed_index=1, core="reference"),
+    Scenario(policy="fifo", cap_w=20e3, seed_index=1),
     Scenario(policy="power-aware", cap_w=20e3, predictor="ridge", train_fraction=0.3,
-             seed_index=1, fairshare_decay=1800.0, core="reference"),
-    Scenario(policy="easy", cap_w=20e3, seed_index=0, core="reference",
+             seed_index=1, fairshare_decay=1800.0),
+    Scenario(policy="easy", cap_w=20e3, seed_index=0,
              node_outages=(NodeOutage(at_s=100.0, node_id=0, duration_s=9000.0),)),
 ]
 
@@ -149,34 +148,17 @@ class TestStreamSharing:
 
 
 class TestScenarioSemantics:
-    def test_reference_core_same_digest(self):
-        """All simulator cores produce the same campaign digest — the
-        equivalence contract, certified through the digest path."""
-        fast = run_scenario(CONFIG, Scenario(policy="easy", cap_w=20e3))
-        ref = run_scenario(
-            CONFIG, Scenario(policy="easy", cap_w=20e3, core="reference"))
-        assert fast.digest == ref.digest
-        assert fast.qos == ref.qos
-
-    def test_every_grid_cell_is_core_invariant(self):
-        """The campaign default (array core) matches an explicit
-        reference-core run at *every* cell of the grid, digests and QoS
-        alike — pool results stay comparable across core choices."""
-        default = run_campaign(CONFIG, GRID, processes=1)
-        reference = run_campaign(
-            CONFIG,
-            [dataclasses.replace(s, core="reference") for s in GRID],
-            processes=1,
-        )
-        for a, b in zip(default, reference):
-            assert a.digest == b.digest
-            assert a.qos == b.qos
-
-    def test_pool_size_invariant_on_explicit_array_core(self):
-        grid = [dataclasses.replace(s, core="array") for s in GRID[:4]]
-        serial = run_campaign(CONFIG, grid, processes=1)
-        pooled = run_campaign(CONFIG, grid, processes=3)
-        assert campaign_digest(serial) == campaign_digest(pooled)
+    def test_every_grid_cell_is_core_invariant(self, monkeypatch):
+        """Every cell runs the array core; the reference core, swapped
+        in under the campaign runner, gives the same digest and QoS at
+        *every* cell, the ridge split, outages and fair-share included."""
+        grid = GRID + MIXED_GRID
+        array = run_campaign(CONFIG, grid, processes=1)
+        monkeypatch.setattr(campaign_module, "ClusterSimulator",
+                            functools.partial(ClusterSimulator, core="reference"))
+        reference = run_campaign(CONFIG, grid, processes=1)
+        assert [r.digest for r in reference] == [r.digest for r in array]
+        assert [r.qos for r in reference] == [r.qos for r in array]
 
     def test_result_digest_detects_changes(self):
         jobs = scenario_workload(CONFIG, Scenario(policy="fifo"))
@@ -249,10 +231,6 @@ class TestValidation:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):
             Scenario(policy="sjf")
-
-    def test_unknown_core_rejected(self):
-        with pytest.raises(ValueError, match="unknown core"):
-            Scenario(policy="fifo", core="gpu")
 
     def test_unknown_predictor_rejected(self):
         with pytest.raises(ValueError, match="unknown predictor"):

@@ -20,7 +20,6 @@ from repro.scheduler import (
     Scenario,
     campaign_digest,
     run_campaign,
-    scenario_key,
 )
 from repro.scheduler import campaign as campaign_module
 from tests.diff_harness import assert_cache_equivalent
@@ -114,18 +113,6 @@ class TestHitAccounting:
         assert store.misses == len(GRID_A)
         run_campaign(CONFIG, GRID_A, processes=1, cache=store)
         assert store.hits == len(GRID_A)
-
-    def test_distinct_cores_key_separately(self, store, count_runs):
-        """core is part of the key: pinning a different backend is a
-        distinct computation (cores are digest-identical, but the cache
-        never assumes a theorem it can re-derive per entry)."""
-        array = Scenario(policy="easy", cap_w=CAP, core="array")
-        reference = Scenario(policy="easy", cap_w=CAP, core="reference")
-        assert scenario_key(CONFIG, array) != scenario_key(CONFIG, reference)
-        a = run_campaign(CONFIG, [array], processes=1, cache=store)
-        b = run_campaign(CONFIG, [reference], processes=1, cache=store)
-        assert len(count_runs) == 2
-        assert a[0].digest == b[0].digest  # ...and the theorem still holds
 
 
 class TestKeepResultsInteraction:

@@ -35,7 +35,6 @@ from repro.scheduler import (
     CampaignConfig,
     MemoryResultStore,
     make_searcher,
-    scenario_key,
 )
 
 CONFIG = CampaignConfig(n_nodes=8, n_jobs=20, root_seed=11, load_factor=1.1)
@@ -168,9 +167,6 @@ class TestExplorationEnv:
             {"cap_w": 9e3, "backfill_depth": 4, "policy": "power-aware"})
         assert cell.policy == "power-aware"
         assert cell.cap_w == 9e3 and cell.backfill_depth == 4
-        assert env.key(
-            {"cap_w": 9e3, "backfill_depth": 4, "policy": "power-aware"}
-        ) == scenario_key(CONFIG, cell)
 
     def test_policy_must_come_from_somewhere(self):
         space = DesignSpace({"cap_w": Continuous(8e3, 14e3)})
@@ -197,18 +193,6 @@ class TestExplorationEnv:
         assert steps[1].cache_hit is True
         assert steps[0].result_digest == steps[1].result_digest
         assert steps[0].fitness == steps[1].fitness
-
-    def test_step_returns_observation_fitness_info(self):
-        env = ExplorationEnv(small_space(), small_objective(), CONFIG)
-        env.reset()
-        p = {"cap_w": 9e3, "backfill_depth": 4, "policy": "easy"}
-        obs, fitness, info = env.step(p)
-        assert obs["t"] == 1 and obs["best_fitness"] == fitness
-        assert info["key"] == env.key(p)
-        assert set(info) >= {"result_digest", "cache_hit", "qos", "vector"}
-        # revisiting the same point replays from the store
-        _, fitness2, info2 = env.step(p)
-        assert fitness2 == fitness and info2["cache_hit"] is True
 
     def test_counters_land_in_ops_report(self):
         obs = Observability()

@@ -5,8 +5,9 @@ Three families:
 * **core names** — the simulator has two cores, ``"reference"`` (the
   oracle) and ``"array"`` (the default).  Any other name, including the
   removed ``"calendar"`` core, is rejected rather than mapped onto one
-  of them: by ``ClusterSimulator``, by ``Scenario``, by the config
-  loader (the CLI exits 2) and by a store entry that records it;
+  of them: by ``ClusterSimulator`` and by a store entry that records
+  it.  Campaign cells always run the array core, so a config that
+  names a core fails as an unknown key (the CLI exits 2);
 * **non-finite and infeasible numbers** — TOML spells ``nan`` and
   ``inf``, and a NaN slips past every ``<=`` range check.  Unchecked, a
   NaN cap or runtime would spin the array core forever, NaN power would
@@ -120,20 +121,16 @@ class TestCoreNames:
         with pytest.raises(ValueError, match=rf"core 'calendar'.*{_CORES_LISTED}"):
             ClusterSimulator(4, FifoScheduler(), core="calendar")
 
-    def test_scenario_rejects_calendar(self):
-        with pytest.raises(ValueError, match=rf"core 'calendar'.*{_CORES_LISTED}"):
-            Scenario(policy="easy", core="calendar")
-
     @needs_tomllib
-    def test_config_rejects_calendar_and_the_cli_exits_2(self, tmp_path):
-        path = _toml(tmp_path, 'core = "calendar"\n\n[[campaign.cells]]\nlabel = "a"\n')
-        with pytest.raises(ConfigError,
-                           match=rf"campaign\.core: .*'calendar'.*{_CORES_LISTED}"):
+    def test_config_naming_a_core_fails_and_the_cli_exits_2(
+            self, tmp_path):
+        path = _toml(tmp_path, 'core = "array"\n\n[[campaign.cells]]\nlabel = "a"\n')
+        with pytest.raises(TypeError, match=r"campaign\(\) .* argument 'core'"):
             load(path)
         run = _cli("campaign", path, "--quiet",
                    "--cache", str(tmp_path / "store"))
         assert run.returncode == 2
-        assert "campaign.core" in run.stderr and "'calendar'" in run.stderr
+        assert "unexpected keyword argument 'core'" in run.stderr
 
     def test_store_entry_recording_calendar_is_rejected(self, tmp_path):
         store = DirectoryResultStore(tmp_path / "store")

@@ -118,7 +118,7 @@ _CANONICAL = {
     "NtpClient": dict(period_s=32.0),
     "PtpSlave": dict(period_s=2.0),
     "explore": dict(searcher="random", budget=2, seed=0),
-    "Scenario": dict(core="reference"),
+    "Scenario": dict(cap_w=20_000.0),
 }
 
 #: Every older spelling that was removed, with the callable that took it.
@@ -131,7 +131,7 @@ _REMOVED_SPELLINGS = [
     ("PowerAwareScheduler", "power_budget_w"),
     ("NtpClient", "poll_interval_s"), ("PtpSlave", "sync_interval_s"),
     ("explore", "n_steps"), ("explore", "rng_seed"),
-    ("Scenario", "reference"),
+    ("Scenario", "reference"), ("Scenario", "core"),
 ]
 
 

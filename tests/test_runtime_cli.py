@@ -54,7 +54,6 @@ def _small_campaign(tmp_path):
                 {"label": "easy"},
                 {"label": "easy capped", "cap_w": 7000.0},
             ],
-            "core": "array",
         },
         "policy": {"name": "easy"},
     })

@@ -38,7 +38,6 @@ BASES = {
         "outage": [{"at_s": 10.0, "node_id": 1, "duration_s": 5.0}],
         "campaign": {
             "seeds": [0, 1],
-            "core": "array",
             "cells": [
                 {"label": "a"},
                 {"label": "b", "policy": "power-aware", "budget_w": 3000.0,

@@ -176,7 +176,7 @@ class TestPowerAwareScheduler:
         policy = PowerAwareScheduler(10e3, predictor=oracle_predictor, idle_node_power_w=300.0,
                                      headroom_margin=0.0)
         ctx = SchedulerContext(now_s=0.0, free_nodes=(0, 1, 2, 3), running=(),
-                               total_nodes=4, system_power_w=1200.0)
+                               total_nodes=4)
         assert policy.power_headroom_w(ctx) == pytest.approx(10e3 - 4 * 300.0)
 
 
