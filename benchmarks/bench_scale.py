@@ -7,7 +7,9 @@ the kernel) and power-capped scheduling — across node counts, and
 records for each run:
 
 * wall-clock seconds and simulated seconds (→ sim-seconds per
-  wall-second, the headline throughput number);
+  wall-second, the headline throughput number); the drill runs
+  :data:`REPEATS` times per telemetry mode, per-sample and batched
+  alternating, and each mode records its median;
 * kernel events scheduled (→ events/s);
 * peak RSS (``ru_maxrss``; cumulative high-water mark for the process,
   recorded after each run);
@@ -24,7 +26,10 @@ Run:  python benchmarks/bench_scale.py [--nodes 16,64,256,1024]
 
 Writes ``BENCH_scale.json`` next to the repo root by default and prints
 a summary table, including the batched-vs-per-sample speedup at each
-node count.
+node count: the median over the repetitions of batched over per-sample
+throughput, each ratio taken from one adjacent pair of runs, so a change
+of host speed between pairs cancels out.  ``--check-against`` gates that
+median ratio.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import resource
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -46,6 +52,10 @@ from repro.scheduler import EasyBackfillScheduler, WorkloadConfig, WorkloadGener
 import numpy as np  # noqa: E402
 
 SEED = 2026
+#: Drill repetitions per telemetry mode and node count.  One run per
+#: mode made the gated ratio swing by about as much as its tolerance;
+#: the median of this many adjacent pairs does not.
+REPEATS = 31
 #: Per-node budget share: enough headroom over the 300 W idle floor that
 #: the drill exercises capping without pinning every node at min trim.
 BUDGET_PER_NODE_W = 875.0
@@ -138,6 +148,37 @@ def run_scheduling(n_nodes: int) -> dict:
     }
 
 
+def drill_pairs(n_nodes: int) -> tuple[dict, dict, list[float], bool]:
+    """:data:`REPEATS` alternating per-sample/batched drill runs.
+
+    Returns each mode's record with median timings, the batched over
+    per-sample throughput ratio of every pair, and whether every run of
+    both modes produced the same log digest.
+    """
+    runs: dict[bool, list[dict]] = {False: [], True: []}
+    ratios: list[float] = []
+    for _ in range(REPEATS):
+        per = run_drill(n_nodes, batched=False)
+        bat = run_drill(n_nodes, batched=True)
+        runs[False].append(per)
+        runs[True].append(bat)
+        ratios.append(bat["sim_s_per_wall_s"] / per["sim_s_per_wall_s"])
+    digests = {run["log_digest"] for mode in runs.values() for run in mode}
+    return _median_record(runs[False]), _median_record(runs[True]), ratios, len(digests) == 1
+
+
+def _median_record(runs: list[dict]) -> dict:
+    """The last run's record (its RSS is the high-water mark of them
+    all) with its timings replaced by the medians."""
+    wall_s = statistics.median(run["wall_s"] for run in runs)
+    record = dict(runs[-1], repeats=len(runs), wall_s=round(wall_s, 4))
+    record["sim_s_per_wall_s"] = round(
+        statistics.median(run["sim_s_per_wall_s"] for run in runs), 2)
+    record["events_per_s"] = round(record["events"] / wall_s, 1)
+    record["violations"] = max(run["violations"] for run in runs)
+    return record
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", default="16,64,256,1024",
@@ -148,24 +189,27 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--skip-scheduling", action="store_true",
                         help="only run the fault-drill sweep")
     _gate.add_arguments(parser, tolerance=0.20,
-                        checks="the batched speedup (ratio-of-ratios, so "
-                               "runner speed cancels out)")
+                        checks="the median batched speedup (ratio-of-ratios, "
+                               "so runner speed cancels out)")
     args = parser.parse_args(argv)
     node_counts = [int(n) for n in args.nodes.split(",") if n]
 
     runs: list[dict] = []
     speedups: dict[str, float] = {}
+    pair_speedups: dict[str, list[float]] = {}
     digests_equal: dict[str, bool] = {}
     for n in node_counts:
-        per = run_drill(n, batched=False)
-        bat = run_drill(n, batched=True)
+        per, bat, ratios, equal = drill_pairs(n)
         runs += [per, bat]
-        speedup = bat["sim_s_per_wall_s"] / per["sim_s_per_wall_s"]
+        speedup = statistics.median(ratios)
         speedups[str(n)] = round(speedup, 2)
-        digests_equal[str(n)] = per["log_digest"] == bat["log_digest"]
+        pair_speedups[str(n)] = [round(r, 2) for r in ratios]
+        digests_equal[str(n)] = equal
         print(f"drill n={n:5d}: per-sample {per['sim_s_per_wall_s']:8.1f} sim-s/s, "
-              f"batched {bat['sim_s_per_wall_s']:8.1f} sim-s/s -> {speedup:5.2f}x "
-              f"(digests {'EQUAL' if digests_equal[str(n)] else 'DIFFER'})")
+              f"batched {bat['sim_s_per_wall_s']:8.1f} sim-s/s (medians of "
+              f"{REPEATS}) -> {speedup:5.2f}x median of pairs "
+              f"{min(ratios):.2f}-{max(ratios):.2f}x "
+              f"(digests {'EQUAL' if equal else 'DIFFER'})")
         if not args.skip_scheduling:
             sched = run_scheduling(n)
             runs.append(sched)
@@ -174,9 +218,11 @@ def main(argv: list[str] | None = None) -> int:
 
     report = {
         "seed": SEED,
+        "repeats": REPEATS,
         "node_counts": node_counts,
         "runs": runs,
         "batched_speedup_by_nodes": speedups,
+        "pair_speedups_by_nodes": pair_speedups,
         "digests_equal_by_nodes": digests_equal,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

@@ -126,8 +126,9 @@ class DavideSystem:
         A representative window of the job's (constant-model) node power
         goes through sensor -> ADC -> decimation -> MQTT -> TSDB; the
         returned figure is what the monitoring stack *reports*, including
-        its measurement error — this is what accounting and the predictor
-        training actually see, never the hidden ground truth.
+        its measurement error — the level the TSDB node series, and so
+        the energy accounting, are built from.  The predictor does not
+        train on it (see :meth:`run_campaign`).
         """
         if record.start_time_s is None:
             raise ValueError("job has not started")
@@ -195,9 +196,12 @@ class DavideSystem:
 
         Phase 1 (history): the first ``train_fraction`` of the stream runs
         under plain EASY backfill while the monitoring stack records it.
-        Phase 2 (production): the predictor trained on the measured
-        history drives the proactive power-capped dispatcher over the
-        rest, with the reactive capper as a backstop if requested.
+        Phase 2 (production): a predictor trained on the history jobs
+        drives the proactive power-capped dispatcher over the rest, with
+        the reactive capper as a backstop if requested.  Its regression
+        target is each history job's true per-node power
+        (``FeatureEncoder.target``), not the monitored figure that
+        :meth:`measure_job_power_w` lands in the TSDB.
         """
         if len(jobs) < 8:
             raise ValueError("campaign needs at least 8 jobs")
@@ -224,7 +228,9 @@ class DavideSystem:
         self._land_node_series(history_result)
         bills = tuple(self.accountant.bill(r) for r in history_result.records)
         statements = self.accountant.statements(list(history_result.records))
-        # Phase 2: train the predictor on the *monitored* history.
+        # Phase 2: train the predictor on the history jobs' true
+        # per-node power (the target FeatureEncoder reads), not on the
+        # monitored measurements landed above.
         factory = {
             "ridge": JobPowerModel.fit_ridge,
             "knn": JobPowerModel.fit_knn,

@@ -66,6 +66,18 @@ from .invariants import (
 
 __all__ = ["DrillConfig", "DrillReport", "FaultDrill"]
 
+#: Per-node dynamic draw range of generated jobs (added to idle), in W.
+JOB_DYNAMIC_W = (500.0, 1400.0)
+#: Cap-overage tolerance window in control periods: the controller needs
+#: a couple of periods to observe and trim a new overdemand.
+SETTLING_PERIODS = 3
+#: Fail-safe trim target as a fraction of the cap (flying blind).
+FAILSAFE_FRACTION = 0.6
+#: The deepest trim the controller applies to a job's dynamic draw.
+MIN_TRIM_RHO = 0.2
+#: Cadence of the invariant audit between faults, in simulated seconds.
+CHECK_PERIOD_S = 5.0
+
 
 @dataclass(frozen=True)
 class DrillConfig:
@@ -75,8 +87,6 @@ class DrillConfig:
     n_jobs: int = 24
     seed: int = 0
     idle_node_power_w: float = 300.0
-    #: Per-node dynamic draw range for generated jobs (added to idle).
-    job_dynamic_w: tuple[float, float] = (500.0, 1400.0)
     job_runtime_s: tuple[float, float] = (20.0, 80.0)
     job_nodes_max: int = 4
     submit_horizon_s: float = 120.0
@@ -84,15 +94,8 @@ class DrillConfig:
     gateway_period_s: float = 1.0
     sensor_noise_w: float = 2.0
     control_period_s: float = 2.0
-    #: Overage tolerance window: the controller needs a couple of
-    #: control periods to observe and trim a new overdemand.
-    settling_periods: int = 3
     stale_after_s: float = 4.0
     failsafe_after_s: float = 10.0
-    #: Fail-safe trim target as a fraction of the cap (flying blind).
-    failsafe_fraction: float = 0.6
-    min_trim_rho: float = 0.2
-    check_period_s: float = 5.0
     #: Rack shelf: sized so one PSU loss still covers the budget minus
     #: margin, two losses force the controller to retarget the cap.
     shelf_psu_rating_w: float = 3_000.0
@@ -120,7 +123,7 @@ class DrillConfig:
     @property
     def settling_s(self) -> float:
         """Cap-overage allowance for the invariant checker."""
-        return self.settling_periods * self.control_period_s
+        return SETTLING_PERIODS * self.control_period_s
 
 
 @dataclass
@@ -304,7 +307,7 @@ class FaultDrill:
         jobs = []
         for jid in range(cfg.n_jobs):
             n = rng.randint(1, cfg.job_nodes_max)
-            dyn = rng.uniform(*cfg.job_dynamic_w)
+            dyn = rng.uniform(*JOB_DYNAMIC_W)
             runtime = rng.uniform(*cfg.job_runtime_s)
             jobs.append(Job(
                 job_id=jid,
@@ -633,7 +636,7 @@ class FaultDrill:
 
     # -------------------------------------------------------------- capping
     def _apply_trim(self, rho: float) -> None:
-        rho = max(min(rho, 1.0), self.config.min_trim_rho)
+        rho = max(min(rho, 1.0), MIN_TRIM_RHO)
         if abs(rho - self.rho) < 1e-9 and all(
             abs(run.rho - rho) < 1e-9 for run in self.running.values()
         ):
@@ -664,7 +667,7 @@ class FaultDrill:
                     self.log.append(now, "failsafe_on", reason="all sensors silent")
                 if nominal_dyn > 0:
                     self._apply_trim(
-                        (cfg.failsafe_fraction * self.cap_w - idle_floor) / nominal_dyn
+                        (FAILSAFE_FRACTION * self.cap_w - idle_floor) / nominal_dyn
                     )
                 continue
             if self.failsafe_active:
@@ -700,7 +703,7 @@ class FaultDrill:
 
     def _periodic_check(self):
         while not self._done.triggered:
-            yield self.env.timeout(self.config.check_period_s)
+            yield self.env.timeout(CHECK_PERIOD_S)
             self._run_checks()
 
     # ------------------------------------------------------------------ run

@@ -47,6 +47,11 @@ BatchSensorFault = Callable[[float, np.ndarray], "tuple[Optional[np.ndarray], np
 #: yields the same values as that many scalar draws.
 NOISE_BLOCK = 64
 
+#: Ticks of noise a :class:`GatewayArray` draws per node at once: one
+#: refill costs a NumPy call per node, so a wide block keeps the
+#: steady-state tick a single array gather.
+ARRAY_NOISE_BLOCK = 256
+
 
 class GatewayDaemon:
     """Periodic out-of-band sampling of one node, published over MQTT.
@@ -135,9 +140,7 @@ class GatewayDaemon:
         self._m_dropped_buffer = m.counter("telemetry_dropped_total", reason="buffer")
         self._m_failures = m.counter("telemetry_publish_failures_total", mode="daemon")
         self._m_backlog_peak = m.gauge("telemetry_backlog_peak_samples")
-        self.task: PeriodicTask = env.periodic(
-            self.period_s, self._tick, start_delay_s=0.0, name=f"gateway-{node.node_id}"
-        )
+        self.task: PeriodicTask = env.periodic(self.period_s, self._tick, name=f"gateway-{node.node_id}")
 
     @property
     def backlog(self) -> int:
@@ -254,14 +257,13 @@ class GatewayArray:
     and a backoff prober keeps sampling until the backlog can drain —
     always strictly before live publishing resumes.
 
-    Determinism contract: by default each node draws its sensor noise
-    from ``default_rng(node_id)`` — the same per-node streams as
-    individual daemons — pre-drawn in blocks so steady-state sampling
+    Determinism contract: each node draws its sensor noise from its own
+    generator, ``default_rng(node_id)`` unless ``rngs`` supplies one per
+    node — the same per-node streams as individual daemons — pre-drawn
+    :data:`ARRAY_NOISE_BLOCK` ticks at a time so steady-state sampling
     stays vectorized.  A run with a ``GatewayArray`` therefore feeds
     subscribers byte-identical per-node sample sequences to the
-    per-daemon path at equal seeds.  Passing ``seed`` instead selects
-    one shared generator with fully vectorized draws (faster, but a
-    different stream than N daemons would produce).
+    per-daemon path at equal seeds.
     """
 
     def __init__(
@@ -279,9 +281,6 @@ class GatewayArray:
         retry_backoff_s: float = 0.5,
         backoff_factor: float = 2.0,
         max_backoff_s: float = 8.0,
-        noise_block: int = 256,
-        start_delay_s: float = 0.0,
-        seed: Optional[int] = None,
         obs: Optional[Observability] = None,
     ):
         """``powers_fn`` (optional) returns all true node powers as one
@@ -295,8 +294,6 @@ class GatewayArray:
             raise ValueError("invalid resilience parameters")
         if not nodes:
             raise ValueError("need at least one node")
-        if rngs is not None and seed is not None:
-            raise TypeError("pass either rngs or seed, not both")
         self.env = env
         self.nodes = list(nodes)
         self.n = len(self.nodes)
@@ -312,26 +309,18 @@ class GatewayArray:
         #: Vectorized fault-injection hook; None = healthy sensors.
         self.batch_fault: Optional[BatchSensorFault] = None
         # -- noise streams -----------------------------------------------------
-        if seed is not None:
-            # Shared-generator mode: one vectorized draw per tick.
-            self._shared_rng: Optional[np.random.Generator] = np.random.default_rng(seed)
-            self._rngs: Optional[list[np.random.Generator]] = None
-            self._noise_buf: Optional[np.ndarray] = None
-        else:
-            # Per-node streams matching GatewayDaemon's defaults, drawn
-            # in blocks: column k of the block holds every node's k-th
-            # draw, so one tick costs a single array gather.  Chunked
-            # draws from a Generator yield the same sequence as repeated
-            # scalar draws, which keeps the per-daemon digest contract.
-            if rngs is None:
-                rngs = [np.random.default_rng(nid) for nid in self.node_ids]
-            elif len(rngs) != self.n:
-                raise ValueError("need one rng per node")
-            self._shared_rng = None
-            self._rngs = list(rngs)
-            self._noise_block = max(int(noise_block), 1)
-            self._noise_buf = np.empty((self.n, self._noise_block))
-            self._noise_col = self._noise_block  # force a refill on first use
+        # Per-node streams matching GatewayDaemon's defaults, drawn in
+        # blocks: column k of the block holds every node's k-th draw, so
+        # one tick costs a single array gather.  Chunked draws from a
+        # Generator yield the same sequence as repeated scalar draws,
+        # which keeps the per-daemon digest contract.
+        if rngs is None:
+            rngs = [np.random.default_rng(nid) for nid in self.node_ids]
+        elif len(rngs) != self.n:
+            raise ValueError("need one rng per node")
+        self._rngs = list(rngs)
+        self._noise_buf = np.empty((self.n, ARRAY_NOISE_BLOCK))
+        self._noise_col = ARRAY_NOISE_BLOCK  # force a refill on first use
         # -- counters ----------------------------------------------------------
         self.samples_published = 0
         self.samples_dropped_by_sensor = 0
@@ -355,9 +344,7 @@ class GatewayArray:
         self._m_dropped_buffer = m.counter("telemetry_dropped_total", reason="buffer")
         self._m_failures = m.counter("telemetry_publish_failures_total", mode="array")
         self._m_backlog_peak = m.gauge("telemetry_backlog_peak_samples")
-        self.task: PeriodicTask = env.periodic(
-            self.period_s, self._tick, start_delay_s=start_delay_s, name="gateway-array"
-        )
+        self.task: PeriodicTask = env.periodic(self.period_s, self._tick, name="gateway-array")
 
     @property
     def backlog(self) -> int:
@@ -366,15 +353,12 @@ class GatewayArray:
 
     # ------------------------------------------------------------- sampling
     def _next_noise(self) -> np.ndarray:
-        if self._shared_rng is not None:
-            return self._shared_rng.normal(0.0, self.sensor_noise_w, self.n)
         col = self._noise_col
-        if col >= self._noise_block:
+        if col == ARRAY_NOISE_BLOCK:
             buf = self._noise_buf
             sigma = self.sensor_noise_w
-            block = self._noise_block
             for i, rng in enumerate(self._rngs):
-                buf[i] = rng.normal(0.0, sigma, block)
+                buf[i] = rng.normal(0.0, sigma, ARRAY_NOISE_BLOCK)
             col = 0
         self._noise_col = col + 1
         return self._noise_buf[:, col]

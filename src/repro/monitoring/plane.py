@@ -31,8 +31,9 @@ class TelemetryPlane:
     (the production-faithful shape); ``batched=True`` builds a single
     :class:`GatewayArray` that samples every node per kernel event (the
     scale shape).  Both publish under ``topic_prefix`` and both keep the
-    same per-node noise streams by default, so the choice does not
-    change what subscribers observe — only how fast the simulation runs.
+    same per-node noise streams (``rngs``, one generator per node, or
+    ``default_rng(node_id)``), so the choice does not change what
+    subscribers observe — only how fast the simulation runs.
     """
 
     def __init__(
@@ -45,7 +46,6 @@ class TelemetryPlane:
         sensor_noise_w: float = 2.0,
         topic_prefix: str = "davide",
         batched: bool = False,
-        seed: Optional[int] = None,
         rngs: Optional[Sequence[np.random.Generator]] = None,
         clocks: Optional[Sequence[Callable[[float], float]]] = None,
         clock_fn: Optional[Callable[[float], np.ndarray]] = None,
@@ -71,7 +71,6 @@ class TelemetryPlane:
                 sensor_noise_w=sensor_noise_w,
                 topic_prefix=topic_prefix,
                 rngs=rngs,
-                seed=seed,
                 powers_fn=powers_fn,
                 clock_fn=clock_fn,
                 **gateway_kw,

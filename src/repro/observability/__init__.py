@@ -19,7 +19,7 @@ Design contract, kept by every record site in the tree:
 
 Enable on a live cluster with one builder call::
 
-    live = (ClusterBuilder().with_nodes(16).with_observability()
+    live = (ClusterBuilder(n_nodes=16).with_observability()
             .build_live())
     live.run(60.0)
     print(live.ops_report()["telemetry"]["samples_published"])
@@ -84,8 +84,8 @@ class Observability:
     """One registry + one tracer, shared by every instrumented component.
 
     Construct enabled (real instruments) or via :meth:`disabled` (shared
-    no-ops with an identical surface).  The clock can be bound late with
-    :meth:`bind_clock`, once the simulation kernel exists.
+    no-ops with an identical surface).  ``clock`` stamps the spans; pass
+    the simulation clock (``lambda: env.now``).
     """
 
     def __init__(
@@ -105,10 +105,6 @@ class Observability:
         obs.metrics = NullMetricsRegistry()
         obs.tracer = NullTracer()
         return obs
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Point span timestamps at a sim clock (e.g. ``lambda: env.now``)."""
-        self.tracer.bind_clock(clock)
 
     # -- exports --------------------------------------------------------------
     def prometheus_text(self) -> str:

@@ -120,10 +120,6 @@ class Tracer:
     #: False on :class:`NullTracer` — lets hot paths skip attr building.
     enabled = True
 
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Replace the timestamp source (e.g. once the kernel exists)."""
-        self.clock = clock
-
     # -- span lifecycle -------------------------------------------------------
     def start(self, name: str, parent: Optional[Span] = None, **attrs: Any) -> Span:
         """Open a span now; caller must :meth:`finish` it."""
@@ -157,11 +153,6 @@ class Tracer:
     def span(self, name: str, parent: Optional[Span] = None, **attrs: Any) -> _SpanHandle:
         """Open a span as a context manager (finished on exit)."""
         return _SpanHandle(self, self.start(name, parent=parent, **attrs))
-
-    def instant(self, name: str, **attrs: Any) -> Span:
-        """Record a zero-duration marker span at the current time."""
-        span = self.start(name, **attrs)
-        return self.finish(span)
 
     def record(
         self,
@@ -244,10 +235,6 @@ class NullTracer(Tracer):
 
     def span(self, name: str, parent: Optional[Span] = None, **attrs: Any):
         """Return the shared no-op handle."""
-        return self._NULL_HANDLE
-
-    def instant(self, name: str, **attrs: Any):
-        """Discard the marker."""
         return self._NULL_HANDLE
 
     def record(

@@ -18,8 +18,8 @@ memo table.  Two pieces:
 * :class:`ResultStore` — a content-addressed map from scenario key to
   :class:`~repro.scheduler.campaign.ScenarioResult`, with an in-memory
   backend (:class:`MemoryResultStore`) and an on-disk one
-  (:class:`DirectoryResultStore`: canonical JSON for the spec/QoS/digest
-  plus an NPZ sidecar that round-trips the full
+  (:class:`DirectoryResultStore`: canonical JSON for the spec/QoS/digest,
+  checksummed, plus an NPZ sidecar that round-trips the full
   :class:`~repro.scheduler.simulate.SimulationResult` field-by-field).
   ``run_campaign(..., cache=store)`` simulates only novel cells and
   replays hits byte-identical to a cold run — pinned by the cache mode
@@ -362,6 +362,16 @@ def _result_from_arrays(data: dict[str, np.ndarray]) -> SimulationResult:
 # stores
 # --------------------------------------------------------------------------
 
+def _marker_json(meta: dict[str, Any]) -> str:
+    return json.dumps(meta, sort_keys=True, separators=(",", ":"))
+
+
+def _marker_check(meta: dict[str, Any]) -> str:
+    """SHA-256 of a store marker's fields other than ``check``."""
+    fields = {name: value for name, value in meta.items() if name != "check"}
+    return hashlib.sha256(_marker_json(fields).encode("utf-8")).hexdigest()
+
+
 class ResultStore:
     """Content-addressed map: scenario key → :class:`ScenarioResult`.
 
@@ -438,12 +448,15 @@ class DirectoryResultStore(ResultStore):
 
     Writes are crash-safe by ordering: the NPZ payload lands first, the
     JSON marker last, each via write-to-temp + :func:`os.replace` — an
-    entry whose JSON exists is complete.  Every load recomputes the
-    payload digest.  A payload that is missing, unreadable or does not
-    match its digest, and a marker that parses but lacks a field or
-    holds a spec :class:`Scenario` refuses, raise a ``ValueError``
-    naming the entry and the damaged file; a marker that does not parse
-    is a miss.
+    entry whose JSON exists is complete.  The marker's ``check`` field
+    is the SHA-256 of its other fields in the canonical JSON it is
+    written in, and every load recomputes it and the payload digest.  A
+    marker whose ``check`` does not match, a payload that is missing,
+    unreadable or does not match its digest, and a marker that parses
+    but lacks a field or holds a spec :class:`Scenario` refuses, raise a
+    ``ValueError`` naming the entry and the damaged file; a marker that
+    does not parse is a miss.  A marker without ``check`` (written
+    before the field existed) loads unchecked.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
@@ -484,10 +497,8 @@ class DirectoryResultStore(ResultStore):
             "digest": cell.digest,
             "payload": has_payload,
         }
-        self._atomic_write(
-            self._json_path(key),
-            json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8"),
-        )
+        meta["check"] = _marker_check(meta)
+        self._atomic_write(self._json_path(key), _marker_json(meta).encode("utf-8"))
 
     def _load(self, key: str) -> Optional["ScenarioResult"]:
         from .campaign import ScenarioResult, result_digest
@@ -499,6 +510,11 @@ class DirectoryResultStore(ResultStore):
             return None
         if meta.get("v") != KEY_VERSION:
             return None
+        if "check" in meta and meta["check"] != _marker_check(meta):
+            raise ValueError(
+                f"corrupt store entry {key[:16]}…: marker checksum does not "
+                f"match its fields ({path})"
+            )
         try:
             scenario = _scenario_from_dict(meta["scenario"])
             qos, digest = dict(meta["qos"]), meta["digest"]

@@ -4,8 +4,7 @@ from .._lazy import lazy
 
 __getattr__, __dir__, __all__ = lazy(__name__, {
     ".engine": (
-        "AllOf", "AnyOf", "Environment", "Event", "Interrupt", "KernelHooks",
-        "PeriodicTask", "Process", "SimulationError", "Timeout",
+        "Environment", "Event", "Interrupt", "KernelHooks", "PeriodicTask",
+        "Process", "SimulationError", "Timeout",
     ),
-    ".resources": ("Container", "Request", "Resource", "Store"),
 })

@@ -1,12 +1,14 @@
 """Discrete-event simulation kernel.
 
-Every time-domain component in this reproduction (the energy gateway's
-sampling loop, the job scheduler's dispatch cycle, the power-capping
-feedback controllers, the thermal integrator) runs on top of this small
-generator-based discrete-event engine.  The design follows the classic
+The live, time-domain parts of this reproduction (the energy gateways'
+sampling, the capping agents' actuation delays, the fault drill's
+dispatcher, controller and injector) run on this small generator-based
+discrete-event engine.  The design follows the classic
 process-interaction style (SimPy-like): a *process* is a Python generator
 that yields :class:`Event` objects; the engine resumes the generator when
-the yielded event fires.
+the yielded event fires.  The kernel offers what those agents use and
+nothing more: one-shot events, timeouts, processes with interrupts, and
+one fixed-cadence lane (:class:`PeriodicTask`).
 
 The kernel is deliberately dependency-free and deterministic: events that
 fire at the same timestamp are processed in FIFO insertion order (a
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 __all__ = [
     "Environment",
@@ -27,8 +29,6 @@ __all__ = [
     "Process",
     "PeriodicTask",
     "Interrupt",
-    "AllOf",
-    "AnyOf",
     "KernelHooks",
     "SimulationError",
 ]
@@ -165,18 +165,16 @@ class PeriodicTask:
 
     A generator process pays one :class:`Timeout` allocation, one
     :class:`Process` resume and two callback dispatches per period.  For
-    fixed-cadence pollers (the telemetry sampling plane, periodic
-    controllers) that overhead dominates large simulations, so this class
-    coalesces it: a single pre-triggered event is pushed, fired, reset
-    and re-pushed, costing one heap entry and one direct callback per
-    tick with no per-tick allocation beyond the heap tuple itself.
+    fixed-cadence pollers (the telemetry sampling plane) that overhead
+    dominates large simulations, so this class coalesces it: a single
+    pre-triggered event is pushed, fired, reset and re-pushed, costing
+    one heap entry and one direct callback per tick with no per-tick
+    allocation beyond the heap tuple itself.
 
-    ``fn(now_s)`` runs at every tick.  Cadence control:
-
-    * :meth:`cancel` stops the task for good (an in-flight heap entry
-      becomes a no-op);
-    * :meth:`suspend` stops it temporarily; :meth:`resume` re-arms it,
-      optionally with a one-off initial delay.
+    ``fn(now_s)`` runs at every tick.  The first tick is due at the time
+    the task is armed, then one every ``period_s``.  :meth:`suspend`
+    stops the cadence (a pending heap entry becomes a no-op);
+    :meth:`resume` re-arms it, optionally with a one-off initial delay.
     """
 
     __slots__ = ("env", "fn", "period_s", "name", "ticks", "_event", "_active", "_pending")
@@ -187,7 +185,6 @@ class PeriodicTask:
         period_s: float,
         fn: Callable[[float], None],
         *,
-        start_delay_s: Optional[float] = None,
         name: str = "",
     ):
         if period_s <= 0:
@@ -203,7 +200,7 @@ class PeriodicTask:
         event._triggered = True
         event.callbacks.append(self._fire)
         self._event = event
-        env._schedule(event, delay=self.period_s if start_delay_s is None else float(start_delay_s))
+        env._schedule(event)
 
     @property
     def active(self) -> bool:
@@ -224,10 +221,6 @@ class PeriodicTask:
             self._pending = True
             self.env._schedule(event, delay=self.period_s)
 
-    def cancel(self) -> None:
-        """Stop the task permanently."""
-        self._active = False
-
     def suspend(self) -> None:
         """Pause the cadence (resume() re-arms it)."""
         self._active = False
@@ -244,76 +237,6 @@ class PeriodicTask:
             event.callbacks.append(self._fire)
             self._pending = True
             self.env._schedule(event, delay=self.period_s if delay_s is None else float(delay_s))
-
-
-class _ConditionMixin:
-    """Shared machinery for AllOf / AnyOf composite events."""
-
-    def _attach(self, events: Iterable[Event]) -> list[Event]:
-        evts = list(events)
-        for e in evts:
-            if e.env is not self.env:  # type: ignore[attr-defined]
-                raise SimulationError("cannot mix events from different environments")
-        return evts
-
-
-class AllOf(Event, _ConditionMixin):
-    """Composite event that fires once *all* constituent events have fired.
-
-    The value is a dict mapping each constituent event to its value.
-    """
-
-    __slots__ = ("_events", "_remaining")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = self._attach(events)
-        self._remaining = len(self._events)
-        if self._remaining == 0:
-            self.succeed({})
-            return
-        for e in self._events:
-            if e._processed:
-                self._on_fire(e)
-            else:
-                e.callbacks.append(self._on_fire)
-
-    def _on_fire(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            event.defused()
-            self.fail(event._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed({e: e._value for e in self._events})
-
-
-class AnyOf(Event, _ConditionMixin):
-    """Composite event that fires as soon as *any* constituent fires."""
-
-    __slots__ = ("_events",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = self._attach(events)
-        if not self._events:
-            raise SimulationError("AnyOf requires at least one event")
-        for e in self._events:
-            if e._processed:
-                self._on_fire(e)
-                break
-            e.callbacks.append(self._on_fire)
-
-    def _on_fire(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            event.defused()
-            self.fail(event._value)
-            return
-        self.succeed({e: e._value for e in self._events if e._processed and e._ok})
 
 
 class Process(Event):
@@ -460,28 +383,14 @@ class Environment:
         """Register a generator as a running process."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event firing when every event in ``events`` has fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event firing when the first event in ``events`` fires."""
-        return AnyOf(self, events)
-
-    def periodic(
-        self,
-        period_s: float,
-        fn: Callable[[float], None],
-        *,
-        start_delay_s: Optional[float] = None,
-        name: str = "",
-    ) -> PeriodicTask:
-        """Run ``fn(now_s)`` every ``period_s`` on a coalesced heap entry.
+    def periodic(self, period_s: float, fn: Callable[[float], None], *, name: str = "") -> PeriodicTask:
+        """Run ``fn(now_s)`` now and every ``period_s`` after, on one
+        coalesced heap entry.
 
         Far cheaper than a generator process for fixed-cadence work; see
         :class:`PeriodicTask` for cadence control.
         """
-        return PeriodicTask(self, period_s, fn, start_delay_s=start_delay_s, name=name)
+        return PeriodicTask(self, period_s, fn, name=name)
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
@@ -492,28 +401,6 @@ class Environment:
         hooks = self.hooks
         if hooks is not None and hooks.on_schedule is not None:
             hooks.on_schedule(event, at)
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        when, _, event = heapq.heappop(self._queue)
-        self._now = when
-        self._dispatched += 1
-        if self.hooks is not None and self.hooks.on_dispatch is not None:
-            self.hooks.on_dispatch(event, when)
-        callbacks, event.callbacks = event.callbacks, []
-        event._processed = True
-        for cb in callbacks:
-            cb(event)
-        if not event._ok and not event._defused:
-            if self.hooks is not None and self.hooks.on_error is not None:
-                self.hooks.on_error(event._value, event, self._now)
-            raise event._value  # unhandled failure propagates to the caller
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -533,8 +420,7 @@ class Environment:
             if stop_time < self._now:
                 raise ValueError(f"until={stop_time} is in the past (now={self._now})")
 
-        # Inlined dispatch loop (same semantics as step(), minus the
-        # per-event method-call and re-lookup overhead).
+        # The dispatch loop, with the queue and ``heappop`` bound locally.
         queue = self._queue
         heappop = heapq.heappop
         while queue:

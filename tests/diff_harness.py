@@ -7,7 +7,11 @@ every record field, every trace sample, every QoS metric, every digest.
 This module generates seeded random scenarios across the dimensions
 that have historically diverged cores (policy x cap schedule x outage
 pattern x workload shape), runs each scenario through both cores, and
-compares field by field.
+compares field by field.  Before comparing, every result on every
+core must pass :data:`INVARIANTS`, physical and bookkeeping checks
+that read only the result, its jobs and the machine size (nothing from
+``scheduler/contract.py``), so arithmetic the cores share cannot vouch
+for itself.
 
 Use it three ways:
 
@@ -48,8 +52,9 @@ import os
 import random
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -68,7 +73,7 @@ from repro.scheduler.campaign import (
     result_digest,
     run_campaign,
 )
-from repro.scheduler.job import Job
+from repro.scheduler.job import Job, JobState
 from repro.scheduler.policies import EasyBackfillScheduler, FifoScheduler
 from repro.scheduler.power_aware import PowerAwareScheduler, request_based_predictor
 from repro.scheduler.simulate import (
@@ -267,8 +272,11 @@ def cap_heavy_scenario(seed: int) -> CapHeavyScenario:
     )
 
 
-def run_core(scenario: HarnessScenario, core: str) -> SimulationResult:
-    """Run ``scenario`` on one simulator core (fresh policy + workload)."""
+def run_core(
+    scenario: HarnessScenario, core: str, jobs: Optional[Sequence[Job]] = None,
+) -> SimulationResult:
+    """Run ``scenario`` on one simulator core (fresh policy; a fresh
+    workload unless ``jobs`` passes the scenario's own)."""
     sim = ClusterSimulator(
         n_nodes=scenario.n_nodes,
         policy=scenario.build_policy(),
@@ -276,15 +284,144 @@ def run_core(scenario: HarnessScenario, core: str) -> SimulationResult:
         node_outages=scenario.outages,
         core=core,
     )
-    return sim.run(scenario.build_jobs())
+    return sim.run(scenario.build_jobs() if jobs is None else list(jobs))
 
 
-def _fail(scenario, detail: str) -> None:
+def _fail(scenario, detail: str, what: str = "divergence") -> None:
     hint = getattr(scenario, "repro_hint", "--seed")
     raise AssertionError(
-        f"divergence in scenario {scenario.label} (seed {scenario.seed}): "
+        f"{what} in scenario {scenario.label} (seed {scenario.seed}): "
         f"{detail}\nreproduce with: python tests/diff_harness.py {hint} {scenario.seed}"
     )
+
+
+# --------------------------------------------------------------------------
+# core-independent invariants of one result
+# --------------------------------------------------------------------------
+# Each check takes (result, jobs, n_nodes) and returns None when it holds
+# or a detail string when it does not.
+
+#: Slack on instants the cores settle with an epsilon (submission,
+#: completion), in seconds.
+_TIME_EPS_S = 1e-9
+#: Slack on a final run's length against the true runtime, in seconds.
+_RUNTIME_EPS_S = 1e-6
+#: Relative tolerance of the energy ledger against the trace integral.
+_ENERGY_REL = 1e-6
+#: Relative slack on time above the cap: the core and the check sum the
+#: same intervals in different orders.
+_OVERDEMAND_REL = 1e-9
+
+
+def _completes_once(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
+    """Each job completes once, after its submit, with end > start, on as
+    many distinct nodes of the machine as it asked for."""
+    by_id = {job.job_id: job for job in jobs}
+    counts = Counter(rec.job.job_id for rec in result.records)
+    twice = sorted(i for i, n in counts.items() if n > 1)
+    missing = sorted(set(by_id) - set(counts))
+    unknown = sorted(set(counts) - set(by_id))
+    if twice or missing or unknown:
+        return (f"jobs recorded more than once {twice[:5]}, never recorded "
+                f"{missing[:5]}, not submitted {unknown[:5]}")
+    for rec in result.records:
+        job = rec.job
+        if job != by_id[job.job_id]:
+            return f"job {job.job_id} differs from the job submitted"
+        if rec.state is not JobState.COMPLETED:
+            return f"job {job.job_id} ended {rec.state.name}"
+        if rec.start_time_s is None or rec.end_time_s is None:
+            return f"job {job.job_id} completed without a start or end time"
+        if rec.start_time_s < job.submit_time_s - _TIME_EPS_S:
+            return (f"job {job.job_id} started at {rec.start_time_s!r}, "
+                    f"before its submit at {job.submit_time_s!r}")
+        if not rec.end_time_s > rec.start_time_s:
+            return (f"job {job.job_id} ended at {rec.end_time_s!r}, "
+                    f"not after its start at {rec.start_time_s!r}")
+        nodes = rec.nodes
+        if (len(nodes) != job.n_nodes or len(set(nodes)) != len(nodes)
+                or not all(0 <= node < n_nodes for node in nodes)):
+            return (f"job {job.job_id} ran on nodes {nodes}, asking for "
+                    f"{job.n_nodes} of {n_nodes}")
+    return None
+
+
+def _no_node_double_booked(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
+    """No node runs two jobs at once."""
+    runs = sorted(
+        (node, rec.start_time_s, rec.end_time_s, rec.job.job_id)
+        for rec in result.records for node in rec.nodes
+    )
+    for (node, _, end, job_a), (other, start, _, job_b) in zip(runs, runs[1:]):
+        if node == other and start < end - _TIME_EPS_S:
+            return (f"node {node} runs job {job_b} from {start!r} while job "
+                    f"{job_a} runs until {end!r}")
+    return None
+
+
+def _final_run_covers_runtime(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
+    """A cap only stretches a run: the final run lasts at least the
+    job's true runtime."""
+    for rec in result.records:
+        length = rec.end_time_s - rec.start_time_s
+        if length < rec.job.true_runtime_s - _RUNTIME_EPS_S:
+            return (f"job {rec.job.job_id} ran {length!r} s, shorter than its "
+                    f"true runtime {rec.job.true_runtime_s!r} s")
+    return None
+
+
+def _requeues_add_up(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
+    """Per-record requeues sum to the run's ``n_requeues``."""
+    total = sum(rec.requeues for rec in result.records)
+    if total != result.n_requeues:
+        return f"records hold {total} requeues, the result {result.n_requeues}"
+    return None
+
+
+def _energy_is_trace_integral(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
+    """Total energy equals the power trace's step integral."""
+    t, p = result.power_trace.times_s, result.power_trace.power_w
+    integral = float(np.sum(np.diff(t) * p[:-1]))
+    if not math.isclose(integral, result.total_energy_j, rel_tol=_ENERGY_REL):
+        return (f"total energy {result.total_energy_j!r} J, trace integral "
+                f"{integral!r} J")
+    return None
+
+
+def _above_cap_only_in_overdemand(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
+    """Post-trim power exceeds the cap only while demand does, so the
+    trace spends at most ``overdemand_s`` above the cap."""
+    if result.cap_w is None:
+        if result.overdemand_s != 0.0:
+            return f"uncapped run reports {result.overdemand_s!r} s of overdemand"
+        return None
+    t, p = result.power_trace.times_s, result.power_trace.power_w
+    above = float(np.sum(np.diff(t)[p[:-1] > result.cap_w]))
+    if above > result.overdemand_s * (1.0 + _OVERDEMAND_REL):
+        return (f"trace spends {above!r} s above the {result.cap_w!r} W cap, "
+                f"overdemand_s is {result.overdemand_s!r}")
+    return None
+
+
+#: Every core-independent check, by name, in the order they run.
+INVARIANTS: dict[str, Callable[[SimulationResult, Sequence[Job], int], Optional[str]]] = {
+    "completes_once": _completes_once,
+    "no_node_double_booked": _no_node_double_booked,
+    "final_run_covers_runtime": _final_run_covers_runtime,
+    "requeues_add_up": _requeues_add_up,
+    "energy_is_trace_integral": _energy_is_trace_integral,
+    "above_cap_only_in_overdemand": _above_cap_only_in_overdemand,
+}
+
+
+def check_invariants(
+    scenario: HarnessScenario, core: str, result: SimulationResult, jobs: Sequence[Job],
+) -> None:
+    """Fail with the reproducing seed if ``result`` breaks any invariant."""
+    for name, check in INVARIANTS.items():
+        detail = check(result, jobs, scenario.n_nodes)
+        if detail is not None:
+            _fail(scenario, f"{core}: {name}: {detail}", what="broken invariant")
 
 
 def compare_results(
@@ -330,12 +467,17 @@ def compare_results(
 def assert_equivalent(
     seed: int, cores: Sequence[str] = CORES, sampler=random_scenario,
 ) -> HarnessScenario:
-    """Run one seeded scenario through ``cores`` and demand equality."""
+    """Run one seeded scenario through ``cores``: every result must pass
+    :data:`INVARIANTS`, and all must be equal."""
     scenario = sampler(seed)
+    jobs = scenario.build_jobs()
     base_core = cores[0]
-    base = run_core(scenario, base_core)
+    base = run_core(scenario, base_core, jobs)
+    check_invariants(scenario, base_core, base, jobs)
     for core in cores[1:]:
-        compare_results(scenario, base, base_core, run_core(scenario, core), core)
+        other = run_core(scenario, core, jobs)
+        check_invariants(scenario, core, other, jobs)
+        compare_results(scenario, base, base_core, other, core)
     return scenario
 
 

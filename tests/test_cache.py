@@ -12,7 +12,8 @@ Three families of properties pin it:
 3. **Stores** — both backends round-trip ``ScenarioResult``\\ s exactly
    (the on-disk backend field-by-field through JSON+NPZ), account
    hits/misses, refuse corruption (a tampered, truncated, missing or
-   damaged payload, and a damaged marker, name the entry), never downgrade a payload-carrying entry,
+   damaged payload, and a damaged marker or one whose checksum does not
+   match, name the entry), never downgrade a payload-carrying entry,
    and serve only misses or complete cells while four processes write
    the same keys.
 """
@@ -554,6 +555,57 @@ class TestDirectoryStore:
                            match=rf"corrupt store entry {key[:16]}.*{path.name}"):
             store.get(key)
 
+    @pytest.mark.parametrize("keep", [True, False], ids=["payload", "metrics-only"])
+    def test_flipped_marker_bit_is_a_miss_a_named_error_or_the_cell(
+            self, tmp_path, keep):
+        """Flip bit 0 of each byte of a marker, one flip per load: the
+        load is a miss, the named corrupt-entry error or the stored cell,
+        never a changed QoS value, QoS name, digest or spec."""
+        store = DirectoryResultStore(tmp_path / "store")
+        scenario = Scenario(policy="easy", cap_w=CAP)
+        cell = run_scenario(CONFIG, scenario, keep_result=keep)
+        key = scenario_key(CONFIG, scenario)
+        store.put(key, cell)
+        path = tmp_path / "store" / f"{key}.json"
+        raw = path.read_bytes()
+        outcomes = {"miss": 0, "named": 0, "cell": 0}
+        for i in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[i] ^= 1
+            path.write_bytes(bytes(flipped))
+            try:
+                got = store.get(key)
+            except ValueError as exc:
+                assert f"corrupt store entry {key[:16]}" in str(exc), i
+                outcomes["named"] += 1
+                continue
+            if got is None:
+                outcomes["miss"] += 1
+                continue
+            assert (got.scenario, got.qos, got.digest) == (
+                cell.scenario, cell.qos, cell.digest), i
+            assert (got.result is None) == (cell.result is None), i
+            outcomes["cell"] += 1
+        assert outcomes["named"] > outcomes["cell"] > 0 and outcomes["miss"] > 0
+
+    def test_marker_without_check_loads_and_hits(self, tmp_path):
+        """Markers written before the checksum existed have no
+        ``check``: they load unchecked and a re-run replays them."""
+        scenario = Scenario(policy="easy", cap_w=CAP)
+        cold = run_campaign(CONFIG, [scenario], processes=1, keep_results=True,
+                            cache=DirectoryResultStore(tmp_path / "store"))
+        key = scenario_key(CONFIG, scenario)
+        path = tmp_path / "store" / f"{key}.json"
+        meta = json.loads(path.read_text())
+        assert len(meta.pop("check")) == 64
+        path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")))
+        store = DirectoryResultStore(tmp_path / "store")
+        warm = run_campaign(CONFIG, [scenario], processes=1, keep_results=True,
+                            cache=store)
+        assert (store.hits, store.misses) == (1, 0)
+        assert campaign_digest(warm) == campaign_digest(cold)
+        assert result_digest(warm[0].result) == cold[0].digest
+
     def test_unreadable_json_is_a_miss(self, tmp_path):
         store = DirectoryResultStore(tmp_path / "store")
         (tmp_path / "store" / "deadbeef.json").write_text("{not json")
@@ -563,13 +615,15 @@ class TestDirectoryStore:
     def test_entry_with_reference_flag_loads_and_hits(self, tmp_path, flag, core):
         """Entries written while a cell could name its simulator core
         carry ``"core"`` (and, older still, ``"reference"``) in their
-        JSON.  They load as the plain cell and a re-run replays them."""
+        JSON, and no ``check``.  They load as the plain cell and a re-run
+        replays them."""
         scenario = Scenario(policy="easy", cap_w=CAP)
         cold = run_campaign(CONFIG, [scenario], processes=1,
                             cache=DirectoryResultStore(tmp_path / "store"))
         key = scenario_key(CONFIG, scenario)
         path = tmp_path / "store" / f"{key}.json"
         meta = json.loads(path.read_text())
+        del meta["check"]  # those markers predate the checksum
         meta["scenario"] = _annotated(meta["scenario"], flag, core)
         path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")))
 

@@ -9,24 +9,6 @@ from repro.sim import Environment, SimulationError
 
 
 class TestSimEngineEdges:
-    def test_all_of_fails_if_any_constituent_fails(self):
-        env = Environment()
-
-        def failing_child():
-            yield env.timeout(1.0)
-            raise ValueError("child boom")
-
-        def parent():
-            ok = env.timeout(5.0)
-            bad = env.process(failing_child())
-            try:
-                yield env.all_of([ok, bad])
-            except ValueError as e:
-                return f"caught: {e}"
-
-        p = env.process(parent())
-        assert env.run(until=p) == "caught: child boom"
-
     def test_timeout_carries_value(self):
         env = Environment()
         t = env.timeout(2.0, value={"k": 1})

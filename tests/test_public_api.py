@@ -83,7 +83,9 @@ def _build(owner, **kw):
     """Call ``owner`` with stand-in required arguments plus ``kw``."""
     from repro import explore
     from repro.capping import NodePowerCapper
-    from repro.monitoring import CappingAgent, GatewayArray, GatewayDaemon
+    from repro.faults import DrillConfig
+    from repro.monitoring import (CappingAgent, GatewayArray, GatewayDaemon,
+                                  TelemetryPlane)
     from repro.scheduler import (ClusterSimulator, FifoScheduler,
                                  PowerAwareScheduler, Scenario)
     from repro.timesync import LocalClock, NtpClient, PtpSlave
@@ -102,6 +104,10 @@ def _build(owner, **kw):
         "explore": lambda: explore(space, objective, config=config,
                                    base={"policy": "easy"}, **kw),
         "Scenario": lambda: Scenario(policy="fifo", **kw),
+        "periodic": lambda: env.periodic(1.0, lambda now: None, **kw),
+        "TelemetryPlane": lambda: TelemetryPlane(env, [node], broker,
+                                                 batched=True, **kw),
+        "DrillConfig": lambda: DrillConfig(**kw),
     }
     return calls[owner]()
 
@@ -110,7 +116,7 @@ def _build(owner, **kw):
 #: and core.
 _CANONICAL = {
     "GatewayDaemon": dict(period_s=0.1, seed=3),
-    "GatewayArray": dict(period_s=0.1, seed=3),
+    "GatewayArray": dict(period_s=0.1),
     "CappingAgent": dict(cap_w=1_500.0),
     "NodePowerCapper": dict(cap_w=1_200.0, period_s=0.2),
     "ClusterSimulator": dict(cap_w=5_000.0, core="reference"),
@@ -132,6 +138,26 @@ _REMOVED_SPELLINGS = [
     ("NtpClient", "poll_interval_s"), ("PtpSlave", "sync_interval_s"),
     ("explore", "n_steps"), ("explore", "rng_seed"),
     ("Scenario", "reference"), ("Scenario", "core"),
+    ("GatewayArray", "seed"), ("GatewayArray", "noise_block"),
+    ("GatewayArray", "start_delay_s"), ("TelemetryPlane", "seed"),
+    ("periodic", "start_delay_s"),
+    ("DrillConfig", "job_dynamic_w"), ("DrillConfig", "settling_periods"),
+    ("DrillConfig", "failsafe_fraction"), ("DrillConfig", "min_trim_rho"),
+    ("DrillConfig", "check_period_s"),
+]
+
+#: Kernel and tracer names with no caller left, by the module that
+#: exported them or the class that carried them.
+_REMOVED_IMPORTS = [("repro.sim", name) for name in (
+    "AllOf", "AnyOf", "Container", "Request", "Resource", "Store")]
+_REMOVED_METHODS = [
+    ("repro.sim", "Environment", "all_of"), ("repro.sim", "Environment", "any_of"),
+    ("repro.sim", "Environment", "peek"), ("repro.sim", "Environment", "step"),
+    ("repro.sim", "PeriodicTask", "cancel"),
+    ("repro.observability", "Tracer", "instant"),
+    ("repro.observability", "Tracer", "bind_clock"),
+    ("repro.observability", "NullTracer", "instant"),
+    ("repro.observability", "Observability", "bind_clock"),
 ]
 
 
@@ -166,6 +192,22 @@ class TestKeywords:
     def test_missing_cap_w_names_it(self, owner):
         with pytest.raises(TypeError, match="missing.*'cap_w'"):
             _build(owner)
+
+    @pytest.mark.parametrize("module, name", _REMOVED_IMPORTS,
+                             ids=[name for _, name in _REMOVED_IMPORTS])
+    def test_removed_import(self, module, name):
+        with pytest.raises(ImportError, match=f"cannot import name '{name}'"):
+            exec(f"from {module} import {name}", {})
+
+    def test_removed_resources_module(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.sim.resources")
+
+    @pytest.mark.parametrize("module, owner, name", _REMOVED_METHODS,
+                             ids=[f"{o}.{n}" for _, o, n in _REMOVED_METHODS])
+    def test_removed_method(self, module, owner, name):
+        cls = getattr(importlib.import_module(module), owner)
+        assert not hasattr(cls, name)
 
     def test_daemon_seed_seeds_noise_stream(self):
         import numpy as np

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -40,13 +38,6 @@ class TestEnvironmentBasics:
         env = Environment()
         with pytest.raises(ValueError):
             env.timeout(-1.0)
-
-    def test_peek_empty_queue(self):
-        assert Environment().peek() == float("inf")
-
-    def test_step_empty_queue_raises(self):
-        with pytest.raises(SimulationError):
-            Environment().step()
 
     def test_same_time_events_fifo_order(self):
         env = Environment()
@@ -228,45 +219,113 @@ class TestInterrupts:
         assert env.run(until=v) == 4.0
 
 
-class TestConditions:
-    def test_all_of_waits_for_slowest(self):
+class TestPeriodicTask:
+    """The fixed-cadence lane every gateway samples on."""
+
+    def test_first_tick_at_arm_time_then_fixed_cadence(self):
+        env = Environment(initial_time=2.0)
+        ticks = []
+        task = env.periodic(0.5, ticks.append)
+        env.run(until=4.0)
+        assert ticks == [2.0, 2.5, 3.0, 3.5, 4.0]
+        assert task.ticks == 5 and task.active
+
+    def test_suspend_from_inside_its_own_tick(self):
         env = Environment()
+        ticks = []
 
-        def proc():
-            t1, t2 = env.timeout(1.0, "a"), env.timeout(5.0, "b")
-            result = yield env.all_of([t1, t2])
-            return (env.now, sorted(result.values()))
+        def tick(now):
+            ticks.append(now)
+            if now >= 2.0:
+                task.suspend()
 
-        p = env.process(proc())
-        assert env.run(until=p) == (5.0, ["a", "b"])
+        task = env.periodic(1.0, tick)
+        env.run(until=10.0)
+        assert ticks == [0.0, 1.0, 2.0]
+        assert not task.active
+        assert env.queue_depth == 0  # nothing re-armed behind the suspend
 
-    def test_any_of_fires_on_first(self):
+    def test_resume_with_delay_from_a_timeout_callback(self):
         env = Environment()
+        ticks = []
 
-        def proc():
-            t1, t2 = env.timeout(1.0, "fast"), env.timeout(5.0, "slow")
-            result = yield env.any_of([t1, t2])
-            return (env.now, list(result.values()))
+        def tick(now):
+            ticks.append(now)
+            if now == 2.0:
+                task.suspend()
 
-        p = env.process(proc())
-        assert env.run(until=p) == (1.0, ["fast"])
+        task = env.periodic(1.0, tick)
+        env.timeout(3.5).callbacks.append(lambda _ev: task.resume(delay_s=0.25))
+        env.run(until=6.0)
+        assert ticks == [0.0, 1.0, 2.0, 3.75, 4.75, 5.75]
+        assert task.ticks == 6 and task.active
 
-    def test_all_of_empty_fires_immediately(self):
+    def test_resume_defaults_to_one_full_period(self):
         env = Environment()
-        evt = env.all_of([])
+        ticks = []
+        task = env.periodic(1.0, lambda now: (ticks.append(now), task.suspend()))
+        env.timeout(0.5).callbacks.append(lambda _ev: task.resume())
+        env.run(until=1.5)
+        assert ticks == [0.0, 1.5]
+
+    def test_resume_while_a_tick_is_pending_is_a_noop(self):
+        env = Environment()
+        ticks = []
+        task = env.periodic(1.0, ticks.append)
+        env.run(until=0.5)
+        task.resume(delay_s=0.1)
+        assert env.queue_depth == 1
+        env.run(until=3.0)
+        assert ticks == [0.0, 1.0, 2.0, 3.0]
+
+    def test_suspend_then_resume_before_the_pending_tick_keeps_its_slot(self):
+        env = Environment()
+        ticks = []
+        task = env.periodic(1.0, ticks.append)
+        env.run(until=0.5)
+        task.suspend()
+        task.resume(delay_s=0.1)
+        assert env.queue_depth == 1  # the pending entry is reused, not doubled
+        env.run(until=2.0)
+        assert ticks == [0.0, 1.0, 2.0]
+
+    def test_resumed_tick_orders_by_when_resume_was_called(self):
+        """Among events due at the same instant, a resumed tick fires
+        after those scheduled before the ``resume`` call and before those
+        scheduled after it: it takes its sequence number at the call, as
+        the timeout of a generator loop would at the same point."""
+        env = Environment()
+        order = []
+        task = env.periodic(
+            1.0, lambda now: (order.append(("tick", now)), task.suspend()))
+        env.timeout(2.0).callbacks.append(lambda _ev: order.append(("before", env.now)))
+
+        def wake(_ev):
+            task.resume(delay_s=1.0)
+            env.timeout(1.0).callbacks.append(lambda _ev: order.append(("after", env.now)))
+
+        env.timeout(1.0).callbacks.append(wake)
         env.run()
-        assert evt.processed and evt.value == {}
+        assert order == [("tick", 0.0), ("before", 2.0), ("tick", 2.0), ("after", 2.0)]
 
-    def test_any_of_empty_raises(self):
+    def test_first_tick_orders_after_events_already_due_now(self):
         env = Environment()
-        with pytest.raises(SimulationError):
-            env.any_of([])
+        order = []
+        early = env.event()
+        early.callbacks.append(lambda _ev: order.append("early"))
+        early.succeed()
+        env.periodic(1.0, lambda now: order.append("tick"))
+        late = env.event()
+        late.callbacks.append(lambda _ev: order.append("late"))
+        late.succeed()
+        env.run(until=0.0)
+        assert order == ["early", "tick", "late"]
 
-    def test_all_of_mixed_environments_rejected(self):
-        env1, env2 = Environment(), Environment()
-        t = env2.timeout(1.0)
-        with pytest.raises(SimulationError):
-            env1.all_of([t])
+    def test_nonpositive_period_rejected(self):
+        env = Environment()
+        for period in (0.0, -1.0):
+            with pytest.raises(ValueError, match="period must be positive"):
+                env.periodic(period, lambda now: None)
 
 
 class TestRunSemantics:
