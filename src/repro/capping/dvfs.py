@@ -7,8 +7,7 @@ in performance."
 
 The governor selects p-states on a :class:`repro.hardware.cpu.CpuModel`:
 
-* :meth:`cap_to_power` — lowest-index (fastest) state meeting a power cap
-  (the reactive actuation the node capper uses);
+* :meth:`cap_to_power` — lowest-index (fastest) state meeting a power cap;
 * :meth:`race_vs_pace` — the classic energy question: run fast and idle
   ("race-to-halt") vs run slow at a lower state ("pacing"); returns
   energy-to-solution for both across the ladder, quantifying the

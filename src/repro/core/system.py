@@ -189,7 +189,6 @@ class DavideSystem:
         self,
         jobs: list[Job],
         power_budget_w: float | None = None,
-        reactive_backstop: bool = True,
         predictor_kind: str = "ridge",
     ) -> CampaignReport:
         """Execute the full Fig.-4 loop over a job stream.
@@ -198,10 +197,12 @@ class DavideSystem:
         under plain EASY backfill while the monitoring stack records it.
         Phase 2 (production): a predictor trained on the history jobs
         drives the proactive power-capped dispatcher over the rest, with
-        the reactive capper as a backstop if requested.  Its regression
-        target is each history job's true per-node power
-        (``FeatureEncoder.target``), not the monitored figure that
-        :meth:`measure_job_power_w` lands in the TSDB.
+        the simulator's reactive trim at the same budget as a backstop.
+        The predictor's regression target is each history job's true
+        per-node power (``FeatureEncoder.target``), not the monitored
+        figure that :meth:`measure_job_power_w` lands in the TSDB.
+        Without a budget, production runs uncapped under plain EASY
+        backfill.
         """
         if len(jobs) < 8:
             raise ValueError("campaign needs at least 8 jobs")
@@ -249,13 +250,11 @@ class DavideSystem:
                 headroom_margin=self.config.headroom_margin,
                 obs=self.obs,
             )
-            cap = power_budget_w if reactive_backstop else None
         else:
             policy = EasyBackfillScheduler()
-            cap = None
         production_sim = ClusterSimulator(
-            n_nodes, policy, idle_node_power_w=self.config.idle_node_power_w, cap_w=cap,
-            obs=self.obs,
+            n_nodes, policy, idle_node_power_w=self.config.idle_node_power_w,
+            cap_w=power_budget_w, obs=self.obs,
         )
         production_result = production_sim.run(production_jobs)
         # Data intelligence over the campaign (Fig.-4's "smart profilers"

@@ -11,8 +11,9 @@ The node exposes:
 * a **node power cap** implemented by proportionally limiting the GPUs
   and stepping the CPUs down the p-state ladder — the "local feedback
   controllers which tune the operating points of the internal components"
-  of Section III-A2 (the closed-loop controller itself lives in
-  :mod:`repro.capping`; the node provides the actuators);
+  of Section III-A2 (the node provides the actuators; on a live
+  cluster :class:`~repro.monitoring.daemon.CappingAgent` closes the
+  loop);
 * peak-performance roll-ups used by the envelope benchmarks.
 """
 

@@ -86,12 +86,8 @@ class Rack:
         self.fan_fraction = float(fraction)
 
     def apply_power_cap(self, rack_cap_w: float) -> float:
-        """Split a rack-level cap equally across nodes; returns new power.
-
-        (The cluster-level power-sharing policy in :mod:`repro.capping`
-        does smarter demand-weighted splits; this is the firmware-default
-        equal split.)
-        """
+        """Split a rack-level cap equally across nodes (the
+        firmware-default split); returns new power."""
         if rack_cap_w <= 0:
             raise ValueError("cap must be positive")
         overhead = self.fan_power_w() + self.conversion_loss_w()

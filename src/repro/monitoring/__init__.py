@@ -1,4 +1,4 @@
-"""Monitoring stack: MQTT broker, energy gateway, baselines, PowerAPI façade."""
+"""Monitoring stack: MQTT broker, energy gateway, baselines, live agents."""
 
 from .._lazy import lazy
 
@@ -17,8 +17,5 @@ __getattr__, __dir__, __all__ = lazy(__name__, {
     ".mqtt": (
         "BrokerUnavailableError", "Message", "MqttBroker", "MqttClient", "Subscription",
         "topic_matches", "validate_filter", "validate_topic",
-    ),
-    ".powerapi": (
-        "Attribute", "NodeObject", "PlatformObject", "PwrObject", "make_platform",
     ),
 })

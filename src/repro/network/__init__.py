@@ -5,10 +5,6 @@ from .._lazy import lazy
 __getattr__, __dir__, __all__ = lazy(__name__, {
     ".collectives": ("EDR_DUAL_RAIL", "CommModel"),
     ".fattree": ("DualRailFabric", "FatTree"),
-    ".flows": (
-        "FlowAllocation", "allocate_fat_tree_flows", "completion_time_s",
-        "max_min_fair",
-    ),
     ".routing": (
         "RouteAnalysis", "analyze_traffic", "dmodk_spine", "permutation_traffic",
         "uniform_traffic",

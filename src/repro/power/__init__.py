@@ -4,7 +4,6 @@ from .._lazy import lazy
 
 __getattr__, __dir__, __all__ = lazy(__name__, {
     ".adc": ("AM335X_ADC", "AdcSpec", "SarAdc", "quantization_snr_db"),
-    ".calibration": ("Calibration", "calibrate", "verification_error"),
     ".decimation": (
         "boxcar_decimate", "cascaded_average", "effective_bits_gain", "naive_decimate",
     ),

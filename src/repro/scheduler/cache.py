@@ -453,10 +453,11 @@ class DirectoryResultStore(ResultStore):
     written in, and every load recomputes it and the payload digest.  A
     marker whose ``check`` does not match, a payload that is missing,
     unreadable or does not match its digest, and a marker that parses
-    but lacks a field or holds a spec :class:`Scenario` refuses, raise a
-    ``ValueError`` naming the entry and the damaged file; a marker that
-    does not parse is a miss.  A marker without ``check`` (written
-    before the field existed) loads unchecked.
+    but is not a JSON object, lacks a field or holds a spec
+    :class:`Scenario` refuses, raise a ``ValueError`` naming the entry
+    and the damaged file; a marker that does not parse is a miss.  A
+    marker without ``check`` (written before the field existed) loads
+    unchecked.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
@@ -508,6 +509,11 @@ class DirectoryResultStore(ResultStore):
             meta = json.loads(path.read_text("utf-8"))
         except (OSError, ValueError):
             return None
+        if not isinstance(meta, dict):
+            raise ValueError(
+                f"corrupt store entry {key[:16]}…: marker {path} holds a JSON "
+                f"{type(meta).__name__}, not an object"
+            )
         if meta.get("v") != KEY_VERSION:
             return None
         if "check" in meta and meta["check"] != _marker_check(meta):

@@ -18,8 +18,8 @@ The policy wraps EASY backfill with a *power envelope* admission test:
   headroom.
 
 A ``headroom_margin`` derates the budget to absorb predictor error; the
-reactive node-level capper (:mod:`repro.capping`) catches whatever slips
-through.
+simulator's reactive trim (``ClusterSimulator(cap_w=...)`` in
+:mod:`repro.scheduler.simulate`) catches whatever slips through.
 """
 
 from __future__ import annotations

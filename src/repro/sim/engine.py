@@ -151,8 +151,9 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        # ``not >=`` so a NaN delay is refused too (NaN compares false).
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be non-negative, got {delay!r}")
         super().__init__(env)
         self.delay = float(delay)
         self._triggered = True
@@ -187,8 +188,8 @@ class PeriodicTask:
         *,
         name: str = "",
     ):
-        if period_s <= 0:
-            raise ValueError(f"period must be positive, got {period_s}")
+        if not period_s > 0:
+            raise ValueError(f"period must be positive, got {period_s!r}")
         self.env = env
         self.period_s = float(period_s)
         self.fn = fn
@@ -228,6 +229,8 @@ class PeriodicTask:
     def resume(self, delay_s: Optional[float] = None) -> None:
         """Re-arm a suspended task; first tick after ``delay_s`` (default:
         one full period)."""
+        if delay_s is not None and not delay_s >= 0:
+            raise ValueError(f"resume delay must be non-negative, got {delay_s!r}")
         if self._active and self._pending:
             return
         self._active = True
@@ -417,8 +420,8 @@ class Environment:
                 return stop_event._value
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError(f"until={stop_time} is in the past (now={self._now})")
+            if not stop_time >= self._now:
+                raise ValueError(f"until={stop_time!r} is NaN or in the past (now={self._now})")
 
         # The dispatch loop, with the queue and ``heappop`` bound locally.
         queue = self._queue

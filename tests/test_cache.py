@@ -555,6 +555,20 @@ class TestDirectoryStore:
                            match=rf"corrupt store entry {key[:16]}.*{path.name}"):
             store.get(key)
 
+    @pytest.mark.parametrize("marker", ["[1]", "7", '"x"', "null"],
+                             ids=["list", "number", "string", "null"])
+    def test_marker_that_is_not_an_object_is_a_named_corrupt_entry(
+            self, tmp_path, marker):
+        """A marker that parses to a JSON value other than an object
+        names the entry and the marker's path instead of leaking an
+        ``AttributeError``."""
+        store, key = self._stored_fifo(tmp_path)
+        path = tmp_path / "store" / f"{key}.json"
+        path.write_text(marker)
+        with pytest.raises(ValueError,
+                           match=rf"corrupt store entry {key[:16]}.*{path.name}"):
+            store.get(key)
+
     @pytest.mark.parametrize("keep", [True, False], ids=["payload", "metrics-only"])
     def test_flipped_marker_bit_is_a_miss_a_named_error_or_the_cell(
             self, tmp_path, keep):

@@ -14,8 +14,8 @@ Three families:
   give NaN energy, and a job larger than the machine would surface only
   as an anonymous stall.  The live constructors take the same ``not x >
   0`` check: a NaN gateway period hangs the kernel, a NaN dispatcher cap
-  runs uncapped and a NaN capper cap returns NaN telemetry.  Each
-  raises, naming the field or the job;
+  runs uncapped and a NaN capping-agent cap never trims.  Each raises,
+  naming the field or the job;
 * **config values the run cannot use** — a zero speed exponent, or
   one whose trim floor ``min_speed ** (1 / speed_exponent)`` underflows
   to 0 (the simulator rejects that pair too), negative seeds, capping
@@ -40,7 +40,6 @@ import sys
 
 import pytest
 
-from repro.capping import NodePowerCapper
 from repro.hardware import ComputeNode
 from repro.monitoring import CappingAgent, GatewayArray, GatewayDaemon, MqttBroker
 from repro.runtime import ConfigError, load
@@ -197,7 +196,7 @@ class TestNonFiniteAndInfeasibleInputs:
 class TestNaNCapOrPeriod:
     """The live constructors' ``not x > 0`` checks.  Unchecked, a NaN
     gateway period hangs ``env.run``, a NaN dispatcher cap runs uncapped
-    and a NaN capper cap returns NaN telemetry."""
+    and a NaN capping-agent cap never trims."""
 
     @pytest.mark.parametrize("field, build", [
         ("period_s", lambda env, node, broker: GatewayDaemon(
@@ -206,16 +205,12 @@ class TestNaNCapOrPeriod:
             env, [node], broker, period_s=_NAN)),
         ("cap_w", lambda env, node, broker: CappingAgent(
             env, node, broker, cap_w=_NAN)),
-        ("cap_w", lambda env, node, broker: NodePowerCapper(node, cap_w=_NAN)),
-        ("period_s", lambda env, node, broker: NodePowerCapper(
-            node, cap_w=1500.0, period_s=_NAN)),
         ("cap_w", lambda env, node, broker: PowerAwareScheduler(cap_w=_NAN)),
         ("period_s", lambda env, node, broker: NtpClient(
             LocalClock(), period_s=_NAN)),
         ("period_s", lambda env, node, broker: PtpSlave(
             LocalClock(), period_s=_NAN)),
     ], ids=["GatewayDaemon", "GatewayArray", "CappingAgent",
-            "NodePowerCapper-cap", "NodePowerCapper-period",
             "PowerAwareScheduler", "NtpClient", "PtpSlave"])
     def test_constructor_rejects_it(self, field, build):
         env = Environment()

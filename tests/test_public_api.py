@@ -82,7 +82,7 @@ def _explore_problem():
 def _build(owner, **kw):
     """Call ``owner`` with stand-in required arguments plus ``kw``."""
     from repro import explore
-    from repro.capping import NodePowerCapper
+    from repro.core import DavideSystem
     from repro.faults import DrillConfig
     from repro.monitoring import (CappingAgent, GatewayArray, GatewayDaemon,
                                   TelemetryPlane)
@@ -96,7 +96,6 @@ def _build(owner, **kw):
         "GatewayDaemon": lambda: GatewayDaemon(env, node, broker, **kw),
         "GatewayArray": lambda: GatewayArray(env, [node], broker, **kw),
         "CappingAgent": lambda: CappingAgent(env, node, broker, **kw),
-        "NodePowerCapper": lambda: NodePowerCapper(node, **kw),
         "ClusterSimulator": lambda: ClusterSimulator(4, FifoScheduler(), **kw),
         "PowerAwareScheduler": lambda: PowerAwareScheduler(**kw),
         "NtpClient": lambda: NtpClient(LocalClock(), **kw),
@@ -108,6 +107,7 @@ def _build(owner, **kw):
         "TelemetryPlane": lambda: TelemetryPlane(env, [node], broker,
                                                  batched=True, **kw),
         "DrillConfig": lambda: DrillConfig(**kw),
+        "run_campaign": lambda: DavideSystem().run_campaign([], **kw),
     }
     return calls[owner]()
 
@@ -118,7 +118,6 @@ _CANONICAL = {
     "GatewayDaemon": dict(period_s=0.1, seed=3),
     "GatewayArray": dict(period_s=0.1),
     "CappingAgent": dict(cap_w=1_500.0),
-    "NodePowerCapper": dict(cap_w=1_200.0, period_s=0.2),
     "ClusterSimulator": dict(cap_w=5_000.0, core="reference"),
     "PowerAwareScheduler": dict(cap_w=40_000.0),
     "NtpClient": dict(period_s=32.0),
@@ -132,7 +131,6 @@ _REMOVED_SPELLINGS = [
     ("GatewayDaemon", "interval_s"), ("GatewayDaemon", "rng_seed"),
     ("GatewayArray", "interval_s"), ("GatewayArray", "rng_seed"),
     ("CappingAgent", "setpoint_w"),
-    ("NodePowerCapper", "setpoint_w"), ("NodePowerCapper", "control_period_s"),
     ("ClusterSimulator", "reactive_cap_w"), ("ClusterSimulator", "reference"),
     ("PowerAwareScheduler", "power_budget_w"),
     ("NtpClient", "poll_interval_s"), ("PtpSlave", "sync_interval_s"),
@@ -143,13 +141,31 @@ _REMOVED_SPELLINGS = [
     ("periodic", "start_delay_s"),
     ("DrillConfig", "job_dynamic_w"), ("DrillConfig", "settling_periods"),
     ("DrillConfig", "failsafe_fraction"), ("DrillConfig", "min_trim_rho"),
-    ("DrillConfig", "check_period_s"),
+    ("DrillConfig", "check_period_s"), ("run_campaign", "reactive_backstop"),
 ]
 
-#: Kernel and tracer names with no caller left, by the module that
-#: exported them or the class that carried them.
-_REMOVED_IMPORTS = [("repro.sim", name) for name in (
-    "AllOf", "AnyOf", "Container", "Request", "Resource", "Store")]
+#: Kernel, tracer and model names with no caller left, by the package
+#: that exported them or the class that carried them.
+_REMOVED_NAMES = {
+    "repro.sim": ("AllOf", "AnyOf", "Container", "Request", "Resource", "Store"),
+    "repro.capping": (
+        "NodePowerCapper", "PiController", "CapperTelemetry", "RaplDomain",
+        "RaplResult", "uniform_share", "proportional_share", "water_filling",
+        "allocation_quality"),
+    "repro.monitoring": (
+        "Attribute", "PwrObject", "NodeObject", "PlatformObject", "make_platform"),
+    "repro.network": (
+        "FlowAllocation", "max_min_fair", "allocate_fat_tree_flows",
+        "completion_time_s"),
+    "repro.telemetry": ("EventTrace", "EventCorrelator", "events_from_execution"),
+    "repro.power": ("Calibration", "calibrate", "verification_error"),
+}
+_REMOVED_IMPORTS = [(module, name) for module, names in _REMOVED_NAMES.items()
+                    for name in names]
+_REMOVED_MODULES = [
+    "repro.sim.resources", "repro.capping.rapl", "repro.capping.sharing",
+    "repro.monitoring.powerapi", "repro.network.flows", "repro.telemetry.events",
+    "repro.power.calibration"]
 _REMOVED_METHODS = [
     ("repro.sim", "Environment", "all_of"), ("repro.sim", "Environment", "any_of"),
     ("repro.sim", "Environment", "peek"), ("repro.sim", "Environment", "step"),
@@ -187,8 +203,7 @@ class TestKeywords:
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{typo}'"):
             _build(owner, **{typo: 1})
 
-    @pytest.mark.parametrize("owner", [
-        "NodePowerCapper", "CappingAgent", "PowerAwareScheduler"])
+    @pytest.mark.parametrize("owner", ["CappingAgent", "PowerAwareScheduler"])
     def test_missing_cap_w_names_it(self, owner):
         with pytest.raises(TypeError, match="missing.*'cap_w'"):
             _build(owner)
@@ -199,9 +214,10 @@ class TestKeywords:
         with pytest.raises(ImportError, match=f"cannot import name '{name}'"):
             exec(f"from {module} import {name}", {})
 
-    def test_removed_resources_module(self):
-        with pytest.raises(ModuleNotFoundError):
-            importlib.import_module("repro.sim.resources")
+    @pytest.mark.parametrize("module", _REMOVED_MODULES)
+    def test_removed_module(self, module):
+        with pytest.raises(ModuleNotFoundError, match=f"No module named '{module}'"):
+            importlib.import_module(module)
 
     @pytest.mark.parametrize("module, owner, name", _REMOVED_METHODS,
                              ids=[f"{o}.{n}" for _, o, n in _REMOVED_METHODS])

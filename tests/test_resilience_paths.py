@@ -2,14 +2,14 @@
 
 Each class pins down one designed degradation/recovery behaviour: the
 gateway's store-and-forward buffering through broker outages, the
-scheduler's crash/requeue semantics, the capper's hold-last/fail-safe
-ladder on sensor silence, and the power shelf's capacity derating.
+scheduler's crash/requeue semantics, the sensor watchdog's hold-last
+and fail-safe thresholds on sensor silence, and the power shelf's
+capacity derating.
 """
 
-import numpy as np
 import pytest
 
-from repro.capping import NodePowerCapper, SensorWatchdog
+from repro.capping import SensorWatchdog
 from repro.hardware import ComputeNode, PsuModel, RackLevelSupply
 from repro.monitoring import BrokerUnavailableError, GatewayDaemon, MqttBroker
 from repro.scheduler import ClusterSimulator, FifoScheduler, Job, NodeOutage
@@ -221,53 +221,6 @@ class TestSensorWatchdog:
             SensorWatchdog(stale_after_s=0.0, failsafe_after_s=1.0)
         with pytest.raises(ValueError):
             SensorWatchdog(stale_after_s=2.0, failsafe_after_s=1.0)
-
-
-class TestCapperFailsafe:
-    def _capper(self, **kw):
-        node = ComputeNode()
-        node.set_utilization(cpu=1.0, gpu=1.0, memory_intensity=1.0)
-        kw.setdefault("period_s", 0.1)
-        kw.setdefault("sensor_noise_w", 0.0)
-        kw.setdefault("rng", np.random.default_rng(0))
-        return NodePowerCapper(node, cap_w=1200.0, **kw)
-
-    def test_healthy_path_unchanged_by_failsafe_machinery(self):
-        run_a = self._capper().run(5.0)
-        run_b = self._capper().run(5.0, sensor_ok_fn=lambda t: True)
-        np.testing.assert_array_equal(run_a.commanded_cap_w, run_b.commanded_cap_w)
-
-    def test_short_gap_holds_last_cap(self):
-        capper = self._capper(failsafe_after_s=1.0)
-        tele = capper.run(4.0, sensor_ok_fn=lambda t: not (2.0 <= t < 2.5))
-        i_gap = np.where(np.isnan(tele.measured_w))[0]
-        assert i_gap.size > 0
-        i_before = i_gap[0] - 1
-        # Every capped period within the short gap repeats the last command.
-        for i in i_gap:
-            assert tele.commanded_cap_w[i] == pytest.approx(tele.commanded_cap_w[i_before])
-        assert capper.failsafe_engagements == 0
-
-    def test_long_silence_drops_to_failsafe_then_recovers(self):
-        capper = self._capper(failsafe_after_s=0.5, failsafe_cap_w=900.0)
-        tele = capper.run(8.0, sensor_ok_fn=lambda t: not (2.0 <= t < 5.0))
-        assert capper.failsafe_engagements == 1
-        in_failsafe = np.isclose(tele.commanded_cap_w, 900.0)
-        assert in_failsafe.sum() > 0
-        # The fail-safe window sits strictly inside the silence window.
-        t_fs = tele.times_s[in_failsafe]
-        # Silence is timed from the last good sample (one period before
-        # the gap opens), so allow one control period of slack.
-        assert t_fs.min() >= 2.0 + 0.5 - capper.period_s - 1e-9
-        assert t_fs.max() < 5.0
-        # After telemetry returns, control resumes (no stuck fail-safe).
-        tail = tele.commanded_cap_w[tele.times_s >= 5.0]
-        assert not np.any(np.abs(tail - 900.0) < 1e-9)
-
-    def test_failsafe_defaults(self):
-        capper = self._capper()
-        assert capper.failsafe_cap_w == pytest.approx(1200.0 * 0.8)
-        assert capper.failsafe_after_s == pytest.approx(5 * capper.period_s)
 
 
 class TestPsuShelfFailure:

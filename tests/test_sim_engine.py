@@ -328,6 +328,47 @@ class TestPeriodicTask:
                 env.periodic(period, lambda now: None)
 
 
+class TestTimeValidation:
+    """The kernel refuses a time it could not order: a NaN heap entry
+    never compares past a stop time, so ``run(until=...)`` would spin
+    forever, and a negative delay would fire behind the clock.  Each
+    case raises at the call, naming the value, and leaves the queue as
+    it was."""
+
+    def test_timeout_refuses_a_nan_delay(self):
+        env = Environment()
+        with pytest.raises(ValueError, match="timeout delay must be non-negative, got nan"):
+            env.timeout(float("nan"))
+        assert env.queue_depth == 0
+
+    def test_periodic_refuses_a_nan_period(self):
+        env = Environment()
+        with pytest.raises(ValueError, match="period must be positive, got nan"):
+            env.periodic(float("nan"), lambda now: None)
+        assert env.queue_depth == 0
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_resume_refuses_a_negative_or_nan_delay(self, delay):
+        env = Environment()
+        ticks = []
+        task = env.periodic(
+            1.0, lambda now: (ticks.append(now), now >= 2.0 and task.suspend()))
+        env.run(until=3.5)
+        with pytest.raises(ValueError,
+                           match=f"resume delay must be non-negative, got {delay!r}"):
+            task.resume(delay_s=delay)
+        assert not task.active and env.queue_depth == 0
+        env.run(until=5.0)
+        assert ticks == [0.0, 1.0, 2.0]
+
+    def test_run_refuses_a_nan_until(self):
+        env = Environment()
+        env.timeout(1.0)
+        with pytest.raises(ValueError, match=r"until=nan is NaN or in the past"):
+            env.run(until=float("nan"))
+        assert env.now == 0.0 and env.queue_depth == 1
+
+
 class TestRunSemantics:
     def test_run_until_event_returns_value(self):
         env = Environment()
