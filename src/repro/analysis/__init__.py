@@ -5,10 +5,7 @@ from .._lazy import lazy
 __getattr__, __dir__, __all__ = lazy(__name__, {
     ".exascale": ("ExascaleProjection", "project_exascale"),
     ".linpack": ("HplModel", "HplPoint"),
-    ".metrics": (
-        "TcoModel", "energy_delay_product", "energy_to_solution_j", "flops_per_watt",
-        "pue",
-    ),
+    ".metrics": ("TcoModel",),
     ".top500": (
         "NOV2016_SNAPSHOT", "SystemEntry", "davide_projection", "efficiency_ratio",
         "green500_ranking", "top500_ranking",

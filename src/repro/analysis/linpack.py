@@ -116,12 +116,3 @@ class HplModel:
     def rmax(self) -> HplPoint:
         """The tuned figure: HPL at the largest feasible N."""
         return self.point(self.max_n())
-
-    def efficiency_curve(self, fractions: list[float] | np.ndarray) -> list[HplPoint]:
-        """HPL at a ladder of N values (fractions of the maximum N)."""
-        out = []
-        for f in fractions:
-            if not 0.0 < f <= 1.0:
-                raise ValueError("fractions must lie in (0, 1]")
-            out.append(self.point(max(int(self.max_n() * f), 1)))
-        return out

@@ -1,54 +1,15 @@
-"""Energy metrics and the TCO model.
+"""The TCO model.
 
-The figures of merit the paper's introduction argues in: Flops/W (the
-Green500 metric), energy-to-solution, energy-delay product, PUE, and the
-total cost of ownership split between capex and energy opex that makes
-"power consumption ... responsible for a significant slice of their TCO".
+The total cost of ownership split between capex and energy opex that
+makes "power consumption ... responsible for a significant slice of
+their TCO" (the paper's introduction).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = [
-    "flops_per_watt",
-    "energy_to_solution_j",
-    "energy_delay_product",
-    "pue",
-    "TcoModel",
-]
-
-
-def flops_per_watt(flops: float, power_w: float) -> float:
-    """The Green500 metric."""
-    if power_w <= 0:
-        raise ValueError("power must be positive")
-    if flops < 0:
-        raise ValueError("flops must be non-negative")
-    return flops / power_w
-
-
-def energy_to_solution_j(mean_power_w: float, time_s: float) -> float:
-    """ETS of one run."""
-    if mean_power_w < 0 or time_s < 0:
-        raise ValueError("power and time must be non-negative")
-    return mean_power_w * time_s
-
-
-def energy_delay_product(energy_j: float, time_s: float) -> float:
-    """EDP (lower is better)."""
-    if energy_j < 0 or time_s < 0:
-        raise ValueError("energy and time must be non-negative")
-    return energy_j * time_s
-
-
-def pue(facility_power_w: float, it_power_w: float) -> float:
-    """Power usage effectiveness."""
-    if it_power_w <= 0:
-        raise ValueError("IT power must be positive")
-    if facility_power_w < it_power_w:
-        raise ValueError("facility power cannot be below IT power")
-    return facility_power_w / it_power_w
+__all__ = ["TcoModel"]
 
 
 @dataclass(frozen=True)

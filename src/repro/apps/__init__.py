@@ -1,4 +1,4 @@
-"""Application models (QE, NEMO, SPECFEM3D, BQCD) and real mini-kernels."""
+"""Application models (QE, NEMO, SPECFEM3D, BQCD) and a real CG mini-kernel."""
 
 from .._lazy import lazy
 
@@ -8,9 +8,6 @@ __getattr__, __dir__, __all__ = lazy(__name__, {
         "ExecutionReport", "Phase",
     ),
     ".codes": ("ALL_APPS", "bqcd", "nemo", "quantum_espresso", "specfem3d"),
-    ".kernels": (
-        "CgResult", "cg_solve", "fft_poisson_solve", "sem_element_update",
-        "stencil_sweep",
-    ),
+    ".kernels": ("CgResult", "cg_solve"),
     ".unified_memory": ("OversubscriptionPoint", "UnifiedMemoryModel"),
 })

@@ -23,7 +23,7 @@ NVLink adds on top of PCIe.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,10 +96,6 @@ class ApplicationModel:
             raise ValueError("application needs at least one phase")
         if self.n_iterations < 1:
             raise ValueError("need at least one iteration")
-
-    def total_flops_per_node(self) -> float:
-        """All floating-point work per node over the run."""
-        return self.n_iterations * sum(p.flops for p in self.phases)
 
 
 @dataclass(frozen=True)

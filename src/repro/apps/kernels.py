@@ -1,15 +1,13 @@
-"""Real NumPy mini-kernels matching the four applications' hot loops.
+"""A real NumPy mini-kernel matching BQCD's hot loop.
 
-The phase models in :mod:`repro.apps.codes` are analytic; these kernels
-are *actual computations* with the same structure — a 3-D FFT solve
-(Quantum ESPRESSO), a halo-exchanged stencil sweep (NEMO), an SEM-like
-element update (SPECFEM3D) and an even/odd-preconditioned conjugate
-gradient (BQCD).  The examples use them to generate genuine dynamic
-power/phase traces for the monitoring stack, and the tests use them to
-validate numerical behaviour (the CG really converges, the stencil
-really diffuses, the FFT really inverts).
+The phase models in :mod:`repro.apps.codes` are analytic; this kernel
+is an *actual computation* with the same structure — an
+even/odd-preconditioned conjugate gradient (BQCD).  The examples use it
+to generate genuine dynamic power/phase traces for the monitoring
+stack, and the tests use it to validate numerical behaviour (the CG
+really converges).
 
-All kernels follow the HPC-Python idioms: preallocated arrays, in-place
+It follows the HPC-Python idioms: preallocated arrays, in-place
 updates, vectorised slicing — no Python-level inner loops.
 """
 
@@ -19,72 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["fft_poisson_solve", "stencil_sweep", "sem_element_update", "cg_solve", "CgResult"]
-
-
-def fft_poisson_solve(rho: np.ndarray, box_length: float = 1.0) -> np.ndarray:
-    """Solve the periodic Poisson equation via 3-D FFT (the QE hot loop).
-
-    Returns the potential phi with laplacian(phi) = -rho, mean-zero
-    gauge.  This is exactly the plane-wave solver structure QE runs per
-    SCF cycle.
-    """
-    if rho.ndim != 3:
-        raise ValueError("rho must be a 3-D grid")
-    n0, n1, n2 = rho.shape
-    rho_k = np.fft.rfftn(rho)
-    k0 = np.fft.fftfreq(n0, d=box_length / n0) * 2 * np.pi
-    k1 = np.fft.fftfreq(n1, d=box_length / n1) * 2 * np.pi
-    k2 = np.fft.rfftfreq(n2, d=box_length / n2) * 2 * np.pi
-    k2_sq = (
-        k0[:, None, None] ** 2 + k1[None, :, None] ** 2 + k2[None, None, :] ** 2
-    )
-    k2_sq[0, 0, 0] = 1.0  # gauge: zero the mean mode below
-    phi_k = rho_k / k2_sq
-    phi_k[0, 0, 0] = 0.0
-    return np.fft.irfftn(phi_k, s=rho.shape, axes=(0, 1, 2))
-
-
-def stencil_sweep(field: np.ndarray, n_steps: int = 1, alpha: float = 0.1) -> np.ndarray:
-    """Explicit 2-D diffusion sweeps with periodic halos (the NEMO shape).
-
-    Vectorised 5-point stencil; operates on a copy and returns it.
-    """
-    if field.ndim != 2:
-        raise ValueError("field must be 2-D")
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    if not 0 < alpha <= 0.25:
-        raise ValueError("alpha must lie in (0, 0.25] for stability")
-    u = field.astype(float, copy=True)
-    for _ in range(n_steps):
-        lap = (
-            np.roll(u, 1, axis=0) + np.roll(u, -1, axis=0)
-            + np.roll(u, 1, axis=1) + np.roll(u, -1, axis=1)
-            - 4.0 * u
-        )
-        u += alpha * lap
-    return u
-
-
-def sem_element_update(
-    displacement: np.ndarray, stiffness: np.ndarray, dt: float = 1e-3
-) -> np.ndarray:
-    """One SEM-like element-wise stiffness application (SPECFEM3D shape).
-
-    ``displacement`` is (n_elements, n_points); ``stiffness`` is the
-    shared (n_points, n_points) element operator.  Returns the updated
-    displacement after a leapfrog half-step — a batched GEMM, exactly
-    the arithmetic SPECFEM3D's element kernels perform.
-    """
-    if displacement.ndim != 2 or stiffness.ndim != 2:
-        raise ValueError("displacement must be (elements, points), stiffness (points, points)")
-    if stiffness.shape[0] != stiffness.shape[1] or displacement.shape[1] != stiffness.shape[0]:
-        raise ValueError("shape mismatch between displacement and stiffness")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    accel = -displacement @ stiffness.T
-    return displacement + dt * dt * accel
+__all__ = ["cg_solve", "CgResult"]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ quiet past the fail-safe horizon.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 __all__ = ["SensorWatchdog"]
 
@@ -48,18 +48,9 @@ class SensorWatchdog:
         for source, value in zip(sources, values_w):
             last[source] = (t, float(value))
 
-    def value(self, source: Any) -> Optional[float]:
-        """Last known value for ``source`` (hold-last), or None."""
-        entry = self._last.get(source)
-        return entry[1] if entry is not None else None
-
-    def total_w(self, now_s: float) -> float:
+    def total_w(self) -> float:
         """Sum of last-known values across sources (hold-last-sample)."""
         return float(sum(v for _, v in self._last.values()))
-
-    def stale_sources(self, now_s: float) -> list[Any]:
-        """Sources silent for longer than ``stale_after_s``."""
-        return [s for s, (t, _) in self._last.items() if now_s - t > self.stale_after_s]
 
     def all_silent(self, now_s: float) -> bool:
         """True when *every* source has gone quiet beyond the fail-safe

@@ -5,20 +5,16 @@ frequency/voltage pairs lower than the nominal one.  The main issue with
 DVFS-based approaches is the trade-off between power savings and decrease
 in performance."
 
-The governor selects p-states on a :class:`repro.hardware.cpu.CpuModel`:
-
-* :meth:`cap_to_power` — lowest-index (fastest) state meeting a power cap;
-* :meth:`race_vs_pace` — the classic energy question: run fast and idle
-  ("race-to-halt") vs run slow at a lower state ("pacing"); returns
-  energy-to-solution for both across the ladder, quantifying the
-  trade-off the paper cites from [29]/[33].
+The governor walks the p-states of a :class:`repro.hardware.cpu.CpuModel`:
+:meth:`~DvfsGovernor.race_vs_pace` asks the classic energy question —
+run fast and idle ("race-to-halt") vs run slow at a lower state
+("pacing") — and returns energy-to-solution for both across the ladder,
+quantifying the trade-off the paper cites from [29]/[33].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..hardware.cpu import CpuModel
 
@@ -46,29 +42,6 @@ class DvfsGovernor:
 
     def __init__(self, cpu: CpuModel):
         self.cpu = cpu
-
-    def cap_to_power(self, cap_w: float, utilization: float = 1.0) -> int:
-        """Select the fastest p-state whose power fits under ``cap_w``.
-
-        Returns the selected index; if even the bottom state exceeds the
-        cap, the bottom state is selected (hardware cannot do better).
-        """
-        if cap_w <= 0:
-            raise ValueError("cap must be positive")
-        for idx in range(len(self.cpu.pstates)):
-            self.cpu.set_pstate(idx)
-            if self.cpu.power_w(utilization) <= cap_w:
-                return idx
-        return len(self.cpu.pstates) - 1
-
-    def power_at(self, idx: int, utilization: float = 1.0) -> float:
-        """Power at p-state ``idx`` without changing the current state."""
-        saved = self.cpu.pstate_index
-        try:
-            self.cpu.set_pstate(idx)
-            return self.cpu.power_w(utilization)
-        finally:
-            self.cpu.set_pstate(saved)
 
     def race_vs_pace(self, work_cycles: float, deadline_s: float) -> list[PaceResult]:
         """Energy-to-solution of fixed work at every p-state within a deadline.
@@ -106,10 +79,3 @@ class DvfsGovernor:
         finally:
             self.cpu.set_pstate(saved)
         return results
-
-    def most_efficient_state(self, work_cycles: float, deadline_s: float) -> PaceResult:
-        """The p-state minimising energy-to-solution within the deadline."""
-        results = self.race_vs_pace(work_cycles, deadline_s)
-        if not results:
-            raise ValueError("no p-state meets the deadline")
-        return min(results, key=lambda r: r.total_energy_j)

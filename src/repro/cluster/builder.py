@@ -44,7 +44,7 @@ from ..monitoring.daemon import CappingAgent
 from ..monitoring.gateway import EnergyGateway, GatewayConfig
 from ..monitoring.mqtt import MqttBroker, MqttClient
 from ..monitoring.plane import TelemetryPlane
-from ..observability import MetricsRegistry, Observability, Tracer, null_observability
+from ..observability import Observability, null_observability
 from ..scheduler.policies import FifoScheduler, SchedulingPolicy
 from ..scheduler.simulate import ClusterSimulator
 from ..sim.engine import Environment
@@ -80,14 +80,6 @@ class LiveCluster:
     def run(self, until: float) -> None:
         """Advance the kernel to simulated time ``until`` (seconds)."""
         self.env.run(until=until)
-
-    def metrics(self) -> MetricsRegistry:
-        """The live metrics registry (a no-op registry when disabled)."""
-        return self.obs.metrics
-
-    def trace(self) -> Tracer:
-        """The live tracer (a no-op tracer when disabled)."""
-        return self.obs.tracer
 
     def ops_report(self) -> dict:
         """Operational summary of the running cluster.

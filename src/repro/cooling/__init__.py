@@ -12,7 +12,7 @@ __getattr__, __dir__, __all__ = lazy(__name__, {
         "HeatExchanger", "LiquidLoop", "dew_point_c",
     ),
     ".thermal": (
-        "AIR_COOLED_CPU", "AIR_COOLED_GPU", "LIQUID_COOLED_CPU", "LIQUID_COOLED_GPU",
+        "AIR_COOLED_GPU", "LIQUID_COOLED_CPU", "LIQUID_COOLED_GPU",
         "ThermalChain", "ThermalStage",
     ),
     ".throttling": ("SustainedOperation", "ThrottleGovernor", "sustained_performance"),

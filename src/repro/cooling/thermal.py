@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import expm
 
 __all__ = ["ThermalStage", "ThermalChain", "LIQUID_COOLED_GPU", "AIR_COOLED_GPU",
-           "LIQUID_COOLED_CPU", "AIR_COOLED_CPU"]
+           "LIQUID_COOLED_CPU"]
 
 
 @dataclass(frozen=True)
@@ -70,24 +70,6 @@ class ThermalChain:
         """Current die (stage-0) temperature."""
         return float(self.temps_c[0])
 
-    @property
-    def total_resistance_k_per_w(self) -> float:
-        """Series resistance die -> boundary."""
-        return sum(s.resistance_k_per_w for s in self.stages)
-
-    def steady_state_c(self, power_w: float) -> np.ndarray:
-        """Steady-state temperatures under constant ``power_w`` at the die."""
-        if power_w < 0:
-            raise ValueError("power must be non-negative")
-        p = np.zeros(len(self.stages))
-        p[0] = power_w
-        rhs = p + self._b * self.boundary_temp_c
-        return np.linalg.solve(self._G, rhs)
-
-    def steady_die_temp_c(self, power_w: float) -> float:
-        """Steady-state die temperature under constant power."""
-        return float(self.steady_state_c(power_w)[0])
-
     def step(self, power_w: float, dt_s: float) -> float:
         """Advance the network by ``dt_s`` under constant power; returns die T.
 
@@ -121,10 +103,6 @@ class ThermalChain:
         for i in range(steps):
             out[i] = self.step(power_w, dt_s)
         return out
-
-    def set_boundary(self, temp_c: float) -> None:
-        """Change the coolant/air temperature (inlet sweep experiments)."""
-        self.boundary_temp_c = float(temp_c)
 
     def reset(self, temp_c: float | None = None) -> None:
         """Re-equilibrate all lumps at the boundary (or given) temperature."""
@@ -166,15 +144,4 @@ def LIQUID_COOLED_CPU(coolant_temp_c: float = 35.0) -> ThermalChain:
             ThermalStage("cold-plate", resistance_k_per_w=0.10, capacitance_j_per_k=400.0),
         ],
         boundary_temp_c=coolant_temp_c,
-    )
-
-
-def AIR_COOLED_CPU(air_temp_c: float = 28.0) -> ThermalChain:
-    """POWER8 + heatsink: ~0.29 K/W at full airflow."""
-    return ThermalChain(
-        [
-            ThermalStage("die", resistance_k_per_w=0.07, capacitance_j_per_k=25.0),
-            ThermalStage("heatsink", resistance_k_per_w=0.22, capacitance_j_per_k=800.0),
-        ],
-        boundary_temp_c=air_temp_c,
     )

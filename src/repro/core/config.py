@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from ..hardware.specs import DAVIDE_SYSTEM, SystemSpec
 from ..monitoring.gateway import GatewayConfig
@@ -37,5 +38,6 @@ class DavideConfig:
             raise ValueError("measurement window must be positive")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train fraction must lie in (0, 1)")
-        if self.idle_node_power_w <= 0:
-            raise ValueError("idle node power must be positive")
+        if not 0.0 < self.idle_node_power_w < math.inf:
+            raise ValueError(f"idle_node_power_w must be positive and finite, "
+                             f"got {self.idle_node_power_w!r}")

@@ -1,11 +1,9 @@
-"""Application-side instrumentation: region markers + energy-aware scopes.
+"""Application-side instrumentation: region markers + tradeoff records.
 
 The developer-facing half of the Section-IV co-design loop: annotate
-coarse-grain code regions; the annotations (i) emit
+coarse-grain code regions; the annotations emit
 :class:`repro.telemetry.profiler.PhaseMarker` events the profiler
-correlates with power, and (ii) optionally apply a
-:class:`repro.energyapi.nodeapi.ComponentConfig` while the region runs
-(e.g. sleep the GPUs during an I/O region).
+correlates with power.
 
 "By iterating multiple times coding and experiments, application
 developers can compare time-to-solution versus energy-to-solution and
@@ -17,10 +15,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from ..telemetry.profiler import PhaseMarker
-from .nodeapi import ComponentConfig, NodeEnergyApi
 
 __all__ = ["Instrumentation", "TradeoffRecorder", "TradeoffPoint"]
 
@@ -32,27 +29,17 @@ class Instrumentation:
     clock); markers accumulate in :attr:`markers` for the profiler.
     """
 
-    def __init__(self, clock: Callable[[], float], api: Optional[NodeEnergyApi] = None):
+    def __init__(self, clock: Callable[[], float]):
         self.clock = clock
-        self.api = api
         self.markers: list[PhaseMarker] = []
-        self._depth = 0
 
     @contextmanager
-    def region(self, name: str, config: Optional[ComponentConfig] = None) -> Iterator[None]:
-        """Annotate a code region, optionally shaping the node while inside."""
+    def region(self, name: str) -> Iterator[None]:
+        """Annotate a code region."""
         t0 = self.clock()
-        self._depth += 1
-        applied = False
-        if config is not None and self.api is not None:
-            self.api.apply(config)
-            applied = True
         try:
             yield
         finally:
-            self._depth -= 1
-            if applied:
-                self.api.reset()
             self.markers.append(PhaseMarker(region=name, t_enter_s=t0, t_exit_s=self.clock()))
 
     def markers_for(self, region: str) -> list[PhaseMarker]:
@@ -67,11 +54,6 @@ class TradeoffPoint:
     label: str
     time_to_solution_s: float
     energy_to_solution_j: float
-
-    @property
-    def edp(self) -> float:
-        """Energy-delay product (lower is better)."""
-        return self.time_to_solution_s * self.energy_to_solution_j
 
 
 @dataclass
@@ -99,12 +81,6 @@ class TradeoffRecorder:
         if not self.points:
             raise ValueError("no points recorded")
         return min(self.points, key=lambda p: p.time_to_solution_s)
-
-    def best_edp(self) -> TradeoffPoint:
-        """Lowest energy-delay product — the usual compromise pick."""
-        if not self.points:
-            raise ValueError("no points recorded")
-        return min(self.points, key=lambda p: p.edp)
 
     def pareto_front(self) -> list[TradeoffPoint]:
         """Non-dominated (time, energy) points, sorted by time."""

@@ -7,18 +7,15 @@ GPU.  These APIs will be wrapped in the job scheduler to size the node
 around the job requirements as well as around a library that application
 developers will explicitly call inside the source code."
 
-:class:`NodeEnergyApi` is that library: explicit calls to gate cores,
-sleep GPUs and throttle the memory controller, an RAII-style region
-scope that applies a component configuration for the duration of a code
-region, and bookkeeping of the savings so the scheduler/accounting side
-can credit them.
+:class:`NodeEnergyApi` is that library's job-shaping half: explicit
+calls to gate cores and sleep GPUs, one :meth:`~NodeEnergyApi.apply`
+that actuates a job's :class:`ComponentConfig`, and a call log so the
+scheduler/accounting side can credit them.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
 
 from ..hardware.node import ComputeNode
 
@@ -27,19 +24,14 @@ __all__ = ["ComponentConfig", "ApiCallLog", "NodeEnergyApi"]
 
 @dataclass(frozen=True)
 class ComponentConfig:
-    """A requested node shape for a job or a code region."""
+    """A requested node shape for a job."""
 
     active_cores_per_cpu: int | None = None   # None = leave unchanged
-    smt_level: int | None = None
     gpus_needed: int | None = None            # others go to sleep
-    cpu_frequency_hz: float | None = None
-    memory_throttle: float | None = None      # 0..1 fraction of bandwidth
 
     def __post_init__(self) -> None:
         if self.gpus_needed is not None and self.gpus_needed < 0:
             raise ValueError("gpus_needed must be non-negative")
-        if self.memory_throttle is not None and not 0.0 < self.memory_throttle <= 1.0:
-            raise ValueError("memory throttle must lie in (0, 1]")
 
 
 @dataclass
@@ -59,7 +51,6 @@ class NodeEnergyApi:
     def __init__(self, node: ComputeNode):
         self.node = node
         self.log = ApiCallLog()
-        self._memory_throttle = 1.0
 
     # -- individual knobs ---------------------------------------------------------
     def set_active_cores(self, per_cpu: int) -> None:
@@ -67,12 +58,6 @@ class NodeEnergyApi:
         for cpu in self.node.cpus:
             cpu.set_active_cores(per_cpu)
         self.log.record(f"cores={per_cpu}")
-
-    def set_smt(self, level: int) -> None:
-        """Select the SMT mode on every socket."""
-        for cpu in self.node.cpus:
-            cpu.set_smt_level(level)
-        self.log.record(f"smt={level}")
 
     def sleep_unused_gpus(self, gpus_needed: int) -> int:
         """Put all but the first ``gpus_needed`` GPUs to sleep; returns count."""
@@ -88,91 +73,10 @@ class NodeEnergyApi:
         self.log.record(f"gpus={gpus_needed}")
         return slept
 
-    def wake_all_gpus(self) -> None:
-        """Wake every GPU (job teardown)."""
-        for gpu in self.node.gpus:
-            gpu.wake()
-        self.log.record("gpus=all")
-
-    def set_cpu_frequency(self, hz: float) -> None:
-        """Pin the socket clocks (clamped to the p-state ladder)."""
-        for cpu in self.node.cpus:
-            cpu.set_frequency(hz)
-        self.log.record(f"freq={hz:.3g}")
-
-    def set_memory_throttle(self, fraction: float) -> None:
-        """Throttle the memory controller to a bandwidth fraction."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("memory throttle must lie in (0, 1]")
-        self._memory_throttle = float(fraction)
-        self.log.record(f"memthrottle={fraction:.2f}")
-
-    @property
-    def effective_memory_bandwidth_Bps(self) -> float:
-        """Socket bandwidth after the throttle."""
-        return self.node.memory.sustained_bandwidth_Bps * self._memory_throttle
-
     # -- composite configuration -----------------------------------------------------
     def apply(self, config: ComponentConfig) -> None:
         """Actuate a full node shape in one call (the scheduler wrapper)."""
         if config.active_cores_per_cpu is not None:
             self.set_active_cores(config.active_cores_per_cpu)
-        if config.smt_level is not None:
-            self.set_smt(config.smt_level)
         if config.gpus_needed is not None:
             self.sleep_unused_gpus(config.gpus_needed)
-        if config.cpu_frequency_hz is not None:
-            self.set_cpu_frequency(config.cpu_frequency_hz)
-        if config.memory_throttle is not None:
-            self.set_memory_throttle(config.memory_throttle)
-
-    def reset(self) -> None:
-        """Restore the full node: all cores, SMT max, GPUs awake, top clock."""
-        for cpu in self.node.cpus:
-            cpu.set_active_cores(cpu.spec.cores)
-            cpu.set_smt_level(cpu.spec.smt)
-            cpu.set_pstate(0)
-        self.wake_all_gpus()
-        self._memory_throttle = 1.0
-        self.log.record("reset")
-
-    @contextmanager
-    def region(self, config: ComponentConfig) -> Iterator["NodeEnergyApi"]:
-        """Apply a shape for the duration of a code region, then restore.
-
-        This is the in-source instrumentation pattern of Section IV:
-        developers wrap coarse-grain regions where components are idle.
-        """
-        self.apply(config)
-        try:
-            yield self
-        finally:
-            self.reset()
-
-    # -- savings estimation ---------------------------------------------------------
-    def idle_power_saving_w(self, config: ComponentConfig, baseline_util: float = 0.0) -> float:
-        """Power saved by a shape relative to the full node at a utilization.
-
-        Evaluates the node power model before/after, leaving the node in
-        its prior state.
-        """
-        before = self.node.power_w()
-        # Snapshot state.
-        cores = [c.active_cores for c in self.node.cpus]
-        smts = [c.smt_level for c in self.node.cpus]
-        pstates = [c.pstate_index for c in self.node.cpus]
-        sleeping = [g.asleep for g in self.node.gpus]
-        try:
-            self.apply(config)
-            after = self.node.power_w()
-        finally:
-            for c, n, s, p in zip(self.node.cpus, cores, smts, pstates):
-                c.set_active_cores(n)
-                c.set_smt_level(s)
-                c.set_pstate(p)
-            for g, was_asleep in zip(self.node.gpus, sleeping):
-                if was_asleep:
-                    g.sleep()
-                else:
-                    g.wake()
-        return before - after

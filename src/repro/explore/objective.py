@@ -8,17 +8,17 @@ summary (the :data:`~repro.scheduler.campaign.QOS_METRICS` vocabulary:
 candidates through :meth:`better`; the weighted scalar itself is what
 lands in the trace, so artifacts read in the objective's natural units.
 
-Constructors cover the common shapes::
+The common shapes::
 
-    Objective.minimize("total_energy_j")
-    Objective.maximize("utilization")
+    Objective(metrics=("total_energy_j",))              # sense="min"
+    Objective(metrics=("utilization",), sense="max")
     # energy–QoS blend: joules plus 50 kJ per p95 wait second
     Objective.blend({"total_energy_j": 1.0, "p95_wait_s": 5e4})
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..scheduler.campaign import QOS_METRICS
@@ -58,15 +58,6 @@ class Objective:
         if not self.name:
             object.__setattr__(self, "name", "+".join(self.metrics))
 
-    # -- constructors --------------------------------------------------------
-    @classmethod
-    def minimize(cls, metric: str, name: str = "") -> "Objective":
-        return cls(metrics=(metric,), sense="min", name=name)
-
-    @classmethod
-    def maximize(cls, metric: str, name: str = "") -> "Objective":
-        return cls(metrics=(metric,), sense="max", name=name)
-
     @classmethod
     def blend(cls, weighted: Mapping[str, float], sense: str = "min",
               name: str = "") -> "Objective":
@@ -91,16 +82,6 @@ class Objective:
     def better(self, a: float, b: float) -> bool:
         """Is fitness ``a`` strictly better than ``b`` under the sense?"""
         return a < b if self.sense == "min" else a > b
-
-    def best(self, values: "list[float]") -> int:
-        """Index of the best fitness in a list (first wins ties)."""
-        if not values:
-            raise ValueError("no fitness values to rank")
-        best = 0
-        for i, v in enumerate(values[1:], start=1):
-            if self.better(v, values[best]):
-                best = i
-        return best
 
     def summary(self) -> dict[str, Any]:
         """JSON-friendly description (embedded in trace artifacts)."""

@@ -165,6 +165,3 @@ class ExplorationTrace:
                 for s in self.steps
             ],
         }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)

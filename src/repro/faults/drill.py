@@ -44,7 +44,7 @@ import numpy as np
 
 from ..capping.controller import SensorWatchdog
 from ..hardware.psu import PsuModel, RackLevelSupply
-from ..monitoring.daemon import GatewayArray, GatewayDaemon
+from ..monitoring.daemon import GatewayArray
 from ..monitoring.mqtt import Message, MqttBroker
 from ..monitoring.plane import TelemetryPlane
 from ..observability import Observability, null_observability
@@ -675,7 +675,7 @@ class FaultDrill:
                 self.log.append(now, "failsafe_off")
             if nominal_dyn <= 0:
                 continue
-            measured = self.watchdog.total_w(now)
+            measured = self.watchdog.total_w()
             if measured > self.cap_w + 25.0:
                 # Reactive trim off the *measured* stream: spikes over-trim,
                 # which errs in the safe direction.
@@ -774,16 +774,8 @@ class FaultDrill:
             "total_energy_j": round(self.total_energy_j, 3),
             "jobs_energy_j": round(sum(r.energy_j for r in self.records.values()), 3),
             "idle_energy_j": round(self.idle_energy_j, 3),
-            "gateway_republished": (
-                self.gateway_array.republished_count
-                if self.gateway_array is not None
-                else sum(gw.republished_count for gw in self.gateways)
-            ),
-            "gateway_reconnects": (
-                self.gateway_array.reconnects
-                if self.gateway_array is not None
-                else sum(gw.reconnects for gw in self.gateways)
-            ),
+            "gateway_republished": self.telemetry.republished_count,
+            "gateway_reconnects": self.telemetry.reconnects,
             "failsafe_engagements": self.failsafe_engagements,
             "invariant_checks": self.checker.checks_run,
             "violations": len(self.checker.violations),

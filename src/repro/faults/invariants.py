@@ -102,12 +102,6 @@ class InvariantChecker:
         self.checks_run += 1
         return found
 
-    def assert_clean(self) -> None:
-        """Raise if any violation was recorded over the whole run."""
-        if self.violations:
-            lines = "\n".join(str(v) for v in self.violations)
-            raise InvariantViolation(f"{len(self.violations)} invariant violation(s):\n{lines}")
-
 
 def monotonic_time_hooks(checker: InvariantChecker) -> KernelHooks:
     """Kernel hooks asserting the clock never runs backwards.

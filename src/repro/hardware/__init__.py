@@ -3,7 +3,7 @@
 from .._lazy import lazy
 
 __getattr__, __dir__, __all__ = lazy(__name__, {
-    ".arm": ("ARM_DDR4", "ARM_SOC", "PHASE2_NODE", "arm_pstates", "phase2_fabric"),
+    ".arm": ("ARM_DDR4", "ARM_SOC", "PHASE2_NODE", "phase2_fabric"),
     ".burnin": ("BurnInCheck", "BurnInReport", "BurnInSuite"),
     ".cluster": ("Cluster",),
     ".management": ("Asset", "RackManagementController"),

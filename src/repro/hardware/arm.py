@@ -16,13 +16,10 @@ comparison that motivated the switch can be regenerated (bench E17).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cpu import CpuModel, PState
 from .interconnect import NodeFabric
-from .specs import GIGA, PCIE_GEN3_X16, TERA, CpuSpec, GpuSpec, MemorySpec, NodeSpec, TESLA_P100
+from .specs import GIGA, PCIE_GEN3_X16, CpuSpec, MemorySpec, NodeSpec, TESLA_P100
 
-__all__ = ["ARM_SOC", "ARM_DDR4", "PHASE2_NODE", "arm_pstates", "phase2_fabric"]
+__all__ = ["ARM_SOC", "ARM_DDR4", "PHASE2_NODE", "phase2_fabric"]
 
 #: Cavium ThunderX-class 64-bit ARM SoC: many simple cores, modest
 #: per-core FP throughput (2 flops/cycle, no wide SIMD FMA pipes), low
@@ -71,13 +68,6 @@ PHASE2_NODE = NodeSpec(
     misc_power_w=120.0,
     peak_power_w=900.0,
 )
-
-
-def arm_pstates(spec: CpuSpec = ARM_SOC) -> list[PState]:
-    """A coarse ARM DVFS ladder (fewer, wider steps than POWER8's)."""
-    freqs = [2.0e9, 1.7e9, 1.4e9, 1.0e9]
-    volts = [1.05, 0.98, 0.92, 0.85]
-    return [PState(f, v) for f, v in zip(freqs, volts)]
 
 
 def phase2_fabric() -> NodeFabric:

@@ -83,25 +83,3 @@ class Cluster:
         """Broadcast a utilization state to every node (envelope studies)."""
         for n in self.nodes:
             n.set_utilization(cpu=cpu, gpu=gpu, memory_intensity=memory_intensity)
-
-    def apply_system_cap(self, cap_w: float) -> float:
-        """Split a system cap over compute racks in proportion to demand.
-
-        The service rack is uncontrollable; its draw comes off the top.
-        Returns the resulting facility power.
-        """
-        if cap_w <= 0:
-            raise ValueError("cap must be positive")
-        budget = max(cap_w - self.SERVICE_RACK_POWER_W, 0.0)
-        demands = self.per_rack_power_w()
-        total = float(demands.sum())
-        if total <= budget or total == 0:
-            return self.facility_power_w()
-        for rack, demand in zip(self.racks, demands):
-            rack.apply_power_cap(budget * float(demand) / total)
-        return self.facility_power_w()
-
-    def uncap(self) -> None:
-        """Remove all node power caps."""
-        for n in self.nodes:
-            n.apply_power_cap(None)

@@ -8,15 +8,12 @@ from a CPU:
   classic CV^2f dynamic term, calibrated so that full utilization at the
   top p-state hits the SKU's TDP and idle at the bottom state hits the
   idle floor;
-* a **performance model**: throughput scales with active cores and clock,
-  with an SMT efficiency curve (more hardware threads per core give
-  diminishing returns — POWER8's SMT8 is the paper's headline feature);
+* a **peak-flops figure** that scales with active cores and clock;
 * **core off-lining** for the energy-proportionality API of Section IV.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +62,6 @@ class CpuModel:
             raise ValueError("empty p-state ladder")
         self._pstate_idx = 0
         self._active_cores = spec.cores
-        self._smt_level = spec.smt
         # Calibrate the power model against (TDP @ top state, full util)
         # and (idle floor @ top state, zero util).  Static power scales
         # linearly with voltage; dynamic with C*V^2*f.
@@ -97,39 +93,12 @@ class CpuModel:
         self._pstate_idx = index
         return self.pstate
 
-    def set_frequency(self, frequency_hz: float) -> PState:
-        """Select the slowest p-state with frequency >= the request.
-
-        Requests outside the ladder clamp (hardware clamps, it does not
-        fail): below the bottom selects the bottom state, above the top
-        selects the top state.
-        """
-        candidates = [i for i, p in enumerate(self.pstates) if p.frequency_hz >= frequency_hz]
-        self._pstate_idx = max(candidates) if candidates else 0
-        return self.pstate
-
     # -- core gating (energy-proportionality API, paper Section IV) --------
-    @property
-    def active_cores(self) -> int:
-        """Cores currently powered on."""
-        return self._active_cores
-
     def set_active_cores(self, n: int) -> None:
         """Power-gate down to ``n`` active cores (1..spec.cores)."""
         if not 1 <= n <= self.spec.cores:
             raise ValueError(f"active cores must be in [1, {self.spec.cores}]")
         self._active_cores = n
-
-    @property
-    def smt_level(self) -> int:
-        """Threads per core currently enabled (1, 2, 4 or 8 on POWER8)."""
-        return self._smt_level
-
-    def set_smt_level(self, smt: int) -> None:
-        """Select the SMT mode (must divide the hardware maximum)."""
-        if smt < 1 or smt > self.spec.smt or self.spec.smt % smt != 0:
-            raise ValueError(f"invalid SMT level {smt} for {self.spec.name}")
-        self._smt_level = smt
 
     # -- power ---------------------------------------------------------------
     def power_w(self, utilization: float = 1.0) -> float:
@@ -156,32 +125,6 @@ class CpuModel:
         return self.power_w(utilization) * duration_s
 
     # -- performance ----------------------------------------------------------
-    @staticmethod
-    def smt_efficiency(smt: int) -> float:
-        """Aggregate throughput multiplier of running ``smt`` threads/core.
-
-        POWER8 SMT scaling is strong but sub-linear; the curve below
-        (1->1.0, 2->1.45, 4->1.9, 8->2.2) matches published SMT studies on
-        POWER8 for throughput workloads.
-        """
-        return {1: 1.0, 2: 1.45, 4: 1.9, 8: 2.2}.get(smt, 1.0 + 0.45 * math.log2(smt))
-
     def peak_flops(self) -> float:
         """FP64 peak at the current clock with the active core count."""
         return self._active_cores * self.spec.flops_per_cycle_per_core * self.frequency_hz
-
-    def attainable_flops(self, arithmetic_intensity: float, mem_bandwidth_Bps: float) -> float:
-        """Roofline-attainable FP64 throughput.
-
-        ``arithmetic_intensity`` is flops per byte of memory traffic;
-        ``mem_bandwidth_Bps`` is the socket's sustained memory bandwidth
-        (the Centaur roll-up from :mod:`repro.hardware.memory`).
-        """
-        if arithmetic_intensity < 0:
-            raise ValueError("arithmetic intensity must be non-negative")
-        return min(self.peak_flops(), arithmetic_intensity * mem_bandwidth_Bps)
-
-    def relative_speed(self) -> float:
-        """Throughput relative to all-cores-at-max-clock (in (0, 1])."""
-        full = self.spec.cores * self.spec.max_clock_hz
-        return (self._active_cores * self.frequency_hz) / full

@@ -7,8 +7,8 @@ Captures the GPU behaviours the D.A.V.I.D.E. stack depends on:
   capper drives): the model throttles its clock until predicted power fits
   under the cap, exactly how the real closed-loop limiter behaves on
   average;
-* a **roofline performance model** over FP64/FP32/FP16 peaks and the HBM2
-  bandwidth (the paper's porting section reasons entirely in these terms);
+* **FP64/FP32/FP16 peaks** at the resolved clock (the application models'
+  roofline reads them against the HBM2 bandwidth);
 * **sleep states** for the energy-proportionality API (Section IV).
 """
 
@@ -49,11 +49,6 @@ class GpuModel:
         self._static_w = spec.tdp_w * self.STATIC_FRACTION
 
     # -- power limit (RAPL-equivalent knob on the GPU) ----------------------
-    @property
-    def power_limit_w(self) -> float:
-        """Active board power limit."""
-        return self._power_limit_w
-
     def set_power_limit(self, limit_w: float) -> None:
         """Set the board power limit; clamped to [idle floor, TDP]."""
         if limit_w <= 0:
@@ -61,11 +56,6 @@ class GpuModel:
         self._power_limit_w = float(np.clip(limit_w, self.spec.idle_w, self.spec.tdp_w))
 
     # -- sleep (energy-proportionality API) ---------------------------------
-    @property
-    def asleep(self) -> bool:
-        """Whether the GPU is in its low-power sleep state."""
-        return self._asleep
-
     def sleep(self) -> None:
         """Enter the deep-idle state (persistence-mode off equivalent)."""
         self._asleep = True
@@ -125,26 +115,3 @@ class GpuModel:
         op = self.operating_point(1.0)
         scale = op.clock_hz / self.spec.boost_clock_hz
         return self.spec.peak_flops(precision) * scale
-
-    def attainable_flops(self, arithmetic_intensity: float, precision: str = "fp64") -> float:
-        """Roofline-attainable throughput for a kernel.
-
-        ``arithmetic_intensity`` in flops/byte against HBM2.  The paper's
-        application analysis (QE FFT locality, NEMO bandwidth-boundedness)
-        is an instance of exactly this model.
-        """
-        if arithmetic_intensity < 0:
-            raise ValueError("arithmetic intensity must be non-negative")
-        return min(
-            self.peak_flops(precision),
-            arithmetic_intensity * self.spec.hbm_bandwidth_Bps,
-        )
-
-    def kernel_time_s(self, flops: float, arithmetic_intensity: float, precision: str = "fp64") -> float:
-        """Execution time of a kernel of ``flops`` work on this GPU."""
-        if flops < 0:
-            raise ValueError("flops must be non-negative")
-        rate = self.attainable_flops(arithmetic_intensity, precision)
-        if rate <= 0:
-            return float("inf")
-        return flops / rate

@@ -16,7 +16,6 @@ applications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import networkx as nx
 
@@ -108,10 +107,6 @@ class NodeFabric:
             )
 
     # -- queries ---------------------------------------------------------------
-    def endpoints(self, kind: str | None = None) -> list[str]:
-        """All endpoint names, optionally filtered by kind."""
-        return [n for n, d in self.graph.nodes(data=True) if kind is None or d["kind"] == kind]
-
     def transfer(self, src: str, dst: str, nbytes: float) -> TransferCost:
         """Cost of moving ``nbytes`` from ``src`` to ``dst``.
 
@@ -132,16 +127,6 @@ class NodeFabric:
     def gpu_peer_bandwidth_Bps(self, gpu_a: int, gpu_b: int) -> float:
         """GPU<->GPU bottleneck bandwidth (NVLink if same socket, else SMP)."""
         return self.transfer(f"gpu{gpu_a}", f"gpu{gpu_b}", 1.0).bandwidth_Bps
-
-    def same_socket(self, gpu_a: int, gpu_b: int) -> bool:
-        """Whether two GPUs hang off the same socket (direct NVLink peers)."""
-        return gpu_a // self.gpus_per_cpu == gpu_b // self.gpus_per_cpu
-
-    def aggregate_nvlink_bandwidth_Bps(self) -> float:
-        """Sum of NVLink gang bandwidths in the node (one direction)."""
-        return sum(
-            d["bandwidth"] for _, _, d in self.graph.edges(data=True) if d["medium"] == "nvlink"
-        )
 
     def pcie_fallback(self) -> "NodeFabric":
         """A copy of this fabric with every NVLink edge degraded to PCIe.

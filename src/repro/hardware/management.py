@@ -9,13 +9,13 @@ IDs, asset tags, and so on), and full featured power management."
 Three responsibilities, implemented against the rack model:
 
 * **asset management** — an inventory of every field-replaceable unit
-  with IDs/tags/positions, queryable and auditable;
+  with IDs/tags/positions;
 * **fan-speed optimization** — a feedback loop holding the hottest
   air-path temperature at a target with the minimum fan power (fan
   affinity laws make this a real optimization: halving speed costs 8x
-  less energy);
-* **power management** — rack power-state commands (cap, uncap, per-node
-  power off/on) with an audit log.
+  less energy), with an audit log;
+* **status** — the health beacon the super-rack level reads (power,
+  feed headroom, fans, exhaust).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class RackManagementController:
         self.inlet_temp_c = float(inlet_temp_c)
         self.target_exhaust_c = float(target_exhaust_c)
         self.audit_log: list[str] = []
-        self._powered_off: set[int] = set()
         self._assets = self._build_inventory()
 
     # -- asset management -----------------------------------------------------
@@ -72,20 +71,6 @@ class RackManagementController:
         tag = f"R{rid}-RMC"
         assets[tag] = Asset(tag, "controller", position_u=41, serial=f"MC{rid:05d}")
         return assets
-
-    def inventory(self, kind: str | None = None) -> list[Asset]:
-        """The rack's assets, optionally filtered by kind."""
-        return sorted(
-            (a for a in self._assets.values() if kind is None or a.kind == kind),
-            key=lambda a: a.asset_tag,
-        )
-
-    def find_asset(self, asset_tag: str) -> Asset:
-        """Look an asset up by tag."""
-        try:
-            return self._assets[asset_tag]
-        except KeyError:
-            raise KeyError(f"no asset {asset_tag!r} in rack {self.rack.rack_id}") from None
 
     # -- fan optimization ----------------------------------------------------------
     def air_heat_w(self) -> float:
@@ -116,41 +101,7 @@ class RackManagementController:
         self.audit_log.append(f"fans={fraction:.2f}")
         return fraction
 
-    # -- power management --------------------------------------------------------------
-    def power_off_node(self, node_id: int) -> None:
-        """Administratively power a node down (drains to zero utilization)."""
-        node = self.rack_node(node_id)
-        node.idle()
-        for gpu in node.gpus:
-            gpu.sleep()
-        self._powered_off.add(node_id)
-        self.audit_log.append(f"off node{node_id}")
-
-    def power_on_node(self, node_id: int) -> None:
-        """Power a node back up."""
-        node = self.rack_node(node_id)
-        for gpu in node.gpus:
-            gpu.wake()
-        self._powered_off.discard(node_id)
-        self.audit_log.append(f"on node{node_id}")
-
-    def is_powered_off(self, node_id: int) -> bool:
-        """Whether a node is administratively down."""
-        return node_id in self._powered_off
-
-    def apply_rack_cap(self, cap_w: float) -> float:
-        """Cap the whole rack; audited.  Returns the achieved power."""
-        achieved = self.rack.apply_power_cap(cap_w)
-        self.audit_log.append(f"cap={cap_w:.0f}")
-        return achieved
-
-    def rack_node(self, node_id: int):
-        """The rack's node with a global id (KeyError if foreign)."""
-        for node in self.rack.nodes:
-            if node.node_id == node_id:
-                return node
-        raise KeyError(f"node {node_id} is not in rack {self.rack.rack_id}")
-
+    # -- status --------------------------------------------------------------------------
     def health_summary(self) -> dict[str, float | int | bool]:
         """The super-rack-level status beacon."""
         return {
@@ -160,6 +111,5 @@ class RackManagementController:
             "within_feed": self.rack.within_feed_capacity(),
             "fan_fraction": self.rack.fan_fraction,
             "exhaust_temp_c": self.exhaust_temp_c(),
-            "nodes_off": len(self._powered_off),
             "assets": len(self._assets),
         }

@@ -7,9 +7,8 @@ Centaur), each Centaur carries 16 MB of eDRAM acting as an L4 cache, and a
 fully-populated socket sustains 230 GB/s with 40 ns latency.
 
 This module rolls those datasheet numbers up into per-socket bandwidth /
-capacity / L4 figures, and models the read:write asymmetry that matters
-for bandwidth-bound workloads (NEMO's stencils stream roughly 1:1
-read:write and therefore cannot reach the 2:1-provisioned aggregate).
+capacity / L4 figures, and splits each Centaur link into its 2:1
+read:write lanes.
 """
 
 from __future__ import annotations
@@ -53,11 +52,6 @@ class MemorySubsystem:
         self.link = link if link is not None else CentaurLink()
 
     @property
-    def peak_bandwidth_Bps(self) -> float:
-        """Sum of all Centaur link bandwidths."""
-        return self.spec.channels * self.link.total_bandwidth_Bps
-
-    @property
     def sustained_bandwidth_Bps(self) -> float:
         """Sustained socket bandwidth, capped by the datasheet figure.
 
@@ -77,34 +71,3 @@ class MemorySubsystem:
     def latency_s(self) -> float:
         """Load-to-use latency through the Centaur (paper: 40 ns)."""
         return self.spec.latency_s
-
-    def effective_bandwidth_Bps(self, read_fraction: float) -> float:
-        """Achievable streaming bandwidth for a given read:write mix.
-
-        The 2:1 lane split means a stream with read fraction ``r`` is
-        limited by ``min(read_bw / r, write_bw / (1 - r))`` per link — a
-        pure-write stream gets only the single write lane, a 2/3-read
-        stream saturates both directions simultaneously.
-        """
-        if not 0.0 <= read_fraction <= 1.0:
-            raise ValueError("read fraction must lie in [0, 1]")
-        per_link_read = self.link.read_bandwidth_Bps
-        per_link_write = self.link.write_bandwidth_Bps
-        if read_fraction == 0.0:
-            per_link = per_link_write
-        elif read_fraction == 1.0:
-            per_link = per_link_read
-        else:
-            per_link = min(per_link_read / read_fraction, per_link_write / (1 - read_fraction))
-        per_link = min(per_link, self.link.total_bandwidth_Bps)
-        peak = self.spec.channels * per_link
-        # Sustained derating applies proportionally.
-        derate = self.sustained_bandwidth_Bps / self.peak_bandwidth_Bps if self.peak_bandwidth_Bps else 0.0
-        return peak * min(derate, 1.0)
-
-    def stream_time_s(self, bytes_moved: float, read_fraction: float = 2 / 3) -> float:
-        """Time to stream ``bytes_moved`` at the mix's effective bandwidth."""
-        if bytes_moved < 0:
-            raise ValueError("bytes moved must be non-negative")
-        bw = self.effective_bandwidth_Bps(read_fraction)
-        return bytes_moved / bw if bw > 0 else float("inf")

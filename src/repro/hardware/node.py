@@ -19,7 +19,7 @@ The node exposes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,14 +103,6 @@ class ComputeNode:
         """Return the node to the idle state (all utilization zero)."""
         self.set_utilization(cpu=0.0, gpu=0.0, memory_intensity=0.0)
 
-    @property
-    def is_idle(self) -> bool:
-        """Whether no component reports activity."""
-        return (
-            all(u == 0.0 for u in self.cpu_utilization)
-            and all(u == 0.0 for u in self.gpu_utilization)
-        )
-
     # -- power -----------------------------------------------------------------
     def power_breakdown(self) -> PowerBreakdown:
         """Per-rail power at the current state (post-cap actuation)."""
@@ -124,11 +116,6 @@ class ComputeNode:
         return self.power_breakdown().total_w
 
     # -- capping actuators -------------------------------------------------------
-    @property
-    def power_cap_w(self) -> float | None:
-        """Active node power cap (None = uncapped)."""
-        return self._power_cap_w
-
     def apply_power_cap(self, cap_w: float | None) -> float:
         """Actuate component limits so predicted power meets ``cap_w``.
 
@@ -189,10 +176,6 @@ class ComputeNode:
     def nameplate_flops(self) -> float:
         """Node FP64 peak from the datasheet (paper: 22 TFlops)."""
         return self.spec.peak_flops
-
-    def relative_performance(self) -> float:
-        """Current peak relative to nameplate (capping degradation)."""
-        return self.peak_flops / self.nameplate_flops if self.nameplate_flops else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

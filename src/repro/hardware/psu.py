@@ -128,11 +128,6 @@ class RackLevelSupply:
 
     # -- failure injection ---------------------------------------------------
     @property
-    def failed_psus(self) -> int:
-        """Supplies currently dead (fault injection / field failures)."""
-        return self._failed
-
-    @property
     def available_psus(self) -> int:
         """Supplies the shelf can still enable."""
         return self.n_psus - self._failed

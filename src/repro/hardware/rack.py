@@ -84,18 +84,3 @@ class Rack:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fan fraction must lie in [0, 1]")
         self.fan_fraction = float(fraction)
-
-    def apply_power_cap(self, rack_cap_w: float) -> float:
-        """Split a rack-level cap equally across nodes (the
-        firmware-default split); returns new power."""
-        if rack_cap_w <= 0:
-            raise ValueError("cap must be positive")
-        overhead = self.fan_power_w() + self.conversion_loss_w()
-        per_node = max((rack_cap_w - overhead) / len(self.nodes), 1.0)
-        for node in self.nodes:
-            node.apply_power_cap(per_node)
-        return self.facility_power_w()
-
-    def heat_output_w(self) -> float:
-        """Heat the rack dumps into the cooling system (= all input power)."""
-        return self.facility_power_w()

@@ -11,7 +11,7 @@ a spec propagates consistently through the whole reproduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "CpuSpec",
@@ -60,11 +60,6 @@ class CpuSpec:
     tdp_w: float
     idle_w: float
     mem_channels: int             # Centaur links on POWER8
-
-    @property
-    def threads(self) -> int:
-        """Total simultaneous hardware threads."""
-        return self.cores * self.smt
 
     def peak_flops(self, clock_hz: float | None = None) -> float:
         """Peak FP64 throughput at the given (default max) clock."""

@@ -7,7 +7,7 @@ __getattr__, __dir__, __all__ = lazy(__name__, {
         "ArduPowerMonitor", "EnergyGatewayMonitor", "HdeemMonitor", "IpmiMonitor",
         "MonitoringSystem", "PowerInsightMonitor", "standard_monitors",
     ),
-    ".comparison": ("MonitorScore", "aliasing_spread", "compare_monitors"),
+    ".comparison": ("MonitorScore", "compare_monitors"),
     ".daemon": ("CappingAgent", "GatewayArray", "GatewayDaemon"),
     ".gateway": ("EnergyGateway", "GatewayConfig"),
     ".insight": (

@@ -5,22 +5,17 @@ Scores every monitoring system on the same ground-truth workload:
 * **energy error** — the headline metric: relative error of the energy
   integral (what accounting bills users on);
 * **RMS power error** — pointwise fidelity (what profilers correlate);
-* **usable bandwidth** — the Nyquist band of the reported trace;
-* **aliasing susceptibility** — energy-error spread across workload phase
-  randomisations (an aliasing sampler's error depends on where its
-  sampling comb lands relative to the workload's phase structure).
+* **usable bandwidth** — the Nyquist band of the reported trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..power.trace import PowerTrace
 from .baselines import MonitoringSystem
 
-__all__ = ["MonitorScore", "compare_monitors", "aliasing_spread"]
+__all__ = ["MonitorScore", "compare_monitors"]
 
 
 @dataclass(frozen=True)
@@ -66,33 +61,3 @@ def compare_monitors(
             )
         )
     return sorted(scores, key=lambda s: abs(s.energy_error_fraction))
-
-
-def aliasing_spread(
-    monitor: MonitoringSystem,
-    truth_factory,
-    n_phases: int = 10,
-    rng: np.random.Generator | None = None,
-) -> dict[str, float]:
-    """Energy-error spread across random workload phase offsets.
-
-    ``truth_factory(phase_offset_s)`` must return a ground-truth trace
-    whose phase structure is shifted by the offset.  An integrating
-    monitor's error is phase-independent; an instantaneous undersampler's
-    error swings with phase — that swing *is* the aliasing noise of [25].
-    Returns the mean, standard deviation and worst absolute energy error.
-    """
-    if n_phases < 2:
-        raise ValueError("need at least 2 phase trials")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    errors = []
-    for _ in range(n_phases):
-        truth = truth_factory(float(rng.uniform(0.0, 1.0)))
-        reported = monitor.measure(truth)
-        errors.append(reported.energy_error_fraction(truth))
-    arr = np.array(errors)
-    return {
-        "mean_error": float(arr.mean()),
-        "std_error": float(arr.std()),
-        "worst_abs_error": float(np.abs(arr).max()),
-    }

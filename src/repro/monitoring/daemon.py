@@ -85,14 +85,13 @@ class GatewayDaemon:
         backoff_factor: float = 2.0,
         max_backoff_s: float = 8.0,
         clock: Optional[Callable[[float], float]] = None,
-        seed: Optional[int] = None,
         obs: Optional[Observability] = None,
     ):
         """``clock`` maps true simulated time to the gateway's stamped
-        time (the PTP-disciplined clock; identity by default).  ``seed``
-        seeds the sensor-noise stream; default is the node id, and an
-        explicit ``rng`` wins over both.  ``obs`` wires the daemon into a
-        shared :class:`~repro.observability.Observability`; omitted, the
+        time (the PTP-disciplined clock; identity by default).  ``rng``
+        is the sensor-noise stream; default ``default_rng(node_id)``.
+        ``obs`` wires the daemon into a shared
+        :class:`~repro.observability.Observability`; omitted, the
         instrumentation is no-op."""
         if not period_s > 0:
             # ``not >`` so a NaN period is rejected too (NaN compares false).
@@ -104,7 +103,7 @@ class GatewayDaemon:
         self.period_s = float(period_s)
         self.sensor_noise_w = float(sensor_noise_w)
         if rng is None:
-            rng = np.random.default_rng(node.node_id if seed is None else seed)
+            rng = np.random.default_rng(node.node_id)
         self.rng = rng
         # Drawn lazily, so ``rng`` is untouched until the first sample.
         self._noise: list[float] = []

@@ -21,16 +21,15 @@ plain callable).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from ..hardware.node import ComputeNode
 from ..power.adc import AM335X_ADC, SarAdc
 from ..power.decimation import boxcar_decimate
 from ..power.sensors import SHUNT_SENSOR, PowerSensor, SensorSpec
-from ..power.trace import PowerTrace, trace_from_function
+from ..power.trace import PowerTrace
 from .mqtt import MqttBroker, MqttClient
 
 __all__ = ["GatewayConfig", "EnergyGateway"]
@@ -106,25 +105,6 @@ class EnergyGateway:
         decimated = boxcar_decimate(raw, self.config.decimation)
         stamped_times = np.array([self.clock(t) for t in decimated.times_s])
         return PowerTrace(stamped_times, decimated.power_w)
-
-    def measure_node(self, node: ComputeNode, duration_s: float, include_rails: bool = True) -> dict[str, PowerTrace]:
-        """Acquire all rails of a node in its *current* (static) state.
-
-        For dynamic workloads, feed :meth:`acquire` with the waveform
-        generators in :mod:`repro.power.workloads` instead.  Returns a
-        rail -> measured-trace mapping (always includes ``"node"``).
-        """
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        breakdown = node.power_breakdown().as_dict()
-        dense_rate = self.config.adc_rate_hz * 4  # dense stand-in for continuous
-        out: dict[str, PowerTrace] = {}
-        rails: Mapping[str, float] = breakdown if include_rails else {}
-        total = sum(breakdown.values())
-        for channel, (rail, watts) in enumerate({"node": total, **dict(rails)}.items()):
-            truth = trace_from_function(lambda t, w=watts: np.full_like(t, w), duration_s, dense_rate)
-            out[rail] = self.acquire(truth, rail=rail, channel=channel)
-        return out
 
     # -- publication ----------------------------------------------------------------
     def topic(self, rail: str) -> str:

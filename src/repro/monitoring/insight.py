@@ -7,7 +7,7 @@ This module is that layer: analyzers that consume the gateway's power
 streams (and the scheduler's job records) and flag
 
 * **hazards** — power approaching the rack feed/PSU limits, sustained
-  thermal-envelope pressure, a stuck/flat-lining sensor;
+  thermal-envelope pressure;
 * **anomalies** — samples statistically inconsistent with the stream's
   recent behaviour (robust z-score on a sliding window);
 * **sources of not-optimality** — jobs drawing far less power than their
@@ -112,29 +112,6 @@ class PowerAnomalyDetector:
                 )
             )
         return findings
-
-    def stuck_sensor(self, trace: PowerTrace, subject: str = "node", flat_samples: int = 200) -> list[Finding]:
-        """Flag a sensor that repeats the exact same value for too long."""
-        if flat_samples < 2:
-            raise ValueError("flat_samples must be >= 2")
-        p = trace.power_w
-        if p.size < flat_samples:
-            return []
-        run = 1
-        for i in range(1, p.size):
-            run = run + 1 if p[i] == p[i - 1] else 1
-            if run == flat_samples:
-                return [
-                    Finding(
-                        kind="hazard",
-                        subject=subject,
-                        severity="critical",
-                        message=f"sensor flat-lined at {p[i]:.1f} W for {flat_samples} samples",
-                        time_s=float(trace.times_s[i]),
-                        value=float(p[i]),
-                    )
-                ]
-        return []
 
 
 class HazardDetector:

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Iterable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Optional
 
 __all__ = [
     "BrokerUnavailableError",
@@ -132,19 +132,6 @@ class _TopicTrie:
             node = node.children.setdefault(level, _TopicTrie())
         node.subscriptions.append(sub)
 
-    def remove(self, levels: list[str], client: "MqttClient", topic_filter: str) -> int:
-        node = self
-        for level in levels:
-            if level not in node.children:
-                return 0
-            node = node.children[level]
-        before = len(node.subscriptions)
-        node.subscriptions = [
-            s for s in node.subscriptions
-            if not (s.client is client and s.topic_filter == topic_filter)
-        ]
-        return before - len(node.subscriptions)
-
     def collect(self, levels: list[str]) -> list[Subscription]:
         out: list[Subscription] = []
         self._collect(levels, 0, out)
@@ -188,10 +175,6 @@ class MqttClient:
     def subscribe(self, topic_filter: str, qos: int = 0) -> None:
         """Register interest; retained messages arrive immediately."""
         self.broker.subscribe(self, topic_filter, qos=qos)
-
-    def unsubscribe(self, topic_filter: str) -> None:
-        """Drop a subscription."""
-        self.broker.unsubscribe(self, topic_filter)
 
     def publish(self, topic: str, payload: Any, qos: int = 0, retain: bool = False) -> Message:
         """Publish through the broker."""
@@ -299,11 +282,6 @@ class MqttBroker:
         self._m_rejected.inc(self.rejected_count)
 
     # -- availability (fault injection) ---------------------------------------
-    @property
-    def online(self) -> bool:
-        """Whether the broker accepts publishes (False during an outage)."""
-        return self._online
-
     def set_online(self, online: bool) -> None:
         """Take the broker down / bring it back (state is preserved).
 
@@ -323,22 +301,6 @@ class MqttBroker:
         self._clients[client_id] = client
         return client
 
-    def disconnect(self, client: MqttClient) -> None:
-        """Remove a client and all its subscriptions."""
-        self._clients.pop(client.client_id, None)
-        self._purge_client(self._trie, client)
-        self._match_cache.clear()
-
-    def _purge_client(self, node: _TopicTrie, client: MqttClient) -> None:
-        node.subscriptions = [s for s in node.subscriptions if s.client is not client]
-        for child in node.children.values():
-            self._purge_client(child, client)
-
-    @property
-    def client_count(self) -> int:
-        """Connected clients."""
-        return len(self._clients)
-
     # -- subscribe / publish -------------------------------------------------
     def subscribe(self, client: MqttClient, topic_filter: str, qos: int = 0) -> None:
         """Add a subscription and replay matching retained messages."""
@@ -352,12 +314,6 @@ class MqttBroker:
             if topic_matches(topic_filter, topic):
                 client._deliver(msg, qos)
                 self.delivered_count += 1
-
-    def unsubscribe(self, client: MqttClient, topic_filter: str) -> None:
-        """Remove one subscription (no error if absent)."""
-        validate_filter(topic_filter)
-        self._trie.remove(topic_filter.split("/"), client, topic_filter)
-        self._match_cache.clear()
 
     def publish(
         self,
@@ -412,7 +368,3 @@ class MqttBroker:
             for client in self._clients.values():
                 client._seen_qos1.discard(replaced.message_id)
         return msg
-
-    def retained_topics(self) -> list[str]:
-        """Topics currently holding a retained message."""
-        return sorted(self._retained)

@@ -137,17 +137,9 @@ class TelemetryPlane:
         return self._total("samples_published")
 
     @property
-    def samples_dropped_by_sensor(self) -> int:
-        return self._total("samples_dropped_by_sensor")
-
-    @property
     def republished_count(self) -> int:
         return self._total("republished_count")
 
     @property
     def reconnects(self) -> int:
         return self._total("reconnects")
-
-    @property
-    def backlog(self) -> int:
-        return self._total("backlog")

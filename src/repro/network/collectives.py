@@ -33,12 +33,6 @@ class CommModel:
             raise ValueError("invalid communication parameters")
 
     # -- point to point ---------------------------------------------------------
-    def ptp_time_s(self, nbytes: float) -> float:
-        """One message of ``nbytes`` between two nodes."""
-        if nbytes < 0:
-            raise ValueError("bytes must be non-negative")
-        return self.alpha_s + nbytes * self.beta_s_per_B
-
     # -- collectives -------------------------------------------------------------
     def allreduce_time_s(self, nbytes: float, n_ranks: int) -> float:
         """Allreduce: binomial for small, Rabenseifner for large messages."""
@@ -68,13 +62,6 @@ class CommModel:
         if n_ranks == 1:
             return 0.0
         return float((n_ranks - 1) * (self.alpha_s + nbytes_per_pair * self.beta_s_per_B))
-
-    def allgather_time_s(self, nbytes_per_rank: float, n_ranks: int) -> float:
-        """Allgather: ring model."""
-        self._check(nbytes_per_rank, n_ranks)
-        if n_ranks == 1:
-            return 0.0
-        return float((n_ranks - 1) * (self.alpha_s + nbytes_per_rank * self.beta_s_per_B))
 
     def halo_exchange_time_s(self, nbytes_per_face: float, n_neighbors: int) -> float:
         """Stencil halo exchange (NEMO/BQCD): concurrent neighbor sends.

@@ -153,16 +153,6 @@ class FatTree:
         """Whether the bisection meets the full-bisection ideal."""
         return self.bisection_bandwidth_Bps() >= self.full_bisection_Bps() * (1.0 - 1e-9)
 
-    def path(self, src_host: int, dst_host: int) -> list[str]:
-        """A shortest switch path between two hosts."""
-        return nx.shortest_path(self.graph, self._host(src_host), self._host(dst_host))
-
-    def hop_count(self, src_host: int, dst_host: int) -> int:
-        """Switch hops between hosts (0 for self)."""
-        if src_host == dst_host:
-            return 0
-        return len(self.path(src_host, dst_host)) - 2  # exclude the two hosts
-
 
 class DualRailFabric:
     """The dual-plane configuration: two independent fat-trees.

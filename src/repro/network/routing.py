@@ -16,7 +16,7 @@ import numpy as np
 
 from .fattree import FatTree
 
-__all__ = ["RouteAnalysis", "dmodk_spine", "analyze_traffic", "uniform_traffic", "permutation_traffic"]
+__all__ = ["RouteAnalysis", "dmodk_spine", "analyze_traffic", "permutation_traffic"]
 
 
 def dmodk_spine(dst_host: int, n_spines: int) -> int:
@@ -35,13 +35,6 @@ class RouteAnalysis:
     max_hostlink_load_Bps: float
     congested: bool                  # any link loaded beyond its bandwidth
     link_loads: dict
-
-    @property
-    def uplink_balance(self) -> float:
-        """mean/max uplink load (1.0 = perfectly balanced)."""
-        if self.max_uplink_load_Bps == 0:
-            return 1.0
-        return self.mean_uplink_load_Bps / self.max_uplink_load_Bps
 
 
 def analyze_traffic(tree: FatTree, flows: list[tuple[int, int, float]]) -> RouteAnalysis:
@@ -76,19 +69,6 @@ def analyze_traffic(tree: FatTree, flows: list[tuple[int, int, float]]) -> Route
         congested=congested,
         link_loads=dict(loads),
     )
-
-
-def uniform_traffic(n_nodes: int, rate_Bps: float, rng: np.random.Generator) -> list[tuple[int, int, float]]:
-    """Each node sends to one uniformly-random other node."""
-    if n_nodes < 2:
-        raise ValueError("need at least two nodes")
-    flows = []
-    for src in range(n_nodes):
-        dst = int(rng.integers(0, n_nodes - 1))
-        if dst >= src:
-            dst += 1
-        flows.append((src, dst, rate_Bps))
-    return flows
 
 
 def permutation_traffic(n_nodes: int, rate_Bps: float, shift: int = 1) -> list[tuple[int, int, float]]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from .export import metrics_to_jsonl, spans_to_jsonl, to_prometheus_text
+from .export import to_prometheus_text
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -53,8 +53,6 @@ __all__ = [
     "Span",
     "DEFAULT_BUCKETS",
     "to_prometheus_text",
-    "metrics_to_jsonl",
-    "spans_to_jsonl",
 ]
 
 
@@ -110,14 +108,6 @@ class Observability:
     def prometheus_text(self) -> str:
         """All metric series in the Prometheus text exposition format."""
         return to_prometheus_text(self.metrics)
-
-    def metrics_jsonl(self) -> str:
-        """All metric series as canonical JSON lines."""
-        return metrics_to_jsonl(self.metrics)
-
-    def spans_jsonl(self, name: Optional[str] = None) -> str:
-        """Retained spans (optionally filtered by name) as JSON lines."""
-        return spans_to_jsonl(self.tracer, name=name)
 
     # -- summary --------------------------------------------------------------
     def ops_report(self) -> dict[str, Any]:

@@ -1,20 +1,16 @@
-"""Exporters: Prometheus text format and canonical JSON lines.
+"""Exporter: the Prometheus text exposition format.
 
-Both exporters are deterministic — series sorted by (name, labels),
-spans in record order, floats serialized exactly — so exported snapshots
-from seeded runs can be diffed or digested byte-for-byte, the same
-contract :class:`~repro.telemetry.TelemetryEventLog` keeps.
+The exporter is deterministic — series sorted by (name, labels), floats
+serialized exactly — so exported snapshots from seeded runs can be
+diffed or digested byte-for-byte, the same contract
+:class:`~repro.telemetry.TelemetryEventLog` keeps.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Optional
-
 from .metrics import Histogram, MetricsRegistry
-from .tracing import Tracer
 
-__all__ = ["to_prometheus_text", "metrics_to_jsonl", "spans_to_jsonl"]
+__all__ = ["to_prometheus_text"]
 
 
 def _label_str(labels: tuple[tuple[str, str], ...], extra: str = "") -> str:
@@ -57,30 +53,4 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
             lines.append(f"{inst.name}_count{_label_str(inst.labels)} {inst.count}")
         else:
             lines.append(f"{inst.name}{_label_str(inst.labels)} {_fmt(inst.value)}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def metrics_to_jsonl(registry: MetricsRegistry) -> str:
-    """One canonical JSON line per series (sorted keys, exact floats)."""
-    lines = []
-    for inst in registry.series():
-        record: dict = {"name": inst.name, "kind": inst.kind, "labels": dict(inst.labels)}
-        if isinstance(inst, Histogram):
-            record["bounds"] = list(inst.bounds)
-            record["buckets"] = list(inst.bucket_counts)
-            record["sum"] = inst.sum
-            record["count"] = inst.count
-        else:
-            record["value"] = inst.value
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def spans_to_jsonl(tracer: Tracer, name: Optional[str] = None) -> str:
-    """One canonical JSON line per retained span, oldest first."""
-    lines = [
-        json.dumps(span.as_dict(), sort_keys=True, separators=(",", ":"))
-        for span in tracer
-        if name is None or span.name == name
-    ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -23,7 +23,7 @@ libraries do not give:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 __all__ = [
     "Counter",
@@ -83,10 +83,6 @@ class Gauge:
         """Replace the current level."""
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Adjust the level by ``amount`` (may be negative)."""
-        self.value += amount
-
 
 class Histogram:
     """A distribution over fixed bucket bounds (publish latencies...).
@@ -139,9 +135,6 @@ class _NullGauge(Gauge):
 
     def set(self, value: float) -> None:
         """Discard the level."""
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Discard the adjustment."""
 
 
 class _NullHistogram(Histogram):
@@ -222,23 +215,6 @@ class MetricsRegistry:
             for (n, _), inst in self._series.items()
             if n == name and not isinstance(inst, Histogram)
         )
-
-    def snapshot(self) -> dict[str, Any]:
-        """Deterministic plain-dict dump of every series (for tests/JSON)."""
-        out: dict[str, Any] = {}
-        for inst in self.series():
-            label_str = ",".join(f"{k}={v}" for k, v in inst.labels)
-            key = f"{inst.name}{{{label_str}}}" if label_str else inst.name
-            if isinstance(inst, Histogram):
-                out[key] = {
-                    "kind": "histogram",
-                    "count": inst.count,
-                    "sum": inst.sum,
-                    "buckets": list(inst.bucket_counts),
-                }
-            else:
-                out[key] = {"kind": inst.kind, "value": inst.value}
-        return out
 
     def __len__(self) -> int:
         return len(self._series)

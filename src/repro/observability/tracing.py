@@ -53,19 +53,6 @@ class Span:
         self.attrs.update(attrs)
         return self
 
-    def as_dict(self) -> dict[str, Any]:
-        """Flat dict form for the JSON-lines exporter (sorted attrs)."""
-        out: dict[str, Any] = {
-            "span": self.span_id,
-            "parent": self.parent_id,
-            "name": self.name,
-            "t0": self.t_start_s,
-            "t1": self.t_end_s,
-        }
-        for k in sorted(self.attrs):
-            out[k] = self.attrs[k]
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Span {self.name!r} #{self.span_id} t0={self.t_start_s:.6g}>"
 

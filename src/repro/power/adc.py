@@ -79,14 +79,6 @@ class SarAdc:
         self.spec = spec
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
-    def per_channel_rate_hz(self, rate_hz: float, active_channels: int = 1) -> float:
-        """Per-channel rate when ``active_channels`` share the converter."""
-        if not 1 <= active_channels <= self.spec.n_channels:
-            raise ValueError(f"active channels must be in [1, {self.spec.n_channels}]")
-        if rate_hz <= 0 or rate_hz > self.spec.max_rate_hz:
-            raise ValueError(f"aggregate rate must be in (0, {self.spec.max_rate_hz}] Hz")
-        return rate_hz / active_channels
-
     def quantize(self, volts: np.ndarray) -> np.ndarray:
         """Map voltages to integer codes (with input noise, clipping)."""
         v = np.asarray(volts, dtype=float)

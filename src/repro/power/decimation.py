@@ -17,7 +17,6 @@ from .trace import PowerTrace
 __all__ = [
     "boxcar_decimate",
     "naive_decimate",
-    "cascaded_average",
     "effective_bits_gain",
 ]
 
@@ -40,21 +39,6 @@ def naive_decimate(trace: PowerTrace, factor: int) -> PowerTrace:
     if factor == 1:
         return trace
     return PowerTrace(trace.times_s[::factor], trace.power_w[::factor])
-
-
-def cascaded_average(trace: PowerTrace, factors: list[int]) -> PowerTrace:
-    """Multi-stage block averaging (e.g. x4 in the PRU, x4 in the ARM core).
-
-    Mathematically equivalent to one big boxcar when block sizes multiply,
-    but mirrors the gateway firmware's staged pipeline and lets tests
-    check the equivalence.
-    """
-    if not factors:
-        raise ValueError("need at least one stage")
-    out = trace
-    for f in factors:
-        out = boxcar_decimate(out, f)
-    return out
 
 
 def effective_bits_gain(factor: int) -> float:

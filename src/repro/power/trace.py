@@ -5,7 +5,7 @@ power in watts).  Traces come in two flavours: *uniform* (fixed sample
 period — everything out of the ADC chain) and *irregular* (event-driven
 samples, e.g. IPMI polls).  The type supports the operations the
 accounting / profiling / comparison layers need: energy integration,
-resampling, slicing, alignment, and error metrics against a reference.
+slicing, alignment, and error metrics against a reference.
 """
 
 from __future__ import annotations
@@ -88,17 +88,6 @@ class PowerTrace:
         """Trace with all timestamps offset by ``dt_s`` (clock skew model)."""
         return PowerTrace(self.times_s + dt_s, self.power_w)
 
-    def resample(self, rate_hz: float) -> "PowerTrace":
-        """Linear-interpolation resampling onto a uniform grid."""
-        if rate_hz <= 0:
-            raise ValueError("rate must be positive")
-        if len(self) < 2:
-            return self
-        n = max(int(round(self.duration_s * rate_hz)) + 1, 2)
-        grid = self.times_s[0] + np.arange(n) / rate_hz
-        grid = grid[grid <= self.times_s[-1] + 1e-12]
-        return PowerTrace(grid, np.interp(grid, self.times_s, self.power_w))
-
     def value_at(self, t: float) -> float:
         """Linearly-interpolated power at time ``t`` (clamped at the ends)."""
         return float(np.interp(t, self.times_s, self.power_w))
@@ -169,10 +158,6 @@ class PowerTrace:
             return NotImplemented
         other_vals = np.interp(self.times_s, other.times_s, other.power_w)
         return PowerTrace(self.times_s, self.power_w + other_vals)
-
-    def scaled(self, gain: float, offset_w: float = 0.0) -> "PowerTrace":
-        """Affine transform of the power values (sensor calibration)."""
-        return PowerTrace(self.times_s, self.power_w * gain + offset_w)
 
 
 def trace_from_function(

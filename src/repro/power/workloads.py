@@ -24,14 +24,11 @@ from typing import Callable
 
 import numpy as np
 
-from .trace import PowerTrace, trace_from_function
-
 __all__ = [
     "PhaseAlternation",
     "hpc_job_power",
     "square_wave",
     "sine_ripple",
-    "random_phase_workload",
 ]
 
 PowerFunction = Callable[[np.ndarray], np.ndarray]
@@ -104,35 +101,3 @@ def hpc_job_power(params: PhaseAlternation = PhaseAlternation()) -> PowerFunctio
         return base(t) + ripple(t) + drift
 
     return fn
-
-
-def random_phase_workload(
-    duration_s: float,
-    rate_hz: float,
-    rng: np.random.Generator,
-    idle_w: float = 600.0,
-    compute_w: float = 1850.0,
-    mean_phase_s: float = 0.05,
-    noise_w: float = 8.0,
-) -> PowerTrace:
-    """A telegraph-process workload: exponential phase durations.
-
-    Unlike the periodic generator, this has a continuous spectrum — the
-    hardest case for slow samplers because no sampling rate is 'lucky'.
-    """
-    if duration_s <= 0 or rate_hz <= 0:
-        raise ValueError("duration and rate must be positive")
-    if mean_phase_s <= 0:
-        raise ValueError("mean phase must be positive")
-    n = int(round(duration_s * rate_hz)) + 1
-    t = np.arange(n) / rate_hz
-    # Generate alternating phase boundaries until the duration is covered.
-    boundaries = [0.0]
-    while boundaries[-1] < duration_s:
-        boundaries.append(boundaries[-1] + float(rng.exponential(mean_phase_s)))
-    edges = np.array(boundaries)
-    # Phase index at each sample: even -> compute, odd -> idle.
-    idx = np.searchsorted(edges, t, side="right") - 1
-    level = np.where(idx % 2 == 0, compute_w, idle_w).astype(float)
-    level += rng.normal(0.0, noise_w, size=level.shape)
-    return PowerTrace(t, np.clip(level, 0.0, None))

@@ -12,8 +12,6 @@ predict time map to the all-zeros column block, the standard fallback).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..scheduler.job import Job
@@ -44,15 +42,6 @@ class FeatureEncoder:
         """Dimensionality of the encoded vectors."""
         self._require_fitted()
         return 4 + len(self._apps) + len(self._users)
-
-    def feature_names(self) -> list[str]:
-        """Human-readable column names (for model inspection)."""
-        self._require_fitted()
-        return (
-            ["log_nodes", "log_walltime", "log_threads", "uses_gpus"]
-            + [f"app={a}" for a in self._apps]
-            + [f"user={u}" for u in self._users]
-        )
 
     def _require_fitted(self) -> None:
         if not self._fitted:

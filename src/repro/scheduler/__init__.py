@@ -28,9 +28,7 @@ __getattr__, __dir__, __all__ = lazy(__name__, {
     ".simulate": (
         "SIMULATOR_CORES", "ClusterSimulator", "NodeOutage", "SimulationResult",
     ),
-    ".thermal_aware": (
-        "TimeVaryingBudgetScheduler", "day_night_budget", "heat_wave_budget",
-    ),
+    ".thermal_aware": ("TimeVaryingBudgetScheduler", "heat_wave_budget"),
     ".workload": (
         "DEFAULT_APP_MIX", "AppProfile", "WorkloadConfig", "WorkloadGenerator",
     ),

@@ -63,6 +63,12 @@ __all__ = [
 POLICIES = ("fifo", "easy", "power-aware")
 
 
+def _is_count(value) -> bool:
+    """A non-bool integer >= 0 (``np.int64`` included)."""
+    return (not isinstance(value, bool)
+            and isinstance(value, numbers.Integral) and value >= 0)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One cell of a campaign grid — plain data, safe to pickle.
@@ -105,16 +111,19 @@ class Scenario:
             watts = getattr(self, name)
             if watts is not None and not 0.0 < watts < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {watts!r}")
+        if not _is_count(self.seed_index):
+            raise ValueError(f"seed_index must be a non-negative integer, "
+                             f"got {self.seed_index!r}")
         depth = self.backfill_depth
-        if depth is not None and (isinstance(depth, bool)
-                                  or not isinstance(depth, numbers.Integral)
-                                  or depth < 0):
+        if depth is not None and not _is_count(depth):
             raise ValueError(
                 f"backfill_depth must be a non-negative integer, got {depth!r}")
         if self.dvfs_floor is not None and not 0.0 < self.dvfs_floor <= 1.0:
             raise ValueError("DVFS floor must lie in (0, 1]")
-        if self.fairshare_decay is not None and self.fairshare_decay <= 0.0:
-            raise ValueError("fairshare decay half-life must be positive")
+        decay = self.fairshare_decay
+        if decay is not None and not 0.0 < decay < math.inf:
+            raise ValueError(
+                f"fairshare_decay must be positive and finite, got {decay!r}")
         if self.policy == "power-aware" and self.budget_w is None and self.cap_w is None:
             raise ValueError("power-aware scenarios need budget_w or cap_w")
         kind = self.predictor.split(":", 1)[0]
@@ -139,6 +148,9 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.n_nodes < 1 or self.n_jobs < 1:
             raise ValueError("node and job counts must be positive")
+        if not 0.0 <= self.idle_node_power_w < math.inf:
+            raise ValueError(f"idle_node_power_w must be non-negative and "
+                             f"finite, got {self.idle_node_power_w!r}")
 
 
 @dataclass(frozen=True)

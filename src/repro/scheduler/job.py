@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["JobState", "Job", "JobRecord"]
@@ -73,17 +73,6 @@ class Job:
         """Total true power across the allocation."""
         return self.n_nodes * self.true_power_per_node_w
 
-    @property
-    def node_seconds_requested(self) -> float:
-        """Requested area in the schedule (nodes x walltime)."""
-        return self.n_nodes * self.walltime_req_s
-
-    def with_runtime_stretch(self, factor: float) -> "Job":
-        """A copy whose true runtime is stretched (power-cap slowdown)."""
-        if factor < 1.0:
-            raise ValueError("stretch factor must be >= 1")
-        return replace(self, true_runtime_s=self.true_runtime_s * factor)
-
 
 @dataclass(slots=True)
 class JobRecord:
@@ -123,24 +112,8 @@ class JobRecord:
         return self.start_time_s - self.job.submit_time_s
 
     @property
-    def turnaround_s(self) -> float:
-        """Submit-to-completion time."""
-        if self.end_time_s is None:
-            raise ValueError(f"job {self.job.job_id} has not finished")
-        return self.end_time_s - self.job.submit_time_s
-
-    @property
     def actual_runtime_s(self) -> float:
         """Start-to-end time (includes cap-induced stretch)."""
         if self.start_time_s is None or self.end_time_s is None:
             raise ValueError(f"job {self.job.job_id} has not finished")
         return self.end_time_s - self.start_time_s
-
-    def bounded_slowdown(self, threshold_s: float = 10.0) -> float:
-        """The classic bounded-slowdown QoS metric.
-
-        max(1, (wait + run) / max(run, threshold)) — the denominator bound
-        keeps tiny jobs from exploding the metric.
-        """
-        run = self.actual_runtime_s
-        return max(1.0, (self.wait_time_s + run) / max(run, threshold_s))

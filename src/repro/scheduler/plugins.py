@@ -20,7 +20,7 @@ MQTT broker:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -69,10 +69,6 @@ class SchedulerMonitorPlugin:
         view.samples_seen += t.size
         if node_id in self._active_nodes:
             self._windows[node_id].extend(zip(t.tolist(), p.tolist()))
-
-    def system_power_w(self) -> float:
-        """Sum of the latest per-node readings (the dispatcher's view)."""
-        return sum(v.last_power_w for v in self.live.values())
 
     def node_power_w(self, node_id: int) -> float:
         """Latest reading for one node (0 before any sample arrives)."""

@@ -138,7 +138,6 @@ class CampaignService:
         self.store = store if store is not None else MemoryResultStore()
         self.obs = observability if observability is not None else null_observability()
         self.processes = processes
-        self._jobs: dict[str, CampaignJob] = {}
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
 
@@ -154,8 +153,6 @@ class CampaignService:
         with self._lock:
             job_id = f"campaign-{next(self._ids):04d}"
         job = CampaignJob(job_id, total=len(scenarios), label=label)
-        with self._lock:
-            self._jobs[job_id] = job
         metrics = self.obs.metrics
         metrics.counter("campaign_jobs_submitted_total").inc()
 
@@ -190,28 +187,8 @@ class CampaignService:
         ).start()
         return job
 
-    # -- lookups -------------------------------------------------------------
-    def job(self, job_id: str) -> CampaignJob:
-        with self._lock:
-            try:
-                return self._jobs[job_id]
-            except KeyError:
-                raise KeyError(f"unknown campaign job {job_id!r}") from None
-
-    def poll(self, job: str | CampaignJob) -> dict[str, Any]:
-        """Status snapshot by handle or id (the poll half of the API)."""
-        if isinstance(job, str):
-            job = self.job(job)
-        return job.status()
-
     def result(
-        self, job: str | CampaignJob, timeout: Optional[float] = None
+        self, job: CampaignJob, timeout: Optional[float] = None
     ) -> list[ScenarioResult]:
-        """The merged artifact by handle or id, blocking if needed."""
-        if isinstance(job, str):
-            job = self.job(job)
+        """The merged artifact of a submitted job, blocking if needed."""
         return job.result(timeout)
-
-    def jobs(self) -> list[CampaignJob]:
-        with self._lock:
-            return list(self._jobs.values())

@@ -45,6 +45,7 @@ float-identical :class:`SimulationResult`\\ s — pinned by
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -250,6 +251,9 @@ class ClusterSimulator:
             raise ValueError("min speed must lie in (0, 1]")
         if not speed_exponent > 0:
             raise ValueError(f"speed_exponent must be positive, got {speed_exponent!r}")
+        if not 0.0 <= idle_node_power_w < math.inf:
+            raise ValueError(f"idle_node_power_w must be non-negative and finite, "
+                             f"got {idle_node_power_w!r}")
         for outage in node_outages:
             if outage.node_id >= n_nodes:
                 raise ValueError(f"outage targets node {outage.node_id} of {n_nodes}")

@@ -9,8 +9,8 @@ envelope (§III-A2: "the power cap can be specified by the system
 administrator to follow infrastructure requirements").
 
 :class:`TimeVaryingBudgetScheduler` wraps the proactive dispatcher with
-a ``budget_fn(t)``; convenience constructors build the classic
-day/night and tariff profiles.
+a ``budget_fn(t)``; :func:`heat_wave_budget` builds a one-off
+curtailment window (a demand-response event).
 """
 
 from __future__ import annotations
@@ -23,29 +23,7 @@ from .job import JobRecord
 from .policies import SchedulerContext
 from .power_aware import PowerAwareScheduler, PowerPredictor
 
-__all__ = ["TimeVaryingBudgetScheduler", "day_night_budget", "heat_wave_budget"]
-
-
-def day_night_budget(
-    day_budget_w: float,
-    night_budget_w: float,
-    day_start_h: float = 8.0,
-    day_end_h: float = 20.0,
-) -> Callable[[float], float]:
-    """A daily square profile: tight by day, loose by night.
-
-    ``t`` is seconds from midnight of day 0; the profile repeats daily.
-    """
-    if day_budget_w <= 0 or night_budget_w <= 0:
-        raise ValueError("budgets must be positive")
-    if not 0 <= day_start_h < day_end_h <= 24:
-        raise ValueError("invalid day window")
-
-    def budget(t_s: float) -> float:
-        hour = (t_s / 3600.0) % 24.0
-        return day_budget_w if day_start_h <= hour < day_end_h else night_budget_w
-
-    return budget
+__all__ = ["TimeVaryingBudgetScheduler", "heat_wave_budget"]
 
 
 def heat_wave_budget(

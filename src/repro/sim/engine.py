@@ -99,11 +99,6 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        """Whether the event's callbacks have already run."""
-        return self._processed
-
-    @property
     def ok(self) -> bool:
         """Whether the event fired successfully (False = carries an error)."""
         return self._ok
@@ -352,10 +347,6 @@ class Environment:
         self._queue: list[tuple[float, int, Event]] = []
         self._counter = 0
         self._dispatched = 0
-        self.hooks = hooks
-
-    def attach_hooks(self, hooks: KernelHooks) -> None:
-        """Install (or replace) the kernel observation hooks."""
         self.hooks = hooks
 
     @property

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..scheduler.job import JobRecord
 from .tsdb import SeriesKey, TimeSeriesDB
 
@@ -37,11 +35,6 @@ class JobEnergyBill:
     #: Fraction of the job's nodes whose energy came from measurements
     #: (the rest fell back to the simulator's accounted share).
     measured_fraction: float = 1.0
-
-    @property
-    def energy_kwh(self) -> float:
-        """Energy in kWh (the billing unit)."""
-        return self.energy_j / 3.6e6
 
 
 @dataclass(frozen=True)
@@ -106,17 +99,6 @@ class EnergyAccountant:
                 total += fallback_share
         return total, covered / n_nodes
 
-    def job_energy_j(self, record: JobRecord) -> float:
-        """Measured energy of one finished job from the node power series.
-
-        Integrates each allocated node's measured power over
-        [start, end]; nodes without usable measurements contribute an
-        equal share of the simulator's accounted energy instead (see
-        :meth:`_energy_and_coverage`), so a partial monitoring outage no
-        longer undercounts the bill.
-        """
-        return self._energy_and_coverage(record)[0]
-
     def bill(self, record: JobRecord) -> JobEnergyBill:
         """Produce one job's bill (with its measurement coverage)."""
         energy, measured_fraction = self._energy_and_coverage(record)
@@ -147,10 +129,3 @@ class EnergyAccountant:
             )
             for user, user_bills in by_user.items()
         }
-
-    def energy_by_app(self, records: list[JobRecord]) -> dict[str, float]:
-        """Aggregate measured energy per application tag."""
-        out: dict[str, float] = {}
-        for r in records:
-            out[r.job.app] = out.get(r.job.app, 0.0) + self.job_energy_j(r)
-        return out

@@ -4,8 +4,8 @@ Fig. 4: "this information is recorded into a database, and computed by
 the management node for the training of job-to-power predictors".
 
 A minimal but real TSDB: named series keyed by (metric, tags), append
-mostly-ordered samples, time-range queries, downsampling aggregations,
-and retention trimming.  Storage is chunked NumPy arrays so appends are
+mostly-ordered samples, time-range queries and downsampling
+aggregations.  Storage is chunked NumPy arrays so appends are
 O(1) amortised and range scans are vectorised.
 """
 
@@ -33,13 +33,6 @@ class SeriesKey:
         if not metric:
             raise ValueError("metric name must be non-empty")
         return cls(metric=metric, tags=tuple(sorted(tags.items())))
-
-    def matches(self, metric: str | None = None, **tags: str) -> bool:
-        """Whether this key matches a (possibly partial) filter."""
-        if metric is not None and self.metric != metric:
-            return False
-        mine = dict(self.tags)
-        return all(mine.get(k) == v for k, v in tags.items())
 
 
 class _Series:
@@ -93,17 +86,6 @@ class _Series:
 
     def view(self) -> tuple[np.ndarray, np.ndarray]:
         return self.times[: self.size], self.values[: self.size]
-
-    def trim_before(self, t: float) -> int:
-        times, values = self.view()
-        idx = int(np.searchsorted(times, t, side="left"))
-        if idx == 0:
-            return 0
-        remaining = self.size - idx
-        self.times[:remaining] = times[idx:]
-        self.values[:remaining] = values[idx:]
-        self.size = remaining
-        return idx
 
 
 class TimeSeriesDB:
@@ -164,10 +146,6 @@ class TimeSeriesDB:
         return self.insert_many(key, trace.times_s, trace.power_w)
 
     # -- reads -----------------------------------------------------------------
-    def keys(self, metric: str | None = None, **tags: str) -> list[SeriesKey]:
-        """All series keys matching a filter."""
-        return [k for k in self._series if k.matches(metric, **tags)]
-
     def query(
         self, key: SeriesKey, t_start: float = -np.inf, t_end: float = np.inf
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -218,11 +196,7 @@ class TimeSeriesDB:
             out_v = np.minimum.reduceat(v, starts)
         return np.asarray(out_t, dtype=float), np.asarray(out_v, dtype=float)
 
-    # -- maintenance -----------------------------------------------------------------
-    def retention_trim(self, keep_after_s: float) -> int:
-        """Drop all samples older than ``keep_after_s``; returns dropped count."""
-        return sum(s.trim_before(keep_after_s) for s in self._series.values())
-
+    # -- size ------------------------------------------------------------------------
     def sample_count(self, key: SeriesKey | None = None) -> int:
         """Total samples stored (or in one series)."""
         if key is not None:

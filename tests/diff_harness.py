@@ -82,7 +82,7 @@ from repro.scheduler.simulate import (
     NodeOutage,
     SimulationResult,
 )
-from repro.scheduler.thermal_aware import TimeVaryingBudgetScheduler, day_night_budget
+from repro.scheduler.thermal_aware import TimeVaryingBudgetScheduler
 from repro.scheduler.workload import WorkloadConfig, WorkloadGenerator
 
 CORES = SIMULATOR_CORES
@@ -90,6 +90,18 @@ CORES = SIMULATOR_CORES
 #: Per-node power budget used to scale caps to cluster size (matches the
 #: D.A.V.I.D.E. bench settings: ~1150 W/node of rack budget).
 BUDGET_PER_NODE_W = 1150.0
+
+
+def day_night_budget(day_budget_w: float, night_budget_w: float,
+                     day_start_h: float = 8.0, day_end_h: float = 20.0):
+    """A daily square profile for the time-varying dispatcher: tight by
+    day, loose by night (``t`` is seconds from midnight of day 0)."""
+
+    def budget(t_s: float) -> float:
+        hour = (t_s / 3600.0) % 24.0
+        return day_budget_w if day_start_h <= hour < day_end_h else night_budget_w
+
+    return budget
 
 _RECORD_FIELDS = (
     "state",

@@ -8,37 +8,9 @@ from repro.analysis import (
     TcoModel,
     davide_projection,
     efficiency_ratio,
-    energy_delay_product,
-    energy_to_solution_j,
-    flops_per_watt,
     green500_ranking,
-    pue,
     top500_ranking,
 )
-
-
-class TestMetrics:
-    def test_flops_per_watt(self):
-        assert flops_per_watt(1e15, 1e5) == pytest.approx(1e10)
-        with pytest.raises(ValueError):
-            flops_per_watt(1e15, 0.0)
-        with pytest.raises(ValueError):
-            flops_per_watt(-1.0, 1.0)
-
-    def test_ets_and_edp(self):
-        assert energy_to_solution_j(100.0, 10.0) == 1000.0
-        assert energy_delay_product(1000.0, 10.0) == 10000.0
-        with pytest.raises(ValueError):
-            energy_to_solution_j(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            energy_delay_product(-1.0, 1.0)
-
-    def test_pue(self):
-        assert pue(110e3, 100e3) == pytest.approx(1.1)
-        with pytest.raises(ValueError):
-            pue(90e3, 100e3)
-        with pytest.raises(ValueError):
-            pue(1.0, 0.0)
 
 
 class TestTco:

@@ -1,110 +1,9 @@
-"""Numerical tests for the real mini-kernels."""
+"""Numerical tests for the real CG mini-kernel."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.apps import cg_solve, fft_poisson_solve, sem_element_update, stencil_sweep
-
-
-class TestFftPoisson:
-    def test_inverts_known_mode(self):
-        # rho = sin(2 pi x): laplacian(phi) = -rho => phi = rho / (2 pi)^2.
-        n = 32
-        x = np.arange(n) / n
-        rho = np.sin(2 * np.pi * x)[:, None, None] * np.ones((1, n, n))
-        phi = fft_poisson_solve(rho, box_length=1.0)
-        expected = rho / (2 * np.pi) ** 2
-        assert np.allclose(phi, expected, atol=1e-10)
-
-    def test_mean_zero_gauge(self):
-        rng = np.random.default_rng(0)
-        rho = rng.normal(size=(16, 16, 16))
-        phi = fft_poisson_solve(rho)
-        assert abs(phi.mean()) < 1e-12
-
-    def test_laplacian_roundtrip(self):
-        rng = np.random.default_rng(1)
-        rho = rng.normal(size=(24, 24, 24))
-        rho -= rho.mean()
-        phi = fft_poisson_solve(rho, box_length=1.0)
-        # Spectral laplacian of phi must reproduce -rho.
-        n = 24
-        k = np.fft.fftfreq(n, d=1.0 / n) * 2 * np.pi
-        kr = np.fft.rfftfreq(n, d=1.0 / n) * 2 * np.pi
-        k2 = k[:, None, None] ** 2 + k[None, :, None] ** 2 + kr[None, None, :] ** 2
-        lap = np.fft.irfftn(-k2 * np.fft.rfftn(phi), s=phi.shape, axes=(0, 1, 2))
-        assert np.allclose(lap, -rho, atol=1e-8)
-
-    def test_requires_3d(self):
-        with pytest.raises(ValueError):
-            fft_poisson_solve(np.zeros((4, 4)))
-
-
-class TestStencil:
-    def test_conserves_total(self):
-        rng = np.random.default_rng(0)
-        field = rng.uniform(size=(64, 64))
-        out = stencil_sweep(field, n_steps=10)
-        assert out.sum() == pytest.approx(field.sum())
-
-    def test_smooths_variance(self):
-        rng = np.random.default_rng(1)
-        field = rng.normal(size=(64, 64))
-        out = stencil_sweep(field, n_steps=50)
-        assert out.var() < field.var()
-
-    def test_uniform_field_fixed_point(self):
-        field = np.full((16, 16), 3.0)
-        assert np.allclose(stencil_sweep(field, 5), 3.0)
-
-    def test_input_not_mutated(self):
-        field = np.ones((8, 8))
-        field[4, 4] = 100.0
-        snapshot = field.copy()
-        stencil_sweep(field, 3)
-        assert np.array_equal(field, snapshot)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            stencil_sweep(np.zeros(4), 1)
-        with pytest.raises(ValueError):
-            stencil_sweep(np.zeros((4, 4)), 0)
-        with pytest.raises(ValueError):
-            stencil_sweep(np.zeros((4, 4)), 1, alpha=0.5)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=1, max_value=20))
-    def test_max_principle(self, steps):
-        rng = np.random.default_rng(steps)
-        field = rng.uniform(0, 10, size=(16, 16))
-        out = stencil_sweep(field, steps)
-        assert out.max() <= field.max() + 1e-12
-        assert out.min() >= field.min() - 1e-12
-
-
-class TestSemUpdate:
-    def test_shapes_checked(self):
-        with pytest.raises(ValueError):
-            sem_element_update(np.zeros((4, 5)), np.zeros((4, 4)))
-        with pytest.raises(ValueError):
-            sem_element_update(np.zeros((4, 5)), np.zeros((5, 5)), dt=0.0)
-
-    def test_zero_stiffness_identity(self):
-        disp = np.random.default_rng(0).normal(size=(10, 6))
-        out = sem_element_update(disp, np.zeros((6, 6)))
-        assert np.array_equal(out, disp)
-
-    def test_stable_oscillation_energy_bounded(self):
-        # A stiff SPD operator with small dt keeps displacements bounded.
-        rng = np.random.default_rng(1)
-        A = rng.normal(size=(6, 6))
-        stiffness = A @ A.T + np.eye(6)
-        disp = rng.normal(size=(20, 6)) * 0.1
-        for _ in range(100):
-            disp = sem_element_update(disp, stiffness, dt=1e-2)
-        assert np.isfinite(disp).all()
-        assert np.abs(disp).max() < 10.0
+from repro.apps import cg_solve
 
 
 class TestCg:

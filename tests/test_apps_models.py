@@ -37,13 +37,6 @@ class TestApplicationModel:
         with pytest.raises(ValueError):
             ApplicationModel(name="x", phases=(Phase(name="p"),), n_iterations=0)
 
-    def test_total_flops(self):
-        app = ApplicationModel(
-            name="x", phases=(Phase(name="a", flops=10.0), Phase(name="b", flops=5.0)),
-            n_iterations=3,
-        )
-        assert app.total_flops_per_node() == 45.0
-
     def test_factories_validate_scale(self):
         for factory in (quantum_espresso, nemo, specfem3d, bqcd):
             with pytest.raises(ValueError):

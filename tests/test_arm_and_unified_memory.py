@@ -9,24 +9,17 @@ from repro.hardware import (
     PHASE2_NODE,
     ComputeNode,
     CpuModel,
-    arm_pstates,
     phase2_fabric,
 )
 
 
 class TestArmPrototype:
     def test_arm_cpu_model_works_on_arm_spec(self):
-        cpu = CpuModel(ARM_SOC, pstates=arm_pstates())
+        cpu = CpuModel(ARM_SOC)
         assert cpu.power_w(1.0) == pytest.approx(ARM_SOC.tdp_w)
         assert cpu.power_w(0.0) == pytest.approx(ARM_SOC.idle_w)
         # 48 cores x 2 flops x 2 GHz = 192 GFlops.
         assert cpu.peak_flops() == pytest.approx(192e9)
-
-    def test_arm_pstate_ladder(self):
-        ladder = arm_pstates()
-        assert len(ladder) == 4
-        freqs = [p.frequency_hz for p in ladder]
-        assert freqs == sorted(freqs, reverse=True)
 
     def test_phase2_node_envelope(self):
         node = ComputeNode(spec=PHASE2_NODE)

@@ -2,7 +2,7 @@
 
 Two silent undercounts hid in the Fig.-4 accounting path:
 
-1. :meth:`EnergyAccountant.job_energy_j` billed a job as if its
+1. :meth:`EnergyAccountant.bill` billed a job as if its
    *unmeasured* nodes drew nothing whenever at least one node had
    coverage — a partial monitoring outage shrank the bill.  The fix
    falls back per node to an equal share of the simulator-accounted
@@ -60,7 +60,7 @@ class TestPartialOutageBilling:
         rec = _record(2, energy_j=20_000.0)
         # Old behaviour: 10 kJ (surviving node only).  Fixed: the dark
         # node contributes its accounted share.
-        assert acct.job_energy_j(rec) == pytest.approx(20_000.0)
+        assert acct.bill(rec).energy_j == pytest.approx(20_000.0)
 
     def test_full_coverage_is_pure_measurement(self):
         _, acct = self._db_with_nodes([0, 1])

@@ -44,7 +44,7 @@ class TestSubmitPollResult:
         service = CampaignService(processes=1)
         job = service.submit(CONFIG, GRID, label="polled")
         assert job.wait(TIMEOUT)
-        status = service.poll(job.job_id)
+        status = job.status()
         assert status["state"] == "done"
         assert status["label"] == "polled"
         assert status["total"] == len(GRID)
@@ -60,7 +60,7 @@ class TestSubmitPollResult:
         service.result(first, timeout=TIMEOUT)
         second = service.submit(CONFIG, GRID)
         results = service.result(second, timeout=TIMEOUT)
-        status = service.poll(second)
+        status = second.status()
         assert status["replayed"] == len(GRID)
         assert status["simulated"] == 0
         assert campaign_digest(results) == first.status()["campaign_digest"]
@@ -75,19 +75,7 @@ class TestSubmitPollResult:
             store=DirectoryResultStore(tmp_path / "store"), processes=1)
         job = reopened.submit(CONFIG, GRID)
         reopened.result(job, timeout=TIMEOUT)
-        assert reopened.poll(job)["simulated"] == 0
-
-    def test_unknown_job_id_raises(self):
-        service = CampaignService(processes=1)
-        with pytest.raises(KeyError, match="unknown campaign job"):
-            service.job("campaign-9999")
-
-    def test_jobs_lists_all_handles(self):
-        service = CampaignService(processes=1)
-        a = service.submit(CONFIG, GRID[:1])
-        b = service.submit(CONFIG, GRID[1:2])
-        assert {j.job_id for j in service.jobs()} == {a.job_id, b.job_id}
-        assert a.job_id != b.job_id
+        assert job.status()["simulated"] == 0
 
 
 class TestFailurePath:
@@ -99,7 +87,7 @@ class TestFailurePath:
         service = CampaignService(processes=1)
         job = service.submit(CONFIG, [self.BAD])
         assert job.wait(TIMEOUT)
-        status = service.poll(job)
+        status = job.status()
         assert status["state"] == "failed"
         assert "empty split" in status["error"]
         with pytest.raises(RuntimeError, match="failed"):
@@ -112,7 +100,7 @@ class TestFailurePath:
         good = service.submit(CONFIG, GRID[:1])
         results = service.result(good, timeout=TIMEOUT)
         assert len(results) == 1
-        assert service.poll(good)["state"] == "done"
+        assert good.status()["state"] == "done"
 
 
 class TestObservability:

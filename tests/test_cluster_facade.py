@@ -154,7 +154,8 @@ class TestTelemetryPlane:
         env, _, plane = self._plane(batched=False)
         env.run(until=1.0)
         assert plane.samples_published == 3 * 11
-        assert plane.reconnects == 0 and plane.backlog == 0
+        assert plane.reconnects == 0 and plane.republished_count == 0
+        assert sum(gw.backlog for gw in plane.gateways) == 0
 
     def test_clocks_length_validated(self):
         env = Environment()
@@ -167,7 +168,7 @@ class TestTelemetryPlane:
         env, _, plane = self._plane(batched=False)
         plane.set_sensor_faults(per_node=[lambda t, w: None, None, None])
         env.run(until=1.0)
-        assert plane.samples_dropped_by_sensor == 11
+        assert [gw.samples_dropped_by_sensor for gw in plane.gateways] == [11, 0, 0]
         assert plane.samples_published == 2 * 11
 
     def test_set_sensor_faults_batch(self):
@@ -175,5 +176,5 @@ class TestTelemetryPlane:
         drop_node0 = lambda now, measured: (np.array([False, True, True]), measured)
         plane.set_sensor_faults(batch=drop_node0)
         env.run(until=1.0)
-        assert plane.samples_dropped_by_sensor == 11
+        assert plane.array.samples_dropped_by_sensor == 11
         assert plane.samples_published == 2 * 11

@@ -23,6 +23,11 @@ from repro.cooling import (
 from repro.hardware import ComputeNode, Rack
 
 
+def _steady_die_c(chain: ThermalChain, power_w: float) -> float:
+    """Die temperature after one exact step far past every time constant."""
+    return chain.step(power_w, dt_s=1e6)
+
+
 class TestThermalChain:
     def test_requires_stages(self):
         with pytest.raises(ValueError):
@@ -36,11 +41,11 @@ class TestThermalChain:
             boundary_temp_c=30.0,
         )
         # Die steady T = 30 + P*(0.1+0.2).
-        assert chain.steady_die_temp_c(100.0) == pytest.approx(60.0)
+        assert _steady_die_c(chain, 100.0) == pytest.approx(60.0)
 
     def test_transient_converges_to_steady_state(self):
         chain = LIQUID_COOLED_GPU(35.0)
-        steady = chain.steady_die_temp_c(300.0)
+        steady = 35.0 + 300.0 * sum(s.resistance_k_per_w for s in chain.stages)
         series = chain.run(300.0, duration_s=3000.0, dt_s=5.0)
         assert series[-1] == pytest.approx(steady, abs=0.1)
 
@@ -55,19 +60,19 @@ class TestThermalChain:
         assert np.allclose(series, 40.0, atol=1e-6)
 
     def test_liquid_keeps_p100_cooler_than_air(self):
-        liquid = LIQUID_COOLED_GPU(35.0).steady_die_temp_c(300.0)
-        air = AIR_COOLED_GPU(28.0).steady_die_temp_c(300.0)
+        liquid = _steady_die_c(LIQUID_COOLED_GPU(35.0), 300.0)
+        air = _steady_die_c(AIR_COOLED_GPU(28.0), 300.0)
         # Even with 35 degC water vs 28 degC air, the cold plate wins.
         assert liquid < air
 
     def test_hot_water_45c_keeps_die_safe(self):
         # Paper: liquid up to 45 degC must still be a safe operating point.
-        die = LIQUID_COOLED_GPU(45.0).steady_die_temp_c(300.0)
+        die = _steady_die_c(LIQUID_COOLED_GPU(45.0), 300.0)
         assert die < 83.0  # below the throttle threshold
 
     def test_boundary_change_and_reset(self):
         chain = LIQUID_COOLED_GPU(35.0)
-        chain.set_boundary(45.0)
+        chain.boundary_temp_c = 45.0
         chain.reset()
         assert chain.die_temp_c == 45.0
 
@@ -77,14 +82,12 @@ class TestThermalChain:
             chain.step(100.0, dt_s=0.0)
         with pytest.raises(ValueError):
             chain.step(-1.0, dt_s=1.0)
-        with pytest.raises(ValueError):
-            chain.steady_state_c(-5.0)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=10.0, max_value=300.0), st.floats(min_value=20.0, max_value=45.0))
     def test_steady_die_always_above_boundary(self, power, boundary):
         chain = LIQUID_COOLED_GPU(boundary)
-        assert chain.steady_die_temp_c(power) > boundary
+        assert _steady_die_c(chain, power) > boundary
 
 
 class TestCoolantAndDewPoint:

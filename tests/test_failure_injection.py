@@ -20,7 +20,7 @@ from repro.scheduler import (
     SchedulerMonitorPlugin,
 )
 from repro.sim import Environment
-from repro.telemetry import EnergyAccountant, SeriesKey, TimeSeriesDB
+from repro.telemetry import EnergyAccountant, TimeSeriesDB
 from repro.timesync import HW_TIMESTAMPING, XO_CHEAP, LocalClock, PtpSlave
 
 
@@ -33,7 +33,7 @@ class TestMonitoringOutage:
         rec = JobRecord(job=job)
         rec.start_time_s, rec.end_time_s, rec.nodes = 0.0, 10.0, (0, 1)
         rec.energy_j = 20000.0
-        assert acct.job_energy_j(rec) == 20000.0
+        assert acct.bill(rec).energy_j == 20000.0
 
     def test_partial_outage_uses_surviving_nodes(self):
         """One node's gateway down: bill from the nodes that reported."""
@@ -49,25 +49,12 @@ class TestMonitoringOutage:
         # The surviving node's 10 kJ is measured; the dark node falls
         # back to its equal share of the simulator-accounted energy
         # (10 kJ) instead of being silently billed as zero.
-        assert acct.job_energy_j(rec) == pytest.approx(20000.0)
         bill = acct.bill(rec)
         assert bill.measured_fraction == pytest.approx(0.5)
         assert bill.energy_j == pytest.approx(20000.0)
 
 
 class TestTelemetryConsumerFailures:
-    def test_disconnected_collector_does_not_break_publishers(self):
-        broker = MqttBroker()
-        collector = broker.connect("collector")
-        collector.subscribe("davide/#", qos=1)
-        eg = EnergyGateway(0, broker)
-        trace = PowerTrace(np.linspace(0, 0.001, 100), np.full(100, 1000.0))
-        eg.publish_trace(trace)
-        broker.disconnect(collector)
-        # Publishing continues unimpeded into the void.
-        sent = eg.publish_trace(trace)
-        assert sent > 0
-
     def test_qos1_redelivery_recovers_unacked_batches(self):
         broker = MqttBroker()
         collector = broker.connect("collector")
@@ -89,7 +76,7 @@ class TestTelemetryConsumerFailures:
         plugin = SchedulerMonitorPlugin(broker)
         broker.publish("davide/node0/power/node",
                        {"node": 0, "t": np.array([]), "p": np.array([])})
-        assert plugin.system_power_w() == 0.0
+        assert sum(v.last_power_w for v in plugin.live.values()) == 0.0
 
 
 class TestSyncLoss:
@@ -182,14 +169,3 @@ class TestOverloadBehaviour:
         ]
         with pytest.raises(RuntimeError, match="without enough free nodes"):
             ClusterSimulator(4, RoguePolicy()).run(jobs)
-
-    def test_tsdb_retention_under_continuous_ingest(self):
-        db = TimeSeriesDB()
-        key = SeriesKey.of("p", node="0")
-        for epoch in range(5):
-            t0 = epoch * 1000.0
-            db.insert_many(key, t0 + np.arange(1000.0), np.ones(1000))
-            db.retention_trim(t0)
-        t, _ = db.query(key)
-        assert t.min() >= 4000.0
-        assert db.sample_count(key) == 1000

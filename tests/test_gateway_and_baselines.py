@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.hardware import ComputeNode
 from repro.monitoring import (
     ArduPowerMonitor,
     EnergyGateway,
@@ -13,7 +12,6 @@ from repro.monitoring import (
     IpmiMonitor,
     MqttBroker,
     PowerInsightMonitor,
-    aliasing_spread,
     compare_monitors,
     standard_monitors,
 )
@@ -90,21 +88,6 @@ class TestEnergyGateway:
         late.subscribe("davide/node3/power/node")
         assert late.poll() is not None
 
-    def test_measure_node_covers_all_rails(self):
-        broker = MqttBroker()
-        eg = EnergyGateway(0, broker, config=GatewayConfig(adc_rate_hz=100e3, decimation=4))
-        node = ComputeNode()
-        node.set_utilization(cpu=0.5, gpu=0.5, memory_intensity=0.5)
-        rails = eg.measure_node(node, duration_s=0.005)
-        assert "node" in rails and "gpu0" in rails and "cpu0" in rails and "mem" in rails
-        truth_total = node.power_w()
-        assert rails["node"].mean_power_w() == pytest.approx(truth_total, rel=0.02)
-
-    def test_measure_node_validation(self):
-        eg = EnergyGateway(0, MqttBroker())
-        with pytest.raises(ValueError):
-            eg.measure_node(ComputeNode(), duration_s=0.0)
-
     def test_publish_empty_trace_is_noop(self):
         eg = EnergyGateway(0, MqttBroker())
         assert eg.publish_trace(PowerTrace(np.array([]), np.array([]))) == 0
@@ -163,24 +146,6 @@ class TestComparisonHarness:
         assert score.synchronized_timestamps
         assert score.abs_energy_error_pct >= 0
 
-    def test_aliasing_spread_larger_for_ipmi_than_gateway(self):
-        params = PhaseAlternation(ripple_w=0.0, drift_w=0.0, phase_period_s=0.31)
-
-        def factory(phase):
-            fn = hpc_job_power(params)
-            return trace_from_function(lambda t: fn(t + phase * params.phase_period_s), 5.0, 2e4)
-
-        ipmi = aliasing_spread(IpmiMonitor(rng=np.random.default_rng(0)), factory, n_phases=6)
-        eg = aliasing_spread(
-            EnergyGatewayMonitor(rng=np.random.default_rng(0)), factory, n_phases=3
-        )
-        assert ipmi["std_error"] > eg["std_error"] * 3
-        assert ipmi["worst_abs_error"] > eg["worst_abs_error"]
-
-    def test_aliasing_spread_validation(self):
-        with pytest.raises(ValueError):
-            aliasing_spread(IpmiMonitor(), lambda p: None, n_phases=1)
-
 
 class TestChannelMultiplexing:
     def test_rails_sampled_at_staggered_phases(self):
@@ -197,13 +162,3 @@ class TestChannelMultiplexing:
         period = 1.0 / 100e3
         assert t1 - t0 == pytest.approx(period / 8, rel=1e-6)
         assert t4 - t0 == pytest.approx(4 * period / 8, rel=1e-6)
-
-    def test_per_channel_rate_with_all_rails(self):
-        """8 rails on the 1.6 MS/s converter still leave 200 kS/s each."""
-        from repro.power import SarAdc
-
-        adc = SarAdc()
-        assert adc.per_channel_rate_hz(1.6e6, 8) == pytest.approx(200e3)
-        # The production configuration (800 kS/s on the node rail) fits
-        # alongside 7 more rails at 100 kS/s each... aggregate check:
-        assert adc.per_channel_rate_hz(800e3, 8) == pytest.approx(100e3)

@@ -38,20 +38,25 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from repro.core import DavideConfig
 from repro.hardware import ComputeNode
 from repro.monitoring import CappingAgent, GatewayArray, GatewayDaemon, MqttBroker
 from repro.runtime import ConfigError, load
 from repro.runtime.cli import main
 from repro.scheduler import (
     SIMULATOR_CORES,
+    CampaignConfig,
     ClusterSimulator,
     DirectoryResultStore,
     FifoScheduler,
     Job,
     PowerAwareScheduler,
     Scenario,
+    run_scenario,
+    scenario_key,
 )
 from repro.scheduler.cache import KEY_VERSION
 from repro.sim import Environment
@@ -164,15 +169,78 @@ class TestNonFiniteAndInfeasibleInputs:
          r"backfill_depth must be a non-negative integer, got 3\.0"),
         (dict(backfill_depth=True),
          r"backfill_depth must be a non-negative integer, got True"),
+        (dict(seed_index=1.5), r"seed_index must be a non-negative integer, got 1\.5"),
+        (dict(seed_index=1.0), r"seed_index must be a non-negative integer, got 1\.0"),
+        (dict(seed_index=True), r"seed_index must be a non-negative integer, got True"),
+        (dict(seed_index=-1), r"seed_index must be a non-negative integer, got -1"),
+        (dict(fairshare_decay=_NAN),
+         r"fairshare_decay must be positive and finite, got nan"),
+        (dict(fairshare_decay=float("inf")),
+         r"fairshare_decay must be positive and finite, got inf"),
     ], ids=["cap-inf", "budget-inf", "cap-negative", "cap-nan",
-            "depth-fraction", "depth-float", "depth-bool"])
+            "depth-fraction", "depth-float", "depth-bool",
+            "seed-fraction", "seed-float", "seed-bool", "seed-negative",
+            "decay-nan", "decay-inf"])
     def test_scenario_refuses_what_the_key_and_the_simulator_cannot_take(
             self, kwargs, match):
         """An infinite cap cannot be keyed (canonical JSON refuses it), a
-        non-positive one dies in the simulator, and a depth of 2.5, 3.0
-        or True would share the key of depth 2, 3 or 1."""
+        non-positive one dies in the simulator, a depth or seed index of
+        2.5, 3.0 or True would share the key of 2, 3 or 1 (and a
+        fractional seed dies in NumPy), a negative seed index dies in
+        the campaign, and a non-finite decay cannot be keyed."""
         with pytest.raises(ValueError, match=match):
             Scenario(**{"policy": "easy", **kwargs})
+
+    def test_seed_index_takes_a_numpy_integer_under_its_key_not_a_float(self):
+        config = CampaignConfig(n_nodes=4, n_jobs=5)
+        assert (scenario_key(config, Scenario(policy="easy", seed_index=np.int64(1)))
+                == scenario_key(config, Scenario(policy="easy", seed_index=1)))
+        with pytest.raises(ValueError, match="seed_index"):
+            Scenario(policy="easy", seed_index=np.float64(1.0))
+
+    def test_stored_spec_with_a_fractional_seed_is_a_named_corrupt_entry(
+            self, tmp_path):
+        """A warm store must not answer a 1.5 spec with the seed-1 cell:
+        the marker (unchecked, as one written before the checksum) holds
+        a spec ``Scenario`` refuses, so the load names the entry."""
+        config = CampaignConfig(n_nodes=4, n_jobs=5)
+        scenario = Scenario(policy="fifo", seed_index=1)
+        store = DirectoryResultStore(tmp_path / "store")
+        key = scenario_key(config, scenario)
+        store.put(key, run_scenario(config, scenario))
+        path = tmp_path / "store" / f"{key}.json"
+        meta = json.loads(path.read_text())
+        del meta["check"]
+        meta["scenario"]["seed_index"] = 1.5
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError,
+                           match=rf"corrupt store entry {key[:16]}.*{path.name}"):
+            store.get(key)
+
+    @pytest.mark.parametrize("idle_w", [_NAN, float("inf"), -1.0],
+                             ids=["nan", "inf", "negative"])
+    def test_simulator_and_campaign_refuse_the_idle_power(self, idle_w):
+        """Unchecked, a NaN or infinite idle draw spins the array core
+        under a cap (and gives NaN energy uncapped), and -1 W bills
+        every idle node at -1 W."""
+        match = rf"idle_node_power_w must be non-negative and finite, got {idle_w!r}"
+        with pytest.raises(ValueError, match=match):
+            ClusterSimulator(4, FifoScheduler(), idle_node_power_w=idle_w, cap_w=5000.0)
+        with pytest.raises(ValueError, match=match):
+            CampaignConfig(n_nodes=4, n_jobs=5, idle_node_power_w=idle_w)
+
+    def test_idle_power_may_be_zero_but_not_below(self):
+        assert ClusterSimulator(4, FifoScheduler(), idle_node_power_w=0.0).idle_node_power_w == 0.0
+        assert CampaignConfig(n_nodes=4, n_jobs=5, idle_node_power_w=0.0).idle_node_power_w == 0.0
+        with pytest.raises(ValueError, match="idle_node_power_w"):
+            ClusterSimulator(4, FifoScheduler(), idle_node_power_w=-1e-9)
+
+    @pytest.mark.parametrize("idle_w", [_NAN, float("inf"), 0.0],
+                             ids=["nan", "inf", "zero"])
+    def test_davide_config_refuses_the_idle_power(self, idle_w):
+        with pytest.raises(ValueError, match=rf"idle_node_power_w must be positive "
+                                             rf"and finite, got {idle_w!r}"):
+            DavideConfig(idle_node_power_w=idle_w)
 
     def test_nan_cap_rejected_by_the_simulator(self):
         with pytest.raises(ValueError, match="cap_w=nan"):
@@ -324,6 +392,10 @@ class TestValuesTheRunCannotUseFailAtLoad:
          {"type": "continuous", "lo": 1.0, "hi": 8.0}, ConfigError,
          r"exploration\.space\.backfill_depth = 1\.0: backfill_depth must be "
          r"a non-negative integer, got 1\.0"),
+        ("exploration", ("exploration", "space", "seed_index"),
+         {"type": "continuous", "lo": 0.0, "hi": 3.0}, ConfigError,
+         r"exploration\.space\.seed_index = 0\.0: seed_index must be "
+         r"a non-negative integer, got 0\.0"),
     ], ids=["speed-exponent", "speed-floor-underflow", "workload-seed",
             "campaign-seeds", "live-seed",
             "hysteresis", "actuation-delay", "sensor-noise", "outage-node",
@@ -331,7 +403,8 @@ class TestValuesTheRunCannotUseFailAtLoad:
             "base-nan", "choices-nan", "policy-fairshare",
             "generator-campaign", "generator-live", "generator-exploration",
             "base-out-of-range", "grid-knob-lo-out-of-range",
-            "choice-needs-a-cap", "base-negative-cap", "continuous-depth"])
+            "choice-needs-a-cap", "base-negative-cap", "continuous-depth",
+            "continuous-seed"])
     def test_load_names_the_field_and_the_cli_exits_2(
             self, tmp_path, capsys, kind, path, value, error, match):
         data = copy.deepcopy(_CONFIGS[kind])

@@ -55,26 +55,11 @@ class TestPowerAnomalyDetector:
     def test_short_trace_skipped(self):
         assert PowerAnomalyDetector(window=64).scan(trace_of(np.ones(10))) == []
 
-    def test_stuck_sensor_detected(self):
-        rng = np.random.default_rng(3)
-        vals = 1000.0 + rng.normal(0, 3, 1000)
-        vals[300:600] = 1234.5  # frozen reading
-        [finding] = PowerAnomalyDetector().stuck_sensor(trace_of(vals), flat_samples=200)
-        assert finding.severity == "critical"
-        assert finding.value == pytest.approx(1234.5)
-
-    def test_healthy_sensor_not_flagged(self):
-        rng = np.random.default_rng(4)
-        vals = 1000.0 + rng.normal(0, 3, 1000)
-        assert PowerAnomalyDetector().stuck_sensor(trace_of(vals)) == []
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PowerAnomalyDetector(window=4)
         with pytest.raises(ValueError):
             PowerAnomalyDetector(threshold=0.0)
-        with pytest.raises(ValueError):
-            PowerAnomalyDetector().stuck_sensor(trace_of(np.ones(10)), flat_samples=1)
 
 
 class TestHazardDetector:

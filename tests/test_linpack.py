@@ -14,8 +14,7 @@ class TestHplModel:
 
     def test_efficiency_rises_with_n(self):
         m = HplModel()
-        curve = m.efficiency_curve([0.1, 0.25, 0.5, 1.0])
-        effs = [p.efficiency for p in curve]
+        effs = [m.point(int(m.max_n() * f)).efficiency for f in (0.1, 0.25, 0.5, 1.0)]
         assert all(a < b for a, b in zip(effs, effs[1:]))
 
     def test_rmax_efficiency_in_gpu_system_band(self):
@@ -59,5 +58,3 @@ class TestHplModel:
             m.point(0)
         with pytest.raises(ValueError):
             m.point(m.max_n() + 1)
-        with pytest.raises(ValueError):
-            m.efficiency_curve([0.0])

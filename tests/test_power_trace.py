@@ -100,12 +100,6 @@ class TestTransforms:
         tr = uniform_trace([1.0, 2.0], rate=1.0)
         assert tr.shift(3.0).times_s[0] == 3.0
 
-    def test_resample_preserves_constant(self):
-        tr = uniform_trace([42.0] * 11, rate=1.0)
-        r = tr.resample(7.0)
-        assert np.allclose(r.power_w, 42.0)
-        assert r.sample_rate_hz == pytest.approx(7.0, rel=0.05)
-
     def test_value_at_interpolates(self):
         tr = uniform_trace([0.0, 10.0], rate=1.0)
         assert tr.value_at(0.5) == pytest.approx(5.0)
@@ -170,11 +164,6 @@ class TestArithmetic:
         a = uniform_trace([100.0] * 10)
         b = uniform_trace([50.0] * 10)
         assert np.allclose((a + b).power_w, 150.0)
-
-    def test_scaled_affine(self):
-        a = uniform_trace([10.0] * 5)
-        s = a.scaled(2.0, offset_w=1.0)
-        assert np.allclose(s.power_w, 21.0)
 
 
 class TestTraceFromFunction:

@@ -3,6 +3,7 @@
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import repro
@@ -74,7 +75,7 @@ def _explore_problem():
     from repro.scheduler import CampaignConfig
 
     space = DesignSpace({"cap_w": Continuous(8_000.0, 16_000.0)})
-    objective = Objective.minimize("total_energy_j")
+    objective = Objective(metrics=("total_energy_j",))
     config = CampaignConfig(n_nodes=4, n_jobs=8, root_seed=3, load_factor=1.1)
     return space, objective, config
 
@@ -83,6 +84,7 @@ def _build(owner, **kw):
     """Call ``owner`` with stand-in required arguments plus ``kw``."""
     from repro import explore
     from repro.core import DavideSystem
+    from repro.energyapi import ComponentConfig, Instrumentation
     from repro.faults import DrillConfig
     from repro.monitoring import (CappingAgent, GatewayArray, GatewayDaemon,
                                   TelemetryPlane)
@@ -106,8 +108,12 @@ def _build(owner, **kw):
         "periodic": lambda: env.periodic(1.0, lambda now: None, **kw),
         "TelemetryPlane": lambda: TelemetryPlane(env, [node], broker,
                                                  batched=True, **kw),
+        "TelemetryPlane-per-sample": lambda: TelemetryPlane(
+            env, [node], broker, batched=False, **kw),
         "DrillConfig": lambda: DrillConfig(**kw),
         "run_campaign": lambda: DavideSystem().run_campaign([], **kw),
+        "ComponentConfig": lambda: ComponentConfig(**kw),
+        "Instrumentation": lambda: Instrumentation(clock=lambda: 0.0, **kw),
     }
     return calls[owner]()
 
@@ -115,7 +121,7 @@ def _build(owner, **kw):
 #: The one spelling each callable takes for its cadence, ceiling, seed
 #: and core.
 _CANONICAL = {
-    "GatewayDaemon": dict(period_s=0.1, seed=3),
+    "GatewayDaemon": dict(period_s=0.1, rng=np.random.default_rng(3)),
     "GatewayArray": dict(period_s=0.1),
     "CappingAgent": dict(cap_w=1_500.0),
     "ClusterSimulator": dict(cap_w=5_000.0, core="reference"),
@@ -138,10 +144,13 @@ _REMOVED_SPELLINGS = [
     ("Scenario", "reference"), ("Scenario", "core"),
     ("GatewayArray", "seed"), ("GatewayArray", "noise_block"),
     ("GatewayArray", "start_delay_s"), ("TelemetryPlane", "seed"),
+    ("GatewayDaemon", "seed"), ("TelemetryPlane-per-sample", "seed"),
     ("periodic", "start_delay_s"),
     ("DrillConfig", "job_dynamic_w"), ("DrillConfig", "settling_periods"),
     ("DrillConfig", "failsafe_fraction"), ("DrillConfig", "min_trim_rho"),
     ("DrillConfig", "check_period_s"), ("run_campaign", "reactive_backstop"),
+    ("ComponentConfig", "smt_level"), ("ComponentConfig", "cpu_frequency_hz"),
+    ("ComponentConfig", "memory_throttle"), ("Instrumentation", "api"),
 ]
 
 #: Kernel, tracer and model names with no caller left, by the package
@@ -153,12 +162,21 @@ _REMOVED_NAMES = {
         "RaplResult", "uniform_share", "proportional_share", "water_filling",
         "allocation_quality"),
     "repro.monitoring": (
-        "Attribute", "PwrObject", "NodeObject", "PlatformObject", "make_platform"),
+        "Attribute", "PwrObject", "NodeObject", "PlatformObject", "make_platform",
+        "aliasing_spread"),
     "repro.network": (
         "FlowAllocation", "max_min_fair", "allocate_fat_tree_flows",
-        "completion_time_s"),
+        "completion_time_s", "uniform_traffic"),
     "repro.telemetry": ("EventTrace", "EventCorrelator", "events_from_execution"),
-    "repro.power": ("Calibration", "calibrate", "verification_error"),
+    "repro.power": ("Calibration", "calibrate", "verification_error",
+                    "cascaded_average", "random_phase_workload"),
+    "repro.analysis": ("flops_per_watt", "energy_to_solution_j",
+                       "energy_delay_product", "pue"),
+    "repro.apps": ("fft_poisson_solve", "stencil_sweep", "sem_element_update"),
+    "repro.cooling": ("AIR_COOLED_CPU",),
+    "repro.hardware": ("arm_pstates",),
+    "repro.observability": ("metrics_to_jsonl", "spans_to_jsonl"),
+    "repro.scheduler": ("day_night_budget",),
 }
 _REMOVED_IMPORTS = [(module, name) for module, names in _REMOVED_NAMES.items()
                     for name in names]
@@ -174,7 +192,70 @@ _REMOVED_METHODS = [
     ("repro.observability", "Tracer", "bind_clock"),
     ("repro.observability", "NullTracer", "instant"),
     ("repro.observability", "Observability", "bind_clock"),
-]
+] + [(module, owner, name) for module, owner, names in (
+    ("repro.analysis", "HplModel", ("efficiency_curve",)),
+    ("repro.apps", "ApplicationModel", ("total_flops_per_node",)),
+    ("repro.capping", "SensorWatchdog", ("stale_sources", "value")),
+    ("repro.capping", "DvfsGovernor",
+     ("cap_to_power", "power_at", "most_efficient_state")),
+    ("repro.cooling", "ThermalChain",
+     ("total_resistance_k_per_w", "steady_state_c", "steady_die_temp_c",
+      "set_boundary")),
+    ("repro.energyapi", "TradeoffPoint", ("edp",)),
+    ("repro.energyapi", "TradeoffRecorder", ("best_edp",)),
+    ("repro.energyapi", "NodeEnergyApi",
+     ("set_smt", "set_cpu_frequency", "set_memory_throttle", "wake_all_gpus",
+      "effective_memory_bandwidth_Bps", "reset", "region",
+      "idle_power_saving_w")),
+    ("repro.explore", "Objective", ("minimize", "maximize", "best")),
+    ("repro.explore", "ExplorationTrace", ("to_json",)),
+    ("repro.faults", "InvariantChecker", ("assert_clean",)),
+    ("repro.hardware", "Cluster", ("apply_system_cap", "uncap")),
+    ("repro.hardware", "CpuModel",
+     ("set_frequency", "active_cores", "smt_level", "set_smt_level",
+      "smt_efficiency", "attainable_flops", "relative_speed")),
+    ("repro.hardware", "CpuSpec", ("threads",)),
+    ("repro.hardware", "GpuModel",
+     ("power_limit_w", "asleep", "attainable_flops", "kernel_time_s")),
+    ("repro.hardware", "NodeFabric",
+     ("endpoints", "same_socket", "aggregate_nvlink_bandwidth_Bps")),
+    ("repro.hardware", "RackManagementController",
+     ("inventory", "find_asset", "power_off_node", "power_on_node",
+      "is_powered_off", "apply_rack_cap", "rack_node")),
+    ("repro.hardware", "MemorySubsystem",
+     ("peak_bandwidth_Bps", "effective_bandwidth_Bps", "stream_time_s")),
+    ("repro.hardware", "ComputeNode",
+     ("is_idle", "power_cap_w", "relative_performance")),
+    ("repro.hardware", "RackLevelSupply", ("failed_psus",)),
+    ("repro.hardware", "Rack", ("apply_power_cap", "heat_output_w")),
+    ("repro.monitoring", "EnergyGateway", ("measure_node",)),
+    ("repro.monitoring", "PowerAnomalyDetector", ("stuck_sensor",)),
+    ("repro.monitoring", "MqttClient", ("unsubscribe",)),
+    ("repro.monitoring", "MqttBroker",
+     ("online", "unsubscribe", "disconnect", "client_count", "retained_topics")),
+    ("repro.monitoring", "TelemetryPlane", ("samples_dropped_by_sensor", "backlog")),
+    ("repro.network", "CommModel", ("ptp_time_s", "allgather_time_s")),
+    ("repro.network", "FatTree", ("hop_count", "path")),
+    ("repro.network", "RouteAnalysis", ("uplink_balance",)),
+    ("repro.observability", "Observability", ("metrics_jsonl", "spans_jsonl")),
+    ("repro.observability", "MetricsRegistry", ("snapshot",)),
+    ("repro.observability", "Gauge", ("inc",)),
+    ("repro.observability", "Span", ("as_dict",)),
+    ("repro.power", "SarAdc", ("per_channel_rate_hz",)),
+    ("repro.power", "PowerTrace", ("resample", "scaled")),
+    ("repro.prediction", "FeatureEncoder", ("feature_names",)),
+    ("repro.scheduler", "Job", ("node_seconds_requested", "with_runtime_stretch")),
+    ("repro.scheduler", "JobRecord", ("turnaround_s", "bounded_slowdown")),
+    ("repro.scheduler", "SchedulerMonitorPlugin", ("system_power_w",)),
+    ("repro.scheduler", "CampaignService", ("job", "poll", "jobs")),
+    ("repro.sim", "Environment", ("attach_hooks",)),
+    ("repro.sim", "Event", ("processed",)),
+    ("repro.telemetry", "JobEnergyBill", ("energy_kwh",)),
+    ("repro.telemetry", "EnergyAccountant", ("job_energy_j", "energy_by_app")),
+    ("repro.telemetry", "SeriesKey", ("matches",)),
+    ("repro.telemetry", "TimeSeriesDB", ("keys", "retention_trim")),
+    ("repro.cluster", "LiveCluster", ("metrics", "trace")),
+) for name in names]
 
 
 class TestKeywords:
@@ -226,9 +307,7 @@ class TestKeywords:
         assert not hasattr(cls, name)
 
     def test_daemon_seed_seeds_noise_stream(self):
-        import numpy as np
-
-        daemon = _build("GatewayDaemon", seed=7)
+        daemon = _build("GatewayDaemon", rng=np.random.default_rng(7))
         assert daemon.rng.normal() == np.random.default_rng(7).normal()
 
     def test_power_aware_cap_w_is_settable(self):

@@ -383,7 +383,7 @@ class TestBuildSemantics:
         assert len(cluster.agents) == 3
         cluster.run(until=1.0)
         assert cluster.env.now == 1.0
-        assert cluster.metrics().snapshot()  # observability is live
+        assert list(cluster.obs.metrics.series())  # observability is live
 
     def test_exploration_space_preserves_declaration_order(self):
         data = {

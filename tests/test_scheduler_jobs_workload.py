@@ -37,14 +37,6 @@ class TestJob:
     def test_derived_quantities(self):
         job = make_job()
         assert job.true_power_w == 3000.0
-        assert job.node_seconds_requested == 7200.0
-
-    def test_runtime_stretch(self):
-        job = make_job()
-        stretched = job.with_runtime_stretch(1.5)
-        assert stretched.true_runtime_s == pytest.approx(2700.0)
-        with pytest.raises(ValueError):
-            job.with_runtime_stretch(0.9)
 
 
 class TestJobRecord:
@@ -55,19 +47,7 @@ class TestJobRecord:
         rec.start_time_s = 400.0
         rec.end_time_s = 2200.0
         assert rec.wait_time_s == 300.0
-        assert rec.turnaround_s == 2100.0
         assert rec.actual_runtime_s == 1800.0
-
-    def test_bounded_slowdown(self):
-        rec = JobRecord(job=make_job(submit_time_s=0.0))
-        rec.start_time_s = 1800.0
-        rec.end_time_s = 3600.0
-        assert rec.bounded_slowdown() == pytest.approx(2.0)
-        # Tiny job: threshold bounds the metric.
-        quick = JobRecord(job=make_job(true_runtime_s=1.0))
-        quick.start_time_s = 0.0
-        quick.end_time_s = 1.0
-        assert quick.bounded_slowdown(threshold_s=10.0) == pytest.approx(1.0)
 
     def test_initial_state(self):
         rec = JobRecord(job=make_job())

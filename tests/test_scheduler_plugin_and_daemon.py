@@ -35,7 +35,7 @@ class TestSchedulerMonitorPlugin:
         publish_samples(broker, 1, [0.5], [1200.0])
         assert plugin.node_power_w(0) == 800.0
         assert plugin.node_power_w(1) == 1200.0
-        assert plugin.system_power_w() == 2000.0
+        assert sum(v.last_power_w for v in plugin.live.values()) == 2000.0
         assert plugin.node_power_w(99) == 0.0
 
     def test_job_start_event_published_and_retained(self):
@@ -179,7 +179,7 @@ class TestCappingAgent:
         node.set_utilization(cpu=0.1, gpu=0.1, memory_intensity=0.1)
         env.run(until=2.0)
         assert not agent.capped
-        assert node.relative_performance() > 0.9
+        assert node.peak_flops > 0.9 * node.nameplate_flops
 
     def test_no_actuation_below_setpoint(self):
         env = Environment()
@@ -199,9 +199,9 @@ class TestCappingAgent:
         GatewayDaemon(env, node, broker, period_s=0.05, sensor_noise_w=0.0)
         CappingAgent(env, node, broker, cap_w=1500.0, actuation_delay_s=0.3)
         env.run(until=0.2)
-        assert node.power_cap_w is None  # still inside the actuation delay
+        assert node._power_cap_w is None  # still inside the actuation delay
         env.run(until=0.5)
-        assert node.power_cap_w is not None
+        assert node._power_cap_w is not None
 
     def test_batch_agents_read_their_own_node_through_a_dropout(self):
         """A sensor dropout takes node 0 out of the GatewayArray batch for

@@ -10,7 +10,6 @@ from repro.scheduler import (
     TimeVaryingBudgetScheduler,
     WorkloadConfig,
     WorkloadGenerator,
-    day_night_budget,
     heat_wave_budget,
 )
 
@@ -20,16 +19,6 @@ def oracle(j):
 
 
 class TestBudgetProfiles:
-    def test_day_night_profile(self):
-        budget = day_night_budget(40e3, 70e3, day_start_h=8, day_end_h=20)
-        assert budget(9 * 3600.0) == 40e3       # 09:00
-        assert budget(22 * 3600.0) == 70e3      # 22:00
-        assert budget((24 + 9) * 3600.0) == 40e3  # repeats daily
-        with pytest.raises(ValueError):
-            day_night_budget(0.0, 70e3)
-        with pytest.raises(ValueError):
-            day_night_budget(40e3, 70e3, day_start_h=20, day_end_h=8)
-
     def test_heat_wave_profile(self):
         budget = heat_wave_budget(60e3, 35e3, wave_start_s=100.0, wave_end_s=200.0)
         assert budget(50.0) == 60e3
