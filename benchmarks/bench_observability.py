@@ -9,14 +9,17 @@ checks the two contracts the layer ships with:
    at equal seeds.  Metrics and spans are a side store; they must never
    perturb an RNG draw or an event ordering.
 2. **Cost**: the enabled run's wall-clock overhead stays under the
-   budget (default 10 %) against the no-op baseline.  Both sides are
-   best-of-N to keep scheduler noise out of the ratio.
+   budget (default 10 %) against the no-op baseline.  The drill runs
+   ``--reps`` alternating disabled/enabled pairs, switching which side
+   runs first each pair, and the gate is the median of the per-pair
+   overheads: a ratio of two single ~15 ms timings swung by more than
+   the budget on unchanged code, and adjacent runs share host drift.
 
 Also cross-checks ``ops_report()`` against ground truth (the broker's
 own publish counters and the event log's scheduler counts) so the
 summary numbers cannot silently drift from what happened.
 
-Run:  python benchmarks/bench_observability.py [--nodes 256] [--reps 3]
+Run:  python benchmarks/bench_observability.py [--nodes 256] [--reps 31]
                                                [--tolerance 0.10]
                                                [--out BENCH_observability.json]
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -68,15 +72,29 @@ def build_drill(n_nodes: int, observability: bool):
     return builder.build_drill()
 
 
-def timed_runs(n_nodes: int, observability: bool, reps: int):
-    """Best-of-``reps`` wall time plus the last run's artifacts."""
-    best_wall, drill, report = float("inf"), None, None
-    for _ in range(reps):
-        drill = build_drill(n_nodes, observability)
-        t0 = time.perf_counter()
-        report = drill.run(faults=campaign(n_nodes))
-        best_wall = min(best_wall, time.perf_counter() - t0)
-    return best_wall, drill, report
+def timed_run(n_nodes: int, observability: bool):
+    """One drill's wall time plus its artifacts."""
+    drill = build_drill(n_nodes, observability)
+    t0 = time.perf_counter()
+    report = drill.run(faults=campaign(n_nodes))
+    return time.perf_counter() - t0, drill, report
+
+
+def timed_pairs(n_nodes: int, reps: int):
+    """``reps`` disabled/enabled pairs, the first side alternating.
+
+    Returns each pair's (disabled, enabled) wall time, whether every
+    pair's two log digests were equal, and the last enabled run's drill
+    and report.
+    """
+    pairs, digests_equal = [], True
+    for i in range(reps):
+        order = (False, True) if i % 2 == 0 else (True, False)
+        runs = {obs: timed_run(n_nodes, obs) for obs in order}
+        (off_wall, _, off_report), (on_wall, on_drill, on_report) = runs[False], runs[True]
+        digests_equal &= off_report.log.digest() == on_report.log.digest()
+        pairs.append((off_wall, on_wall))
+    return pairs, digests_equal, on_drill, on_report
 
 
 def reconcile(drill, report) -> list[str]:
@@ -107,24 +125,27 @@ def reconcile(drill, report) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, default=256)
-    parser.add_argument("--reps", type=int, default=3,
-                        help="best-of-N wall-clock per side (default 3)")
+    parser.add_argument("--reps", type=int, default=31,
+                        help="alternating disabled/enabled pairs (default 31)")
     parser.add_argument("--tolerance", type=float, default=0.10,
                         help="allowed fractional overhead (default 0.10)")
     parser.add_argument("--out", default=str(Path(__file__).resolve().parent.parent
                                              / "BENCH_observability.json"))
     args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
 
-    off_wall, _, off_report = timed_runs(args.nodes, observability=False, reps=args.reps)
-    on_wall, on_drill, on_report = timed_runs(args.nodes, observability=True, reps=args.reps)
-
-    digests_equal = off_report.log.digest() == on_report.log.digest()
-    overhead = on_wall / off_wall - 1.0
+    pairs, digests_equal, on_drill, on_report = timed_pairs(args.nodes, args.reps)
+    overheads = [on / off - 1.0 for off, on in pairs]
+    overhead = statistics.median(overheads)
+    off_wall = statistics.median(off for off, _ in pairs)
+    on_wall = statistics.median(on for _, on in pairs)
     mismatches = reconcile(on_drill, on_report)
     ops = on_drill.ops_report()
 
     print(f"drill n={args.nodes}: disabled {off_wall:.3f}s, enabled {on_wall:.3f}s "
-          f"-> overhead {overhead * 100:+.1f}% (budget {args.tolerance * 100:.0f}%)")
+          f"(medians of {args.reps} pairs) -> median pair overhead "
+          f"{overhead * 100:+.1f}% (budget {args.tolerance * 100:.0f}%)")
     print(f"digests {'EQUAL' if digests_equal else 'DIFFER'}; "
           f"{ops['tracing']['spans_started']} spans, "
           f"{int(ops['telemetry']['samples_published'])} samples published, "
@@ -139,6 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         "wall_s_disabled": round(off_wall, 4),
         "wall_s_enabled": round(on_wall, 4),
         "overhead_fraction": round(overhead, 4),
+        "pair_overheads": [round(o, 4) for o in overheads],
         "tolerance": args.tolerance,
         "digests_equal": digests_equal,
         "reconciliation_failures": mismatches,
@@ -149,8 +171,8 @@ def main(argv: list[str] | None = None) -> int:
 
     ok = True
     if not digests_equal:
-        print("ERROR: event-log digest changed when observability was enabled",
-              file=sys.stderr)
+        print("ERROR: event-log digest changed when observability was enabled "
+              "in at least one pair", file=sys.stderr)
         ok = False
     if mismatches:
         ok = False

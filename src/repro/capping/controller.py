@@ -20,16 +20,14 @@ class SensorWatchdog:
 
     The production controller must keep a safe cap when telemetry goes
     silent (gateway crash, broker outage, sensor dropout).  The watchdog
-    remembers the last sample per source and classifies each source as
-    *fresh* (sampled within ``stale_after_s``), *stale* (hold the last
-    value), or — once every source has been silent for
-    ``failsafe_after_s`` — demands the fail-safe cap.
+    remembers the last sample per source, sums those held values for the
+    controller, and demands the fail-safe cap once every source has been
+    silent for ``failsafe_after_s``.
     """
 
-    def __init__(self, stale_after_s: float, failsafe_after_s: float):
-        if stale_after_s <= 0 or failsafe_after_s < stale_after_s:
-            raise ValueError("need 0 < stale_after_s <= failsafe_after_s")
-        self.stale_after_s = float(stale_after_s)
+    def __init__(self, failsafe_after_s: float):
+        if not failsafe_after_s > 0:
+            raise ValueError("need failsafe_after_s > 0")
         self.failsafe_after_s = float(failsafe_after_s)
         self._last: dict[Any, tuple[float, float]] = {}
 

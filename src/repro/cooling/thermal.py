@@ -6,7 +6,8 @@ P watts through a thermal resistance chain reaches a steady temperature
 capacitances.  We model each cooled component as a chain of
 (resistance, capacitance) stages — die -> TIM/cold-plate (liquid) or die
 -> heatsink -> air (air cooling) — and integrate the network with an
-exact matrix-exponential step (scipy) so long time steps stay stable.
+exact matrix-exponential step, built from one symmetric eigendecomposition
+(NumPy), so long time steps stay stable.
 
 State-space form: C dT/dt = -G T + G_b T_boundary + P_in, where G is the
 conductance Laplacian of the chain and the boundary is the coolant/air
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = ["ThermalStage", "ThermalChain", "LIQUID_COOLED_GPU", "AIR_COOLED_GPU",
            "LIQUID_COOLED_CPU"]
@@ -59,10 +59,17 @@ class ThermalChain:
                 G[i, i + 1] -= g[i]
                 G[i + 1, i] -= g[i]
                 G[i + 1, i + 1] += g[i]
-        self._G = G
-        self._C_inv = np.diag([1.0 / s.capacitance_j_per_k for s in stages])
+        # S = C^-1/2 G C^-1/2 = V diag(lam) V^T is symmetric positive
+        # definite, and -S is similar to A = -C^-1 G (see step).
+        c_half = np.sqrt([s.capacitance_j_per_k for s in stages])
+        self._lam, V = np.linalg.eigh(G / np.outer(c_half, c_half))
+        self._to_temp = V / c_half[:, None]        # C^-1/2 V
+        self._from_temp = V.T * c_half             # V^T C^1/2
+        self._from_heat = V.T / c_half             # V^T C^-1/2
         self._b = np.zeros(n)
         self._b[-1] = g[-1]  # last stage couples to the boundary
+        self._dt_s: float | None = None
+        self._propagator = ()
         self.temps_c = np.full(n, self.boundary_temp_c)
 
     @property
@@ -73,25 +80,26 @@ class ThermalChain:
     def step(self, power_w: float, dt_s: float) -> float:
         """Advance the network by ``dt_s`` under constant power; returns die T.
 
-        Uses the exact discretization T' = e^{A dt} T + A^{-1}(e^{A dt}-I) u
-        with A = -C^{-1} G, so any dt is numerically stable.
+        Uses the exact discretization T' = e^{A dt} T + A^{-1}(e^{A dt}-I) C^{-1} q
+        with A = -C^{-1} G and q the injected heat, so any dt is numerically
+        stable: e^{A dt} = C^-1/2 V e^{-lam dt} V^T C^1/2 and the forced
+        term is C^-1/2 V diag((1 - e^{-lam dt})/lam) V^T C^-1/2 q.  The
+        pair is kept for the last ``dt_s`` only.
         """
         if dt_s <= 0:
             raise ValueError("dt must be positive")
         if power_w < 0:
             raise ValueError("power must be non-negative")
-        n = len(self.stages)
-        A = -self._C_inv @ self._G
-        p = np.zeros(n)
-        p[0] = power_w
-        u = self._C_inv @ (p + self._b * self.boundary_temp_c)
-        # Augmented-matrix trick computes the forced response without
-        # inverting A (robust even for stiff chains).
-        M = np.zeros((n + 1, n + 1))
-        M[:n, :n] = A * dt_s
-        M[:n, n] = u * dt_s
-        E = expm(M)
-        self.temps_c = E[:n, :n] @ self.temps_c + E[:n, n]
+        if dt_s != self._dt_s:
+            decay = np.exp(-self._lam * dt_s)
+            gain = -np.expm1(-self._lam * dt_s) / self._lam
+            self._propagator = ((self._to_temp * decay) @ self._from_temp,
+                                (self._to_temp * gain) @ self._from_heat)
+            self._dt_s = dt_s
+        free, forced = self._propagator
+        q = self._b * self.boundary_temp_c
+        q[0] += power_w
+        self.temps_c = free @ self.temps_c + forced @ q
         return self.die_temp_c
 
     def run(self, power_w: float, duration_s: float, dt_s: float = 1.0) -> np.ndarray:

@@ -228,7 +228,7 @@ class DavideSystem:
         history_result = history_sim.run(history_jobs)
         self._land_node_series(history_result)
         bills = tuple(self.accountant.bill(r) for r in history_result.records)
-        statements = self.accountant.statements(list(history_result.records))
+        statements = self.accountant.statements(bills)
         # Phase 2: train the predictor on the history jobs' true
         # per-node power (the target FeatureEncoder reads), not on the
         # monitored measurements landed above.

@@ -94,7 +94,6 @@ class DrillConfig:
     gateway_period_s: float = 1.0
     sensor_noise_w: float = 2.0
     control_period_s: float = 2.0
-    stale_after_s: float = 4.0
     failsafe_after_s: float = 10.0
     #: Rack shelf: sized so one PSU loss still covers the budget minus
     #: margin, two losses force the controller to retarget the cap.
@@ -263,7 +262,7 @@ class FaultDrill:
         self._clk_rate = np.zeros(cfg.n_nodes)
         self._clk_since = np.zeros(cfg.n_nodes)
         # -- agents -----------------------------------------------------------
-        self.watchdog = SensorWatchdog(cfg.stale_after_s, cfg.failsafe_after_s)
+        self.watchdog = SensorWatchdog(cfg.failsafe_after_s)
         self._collector = self.broker.connect("drill-collector")
         self.telemetry = TelemetryPlane(
             self.env,

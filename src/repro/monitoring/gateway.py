@@ -78,8 +78,8 @@ class EnergyGateway:
         self._sensors: dict[str, PowerSensor] = {}
         self._rng = rng if rng is not None else np.random.default_rng(node_id + 1)
         #: Maps true time -> gateway timestamp (PTP-disciplined in the
-        #: full system; identity by default).
-        self.clock: ClockFn = clock if clock is not None else (lambda t: t)
+        #: full system); ``None`` keeps the true block-centre times.
+        self.clock: Optional[ClockFn] = clock
         self.samples_published = 0
 
     # -- acquisition -------------------------------------------------------------
@@ -97,12 +97,14 @@ class EnergyGateway:
 
         Chain: sensor transfer -> 800 kS/s ADC sampling (staggered by the
         multiplexer channel phase) -> x16 hardware average -> timestamps
-        rewritten through the gateway clock.
+        rewritten through the gateway clock, if one was given.
         """
         sensor = self._sensor_for(rail)
         phase = (channel % self.adc.spec.n_channels) / self.adc.spec.n_channels
         raw = self.adc.acquire_power(true_power, sensor, self.config.adc_rate_hz, channel_phase=phase)
         decimated = boxcar_decimate(raw, self.config.decimation)
+        if self.clock is None:
+            return decimated
         stamped_times = np.array([self.clock(t) for t in decimated.times_s])
         return PowerTrace(stamped_times, decimated.power_w)
 

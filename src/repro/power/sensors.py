@@ -68,6 +68,25 @@ HALL_SENSOR = SensorSpec(
 )
 
 
+def _single_pole(x: np.ndarray, alpha: float) -> np.ndarray:
+    """``y[n] = alpha x[n] + (1 - alpha) y[n-1]``, at rest on ``x[0]``.
+
+    A doubling scan: after the pass with stride ``k`` each ``y[n]`` sums
+    the last ``2k`` inputs weighted by powers of ``c = 1 - alpha``, so it
+    takes at most ceil(log2 n) vector passes, and stops early once
+    ``c**k`` falls below 2**-60, where older inputs no longer reach a
+    double's last bit.
+    """
+    c = 1.0 - alpha
+    y = alpha * x
+    y[0] += c * x[0]
+    k = 1
+    while k < len(y) and c**k > 2.0**-60:
+        y[k:] += c**k * y[:-k]
+        k *= 2
+    return y
+
+
 class PowerSensor:
     """One sensor channel: watts in -> volts out, with realistic errors."""
 
@@ -95,10 +114,8 @@ class PowerSensor:
         # Single-pole IIR low-pass at the sensor bandwidth (skip if the
         # trace is sampled too slowly to resolve the pole).
         if self.spec.bandwidth_hz < fs / 2:
-            from scipy.signal import lfilter
-
             alpha = 1.0 - np.exp(-2 * np.pi * self.spec.bandwidth_hz / fs)
-            p = lfilter([alpha], [1, -(1 - alpha)], p, zi=[p[0] * (1 - alpha)])[0]
+            p = _single_pole(p, alpha)
         p = p * (1.0 + self.spec.gain_error) + self.spec.offset_w
         p = p + self.rng.normal(0.0, self.spec.noise_w_rms, size=p.shape)
         p = np.clip(p, 0.0, self.spec.full_scale_w)

@@ -114,9 +114,8 @@ class EnergyAccountant:
             measured_fraction=measured_fraction,
         )
 
-    def statements(self, records: list[JobRecord]) -> dict[str, UserStatement]:
-        """Per-user statements over a set of finished jobs."""
-        bills = [self.bill(r) for r in records]
+    def statements(self, bills: tuple[JobEnergyBill, ...]) -> dict[str, UserStatement]:
+        """Per-user statements rolled up from job bills already made."""
         by_user: dict[str, list[JobEnergyBill]] = {}
         for b in bills:
             by_user.setdefault(b.user, []).append(b)

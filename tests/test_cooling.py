@@ -83,6 +83,28 @@ class TestThermalChain:
         with pytest.raises(ValueError):
             chain.step(-1.0, dt_s=1.0)
 
+    @pytest.mark.parametrize("dt_s", [0.1, 1.0, 10.0])
+    def test_one_stage_matches_closed_form(self, dt_s):
+        # T(t) = T_b + P R (1 - e^{-t/RC}), RC = 10 s, over 200 steps.
+        chain = ThermalChain([ThermalStage("die", 0.2, 50.0)], boundary_temp_c=30.0)
+        t = dt_s * np.arange(1, 201)
+        expected = 30.0 + 100.0 * 0.2 * -np.expm1(-t / 10.0)
+        np.testing.assert_allclose(chain.run(100.0, 200 * dt_s, dt_s), expected, rtol=1e-12)
+
+    def test_two_stage_steady_state_is_exact(self):
+        chain = LIQUID_COOLED_GPU(35.0)
+        # 35 + 300 * (0.05 + 0.065) = 69.5 degC.
+        assert _steady_die_c(chain, 300.0) == pytest.approx(69.5, rel=1e-12, abs=0)
+
+    def test_changing_dt_never_reuses_a_stale_propagator(self):
+        chain = AIR_COOLED_GPU(28.0)
+        for power_w, duration_s, dt_s in ((250.0, 10.0, 1.0), (300.0, 50.0, 5.0),
+                                          (200.0, 10.0, 1.0)):
+            fresh = AIR_COOLED_GPU(28.0)
+            fresh.temps_c = chain.temps_c.copy()
+            assert np.array_equal(chain.run(power_w, duration_s, dt_s),
+                                  fresh.run(power_w, duration_s, dt_s))
+
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=10.0, max_value=300.0), st.floats(min_value=20.0, max_value=45.0))
     def test_steady_die_always_above_boundary(self, power, boundary):

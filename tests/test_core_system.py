@@ -92,6 +92,21 @@ class TestCampaign:
         users = {r.job.user for r in report.history_result.records}
         assert set(report.statements) == users
 
+    def test_each_history_job_billed_once(self, monkeypatch):
+        from repro.telemetry import EnergyAccountant
+
+        billed, real = [], EnergyAccountant.bill
+        monkeypatch.setattr(EnergyAccountant, "bill",
+                            lambda self, r: billed.append(r.job.job_id) or real(self, r))
+        report = DavideSystem(small_config(), seed=6).run_campaign(workload(40, seed=6))
+        history = report.history_result.records
+        assert sorted(billed) == sorted(r.job.job_id for r in history)
+        for user, statement in report.statements.items():
+            own = [b for b in report.bills if b.user == user]
+            assert statement.n_jobs == len(own)
+            assert statement.total_energy_j == sum(b.energy_j for b in own)
+            assert statement.total_cost == sum(b.cost for b in own)
+
     def test_predictor_kinds(self):
         for kind in ("ridge", "knn", "per-key"):
             system = DavideSystem(small_config(), seed=7)

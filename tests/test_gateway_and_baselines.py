@@ -57,6 +57,16 @@ class TestEnergyGateway:
         measured = eg.acquire(truth)
         assert measured.times_s[0] == pytest.approx(5.0, abs=0.001)
 
+    def test_default_stamps_are_block_centres(self):
+        eg = EnergyGateway(0, MqttBroker())
+        truth = truth_trace(duration=0.01)
+        measured = eg.acquire(truth)
+        period = 1.0 / eg.config.adc_rate_hz
+        instants = np.arange(truth.times_s[0], truth.times_s[-1] + 1e-12, period)
+        n = len(instants) // eg.config.decimation
+        centres = instants[:n * eg.config.decimation].reshape(n, -1).mean(axis=1)
+        assert np.array_equal(measured.times_s, centres)
+
     def test_publish_and_reassemble_roundtrip(self):
         broker = MqttBroker()
         collector = broker.connect("collector")

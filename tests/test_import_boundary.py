@@ -37,6 +37,24 @@ E09A_JSON = json.dumps({
 })
 
 
+# A 40-job Fig.-4 campaign on one 8-node rack: gateways, sensor chain,
+# TSDB, accounting, predictor and the capped production run.
+FIG4_CAMPAIGN = textwrap.dedent("""
+    import dataclasses
+    import numpy as np
+    from repro.core import DavideConfig, DavideSystem
+    from repro.hardware.specs import DAVIDE_RACK, DAVIDE_SYSTEM
+    from repro.scheduler import WorkloadConfig, WorkloadGenerator
+    rack = dataclasses.replace(DAVIDE_RACK, nodes_per_rack=8)
+    spec = dataclasses.replace(DAVIDE_SYSTEM, compute_racks=1, rack=rack)
+    jobs = WorkloadGenerator(WorkloadConfig(n_jobs=40, cluster_nodes=8, load_factor=1.0),
+                             rng=np.random.default_rng(0)).generate()
+    report = DavideSystem(DavideConfig(system=spec), seed=0).run_campaign(
+        jobs, power_budget_w=12e3)
+    assert report.total_billed_energy_j > 0
+""")
+
+
 def run_fresh(code: str):
     """Run ``code`` in a new interpreter and decode the JSON line it prints."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -69,6 +87,9 @@ def run_fresh(code: str):
     pytest.param("from repro.cluster import ClusterBuilder; "
                  "ClusterBuilder(n_nodes=4, seed=0).build_drill()",
                  ("scipy",), id="build-drill"),
+    # The whole Fig.-4 loop, sensor chain included: its nodes carry a
+    # NodeFabric too, so only scipy is out of bounds.
+    pytest.param(FIG4_CAMPAIGN, ("scipy",), id="fig4-campaign"),
 ])
 def test_entry_point_skips_heavy_libraries_it_does_not_use(statement, absent):
     loaded = run_fresh(f"import json, sys\n{statement}\n"
@@ -92,8 +113,8 @@ def test_dir_lists_every_export_before_any_lookup():
 
 
 def test_sensor_measure_still_filters_in_a_fresh_interpreter():
-    """The low-pass imports SciPy on first use and matches the
-    first-order recursion y[n] = a x[n] + (1 - a) y[n-1]."""
+    """The low-pass never imports SciPy and matches the first-order
+    recursion y[n] = a x[n] + (1 - a) y[n-1]."""
     out = run_fresh("""
         import json, sys
         import numpy as np
@@ -109,7 +130,7 @@ def test_sensor_measure_still_filters_in_a_fresh_interpreter():
         print(json.dumps({"before": scipy_before, "after": "scipy" in sys.modules,
                           "x": x.tolist(), "y": y.tolist(), "fs": fs}))
     """)
-    assert not out["before"] and out["after"]
+    assert not out["before"] and not out["after"]
     import numpy as np
 
     alpha = 1.0 - np.exp(-2 * np.pi * 100.0 / out["fs"])
@@ -119,6 +140,29 @@ def test_sensor_measure_still_filters_in_a_fresh_interpreter():
         expected.append(prev)
     np.testing.assert_allclose(out["y"], expected, rtol=1e-12)
     assert out["y"][-1] < out["x"][-1]  # the step is still rising
+
+
+def test_runtime_paths_run_where_scipy_cannot_be_imported():
+    """With ``sys.modules["scipy"] = None`` every SciPy import raises, as
+    where SciPy is not installed: the Fig.-4 loop, thermal throttling,
+    burn-in and the Hall sensor chain must still run."""
+    out = run_fresh("import sys\nsys.modules['scipy'] = None\n" + FIG4_CAMPAIGN
+                    + textwrap.dedent("""
+        import json
+        from repro.cooling import AIR_COOLED_GPU, ThrottleGovernor
+        from repro.hardware import BurnInSuite, ComputeNode
+        from repro.power import HALL_SENSOR, PowerSensor, PowerTrace
+        throttled = ThrottleGovernor().run(AIR_COOLED_GPU(35.0), 300.0, 600.0)
+        burn_in = BurnInSuite().run(ComputeNode())
+        t = np.arange(4000) / 3.2e6
+        hall = PowerSensor(HALL_SENSOR).measure(PowerTrace(t, np.full(t.size, 1000.0)))
+        print(json.dumps({"throttled": throttled.throttled_fraction,
+                          "burn_in": len(burn_in.checks),
+                          "hall_w": float(hall.power_w.mean())}))
+    """))
+    assert out["throttled"] > 0
+    assert out["burn_in"] > 0
+    assert out["hall_w"] == pytest.approx(1000.0, rel=0.02)
 
 
 def test_shadowing_names_stay_callables_in_any_import_order():

@@ -12,6 +12,7 @@ from repro.power import (
     PowerSensor,
     PowerTrace,
     SarAdc,
+    SensorSpec,
     boxcar_decimate,
     effective_bits_gain,
     hpc_job_power,
@@ -21,6 +22,7 @@ from repro.power import (
     square_wave,
     trace_from_function,
 )
+from repro.power.sensors import _single_pole
 
 
 def constant_trace(watts, duration=0.01, rate=1e6):
@@ -65,6 +67,33 @@ class TestSensors:
         sensor = PowerSensor()
         with pytest.raises(ValueError):
             sensor.measure(PowerTrace(np.array([0.0]), np.array([1.0])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=1e-4, max_value=0.999), st.integers(min_value=2, max_value=5000),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_low_pass_is_the_first_order_recursion(self, alpha, n, seed):
+        """y[n] = a x[n] + (1 - a) y[n-1], at rest on x[0], to rtol 1e-12."""
+        x = np.random.default_rng(seed).uniform(0.0, 2000.0, n)
+
+        def recursion(a):
+            y, prev = np.empty(n), x[0]
+            for i, xi in enumerate(x):
+                prev = a * xi + (1 - a) * prev
+                y[i] = prev
+            return y
+
+        np.testing.assert_allclose(_single_pole(x.copy(), alpha), recursion(alpha), rtol=1e-12)
+        # Through the sensor with every other error off.  It filters only
+        # below Nyquist, i.e. for a < 1 - e^-pi.
+        fs = 1e6
+        bandwidth_hz = -np.log1p(-alpha) * fs / (2 * np.pi)
+        if bandwidth_hz < fs / 2:
+            spec = SensorSpec(name="ideal", full_scale_w=2500.0, output_range_v=1.8,
+                              gain_error=0.0, offset_w=0.0, noise_w_rms=0.0,
+                              bandwidth_hz=bandwidth_hz)
+            out = PowerSensor(spec).measure(PowerTrace(np.arange(n) / fs, x))
+            a = 1.0 - np.exp(-2 * np.pi * bandwidth_hz / fs)
+            np.testing.assert_allclose(out.power_w, recursion(a), rtol=1e-12)
 
 
 class TestSarAdc:

@@ -83,6 +83,8 @@ def _explore_problem():
 def _build(owner, **kw):
     """Call ``owner`` with stand-in required arguments plus ``kw``."""
     from repro import explore
+    from repro.capping import SensorWatchdog
+    from repro.cluster import ClusterBuilder
     from repro.core import DavideSystem
     from repro.energyapi import ComponentConfig, Instrumentation
     from repro.faults import DrillConfig
@@ -111,6 +113,9 @@ def _build(owner, **kw):
         "TelemetryPlane-per-sample": lambda: TelemetryPlane(
             env, [node], broker, batched=False, **kw),
         "DrillConfig": lambda: DrillConfig(**kw),
+        "with_faults": lambda: ClusterBuilder(n_nodes=4, seed=0).with_faults(
+            **kw).build_drill(),
+        "SensorWatchdog": lambda: SensorWatchdog(failsafe_after_s=10.0, **kw),
         "run_campaign": lambda: DavideSystem().run_campaign([], **kw),
         "ComponentConfig": lambda: ComponentConfig(**kw),
         "Instrumentation": lambda: Instrumentation(clock=lambda: 0.0, **kw),
@@ -149,6 +154,8 @@ _REMOVED_SPELLINGS = [
     ("DrillConfig", "job_dynamic_w"), ("DrillConfig", "settling_periods"),
     ("DrillConfig", "failsafe_fraction"), ("DrillConfig", "min_trim_rho"),
     ("DrillConfig", "check_period_s"), ("run_campaign", "reactive_backstop"),
+    ("DrillConfig", "stale_after_s"), ("with_faults", "stale_after_s"),
+    ("SensorWatchdog", "stale_after_s"),
     ("ComponentConfig", "smt_level"), ("ComponentConfig", "cpu_frequency_hz"),
     ("ComponentConfig", "memory_throttle"), ("Instrumentation", "api"),
 ]

@@ -197,29 +197,29 @@ class TestSchedulerCrashRequeue:
 
 class TestSensorWatchdog:
     def test_hold_last_and_staleness(self):
-        wd = SensorWatchdog(stale_after_s=2.0, failsafe_after_s=6.0)
+        wd = SensorWatchdog(failsafe_after_s=6.0)
         wd.update("n0", 0.0, 100.0)
         wd.update("n1", 0.0, 50.0)
         assert wd.total_w() == pytest.approx(150.0)
         wd.update("n1", 4.0, 60.0)
-        # n0 is stale at t=4 but held: the sum still uses its last value.
+        # n0 has been silent for 4 s but is held: the sum uses its last value.
         assert wd.total_w() == pytest.approx(160.0)
         assert not wd.all_silent(4.0)
 
     def test_all_silent_thresholds(self):
-        wd = SensorWatchdog(stale_after_s=1.0, failsafe_after_s=3.0)
+        wd = SensorWatchdog(failsafe_after_s=3.0)
         assert wd.all_silent(0.0)  # nothing ever reported
         wd.update("n0", 0.0, 10.0)
         assert not wd.all_silent(2.0)
+        assert not wd.all_silent(3.0)  # silent for exactly the horizon
         assert wd.all_silent(3.5)
         wd.update("n0", 4.0, 10.0)
         assert not wd.all_silent(5.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SensorWatchdog(stale_after_s=0.0, failsafe_after_s=1.0)
-        with pytest.raises(ValueError):
-            SensorWatchdog(stale_after_s=2.0, failsafe_after_s=1.0)
+        for failsafe_after_s in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="failsafe_after_s"):
+                SensorWatchdog(failsafe_after_s=failsafe_after_s)
 
 
 class TestPsuShelfFailure:

@@ -141,10 +141,11 @@ class TestEnergyAccountant:
 
     def test_statements_roll_up_per_user(self):
         acct = EnergyAccountant(TimeSeriesDB())
-        recs = [self.make_record(), self.make_record()]
-        statements = acct.statements(recs)
+        bills = tuple(acct.bill(self.make_record()) for _ in range(2))
+        statements = acct.statements(bills)
         assert statements["alice"].n_jobs == 2
         assert statements["alice"].total_energy_j == pytest.approx(300e3)
+        assert statements["alice"].total_cost == pytest.approx(2 * bills[0].cost)
 
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):
