@@ -21,7 +21,8 @@ entry points are re-exported here, so::
 Re-exports are lazy (PEP 562): a subpackage is imported the first time
 one of its names is looked up, so a process pays only for what it
 uses.  A campaign never loads the hardware, monitoring or DSP stacks,
-nor SciPy or NetworkX.
+and no path loads SciPy or NetworkX: NumPy is the only runtime
+dependency.
 """
 
 from ._lazy import lazy

@@ -16,6 +16,7 @@ temperature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,10 +87,10 @@ class ThermalChain:
         term is C^-1/2 V diag((1 - e^{-lam dt})/lam) V^T C^-1/2 q.  The
         pair is kept for the last ``dt_s`` only.
         """
-        if dt_s <= 0:
-            raise ValueError("dt must be positive")
-        if power_w < 0:
-            raise ValueError("power must be non-negative")
+        if not dt_s > 0:
+            raise ValueError(f"dt_s must be positive, got {dt_s!r}")
+        if not 0 <= power_w < math.inf:
+            raise ValueError(f"power_w must be non-negative and finite, got {power_w!r}")
         if dt_s != self._dt_s:
             decay = np.exp(-self._lam * dt_s)
             gain = -np.expm1(-self._lam * dt_s) / self._lam
@@ -104,9 +105,7 @@ class ThermalChain:
 
     def run(self, power_w: float, duration_s: float, dt_s: float = 1.0) -> np.ndarray:
         """Integrate for ``duration_s``; returns the die-temperature series."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        steps = max(int(round(duration_s / dt_s)), 1)
+        steps = step_count(duration_s, dt_s)
         out = np.empty(steps)
         for i in range(steps):
             out[i] = self.step(power_w, dt_s)
@@ -116,6 +115,16 @@ class ThermalChain:
         """Re-equilibrate all lumps at the boundary (or given) temperature."""
         t = self.boundary_temp_c if temp_c is None else float(temp_c)
         self.temps_c = np.full(len(self.stages), t)
+
+
+def step_count(duration_s: float, dt_s: float) -> int:
+    """Steps of ``dt_s`` in ``duration_s`` (at least one), after checking
+    both: a NaN passes every ``<=`` range check and dies in ``int()``."""
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be positive and finite, got {duration_s!r}")
+    if not dt_s > 0:
+        raise ValueError(f"dt_s must be positive, got {dt_s!r}")
+    return max(int(round(duration_s / dt_s)), 1)
 
 
 def LIQUID_COOLED_GPU(coolant_temp_c: float = 35.0) -> ThermalChain:

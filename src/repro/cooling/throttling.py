@@ -15,11 +15,12 @@ quantity experiment E06 compares between cooling technologies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .thermal import ThermalChain
+from .thermal import ThermalChain, step_count
 
 __all__ = ["ThrottleGovernor", "SustainedOperation", "sustained_performance"]
 
@@ -86,9 +87,10 @@ class ThrottleGovernor:
         ``demand_power_w`` is what the workload would draw unthrottled;
         the governor modulates the granted fraction.
         """
-        if demand_power_w <= 0 or duration_s <= 0 or dt_s <= 0:
-            raise ValueError("demand, duration and dt must be positive")
-        steps = max(int(round(duration_s / dt_s)), 1)
+        if not 0 < demand_power_w < math.inf:
+            raise ValueError(
+                f"demand_power_w must be positive and finite, got {demand_power_w!r}")
+        steps = step_count(duration_s, dt_s)
         fraction = 1.0
         powers = np.empty(steps)
         perfs = np.empty(steps)

@@ -692,13 +692,12 @@ class FaultDrill:
         self._account()
         self._power_changed()
         before = len(self.checker.violations)
-        with self._tracer.span("invariant.check") as span:
+        with self._tracer.span("invariant.check"):
             self.checker.check(self, self.env.now)
         self._m_inv_checks.inc()
         new = len(self.checker.violations) - before
         if new:
             self._m_inv_violations.inc(new)
-        span.set(dispatched=self.env.events_dispatched, violations=new)
 
     def _periodic_check(self):
         while not self._done.triggered:

@@ -73,11 +73,8 @@ PHASE2_NODE = NodeSpec(
 def phase2_fabric() -> NodeFabric:
     """The phase-II node's wiring: a single socket, 2 GPUs, PCIe only.
 
-    Built as a 1-CPU/2-GPU fabric whose 'NVLink' links are PCIe — ARM had
-    no NVLink, which is exactly why phase III moved to POWER8+.
+    Built as the PCIe fallback of a 1-CPU/2-GPU fabric — ARM had no
+    NVLink, which is exactly why phase III moved to POWER8+.
     """
-    fabric = NodeFabric(n_cpus=1, gpus_per_cpu=2, nvlink=PCIE_GEN3_X16, nvlink_gang_width=1)
-    for _, _, d in fabric.graph.edges(data=True):
-        if d["medium"] == "nvlink":
-            d["medium"] = "pcie"
-    return fabric
+    return NodeFabric(n_cpus=1, gpus_per_cpu=2, nvlink=PCIE_GEN3_X16,
+                      nvlink_gang_width=1).pcie_fallback()

@@ -7,17 +7,17 @@ management traffic and the EDR NICs, and the two sockets talk over the SMP
 bus (which the dual-plane network configuration deliberately avoids for
 MPI traffic).
 
-The model is a small weighted graph over node endpoints with
-alpha-beta (latency + size/bandwidth) transfer costs, which is exactly the
-level at which the paper reasons about NVLink benefits for the four
-applications.
+The model is a small weighted graph over node endpoints, held in two
+plain dicts, with alpha-beta (latency + size/bandwidth) transfer costs,
+which is exactly the level at which the paper reasons about NVLink
+benefits for the four applications.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import NamedTuple
 
 from .specs import NVLINK_1, PCIE_GEN3_X16, LinkSpec
 
@@ -50,8 +50,16 @@ class TransferCost:
         return self.latency_s + (self.bytes / self.bandwidth_Bps if self.bandwidth_Bps else 0.0)
 
 
+class Link(NamedTuple):
+    """One wired link between two endpoints."""
+
+    bandwidth_Bps: float
+    latency_s: float
+    medium: str   # 'nvlink' | 'pcie' | 'smp'
+
+
 class NodeFabric:
-    """The Garrison node's internal wiring as a graph with link specs.
+    """The Garrison node's internal wiring: endpoints and link specs.
 
     Topology (per paper Section II-D, replicated symmetrically per socket):
 
@@ -61,6 +69,10 @@ class NodeFabric:
     * ``cpuX -- nicX``                      : PCIe Gen3 x16.
     * ``cpu0 -- cpu1``                      : SMP X-bus.
     * management PCIe to every GPU (not used for data here).
+
+    ``kinds`` maps each endpoint name to its kind ('cpu' | 'gpu' | 'nic');
+    ``links`` maps each wired pair, stored once in wiring order, to its
+    :class:`Link`.
     """
 
     #: POWER8 SMP X-bus between the two sockets, ~38.4 GB/s per direction.
@@ -81,55 +93,72 @@ class NodeFabric:
         self.nvlink = nvlink
         self.gang_width = nvlink_gang_width
         self.pcie = pcie
-        self.graph = nx.Graph()
-        gang_bw = nvlink.bandwidth_Bps * nvlink_gang_width
+        self.kinds: dict[str, str] = {}
+        self.links: dict[tuple[str, str], Link] = {}
+        gang = Link(nvlink.bandwidth_Bps * nvlink_gang_width, nvlink.latency_s, "nvlink")
         for c in range(n_cpus):
-            cpu = f"cpu{c}"
-            self.graph.add_node(cpu, kind="cpu")
-            nic = f"nic{c}"
-            self.graph.add_node(nic, kind="nic")
-            self.graph.add_edge(cpu, nic, bandwidth=pcie.bandwidth_Bps, latency=pcie.latency_s, medium="pcie")
-            local_gpus = []
-            for g in range(gpus_per_cpu):
-                gid = c * gpus_per_cpu + g
-                gpu = f"gpu{gid}"
-                self.graph.add_node(gpu, kind="gpu")
-                local_gpus.append(gpu)
-                self.graph.add_edge(cpu, gpu, bandwidth=gang_bw, latency=nvlink.latency_s, medium="nvlink")
+            cpu, nic = f"cpu{c}", f"nic{c}"
+            self.kinds[cpu] = "cpu"
+            self.kinds[nic] = "nic"
+            self.links[cpu, nic] = Link(pcie.bandwidth_Bps, pcie.latency_s, "pcie")
+            local_gpus = [f"gpu{c * gpus_per_cpu + g}" for g in range(gpus_per_cpu)]
+            for gpu in local_gpus:
+                self.kinds[gpu] = "gpu"
+                self.links[cpu, gpu] = gang
             # Peer NVLink between GPUs under the same socket.
             for i, a in enumerate(local_gpus):
                 for b in local_gpus[i + 1:]:
-                    self.graph.add_edge(a, b, bandwidth=gang_bw, latency=nvlink.latency_s, medium="nvlink")
+                    self.links[a, b] = gang
+        smp = Link(self.SMP_BUS.bandwidth_Bps, self.SMP_BUS.latency_s, "smp")
         for c in range(n_cpus - 1):
-            self.graph.add_edge(
-                f"cpu{c}", f"cpu{c + 1}",
-                bandwidth=self.SMP_BUS.bandwidth_Bps, latency=self.SMP_BUS.latency_s, medium="smp",
-            )
+            self.links[f"cpu{c}", f"cpu{c + 1}"] = smp
 
     # -- queries ---------------------------------------------------------------
     def transfer(self, src: str, dst: str, nbytes: float) -> TransferCost:
         """Cost of moving ``nbytes`` from ``src`` to ``dst``.
 
-        Uses the max-bottleneck-bandwidth path (ties broken by hop count);
-        latency adds per hop, bandwidth is the path minimum.
+        Routes along the path of least summed 1/bandwidth (the per-byte
+        serial time); latency adds per hop, bandwidth is the path minimum.
         """
         if nbytes < 0:
             raise ValueError("bytes must be non-negative")
         if src == dst:
             return TransferCost(bytes=nbytes, latency_s=0.0, bandwidth_Bps=float("inf"), path=(src,))
-        path = nx.shortest_path(
-            self.graph, src, dst, weight=lambda u, v, d: 1.0 / d["bandwidth"]
+        path, hops = self._route(src, dst)
+        return TransferCost(
+            bytes=nbytes,
+            latency_s=sum(link.latency_s for link in hops),
+            bandwidth_Bps=min(link.bandwidth_Bps for link in hops),
+            path=path,
         )
-        bw = min(self.graph[u][v]["bandwidth"] for u, v in zip(path, path[1:]))
-        lat = sum(self.graph[u][v]["latency"] for u, v in zip(path, path[1:]))
-        return TransferCost(bytes=nbytes, latency_s=lat, bandwidth_Bps=bw, path=tuple(path))
+
+    def _route(self, src: str, dst: str) -> tuple[tuple[str, ...], tuple[Link, ...]]:
+        """Dijkstra over link weight 1/bandwidth: the endpoints and links
+        of the cheapest ``src`` -> ``dst`` path, in path order."""
+        frontier = [(0.0, (src,), ())]
+        settled = set()
+        while frontier:
+            dist, path, hops = heapq.heappop(frontier)
+            here = path[-1]
+            if here == dst:
+                return path, hops
+            if here in settled:
+                continue
+            settled.add(here)
+            for (a, b), link in self.links.items():
+                if here in (a, b):
+                    there = b if here == a else a
+                    if there not in settled:
+                        heapq.heappush(frontier, (dist + 1.0 / link.bandwidth_Bps,
+                                                  path + (there,), hops + (link,)))
+        raise ValueError(f"no path from {src!r} to {dst!r}; endpoints: {sorted(self.kinds)}")
 
     def gpu_peer_bandwidth_Bps(self, gpu_a: int, gpu_b: int) -> float:
         """GPU<->GPU bottleneck bandwidth (NVLink if same socket, else SMP)."""
         return self.transfer(f"gpu{gpu_a}", f"gpu{gpu_b}", 1.0).bandwidth_Bps
 
     def pcie_fallback(self) -> "NodeFabric":
-        """A copy of this fabric with every NVLink edge degraded to PCIe.
+        """A copy of this fabric with every NVLink link degraded to PCIe.
 
         This is the baseline the paper's porting section compares against
         (a PCIe-attached P100 system without NVLink).
@@ -141,9 +170,7 @@ class NodeFabric:
             nvlink_gang_width=self.gang_width,
             pcie=self.pcie,
         )
-        for u, v, d in clone.graph.edges(data=True):
-            if d["medium"] == "nvlink":
-                d["bandwidth"] = self.pcie.bandwidth_Bps
-                d["latency"] = self.pcie.latency_s
-                d["medium"] = "pcie"
+        pcie = Link(self.pcie.bandwidth_Bps, self.pcie.latency_s, "pcie")
+        clone.links = {pair: pcie if link.medium == "nvlink" else link
+                       for pair, link in clone.links.items()}
         return clone

@@ -238,7 +238,7 @@ class GatewayDaemon:
             self._arm_probe()
             return
         self.reconnects += 1
-        self._tracer.record("gateway.recover", self._outage_t0, node=self.node.node_id)
+        self._tracer.record("gateway.recover", self._outage_t0)
         # Live cadence resumes one full period after the reconnect probe.
         self.task.resume(delay_s=self.period_s)
 
@@ -441,7 +441,7 @@ class GatewayArray:
                 backoff = min(backoff * self.backoff_factor, self.max_backoff_s)
                 continue
             self.reconnects += 1
-            self._tracer.record("gateway.recover", t0, nodes=self.n)
+            self._tracer.record("gateway.recover", t0)
             # Live cadence resumes one full period after the reconnect
             # probe — exactly where a daemon's sampling loop lands.
             self.task.resume(delay_s=self.period_s)
@@ -460,7 +460,7 @@ class GatewayArray:
             self.task.suspend()
             self.env.process(self._recover(), name="gateway-array-recover")
         finally:
-            self._tracer.finish(span.set(samples=len(batch["nodes"])))
+            self._tracer.finish(span)
 
 
 class CappingAgent:
@@ -542,6 +542,4 @@ class CappingAgent:
         self.actuations += 1
         self._pending = False
         self._m_actuations.inc()
-        self._tracer.record(
-            "cap.actuate", t0, node=self.node.node_id, engaged=self.capped
-        )
+        self._tracer.record("cap.actuate", t0)

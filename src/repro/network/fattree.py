@@ -5,19 +5,17 @@ infiniband with one card per CPU socket.  We will use a dual plane
 configuration ... The aggregate bandwidth per node is 200 Gb/s.  The
 topology will be fat-tree with no oversubscription."
 
-We build two-level (leaf/spine) folded-Clos fat-trees — the right shape
+We size two-level (leaf/spine) folded-Clos fat-trees — the right shape
 for a 45-node system — parameterised by switch radix and oversubscription
-ratio, as a :mod:`networkx` graph annotated with link bandwidths.  The
-dual-plane configuration is two independent such trees, one per rail
-(each rail lands on its own HCA, one per CPU socket, so MPI traffic never
-crosses the SMP bus).
+ratio: hosts fill leaves in index order, and every leaf has one link of
+the tree's bandwidth to every spine.  The dual-plane configuration is two
+independent such trees, one per rail (each rail lands on its own HCA, one
+per CPU socket, so MPI traffic never crosses the SMP bus).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from ..hardware.specs import EDR_IB, LinkSpec
 
@@ -76,25 +74,6 @@ class FatTree:
             uplinks_per_leaf=up,
             oversubscription=oversubscription,
         )
-        self.graph = nx.Graph()
-        bw = link.bandwidth_Bps
-        for leaf in range(n_leaves):
-            self.graph.add_node(self._leaf(leaf), kind="leaf")
-        for spine in range(n_spines):
-            self.graph.add_node(self._spine(spine), kind="spine")
-        for leaf in range(n_leaves):
-            for spine in range(n_spines):
-                self.graph.add_edge(
-                    self._leaf(leaf), self._spine(spine),
-                    bandwidth=bw, latency=link.latency_s, kind="uplink",
-                )
-        for host in range(n_nodes):
-            leaf = host // down
-            self.graph.add_node(self._host(host), kind="host")
-            self.graph.add_edge(
-                self._host(host), self._leaf(leaf),
-                bandwidth=bw, latency=link.latency_s, kind="hostlink",
-            )
 
     # -- naming ------------------------------------------------------------
     def _host(self, i: int) -> str:
@@ -105,10 +84,6 @@ class FatTree:
 
     def _spine(self, i: int) -> str:
         return f"{self.plane}/spine{i}"
-
-    def host_names(self) -> list[str]:
-        """All host endpoint names."""
-        return [self._host(i) for i in range(self.shape.n_nodes)]
 
     def leaf_of(self, host: int) -> int:
         """Leaf-switch index of a host."""
@@ -124,26 +99,27 @@ class FatTree:
     def bisection_bandwidth_Bps(self) -> float:
         """Min-cut bandwidth between two equal halves of the hosts.
 
-        Computed exactly via networkx max-flow over an even host split
-        (hosts are contiguous per leaf, so splitting host list in half is
-        the canonical worst bisection for a fat tree).
+        The halves are S = the first ``n // 2`` hosts and T = the next
+        ``n // 2`` (hosts are contiguous per leaf, so this is the canonical
+        worst bisection for a fat tree).  The max flow is exact in closed
+        form: S and T hosts on one leaf pair up without an uplink; past
+        that, each leaf sends its surplus (or takes its deficit) over at
+        most its ``n_spines`` uplinks, and since every leaf reaches every
+        spine by one equal link, any surplus can reach any deficit spread
+        evenly over the spines.
         """
-        hosts = self.host_names()
-        half = len(hosts) // 2
-        if half == 0:
-            return 0.0
-        g = nx.Graph()
-        for u, v, d in self.graph.edges(data=True):
-            g.add_edge(u, v, capacity=d["bandwidth"])
-        g.add_node("S")
-        g.add_node("T")
-        inf = float("inf")
-        for h in hosts[:half]:
-            g.add_edge("S", h, capacity=inf)
-        for h in hosts[half: 2 * half]:
-            g.add_edge(h, "T", capacity=inf)
-        value, _ = nx.maximum_flow(g, "S", "T")
-        return float(value)
+        shape = self.shape
+        half = shape.n_nodes // 2
+        local = surplus = deficit = 0
+        for leaf in range(shape.n_leaves):
+            lo = leaf * shape.hosts_per_leaf
+            hi = min(lo + shape.hosts_per_leaf, shape.n_nodes)
+            s = max(0, min(hi, half) - lo)
+            t = max(0, min(hi, 2 * half) - max(lo, half))
+            local += min(s, t)
+            surplus += min(max(s - t, 0), shape.n_spines)
+            deficit += min(max(t - s, 0), shape.n_spines)
+        return float(self.link.bandwidth_Bps * (local + min(surplus, deficit)))
 
     def full_bisection_Bps(self) -> float:
         """The non-blocking ideal: half the hosts' injection bandwidth."""

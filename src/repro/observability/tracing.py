@@ -25,7 +25,7 @@ __all__ = ["Span", "Tracer", "NullTracer"]
 class Span:
     """One timed interval on the sim clock, with a parent link."""
 
-    __slots__ = ("name", "span_id", "parent_id", "t_start_s", "t_end_s", "attrs")
+    __slots__ = ("name", "span_id", "parent_id", "t_start_s", "t_end_s")
 
     def __init__(
         self,
@@ -39,7 +39,6 @@ class Span:
         self.parent_id = parent_id
         self.t_start_s = t_start_s
         self.t_end_s: Optional[float] = None
-        self.attrs: dict[str, Any] = {}
 
     @property
     def duration_s(self) -> float:
@@ -47,11 +46,6 @@ class Span:
         if self.t_end_s is None:
             return 0.0
         return self.t_end_s - self.t_start_s
-
-    def set(self, **attrs: Any) -> "Span":
-        """Attach attributes (job ids, sample counts, trim ratios...)."""
-        self.attrs.update(attrs)
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Span {self.name!r} #{self.span_id} t0={self.t_start_s:.6g}>"
@@ -65,11 +59,6 @@ class _SpanHandle:
     def __init__(self, tracer: "Tracer", span: Span):
         self._tracer = tracer
         self.span = span
-
-    def set(self, **attrs: Any) -> "_SpanHandle":
-        """Forward attributes onto the underlying span."""
-        self.span.set(**attrs)
-        return self
 
     def __enter__(self) -> Span:
         return self.span
@@ -87,7 +76,7 @@ class Tracer:
     given; :meth:`finish` pops the implicit-parent stack.
 
     >>> tracer = Tracer(clock=lambda: env.now)
-    >>> with tracer.span("gateway.tick", nodes=256):
+    >>> with tracer.span("gateway.tick"):
     ...     with tracer.span("mqtt.publish"):
     ...         ...
     """
@@ -104,11 +93,11 @@ class Tracer:
         #: Spans ever started (never truncated, unlike the buffer).
         self.started = 0
 
-    #: False on :class:`NullTracer` — lets hot paths skip attr building.
+    #: False on :class:`NullTracer`, which records nothing.
     enabled = True
 
     # -- span lifecycle -------------------------------------------------------
-    def start(self, name: str, parent: Optional[Span] = None, **attrs: Any) -> Span:
+    def start(self, name: str, parent: Optional[Span] = None) -> Span:
         """Open a span now; caller must :meth:`finish` it."""
         parent_id = None
         if parent is not None:
@@ -118,8 +107,6 @@ class Tracer:
         span = Span(name, self._next_id, parent_id, self.clock())
         self._next_id += 1
         self.started += 1
-        if attrs:
-            span.attrs.update(attrs)
         if len(self._spans) == self._spans.maxlen:
             self.dropped += 1
         self._spans.append(span)
@@ -137,9 +124,9 @@ class Tracer:
                 break
         return span
 
-    def span(self, name: str, parent: Optional[Span] = None, **attrs: Any) -> _SpanHandle:
+    def span(self, name: str, parent: Optional[Span] = None) -> _SpanHandle:
         """Open a span as a context manager (finished on exit)."""
-        return _SpanHandle(self, self.start(name, parent=parent, **attrs))
+        return _SpanHandle(self, self.start(name, parent=parent))
 
     def record(
         self,
@@ -147,7 +134,6 @@ class Tracer:
         t_start_s: float,
         t_end_s: Optional[float] = None,
         parent: Optional[Span] = None,
-        **attrs: Any,
     ) -> Span:
         """Append an already-finished span without touching the stack.
 
@@ -161,8 +147,6 @@ class Tracer:
         span.t_end_s = self.clock() if t_end_s is None else float(t_end_s)
         self._next_id += 1
         self.started += 1
-        if attrs:
-            span.attrs.update(attrs)
         if len(self._spans) == self._spans.maxlen:
             self.dropped += 1
         self._spans.append(span)
@@ -192,10 +176,6 @@ class _NullSpanHandle:
 
     span: Optional[Span] = None
 
-    def set(self, **attrs: Any) -> "_NullSpanHandle":
-        """Discard the attributes."""
-        return self
-
     def __enter__(self) -> "_NullSpanHandle":
         return self
 
@@ -212,7 +192,7 @@ class NullTracer(Tracer):
     def __init__(self) -> None:
         super().__init__(max_spans=1)
 
-    def start(self, name: str, parent: Optional[Span] = None, **attrs: Any):
+    def start(self, name: str, parent: Optional[Span] = None):
         """Return the shared no-op handle (not a real span)."""
         return self._NULL_HANDLE
 
@@ -220,7 +200,7 @@ class NullTracer(Tracer):
         """Discard the finish."""
         return span
 
-    def span(self, name: str, parent: Optional[Span] = None, **attrs: Any):
+    def span(self, name: str, parent: Optional[Span] = None):
         """Return the shared no-op handle."""
         return self._NULL_HANDLE
 
@@ -230,7 +210,6 @@ class NullTracer(Tracer):
         t_start_s: float,
         t_end_s: Optional[float] = None,
         parent: Optional[Span] = None,
-        **attrs: Any,
     ):
         """Discard the recorded interval."""
         return self._NULL_HANDLE

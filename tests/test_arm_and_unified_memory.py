@@ -32,7 +32,7 @@ class TestArmPrototype:
         fabric = phase2_fabric()
         cost = fabric.transfer("cpu0", "gpu0", 1.0)
         assert cost.bandwidth_Bps == pytest.approx(15.75e9)
-        assert all(d["medium"] != "nvlink" for _, _, d in fabric.graph.edges(data=True))
+        assert all(link.medium != "nvlink" for link in fabric.links.values())
         # GPU peers also ride PCIe (through the root complex in reality;
         # bandwidth-equivalent here).
         assert fabric.gpu_peer_bandwidth_Bps(0, 1) == pytest.approx(15.75e9)

@@ -161,11 +161,13 @@ class TestNodeFabric:
     def test_endpoint_inventory(self):
         fab = NodeFabric()
         def endpoints(kind):
-            return sorted(n for n, d in fab.graph.nodes(data=True) if d["kind"] == kind)
+            return sorted(n for n, k in fab.kinds.items() if k == kind)
 
         assert endpoints("cpu") == ["cpu0", "cpu1"]
         assert endpoints("gpu") == ["gpu0", "gpu1", "gpu2", "gpu3"]
         assert endpoints("nic") == ["nic0", "nic1"]
+        mediums = sorted(link.medium for link in fab.links.values())
+        assert mediums == ["nvlink"] * 6 + ["pcie"] * 2 + ["smp"]
 
     def test_cpu_gpu_gang_bandwidth_is_80gbs_bidir(self):
         fab = NodeFabric()

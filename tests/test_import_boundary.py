@@ -55,6 +55,18 @@ FIG4_CAMPAIGN = textwrap.dedent("""
 """)
 
 
+# The porting study's NVLink and PCIe platforms, and E11's dual-rail
+# bisection.
+APPS_AND_NETWORK = textwrap.dedent("""
+    from repro.apps import ExecutionPlatform, quantum_espresso
+    from repro.network import DualRailFabric
+    for nvlink in (True, False):
+        report = ExecutionPlatform("p", nvlink=nvlink).run(quantum_espresso(), n_nodes=4)
+        assert report.time_to_solution_s > 0
+    assert DualRailFabric(45).bisection_bandwidth_Bps() > 0
+""")
+
+
 def run_fresh(code: str):
     """Run ``code`` in a new interpreter and decode the JSON line it prints."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -82,14 +94,14 @@ def run_fresh(code: str):
                  "[importlib.import_module(f'repro.{m.name}') "
                  "for m in pkgutil.iter_modules(repro.__path__) if m.ispkg]",
                  HEAVY, id="every-package-init"),
-    # The drill's ComputeNodes carry a networkx NodeFabric, so only
-    # scipy is out of bounds there.
     pytest.param("from repro.cluster import ClusterBuilder; "
                  "ClusterBuilder(n_nodes=4, seed=0).build_drill()",
-                 ("scipy",), id="build-drill"),
-    # The whole Fig.-4 loop, sensor chain included: its nodes carry a
-    # NodeFabric too, so only scipy is out of bounds.
-    pytest.param(FIG4_CAMPAIGN, ("scipy",), id="fig4-campaign"),
+                 HEAVY, id="build-drill"),
+    # The whole Fig.-4 loop, sensor chain included.
+    pytest.param(FIG4_CAMPAIGN, HEAVY, id="fig4-campaign"),
+    # Node-fabric transfers with and without NVLink, and a fat-tree
+    # bisection.
+    pytest.param(APPS_AND_NETWORK, HEAVY, id="apps-network"),
 ])
 def test_entry_point_skips_heavy_libraries_it_does_not_use(statement, absent):
     loaded = run_fresh(f"import json, sys\n{statement}\n"
@@ -163,6 +175,38 @@ def test_runtime_paths_run_where_scipy_cannot_be_imported():
     assert out["throttled"] > 0
     assert out["burn_in"] > 0
     assert out["hall_w"] == pytest.approx(1000.0, rel=0.02)
+
+
+def test_runtime_paths_run_where_networkx_cannot_be_imported():
+    """With ``sys.modules["networkx"] = None`` every NetworkX import
+    raises, as where NetworkX is not installed: the fault drill, the
+    Fig.-4 loop, the phase-II and PCIe-fallback node fabrics and E11's
+    routing analysis must still run."""
+    out = run_fresh("import sys\nsys.modules['networkx'] = None\n" + FIG4_CAMPAIGN
+                    + textwrap.dedent("""
+        import json
+        from repro.cluster import ClusterBuilder
+        from repro.hardware import NodeFabric, phase2_fabric
+        from repro.network import FatTree, analyze_traffic, permutation_traffic
+        drill = ClusterBuilder(n_nodes=4, seed=0).build_drill().run()
+        phase2 = phase2_fabric().transfer("cpu0", "gpu1", 1e6)
+        pcie = NodeFabric().pcie_fallback().transfer("gpu0", "gpu3", 1e6)
+        tree = FatTree(n_nodes=72, switch_radix=36, oversubscription=2.0)
+        flows = permutation_traffic(72, tree.link.bandwidth_Bps,
+                                    shift=tree.shape.hosts_per_leaf)
+        print(json.dumps({
+            "drill_ok": drill.ok,
+            "phase2": [phase2.bandwidth_Bps, list(phase2.path)],
+            "pcie": [pcie.bandwidth_Bps, list(pcie.path)],
+            "congested": analyze_traffic(tree, flows).congested,
+            "bisection_links": tree.bisection_bandwidth_Bps() / tree.link.bandwidth_Bps,
+        }))
+    """))
+    assert out["drill_ok"]
+    assert out["phase2"] == [15.75e9, ["cpu0", "gpu1"]]
+    assert out["pcie"] == [15.75e9, ["gpu0", "cpu0", "cpu1", "gpu3"]]
+    assert out["congested"]
+    assert out["bisection_links"] == 24
 
 
 def test_shadowing_names_stay_callables_in_any_import_order():

@@ -41,6 +41,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.cooling import LIQUID_COOLED_GPU, ThrottleGovernor
 from repro.core import DavideConfig
 from repro.hardware import ComputeNode
 from repro.monitoring import CappingAgent, GatewayArray, GatewayDaemon, MqttBroker
@@ -259,6 +260,42 @@ class TestNonFiniteAndInfeasibleInputs:
         sim = ClusterSimulator(4, FifoScheduler())
         with pytest.raises(RuntimeError, match="job 3 needs 5 nodes"):
             sim.run([_job(0), _job(3, n_nodes=5)])
+
+
+class TestNonFiniteThermalInputs:
+    """``ThermalChain.step``/``run`` and ``ThrottleGovernor.run``.
+    Unchecked, a NaN power or time step turns every lump temperature
+    into NaN, an infinite power gives an infinite die, and a NaN
+    duration or step dies in ``int()`` without naming the field."""
+
+    @pytest.mark.parametrize("field, value, call", [
+        ("power_w", _NAN, lambda: LIQUID_COOLED_GPU().step(_NAN, 1.0)),
+        ("power_w", float("inf"), lambda: LIQUID_COOLED_GPU().step(float("inf"), 1.0)),
+        ("dt_s", _NAN, lambda: LIQUID_COOLED_GPU().step(300.0, _NAN)),
+        ("power_w", _NAN, lambda: LIQUID_COOLED_GPU().run(_NAN, 10.0)),
+        ("duration_s", _NAN, lambda: LIQUID_COOLED_GPU().run(300.0, _NAN)),
+        ("dt_s", _NAN, lambda: LIQUID_COOLED_GPU().run(300.0, 10.0, dt_s=_NAN)),
+        ("demand_power_w", _NAN,
+         lambda: ThrottleGovernor().run(LIQUID_COOLED_GPU(), _NAN, 10.0)),
+        ("demand_power_w", float("inf"),
+         lambda: ThrottleGovernor().run(LIQUID_COOLED_GPU(), float("inf"), 10.0)),
+        ("duration_s", _NAN,
+         lambda: ThrottleGovernor().run(LIQUID_COOLED_GPU(), 300.0, _NAN)),
+        ("dt_s", _NAN,
+         lambda: ThrottleGovernor().run(LIQUID_COOLED_GPU(), 300.0, 10.0, dt_s=_NAN)),
+    ], ids=["step-power-nan", "step-power-inf", "step-dt-nan", "run-power-nan",
+            "run-duration-nan", "run-dt-nan", "governor-demand-nan",
+            "governor-demand-inf", "governor-duration-nan", "governor-dt-nan"])
+    def test_names_the_field(self, field, value, call):
+        with pytest.raises(ValueError, match=rf"{field} must be .*, got {value!r}"):
+            call()
+
+    def test_an_infinite_step_is_the_exact_steady_state(self):
+        chain = LIQUID_COOLED_GPU()
+        die = chain.step(300.0, float("inf"))
+        assert die == pytest.approx(35.0 + 300.0 * (0.05 + 0.065))
+        run = ThrottleGovernor().run(LIQUID_COOLED_GPU(), 300.0, 10.0, dt_s=float("inf"))
+        assert run.max_die_temp_c == pytest.approx(die)
 
 
 class TestNaNCapOrPeriod:

@@ -48,6 +48,13 @@ class TestFatTree:
         with pytest.raises(ValueError):
             FatTree(n_nodes=4, oversubscription=0.5)
 
+    @pytest.mark.parametrize("n, radix, oversubscription, links", [
+        (45, 36, 1.0, 22), (72, 36, 1.0, 36), (72, 36, 2.0, 24),
+        (72, 36, 4.0, 16), (7, 4, 3.0, 1)])
+    def test_bisection_in_link_units(self, n, radix, oversubscription, links):
+        tree = FatTree(n_nodes=n, switch_radix=radix, oversubscription=oversubscription)
+        assert tree.bisection_bandwidth_Bps() == links * tree.link.bandwidth_Bps
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=2, max_value=40))
     def test_bisection_never_exceeds_full(self, n):

@@ -242,12 +242,12 @@ _REMOVED_METHODS = [
      ("online", "unsubscribe", "disconnect", "client_count", "retained_topics")),
     ("repro.monitoring", "TelemetryPlane", ("samples_dropped_by_sensor", "backlog")),
     ("repro.network", "CommModel", ("ptp_time_s", "allgather_time_s")),
-    ("repro.network", "FatTree", ("hop_count", "path")),
+    ("repro.network", "FatTree", ("hop_count", "path", "host_names")),
     ("repro.network", "RouteAnalysis", ("uplink_balance",)),
     ("repro.observability", "Observability", ("metrics_jsonl", "spans_jsonl")),
     ("repro.observability", "MetricsRegistry", ("snapshot",)),
     ("repro.observability", "Gauge", ("inc",)),
-    ("repro.observability", "Span", ("as_dict",)),
+    ("repro.observability", "Span", ("as_dict", "set", "attrs")),
     ("repro.power", "SarAdc", ("per_channel_rate_hz",)),
     ("repro.power", "PowerTrace", ("resample", "scaled")),
     ("repro.prediction", "FeatureEncoder", ("feature_names",)),
