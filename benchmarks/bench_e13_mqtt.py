@@ -23,7 +23,7 @@ def _fanout(n_nodes=45, samples_per_node=2000):
     profiler.subscribe("davide/node7/power/+")
     capper = broker.connect("capper")
     capper.subscribe("davide/+/power/node")
-    cfg = GatewayConfig(adc_rate_hz=160e3, decimation=16, publish_batch=250)
+    cfg = GatewayConfig(adc_rate_hz=160e3, publish_batch=250)
     duration = samples_per_node / cfg.output_rate_hz
     for node_id in range(n_nodes):
         eg = EnergyGateway(node_id, broker, config=cfg,

@@ -75,7 +75,7 @@ def _intelligence_sweep():
     rack[12000:13000] = 31e3               # 10 s above the 30 kW feed
     trace = PowerTrace(t, rack)
     anomalies = PowerAnomalyDetector(threshold=8.0, min_sigma_w=50.0).scan(trace, "rack0")
-    hazards = HazardDetector(limit_w=30e3, dwell_s=5.0).scan(trace, "rack0")
+    hazards = HazardDetector(limit_w=30e3).scan(trace, "rack0")
     idle = EfficiencyAuditor().audit_idle_capacity(utilization=0.45, queue_length=9)
     return anomalies, hazards, idle
 

@@ -41,7 +41,7 @@ def main() -> None:
         "backfill_depth": Integer(1, 8),
     })
     objective = Objective.blend({"total_energy_j": 1.0, "p95_wait_s": 5e4})
-    print(f"space: {space} ({space.size(resolution=3)} cells at grid "
+    print(f"space: {space} ({space.size()} cells at grid "
           f"resolution 3); objective: minimize {objective.name}")
 
     # 2. Three searchers, one shared content-addressed store: every

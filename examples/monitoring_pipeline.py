@@ -72,7 +72,7 @@ def main() -> None:
     collector = broker.connect("collector")
     collector.subscribe("davide/node0/power/node", qos=1)
     eg = ClusterBuilder().build_gateway(
-        0, broker=broker, config=GatewayConfig(adc_rate_hz=100e3, decimation=16))
+        broker=broker, config=GatewayConfig(adc_rate_hz=100e3))
     measured = eg.acquire_and_publish(truth)
     rebuilt = EnergyGateway.reassemble(collector.drain())
     print(f"\nenergy gateway @ {measured.sample_rate_hz / 1e3:.0f} kS/s:")

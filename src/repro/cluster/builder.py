@@ -33,13 +33,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..core.config import DavideConfig
 from ..core.system import DavideSystem
 from ..faults.drill import DrillConfig, FaultDrill
 from ..hardware.cluster import Cluster
 from ..hardware.node import ComputeNode
 from ..hardware.rack import Rack
-from ..hardware.specs import DAVIDE_SYSTEM, SystemSpec
+from ..hardware.specs import DAVIDE_SYSTEM
 from ..monitoring.daemon import CappingAgent
 from ..monitoring.gateway import EnergyGateway, GatewayConfig
 from ..monitoring.mqtt import MqttBroker, MqttClient
@@ -129,15 +128,12 @@ class ClusterBuilder:
         *,
         seed: int = 0,
         topic_prefix: str = "davide",
-        spec: SystemSpec = DAVIDE_SYSTEM,
     ):
-        self._spec = spec
         self._n_nodes = n_nodes
         self.seed = int(seed)
         self.topic_prefix = topic_prefix
-        # gateway / telemetry plane knobs
+        # telemetry plane knobs (empty = not configured)
         self._gateway_kw: dict = {}
-        self._gateways_configured = False
         self._batched = False
         # capping agents
         self._capping_kw: Optional[dict] = None
@@ -147,41 +143,26 @@ class ClusterBuilder:
         self._sched_kw: dict = {}
         # fault drill overrides
         self._drill_kw: dict = {}
-        # observability (metrics + tracing); None = disabled (no-op)
-        self._obs_kw: Optional[dict] = None
+        # observability (metrics + tracing); off = no-op
+        self._observed = False
 
     # ------------------------------------------------------------ mutators
-    def with_gateways(
-        self,
-        period_s: float = 0.1,
-        sensor_noise_w: float = 2.0,
-        *,
-        batched: bool = False,
-        **gateway_kw,
-    ) -> "ClusterBuilder":
+    def with_gateways(self, period_s: float = 0.1, *, batched: bool = False) -> "ClusterBuilder":
         """Configure the telemetry sampling plane.
 
         ``batched=True`` selects the vectorized :class:`GatewayArray`
         hot path (one kernel event samples every node); the default
         builds one :class:`GatewayDaemon` per node, each on its own
-        periodic kernel task.  Extra keywords flow to the
-        underlying gateway constructor (buffer limits, backoff...).
+        periodic kernel task.
         """
-        self._gateway_kw = {"period_s": period_s, "sensor_noise_w": sensor_noise_w, **gateway_kw}
-        self._gateways_configured = True
+        self._gateway_kw = {"period_s": period_s}
         self._batched = bool(batched)
         return self
 
-    def with_capping(
-        self,
-        cap_w: float,
-        hysteresis_w: float = 25.0,
-        actuation_delay_s: float = 0.01,
-    ) -> "ClusterBuilder":
+    def with_capping(self, cap_w: float, actuation_delay_s: float = 0.01) -> "ClusterBuilder":
         """Put one telemetry-driven capping agent on every node."""
         self._capping_kw = {
             "cap_w": float(cap_w),
-            "hysteresis_w": float(hysteresis_w),
             "actuation_delay_s": float(actuation_delay_s),
         }
         return self
@@ -207,9 +188,7 @@ class ClusterBuilder:
         self._drill_kw.update(drill_overrides)
         return self
 
-    def with_observability(
-        self, enabled: bool = True, max_spans: int = 65536
-    ) -> "ClusterBuilder":
+    def with_observability(self, enabled: bool = True) -> "ClusterBuilder":
         """Turn on metrics + tracing for the built artifacts.
 
         When enabled, :meth:`build_live` wires one :class:`Observability`
@@ -219,14 +198,14 @@ class ClusterBuilder:
         store — event ordering, RNG draws, and logs are identical with it
         on or off.  Disabled (the default) costs one no-op call per site.
         """
-        self._obs_kw = {"max_spans": int(max_spans)} if enabled else None
+        self._observed = bool(enabled)
         return self
 
     # ------------------------------------------------------------ internals
     @property
     def n_nodes(self) -> int:
-        """Node count: explicit, else the spec's full complement."""
-        return self._n_nodes if self._n_nodes is not None else self._spec.n_nodes
+        """Node count: explicit, else the full machine's."""
+        return self._n_nodes if self._n_nodes is not None else DAVIDE_SYSTEM.n_nodes
 
     def _rng(self, i: int) -> np.random.Generator:
         return np.random.default_rng(self.seed * 1000 + i)
@@ -234,29 +213,29 @@ class ClusterBuilder:
     # ------------------------------------------------------------ terminals
     def build_nodes(self) -> list[ComputeNode]:
         """Bare compute nodes (power/thermal models, no plumbing)."""
-        return [ComputeNode(node_id=i, spec=self._spec.node) for i in range(self.n_nodes)]
+        return [ComputeNode(node_id=i, spec=DAVIDE_SYSTEM.node) for i in range(self.n_nodes)]
 
-    def build_rack(self, rack_id: int = 0) -> Rack:
-        """One populated rack from the configured specs."""
+    def build_rack(self) -> Rack:
+        """Rack 0, populated from the D.A.V.I.D.E. specs."""
         return Rack(
-            rack_id=rack_id,
-            spec=self._spec.rack,
-            node_spec=self._spec.node,
+            rack_id=0,
+            spec=DAVIDE_SYSTEM.rack,
+            node_spec=DAVIDE_SYSTEM.node,
             n_nodes=self._n_nodes,
         )
 
     def build_hardware(self) -> Cluster:
         """The full static hardware envelope (all racks, no kernel)."""
-        return Cluster(self._spec)
+        return Cluster(DAVIDE_SYSTEM)
 
-    def build_gateway(self, node_id: int = 0, broker: Optional[MqttBroker] = None,
+    def build_gateway(self, broker: Optional[MqttBroker] = None,
                       config: GatewayConfig = GatewayConfig()) -> EnergyGateway:
-        """One full-chain (sensor/ADC/decimation) energy gateway."""
+        """Node 0's full-chain (sensor/ADC/decimation) energy gateway."""
         return EnergyGateway(
-            node_id,
+            0,
             broker if broker is not None else MqttBroker(),
             config=config,
-            rng=self._rng(node_id),
+            rng=self._rng(0),
         )
 
     def build_live(
@@ -272,10 +251,7 @@ class ClusterBuilder:
         matching :class:`DavideSystem`'s convention.
         """
         env = Environment()
-        if self._obs_kw is not None:
-            obs = Observability(clock=lambda: env.now, **self._obs_kw)
-        else:
-            obs = null_observability()
+        obs = Observability(clock=lambda: env.now) if self._observed else null_observability()
         broker = MqttBroker(clock=lambda: env.now)
         broker.bind_observability(obs)
         nodes = self.build_nodes()
@@ -310,8 +286,8 @@ class ClusterBuilder:
         """A :class:`ClusterSimulator` for scheduling/energy studies."""
         policy = self._policy if self._policy is not None else FifoScheduler()
         kw = dict(self._sched_kw)
-        if self._obs_kw is not None and "obs" not in kw:
-            kw["obs"] = Observability(**self._obs_kw)
+        if self._observed and "obs" not in kw:
+            kw["obs"] = Observability()
         return ClusterSimulator(
             self.n_nodes,
             policy,
@@ -321,24 +297,23 @@ class ClusterBuilder:
 
     def build_system(self) -> DavideSystem:
         """The integrated Fig.-4 measurement/accounting pipeline."""
-        obs = Observability(**self._obs_kw) if self._obs_kw is not None else None
-        return DavideSystem(DavideConfig(system=self._spec), seed=self.seed, obs=obs)
+        obs = Observability() if self._observed else None
+        return DavideSystem(seed=self.seed, obs=obs)
 
     def build_drill(self, fail_fast: bool = False) -> FaultDrill:
         """A :class:`FaultDrill` sharing the builder's knobs.
 
-        The gateway period/noise configured via :meth:`with_gateways`,
-        the ``batched`` flag, and the scheduler budget from
+        The gateway period configured via :meth:`with_gateways`, the
+        ``batched`` flag, and the scheduler budget from
         :meth:`with_scheduler` all map onto the corresponding
         :class:`DrillConfig` fields; :meth:`with_faults` overrides win.
         """
         fields: dict = {"n_nodes": self.n_nodes, "seed": self.seed}
-        if self._gateways_configured:
+        if self._gateway_kw:
             fields["gateway_period_s"] = self._gateway_kw["period_s"]
-            fields["sensor_noise_w"] = self._gateway_kw["sensor_noise_w"]
         fields["batched_telemetry"] = self._batched
         if self._sched_cap_w is not None:
             fields["power_budget_w"] = self._sched_cap_w
-        fields["observability"] = self._obs_kw is not None
+        fields["observability"] = self._observed
         fields.update(self._drill_kw)
         return FaultDrill(DrillConfig(**fields), fail_fast=fail_fast)

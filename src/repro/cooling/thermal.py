@@ -48,6 +48,8 @@ class ThermalChain:
     def __init__(self, stages: list[ThermalStage], boundary_temp_c: float = 35.0):
         if not stages:
             raise ValueError("need at least one stage")
+        if not math.isfinite(boundary_temp_c):
+            raise ValueError(f"boundary_temp_c must be finite, got {boundary_temp_c!r}")
         self.stages = list(stages)
         self.boundary_temp_c = float(boundary_temp_c)
         n = len(stages)
@@ -113,6 +115,8 @@ class ThermalChain:
 
     def reset(self, temp_c: float | None = None) -> None:
         """Re-equilibrate all lumps at the boundary (or given) temperature."""
+        if temp_c is not None and not math.isfinite(temp_c):
+            raise ValueError(f"temp_c must be finite, got {temp_c!r}")
         t = self.boundary_temp_c if temp_c is None else float(temp_c)
         self.temps_c = np.full(len(self.stages), t)
 

@@ -54,12 +54,19 @@ class ThrottleGovernor:
         min_power_fraction: float = 0.4,
         idle_power_fraction: float = 0.2,
     ):
+        for name, temp in (("throttle_temp_c", throttle_temp_c),
+                           ("release_temp_c", release_temp_c)):
+            if not math.isfinite(temp):
+                raise ValueError(f"{name} must be finite, got {temp!r}")
         if release_temp_c >= throttle_temp_c:
             raise ValueError("release threshold must be below throttle threshold")
         if not 0.0 < step_fraction < 1.0:
             raise ValueError("step fraction must lie in (0, 1)")
         if not 0.0 < min_power_fraction <= 1.0:
             raise ValueError("min power fraction must lie in (0, 1]")
+        if not 0.0 <= idle_power_fraction < 1.0:
+            raise ValueError(
+                f"idle_power_fraction must be in [0, 1), got {idle_power_fraction!r}")
         self.throttle_temp_c = throttle_temp_c
         self.release_temp_c = release_temp_c
         self.step_fraction = step_fraction

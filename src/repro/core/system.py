@@ -32,14 +32,14 @@ from ..prediction.evaluate import PredictionScore, chronological_split, evaluate
 from ..prediction.models import JobPowerModel
 from ..scheduler.job import Job, JobRecord
 from ..scheduler.plugins import SchedulerMonitorPlugin
-from ..scheduler.policies import EasyBackfillScheduler
+from ..scheduler.policies import IDLE_NODE_POWER_W, EasyBackfillScheduler
 from ..scheduler.power_aware import PowerAwareScheduler
 from ..scheduler.simulate import ClusterSimulator, SimulationResult
 from ..monitoring.insight import EfficiencyAuditor, Finding
 from ..observability import Observability, null_observability
-from ..telemetry.accounting import EnergyAccountant, JobEnergyBill, UserStatement
+from ..telemetry.accounting import POWER_METRIC, EnergyAccountant, JobEnergyBill, UserStatement
 from ..telemetry.tsdb import SeriesKey, TimeSeriesDB
-from .config import DavideConfig
+from .config import GATEWAY, MEASUREMENT_WINDOW_S, TRAIN_FRACTION, DavideConfig
 
 __all__ = ["DavideSystem", "CampaignReport"]
 
@@ -97,14 +97,14 @@ class DavideSystem:
         self.rng = np.random.default_rng(seed)
         self.gateways = {
             node.node_id: EnergyGateway(
-                node.node_id, self.broker, config=config.gateway,
+                node.node_id, self.broker, config=GATEWAY,
                 rng=np.random.default_rng(seed * 1000 + node.node_id),
             )
             for node in self.cluster.nodes
         }
         self.db = TimeSeriesDB()
         self.db.bind_observability(self.obs)
-        self.accountant = EnergyAccountant(self.db, price_per_kwh=config.price_per_kwh)
+        self.accountant = EnergyAccountant(self.db)
         # The collector agent: subscribes to every power topic and lands
         # samples in the TSDB as they arrive.
         self.collector = self.broker.connect("tsdb-collector")
@@ -116,7 +116,7 @@ class DavideSystem:
     # -- Fig. 4 plumbing ----------------------------------------------------------
     def _ingest(self, message) -> None:
         payload = message.payload
-        key = SeriesKey.of("node_power", node=str(payload["node"]), rail=payload["rail"])
+        key = SeriesKey.of(POWER_METRIC, node=str(payload["node"]), rail=payload["rail"])
         self.db.insert_many(key, payload["t"], payload["p"])
         self.collector.acknowledge(message)
 
@@ -135,12 +135,12 @@ class DavideSystem:
         node_id = record.nodes[0]
         gateway = self.gateways[node_id]
         watts = record.job.true_power_per_node_w
-        dense_rate = self.config.gateway.adc_rate_hz * 4
+        dense_rate = GATEWAY.adc_rate_hz * 4
         truth = trace_from_function(
-            lambda t: np.full_like(t, watts), self.config.measurement_window_s, dense_rate,
+            lambda t: np.full_like(t, watts), MEASUREMENT_WINDOW_S, dense_rate,
             t_start=record.start_time_s,
         )
-        measured = gateway.acquire_and_publish(truth, rail="node")
+        measured = gateway.acquire_and_publish(truth)
         return measured.mean_power_w()
 
     def _land_node_series(self, result: SimulationResult) -> None:
@@ -159,7 +159,7 @@ class DavideSystem:
                 intervals.setdefault(node_id, []).append(
                     (record.start_time_s, record.end_time_s, measured_per_node)
                 )
-        idle = self.config.idle_node_power_w
+        idle = IDLE_NODE_POWER_W
         horizon = result.makespan_s
         eps = 1e-6
         for node_id, ivals in intervals.items():
@@ -193,8 +193,9 @@ class DavideSystem:
     ) -> CampaignReport:
         """Execute the full Fig.-4 loop over a job stream.
 
-        Phase 1 (history): the first ``train_fraction`` of the stream runs
-        under plain EASY backfill while the monitoring stack records it.
+        Phase 1 (history): the first
+        :data:`~repro.core.config.TRAIN_FRACTION` of the stream runs under
+        plain EASY backfill while the monitoring stack records it.
         Phase 2 (production): a predictor trained on the history jobs
         drives the proactive power-capped dispatcher over the rest, with
         the simulator's reactive trim at the same budget as a backstop.
@@ -206,7 +207,7 @@ class DavideSystem:
         """
         if len(jobs) < 8:
             raise ValueError("campaign needs at least 8 jobs")
-        history_jobs, production_jobs = chronological_split(jobs, self.config.train_fraction)
+        history_jobs, production_jobs = chronological_split(jobs, TRAIN_FRACTION)
         # Rebase production submit times so the second simulation starts at 0.
         import dataclasses
 
@@ -220,7 +221,6 @@ class DavideSystem:
         history_sim = ClusterSimulator(
             n_nodes,
             EasyBackfillScheduler(),
-            idle_node_power_w=self.config.idle_node_power_w,
             on_job_start=self.scheduler_plugin.job_started,
             on_job_end=self.scheduler_plugin.job_ended,
             obs=self.obs,
@@ -246,15 +246,12 @@ class DavideSystem:
             policy = PowerAwareScheduler(
                 power_budget_w,
                 predictor=model,
-                idle_node_power_w=self.config.idle_node_power_w,
-                headroom_margin=self.config.headroom_margin,
                 obs=self.obs,
             )
         else:
             policy = EasyBackfillScheduler()
         production_sim = ClusterSimulator(
-            n_nodes, policy, idle_node_power_w=self.config.idle_node_power_w,
-            cap_w=power_budget_w, obs=self.obs,
+            n_nodes, policy, cap_w=power_budget_w, obs=self.obs,
         )
         production_result = production_sim.run(production_jobs)
         # Data intelligence over the campaign (Fig.-4's "smart profilers"

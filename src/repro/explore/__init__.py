@@ -4,7 +4,7 @@ The package turns "which scheduler configuration should D.A.V.I.D.E.
 run?" into a seeded optimization loop:
 
 * :class:`DesignSpace` — named, typed knobs (``cap_w``, ``policy``,
-  ``backfill_depth``, ``dvfs_floor``, ``fairshare_decay``, ...);
+  ``backfill_depth``, ``fairshare_decay``, ...);
 * :class:`Objective` — QoS metrics → scalar/vector fitness;
 * :class:`ExplorationEnv` — ``compile()/evaluate()`` over
   content-addressed campaign cells with a shared result store;

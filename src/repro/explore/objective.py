@@ -59,14 +59,12 @@ class Objective:
             object.__setattr__(self, "name", "+".join(self.metrics))
 
     @classmethod
-    def blend(cls, weighted: Mapping[str, float], sense: str = "min",
-              name: str = "") -> "Objective":
-        """Weighted sum of several metrics (insertion order kept)."""
+    def blend(cls, weighted: Mapping[str, float]) -> "Objective":
+        """Weighted sum of several metrics to minimize (insertion order
+        kept)."""
         return cls(
             metrics=tuple(weighted),
             weights=tuple(float(w) for w in weighted.values()),
-            sense=sense,
-            name=name,
         )
 
     # -- evaluation ----------------------------------------------------------

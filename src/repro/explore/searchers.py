@@ -7,15 +7,15 @@ A searcher is an ask/tell loop driver::
     searcher.tell(points, fitnesses)        # observe their fitness
 
 All randomness flows through the ``numpy.random.Generator`` handed to
-:meth:`reset` (or a searcher-owned ``seed`` that overrides it), so a
-search is one deterministic function of ``(space, objective, searcher,
-seed, budget)`` — the property the trace digest tests pin.
+:meth:`reset`, so a search is one deterministic function of ``(space,
+objective, searcher, seed, budget)`` — the property the trace digest
+tests pin.
 
 :data:`SEARCHERS` names every searcher; the config loader checks
 ``[exploration].searcher`` against it, and
 :func:`repro.scheduler.registries.make_searcher` builds from it::
 
-    make_searcher("evolutionary", seed=7, population=12)
+    make_searcher("evolutionary")
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ __all__ = [
     "SEARCHERS",
 ]
 
+#: Archive size of the evolutionary searcher: the best points it keeps.
+ELITE = 4
+
 
 class Searcher(Protocol):
     """The ask/tell interface every searcher implements."""
@@ -50,13 +53,12 @@ class Searcher(Protocol):
              fitnesses: Sequence[float]) -> None: ...
 
 
-class _SeededSearcher:
-    """Shared reset plumbing: bind the problem, resolve the RNG stream."""
+class _BaseSearcher:
+    """Shared reset plumbing: bind the problem and the RNG stream."""
 
     name = "base"
 
-    def __init__(self, seed: Optional[int] = None):
-        self.seed = seed
+    def __init__(self) -> None:
         self.space: Optional[DesignSpace] = None
         self.objective: Optional[Objective] = None
         self.rng: Optional[np.random.Generator] = None
@@ -65,9 +67,7 @@ class _SeededSearcher:
               rng: np.random.Generator) -> None:
         self.space = space
         self.objective = objective
-        # A searcher-owned seed wins (lets make_searcher("...", seed=k)
-        # pin its stream independent of the explore() seed).
-        self.rng = np.random.default_rng(self.seed) if self.seed is not None else rng
+        self.rng = rng
 
     def _require_reset(self) -> None:
         if self.space is None or self.rng is None:
@@ -78,7 +78,7 @@ class _SeededSearcher:
         pass
 
 
-class RandomSearcher(_SeededSearcher):
+class RandomSearcher(_BaseSearcher):
     """Uniform i.i.d. sampling — the baseline every searcher must beat."""
 
     name = "random"
@@ -88,25 +88,23 @@ class RandomSearcher(_SeededSearcher):
         return [self.space.sample(self.rng) for _ in range(n)]
 
 
-class GridSearcher(_SeededSearcher):
+class GridSearcher(_BaseSearcher):
     """Deterministic lattice sweep (categoricals fully, ordered axes at
-    ``resolution`` levels), cycling when the budget exceeds the lattice
-    — revisits cost nothing against a warm store."""
+    :data:`~repro.explore.space.GRID_RESOLUTION` levels), cycling when
+    the budget exceeds the lattice — revisits cost nothing against a
+    warm store."""
 
     name = "grid"
 
-    def __init__(self, resolution: int = 3, seed: Optional[int] = None):
-        super().__init__(seed=seed)
-        if resolution < 1:
-            raise ValueError("grid resolution must be >= 1")
-        self.resolution = resolution
+    def __init__(self) -> None:
+        super().__init__()
         self._lattice: list[dict[str, Any]] = []
         self._cursor = 0
 
     def reset(self, space: DesignSpace, objective: Objective,
               rng: np.random.Generator) -> None:
         super().reset(space, objective, rng)
-        self._lattice = space.grid(self.resolution)
+        self._lattice = space.grid()
         self._cursor = 0
 
     def ask(self, n: int) -> list[dict[str, Any]]:
@@ -118,37 +116,22 @@ class GridSearcher(_SeededSearcher):
         return out
 
 
-class EvolutionarySearcher(_SeededSearcher):
+class EvolutionarySearcher(_BaseSearcher):
     """Seeded (μ+λ) evolution: random init, then mutate tournament winners.
 
-    The archive keeps the ``elite`` best points seen anywhere in the
+    The archive keeps the :data:`ELITE` best points seen anywhere in the
     run.  Each ask after the init batch drafts parents by binary
-    tournament over the archive and mutates them (per-knob flip
-    probability ``mutation_rate``, continuous steps scaled by
-    ``mutation_scale``).  With an archive this is a hill-climber that
-    never forgets its best basins — enough to beat random search on
-    smooth knob→fitness landscapes, with no dependency beyond NumPy.
+    tournament over the archive and mutates them
+    (:meth:`DesignSpace.mutate`).  With an archive this is a
+    hill-climber that never forgets its best basins — enough to beat
+    random search on smooth knob→fitness landscapes, with no dependency
+    beyond NumPy.
     """
 
     name = "evolutionary"
 
-    def __init__(
-        self,
-        population: int = 8,
-        elite: int = 4,
-        mutation_rate: float = 0.5,
-        mutation_scale: float = 0.15,
-        seed: Optional[int] = None,
-    ):
-        super().__init__(seed=seed)
-        if population < 1 or elite < 1:
-            raise ValueError("population and elite must be positive")
-        if not 0.0 < mutation_rate <= 1.0:
-            raise ValueError("mutation rate must lie in (0, 1]")
-        self.population = population
-        self.elite = elite
-        self.mutation_rate = mutation_rate
-        self.mutation_scale = mutation_scale
+    def __init__(self) -> None:
+        super().__init__()
         self._archive: list[tuple[dict[str, Any], float]] = []
         self._initialized = False
 
@@ -166,10 +149,7 @@ class EvolutionarySearcher(_SeededSearcher):
         out = []
         for _ in range(n):
             parent = self._tournament()
-            out.append(self.space.mutate(
-                parent, self.rng,
-                rate=self.mutation_rate, scale=self.mutation_scale,
-            ))
+            out.append(self.space.mutate(parent, self.rng))
         return out
 
     def _tournament(self) -> dict[str, Any]:
@@ -192,7 +172,7 @@ class EvolutionarySearcher(_SeededSearcher):
         # sort on the sense-adjusted fitness only).
         sense_min = self.objective.sense == "min"
         self._archive.sort(key=lambda pf: pf[1] if sense_min else -pf[1])
-        del self._archive[self.elite:]
+        del self._archive[ELITE:]
 
 
 #: Every searcher, by the name a config file or ``explore()`` uses.

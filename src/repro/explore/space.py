@@ -5,8 +5,8 @@ each with a typed domain (:class:`Continuous` range, :class:`Integer`
 range, :class:`Categorical` choice set).  Knob names are the field
 names the environment compiles into campaign
 :class:`~repro.scheduler.campaign.Scenario` cells (``cap_w``,
-``policy``, ``backfill_depth``, ``dvfs_floor``, ``fairshare_decay``,
-``predictor``, ...), so a knob vector *is* a partial scenario spec.
+``policy``, ``backfill_depth``, ``fairshare_decay``, ``predictor``,
+...), so a knob vector *is* a partial scenario spec.
 
 Domains own the three primitive moves every searcher is built from —
 ``sample`` (uniform draw), ``grid`` (lattice slice) and ``mutate``
@@ -24,6 +24,14 @@ from typing import Any, Iterator, Mapping, Union
 import numpy as np
 
 __all__ = ["Continuous", "Integer", "Categorical", "Knob", "DesignSpace"]
+
+#: Levels per ordered (continuous or integer) axis of a lattice.
+GRID_RESOLUTION = 3
+#: Each knob of a mutated point flips with this probability (at least
+#: one always does).
+MUTATION_RATE = 0.5
+#: A mutation step's standard deviation, as a fraction of the knob's span.
+MUTATION_SCALE = 0.15
 
 
 @dataclass(frozen=True)
@@ -47,9 +55,8 @@ class Continuous:
             return [float((self.lo + self.hi) / 2.0)]
         return [float(v) for v in np.linspace(self.lo, self.hi, k)]
 
-    def mutate(self, value: Any, rng: np.random.Generator,
-               scale: float = 0.15) -> float:
-        step = rng.normal(0.0, scale * (self.hi - self.lo))
+    def mutate(self, value: Any, rng: np.random.Generator) -> float:
+        step = rng.normal(0.0, MUTATION_SCALE * (self.hi - self.lo))
         return self.clip(float(value) + step)
 
     def clip(self, value: Any) -> float:
@@ -79,10 +86,9 @@ class Integer:
         values = np.rint(np.linspace(self.lo, self.hi, k)).astype(int)
         return sorted(set(int(v) for v in values))
 
-    def mutate(self, value: Any, rng: np.random.Generator,
-               scale: float = 0.15) -> int:
+    def mutate(self, value: Any, rng: np.random.Generator) -> int:
         span = max(self.hi - self.lo, 1)
-        step = int(np.rint(rng.normal(0.0, max(scale * span, 1.0))))
+        step = int(np.rint(rng.normal(0.0, max(MUTATION_SCALE * span, 1.0))))
         if step == 0:
             step = 1 if rng.integers(0, 2) else -1
         return self.clip(int(value) + step)
@@ -111,8 +117,7 @@ class Categorical:
         # the ordered continuous/integer axes.
         return list(self.choices)
 
-    def mutate(self, value: Any, rng: np.random.Generator,
-               scale: float = 0.15) -> Any:
+    def mutate(self, value: Any, rng: np.random.Generator) -> Any:
         if len(self.choices) == 1:
             return self.choices[0]
         others = [c for c in self.choices if c != value]
@@ -178,39 +183,40 @@ class DesignSpace:
         """One uniform draw over every knob domain."""
         return {name: knob.sample(rng) for name, knob in self.knobs.items()}
 
-    def mutate(self, point: Mapping[str, Any], rng: np.random.Generator,
-               rate: float = 0.5, scale: float = 0.15) -> dict[str, Any]:
-        """Perturb each knob with probability ``rate`` (at least one)."""
+    def mutate(self, point: Mapping[str, Any], rng: np.random.Generator) -> dict[str, Any]:
+        """Perturb each knob with probability :data:`MUTATION_RATE` (at
+        least one)."""
         point = self.validate(point)
         names = list(self.knobs)
-        flips = rng.random(len(names)) < rate
+        flips = rng.random(len(names)) < MUTATION_RATE
         if not flips.any():
             flips[int(rng.integers(0, len(names)))] = True
         return {
-            name: (self.knobs[name].mutate(point[name], rng, scale=scale)
+            name: (self.knobs[name].mutate(point[name], rng)
                    if flip else point[name])
             for name, flip in zip(names, flips)
         }
 
-    def grid(self, resolution: int = 3) -> list[dict[str, Any]]:
+    def grid(self) -> list[dict[str, Any]]:
         """The full lattice: cartesian product of per-knob grids.
 
-        Ordered continuous/integer axes contribute ``resolution`` levels
-        each; categorical axes always contribute every choice.  The
+        Ordered continuous/integer axes contribute
+        :data:`GRID_RESOLUTION` levels each; categorical axes always
+        contribute every choice.  The
         product enumerates in declaration order with the last knob
         varying fastest (row-major), so lattices are reproducible.
         """
         axes = [
-            [(name, v) for v in knob.grid(resolution)]
+            [(name, v) for v in knob.grid(GRID_RESOLUTION)]
             for name, knob in self.knobs.items()
         ]
         return [dict(combo) for combo in itertools.product(*axes)]
 
-    def size(self, resolution: int = 3) -> int:
-        """Lattice cardinality at a resolution (without materializing)."""
+    def size(self) -> int:
+        """Lattice cardinality (without materializing it)."""
         n = 1
         for knob in self.knobs.values():
-            n *= len(knob.grid(resolution))
+            n *= len(knob.grid(GRID_RESOLUTION))
         return n
 
     def summary(self) -> dict[str, Any]:

@@ -49,7 +49,7 @@ from ..monitoring.mqtt import Message, MqttBroker
 from ..monitoring.plane import TelemetryPlane
 from ..observability import Observability, null_observability
 from ..scheduler.job import Job, JobRecord, JobState
-from ..scheduler.policies import SchedulerContext
+from ..scheduler.policies import IDLE_NODE_POWER_W, SchedulerContext
 from ..scheduler.power_aware import PowerAwareScheduler
 from ..sim.engine import Environment
 from ..telemetry.eventlog import TelemetryEventLog
@@ -68,6 +68,19 @@ __all__ = ["DrillConfig", "DrillReport", "FaultDrill"]
 
 #: Per-node dynamic draw range of generated jobs (added to idle), in W.
 JOB_DYNAMIC_W = (500.0, 1400.0)
+#: Runtime range of generated jobs, in s.
+JOB_RUNTIME_S = (20.0, 80.0)
+#: The widest generated job, in nodes.
+JOB_NODES_MAX = 4
+#: Generated jobs arrive uniformly over [0, this) s.
+SUBMIT_HORIZON_S = 120.0
+#: Cadence of the aggregate cap controller, in simulated seconds.
+CONTROL_PERIOD_S = 2.0
+#: Silence, in s, after which every stream counts as lost and the
+#: controller drops to the fail-safe trim.
+FAILSAFE_AFTER_S = 10.0
+#: Supplies on the rack shelf (two must stay active).
+SHELF_PSUS = 6
 #: Cap-overage tolerance window in control periods: the controller needs
 #: a couple of periods to observe and trim a new overdemand.
 SETTLING_PERIODS = 3
@@ -86,19 +99,11 @@ class DrillConfig:
     n_nodes: int = 16
     n_jobs: int = 24
     seed: int = 0
-    idle_node_power_w: float = 300.0
-    job_runtime_s: tuple[float, float] = (20.0, 80.0)
-    job_nodes_max: int = 4
-    submit_horizon_s: float = 120.0
     power_budget_w: float = 14_000.0
     gateway_period_s: float = 1.0
-    sensor_noise_w: float = 2.0
-    control_period_s: float = 2.0
-    failsafe_after_s: float = 10.0
     #: Rack shelf: sized so one PSU loss still covers the budget minus
     #: margin, two losses force the controller to retarget the cap.
     shelf_psu_rating_w: float = 3_000.0
-    shelf_psus: int = 6
     #: Sample all nodes through one vectorized :class:`GatewayArray`
     #: kernel event instead of one :class:`GatewayDaemon` per node.  Same
     #: per-node noise streams, sample stamps and controller inputs — at
@@ -116,13 +121,13 @@ class DrillConfig:
     def __post_init__(self) -> None:
         if self.n_nodes < 1 or self.n_jobs < 1:
             raise ValueError("need at least one node and one job")
-        if self.job_nodes_max > self.n_nodes:
+        if JOB_NODES_MAX > self.n_nodes:
             raise ValueError("jobs cannot span more nodes than the cluster has")
 
     @property
     def settling_s(self) -> float:
         """Cap-overage allowance for the invariant checker."""
-        return SETTLING_PERIODS * self.control_period_s
+        return SETTLING_PERIODS * CONTROL_PERIOD_S
 
 
 @dataclass
@@ -227,12 +232,11 @@ class FaultDrill:
         self.broker.bind_observability(self.obs)
         self.injector = FaultInjector(self.env, log=self.log, seed=cfg.seed)
         self.shelf = RackLevelSupply(
-            PsuModel(rating_w=cfg.shelf_psu_rating_w), n_psus=cfg.shelf_psus, min_active=2
+            PsuModel(rating_w=cfg.shelf_psu_rating_w), n_psus=SHELF_PSUS, min_active=2
         )
         self.policy = PowerAwareScheduler(
             cfg.power_budget_w,
             predictor=lambda job: job.true_power_w,
-            idle_node_power_w=cfg.idle_node_power_w,
             obs=self.obs,
         )
         # -- cluster state ----------------------------------------------------
@@ -262,14 +266,13 @@ class FaultDrill:
         self._clk_rate = np.zeros(cfg.n_nodes)
         self._clk_since = np.zeros(cfg.n_nodes)
         # -- agents -----------------------------------------------------------
-        self.watchdog = SensorWatchdog(cfg.failsafe_after_s)
+        self.watchdog = SensorWatchdog(FAILSAFE_AFTER_S)
         self._collector = self.broker.connect("drill-collector")
         self.telemetry = TelemetryPlane(
             self.env,
             [_NodePowerView(self, i) for i in range(cfg.n_nodes)],
             self.broker,
             period_s=cfg.gateway_period_s,
-            sensor_noise_w=cfg.sensor_noise_w,
             batched=cfg.batched_telemetry,
             clocks=self._clocks,
             clock_fn=self._batch_clock,
@@ -305,25 +308,25 @@ class FaultDrill:
         rng = random.Random(cfg.seed + 1)
         jobs = []
         for jid in range(cfg.n_jobs):
-            n = rng.randint(1, cfg.job_nodes_max)
+            n = rng.randint(1, JOB_NODES_MAX)
             dyn = rng.uniform(*JOB_DYNAMIC_W)
-            runtime = rng.uniform(*cfg.job_runtime_s)
+            runtime = rng.uniform(*JOB_RUNTIME_S)
             jobs.append(Job(
                 job_id=jid,
                 user=f"user{jid % 5}",
                 app=rng.choice(["qe", "nemo", "specfem", "lqcd"]),
                 n_nodes=n,
                 walltime_req_s=runtime * 1.5,
-                submit_time_s=rng.uniform(0.0, cfg.submit_horizon_s),
+                submit_time_s=rng.uniform(0.0, SUBMIT_HORIZON_S),
                 true_runtime_s=runtime,
-                true_power_per_node_w=cfg.idle_node_power_w + dyn,
+                true_power_per_node_w=IDLE_NODE_POWER_W + dyn,
             ))
         return sorted(jobs, key=lambda j: (j.submit_time_s, j.job_id))
 
     def _register_invariants(self) -> None:
         cfg = self.config
         self.checker.register("energy-ledger", energy_ledger_balances())
-        self.checker.register("cap-respected", cap_respected(cfg.settling_s, tol_w=1.0))
+        self.checker.register("cap-respected", cap_respected(cfg.settling_s))
         self.checker.register("node-timestamps-monotonic", node_timestamps_monotonic())
         # Completion invariants only make sense at the end of the run.
         self._final_checker = InvariantChecker(fail_fast=False)
@@ -337,12 +340,12 @@ class FaultDrill:
         if not node.up:
             return 0.0
         if node.job_id is None:
-            return self.config.idle_node_power_w
+            return IDLE_NODE_POWER_W
         run = self.running.get(node.job_id)
         if run is None:
-            return self.config.idle_node_power_w
+            return IDLE_NODE_POWER_W
         share = run.dynamic_w * run.rho / run.record.job.n_nodes
-        return self.config.idle_node_power_w + share
+        return IDLE_NODE_POWER_W + share
 
     def _node_powers_w(self) -> np.ndarray:
         """All true node draws at once (the batched gateway's sensor bus).
@@ -350,7 +353,7 @@ class FaultDrill:
         Floating-point-identical to :meth:`node_power_w` per element:
         each node sees ``idle + share`` with the same operation order.
         """
-        powers = self.config.idle_node_power_w * self._up_w
+        powers = IDLE_NODE_POWER_W * self._up_w
         for run in self.running.values():
             share = run.dynamic_w * run.rho / run.record.job.n_nodes
             for node_id in run.record.nodes:
@@ -361,7 +364,7 @@ class FaultDrill:
         # ``n * idle`` is bit-identical to summing ``idle`` over the up
         # nodes when the idle power is integer-valued (every shipped
         # config): sums of integer-valued floats are exact.
-        total = self._n_up * self.config.idle_node_power_w
+        total = self._n_up * IDLE_NODE_POWER_W
         for run in self.running.values():
             total += run.dynamic_w * run.rho
         return total
@@ -372,16 +375,16 @@ class FaultDrill:
         dt = now - self._last_account_t
         if dt <= 0:
             return
-        idle_w = self._n_up * self.config.idle_node_power_w
+        idle_w = self._n_up * IDLE_NODE_POWER_W
         job_w = 0.0
         for run in self.running.values():
             # A job is billed its nodes' idle floor plus its trimmed
             # dynamic draw — the same convention as the scheduler sim.
-            draw = run.record.job.n_nodes * self.config.idle_node_power_w + run.dynamic_w * run.rho
+            draw = run.record.job.n_nodes * IDLE_NODE_POWER_W + run.dynamic_w * run.rho
             run.record.energy_j += draw * dt
             job_w += draw
         idle_only_w = idle_w - sum(
-            run.record.job.n_nodes * self.config.idle_node_power_w for run in self.running.values()
+            run.record.job.n_nodes * IDLE_NODE_POWER_W for run in self.running.values()
         )
         self.idle_energy_j += idle_only_w * dt
         self.total_energy_j += (idle_only_w + job_w) * dt
@@ -503,7 +506,7 @@ class FaultDrill:
             rec.state = JobState.RUNNING
             rec.start_time_s = self.env.now
             rec.nodes = alloc
-            dynamic = rec.job.true_power_w - rec.job.n_nodes * self.config.idle_node_power_w
+            dynamic = rec.job.true_power_w - rec.job.n_nodes * IDLE_NODE_POWER_W
             proc = self.env.process(self._job_proc(rec), name=f"job-{rec.job.job_id}")
             self.running[rec.job.job_id] = _RunningJob(
                 record=rec, process=proc, dynamic_w=max(dynamic, 0.0), rho=self.rho
@@ -649,11 +652,10 @@ class FaultDrill:
         self.log.append(self.env.now, "trim", rho=round(rho, 6))
 
     def _controller(self):
-        cfg = self.config
         while not self._done.triggered:
-            yield self.env.timeout(cfg.control_period_s)
+            yield self.env.timeout(CONTROL_PERIOD_S)
             now = self.env.now
-            idle_floor = self._n_up * cfg.idle_node_power_w
+            idle_floor = self._n_up * IDLE_NODE_POWER_W
             nominal_dyn = sum(run.dynamic_w for run in self.running.values())
             if self.watchdog.all_silent(now):
                 # Flying blind: every stream silent past the fail-safe
@@ -716,7 +718,7 @@ class FaultDrill:
         if extra_random_faults:
             campaign += self.injector.random_specs(
                 extra_random_faults,
-                horizon_s=self.config.submit_horizon_s,
+                horizon_s=SUBMIT_HORIZON_S,
                 kinds=[FaultKind.SENSOR_SPIKE, FaultKind.SENSOR_DROPOUT, FaultKind.CLOCK_DRIFT],
                 targets=range(self.config.n_nodes),
                 duration_range_s=(3.0, 12.0),

@@ -127,7 +127,12 @@ def monotonic_time_hooks(checker: InvariantChecker) -> KernelHooks:
 
 # -- built-in invariants over a fault-drill state -----------------------------
 
-def energy_ledger_balances(rel_tol: float = 1e-6) -> InvariantFn:
+#: Relative slack of the energy-ledger balance (float summation order).
+LEDGER_REL_TOL = 1e-6
+#: Absolute slack, in W, before power counts as over the cap.
+CAP_TOL_W = 1.0
+
+def energy_ledger_balances() -> InvariantFn:
     """Metered system energy equals per-job energy plus idle energy.
 
     Guards against joules being lost (a crashed job's partial energy
@@ -139,7 +144,7 @@ def energy_ledger_balances(rel_tol: float = 1e-6) -> InvariantFn:
         ledger = jobs + state.idle_energy_j
         metered = state.total_energy_j
         scale = max(abs(metered), 1.0)
-        if abs(ledger - metered) > rel_tol * scale:
+        if abs(ledger - metered) > LEDGER_REL_TOL * scale:
             return (f"ledger {ledger:.6f} J != metered {metered:.6f} J "
                     f"(jobs {jobs:.6f} + idle {state.idle_energy_j:.6f})")
         return None
@@ -147,7 +152,7 @@ def energy_ledger_balances(rel_tol: float = 1e-6) -> InvariantFn:
     return fn
 
 
-def cap_respected(settling_s: float, tol_w: float = 1.0) -> InvariantFn:
+def cap_respected(settling_s: float) -> InvariantFn:
     """True system power never exceeds the active cap for longer than the
     controller's settling window (contiguous overage intervals merged)."""
 
@@ -170,7 +175,7 @@ def cap_respected(settling_s: float, tol_w: float = 1.0) -> InvariantFn:
             while c_idx + 1 < len(caps) and caps[c_idx + 1][0] <= t0:
                 c_idx += 1
             p, cap = power[p_idx][1], caps[c_idx][1]
-            if p > cap + tol_w:
+            if p > cap + CAP_TOL_W:
                 if over_start is None:
                     over_start = t0
                 if t1 - over_start > settling_s:

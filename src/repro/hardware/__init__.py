@@ -9,7 +9,7 @@ __getattr__, __dir__, __all__ = lazy(__name__, {
     ".management": ("Asset", "RackManagementController"),
     ".cpu": ("CpuModel", "PState", "default_pstates"),
     ".gpu": ("GpuModel", "GpuOperatingPoint"),
-    ".interconnect": ("Endpoint", "NodeFabric", "TransferCost"),
+    ".interconnect": ("NodeFabric", "TransferCost"),
     ".memory": ("CentaurLink", "MemorySubsystem"),
     ".node": ("ComputeNode", "PowerBreakdown"),
     ".psu": ("NodeLevelSupply", "PsuModel", "RackLevelSupply", "consolidation_savings"),

@@ -21,18 +21,7 @@ from typing import NamedTuple
 
 from .specs import NVLINK_1, PCIE_GEN3_X16, LinkSpec
 
-__all__ = ["Endpoint", "NodeFabric", "TransferCost"]
-
-
-@dataclass(frozen=True)
-class Endpoint:
-    """A data endpoint inside the node (socket, GPU, or NIC)."""
-
-    kind: str   # 'cpu' | 'gpu' | 'nic'
-    index: int
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.index}"
+__all__ = ["NodeFabric", "TransferCost"]
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 
+#: Relative (1-sigma) error of a BMC's power sensor.
+IPMI_SENSOR_ERROR = 0.03
+#: Host-side timestamp lag of one IPMI poll: uniform on [0, this) s.
+IPMI_TIMESTAMP_JITTER_S = 0.05
+
+
 class MonitoringSystem:
     """Interface: ground truth in, reported trace out."""
 
@@ -72,18 +78,7 @@ class IpmiMonitor(MonitoringSystem):
     integrating = False
     synchronized_timestamps = False
 
-    def __init__(
-        self,
-        poll_rate_hz: float = 1.0,
-        timestamp_jitter_s: float = 0.05,
-        sensor_error: float = 0.03,
-        rng: np.random.Generator | None = None,
-    ):
-        if poll_rate_hz <= 0:
-            raise ValueError("poll rate must be positive")
-        self.sample_rate_hz = poll_rate_hz
-        self.timestamp_jitter_s = timestamp_jitter_s
-        self.sensor_error = sensor_error
+    def __init__(self, rng: np.random.Generator | None = None):
         self.rng = rng if rng is not None else np.random.default_rng(10)
 
     def measure(self, truth: PowerTrace) -> PowerTrace:
@@ -93,8 +88,8 @@ class IpmiMonitor(MonitoringSystem):
         if polls.size < 2:
             polls = np.array([t0, t1])
         values = np.interp(polls, truth.times_s, truth.power_w)
-        values = values * (1.0 + self.rng.normal(0.0, self.sensor_error, size=values.shape))
-        stamps = polls + self.rng.uniform(0.0, self.timestamp_jitter_s, size=polls.shape)
+        values = values * (1.0 + self.rng.normal(0.0, IPMI_SENSOR_ERROR, size=values.shape))
+        stamps = polls + self.rng.uniform(0.0, IPMI_TIMESTAMP_JITTER_S, size=polls.shape)
         stamps = np.maximum.accumulate(stamps + np.arange(polls.size) * 1e-9)
         return PowerTrace(stamps, np.clip(values, 0.0, None))
 

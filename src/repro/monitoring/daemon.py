@@ -52,6 +52,23 @@ NOISE_BLOCK = 64
 #: steady-state tick a single array gather.
 ARRAY_NOISE_BLOCK = 256
 
+#: Standard deviation of a gateway's Gaussian sensor noise, in W.
+SENSOR_NOISE_W = 2.0
+
+#: Store-and-forward ring: samples (ticks, for a :class:`GatewayArray`)
+#: a gateway holds while the broker is down; the oldest drop first.
+BUFFER_LIMIT = 4096
+#: The first reconnect probe's delay after a failed publish, in s; each
+#: failed probe multiplies it by :data:`BACKOFF_FACTOR`, up to
+#: :data:`MAX_BACKOFF_S`.
+RETRY_BACKOFF_S = 0.5
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_S = 8.0
+
+#: A capped node is released once its reading falls this far below the
+#: cap, in W, so a reading at the cap does not toggle the cap every tick.
+HYSTERESIS_W = 25.0
+
 
 class GatewayDaemon:
     """Periodic out-of-band sampling of one node, published over MQTT.
@@ -77,13 +94,8 @@ class GatewayDaemon:
         node: ComputeNode,
         broker: MqttBroker,
         period_s: float = 0.1,
-        sensor_noise_w: float = 2.0,
         topic_prefix: str = "davide",
         rng: np.random.Generator | None = None,
-        buffer_limit: int = 4096,
-        retry_backoff_s: float = 0.5,
-        backoff_factor: float = 2.0,
-        max_backoff_s: float = 8.0,
         clock: Optional[Callable[[float], float]] = None,
         obs: Optional[Observability] = None,
     ):
@@ -96,12 +108,9 @@ class GatewayDaemon:
         if not period_s > 0:
             # ``not >`` so a NaN period is rejected too (NaN compares false).
             raise ValueError(f"period_s must be positive, got {period_s!r}")
-        if buffer_limit < 1 or retry_backoff_s <= 0 or backoff_factor < 1 or max_backoff_s < retry_backoff_s:
-            raise ValueError("invalid resilience parameters")
         self.env = env
         self.node = node
         self.period_s = float(period_s)
-        self.sensor_noise_w = float(sensor_noise_w)
         if rng is None:
             rng = np.random.default_rng(node.node_id)
         self.rng = rng
@@ -112,12 +121,8 @@ class GatewayDaemon:
         self.topic = f"{topic_prefix}/node{node.node_id}/power/node"
         self.samples_published = 0
         # -- resilience state --------------------------------------------------
-        self.buffer_limit = int(buffer_limit)
-        self.retry_backoff_s = float(retry_backoff_s)
-        self.backoff_factor = float(backoff_factor)
-        self.max_backoff_s = float(max_backoff_s)
         self._buffer: Deque[dict] = deque()
-        self._backoff_s = self.retry_backoff_s
+        self._backoff_s = RETRY_BACKOFF_S
         self._outage_t0 = 0.0
         self.buffered_count = 0
         self.buffer_dropped_count = 0
@@ -150,7 +155,7 @@ class GatewayDaemon:
         noise = self._noise
         i = self._noise_i
         if i == len(noise):
-            noise = self._noise = self.rng.normal(0.0, self.sensor_noise_w, NOISE_BLOCK).tolist()
+            noise = self._noise = self.rng.normal(0.0, SENSOR_NOISE_W, NOISE_BLOCK).tolist()
             i = 0
         self._noise_i = i + 1
         measured = self.node.power_w() + noise[i]
@@ -164,7 +169,7 @@ class GatewayDaemon:
         return {"node": self.node.node_id, "t": self.clock(now_s), "p": max(measured, 0.0)}
 
     def _buffer_sample(self, payload: dict) -> None:
-        if len(self._buffer) >= self.buffer_limit:
+        if len(self._buffer) >= BUFFER_LIMIT:
             self._buffer.popleft()
             self.buffer_dropped_count += 1
             self._m_dropped_buffer.inc()
@@ -217,11 +222,11 @@ class GatewayDaemon:
             # bootstrap would push it behind them).
             self.task.suspend()
             self._outage_t0 = now_s
-            self._backoff_s = self.retry_backoff_s
+            self._backoff_s = RETRY_BACKOFF_S
             self._arm_probe()
 
     def _arm_probe(self) -> None:
-        self.env.timeout(min(self._backoff_s, self.max_backoff_s)).callbacks.append(self._probe)
+        self.env.timeout(min(self._backoff_s, MAX_BACKOFF_S)).callbacks.append(self._probe)
 
     def _probe(self, _event) -> None:
         """One backoff probe while the broker is down: sample into the
@@ -234,7 +239,7 @@ class GatewayDaemon:
             self._flush_buffer()
         except BrokerUnavailableError:
             self._m_failures.inc()
-            self._backoff_s = min(self._backoff_s * self.backoff_factor, self.max_backoff_s)
+            self._backoff_s = min(self._backoff_s * BACKOFF_FACTOR, MAX_BACKOFF_S)
             self._arm_probe()
             return
         self.reconnects += 1
@@ -271,15 +276,10 @@ class GatewayArray:
         nodes: Sequence[ComputeNode],
         broker: MqttBroker,
         period_s: float = 0.1,
-        sensor_noise_w: float = 2.0,
         topic_prefix: str = "davide",
         rngs: Optional[Sequence[np.random.Generator]] = None,
         powers_fn: Optional[Callable[[], np.ndarray]] = None,
         clock_fn: Optional[Callable[[float], np.ndarray]] = None,
-        buffer_limit: int = 4096,
-        retry_backoff_s: float = 0.5,
-        backoff_factor: float = 2.0,
-        max_backoff_s: float = 8.0,
         obs: Optional[Observability] = None,
     ):
         """``powers_fn`` (optional) returns all true node powers as one
@@ -289,8 +289,6 @@ class GatewayArray:
         identity by default."""
         if not period_s > 0:
             raise ValueError(f"period_s must be positive, got {period_s!r}")
-        if buffer_limit < 1 or retry_backoff_s <= 0 or backoff_factor < 1 or max_backoff_s < retry_backoff_s:
-            raise ValueError("invalid resilience parameters")
         if not nodes:
             raise ValueError("need at least one node")
         self.env = env
@@ -300,7 +298,6 @@ class GatewayArray:
             int(getattr(node, "node_id", i)) for i, node in enumerate(self.nodes)
         )
         self.period_s = float(period_s)
-        self.sensor_noise_w = float(sensor_noise_w)
         self.topic = f"{topic_prefix}/power/nodes"
         self.client: MqttClient = broker.connect("eg-array")
         self.powers_fn = powers_fn
@@ -328,10 +325,6 @@ class GatewayArray:
         self.republished_count = 0
         self.reconnects = 0
         # -- resilience state --------------------------------------------------
-        self.buffer_limit = int(buffer_limit)
-        self.retry_backoff_s = float(retry_backoff_s)
-        self.backoff_factor = float(backoff_factor)
-        self.max_backoff_s = float(max_backoff_s)
         self._buffer: Deque[dict] = deque()
         # -- observability (handles resolved once; no-op when disabled) --------
         self.obs = obs if obs is not None else null_observability()
@@ -355,9 +348,8 @@ class GatewayArray:
         col = self._noise_col
         if col == ARRAY_NOISE_BLOCK:
             buf = self._noise_buf
-            sigma = self.sensor_noise_w
             for i, rng in enumerate(self._rngs):
-                buf[i] = rng.normal(0.0, sigma, ARRAY_NOISE_BLOCK)
+                buf[i] = rng.normal(0.0, SENSOR_NOISE_W, ARRAY_NOISE_BLOCK)
             col = 0
         self._noise_col = col + 1
         return self._noise_buf[:, col]
@@ -392,7 +384,7 @@ class GatewayArray:
         # Bounded per-gateway ring buffer: all gateways share the tick
         # grid, so dropping the oldest *tick* drops each gateway's
         # oldest sample — the same policy N daemons apply independently.
-        if len(self._buffer) >= self.buffer_limit:
+        if len(self._buffer) >= BUFFER_LIMIT:
             oldest = self._buffer.popleft()
             n_lost = len(oldest["nodes"])
             self.buffer_dropped_count += n_lost
@@ -428,9 +420,9 @@ class GatewayArray:
 
     def _recover(self):
         t0 = self.env.now
-        backoff = self.retry_backoff_s
+        backoff = RETRY_BACKOFF_S
         while True:
-            yield self.env.timeout(min(backoff, self.max_backoff_s))
+            yield self.env.timeout(min(backoff, MAX_BACKOFF_S))
             probe = self._sample_batch()
             if probe is not None:
                 self._buffer_batch(probe)
@@ -438,7 +430,7 @@ class GatewayArray:
                 self._flush_backlog()
             except BrokerUnavailableError:
                 self._m_failures.inc()
-                backoff = min(backoff * self.backoff_factor, self.max_backoff_s)
+                backoff = min(backoff * BACKOFF_FACTOR, MAX_BACKOFF_S)
                 continue
             self.reconnects += 1
             self._tracer.record("gateway.recover", t0)
@@ -477,7 +469,6 @@ class CappingAgent:
         node: ComputeNode,
         broker: MqttBroker,
         cap_w: float,
-        hysteresis_w: float = 25.0,
         actuation_delay_s: float = 0.01,
         topic_prefix: str = "davide",
         batch_topic: Optional[str] = None,
@@ -485,12 +476,11 @@ class CappingAgent:
     ):
         if not cap_w > 0:
             raise ValueError(f"cap_w must be positive, got {cap_w!r}")
-        if hysteresis_w < 0 or actuation_delay_s < 0:
+        if actuation_delay_s < 0:
             raise ValueError("invalid capping agent parameters")
         self.env = env
         self.node = node
         self.cap_w = float(cap_w)
-        self.hysteresis_w = float(hysteresis_w)
         self.actuation_delay_s = float(actuation_delay_s)
         self.client: MqttClient = broker.connect(f"capper-{node.node_id}")
         self.client.on_message = self._on_sample
@@ -525,7 +515,7 @@ class CappingAgent:
 
     def _observe(self, power: float) -> None:
         over = power > self.cap_w
-        under = power < self.cap_w - self.hysteresis_w
+        under = power < self.cap_w - HYSTERESIS_W
         if over and not self.capped and not self._pending:
             self._pending = True
             self.env.process(self._actuate(self.cap_w), name="cap-on")

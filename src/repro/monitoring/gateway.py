@@ -28,7 +28,7 @@ import numpy as np
 
 from ..power.adc import AM335X_ADC, SarAdc
 from ..power.decimation import boxcar_decimate
-from ..power.sensors import SHUNT_SENSOR, PowerSensor, SensorSpec
+from ..power.sensors import SHUNT_SENSOR, PowerSensor
 from ..power.trace import PowerTrace
 from .mqtt import MqttBroker, MqttClient
 
@@ -36,25 +36,30 @@ __all__ = ["GatewayConfig", "EnergyGateway"]
 
 ClockFn = Callable[[float], float]
 
+#: The boxcar average the gateway applies in hardware: 800 kS/s -> 50 kS/s.
+DECIMATION = 16
+#: MQTT QoS of published telemetry: at least once, never silently lost.
+QOS = 1
+#: The rail a gateway measures and publishes: the node's 12 V input.
+RAIL = "node"
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
     """Acquisition parameters of the energy gateway."""
 
     adc_rate_hz: float = 800e3       # paper: 800 kS/s
-    decimation: int = 16             # -> 50 kS/s published
     publish_batch: int = 500         # samples per MQTT message
     topic_prefix: str = "davide"
-    qos: int = 1                     # telemetry must not be silently lost
 
     def __post_init__(self) -> None:
-        if self.adc_rate_hz <= 0 or self.decimation < 1 or self.publish_batch < 1:
+        if self.adc_rate_hz <= 0 or self.publish_batch < 1:
             raise ValueError("invalid gateway configuration")
 
     @property
     def output_rate_hz(self) -> float:
         """Published sample rate (paper: 50 kS/s)."""
-        return self.adc_rate_hz / self.decimation
+        return self.adc_rate_hz / DECIMATION
 
 
 class EnergyGateway:
@@ -65,7 +70,6 @@ class EnergyGateway:
         node_id: int,
         broker: MqttBroker,
         config: GatewayConfig = GatewayConfig(),
-        sensor_spec: SensorSpec = SHUNT_SENSOR,
         clock: Optional[ClockFn] = None,
         rng: np.random.Generator | None = None,
     ):
@@ -74,8 +78,10 @@ class EnergyGateway:
         self.broker = broker
         self.client: MqttClient = broker.connect(f"eg-node{node_id}")
         self.adc = SarAdc(AM335X_ADC, rng=rng if rng is not None else np.random.default_rng(node_id))
-        self._sensor_spec = sensor_spec
-        self._sensors: dict[str, PowerSensor] = {}
+        # The sensor's noise stream is derived from the node and the rail
+        # (crc32, not hash(): string hashes are salted per process).
+        seed = np.random.SeedSequence([node_id, zlib.crc32(RAIL.encode())])
+        self._sensor = PowerSensor(SHUNT_SENSOR, rng=np.random.default_rng(seed))
         self._rng = rng if rng is not None else np.random.default_rng(node_id + 1)
         #: Maps true time -> gateway timestamp (PTP-disciplined in the
         #: full system); ``None`` keeps the true block-centre times.
@@ -83,26 +89,15 @@ class EnergyGateway:
         self.samples_published = 0
 
     # -- acquisition -------------------------------------------------------------
-    def _sensor_for(self, rail: str) -> PowerSensor:
-        if rail not in self._sensors:
-            # Each rail gets its own sensor instance with a derived RNG so
-            # channel noise is independent but deterministic (crc32, not
-            # hash(): string hashes are salted per process).
-            seed = np.random.SeedSequence([self.node_id, zlib.crc32(rail.encode())])
-            self._sensors[rail] = PowerSensor(self._sensor_spec, rng=np.random.default_rng(seed))
-        return self._sensors[rail]
+    def acquire(self, true_power: PowerTrace) -> PowerTrace:
+        """Digitize the node rail's ground-truth power through the full chain.
 
-    def acquire(self, true_power: PowerTrace, rail: str = "node", channel: int = 0) -> PowerTrace:
-        """Digitize one rail's ground-truth power through the full chain.
-
-        Chain: sensor transfer -> 800 kS/s ADC sampling (staggered by the
-        multiplexer channel phase) -> x16 hardware average -> timestamps
-        rewritten through the gateway clock, if one was given.
+        Chain: sensor transfer -> 800 kS/s ADC sampling (multiplexer
+        channel 0) -> x16 hardware average -> timestamps rewritten
+        through the gateway clock, if one was given.
         """
-        sensor = self._sensor_for(rail)
-        phase = (channel % self.adc.spec.n_channels) / self.adc.spec.n_channels
-        raw = self.adc.acquire_power(true_power, sensor, self.config.adc_rate_hz, channel_phase=phase)
-        decimated = boxcar_decimate(raw, self.config.decimation)
+        raw = self.adc.acquire_power(true_power, self._sensor, self.config.adc_rate_hz)
+        decimated = boxcar_decimate(raw, DECIMATION)
         if self.clock is None:
             return decimated
         stamped_times = np.array([self.clock(t) for t in decimated.times_s])
@@ -113,11 +108,11 @@ class EnergyGateway:
         """The MQTT topic carrying a rail's samples."""
         return f"{self.config.topic_prefix}/node{self.node_id}/power/{rail}"
 
-    def publish_trace(self, trace: PowerTrace, rail: str = "node") -> int:
+    def publish_trace(self, trace: PowerTrace) -> int:
         """Publish a measured trace in batches; returns messages sent.
 
         Each payload is ``{"t": array, "p": array, "node": id, "rail":
-        rail}`` — the flexible M2M integration of Section III-A1.  The
+        "node"}`` — the flexible M2M integration of Section III-A1.  The
         last batch is retained so late subscribers see the freshest data.
         """
         n = len(trace)
@@ -129,24 +124,24 @@ class EnergyGateway:
             end = min(start + batch, n)
             last = end == n
             self.client.publish(
-                self.topic(rail),
+                self.topic(RAIL),
                 {
                     "t": trace.times_s[start:end].copy(),
                     "p": trace.power_w[start:end].copy(),
                     "node": self.node_id,
-                    "rail": rail,
+                    "rail": RAIL,
                 },
-                qos=self.config.qos,
+                qos=QOS,
                 retain=last,
             )
             sent += 1
         self.samples_published += n
         return sent
 
-    def acquire_and_publish(self, true_power: PowerTrace, rail: str = "node") -> PowerTrace:
+    def acquire_and_publish(self, true_power: PowerTrace) -> PowerTrace:
         """Convenience: full chain acquisition followed by publication."""
-        measured = self.acquire(true_power, rail=rail)
-        self.publish_trace(measured, rail=rail)
+        measured = self.acquire(true_power)
+        self.publish_trace(measured)
         return measured
 
     @staticmethod

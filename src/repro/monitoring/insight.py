@@ -30,6 +30,19 @@ from ..scheduler.job import JobRecord
 
 __all__ = ["Finding", "PowerAnomalyDetector", "HazardDetector", "EfficiencyAuditor"]
 
+#: Trailing samples the anomaly detector takes its median and MAD over.
+ANOMALY_WINDOW = 256
+#: Samples after a spike that must return to the old level for it to
+#: count as an isolated anomaly rather than a level shift.
+ANOMALY_CONFIRM = 8
+#: Fraction of the limit above which sustained power is a warning.
+HAZARD_WARN_FRACTION = 0.9
+#: How long, in s, power must sit near the limit before it is flagged.
+HAZARD_DWELL_S = 5.0
+#: A job drawing below this fraction of its app class's median per-node
+#: power is flagged as leaving components idle.
+UNDERDRAW_FRACTION = 0.6
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -51,52 +64,41 @@ class PowerAnomalyDetector:
     *and the deviation does not persist*: HPC power traces step between
     compute and idle plateaus as a matter of course, so a sustained
     excursion is a regime change, not a fault.  Only isolated spikes —
-    where the following ``confirm`` samples return to the old level —
-    are flagged.
+    where the following :data:`ANOMALY_CONFIRM` samples return to the
+    old level — are flagged.
     """
 
     #: MAD -> sigma for a normal distribution.
     MAD_SIGMA = 1.4826
 
-    def __init__(
-        self,
-        window: int = 256,
-        threshold: float = 6.0,
-        min_sigma_w: float = 2.0,
-        confirm: int = 8,
-    ):
-        if window < 8:
-            raise ValueError("window must be >= 8")
+    def __init__(self, threshold: float = 6.0, min_sigma_w: float = 2.0):
         if threshold <= 0:
             raise ValueError("threshold must be positive")
-        if confirm < 1:
-            raise ValueError("confirm must be >= 1")
-        self.window = int(window)
         self.threshold = float(threshold)
         self.min_sigma_w = float(min_sigma_w)
-        self.confirm = int(confirm)
 
     def scan(self, trace: PowerTrace, subject: str = "node") -> list[Finding]:
         """Flag isolated anomalous samples in a trace."""
-        if len(trace) < self.window + self.confirm + 1:
+        window, confirm = ANOMALY_WINDOW, ANOMALY_CONFIRM
+        if len(trace) < window + confirm + 1:
             return []
         p = trace.power_w
         t = trace.times_s
         findings: list[Finding] = []
         # Vectorised rolling median/MAD over full trailing windows.
-        n = p.size - self.window - self.confirm
-        idx = np.arange(self.window)[None, :] + np.arange(n)[:, None]
+        n = p.size - window - confirm
+        idx = np.arange(window)[None, :] + np.arange(n)[:, None]
         windows = p[idx]
         med = np.median(windows, axis=1)
         mad = np.median(np.abs(windows - med[:, None]), axis=1)
         sigma = np.maximum(mad * self.MAD_SIGMA, self.min_sigma_w)
-        candidates = p[self.window: self.window + n]
+        candidates = p[window: window + n]
         scores = np.abs(candidates - med) / sigma
         for i in np.flatnonzero(scores > self.threshold):
-            j = i + self.window
+            j = i + window
             # Persistence check: if the following samples stay deviated,
             # this is a level shift (normal phase behaviour), not a spike.
-            follow = p[j + 1: j + 1 + self.confirm]
+            follow = p[j + 1: j + 1 + confirm]
             follow_dev = abs(float(np.median(follow)) - med[i]) / sigma[i]
             if follow_dev > self.threshold / 2:
                 continue
@@ -117,14 +119,10 @@ class PowerAnomalyDetector:
 class HazardDetector:
     """Envelope-pressure detection against the rack/PSU limits."""
 
-    def __init__(self, limit_w: float, warn_fraction: float = 0.9, dwell_s: float = 5.0):
+    def __init__(self, limit_w: float):
         if limit_w <= 0:
             raise ValueError("limit must be positive")
-        if not 0 < warn_fraction < 1:
-            raise ValueError("warn fraction must lie in (0, 1)")
         self.limit_w = float(limit_w)
-        self.warn_fraction = float(warn_fraction)
-        self.dwell_s = float(dwell_s)
 
     def scan(self, trace: PowerTrace, subject: str = "rack") -> list[Finding]:
         """Flag sustained operation near (warning) or over (critical) the limit."""
@@ -134,7 +132,7 @@ class HazardDetector:
         findings: list[Finding] = []
         dt = np.diff(t)
         over = p[:-1] > self.limit_w
-        near = p[:-1] > self.limit_w * self.warn_fraction
+        near = p[:-1] > self.limit_w * HAZARD_WARN_FRACTION
         over_s = float(dt[over].sum())
         near_s = float(dt[near & ~over].sum())
         if over_s > 0:
@@ -146,11 +144,11 @@ class HazardDetector:
                     value=float(p.max()),
                 )
             )
-        if near_s >= self.dwell_s:
+        if near_s >= HAZARD_DWELL_S:
             findings.append(
                 Finding(
                     kind="hazard", subject=subject, severity="warning",
-                    message=f"power sat above {self.warn_fraction * 100:.0f}% of the "
+                    message=f"power sat above {HAZARD_WARN_FRACTION * 100:.0f}% of the "
                             f"limit for {near_s:.1f} s",
                     value=float(p.max()),
                 )
@@ -160,11 +158,6 @@ class HazardDetector:
 
 class EfficiencyAuditor:
     """Not-optimality detection over finished jobs and node usage."""
-
-    def __init__(self, underdraw_fraction: float = 0.6):
-        if not 0 < underdraw_fraction < 1:
-            raise ValueError("underdraw fraction must lie in (0, 1)")
-        self.underdraw_fraction = float(underdraw_fraction)
 
     def audit_jobs(self, records: list[JobRecord]) -> list[Finding]:
         """Flag jobs drawing far below their application class's typical power.
@@ -181,7 +174,7 @@ class EfficiencyAuditor:
         for r in records:
             typical = medians[r.job.app]
             mine = self._per_node_power(r)
-            if typical > 0 and mine < typical * self.underdraw_fraction:
+            if typical > 0 and mine < typical * UNDERDRAW_FRACTION:
                 findings.append(
                     Finding(
                         kind="inefficiency",
@@ -201,9 +194,7 @@ class EfficiencyAuditor:
             return 0.0
         return record.energy_j / duration / len(record.nodes)
 
-    def audit_idle_capacity(
-        self, utilization: float, queue_length: int, subject: str = "cluster"
-    ) -> list[Finding]:
+    def audit_idle_capacity(self, utilization: float, queue_length: int) -> list[Finding]:
         """Flag nodes idling while jobs queue (scheduler not-optimality)."""
         if not 0 <= utilization <= 1:
             raise ValueError("utilization must lie in [0, 1]")
@@ -213,7 +204,7 @@ class EfficiencyAuditor:
             return [
                 Finding(
                     kind="inefficiency",
-                    subject=subject,
+                    subject="cluster",
                     severity="warning",
                     message=f"{(1 - utilization) * 100:.0f}% of nodes idle with "
                             f"{queue_length} jobs queued — check admission constraints",

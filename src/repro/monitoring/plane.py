@@ -43,7 +43,6 @@ class TelemetryPlane:
         broker: MqttBroker,
         *,
         period_s: float = 0.1,
-        sensor_noise_w: float = 2.0,
         topic_prefix: str = "davide",
         batched: bool = False,
         rngs: Optional[Sequence[np.random.Generator]] = None,
@@ -51,7 +50,6 @@ class TelemetryPlane:
         clock_fn: Optional[Callable[[float], np.ndarray]] = None,
         powers_fn: Optional[Callable[[], np.ndarray]] = None,
         obs: Optional[Observability] = None,
-        **gateway_kw,
     ):
         self.env = env
         self.broker = broker
@@ -59,8 +57,6 @@ class TelemetryPlane:
         self.topic_prefix = topic_prefix
         self.batched = bool(batched)
         self.obs = obs
-        if obs is not None:
-            gateway_kw["obs"] = obs
         if self.batched:
             self.gateways: list[GatewayDaemon] = []
             self.array: Optional[GatewayArray] = GatewayArray(
@@ -68,12 +64,11 @@ class TelemetryPlane:
                 self.nodes,
                 broker,
                 period_s=period_s,
-                sensor_noise_w=sensor_noise_w,
                 topic_prefix=topic_prefix,
                 rngs=rngs,
                 powers_fn=powers_fn,
                 clock_fn=clock_fn,
-                **gateway_kw,
+                obs=obs,
             )
             self.topic_filter = self.array.topic
         else:
@@ -86,11 +81,10 @@ class TelemetryPlane:
                     node,
                     broker,
                     period_s=period_s,
-                    sensor_noise_w=sensor_noise_w,
                     topic_prefix=topic_prefix,
                     rng=None if rngs is None else rngs[i],
                     clock=None if clocks is None else clocks[i],
-                    **gateway_kw,
+                    obs=obs,
                 )
                 for i, node in enumerate(self.nodes)
             ]

@@ -15,6 +15,7 @@ per CPU socket, so MPI traffic never crosses the SMP bus).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..hardware.specs import EDR_IB, LinkSpec
@@ -53,8 +54,9 @@ class FatTree:
             raise ValueError("need at least one node")
         if switch_radix < 2:
             raise ValueError("switch radix must be >= 2")
-        if oversubscription < 1.0:
-            raise ValueError("oversubscription must be >= 1.0")
+        if not 1.0 <= oversubscription < math.inf:
+            raise ValueError(
+                f"oversubscription must be finite and >= 1.0, got {oversubscription!r}")
         self.link = link
         self.plane = plane
         self.oversubscription = float(oversubscription)

@@ -86,14 +86,10 @@ class Observability:
     the simulation clock (``lambda: env.now``).
     """
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        max_spans: int = 65536,
-    ):
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
         self.enabled = True
         self.metrics: MetricsRegistry = MetricsRegistry()
-        self.tracer: Tracer = Tracer(clock=clock, max_spans=max_spans)
+        self.tracer: Tracer = Tracer(clock=clock)
 
     @classmethod
     def disabled(cls) -> "Observability":

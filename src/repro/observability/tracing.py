@@ -21,6 +21,9 @@ from typing import Any, Callable, Iterator, Optional
 
 __all__ = ["Span", "Tracer", "NullTracer"]
 
+#: Spans a :class:`Tracer` retains; older ones are dropped (and counted).
+MAX_SPANS = 65536
+
 
 class Span:
     """One timed interval on the sim clock, with a parent link."""
@@ -72,8 +75,8 @@ class Tracer:
 
     ``clock()`` returns the current simulated time; bind it to
     ``env.now`` when wiring a live system.  Spans opened while another
-    span is open become its children unless an explicit ``parent`` is
-    given; :meth:`finish` pops the implicit-parent stack.
+    span is open become its children; :meth:`finish` pops the
+    implicit-parent stack.
 
     >>> tracer = Tracer(clock=lambda: env.now)
     >>> with tracer.span("gateway.tick"):
@@ -81,11 +84,9 @@ class Tracer:
     ...         ...
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None, max_spans: int = 65536):
-        if max_spans < 1:
-            raise ValueError("span buffer must hold at least one span")
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
         self.clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
-        self._spans: deque[Span] = deque(maxlen=int(max_spans))
+        self._spans: deque[Span] = deque(maxlen=MAX_SPANS)
         self._next_id = 1
         self._stack: list[Span] = []
         #: Spans evicted from the bounded buffer (oldest-first).
@@ -97,13 +98,9 @@ class Tracer:
     enabled = True
 
     # -- span lifecycle -------------------------------------------------------
-    def start(self, name: str, parent: Optional[Span] = None) -> Span:
+    def start(self, name: str) -> Span:
         """Open a span now; caller must :meth:`finish` it."""
-        parent_id = None
-        if parent is not None:
-            parent_id = parent.span_id
-        elif self._stack:
-            parent_id = self._stack[-1].span_id
+        parent_id = self._stack[-1].span_id if self._stack else None
         span = Span(name, self._next_id, parent_id, self.clock())
         self._next_id += 1
         self.started += 1
@@ -124,27 +121,20 @@ class Tracer:
                 break
         return span
 
-    def span(self, name: str, parent: Optional[Span] = None) -> _SpanHandle:
+    def span(self, name: str) -> _SpanHandle:
         """Open a span as a context manager (finished on exit)."""
-        return _SpanHandle(self, self.start(name, parent=parent))
+        return _SpanHandle(self, self.start(name))
 
-    def record(
-        self,
-        name: str,
-        t_start_s: float,
-        t_end_s: Optional[float] = None,
-        parent: Optional[Span] = None,
-    ) -> Span:
-        """Append an already-finished span without touching the stack.
+    def record(self, name: str, t_start_s: float) -> Span:
+        """Append a parentless span that ends now, without touching the stack.
 
         For work spread across kernel events (an actuation generator, a
         backoff recovery episode): the caller remembers its own start
         time and records the whole interval when it completes, so spans
         opened by *other* components in between never get misparented.
         """
-        parent_id = parent.span_id if parent is not None else None
-        span = Span(name, self._next_id, parent_id, float(t_start_s))
-        span.t_end_s = self.clock() if t_end_s is None else float(t_end_s)
+        span = Span(name, self._next_id, None, float(t_start_s))
+        span.t_end_s = self.clock()
         self._next_id += 1
         self.started += 1
         if len(self._spans) == self._spans.maxlen:
@@ -189,10 +179,7 @@ class NullTracer(Tracer):
     enabled = False
     _NULL_HANDLE = _NullSpanHandle()
 
-    def __init__(self) -> None:
-        super().__init__(max_spans=1)
-
-    def start(self, name: str, parent: Optional[Span] = None):
+    def start(self, name: str):
         """Return the shared no-op handle (not a real span)."""
         return self._NULL_HANDLE
 
@@ -200,16 +187,10 @@ class NullTracer(Tracer):
         """Discard the finish."""
         return span
 
-    def span(self, name: str, parent: Optional[Span] = None):
+    def span(self, name: str):
         """Return the shared no-op handle."""
         return self._NULL_HANDLE
 
-    def record(
-        self,
-        name: str,
-        t_start_s: float,
-        t_end_s: Optional[float] = None,
-        parent: Optional[Span] = None,
-    ):
+    def record(self, name: str, t_start_s: float):
         """Discard the recorded interval."""
         return self._NULL_HANDLE

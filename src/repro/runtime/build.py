@@ -110,7 +110,7 @@ class ExplorationPlan:
         from ..explore.run import explore
 
         if obs is None and self.spec.observability.enabled:
-            obs = Observability(max_spans=self.spec.observability.max_spans)
+            obs = Observability()
         return explore(
             self.space,
             self.objective,
@@ -161,7 +161,6 @@ def _cell_scenario(cfg: RuntimeConfig, cell: CellSpec, index: int,
             train_fraction=pick(cell.train_fraction, pol.train_fraction),
             node_outages=tuple(o.to_outage() for o in outage_specs),
             backfill_depth=pick(cell.backfill_depth, pol.backfill_depth),
-            dvfs_floor=pick(cell.dvfs_floor, pol.dvfs_floor),
             fairshare_decay=pick(cell.fairshare_decay, pol.fairshare_decay),
             label=cell.label,
         )
@@ -219,23 +218,11 @@ def _build_live(cfg: RuntimeConfig) -> LiveCluster:
     from ..cluster.builder import ClusterBuilder
 
     live = cfg.live if cfg.live is not None else LiveSection()
-    builder = (
-        ClusterBuilder(n_nodes=cfg.machine.n_nodes, seed=live.seed)
-        .with_gateways(
-            period_s=live.period_s,
-            sensor_noise_w=live.sensor_noise_w,
-            batched=live.batched,
-        )
-    )
+    builder = ClusterBuilder(n_nodes=cfg.machine.n_nodes, seed=live.seed).with_gateways()
     if cfg.cap.cap_w is not None:
-        builder.with_capping(
-            cfg.cap.cap_w,
-            hysteresis_w=cfg.cap.hysteresis_w,
-            actuation_delay_s=cfg.cap.actuation_delay_s,
-        )
+        builder.with_capping(cfg.cap.cap_w)
     if cfg.observability.enabled:
-        builder.with_observability(True,
-                                   max_spans=cfg.observability.max_spans)
+        builder.with_observability(True)
     return builder.build_live()
 
 

@@ -69,12 +69,10 @@ def _describe(path: str) -> None:
         print(_row("space", ", ".join(artifact.space.names())))
         print(_row("objective", artifact.objective.name))
     else:
-        live = cfg.live
         cap = cfg.cap.cap_w
-        print(_row("telemetry", f"period {live.period_s} s"
-                                + (", batched" if live.batched else "")))
+        print(_row("telemetry", f"period {artifact.telemetry.gateways[0].period_s} s"))
         print(_row("capping", "off" if cap is None else f"{cap:.0f} W/node"))
-        print(_row("run until", f"{live.until_s} s"))
+        print(_row("run until", f"{cfg.live.until_s} s"))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

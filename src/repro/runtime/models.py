@@ -20,10 +20,9 @@ not have) fails at load with a :class:`ConfigError` naming
 
 Component names are checked against the lists their consumers own:
 policies against :data:`~repro.scheduler.campaign.POLICIES` (what
-``Scenario`` accepts), searchers against
-:data:`~repro.explore.searchers.SEARCHERS`, and the workload generator
-against the one job stream campaigns generate, ``"davide"``.  A typo'd
-name fails naming every accepted one.  Exploration values are checked
+``Scenario`` accepts) and searchers against
+:data:`~repro.explore.searchers.SEARCHERS`.  A typo'd name fails naming
+every accepted one.  Exploration values are checked
 the same way: every value a search can compile must make a valid
 ``Scenario``.
 
@@ -38,13 +37,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..explore.env import SCENARIO_KNOBS
 from ..explore.searchers import SEARCHERS
 from ..scheduler.campaign import POLICIES, QOS_METRICS, Scenario
+from ..scheduler.policies import IDLE_NODE_POWER_W
 from ..scheduler.simulate import NodeOutage
 
 __all__ = [
@@ -353,7 +352,7 @@ class MachineSection(_Section):
     """``[machine]`` — the cluster shape and its power model knobs."""
 
     n_nodes: int = _field(conv=_positive(_as_int))
-    idle_node_power_w: float = _field(300.0, conv=_non_negative(_as_float))
+    idle_node_power_w: float = _field(IDLE_NODE_POWER_W, conv=_non_negative(_as_float))
     #: Speed follows ``rho ** speed_exponent``; zero or less has no
     #: trim ratio that reaches ``min_speed``.
     speed_exponent: float = _field(0.75, conv=_positive(_as_float))
@@ -379,11 +378,9 @@ class MachineSection(_Section):
 
 @dataclass(frozen=True)
 class WorkloadSection(_Section):
-    """``[workload]`` — the job stream: generator name, size, seed."""
+    """``[workload]`` — the job stream (the paper's four-application
+    mix): size, load, seed."""
 
-    #: Campaigns generate the paper's four-application mix, the only
-    #: stream; the field stays so that every written dump still loads.
-    generator: str = _field("davide", conv=_one_of(("davide",)))
     n_jobs: int = _field(100, conv=_positive(_as_int))
     load_factor: float = _field(0.85, conv=_positive(_as_float))
     seed: int = _field(0, conv=_non_negative(_as_int))
@@ -404,7 +401,6 @@ class PolicySection(_Section):
     predictor: str = _field("oracle", conv=_as_str)
     train_fraction: float = _field(0.0, conv=_as_float)
     backfill_depth: Optional[int] = _field(None, conv=_as_int)
-    dvfs_floor: Optional[float] = _field(None, conv=_as_float)
     fairshare_decay: Optional[float] = _field(None, conv=_as_float)
 
     from_dict = _from_dict("policy")
@@ -415,14 +411,12 @@ class CapSection(_Section):
     """``[cap]`` — the power envelope.
 
     ``cap_w``/``budget_w`` are the reactive/proactive ceilings campaign
-    cells inherit; ``hysteresis_w``/``actuation_delay_s`` shape the
-    per-node capping agents of a live cluster.
+    cells inherit; a live cluster puts a capping agent at ``cap_w`` on
+    every node.
     """
 
     cap_w: Optional[float] = _field(None, conv=_positive(_as_float))
     budget_w: Optional[float] = _field(None, conv=_positive(_as_float))
-    hysteresis_w: float = _field(25.0, conv=_non_negative(_as_float))
-    actuation_delay_s: float = _field(0.01, conv=_non_negative(_as_float))
 
     from_dict = _from_dict("cap")
 
@@ -455,21 +449,15 @@ class ObservabilitySection(_Section):
     """``[observability]`` — metrics + tracing for the built artifact."""
 
     enabled: bool = _field(False, conv=_as_bool)
-    #: The span ring's length, which must fit a machine-size integer.
-    max_spans: int = _field(65536, conv=_range(
-        _as_int, lambda v: 0 < v <= sys.maxsize, f"in [1, {sys.maxsize}]"))
 
     from_dict = _from_dict("observability")
 
 
 @dataclass(frozen=True)
 class LiveSection(_Section):
-    """``[live]`` — kernel run length and telemetry plane knobs."""
+    """``[live]`` — kernel run length and the gateways' noise seed."""
 
     until_s: float = _field(10.0, conv=_positive(_as_float))
-    period_s: float = _field(0.1, conv=_positive(_as_float))
-    sensor_noise_w: float = _field(2.0, conv=_non_negative(_as_float))
-    batched: bool = _field(False, conv=_as_bool)
     seed: int = _field(0, conv=_non_negative(_as_int))
 
     from_dict = _from_dict("live")
@@ -492,7 +480,6 @@ class CellSpec(_Section):
     predictor: Optional[str] = _field(None, conv=_as_str)
     train_fraction: Optional[float] = _field(None, conv=_as_float)
     backfill_depth: Optional[int] = _field(None, conv=_as_int)
-    dvfs_floor: Optional[float] = _field(None, conv=_as_float)
     fairshare_decay: Optional[float] = _field(None, conv=_as_float)
     outages: tuple[OutageSpec, ...] = _field(
         (), conv=_array(_section(OutageSpec)))

@@ -86,9 +86,7 @@ def _canonical_predictor(spec: str) -> dict[str, Any]:
     return {"kind": kind, "arg": float(arg) if arg else _PREDICTOR_DEFAULTS[kind]}
 
 
-def _canonical_scenario(
-    scenario: "Scenario", config: "CampaignConfig"
-) -> dict[str, Any]:
+def _canonical_scenario(scenario: "Scenario") -> dict[str, Any]:
     """The semantic content of one cell, independent of its spelling.
 
     Reads attributes by name (never ``dataclasses.fields`` order), so
@@ -104,9 +102,6 @@ def _canonical_scenario(
 
     * ``backfill_depth`` is dropped for FIFO (no backfill phase reads
       it);
-    * ``dvfs_floor`` is dropped when uncapped (the trim never runs, so
-      the floor is dead), and when it equals ``config.min_speed``
-      (writing the default out explicitly is the same simulation);
     * ``fairshare_decay`` is dropped when ``None`` (no priority
       wrapper).
 
@@ -145,10 +140,6 @@ def _canonical_scenario(
     depth = scenario.backfill_depth
     if depth is not None and policy != "fifo":
         entry["backfill_depth"] = int(depth)
-    floor = scenario.dvfs_floor
-    if floor is not None and cap is not None:
-        if float(floor) != float(config.min_speed):
-            entry["dvfs_floor"] = float(floor)
     if scenario.fairshare_decay is not None:
         entry["fairshare_decay"] = float(scenario.fairshare_decay)
     return entry
@@ -192,7 +183,7 @@ def scenario_key(config: "CampaignConfig", scenario: "Scenario") -> str:
     return _digest_of({
         "v": KEY_VERSION,
         "config": _canonical_config(config),
-        "scenario": _canonical_scenario(scenario, config),
+        "scenario": _canonical_scenario(scenario),
     })
 
 
@@ -213,7 +204,6 @@ def _scenario_to_dict(scenario: "Scenario") -> dict[str, Any]:
             [o.at_s, o.node_id, o.duration_s] for o in scenario.node_outages
         ],
         "backfill_depth": scenario.backfill_depth,
-        "dvfs_floor": scenario.dvfs_floor,
         "fairshare_decay": scenario.fairshare_decay,
         "label": scenario.label,
     }
@@ -228,6 +218,10 @@ def _scenario_from_dict(data: dict[str, Any]) -> "Scenario":
     # digest-identical, so any valid name loads as the plain cell.
     fields.pop("reference", None)
     resolve_core(fields.pop("core", None))
+    # Entries written while a cell could set its own DVFS floor carry a
+    # ``dvfs_floor`` (null unless set).  A set floor entered the key, so
+    # no cell today can ask for such an entry by its key.
+    fields.pop("dvfs_floor", None)
     fields["node_outages"] = tuple(
         NodeOutage(at_s=o[0], node_id=o[1], duration_s=o[2])
         for o in fields.get("node_outages", [])

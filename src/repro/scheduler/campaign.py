@@ -40,7 +40,7 @@ import numpy as np
 from .cache import ResultStore, scenario_key
 from .fairshare import EnergyFairShareScheduler
 from .job import Job
-from .policies import EasyBackfillScheduler, FifoScheduler, SchedulingPolicy
+from .policies import IDLE_NODE_POWER_W, EasyBackfillScheduler, FifoScheduler, SchedulingPolicy
 from .power_aware import PowerAwareScheduler, request_based_predictor
 from .simulate import ClusterSimulator, NodeOutage, SimulationResult
 from .workload import WorkloadConfig, WorkloadGenerator
@@ -93,9 +93,6 @@ class Scenario:
     #: Backfill scan depth behind the blocked head (None = whole queue).
     #: Read by the backfilling policies only; FIFO ignores it.
     backfill_depth: Optional[int] = None
-    #: Per-scenario DVFS floor: overrides ``CampaignConfig.min_speed``
-    #: (the slowest speed the reactive trim may throttle a job to).
-    dvfs_floor: Optional[float] = None
     #: Fairshare half-life in seconds: when set, the policy is wrapped in
     #: :class:`~repro.scheduler.fairshare.EnergyFairShareScheduler`
     #: (energy-charged priority ordering).  None = no fairshare layer.
@@ -118,8 +115,6 @@ class Scenario:
         if depth is not None and not _is_count(depth):
             raise ValueError(
                 f"backfill_depth must be a non-negative integer, got {depth!r}")
-        if self.dvfs_floor is not None and not 0.0 < self.dvfs_floor <= 1.0:
-            raise ValueError("DVFS floor must lie in (0, 1]")
         decay = self.fairshare_decay
         if decay is not None and not 0.0 < decay < math.inf:
             raise ValueError(
@@ -141,7 +136,7 @@ class CampaignConfig:
     n_jobs: int
     root_seed: int = 0
     load_factor: float = 0.85
-    idle_node_power_w: float = 300.0
+    idle_node_power_w: float = IDLE_NODE_POWER_W
     speed_exponent: float = 0.75
     min_speed: float = 0.3
 
@@ -338,10 +333,7 @@ def _simulate(
         idle_node_power_w=config.idle_node_power_w,
         cap_w=scenario.cap_w,
         speed_exponent=config.speed_exponent,
-        min_speed=(
-            scenario.dvfs_floor if scenario.dvfs_floor is not None
-            else config.min_speed
-        ),
+        min_speed=config.min_speed,
         node_outages=scenario.node_outages,
     )
     result = sim.run(test)

@@ -25,6 +25,9 @@ __all__ = [
     "EasyBackfillScheduler",
 ]
 
+#: What an idle node draws, in W: the power floor of the machine model.
+IDLE_NODE_POWER_W = 300.0
+
 
 @dataclass(frozen=True)
 class SchedulerContext:

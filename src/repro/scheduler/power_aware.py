@@ -17,8 +17,8 @@ The policy wraps EASY backfill with a *power envelope* admission test:
 * backfill candidates must respect both the node shadow and the power
   headroom.
 
-A ``headroom_margin`` derates the budget to absorb predictor error; the
-simulator's reactive trim (``ClusterSimulator(cap_w=...)`` in
+A :data:`HEADROOM_MARGIN` derates the budget to absorb predictor error;
+the simulator's reactive trim (``ClusterSimulator(cap_w=...)`` in
 :mod:`repro.scheduler.simulate`) catches whatever slips through.
 """
 
@@ -31,9 +31,12 @@ import numpy as np
 from ..observability import Observability, null_observability
 
 from .job import Job, JobRecord
-from .policies import ReadyView, SchedulerContext
+from .policies import IDLE_NODE_POWER_W, ReadyView, SchedulerContext
 
 __all__ = ["PowerAwareScheduler", "request_based_predictor"]
+
+#: Fraction of the budget held back to absorb predictor error.
+HEADROOM_MARGIN = 0.03
 
 PowerPredictor = Callable[[Job], float]
 
@@ -71,23 +74,19 @@ class PowerAwareScheduler:
         self,
         cap_w: float,
         predictor: PowerPredictor | None = None,
-        idle_node_power_w: float = 300.0,
-        headroom_margin: float = 0.03,
+        idle_node_power_w: float = IDLE_NODE_POWER_W,
         backfill_depth: Optional[int] = None,
         obs: Optional[Observability] = None,
     ):
         if not cap_w > 0:
             # ``not >`` so a NaN cap is rejected too (NaN compares false).
             raise ValueError(f"cap_w must be positive, got {cap_w!r}")
-        if not 0.0 <= headroom_margin < 1.0:
-            raise ValueError("headroom margin must lie in [0, 1)")
         if backfill_depth is not None and backfill_depth < 0:
             raise ValueError("backfill depth must be non-negative")
         self.cap_w = float(cap_w)
         self.backfill_depth = backfill_depth
         self.predictor = predictor if predictor is not None else request_based_predictor()
         self.idle_node_power_w = float(idle_node_power_w)
-        self.headroom_margin = float(headroom_margin)
         self.name = "power-aware"
         # Observability handles, resolved once (no-op when not wired in).
         self.obs = obs if obs is not None else null_observability()
@@ -120,19 +119,15 @@ class PowerAwareScheduler:
             rec.predicted_power_w = float(price)
 
     def _effective_budget(self) -> float:
-        return self.cap_w * (1.0 - self.headroom_margin)
+        return self.cap_w * (1.0 - HEADROOM_MARGIN)
 
-    def _predicted_system_power(self, ctx: SchedulerContext, extra: Sequence[JobRecord]) -> float:
-        """Predicted power of running + about-to-start jobs + idle nodes."""
+    def power_headroom_w(self, ctx: SchedulerContext) -> float:
+        """Budget minus the predicted draw of the running jobs and the
+        idle nodes (negative = over-committed)."""
         running_power = sum(self._predicted(r) for r in ctx.running)
-        extra_power = sum(self._predicted(r) for r in extra)
-        busy_nodes = sum(r.job.n_nodes for r in ctx.running) + sum(r.job.n_nodes for r in extra)
+        busy_nodes = sum(r.job.n_nodes for r in ctx.running)
         idle_nodes = max(ctx.total_nodes - busy_nodes, 0)
-        return running_power + extra_power + idle_nodes * self.idle_node_power_w
-
-    def power_headroom_w(self, ctx: SchedulerContext, extra: Sequence[JobRecord] = ()) -> float:
-        """Budget minus predicted draw (negative = over-committed)."""
-        return self._effective_budget() - self._predicted_system_power(ctx, extra)
+        return self._effective_budget() - (running_power + idle_nodes * self.idle_node_power_w)
 
     # -- policy interface ---------------------------------------------------------
     def select_batch(self, view: ReadyView) -> list[JobRecord]:

@@ -145,7 +145,6 @@ class CampaignService:
         self,
         config: CampaignConfig,
         scenarios: Sequence[Scenario],
-        keep_results: bool = False,
         label: str = "",
     ) -> CampaignJob:
         """Queue one campaign; returns its handle immediately."""
@@ -171,7 +170,6 @@ class CampaignService:
                     config,
                     scenarios,
                     processes=self.processes,
-                    keep_results=keep_results,
                     cache=self.store,
                     on_result=on_result,
                 )

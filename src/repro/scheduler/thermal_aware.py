@@ -61,8 +61,6 @@ class TimeVaryingBudgetScheduler:
         self,
         budget_fn: Callable[[float], float],
         predictor: PowerPredictor | None = None,
-        idle_node_power_w: float = 300.0,
-        headroom_margin: float = 0.03,
         lookahead_s: float = 0.0,
         lookahead_step_s: float = 900.0,
     ):
@@ -74,8 +72,6 @@ class TimeVaryingBudgetScheduler:
         self._inner = PowerAwareScheduler(
             cap_w=max(float(budget_fn(0.0)), 1.0),
             predictor=predictor,
-            idle_node_power_w=idle_node_power_w,
-            headroom_margin=headroom_margin,
         )
 
     def effective_budget_w(self, now_s: float) -> float:

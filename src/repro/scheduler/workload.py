@@ -54,21 +54,28 @@ DEFAULT_APP_MIX: dict[str, tuple[AppProfile, float]] = {
 }
 
 
+#: Users submitting the stream (``user0`` ... ``user11``).
+N_USERS = 12
+#: Runtimes and walltime requests are capped at a day, in s.
+MAX_WALLTIME_S = 24 * 3600.0
+#: The shortest true runtime, in s.
+MIN_RUNTIME_S = 60.0
+#: Log-normal parameters of the walltime overestimate (request / true
+#: runtime - 1).
+OVERESTIMATE_MU = 0.7
+OVERESTIMATE_SIGMA = 0.6
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
     """Shape of the synthetic job stream."""
 
     n_jobs: int = 200
-    n_users: int = 12
     cluster_nodes: int = 45
     load_factor: float = 0.85       # offered load vs cluster capacity
-    max_walltime_s: float = 24 * 3600.0
-    min_runtime_s: float = 60.0
-    overestimate_mu: float = 0.7    # log-normal mean of req/true ratio - 1
-    overestimate_sigma: float = 0.6
 
     def __post_init__(self) -> None:
-        if self.n_jobs < 1 or self.n_users < 1 or self.cluster_nodes < 1:
+        if self.n_jobs < 1 or self.cluster_nodes < 1:
             raise ValueError("counts must be positive")
         if not 0 < self.load_factor <= 2.0:
             raise ValueError("load factor must lie in (0, 2]")
@@ -103,29 +110,27 @@ class WorkloadGenerator:
     def __init__(
         self,
         config: WorkloadConfig = WorkloadConfig(),
-        app_mix: dict[str, tuple[AppProfile, float]] | None = None,
         rng: np.random.Generator | None = None,
     ):
         self.config = config
-        self.app_mix = app_mix if app_mix is not None else DEFAULT_APP_MIX
-        self._app_cdf = _cdf([w for _, w in self.app_mix.values()], "app mix weights")
+        self._app_cdf = _cdf([w for _, w in DEFAULT_APP_MIX.values()], "app mix weights")
         #: Per app, in mix order: (profile, log of its median runtime,
         #: node-count CDF over 1, 2, 4, ... nodes).
         self._apps = [
             (profile, float(np.log(profile.runtime_median_s)),
              _cdf(profile.node_count_weights, f"{profile.name} node-count weights"))
-            for profile, _ in self.app_mix.values()
+            for profile, _ in DEFAULT_APP_MIX.values()
         ]
         self.rng = rng if rng is not None else np.random.default_rng(0)
         #: Per-user power bias (some users run better-tuned inputs).
         self._user_bias = {
-            f"user{u}": float(self.rng.normal(1.0, 0.04)) for u in range(config.n_users)
+            f"user{u}": float(self.rng.normal(1.0, 0.04)) for u in range(N_USERS)
         }
 
     def _mean_interarrival_s(self) -> float:
         # Offered load: sum(nodes*runtime)/interarrival*n = load*cluster.
         exp_nodes, exp_runtime = 0.0, 0.0
-        for profile, weight in self.app_mix.values():
+        for profile, weight in DEFAULT_APP_MIX.values():
             sizes = 2 ** np.arange(len(profile.node_count_weights))
             w = np.asarray(profile.node_count_weights, dtype=float)
             w = w / w.sum()
@@ -133,7 +138,7 @@ class WorkloadGenerator:
             exp_runtime += weight * profile.runtime_median_s * float(
                 np.exp(profile.runtime_sigma**2 / 2)
             )
-        total_weight = sum(w for _, w in self.app_mix.values())
+        total_weight = sum(w for _, w in DEFAULT_APP_MIX.values())
         exp_nodes /= total_weight
         exp_runtime /= total_weight
         service_node_seconds = exp_nodes * exp_runtime
@@ -156,20 +161,20 @@ class WorkloadGenerator:
         exponential, random, integers = rng.exponential, rng.random, rng.integers
         lognormal, normal = rng.lognormal, rng.normal
         interarrival = self._mean_interarrival_s()
-        log_overestimate = np.log(cfg.overestimate_mu)
+        log_overestimate = np.log(OVERESTIMATE_MU)
         users = list(self._user_bias)
         apps, app_cdf = self._apps, self._app_cdf
-        min_rt, max_wall, max_nodes = cfg.min_runtime_s, cfg.max_walltime_s, cfg.cluster_nodes
+        min_rt, max_wall, max_nodes = MIN_RUNTIME_S, MAX_WALLTIME_S, cfg.cluster_nodes
         jobs: list[Job] = []
         t = 0.0
         for jid in range(cfg.n_jobs):
             t += float(exponential(interarrival))
             profile, log_median, node_cdf = apps[bisect_right(app_cdf, random())]
-            user = users[integers(0, cfg.n_users)]
+            user = users[integers(0, N_USERS)]
             runtime = min(max(float(lognormal(log_median, profile.runtime_sigma)), min_rt),
                           max_wall)
             n_nodes = min(1 << bisect_right(node_cdf, random()), max_nodes)
-            factor = 1.0 + float(lognormal(log_overestimate, cfg.overestimate_sigma))
+            factor = 1.0 + float(lognormal(log_overestimate, OVERESTIMATE_SIGMA))
             threads = _THREADS[integers(0, 4)]
             power = profile.mean_power_per_node_w * self._user_bias[user] * (
                 1.0 + float(normal(0.0, profile.power_cv))

@@ -342,8 +342,8 @@ class Environment:
     pays a single identity check per event for observability.
     """
 
-    def __init__(self, initial_time: float = 0.0, hooks: Optional[KernelHooks] = None):
-        self._now = float(initial_time)
+    def __init__(self, hooks: Optional[KernelHooks] = None):
+        self._now = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._counter = 0
         self._dispatched = 0

@@ -52,19 +52,21 @@ class UserStatement:
         return self.total_energy_j / 3.6e6
 
 
+#: Electricity price a bill charges, per kWh.
+PRICE_PER_KWH = 0.25
+#: The TSDB metric carrying each node's measured power.
+POWER_METRIC = "node_power"
+
+
 class EnergyAccountant:
     """Integrates measured node power over each job's allocation."""
 
-    def __init__(self, db: TimeSeriesDB, price_per_kwh: float = 0.25, metric: str = "node_power"):
-        if price_per_kwh < 0:
-            raise ValueError("price must be non-negative")
+    def __init__(self, db: TimeSeriesDB):
         self.db = db
-        self.price_per_kwh = float(price_per_kwh)
-        self.metric = metric
 
     def node_key(self, node_id: int) -> SeriesKey:
         """The TSDB series carrying one node's power."""
-        return SeriesKey.of(self.metric, node=str(node_id))
+        return SeriesKey.of(POWER_METRIC, node=str(node_id))
 
     def _energy_and_coverage(self, record: JobRecord) -> tuple[float, float]:
         """(energy_j, measured_fraction) for one finished job.
@@ -110,7 +112,7 @@ class EnergyAccountant:
             energy_j=energy,
             mean_power_w=energy / duration if duration > 0 else 0.0,
             duration_s=duration,
-            cost=energy / 3.6e6 * self.price_per_kwh,
+            cost=energy / 3.6e6 * PRICE_PER_KWH,
             measured_fraction=measured_fraction,
         )
 

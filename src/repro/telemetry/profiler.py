@@ -60,13 +60,10 @@ class RegionProfile:
 class PowerProfiler:
     """Attribute a measured power trace to instrumented regions."""
 
-    def __init__(self, trace: PowerTrace, clock_offset_s: float = 0.0):
+    def __init__(self, trace: PowerTrace):
         if len(trace) < 2:
             raise ValueError("profiling needs a trace with at least 2 samples")
-        #: Markers are shifted by this offset before attribution —
-        #: the residual clock error between the EG and the node.
         self.trace = trace
-        self.clock_offset_s = float(clock_offset_s)
 
     def _window_energy(self, t0: float, t1: float) -> float:
         """Trapezoidal energy over [t0, t1] with interpolated boundaries.
@@ -97,9 +94,7 @@ class PowerProfiler:
             raise ValueError("no phase markers supplied")
         acc: dict[str, list[tuple[float, float]]] = {}
         for m in markers:
-            t0 = m.t_enter_s + self.clock_offset_s
-            t1 = m.t_exit_s + self.clock_offset_s
-            energy = self._window_energy(t0, t1)
+            energy = self._window_energy(m.t_enter_s, m.t_exit_s)
             acc.setdefault(m.region, []).append((m.duration_s, energy))
         return {
             region: RegionProfile(

@@ -197,8 +197,6 @@ class TimeSeriesDB:
         return np.asarray(out_t, dtype=float), np.asarray(out_v, dtype=float)
 
     # -- size ------------------------------------------------------------------------
-    def sample_count(self, key: SeriesKey | None = None) -> int:
-        """Total samples stored (or in one series)."""
-        if key is not None:
-            return self._series[key].size if key in self._series else 0
+    def sample_count(self) -> int:
+        """Total samples stored across every series."""
         return sum(s.size for s in self._series.values())

@@ -170,7 +170,6 @@ class HarnessScenario:
     def build_jobs(self) -> list[Job]:
         config = WorkloadConfig(
             n_jobs=self.n_jobs,
-            n_users=4,
             cluster_nodes=self.n_nodes,
             load_factor=self.load_factor,
         )

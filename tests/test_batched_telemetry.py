@@ -12,6 +12,7 @@ from repro.cluster import ClusterBuilder
 from repro.faults import DrillConfig, FaultDrill, FaultKind, FaultSpec
 from repro.hardware import ComputeNode
 from repro.monitoring import GatewayArray, GatewayDaemon, MqttBroker
+from repro.monitoring import daemon as gateway_daemon
 from repro.sim import Environment
 
 #: One of every fault kind, with the sensor dropout kept clear of the
@@ -49,11 +50,11 @@ def run_drill(n_nodes: int, batched: bool, seed: int = 2026):
 
 
 class TestGatewayArrayUnit:
-    def _array(self, n=3, **kw):
+    def _array(self, n=3):
         env = Environment()
         broker = MqttBroker(clock=lambda: env.now)
         nodes = [ComputeNode(node_id=i) for i in range(n)]
-        array = GatewayArray(env, nodes, broker, period_s=0.5, **kw)
+        array = GatewayArray(env, nodes, broker, period_s=0.5)
         return env, broker, nodes, array
 
     def test_publishes_one_batch_per_tick(self):
@@ -112,10 +113,13 @@ class TestGatewayArrayUnit:
         assert stamps == sorted(stamps)
 
     def test_buffer_limit_drops_oldest_ticks(self):
-        env, broker, _, array = self._array(buffer_limit=2)
-        env.process(_outage(env, broker, start=0.1, end=3.9), name="outage")
-        env.run(until=5.0)
+        env, broker, _, array = self._array()
+        # Past the 4,096-tick ring: one probe tick every 8 s.
+        env.process(_outage(env, broker, start=0.1, end=33_000.0), name="outage")
+        env.run(until=32_999.0)
+        assert len(array._buffer) == 4096
         assert array.buffer_dropped_count > 0
+        env.run(until=33_010.0)
         assert array.backlog == 0  # drained after recovery
 
 
@@ -199,7 +203,7 @@ class TestInvariantsAtScale:
 
 
 class TestBacklogOrdering:
-    def test_reconnect_coinciding_with_tick_keeps_stamp_order(self):
+    def test_reconnect_coinciding_with_tick_keeps_stamp_order(self, monkeypatch):
         """Regression: when the recovery probe lands on the same instant
         as a sampling tick, the backlog must drain strictly before the
         live sample is published — subscribers see stamps in order."""
@@ -208,8 +212,9 @@ class TestBacklogOrdering:
         node = ComputeNode(node_id=0)
         # backoff == period: the successful probe is simultaneous with
         # the next scheduled tick.
-        daemon = GatewayDaemon(env, node, broker, period_s=1.0,
-                               retry_backoff_s=1.0, backoff_factor=1.0)
+        monkeypatch.setattr(gateway_daemon, "RETRY_BACKOFF_S", 1.0)
+        monkeypatch.setattr(gateway_daemon, "BACKOFF_FACTOR", 1.0)
+        daemon = GatewayDaemon(env, node, broker, period_s=1.0)
         stamps = []
         collector = broker.connect("c")
         collector.on_message = lambda m: stamps.append(m.payload["t"])

@@ -61,7 +61,6 @@ class ReorderedScenario:
 
     label: str = ""
     fairshare_decay: Optional[float] = None
-    dvfs_floor: Optional[float] = None
     backfill_depth: Optional[int] = None
     node_outages: tuple = ()
     train_fraction: float = 0.0
@@ -149,15 +148,6 @@ class TestKeyStability:
         plain = Scenario(policy="fifo")
         assert scenario_key(CONFIG, plain) == scenario_key(
             CONFIG, dataclasses.replace(plain, backfill_depth=4))
-        uncapped = Scenario(policy="easy")
-        assert scenario_key(CONFIG, uncapped) == scenario_key(
-            CONFIG, dataclasses.replace(uncapped, dvfs_floor=0.5))
-
-    def test_dvfs_floor_at_config_default_is_equivalent(self):
-        """Spelling the config's min_speed explicitly is the same cell."""
-        base = Scenario(policy="easy", cap_w=CAP)
-        spelled = dataclasses.replace(base, dvfs_floor=CONFIG.min_speed)
-        assert scenario_key(CONFIG, base) == scenario_key(CONFIG, spelled)
 
     def test_backfill_depth_respellings_collapse(self):
         """int-like spellings of one depth canonicalize identically."""
@@ -187,7 +177,7 @@ class TestKeyStability:
         o1 = NodeOutage(at_s=10.0, node_id=0, duration_s=60.0)
         o2 = NodeOutage(at_s=20.0, node_id=1, duration_s=60.0)
         entry = _canonical_scenario(
-            Scenario(policy="fifo", node_outages=(o1, o2)), CONFIG)
+            Scenario(policy="fifo", node_outages=(o1, o2)))
         assert entry["outages"] == [[10.0, 0, 60.0], [20.0, 1, 60.0]]
         # The pre-fix derivation listed outages in spec order; for a
         # sorted spec both derivations serialize identically.
@@ -261,7 +251,7 @@ class TestKeyDistinctness:
         dict(node_outages=(NodeOutage(at_s=10.0, node_id=0, duration_s=60.0),)),
         dict(backfill_depth=4),
         dict(backfill_depth=5),
-        dict(dvfs_floor=0.5),
+        dict(backfill_depth=0),
         dict(fairshare_decay=86400.0),
         dict(fairshare_decay=7 * 86400.0),
     ])
@@ -639,6 +629,29 @@ class TestDirectoryStore:
         meta = json.loads(path.read_text())
         del meta["check"]  # those markers predate the checksum
         meta["scenario"] = _annotated(meta["scenario"], flag, core)
+        path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")))
+
+        store = DirectoryResultStore(tmp_path / "store")
+        assert store.get(key).scenario == scenario
+        warm = run_campaign(CONFIG, [scenario], processes=1, cache=store)
+        assert (store.hits, store.misses) == (2, 0)
+        assert campaign_digest(warm) == campaign_digest(cold)
+
+    def test_entry_with_a_null_dvfs_floor_loads_and_hits(self, tmp_path):
+        """Entries written while a cell could set its own DVFS floor
+        carry ``"dvfs_floor": null`` in their scenario, under a valid
+        ``check``.  They load as the plain cell and a re-run replays
+        them."""
+        from repro.scheduler.cache import _marker_check
+
+        scenario = Scenario(policy="power-aware", cap_w=CAP)
+        cold = run_campaign(CONFIG, [scenario], processes=1,
+                            cache=DirectoryResultStore(tmp_path / "store"))
+        key = scenario_key(CONFIG, scenario)
+        path = tmp_path / "store" / f"{key}.json"
+        meta = json.loads(path.read_text())
+        meta["scenario"]["dvfs_floor"] = None
+        meta["check"] = _marker_check(meta)
         path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")))
 
         store = DirectoryResultStore(tmp_path / "store")

@@ -60,18 +60,18 @@ class TestBuilderTerminals:
 
     def test_build_gateway(self):
         broker = MqttBroker()
-        gw = ClusterBuilder(seed=1).build_gateway(7, broker=broker)
-        assert gw.node_id == 7
+        gw = ClusterBuilder(seed=1).build_gateway(broker=broker)
+        assert gw.node_id == 0 and gw.broker is broker
 
     def test_build_drill_maps_builder_knobs(self):
         drill = (ClusterBuilder(n_nodes=12, seed=11)
-                 .with_gateways(period_s=0.5, sensor_noise_w=3.0, batched=True)
+                 .with_gateways(period_s=0.5, batched=True)
                  .with_scheduler(cap_w=10_500.0)
                  .with_faults(n_jobs=6)
                  .build_drill())
         cfg = drill.config
         assert cfg.n_nodes == 12 and cfg.seed == 11
-        assert cfg.gateway_period_s == 0.5 and cfg.sensor_noise_w == 3.0
+        assert cfg.gateway_period_s == 0.5
         assert cfg.batched_telemetry is True
         assert cfg.power_budget_w == 10_500.0
         assert cfg.n_jobs == 6

@@ -34,12 +34,6 @@ class TestDavideSystemConstruction:
         system = DavideSystem(small_config())
         assert len(system.gateways) == 8
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DavideConfig(measurement_window_s=0.0)
-        with pytest.raises(ValueError):
-            DavideConfig(train_fraction=1.0)
-
 
 class TestCampaign:
     def test_full_pipeline_runs(self):

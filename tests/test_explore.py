@@ -109,8 +109,8 @@ class TestDesignSpace:
 
     def test_grid_is_cartesian_and_ordered(self):
         space = small_space()
-        lattice = space.grid(resolution=2)
-        assert len(lattice) == 2 * 2 * 2 == space.size(resolution=2)
+        lattice = space.grid()
+        assert len(lattice) == 3 * 3 * 2 == space.size()  # 3 levels per ordered axis
         assert lattice[0] == {"cap_w": 8_000.0, "backfill_depth": 1,
                               "policy": "easy"}
         # the last knob varies fastest
@@ -256,7 +256,7 @@ class TestExploreDeterminism:
         trace = explore(space, small_objective(), searcher="grid",
                         budget=6, seed=0, config=CONFIG)
         points = [s.point for s in trace.steps]
-        assert points[:4] == space.grid(3)[:4]
+        assert points[:4] == space.grid()[:4]
         assert points[4] == points[0]  # budget past the lattice cycles
         assert trace.steps[4].cache_hit is True
 
@@ -294,10 +294,9 @@ class TestExploreSearchQuality:
 class TestMakeSearcher:
     def test_make_searcher_builds_by_name(self):
         assert tuple(SEARCHERS) == ("random", "grid", "evolutionary")
-        searcher = make_searcher("evolutionary", seed=11, population=4)
+        searcher = make_searcher("evolutionary")
         assert type(searcher) is EvolutionarySearcher
         assert searcher.name == "evolutionary"
-        assert searcher.seed == 11 and searcher.population == 4
 
     def test_unknown_searcher_lists_known(self):
         with pytest.raises(KeyError,

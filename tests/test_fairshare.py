@@ -14,6 +14,7 @@ from repro.scheduler import (
     WorkloadConfig,
     WorkloadGenerator,
 )
+from repro.scheduler import workload
 
 
 def record(jid, user, nodes=2, runtime=100.0, energy=None, submit=0.0):
@@ -120,14 +121,15 @@ class TestPriorityScheduler:
         recs = {r.job.job_id: r for r in result.records}
         assert recs[2].start_time_s < recs[1].start_time_s  # light overtakes hog
 
-    def test_equal_users_no_size_weight_reduce_to_fifo_order(self):
+    def test_equal_users_no_size_weight_reduce_to_fifo_order(self, monkeypatch):
         # With one user (equal fairshare) and no size component, priority
         # is pure age — which is exactly submission order.
+        monkeypatch.setattr(workload, "N_USERS", 1)
         fs = FairShareState()
         prio_fn = MultifactorPriority(fs, weight_size=0.0, total_nodes=45)
         policy = PriorityScheduler(EasyBackfillScheduler(), prio_fn)
         jobs = WorkloadGenerator(
-            WorkloadConfig(n_jobs=60, cluster_nodes=45, load_factor=0.9, n_users=1),
+            WorkloadConfig(n_jobs=60, cluster_nodes=45, load_factor=0.9),
             rng=np.random.default_rng(0),
         ).generate()
         prio = ClusterSimulator(45, policy).run(jobs)

@@ -21,7 +21,7 @@ CAMPAIGN = [
 
 def _run(seed, extra=3):
     drill = FaultDrill(DrillConfig(seed=seed, n_nodes=8, n_jobs=10,
-                                   power_budget_w=8000.0, submit_horizon_s=60.0))
+                                   power_budget_w=8000.0))
     return drill.run(CAMPAIGN, extra_random_faults=extra)
 
 

@@ -15,6 +15,7 @@ from repro.monitoring import (
     compare_monitors,
     standard_monitors,
 )
+from repro.monitoring.gateway import DECIMATION
 from repro.power import (
     PhaseAlternation,
     PowerTrace,
@@ -38,7 +39,7 @@ class TestGatewayConfig:
         with pytest.raises(ValueError):
             GatewayConfig(adc_rate_hz=0)
         with pytest.raises(ValueError):
-            GatewayConfig(decimation=0)
+            GatewayConfig(publish_batch=0)
 
 
 class TestEnergyGateway:
@@ -63,8 +64,8 @@ class TestEnergyGateway:
         measured = eg.acquire(truth)
         period = 1.0 / eg.config.adc_rate_hz
         instants = np.arange(truth.times_s[0], truth.times_s[-1] + 1e-12, period)
-        n = len(instants) // eg.config.decimation
-        centres = instants[:n * eg.config.decimation].reshape(n, -1).mean(axis=1)
+        n = len(instants) // DECIMATION
+        centres = instants[:n * DECIMATION].reshape(n, -1).mean(axis=1)
         assert np.array_equal(measured.times_s, centres)
 
     def test_publish_and_reassemble_roundtrip(self):
@@ -160,15 +161,12 @@ class TestComparisonHarness:
 class TestChannelMultiplexing:
     def test_rails_sampled_at_staggered_phases(self):
         """The 8-channel mux staggers rail sampling instants (III-A1)."""
-        import numpy as np
-        from repro.power import trace_from_function
-
-        broker = MqttBroker()
-        eg = EnergyGateway(0, broker, config=GatewayConfig(adc_rate_hz=100e3, decimation=1))
-        truth = trace_from_function(lambda t: np.full_like(t, 1000.0), 0.001, 1e6)
-        t0 = eg.acquire(truth, rail="cpu0", channel=0).times_s[0]
-        t1 = eg.acquire(truth, rail="cpu1", channel=1).times_s[0]
-        t4 = eg.acquire(truth, rail="gpu2", channel=4).times_s[0]
+        adc = EnergyGateway(0, MqttBroker()).adc
+        n = adc.spec.n_channels
+        volts = trace_from_function(lambda t: np.full_like(t, 1.0), 0.001, 1e6)
+        t0, t1, t4 = (adc.sample(volts, 100e3, channel_phase=k / n).times_s[0]
+                      for k in (0, 1, 4))
         period = 1.0 / 100e3
+        assert n == 8
         assert t1 - t0 == pytest.approx(period / 8, rel=1e-6)
         assert t4 - t0 == pytest.approx(4 * period / 8, rel=1e-6)

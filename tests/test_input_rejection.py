@@ -42,9 +42,9 @@ import numpy as np
 import pytest
 
 from repro.cooling import LIQUID_COOLED_GPU, ThrottleGovernor
-from repro.core import DavideConfig
 from repro.hardware import ComputeNode
 from repro.monitoring import CappingAgent, GatewayArray, GatewayDaemon, MqttBroker
+from repro.network import FatTree
 from repro.runtime import ConfigError, load
 from repro.runtime.cli import main
 from repro.scheduler import (
@@ -236,13 +236,6 @@ class TestNonFiniteAndInfeasibleInputs:
         with pytest.raises(ValueError, match="idle_node_power_w"):
             ClusterSimulator(4, FifoScheduler(), idle_node_power_w=-1e-9)
 
-    @pytest.mark.parametrize("idle_w", [_NAN, float("inf"), 0.0],
-                             ids=["nan", "inf", "zero"])
-    def test_davide_config_refuses_the_idle_power(self, idle_w):
-        with pytest.raises(ValueError, match=rf"idle_node_power_w must be positive "
-                                             rf"and finite, got {idle_w!r}"):
-            DavideConfig(idle_node_power_w=idle_w)
-
     def test_nan_cap_rejected_by_the_simulator(self):
         with pytest.raises(ValueError, match="cap_w=nan"):
             ClusterSimulator(4, FifoScheduler(), cap_w=float("nan"))
@@ -283,9 +276,21 @@ class TestNonFiniteThermalInputs:
          lambda: ThrottleGovernor().run(LIQUID_COOLED_GPU(), 300.0, _NAN)),
         ("dt_s", _NAN,
          lambda: ThrottleGovernor().run(LIQUID_COOLED_GPU(), 300.0, 10.0, dt_s=_NAN)),
+        ("boundary_temp_c", _NAN, lambda: LIQUID_COOLED_GPU(coolant_temp_c=_NAN)),
+        ("boundary_temp_c", float("inf"),
+         lambda: LIQUID_COOLED_GPU(coolant_temp_c=float("inf"))),
+        ("temp_c", _NAN, lambda: LIQUID_COOLED_GPU().reset(_NAN)),
+        ("throttle_temp_c", _NAN, lambda: ThrottleGovernor(throttle_temp_c=_NAN)),
+        ("release_temp_c", _NAN, lambda: ThrottleGovernor(release_temp_c=_NAN)),
+        ("idle_power_fraction", _NAN,
+         lambda: ThrottleGovernor(idle_power_fraction=_NAN)),
+        ("idle_power_fraction", 1.0,
+         lambda: ThrottleGovernor(idle_power_fraction=1.0)),
     ], ids=["step-power-nan", "step-power-inf", "step-dt-nan", "run-power-nan",
             "run-duration-nan", "run-dt-nan", "governor-demand-nan",
-            "governor-demand-inf", "governor-duration-nan", "governor-dt-nan"])
+            "governor-demand-inf", "governor-duration-nan", "governor-dt-nan",
+            "coolant-nan", "coolant-inf", "reset-nan", "throttle-temp-nan",
+            "release-temp-nan", "idle-fraction-nan", "idle-fraction-one"])
     def test_names_the_field(self, field, value, call):
         with pytest.raises(ValueError, match=rf"{field} must be .*, got {value!r}"):
             call()
@@ -296,6 +301,20 @@ class TestNonFiniteThermalInputs:
         assert die == pytest.approx(35.0 + 300.0 * (0.05 + 0.065))
         run = ThrottleGovernor().run(LIQUID_COOLED_GPU(), 300.0, 10.0, dt_s=float("inf"))
         assert run.max_die_temp_c == pytest.approx(die)
+
+
+class TestFatTreeOversubscription:
+    """The leaf sizing takes ``int()`` of a ratio built from the
+    oversubscription; a NaN or infinite one used to die there, naming
+    nothing."""
+
+    @pytest.mark.parametrize("value", [_NAN, float("inf"), 0.5],
+                             ids=["nan", "inf", "below-one"])
+    def test_names_the_field_and_value(self, value):
+        with pytest.raises(ValueError,
+                           match=rf"oversubscription must be finite and >= 1\.0, "
+                                 rf"got {value!r}"):
+            FatTree(45, 36, value)
 
 
 class TestNaNCapOrPeriod:
@@ -375,12 +394,6 @@ class TestValuesTheRunCannotUseFailAtLoad:
          r"campaign\.seeds\[1\] must be non-negative, got -2"),
         ("live", ("live", "seed"), -3, ConfigError,
          r"live\.seed must be non-negative, got -3"),
-        ("live", ("cap", "hysteresis_w"), -1.0, ConfigError,
-         r"cap\.hysteresis_w must be non-negative, got -1\.0"),
-        ("live", ("cap", "actuation_delay_s"), -0.5, ConfigError,
-         r"cap\.actuation_delay_s must be non-negative, got -0\.5"),
-        ("live", ("live", "sensor_noise_w"), -2.0, ConfigError,
-         r"live\.sensor_noise_w must be non-negative, got -2\.0"),
         ("campaign", ("outage",), [dict(_OUTAGE, node_id=99)], ConfigError,
          r"outage\[0\]\.node_id must be below machine\.n_nodes = 4, got 99"),
         ("campaign", ("campaign", "cells", 0, "outages"),
@@ -392,28 +405,24 @@ class TestValuesTheRunCannotUseFailAtLoad:
          r"exploration\.space\(\) got an unexpected keyword argument 'cap_ww'"),
         ("exploration", ("exploration", "base"), {"label": "x"}, TypeError,
          r"exploration\.base\(\) got an unexpected keyword argument 'label'"),
-        ("exploration", ("exploration", "base"), {"dvfs_floor": _NAN},
-         ConfigError, r"exploration\.base\.dvfs_floor must be a finite number"),
+        ("exploration", ("exploration", "base"), {"fairshare_decay": _NAN},
+         ConfigError, r"exploration\.base\.fairshare_decay must be a finite number"),
         ("exploration", ("exploration", "space", "policy", "choices"),
          ["easy", _NAN], ConfigError,
          r"exploration\.space\.policy\.choices\[1\] must be a finite number"),
         ("campaign", ("policy", "name"), "fairshare", ConfigError,
          r"policy\.name: 'fairshare' is not one of "
          r"\('fifo', 'easy', 'power-aware'\)"),
-        ("campaign", ("workload", "generator"), "qe", ConfigError,
-         r"workload\.generator: 'qe' is not one of \('davide',\)"),
-        ("live", ("workload",), {"generator": "qe"}, ConfigError,
-         r"workload\.generator: 'qe' is not one of \('davide',\)"),
-        ("exploration", ("workload", "generator"), "qe", ConfigError,
-         r"workload\.generator: 'qe' is not one of \('davide',\)"),
-        ("exploration", ("exploration", "base"), {"dvfs_floor": 5.0}, ConfigError,
-         r"exploration\.base\.dvfs_floor = 5\.0: DVFS floor must lie in \(0, 1\]"),
+        ("exploration", ("exploration", "base"), {"train_fraction": 5.0}, ConfigError,
+         r"exploration\.base\.train_fraction = 5\.0: train fraction must lie in "
+         r"\[0, 1\)"),
         ("exploration", ("exploration",), dict(
             _CONFIGS["exploration"]["exploration"], searcher="grid",
-            space={"dvfs_floor": {"type": "continuous", "lo": 0.0, "hi": 1.0},
+            space={"fairshare_decay": {"type": "continuous", "lo": 0.0, "hi": 1.0},
                    "policy": {"type": "categorical", "choices": ["easy"]}}),
          ConfigError,
-         r"exploration\.space\.dvfs_floor = 0\.0: DVFS floor must lie in \(0, 1\]"),
+         r"exploration\.space\.fairshare_decay = 0\.0: fairshare_decay must be "
+         r"positive and finite, got 0\.0"),
         ("exploration", ("exploration", "space"),
          {"policy": {"type": "categorical", "choices": ["easy", "power-aware"]}},
          ConfigError,
@@ -434,11 +443,9 @@ class TestValuesTheRunCannotUseFailAtLoad:
          r"exploration\.space\.seed_index = 0\.0: seed_index must be "
          r"a non-negative integer, got 0\.0"),
     ], ids=["speed-exponent", "speed-floor-underflow", "workload-seed",
-            "campaign-seeds", "live-seed",
-            "hysteresis", "actuation-delay", "sensor-noise", "outage-node",
+            "campaign-seeds", "live-seed", "outage-node",
             "cell-outage-node", "space-knob-name", "base-field-name",
             "base-nan", "choices-nan", "policy-fairshare",
-            "generator-campaign", "generator-live", "generator-exploration",
             "base-out-of-range", "grid-knob-lo-out-of-range",
             "choice-needs-a-cap", "base-negative-cap", "continuous-depth",
             "continuous-seed"])
@@ -456,6 +463,37 @@ class TestValuesTheRunCannotUseFailAtLoad:
         for command in ("report", _SUBCOMMAND[kind]):
             assert main([command, str(config)]) == 2
             assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, table, key, value", [
+        ("campaign", ("workload",), "generator", "davide"),
+        ("live", ("cap",), "hysteresis_w", 25.0),
+        ("live", ("cap",), "actuation_delay_s", 0.01),
+        ("live", ("live",), "period_s", 0.1),
+        ("live", ("live",), "batched", False),
+        ("live", ("live",), "sensor_noise_w", 2.0),
+        ("live", ("observability",), "max_spans", 65536),
+        ("campaign", ("policy",), "dvfs_floor", 0.5),
+        ("campaign", ("campaign", "cells", 0), "dvfs_floor", 0.5),
+    ], ids=["workload.generator", "cap.hysteresis_w", "cap.actuation_delay_s",
+            "live.period_s", "live.batched", "live.sensor_noise_w",
+            "observability.max_spans", "policy.dvfs_floor", "cells.dvfs_floor"])
+    def test_a_retired_key_fails_at_load_naming_it(
+            self, tmp_path, capsys, kind, table, key, value):
+        """Each of these keys had one value in every config that ran;
+        the value is a constant now, and a file that still sets it (even
+        to that value) is refused, like any unknown key."""
+        data = copy.deepcopy(_CONFIGS[kind])
+        node = data
+        for name in table:
+            node = node[name] if isinstance(node, list) else node.setdefault(name, {})
+        node[key] = value
+        config = tmp_path / "retired.json"
+        config.write_text(json.dumps(data))
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+            load(config)
+        for command in ("report", _SUBCOMMAND[kind]):
+            assert main([command, str(config)]) == 2
+            assert f"'{key}'" in capsys.readouterr().err
 
     def test_simulator_rejects_a_non_positive_speed_exponent(self):
         with pytest.raises(ValueError,

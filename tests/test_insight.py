@@ -53,11 +53,9 @@ class TestPowerAnomalyDetector:
         assert findings[0].value == pytest.approx(3200.0)
 
     def test_short_trace_skipped(self):
-        assert PowerAnomalyDetector(window=64).scan(trace_of(np.ones(10))) == []
+        assert PowerAnomalyDetector().scan(trace_of(np.ones(10))) == []
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PowerAnomalyDetector(window=4)
         with pytest.raises(ValueError):
             PowerAnomalyDetector(threshold=0.0)
 
@@ -70,10 +68,12 @@ class TestHazardDetector:
         assert any(f.severity == "critical" for f in findings)
 
     def test_sustained_near_limit_warning(self):
-        det = HazardDetector(limit_w=30e3, warn_fraction=0.9, dwell_s=0.3)
-        tr = trace_of(np.full(100, 28e3))  # 93% of limit for 1 s
+        det = HazardDetector(limit_w=30e3)
+        tr = trace_of(np.full(600, 28e3))  # 93% of the limit for 6 s
         findings = det.scan(tr)
         assert [f.severity for f in findings] == ["warning"]
+        # Under the 5 s dwell, the same level is not flagged.
+        assert det.scan(trace_of(np.full(400, 28e3))) == []
 
     def test_comfortable_margin_silent(self):
         det = HazardDetector(limit_w=30e3)
@@ -82,8 +82,6 @@ class TestHazardDetector:
     def test_validation(self):
         with pytest.raises(ValueError):
             HazardDetector(limit_w=0.0)
-        with pytest.raises(ValueError):
-            HazardDetector(limit_w=1.0, warn_fraction=1.0)
 
 
 class TestEfficiencyAuditor:
@@ -123,8 +121,6 @@ class TestEfficiencyAuditor:
         assert auditor.audit_idle_capacity(utilization=0.4, queue_length=0) == []
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EfficiencyAuditor(underdraw_fraction=1.0)
         with pytest.raises(ValueError):
             EfficiencyAuditor().audit_idle_capacity(utilization=1.5, queue_length=0)
         with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from repro.faults import (
     node_timestamps_monotonic,
     requeued_jobs_completed,
 )
+from repro.faults import drill as drill_module
 from repro.scheduler import JobState
 from repro.sim import Environment
 
@@ -108,13 +109,13 @@ class TestBuiltinInvariants:
         assert "ledger" in fn(bad)
 
     def test_energy_ledger_relative_tolerance(self):
-        fn = energy_ledger_balances(rel_tol=1e-6)
+        fn = energy_ledger_balances()
         nearly = SimpleNamespace(records={0: _rec(1e9)},
                                  idle_energy_j=0.0, total_energy_j=1e9 + 100.0)
         assert fn(nearly) is None  # 1e-7 relative: inside tolerance
 
     def test_cap_respected_within_settling(self):
-        fn = cap_respected(settling_s=5.0, tol_w=1.0)
+        fn = cap_respected(settling_s=5.0)
         state = SimpleNamespace(
             power_steps=[(0.0, 90.0), (10.0, 120.0), (13.0, 80.0), (20.0, 80.0)],
             cap_steps=[(0.0, 100.0)],
@@ -122,7 +123,7 @@ class TestBuiltinInvariants:
         assert fn(state) is None  # 3 s overage < 5 s settling window
 
     def test_cap_violated_beyond_settling(self):
-        fn = cap_respected(settling_s=5.0, tol_w=1.0)
+        fn = cap_respected(settling_s=5.0)
         state = SimpleNamespace(
             power_steps=[(0.0, 90.0), (10.0, 120.0), (17.0, 80.0), (20.0, 80.0)],
             cap_steps=[(0.0, 100.0)],
@@ -131,7 +132,7 @@ class TestBuiltinInvariants:
 
     def test_cap_overage_intervals_merge(self):
         # Two adjacent over-cap steps form one 6 s overage interval.
-        fn = cap_respected(settling_s=5.0, tol_w=1.0)
+        fn = cap_respected(settling_s=5.0)
         state = SimpleNamespace(
             power_steps=[(0.0, 90.0), (10.0, 120.0), (13.0, 110.0), (16.0, 80.0), (20.0, 80.0)],
             cap_steps=[(0.0, 100.0)],
@@ -141,7 +142,7 @@ class TestBuiltinInvariants:
     def test_cap_steps_tracked(self):
         # The cap itself changes mid-run; overage judged against the
         # active cap at each instant.
-        fn = cap_respected(settling_s=2.0, tol_w=1.0)
+        fn = cap_respected(settling_s=2.0)
         state = SimpleNamespace(
             power_steps=[(0.0, 120.0), (30.0, 120.0)],
             cap_steps=[(0.0, 150.0), (10.0, 100.0)],  # cap drops under power
@@ -169,18 +170,25 @@ class TestBuiltinInvariants:
         assert "node 1" in fn(SimpleNamespace(sample_times={1: [0.0, 2.0, 1.5]}))
 
 
-def _small_config(**kw):
-    kw.setdefault("n_nodes", 8)
-    kw.setdefault("n_jobs", 10)
-    kw.setdefault("job_runtime_s", (10.0, 30.0))
-    kw.setdefault("submit_horizon_s", 60.0)
-    kw.setdefault("power_budget_w", 8000.0)
-    return DrillConfig(**kw)
+@pytest.fixture
+def small_drill(monkeypatch):
+    """Config factory for a short drill: 10 jobs of 10-30 s arriving over
+    the first 60 s on 8 nodes (the job shape is a module constant)."""
+    monkeypatch.setattr(drill_module, "JOB_RUNTIME_S", (10.0, 30.0))
+    monkeypatch.setattr(drill_module, "SUBMIT_HORIZON_S", 60.0)
+
+    def config(**kw):
+        kw.setdefault("n_nodes", 8)
+        kw.setdefault("n_jobs", 10)
+        kw.setdefault("power_budget_w", 8000.0)
+        return DrillConfig(**kw)
+
+    return config
 
 
 class TestDrillUnderFaults:
-    def test_node_crash_requeues_and_everything_completes(self):
-        drill = FaultDrill(_small_config(seed=3))
+    def test_node_crash_requeues_and_everything_completes(self, small_drill):
+        drill = FaultDrill(small_drill(seed=3))
         report = drill.run([
             FaultSpec(FaultKind.NODE_CRASH, at_s=12.0, duration_s=20.0, target=0),
             FaultSpec(FaultKind.NODE_CRASH, at_s=18.0, duration_s=20.0, target=5),
@@ -190,8 +198,8 @@ class TestDrillUnderFaults:
         # The crashes hit running nodes at t=12/18 on an 8-node cluster.
         assert report.summary["total_requeues"] >= 1
 
-    def test_broker_outage_is_buffered_not_lost(self):
-        drill = FaultDrill(_small_config(seed=4))
+    def test_broker_outage_is_buffered_not_lost(self, small_drill):
+        drill = FaultDrill(small_drill(seed=4))
         report = drill.run([
             FaultSpec(FaultKind.BROKER_OUTAGE, at_s=10.0, duration_s=20.0),
         ])
@@ -203,8 +211,9 @@ class TestDrillUnderFaults:
         assert report.summary["failsafe_engagements"] == 1
         assert not drill.failsafe_active
 
-    def test_psu_failure_retargets_cap(self):
-        cfg = _small_config(seed=5, shelf_psus=3, shelf_psu_rating_w=3000.0)
+    def test_psu_failure_retargets_cap(self, small_drill, monkeypatch):
+        monkeypatch.setattr(drill_module, "SHELF_PSUS", 3)
+        cfg = small_drill(seed=5, shelf_psu_rating_w=3000.0)
         drill = FaultDrill(cfg)
         report = drill.run([
             FaultSpec(FaultKind.PSU_FAILURE, at_s=15.0, duration_s=30.0),
@@ -215,8 +224,8 @@ class TestDrillUnderFaults:
         assert drill.cap_steps[-1][1] == pytest.approx(8000.0)  # restored
         assert drill.policy.cap_w == pytest.approx(8000.0)
 
-    def test_sensor_faults_never_break_invariants(self):
-        drill = FaultDrill(_small_config(seed=6))
+    def test_sensor_faults_never_break_invariants(self, small_drill):
+        drill = FaultDrill(small_drill(seed=6))
         report = drill.run([
             FaultSpec(FaultKind.SENSOR_DROPOUT, at_s=8.0, duration_s=15.0, target=2),
             FaultSpec(FaultKind.SENSOR_SPIKE, at_s=20.0, duration_s=10.0, target=3,
@@ -247,15 +256,15 @@ class TestDrillUnderFaults:
         assert report.summary["jobs_completed"] == drill.config.n_jobs
         assert report.summary["invariant_checks"] > 10
 
-    def test_fault_free_run_is_clean(self):
-        report = FaultDrill(_small_config(seed=8)).run([])
+    def test_fault_free_run_is_clean(self, small_drill):
+        report = FaultDrill(small_drill(seed=8)).run([])
         assert report.ok
         assert report.summary["faults_injected"] == 0
         assert report.summary["total_requeues"] == 0
         assert report.summary["failsafe_engagements"] == 0
 
-    def test_tampered_ledger_is_detected(self):
-        drill = FaultDrill(_small_config(seed=9))
+    def test_tampered_ledger_is_detected(self, small_drill):
+        drill = FaultDrill(small_drill(seed=9))
         report = drill.run([])
         assert report.ok
         # Lose some joules behind the accountant's back: caught.
@@ -263,16 +272,16 @@ class TestDrillUnderFaults:
         found = drill.checker.check(drill, drill.env.now)
         assert [v.name for v in found] == ["energy-ledger"]
 
-    def test_fail_fast_drill_raises_on_violation(self):
-        drill = FaultDrill(_small_config(seed=10), fail_fast=True)
+    def test_fail_fast_drill_raises_on_violation(self, small_drill):
+        drill = FaultDrill(small_drill(seed=10), fail_fast=True)
         report = drill.run([])  # healthy run: no raise
         assert report.ok
         drill.total_energy_j += 5000.0
         with pytest.raises(InvariantViolation, match="energy-ledger"):
             drill.checker.check(drill, drill.env.now)
 
-    def test_overlapping_same_target_fault_skipped(self):
-        drill = FaultDrill(_small_config(seed=11))
+    def test_overlapping_same_target_fault_skipped(self, small_drill):
+        drill = FaultDrill(small_drill(seed=11))
         report = drill.run([
             FaultSpec(FaultKind.SENSOR_DROPOUT, at_s=5.0, duration_s=20.0, target=0),
             FaultSpec(FaultKind.SENSOR_DROPOUT, at_s=10.0, duration_s=20.0, target=0),

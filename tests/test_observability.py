@@ -41,7 +41,7 @@ CAMPAIGN = [
 def _drill_config(observability, n_nodes=8, **over):
     fields = dict(
         seed=42, n_nodes=n_nodes, n_jobs=10, power_budget_w=1000.0 * n_nodes,
-        submit_horizon_s=60.0, batched_telemetry=True, observability=observability,
+        batched_telemetry=True, observability=observability,
     )
     fields.update(over)
     return DrillConfig(**fields)
@@ -135,16 +135,17 @@ class TestTracer:
             tracer.record("async.work", 1.0)
         (work,) = tracer.named("async.work")
         assert work.t_start_s == 1.0 and work.t_end_s == 5.0
-        # record() must not parent to the open tick implicitly unless asked.
+        # record() never parents to the open tick.
         assert work.parent_id is None
 
     def test_bounded_retention_counts_drops(self):
-        tracer = Tracer(clock=lambda: 0.0, max_spans=4)
-        for i in range(10):
+        tracer = Tracer(clock=lambda: 0.0)
+        for i in range(65_536 + 6):
             tracer.record(f"s{i}", 0.0)
-        assert len(tracer) == 4
+        assert len(tracer) == 65_536
         assert tracer.dropped == 6
-        assert tracer.started == 10
+        assert tracer.started == 65_536 + 6
+        assert tracer.spans[0].name == "s6"
 
     def test_null_tracer_is_inert(self):
         tracer = NullTracer()
@@ -230,8 +231,7 @@ class TestDrillDigestUnchanged:
     def test_256_node_drill_byte_identical(self):
         digests = {}
         for flag in (False, True):
-            drill = FaultDrill(_drill_config(observability=flag, n_nodes=256,
-                                             n_jobs=24, job_nodes_max=8))
+            drill = FaultDrill(_drill_config(observability=flag, n_nodes=256, n_jobs=24))
             digests[flag] = drill.run(CAMPAIGN, extra_random_faults=2).log.digest()
         assert digests[True] == digests[False]
 

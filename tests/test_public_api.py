@@ -96,7 +96,7 @@ def _build(owner, **kw):
 
     env, node, broker = _env_node_broker()
     space, objective, config = _explore_problem()
-    calls = {
+    calls = {**_retired_calls(env, node, broker, space, kw),
         "GatewayDaemon": lambda: GatewayDaemon(env, node, broker, **kw),
         "GatewayArray": lambda: GatewayArray(env, [node], broker, **kw),
         "CappingAgent": lambda: CappingAgent(env, node, broker, **kw),
@@ -121,6 +121,82 @@ def _build(owner, **kw):
         "Instrumentation": lambda: Instrumentation(clock=lambda: 0.0, **kw),
     }
     return calls[owner]()
+
+
+def _retired_calls(env, node, broker, space, kw):
+    """The owners of the options retired as module constants."""
+    from repro.cluster import ClusterBuilder
+    from repro.core import DavideConfig
+    from repro.explore import Categorical, Continuous, Integer, Objective
+    from repro.explore.searchers import EvolutionarySearcher, GridSearcher
+    from repro.faults import DrillConfig, cap_respected, energy_ledger_balances
+    from repro.monitoring import (CappingAgent, EfficiencyAuditor, EnergyGateway,
+                                  GatewayConfig, HazardDetector, IpmiMonitor,
+                                  PowerAnomalyDetector)
+    from repro.observability import NullTracer, Observability, Tracer
+    from repro.scheduler import (CampaignService, PowerAwareScheduler,
+                                 SimulationResult, TimeVaryingBudgetScheduler,
+                                 WorkloadConfig, WorkloadGenerator, make_searcher)
+    from repro.sim import Environment
+    from repro.telemetry import EnergyAccountant, PowerProfiler, TimeSeriesDB
+
+    gateway = EnergyGateway(0, broker)
+    builder = ClusterBuilder(n_nodes=2)
+    return {
+        "EnergyGateway": lambda: EnergyGateway(0, broker, **kw),
+        "EnergyGateway.acquire": lambda: gateway.acquire(None, **kw),
+        "EnergyGateway.publish_trace": lambda: gateway.publish_trace(None, **kw),
+        "EnergyGateway.acquire_and_publish":
+            lambda: gateway.acquire_and_publish(None, **kw),
+        "GatewayConfig": lambda: GatewayConfig(**kw),
+        "PowerAnomalyDetector": lambda: PowerAnomalyDetector(**kw),
+        "HazardDetector": lambda: HazardDetector(1_000.0, **kw),
+        "EfficiencyAuditor": lambda: EfficiencyAuditor(**kw),
+        "EfficiencyAuditor.audit_idle_capacity":
+            lambda: EfficiencyAuditor().audit_idle_capacity(0.5, 0, **kw),
+        "IpmiMonitor": lambda: IpmiMonitor(**kw),
+        "ClusterBuilder": lambda: ClusterBuilder(**kw),
+        "with_gateways": lambda: builder.with_gateways(**kw),
+        "with_capping": lambda: builder.with_capping(1_500.0, **kw),
+        "with_observability": lambda: builder.with_observability(**kw),
+        "build_rack": lambda: builder.build_rack(**kw),
+        "build_gateway": lambda: builder.build_gateway(**kw),
+        "energy_ledger_balances": lambda: energy_ledger_balances(**kw),
+        "cap_respected": lambda: cap_respected(6.0, **kw),
+        "GridSearcher": lambda: GridSearcher(**kw),
+        "EvolutionarySearcher": lambda: EvolutionarySearcher(**kw),
+        "make_searcher": lambda: make_searcher("random", **kw),
+        "Continuous.mutate": lambda: Continuous(0.0, 1.0).mutate(0.5, None, **kw),
+        "Integer.mutate": lambda: Integer(0, 4).mutate(2, None, **kw),
+        "Categorical.mutate": lambda: Categorical(("a",)).mutate("a", None, **kw),
+        "DesignSpace.mutate": lambda: space.mutate({}, None, **kw),
+        "DesignSpace.grid": lambda: space.grid(**kw),
+        "DesignSpace.size": lambda: space.size(**kw),
+        "Objective.blend": lambda: Objective.blend({"total_energy_j": 1.0}, **kw),
+        "Observability": lambda: Observability(**kw),
+        "Tracer": lambda: Tracer(**kw),
+        "Tracer.start": lambda: Tracer().start("x", **kw),
+        "Tracer.span": lambda: Tracer().span("x", **kw),
+        "Tracer.record": lambda: Tracer().record("x", 0.0, **kw),
+        "NullTracer.start": lambda: NullTracer().start("x", **kw),
+        "NullTracer.span": lambda: NullTracer().span("x", **kw),
+        "NullTracer.record": lambda: NullTracer().record("x", 0.0, **kw),
+        "PowerAwareScheduler.power_headroom_w":
+            lambda: PowerAwareScheduler(cap_w=1_000.0).power_headroom_w(None, **kw),
+        "TimeVaryingBudgetScheduler":
+            lambda: TimeVaryingBudgetScheduler(lambda t: 1_000.0, **kw),
+        "CampaignService.submit": lambda: CampaignService.submit(None, None, [], **kw),
+        "SimulationResult.mean_bounded_slowdown":
+            lambda: SimulationResult.mean_bounded_slowdown(None, **kw),
+        "WorkloadGenerator": lambda: WorkloadGenerator(**kw),
+        "WorkloadConfig": lambda: WorkloadConfig(**kw),
+        "Environment": lambda: Environment(**kw),
+        "EnergyAccountant": lambda: EnergyAccountant(TimeSeriesDB(), **kw),
+        "PowerProfiler": lambda: PowerProfiler(None, **kw),
+        "TimeSeriesDB.sample_count": lambda: TimeSeriesDB().sample_count(**kw),
+        "DavideConfig": lambda: DavideConfig(**kw),
+        "CappingAgent": lambda: CappingAgent(env, node, broker, cap_w=1_500.0, **kw),
+    }
 
 
 #: The one spelling each callable takes for its cadence, ceiling, seed
@@ -158,7 +234,66 @@ _REMOVED_SPELLINGS = [
     ("SensorWatchdog", "stale_after_s"),
     ("ComponentConfig", "smt_level"), ("ComponentConfig", "cpu_frequency_hz"),
     ("ComponentConfig", "memory_throttle"), ("Instrumentation", "api"),
-]
+] + [(owner, name) for owner, names in (
+    # Options every non-test caller left at their default, now module
+    # constants: the management plane's one configuration.
+    ("GatewayDaemon", ("buffer_limit", "retry_backoff_s", "backoff_factor",
+                       "max_backoff_s", "sensor_noise_w")),
+    ("GatewayArray", ("buffer_limit", "retry_backoff_s", "backoff_factor",
+                      "max_backoff_s", "sensor_noise_w")),
+    ("CappingAgent", ("hysteresis_w",)),
+    ("TelemetryPlane", ("sensor_noise_w",)),
+    ("EnergyGateway", ("sensor_spec",)),
+    ("EnergyGateway.acquire", ("rail", "channel")),
+    ("EnergyGateway.publish_trace", ("rail",)),
+    ("EnergyGateway.acquire_and_publish", ("rail",)),
+    ("GatewayConfig", ("decimation", "qos")),
+    ("PowerAnomalyDetector", ("confirm", "window")),
+    ("HazardDetector", ("warn_fraction", "dwell_s")),
+    ("EfficiencyAuditor", ("underdraw_fraction",)),
+    ("EfficiencyAuditor.audit_idle_capacity", ("subject",)),
+    ("IpmiMonitor", ("poll_rate_hz", "sensor_error", "timestamp_jitter_s")),
+    ("ClusterBuilder", ("spec",)),
+    ("with_gateways", ("sensor_noise_w",)),
+    ("with_capping", ("hysteresis_w",)),
+    ("with_observability", ("max_spans",)),
+    ("build_rack", ("rack_id",)),
+    ("build_gateway", ("node_id",)),
+    ("DrillConfig", ("control_period_s", "failsafe_after_s", "idle_node_power_w",
+                     "job_nodes_max", "job_runtime_s", "sensor_noise_w",
+                     "shelf_psus", "submit_horizon_s")),
+    ("energy_ledger_balances", ("rel_tol",)),
+    ("cap_respected", ("tol_w",)),
+    ("GridSearcher", ("resolution", "seed")),
+    ("EvolutionarySearcher", ("population", "elite", "mutation_rate",
+                              "mutation_scale", "seed")),
+    ("make_searcher", ("seed",)),
+    ("Continuous.mutate", ("scale",)), ("Integer.mutate", ("scale",)),
+    ("Categorical.mutate", ("scale",)),
+    ("DesignSpace.mutate", ("rate", "scale")),
+    ("DesignSpace.grid", ("resolution",)), ("DesignSpace.size", ("resolution",)),
+    ("Objective.blend", ("sense", "name")),
+    ("Observability", ("max_spans",)), ("Tracer", ("max_spans",)),
+    ("Tracer.start", ("parent",)), ("Tracer.span", ("parent",)),
+    ("Tracer.record", ("parent", "t_end_s")),
+    ("NullTracer.start", ("parent",)), ("NullTracer.span", ("parent",)),
+    ("NullTracer.record", ("parent", "t_end_s")),
+    ("Scenario", ("dvfs_floor",)),
+    ("PowerAwareScheduler", ("headroom_margin",)),
+    ("PowerAwareScheduler.power_headroom_w", ("extra",)),
+    ("TimeVaryingBudgetScheduler", ("headroom_margin", "idle_node_power_w")),
+    ("CampaignService.submit", ("keep_results",)),
+    ("SimulationResult.mean_bounded_slowdown", ("threshold_s",)),
+    ("WorkloadGenerator", ("app_mix",)),
+    ("WorkloadConfig", ("max_walltime_s", "min_runtime_s", "n_users",
+                        "overestimate_mu", "overestimate_sigma")),
+    ("Environment", ("initial_time",)),
+    ("EnergyAccountant", ("price_per_kwh", "metric")),
+    ("PowerProfiler", ("clock_offset_s",)),
+    ("TimeSeriesDB.sample_count", ("key",)),
+    ("DavideConfig", ("gateway", "measurement_window_s", "idle_node_power_w",
+                      "price_per_kwh", "train_fraction", "headroom_margin")),
+) for name in names]
 
 #: Kernel, tracer and model names with no caller left, by the package
 #: that exported them or the class that carried them.
@@ -181,7 +316,7 @@ _REMOVED_NAMES = {
                        "energy_delay_product", "pue"),
     "repro.apps": ("fft_poisson_solve", "stencil_sweep", "sem_element_update"),
     "repro.cooling": ("AIR_COOLED_CPU",),
-    "repro.hardware": ("arm_pstates",),
+    "repro.hardware": ("arm_pstates", "Endpoint"),
     "repro.observability": ("metrics_to_jsonl", "spans_to_jsonl"),
     "repro.scheduler": ("day_night_budget",),
 }
@@ -281,7 +416,10 @@ class TestKeywords:
     @pytest.mark.parametrize("owner, old", _REMOVED_SPELLINGS,
                              ids=[f"{o}-{k}" for o, k in _REMOVED_SPELLINGS])
     def test_removed_spelling(self, owner, old):
-        with pytest.raises(TypeError, match=f"unexpected keyword argument '{old}'"):
+        # A class left with no parameters at all refuses every keyword
+        # without naming it.
+        with pytest.raises(TypeError, match=rf"unexpected keyword argument '{old}'"
+                                            rf"|^{owner}\(\) takes no arguments$"):
             _build(owner, **{old: 1})
 
     @pytest.mark.parametrize("owner, typo", [
@@ -320,9 +458,9 @@ class TestKeywords:
     def test_power_aware_cap_w_is_settable(self):
         """``ThermalAwareScheduler`` retargets its inner dispatcher by
         assigning ``cap_w``; the derated envelope must follow."""
-        sched = _build("PowerAwareScheduler", cap_w=40_000.0, headroom_margin=0.0)
+        sched = _build("PowerAwareScheduler", cap_w=40_000.0)
         sched.cap_w = 35_000.0
-        assert sched._effective_budget() == 35_000.0
+        assert sched._effective_budget() == 35_000.0 * (1.0 - 0.03)
 
 
 class TestTopLevelExploreSurface:

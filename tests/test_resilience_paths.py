@@ -12,6 +12,7 @@ import pytest
 from repro.capping import SensorWatchdog
 from repro.hardware import ComputeNode, PsuModel, RackLevelSupply
 from repro.monitoring import BrokerUnavailableError, GatewayDaemon, MqttBroker
+from repro.monitoring import daemon as gateway_daemon
 from repro.scheduler import ClusterSimulator, FifoScheduler, Job, NodeOutage
 from repro.sim import Environment
 
@@ -46,18 +47,21 @@ class TestBrokerOutage:
 
 
 class TestGatewayStoreAndForward:
-    def _daemon(self, env, broker, **kw):
-        node = ComputeNode()
-        kw.setdefault("period_s", 0.5)
-        kw.setdefault("sensor_noise_w", 0.0)
-        return GatewayDaemon(env, node, broker, **kw)
+    """Backoff, ring size and probe cadence are module constants of
+    :mod:`repro.monitoring.daemon`; tests that need another cadence
+    patch them."""
 
-    def test_buffers_during_outage_and_flushes_in_order(self):
+    def _daemon(self, env, broker, period_s=0.5):
+        return GatewayDaemon(env, ComputeNode(), broker, period_s=period_s)
+
+    def test_buffers_during_outage_and_flushes_in_order(self, monkeypatch):
+        monkeypatch.setattr(gateway_daemon, "RETRY_BACKOFF_S", 0.25)
+        monkeypatch.setattr(gateway_daemon, "MAX_BACKOFF_S", 1.0)
         env = Environment()
         broker = MqttBroker(clock=lambda: env.now)
         collector = broker.connect("collector")
         collector.subscribe("davide/#")
-        daemon = self._daemon(env, broker, retry_backoff_s=0.25, max_backoff_s=1.0)
+        daemon = self._daemon(env, broker)
         env.run(until=2.1)
         n_before = daemon.samples_published
         assert n_before > 0
@@ -74,13 +78,14 @@ class TestGatewayStoreAndForward:
         stamps = [m.payload["t"] for m in collector.drain()]
         assert stamps == sorted(stamps)
 
-    def test_no_samples_lost_across_outage(self):
+    def test_no_samples_lost_across_outage(self, monkeypatch):
+        for name in ("RETRY_BACKOFF_S", "BACKOFF_FACTOR", "MAX_BACKOFF_S"):
+            monkeypatch.setattr(gateway_daemon, name, 1.0)
         env = Environment()
         broker = MqttBroker()
         collector = broker.connect("collector")
         collector.subscribe("davide/#")
-        daemon = self._daemon(env, broker, period_s=1.0, retry_backoff_s=1.0,
-                              backoff_factor=1.0, max_backoff_s=1.0)
+        daemon = self._daemon(env, broker, period_s=1.0)
         broker.set_online(False)
         env.run(until=10.5)
         broker.set_online(True)
@@ -93,13 +98,13 @@ class TestGatewayStoreAndForward:
     def test_backoff_probes_thin_out(self):
         env = Environment()
         broker = MqttBroker()
-        daemon = self._daemon(env, broker, period_s=1.0, retry_backoff_s=0.5,
-                              backoff_factor=2.0, max_backoff_s=4.0)
+        daemon = self._daemon(env, broker, period_s=1.0)
         broker.set_online(False)
-        env.run(until=30.0)
-        # Exponential backoff: far fewer probes than periods elapsed.
-        # (probe samples land in the buffer; drops say the buffer filled.)
-        assert daemon.buffered_count < 30
+        env.run(until=60.0)
+        # The failed tick at 0 s, then probes 0.5 s later, doubling to
+        # the 8 s ceiling: 0.5, 1.5, 3.5, 7.5, 15.5, 23.5, ..., 55.5 s.
+        # (probe samples land in the buffer.)
+        assert daemon.buffered_count == 1 + 10
         assert daemon.reconnects == 0
 
     def test_bounded_buffer_drops_oldest(self):
@@ -107,19 +112,18 @@ class TestGatewayStoreAndForward:
         broker = MqttBroker(clock=lambda: env.now)
         collector = broker.connect("collector")
         collector.subscribe("davide/#")
-        daemon = self._daemon(env, broker, period_s=1.0, buffer_limit=3,
-                              retry_backoff_s=1.0, backoff_factor=1.0,
-                              max_backoff_s=1.0)
+        daemon = self._daemon(env, broker, period_s=1.0)
         broker.set_online(False)
-        env.run(until=50.0)
-        assert daemon.backlog == 3
-        assert daemon.buffer_dropped_count > 0
+        # Past the 4,096-sample ring: one probe sample every 8 s.
+        env.run(until=33_000.0)
+        assert daemon.backlog == 4096
+        assert daemon.buffer_dropped_count == daemon.buffered_count - 4096 > 0
         broker.set_online(True)
-        env.run(until=52.5)
-        # The three newest buffered stamps were delivered, none older.
+        env.run(until=33_010.0)
+        # The 4,096 newest buffered stamps were delivered, none older.
         stamps = [m.payload["t"] for m in collector.drain()]
         assert stamps == sorted(stamps)
-        assert daemon.republished_count == 3
+        assert daemon.republished_count == 4096
 
 
 class TestSchedulerCrashRequeue:

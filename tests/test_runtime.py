@@ -101,15 +101,15 @@ class TestZoo:
     #: for any key order, so these pin the canonical bytes themselves.
     DUMP_SHA256 = {
         "e07b.toml":
-            "8d6ba50f4f165c2b23aba76a7f3c1ce2cc2e2e3c0a1308e932f37289c556cebf",
+            "68957e034f44554794842ee79fe3c1e6bafb4e98632e9c7ead642223ba4f1562",
         "e08a.toml":
-            "92d33f085e5ba5cbb7a4a3a4b2486c24ef81ebef0ef1ce65ce036325370b9f98",
+            "8d745a392adef4e56add116f0a428bc566a0d7737c94b50fc6b551f2415d73d7",
         "e09a.toml":
-            "5e783257d8166edb0e85226895c589b7f08a5a1aadbcd1e3fefc9858561933f4",
+            "a3c756003acfa0909cdf6a5ec4093d8cca9e9b6af455457e3ecbcbba27849614",
         "explore_cap.toml":
-            "df3f1b46dc26cebbb11b0dea5e556afdbfe766c9bb2e5f0d823e682744de2729",
+            "68bcb2b3b914fec1f3228ad3f02955beafc78a47f965f7869fc8e97252c86e7c",
         "live_small.toml":
-            "b1e44ba6b11200ffc0a6bd1391b9c554475d4b42c291debdfb4b812427228014",
+            "3ca112b27690db0460a7346966e6f25880a46c5e30262f2c59671f11cfea0643",
     }
 
     @needs_tomllib
@@ -148,8 +148,8 @@ class TestZoo:
         hand = explore(
             DesignSpace({"cap_w": Continuous(10e3, 20e3),
                          "policy": Categorical(("easy", "power-aware"))}),
-            Objective.blend({"total_energy_j": 1.0, "p95_wait_s": 5e4},
-                            name="energy+wait"),
+            Objective(metrics=("total_energy_j", "p95_wait_s"),
+                      weights=(1.0, 5e4), name="energy+wait"),
             searcher="random", budget=6, seed=1,
             config=CampaignConfig(n_nodes=12, n_jobs=60, root_seed=2026,
                                   load_factor=1.1),
@@ -223,9 +223,12 @@ class TestValidation:
             RuntimeConfig.from_dict(data)
 
     def test_unknown_workload_generator_lists_registered(self):
-        data = _json_config(workload={"generator": "ligen"})
-        with pytest.raises(ConfigError, match=r"workload\.generator: 'ligen' "
-                                              r"is not one of \('davide',\)"):
+        """Campaigns generate one stream, so ``[workload]`` names no
+        generator: the key is refused, listing the keys it takes."""
+        data = _json_config(workload={"generator": "davide"})
+        with pytest.raises(TypeError, match=r"workload\(\) got an unexpected keyword "
+                                            r"argument 'generator' \(known: "
+                                            r"load_factor, n_jobs, seed\)"):
             RuntimeConfig.from_dict(data)
 
     def test_unknown_searcher_lists_registered(self):
@@ -308,10 +311,13 @@ class TestValidation:
             RuntimeConfig.from_dict(data)
 
     def test_campaign_requires_the_davide_mix(self):
-        data = _json_config(
-            workload={"generator": "qe", "n_jobs": 20, "seed": 5})
-        with pytest.raises(ConfigError, match="davide"):
-            build(RuntimeConfig.from_dict(data))
+        from repro.scheduler import DEFAULT_APP_MIX, scenario_workload
+
+        data = _json_config(workload={"n_jobs": 20, "seed": 5})
+        plan = build(RuntimeConfig.from_dict(data))
+        jobs = scenario_workload(plan.config, plan.grid[0])
+        assert len(jobs) == 20
+        assert {j.app for j in jobs} <= set(DEFAULT_APP_MIX)
 
 
 class TestBuildSemantics:

@@ -65,11 +65,9 @@ BASES = {
     "live": {
         "runtime": {"kind": "live"},
         "machine": {"n_nodes": 2},
-        "cap": {"cap_w": 1500.0, "hysteresis_w": 25.0,
-                "actuation_delay_s": 0.01},
-        "observability": {"enabled": True, "max_spans": 64},
-        "live": {"until_s": 1.0, "period_s": 0.1, "sensor_noise_w": 2.0,
-                 "batched": False, "seed": 0},
+        "cap": {"cap_w": 1500.0},
+        "observability": {"enabled": True},
+        "live": {"until_s": 1.0, "seed": 0},
     },
 }
 

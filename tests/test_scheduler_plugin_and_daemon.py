@@ -5,6 +5,7 @@ import pytest
 
 from repro.hardware import ComputeNode
 from repro.monitoring import CappingAgent, GatewayArray, GatewayDaemon, MqttBroker
+from repro.monitoring import daemon as gateway_daemon
 from repro.scheduler import Job, JobRecord, SchedulerMonitorPlugin
 from repro.sim import Environment
 
@@ -114,7 +115,7 @@ class TestGatewayDaemon:
         env = Environment()
         broker = MqttBroker()
         node = ComputeNode()
-        GatewayDaemon(env, node, broker, period_s=0.1, sensor_noise_w=0.0)
+        GatewayDaemon(env, node, broker, period_s=0.1)
         sub = broker.connect("sub")
         sub.subscribe("davide/node0/power/node")
         env.run(until=0.25)
@@ -134,7 +135,7 @@ class TestGatewayDaemon:
         env = Environment()
         broker = MqttBroker(clock=lambda: env.now)
         node = ComputeNode(node_id=5)
-        daemon = GatewayDaemon(env, node, broker, period_s=1.0, sensor_noise_w=2.0)
+        daemon = GatewayDaemon(env, node, broker, period_s=1.0)
         sub = broker.connect("sub")
         sub.subscribe(daemon.topic)
         env.run(until=300.5)
@@ -170,8 +171,8 @@ class TestCappingAgent:
         broker = MqttBroker()
         node = ComputeNode()
         node.set_utilization(cpu=1.0, gpu=1.0, memory_intensity=1.0)
-        GatewayDaemon(env, node, broker, period_s=0.05, sensor_noise_w=0.0)
-        agent = CappingAgent(env, node, broker, cap_w=1500.0, hysteresis_w=100.0)
+        GatewayDaemon(env, node, broker, period_s=0.05)
+        agent = CappingAgent(env, node, broker, cap_w=1500.0)
         env.run(until=1.0)
         assert agent.capped
         assert node.power_w() <= 1500.0 * 1.1
@@ -181,11 +182,20 @@ class TestCappingAgent:
         assert not agent.capped
         assert node.peak_flops > 0.9 * node.nameplate_flops
 
+    def test_releases_only_25_w_below_the_cap(self):
+        env, broker, node = Environment(), MqttBroker(), ComputeNode()
+        agent = CappingAgent(env, node, broker, cap_w=1500.0)
+        for reading, capped in ((1500.5, True), (1476.0, True), (1500.0, True),
+                                (1475.5, True), (1474.5, False)):
+            agent._observe(reading)
+            env.run(until=env.now + 0.1)
+            assert agent.capped is capped, reading
+
     def test_no_actuation_below_setpoint(self):
         env = Environment()
         broker = MqttBroker()
         node = ComputeNode()  # idle: well below the setpoint
-        GatewayDaemon(env, node, broker, period_s=0.05, sensor_noise_w=0.0)
+        GatewayDaemon(env, node, broker, period_s=0.05)
         agent = CappingAgent(env, node, broker, cap_w=1800.0)
         env.run(until=1.0)
         assert agent.actuations == 0
@@ -196,23 +206,23 @@ class TestCappingAgent:
         broker = MqttBroker()
         node = ComputeNode()
         node.set_utilization(cpu=1.0, gpu=1.0, memory_intensity=1.0)
-        GatewayDaemon(env, node, broker, period_s=0.05, sensor_noise_w=0.0)
+        GatewayDaemon(env, node, broker, period_s=0.05)
         CappingAgent(env, node, broker, cap_w=1500.0, actuation_delay_s=0.3)
         env.run(until=0.2)
         assert node._power_cap_w is None  # still inside the actuation delay
         env.run(until=0.5)
         assert node._power_cap_w is not None
 
-    def test_batch_agents_read_their_own_node_through_a_dropout(self):
+    def test_batch_agents_read_their_own_node_through_a_dropout(self, monkeypatch):
         """A sensor dropout takes node 0 out of the GatewayArray batch for
         three ticks: every agent must keep acting on its own node's
         reading, never on the neighbour that moved into its index."""
+        monkeypatch.setattr(gateway_daemon, "SENSOR_NOISE_W", 0.0)
         env = Environment()
         broker = MqttBroker(clock=lambda: env.now)
         nodes = [ComputeNode(node_id=i) for i in range(4)]
         powers = np.array([1000.0, 1100.0, 1200.0, 1300.0])
-        array = GatewayArray(env, nodes, broker, period_s=0.1,
-                             sensor_noise_w=0.0, powers_fn=lambda: powers)
+        array = GatewayArray(env, nodes, broker, period_s=0.1, powers_fn=lambda: powers)
         array.batch_fault = lambda now, measured: (
             np.array([not 0.25 <= now < 0.55, True, True, True]), measured)
         agents = [CappingAgent(env, node, broker, cap_w=1250.0,
@@ -232,4 +242,4 @@ class TestCappingAgent:
         with pytest.raises(ValueError):
             CappingAgent(env, node, broker, cap_w=0.0)
         with pytest.raises(ValueError):
-            CappingAgent(env, node, broker, cap_w=100.0, hysteresis_w=-1.0)
+            CappingAgent(env, node, broker, cap_w=100.0, actuation_delay_s=-1.0)

@@ -105,7 +105,7 @@ class TestPowerAwareScheduler:
         with pytest.raises(ValueError):
             PowerAwareScheduler(cap_w=0.0)
         with pytest.raises(ValueError):
-            PowerAwareScheduler(1000.0, headroom_margin=1.0)
+            PowerAwareScheduler(1000.0, backfill_depth=-1)
         with pytest.raises(ValueError):
             request_based_predictor(0.0)
 
@@ -173,11 +173,11 @@ class TestPowerAwareScheduler:
     def test_headroom_accessor(self):
         from repro.scheduler import SchedulerContext
 
-        policy = PowerAwareScheduler(10e3, predictor=oracle_predictor, idle_node_power_w=300.0,
-                                     headroom_margin=0.0)
+        policy = PowerAwareScheduler(10e3, predictor=oracle_predictor, idle_node_power_w=300.0)
         ctx = SchedulerContext(now_s=0.0, free_nodes=(0, 1, 2, 3), running=(),
                                total_nodes=4)
-        assert policy.power_headroom_w(ctx) == pytest.approx(10e3 - 4 * 300.0)
+        # The budget less its 3 % headroom margin, less four idle nodes.
+        assert policy.power_headroom_w(ctx) == pytest.approx(10e3 * 0.97 - 4 * 300.0)
 
 
 class TestReactiveCapping:

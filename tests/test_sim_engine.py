@@ -15,7 +15,6 @@ from repro.sim import (
 class TestEnvironmentBasics:
     def test_initial_time(self):
         assert Environment().now == 0.0
-        assert Environment(initial_time=5.0).now == 5.0
 
     def test_timeout_advances_clock(self):
         env = Environment()
@@ -30,7 +29,8 @@ class TestEnvironmentBasics:
         assert env.now == 4.0
 
     def test_run_until_past_raises(self):
-        env = Environment(initial_time=10.0)
+        env = Environment()
+        env.run(until=10.0)
         with pytest.raises(ValueError):
             env.run(until=5.0)
 
@@ -223,7 +223,8 @@ class TestPeriodicTask:
     """The fixed-cadence lane every gateway samples on."""
 
     def test_first_tick_at_arm_time_then_fixed_cadence(self):
-        env = Environment(initial_time=2.0)
+        env = Environment()
+        env.run(until=2.0)
         ticks = []
         task = env.periodic(0.5, ticks.append)
         env.run(until=4.0)

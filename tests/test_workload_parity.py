@@ -11,6 +11,10 @@ so the comparison holds on every supported Python.
 The weight checks ``rng.choice`` made on every draw now run once, when
 the generator is built.  Those tests call ``generate()`` inside
 ``pytest.raises``, so they hold whichever of the two raises.
+
+The user count, runtime bounds, overestimate law and app mix are module
+constants of :mod:`repro.scheduler.workload`; the cases that vary them
+patch the constants, and the oracle reads them from the module too.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.scheduler import (
     WorkloadConfig,
     WorkloadGenerator,
 )
+from repro.scheduler import workload as wl
 
 SEEDS = range(200)
 
@@ -37,11 +42,10 @@ class PerDrawGenerator:
     def __init__(
         self,
         config: WorkloadConfig = WorkloadConfig(),
-        app_mix: dict[str, tuple[AppProfile, float]] | None = None,
         rng: np.random.Generator | None = None,
     ):
         self.config = config
-        self.app_mix = app_mix if app_mix is not None else DEFAULT_APP_MIX
+        self.app_mix = wl.DEFAULT_APP_MIX
         weights = np.array([w for _, w in self.app_mix.values()], dtype=float)
         if weights.sum() <= 0:
             raise ValueError("app mix weights must sum to a positive value")
@@ -50,7 +54,7 @@ class PerDrawGenerator:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         #: Per-user power bias (some users run better-tuned inputs).
         self._user_bias = {
-            f"user{u}": float(self.rng.normal(1.0, 0.04)) for u in range(config.n_users)
+            f"user{u}": float(self.rng.normal(1.0, 0.04)) for u in range(wl.N_USERS)
         }
 
     # -- component samplers ------------------------------------------------------
@@ -66,13 +70,13 @@ class PerDrawGenerator:
 
     def _sample_runtime(self, profile: AppProfile) -> float:
         rt = float(self.rng.lognormal(np.log(profile.runtime_median_s), profile.runtime_sigma))
-        return float(np.clip(rt, self.config.min_runtime_s, self.config.max_walltime_s))
+        return float(np.clip(rt, wl.MIN_RUNTIME_S, wl.MAX_WALLTIME_S))
 
     def _sample_walltime_request(self, true_runtime: float) -> float:
         factor = 1.0 + float(self.rng.lognormal(
-            np.log(self.config.overestimate_mu), self.config.overestimate_sigma
+            np.log(wl.OVERESTIMATE_MU), wl.OVERESTIMATE_SIGMA
         ))
-        return float(min(true_runtime * factor, self.config.max_walltime_s))
+        return float(min(true_runtime * factor, wl.MAX_WALLTIME_S))
 
     def _sample_power(self, profile: AppProfile, user: str) -> float:
         bias = self._user_bias[user]
@@ -107,7 +111,7 @@ class PerDrawGenerator:
         for jid in range(self.config.n_jobs):
             t += float(self.rng.exponential(interarrival))
             profile = self._sample_app()
-            user = f"user{int(self.rng.integers(0, self.config.n_users))}"
+            user = f"user{int(self.rng.integers(0, wl.N_USERS))}"
             runtime = self._sample_runtime(profile)
             jobs.append(
                 Job(
@@ -137,17 +141,20 @@ CUSTOM_MIX = {
                           uses_gpus=False), 0.2),
 }
 
+#: Each case: the config and the module constants it patches.
 CASES = {
-    "perfbench-capped-512x640": (WorkloadConfig(n_jobs=640, cluster_nodes=512), None),
+    "perfbench-capped-512x640": (WorkloadConfig(n_jobs=640, cluster_nodes=512), {}),
     "perfbench-explore-16x30": (
-        WorkloadConfig(n_jobs=30, cluster_nodes=16, load_factor=1.1), None),
-    "one-user": (WorkloadConfig(n_jobs=40, n_users=1), None),
-    "one-node-clamps-sizes": (WorkloadConfig(n_jobs=40, cluster_nodes=1), None),
-    "load-factor-2": (WorkloadConfig(n_jobs=40, load_factor=2.0), None),
+        WorkloadConfig(n_jobs=30, cluster_nodes=16, load_factor=1.1), {}),
+    "one-user": (WorkloadConfig(n_jobs=40), {"N_USERS": 1}),
+    "one-node-clamps-sizes": (WorkloadConfig(n_jobs=40, cluster_nodes=1), {}),
+    "load-factor-2": (WorkloadConfig(n_jobs=40, load_factor=2.0), {}),
     "overestimate": (
-        WorkloadConfig(n_jobs=40, overestimate_mu=1.9, overestimate_sigma=0.05,
-                       min_runtime_s=300.0, max_walltime_s=4 * 3600.0), None),
-    "custom-mix": (WorkloadConfig(n_jobs=40, cluster_nodes=4), CUSTOM_MIX),
+        WorkloadConfig(n_jobs=40),
+        {"OVERESTIMATE_MU": 1.9, "OVERESTIMATE_SIGMA": 0.05,
+         "MIN_RUNTIME_S": 300.0, "MAX_WALLTIME_S": 4 * 3600.0}),
+    "custom-mix": (WorkloadConfig(n_jobs=40, cluster_nodes=4),
+                   {"DEFAULT_APP_MIX": CUSTOM_MIX}),
 }
 
 JOB_FIELDS = [f.name for f in dataclasses.fields(Job)]
@@ -157,23 +164,30 @@ def _field_types(jobs: list[Job]) -> list[tuple[type, ...]]:
     return [tuple(type(getattr(j, name)) for name in JOB_FIELDS) for j in jobs]
 
 
+def _patch(monkeypatch, constants):
+    for name, value in constants.items():
+        monkeypatch.setattr(wl, name, value)
+
+
 @pytest.mark.parametrize("case", list(CASES))
-def test_generate_matches_per_draw_oracle(case):
-    config, mix = CASES[case]
+def test_generate_matches_per_draw_oracle(case, monkeypatch):
+    config, constants = CASES[case]
+    _patch(monkeypatch, constants)
     for seed in SEEDS:
-        got = WorkloadGenerator(config, mix, rng=np.random.default_rng(seed)).generate()
-        want = PerDrawGenerator(config, mix, rng=np.random.default_rng(seed)).generate()
+        got = WorkloadGenerator(config, rng=np.random.default_rng(seed)).generate()
+        want = PerDrawGenerator(config, rng=np.random.default_rng(seed)).generate()
         assert got == want, f"{case}: streams differ at seed {seed}"
         assert _field_types(got) == _field_types(want), f"{case}: types differ at seed {seed}"
 
 
-def test_custom_mix_reaches_every_drawable_branch():
+def test_custom_mix_reaches_every_drawable_branch(monkeypatch):
     """The custom case is only a check if its edges are drawn: the
     CPU-only and one-size apps appear, the zero-weight app and the
     zero-weight node counts never do."""
-    config, mix = CASES["custom-mix"]
+    config, constants = CASES["custom-mix"]
+    _patch(monkeypatch, constants)
     jobs = [j for seed in range(20) for j in WorkloadGenerator(
-        config, mix, rng=np.random.default_rng(seed)).generate()]
+        config, rng=np.random.default_rng(seed)).generate()]
     assert {j.app for j in jobs} == {"cpu", "qe", "single"}
     assert not any(j.uses_gpus for j in jobs if j.app != "qe")
     assert {j.n_nodes for j in jobs if j.app == "cpu"} == {1, 4}
@@ -197,7 +211,8 @@ def _mix_with(app_weight=0.5, node_weights=(0.5, 0.5)):
     _mix_with(node_weights=(0.0, 0.0, 0.0)),
 ], ids=["app-negative", "app-nan", "app-inf", "nodes-negative", "nodes-nan",
         "nodes-inf", "nodes-all-zero"])
-def test_bad_weights_raise(mix):
+def test_bad_weights_raise(mix, monkeypatch):
+    monkeypatch.setattr(wl, "DEFAULT_APP_MIX", mix)
     with np.errstate(invalid="ignore", divide="ignore"):
         with pytest.raises(ValueError):
-            WorkloadGenerator(app_mix=mix, rng=np.random.default_rng(0)).generate()
+            WorkloadGenerator(rng=np.random.default_rng(0)).generate()
