@@ -55,7 +55,7 @@ def test_e01_green500_landscape(benchmark, table):
     # by the HPL performance model on the actual machine configuration.
     from repro.analysis import HplModel
 
-    derived = HplModel(n_nodes=45).rmax().efficiency
+    derived = HplModel().rmax().efficiency
     print(f"\nHPL model: derived Linpack efficiency {derived:.3f} "
           f"(projection assumed 0.750)")
     assert derived == pytest.approx(0.75, abs=0.10)

@@ -16,7 +16,7 @@ def _sweep():
     node_psu = PsuModel(rating_w=2000.0)
     shelf = RackLevelSupply(
         PsuModel(rating_w=6000.0, eff_20=0.90, eff_50=0.94, eff_100=0.91),
-        n_psus=6, min_active=2,
+        n_psus=6,
     )
     results = {}
     for label, load_per_node in [("idle (0.6 kW)", 600.0), ("typical (1.3 kW)", 1300.0),

@@ -27,7 +27,7 @@ def _cooling_study():
     for n in rack.nodes:
         n.set_utilization(cpu=1.0, gpu=1.0, memory_intensity=1.0)
     split = heat_split_for_rack(rack)
-    loop = LiquidLoop(HeatExchanger(ua_w_per_k=4000.0), secondary_flow_lpm=30.0)
+    loop = LiquidLoop(HeatExchanger(ua_w_per_k=4000.0))
     op = loop.operating_point(heat_w=split.liquid_w, facility_inlet_c=35.0)
     violations = loop.check_constraints(op)
     temps = [25.0, 30.0, 35.0, 40.0, 45.0]

@@ -20,7 +20,7 @@ def _port_study():
     }
     results = {}
     for app_name, factory in ALL_APPS.items():
-        app = factory(scale=1.0, n_iterations=10)
+        app = factory(n_iterations=10)
         results[app_name] = {
             plat_name: plat.run(app, n_nodes=4) for plat_name, plat in platforms.items()
         }

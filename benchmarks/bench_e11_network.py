@@ -9,6 +9,7 @@ variants (ablation A5) lose bisection and congest.
 import numpy as np
 import pytest
 
+from repro.hardware.specs import EDR_IB
 from repro.network import (
     EDR_DUAL_RAIL,
     DualRailFabric,
@@ -19,11 +20,11 @@ from repro.network import (
 
 
 def _fabric_study():
-    fabric = DualRailFabric(n_nodes=45, switch_radix=36, oversubscription=1.0)
+    fabric = DualRailFabric(n_nodes=45)
     taper = {}
     for ratio in (1.0, 2.0, 4.0):
-        tree = FatTree(n_nodes=72, switch_radix=36, oversubscription=ratio)
-        flows = permutation_traffic(72, tree.link.bandwidth_Bps, shift=tree.shape.hosts_per_leaf)
+        tree = FatTree(n_nodes=72, oversubscription=ratio)
+        flows = permutation_traffic(72, EDR_IB.bandwidth_Bps, shift=tree.shape.hosts_per_leaf)
         taper[ratio] = (tree, analyze_traffic(tree, flows))
     return fabric, taper
 
@@ -45,7 +46,7 @@ def test_e11_network(benchmark, table):
         ["taper", "bisection [GB/s]", "max uplink load", "congested"],
         [
             [f"{ratio:.0f}:1", f"{tree.bisection_bandwidth_Bps() / 1e9:.0f}",
-             f"{analysis.max_uplink_load_Bps / tree.link.bandwidth_Bps:.2f}x link",
+             f"{analysis.max_uplink_load_Bps / EDR_IB.bandwidth_Bps:.2f}x link",
              analysis.congested]
             for ratio, (tree, analysis) in taper.items()
         ],
@@ -62,7 +63,7 @@ def test_e11_network(benchmark, table):
 
 
 def _collective_costs():
-    m = EDR_DUAL_RAIL()
+    m = EDR_DUAL_RAIL
     return m, [
         ("8 B allreduce (BQCD dot)", m.allreduce_time_s(8, 32)),
         ("1 MB halo x4 (NEMO)", m.halo_exchange_time_s(1e6, 4)),

@@ -31,7 +31,7 @@ def _sync_study():
                       SW_TIMESTAMPING, rng=np.random.default_rng(1))
     results["PTP (SW stamps)"] = ptp_sw.steady_state_error_s(120.0)
     ntp = NtpClient(LocalClock(XO_CHEAP, rng=np.random.default_rng(0)),
-                    period_s=16.0, rng=np.random.default_rng(1))
+                    rng=np.random.default_rng(1))
     results["NTP"] = ntp.steady_state_error_s(1600.0)
     return results
 

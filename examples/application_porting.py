@@ -25,7 +25,7 @@ def porting_study() -> None:
           f"{'mean W':>7s} {'comm %':>7s}")
     print("-" * 58)
     for app_name, factory in ALL_APPS.items():
-        app = factory(scale=1.0, n_iterations=20)
+        app = factory(n_iterations=20)
         for plat_name, platform in platforms.items():
             r = platform.run(app, n_nodes=4)
             print(f"{app_name:10s} {plat_name:11s} {r.time_to_solution_s:9.2f} "
@@ -37,7 +37,7 @@ def porting_study() -> None:
 def nvlink_focus() -> None:
     print("NVLink benefit (PCIe time / NVLink time):")
     for app_name, factory in ALL_APPS.items():
-        app = factory(scale=1.0, n_iterations=20)
+        app = factory(n_iterations=20)
         pcie = ExecutionPlatform.gpu_pcie().run(app, n_nodes=4)
         nvl = ExecutionPlatform.gpu_nvlink().run(app, n_nodes=4)
         gain = pcie.time_to_solution_s / nvl.time_to_solution_s

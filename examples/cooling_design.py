@@ -37,7 +37,7 @@ def main() -> None:
           f"(paper: 75-80% / 20-25%)")
 
     # The liquid loop at the design point.
-    loop = LiquidLoop(HeatExchanger(ua_w_per_k=4000.0), secondary_flow_lpm=30.0)
+    loop = LiquidLoop(HeatExchanger(ua_w_per_k=4000.0))
     op = loop.operating_point(heat_w=split.liquid_w, facility_inlet_c=35.0)
     print(f"\nliquid loop @ 30 L/min, 35 degC facility water:")
     print(f"  secondary supply/return: {op['secondary_supply_c']:.1f} / "

@@ -36,8 +36,6 @@ def main() -> None:
     tco = TcoModel(
         capex=baseline.n_nodes * 65_000.0,       # ~EUR 65k per dense GPU node
         it_power_w=baseline.system_power_mw * 1e6,
-        pue=1.1,                                  # hot-water liquid cooling
-        electricity_price_per_kwh=0.25,
     )
     print(f"  capex:              EUR {tco.capex / 1e6:8.1f} M")
     print(f"  energy (5 y):       EUR {tco.lifetime_energy_cost / 1e6:8.1f} M")

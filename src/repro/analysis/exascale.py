@@ -4,8 +4,8 @@
 supercomputer based on a class of system where Energy Aware management
 is mandatory."
 
-Given a building-block node (performance, power) and a target system
-performance, project the machine size and power envelope across
+Given the building-block node (performance, power) and the exaflop
+target, project the machine size and power envelope across
 efficiency-improvement scenarios, and report what power budget an
 exaflop machine needs at each — the arithmetic behind "energy aware
 management is mandatory" (a D.A.V.I.D.E.-efficiency exaflop machine
@@ -17,9 +17,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hardware.specs import GARRISON_NODE, NodeSpec
+from ..hardware.specs import GARRISON_NODE
+from .top500 import LINPACK_EFFICIENCY
 
 __all__ = ["ExascaleProjection", "project_exascale"]
+
+#: The exascale target: one EFlops sustained.
+TARGET_FLOPS = 1e18
+#: Node-efficiency multipliers (performance per watt) of the paper's era:
+#: the D.A.V.I.D.E. baseline, one process-generation step (~2.5x,
+#: Pascal->Volta-class), and the ~10x leap exascale needed.
+EFFICIENCY_GAINS = (
+    ("D.A.V.I.D.E. baseline (2017)", 1.0),
+    ("next GPU generation (~2.5x)", 2.5),
+    ("exascale-era silicon (~10x)", 10.0),
+)
 
 
 @dataclass(frozen=True)
@@ -38,45 +50,28 @@ class ExascaleProjection:
         return self.system_power_mw <= 20.0
 
 
-def project_exascale(
-    target_flops: float = 1e18,
-    node: NodeSpec = GARRISON_NODE,
-    efficiency_gains: dict[str, float] | None = None,
-    linpack_efficiency: float = 0.75,
-) -> list[ExascaleProjection]:
-    """Project machine size/power for ``target_flops`` across scenarios.
+def project_exascale() -> list[ExascaleProjection]:
+    """Project machine size/power for an exaflop across the scenarios.
 
-    ``efficiency_gains`` maps scenario labels to node-efficiency
-    multipliers (performance per watt); the default ladder covers the
-    paper's era: the D.A.V.I.D.E. baseline, one process-generation step
-    (~2.5x, Pascal->Volta-class), and the ~10x leap exascale needed.
+    Each scenario of :data:`EFFICIENCY_GAINS` scales the Garrison node's
+    efficiency (performance per watt); the node sustains its peak at
+    the Linpack efficiency of the list projection.
     """
-    if target_flops <= 0:
-        raise ValueError("target performance must be positive")
-    if not 0 < linpack_efficiency <= 1:
-        raise ValueError("Linpack efficiency must lie in (0, 1]")
-    gains = efficiency_gains if efficiency_gains is not None else {
-        "D.A.V.I.D.E. baseline (2017)": 1.0,
-        "next GPU generation (~2.5x)": 2.5,
-        "exascale-era silicon (~10x)": 10.0,
-    }
-    node_sustained = node.peak_flops * linpack_efficiency
+    node_sustained = GARRISON_NODE.peak_flops * LINPACK_EFFICIENCY
     out = []
-    for label, gain in gains.items():
-        if gain <= 0:
-            raise ValueError(f"efficiency gain for {label!r} must be positive")
+    for label, gain in EFFICIENCY_GAINS:
         # Efficiency gain = same node performance at 1/gain the power
         # (equivalently more performance per node at equal power; for a
         # fixed performance target the power roll-up is identical).
-        n_nodes = int(-(-target_flops // node_sustained))
-        power_w = n_nodes * node.peak_power_w / gain
+        n_nodes = int(-(-TARGET_FLOPS // node_sustained))
+        power_w = n_nodes * GARRISON_NODE.peak_power_w / gain
         out.append(
             ExascaleProjection(
                 scenario=label,
                 efficiency_gain=gain,
                 n_nodes=n_nodes,
                 system_power_mw=power_w / 1e6,
-                gflops_per_w=target_flops / power_w / 1e9,
+                gflops_per_w=TARGET_FLOPS / power_w / 1e9,
             )
         )
     return out

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..hardware.specs import GARRISON_NODE, NodeSpec
-from ..network.collectives import CommModel, EDR_DUAL_RAIL
+from ..hardware.specs import DAVIDE_SYSTEM, GARRISON_NODE
+from ..network.collectives import EDR_DUAL_RAIL
 
 __all__ = ["HplModel", "HplPoint"]
 
@@ -40,7 +40,8 @@ class HplPoint:
 
 
 class HplModel:
-    """Analytic HPL on an N-node GPU cluster."""
+    """Analytic HPL on the D.A.V.I.D.E. pilot: its Garrison nodes on the
+    dual-rail EDR fabric."""
 
     #: Effective DGEMM-path efficiency at HPL block sizes on 2016-era
     #: GPU systems: the GPUs sustain ~90 % of peak on the trailing
@@ -50,27 +51,15 @@ class HplModel:
     DGEMM_EFFICIENCY = 0.78
     #: Fraction of host memory HPL may fill (OS + buffers take the rest).
     MEMORY_FILL = 0.80
-
-    def __init__(
-        self,
-        n_nodes: int = 45,
-        node: NodeSpec = GARRISON_NODE,
-        host_memory_per_node_bytes: float = 256 * 1024**3,
-        comm: CommModel | None = None,
-    ):
-        if n_nodes < 1:
-            raise ValueError("need at least one node")
-        if host_memory_per_node_bytes <= 0:
-            raise ValueError("memory must be positive")
-        self.n_nodes = int(n_nodes)
-        self.node = node
-        self.host_memory_per_node_bytes = float(host_memory_per_node_bytes)
-        self.comm = comm if comm is not None else EDR_DUAL_RAIL()
+    #: Host memory HPL tiles over on each node.
+    HOST_MEMORY_PER_NODE_BYTES = 256.0 * 1024**3
+    #: Nodes the run spans: the whole pilot.
+    N_NODES = DAVIDE_SYSTEM.n_nodes
 
     @property
     def nameplate_flops(self) -> float:
         """System FP64 peak."""
-        return self.n_nodes * self.node.peak_flops
+        return self.N_NODES * GARRISON_NODE.peak_flops
 
     @property
     def effective_rate_flops(self) -> float:
@@ -79,7 +68,7 @@ class HplModel:
 
     def max_n(self) -> int:
         """Largest memory-feasible problem size (8-byte elements)."""
-        total = self.n_nodes * self.host_memory_per_node_bytes * self.MEMORY_FILL
+        total = self.N_NODES * self.HOST_MEMORY_PER_NODE_BYTES * self.MEMORY_FILL
         return int(np.sqrt(total / 8.0))
 
     def point(self, n: int) -> HplPoint:
@@ -96,14 +85,14 @@ class HplModel:
         # eight-byte elements crossing the fabric, at the per-node
         # injection bandwidth, spread over the node count.
         bytes_comm = 8.0 * n**2
-        t_bw = bytes_comm * self.comm.beta_s_per_B / np.sqrt(self.n_nodes)
+        t_bw = bytes_comm * EDR_DUAL_RAIL.beta_s_per_B / np.sqrt(self.N_NODES)
         # Latency: ~N/NB panel steps x log2(P) messages (NB ~ 384).
         nb = 384.0
-        t_lat = (n / nb) * np.log2(max(self.n_nodes, 2)) * self.comm.alpha_s * 50.0
+        t_lat = (n / nb) * np.log2(max(self.N_NODES, 2)) * EDR_DUAL_RAIL.alpha_s * 50.0
         time = t_compute + t_bw + t_lat
         rmax = flops / time
         memory_fraction = (8.0 * n**2) / (
-            self.n_nodes * self.host_memory_per_node_bytes * self.MEMORY_FILL
+            self.N_NODES * self.HOST_MEMORY_PER_NODE_BYTES * self.MEMORY_FILL
         )
         return HplPoint(
             n=int(n),

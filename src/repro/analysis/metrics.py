@@ -9,7 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..telemetry.accounting import PRICE_PER_KWH
+
 __all__ = ["TcoModel"]
+
+#: Facility PUE of the hot-water-cooled machine.
+PUE = 1.1
+#: Service life the capex is spread over.
+LIFETIME_YEARS = 5.0
+#: Fraction of the time the machine runs at its average draw.
+UTILIZATION = 0.85
+#: Yearly maintenance, as a fraction of capex.
+MAINTENANCE_FRACTION_PER_YEAR = 0.05
 
 
 @dataclass(frozen=True)
@@ -18,40 +29,31 @@ class TcoModel:
 
     capex: float                      # purchase + installation
     it_power_w: float                 # average IT draw
-    pue: float = 1.1
-    electricity_price_per_kwh: float = 0.25
-    lifetime_years: float = 5.0
-    utilization: float = 0.85         # fraction of time at the average draw
-    maintenance_fraction_per_year: float = 0.05  # of capex
 
     def __post_init__(self) -> None:
         if self.capex < 0 or self.it_power_w <= 0:
             raise ValueError("invalid capex or IT power")
-        if self.pue < 1.0:
-            raise ValueError("PUE must be >= 1")
-        if not 0 < self.utilization <= 1:
-            raise ValueError("utilization must lie in (0, 1]")
 
     @property
     def annual_energy_kwh(self) -> float:
         """Facility energy per year."""
-        hours = 8760.0 * self.utilization
-        return self.it_power_w * self.pue / 1000.0 * hours
+        hours = 8760.0 * UTILIZATION
+        return self.it_power_w * PUE / 1000.0 * hours
 
     @property
     def annual_energy_cost(self) -> float:
         """Electricity bill per year."""
-        return self.annual_energy_kwh * self.electricity_price_per_kwh
+        return self.annual_energy_kwh * PRICE_PER_KWH
 
     @property
     def lifetime_energy_cost(self) -> float:
         """Electricity over the service life."""
-        return self.annual_energy_cost * self.lifetime_years
+        return self.annual_energy_cost * LIFETIME_YEARS
 
     @property
     def lifetime_maintenance_cost(self) -> float:
         """Maintenance over the service life."""
-        return self.capex * self.maintenance_fraction_per_year * self.lifetime_years
+        return self.capex * MAINTENANCE_FRACTION_PER_YEAR * LIFETIME_YEARS
 
     @property
     def total(self) -> float:

@@ -61,30 +61,32 @@ def green500_ranking(entries: list[SystemEntry] | None = None) -> list[SystemEnt
     return sorted(data, key=lambda e: e.gflops_per_w, reverse=True)
 
 
-def efficiency_ratio(a: str, b: str, entries: list[SystemEntry] | None = None) -> float:
-    """Efficiency of system ``a`` over system ``b`` (the '3x' claim)."""
-    data = NOV2016_SNAPSHOT if entries is None else list(entries)
-    by_name = {e.name: e for e in data}
+def efficiency_ratio(a: str, b: str) -> float:
+    """Efficiency of snapshot system ``a`` over system ``b`` (the '3x' claim)."""
+    by_name = {e.name: e for e in NOV2016_SNAPSHOT}
     if a not in by_name or b not in by_name:
         raise KeyError("both systems must be in the snapshot")
     return by_name[a].gflops_per_w / by_name[b].gflops_per_w
 
 
-def davide_projection(
-    peak_pflops: float = 0.99, power_kw: float = 98.0, linpack_efficiency: float = 0.75
-) -> SystemEntry:
+#: Linpack Rmax over peak of a P100 GPU system (~75 %).
+LINPACK_EFFICIENCY = 0.75
+#: The paper's D.A.V.I.D.E. figures: ~1 PFlops peak in < 100 kW.
+DAVIDE_PEAK_PFLOPS = 0.99
+DAVIDE_POWER_KW = 98.0
+
+
+def davide_projection() -> SystemEntry:
     """D.A.V.I.D.E.'s projected list entry.
 
     The paper quotes peak (1 PFlops, <100 kW); list entries use Linpack
     Rmax, so a GPU-system Linpack efficiency (~75 % on P100 machines)
     converts peak to a defensible Rmax projection.
     """
-    if not 0 < linpack_efficiency <= 1:
-        raise ValueError("Linpack efficiency must lie in (0, 1]")
     return SystemEntry(
         name="D.A.V.I.D.E. (projected)",
-        rmax_pflops=peak_pflops * linpack_efficiency,
-        power_mw=power_kw / 1000.0,
+        rmax_pflops=DAVIDE_PEAK_PFLOPS * LINPACK_EFFICIENCY,
+        power_mw=DAVIDE_POWER_KW / 1000.0,
         accelerator="P100",
         year=2017,
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hardware.node import ComputeNode
-from ..network.collectives import CommModel, EDR_DUAL_RAIL
+from ..network.collectives import EDR_DUAL_RAIL
 from ..power.trace import PowerTrace
 
 __all__ = ["Device", "CommKind", "Phase", "ApplicationModel", "ExecutionPlatform", "ExecutionReport"]
@@ -172,13 +172,11 @@ class ExecutionPlatform:
         node: ComputeNode | None = None,
         use_gpus: bool = True,
         nvlink: bool = True,
-        comm: CommModel | None = None,
     ):
         self.name = name
         self.node = node if node is not None else ComputeNode()
         self.use_gpus = use_gpus
         self.nvlink = nvlink
-        self.comm = comm if comm is not None else EDR_DUAL_RAIL()
         self.fabric = self.node.fabric if nvlink else self.node.fabric.pcie_fallback()
 
     # -- canonical platforms -----------------------------------------------------
@@ -207,7 +205,7 @@ class ExecutionPlatform:
             gpu = self.node.gpus[0]
             flops = phase.flops / n
             nbytes = phase.bytes_moved / n
-            t_flops = flops / gpu.peak_flops("fp64") if flops > 0 else 0.0
+            t_flops = flops / gpu.peak_flops() if flops > 0 else 0.0
             t_bytes = nbytes / gpu.spec.hbm_bandwidth_Bps if nbytes > 0 else 0.0
             return max(t_flops, t_bytes)
         # CPU path: both sockets share the work.
@@ -241,11 +239,11 @@ class ExecutionPlatform:
         if n_nodes <= 1:
             return 0.0
         if phase.comm is CommKind.HALO:
-            return self.comm.halo_exchange_time_s(phase.comm_bytes, phase.comm_neighbors)
+            return EDR_DUAL_RAIL.halo_exchange_time_s(phase.comm_bytes, phase.comm_neighbors)
         if phase.comm is CommKind.ALLTOALL:
-            return self.comm.alltoall_time_s(phase.comm_bytes, n_nodes)
+            return EDR_DUAL_RAIL.alltoall_time_s(phase.comm_bytes, n_nodes)
         if phase.comm is CommKind.ALLREDUCE:
-            return self.comm.allreduce_time_s(phase.comm_bytes, n_nodes)
+            return EDR_DUAL_RAIL.allreduce_time_s(phase.comm_bytes, n_nodes)
         raise ValueError(f"unhandled comm kind {phase.comm}")
 
     def _phase_power(self, phase: Phase) -> float:

@@ -81,11 +81,9 @@ def quantum_espresso(scale: float = 1.0, n_iterations: int = 40) -> ApplicationM
     )
 
 
-def nemo(scale: float = 1.0, n_iterations: int = 200) -> ApplicationModel:
+def nemo(n_iterations: int = 200) -> ApplicationModel:
     """One ocean time step: bandwidth-bound stencils + halo exchanges."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    grid_bytes = 6.0 * GIB * scale        # prognostic fields per node
+    grid_bytes = 6.0 * GIB                # prognostic fields per node
     return ApplicationModel(
         name="nemo",
         n_iterations=n_iterations,
@@ -111,12 +109,11 @@ def nemo(scale: float = 1.0, n_iterations: int = 200) -> ApplicationModel:
                 bytes_moved=0.8 * grid_bytes,
             ),
             # Frequent halo exchanges on the 2-D lat/lon decomposition.
-            # Halo volume follows the subdomain *surface*: scale^(2/3).
             Phase(
                 name="halo",
                 device=Device.GPU,
                 comm=CommKind.HALO,
-                comm_bytes=12e6 * scale ** (2 / 3),
+                comm_bytes=12e6,
                 comm_neighbors=4,
             ),
         ),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..hardware.specs import NVLINK_1, PCIE_GEN3_X16, TESLA_P100, GpuSpec, LinkSpec
+from ..hardware.specs import NVLINK_1, PCIE_GEN3_X16, TESLA_P100, LinkSpec
 
 __all__ = ["UnifiedMemoryModel", "OversubscriptionPoint"]
 
@@ -38,11 +38,10 @@ class OversubscriptionPoint:
 
 
 class UnifiedMemoryModel:
-    """Demand-paging performance of one GPU under memory oversubscription."""
+    """Demand-paging performance of one P100 under memory oversubscription."""
 
     def __init__(
         self,
-        gpu: GpuSpec = TESLA_P100,
         link: LinkSpec = NVLINK_1,
         link_gang: int = 2,
         page_fault_overhead: float = 0.35,
@@ -55,7 +54,6 @@ class UnifiedMemoryModel:
             raise ValueError("link gang must be >= 1")
         if not 0.0 <= page_fault_overhead < 1.0:
             raise ValueError("page fault overhead must lie in [0, 1)")
-        self.gpu = gpu
         self.link_bandwidth_Bps = link.bandwidth_Bps * link_gang
         self.page_fault_overhead = float(page_fault_overhead)
 
@@ -69,19 +67,19 @@ class UnifiedMemoryModel:
         """
         if working_set_bytes <= 0:
             raise ValueError("working set must be positive")
-        capacity = self.gpu.hbm_capacity_bytes
+        capacity = TESLA_P100.hbm_capacity_bytes
         resident = min(working_set_bytes, capacity) / working_set_bytes
         overflow = 1.0 - resident
         paging_bw = self.link_bandwidth_Bps * (1.0 - self.page_fault_overhead)
         # Harmonic (time-additive) combination of the two streams.
-        time_per_byte = resident / self.gpu.hbm_bandwidth_Bps + overflow / paging_bw
+        time_per_byte = resident / TESLA_P100.hbm_bandwidth_Bps + overflow / paging_bw
         eff_bw = 1.0 / time_per_byte
         return OversubscriptionPoint(
             working_set_bytes=working_set_bytes,
             oversubscription=working_set_bytes / capacity,
             resident_fraction=resident,
             effective_bandwidth_Bps=eff_bw,
-            slowdown=self.gpu.hbm_bandwidth_Bps / eff_bw,
+            slowdown=TESLA_P100.hbm_bandwidth_Bps / eff_bw,
         )
 
     def sweep(self, oversubscriptions: np.ndarray | list[float]) -> list[OversubscriptionPoint]:
@@ -90,7 +88,7 @@ class UnifiedMemoryModel:
         for ratio in oversubscriptions:
             if ratio <= 0:
                 raise ValueError("oversubscription ratios must be positive")
-            out.append(self.point(float(ratio) * self.gpu.hbm_capacity_bytes))
+            out.append(self.point(float(ratio) * TESLA_P100.hbm_capacity_bytes))
         return out
 
     @classmethod

@@ -93,10 +93,11 @@ class DatacenterCooling:
     #: Pump/fan power per watt of heat moved.
     LIQUID_TRANSPORT_W_PER_W = 0.01
     AIR_TRANSPORT_W_PER_W = 0.08
+    #: Supply temperature of the air path.
+    AIR_SUPPLY_C = 22.0
 
-    def __init__(self, liquid_supply_c: float = 35.0, air_supply_c: float = 22.0):
+    def __init__(self, liquid_supply_c: float = 35.0):
         self.liquid_supply_c = float(liquid_supply_c)
-        self.air_supply_c = float(air_supply_c)
 
     def _path_power(self, heat_w: float, supply_c: float, outdoor_c: float, transport: float) -> float:
         if heat_w < 0:
@@ -114,15 +115,15 @@ class DatacenterCooling:
         liquid = self._path_power(
             split.liquid_w, self.liquid_supply_c, outdoor_c, self.LIQUID_TRANSPORT_W_PER_W
         )
-        air = self._path_power(split.air_w, self.air_supply_c, outdoor_c, self.AIR_TRANSPORT_W_PER_W)
+        air = self._path_power(split.air_w, self.AIR_SUPPLY_C, outdoor_c, self.AIR_TRANSPORT_W_PER_W)
         return {"liquid_w": liquid, "air_w": air, "total_w": liquid + air}
 
-    def pue(self, it_power_w: float, split: HeatSplit, outdoor_c: float, overhead_w: float = 0.0) -> float:
+    def pue(self, it_power_w: float, split: HeatSplit, outdoor_c: float) -> float:
         """Power Usage Effectiveness for the given operating point."""
         if it_power_w <= 0:
             raise ValueError("IT power must be positive")
         cooling = self.cooling_power_w(split, outdoor_c)["total_w"]
-        return (it_power_w + cooling + overhead_w) / it_power_w
+        return (it_power_w + cooling) / it_power_w
 
     def free_cooling_hours_fraction(self, outdoor_temps_c: np.ndarray) -> dict[str, float]:
         """Fraction of hours the liquid/air paths run chiller-free.
@@ -134,5 +135,5 @@ class DatacenterCooling:
         if t.size == 0:
             raise ValueError("need at least one temperature sample")
         liquid_free = float(np.mean(t <= self.liquid_supply_c - self.DRY_COOLER_APPROACH_K))
-        air_free = float(np.mean(t <= self.air_supply_c - self.DRY_COOLER_APPROACH_K))
+        air_free = float(np.mean(t <= self.AIR_SUPPLY_C - self.DRY_COOLER_APPROACH_K))
         return {"liquid": liquid_free, "air": air_free}

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..hardware.specs import DAVIDE_RACK
+
 __all__ = [
     "CoolantStream",
     "dew_point_c",
@@ -129,25 +131,25 @@ class LiquidLoop:
     FACILITY_OUTLET_MAX_C = 55.0
     SECONDARY_MAX_C = 45.0
     DEW_POINT_MARGIN_K = 5.0
+    #: Facility water through the exchanger's primary side.
+    FACILITY_FLOW_LPM = 30.0
+    #: The loop's redundant pumps, whose waste heat the loop also rejects.
+    PUMP_POWER_W = 120.0
+    #: The machine room the dew point is taken in.
+    ROOM_TEMP_C = 25.0
+    ROOM_RELATIVE_HUMIDITY = 0.5
 
-    def __init__(
-        self,
-        exchanger: HeatExchanger,
-        secondary_flow_lpm: float = 30.0,
-        facility_flow_lpm: float = 30.0,
-        pump_power_w: float = 120.0,
-    ):
+    def __init__(self, exchanger: HeatExchanger):
         self.exchanger = exchanger
-        self.secondary_flow_lpm = float(secondary_flow_lpm)
-        self.facility_flow_lpm = float(facility_flow_lpm)
-        self.pump_power_w = float(pump_power_w)
 
     def operating_point(self, heat_w: float, facility_inlet_c: float) -> dict[str, float]:
         """Steady state of the loop for a rack heat load.
 
-        Returns secondary supply/return, facility outlet and the residual
-        imbalance (0 when converged).  Raises if the facility inlet is out
-        of the supported range.
+        The secondary loop runs the rack's coolant flow
+        (``DAVIDE_RACK.coolant_flow_lpm``).  Returns secondary
+        supply/return, facility outlet and the residual imbalance (0 when
+        converged).  Raises if the facility inlet is out of the supported
+        range.
         """
         if heat_w < 0:
             raise ValueError("heat must be non-negative")
@@ -157,14 +159,15 @@ class LiquidLoop:
                 f"[{self.FACILITY_INLET_MIN_C}, {self.FACILITY_INLET_MAX_C}]"
             )
         # The pumps' waste heat is rejected through the same loop.
-        total_heat = heat_w + self.pump_power_w
+        total_heat = heat_w + self.PUMP_POWER_W
+        secondary_flow_lpm = DAVIDE_RACK.coolant_flow_lpm
         supply = facility_inlet_c + 5.0  # initial guess
         result: dict[str, float] = {}
         for _ in range(100):
-            secondary = CoolantStream(self.secondary_flow_lpm, inlet_temp_c=supply)
+            secondary = CoolantStream(secondary_flow_lpm, inlet_temp_c=supply)
             ret = secondary.outlet_temp_c(total_heat)
-            hot = CoolantStream(self.secondary_flow_lpm, inlet_temp_c=ret)
-            cold = CoolantStream(self.facility_flow_lpm, inlet_temp_c=facility_inlet_c)
+            hot = CoolantStream(secondary_flow_lpm, inlet_temp_c=ret)
+            cold = CoolantStream(self.FACILITY_FLOW_LPM, inlet_temp_c=facility_inlet_c)
             xfer = self.exchanger.transfer(hot, cold)
             new_supply = xfer["hot_outlet_c"]
             result = {
@@ -179,15 +182,10 @@ class LiquidLoop:
             supply = new_supply
         return result
 
-    def check_constraints(
-        self,
-        op: dict[str, float],
-        room_temp_c: float = 25.0,
-        relative_humidity: float = 0.5,
-    ) -> list[str]:
+    def check_constraints(self, op: dict[str, float]) -> list[str]:
         """Constraint violations of an operating point (empty = OK)."""
         violations = []
-        dew = dew_point_c(room_temp_c, relative_humidity)
+        dew = dew_point_c(self.ROOM_TEMP_C, self.ROOM_RELATIVE_HUMIDITY)
         if op["secondary_supply_c"] < dew + self.DEW_POINT_MARGIN_K:
             violations.append(
                 f"secondary supply {op['secondary_supply_c']:.1f} degC below "

@@ -7,7 +7,7 @@ degradation, which is normally not evenly distributed across the server
 nodes.  Direct liquid cooling solves this issue."
 
 The governor reproduces the firmware behaviour: when the die temperature
-crosses ``throttle_temp_c`` the component's power is stepped down
+crosses :data:`DIE_LIMIT_C` the component's power is stepped down
 (hysteresis band below) until the die recovers.  Running the governor
 over a thermal chain yields the *sustained* power/performance — the
 quantity experiment E06 compares between cooling technologies.
@@ -23,6 +23,21 @@ import numpy as np
 from .thermal import ThermalChain, step_count
 
 __all__ = ["ThrottleGovernor", "SustainedOperation", "sustained_performance"]
+
+#: Maximum operating die temperature: the firmware throttles above it,
+#: and a burn-in soak must hold the die below it.
+DIE_LIMIT_C = 83.0
+#: The governor steps power back up once the die cools below this.
+RELEASE_TEMP_C = 78.0
+#: Power step per control period, as a fraction of the demand (a step
+#: back up is half as large).
+STEP_FRACTION = 0.1
+#: The governor never grants less than this fraction of the demand.
+MIN_POWER_FRACTION = 0.4
+#: Power fraction at which a component does no work (the idle floor).
+IDLE_POWER_FRACTION = 0.2
+#: The governor's control period.
+CONTROL_PERIOD_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -46,40 +61,13 @@ class ThrottleGovernor:
     vendors implement).
     """
 
-    def __init__(
-        self,
-        throttle_temp_c: float = 83.0,
-        release_temp_c: float = 78.0,
-        step_fraction: float = 0.1,
-        min_power_fraction: float = 0.4,
-        idle_power_fraction: float = 0.2,
-    ):
-        for name, temp in (("throttle_temp_c", throttle_temp_c),
-                           ("release_temp_c", release_temp_c)):
-            if not math.isfinite(temp):
-                raise ValueError(f"{name} must be finite, got {temp!r}")
-        if release_temp_c >= throttle_temp_c:
-            raise ValueError("release threshold must be below throttle threshold")
-        if not 0.0 < step_fraction < 1.0:
-            raise ValueError("step fraction must lie in (0, 1)")
-        if not 0.0 < min_power_fraction <= 1.0:
-            raise ValueError("min power fraction must lie in (0, 1]")
-        if not 0.0 <= idle_power_fraction < 1.0:
-            raise ValueError(
-                f"idle_power_fraction must be in [0, 1), got {idle_power_fraction!r}")
-        self.throttle_temp_c = throttle_temp_c
-        self.release_temp_c = release_temp_c
-        self.step_fraction = step_fraction
-        self.min_power_fraction = min_power_fraction
-        self.idle_power_fraction = idle_power_fraction
-
     def performance_of(self, power_fraction: float) -> float:
         """Map a power fraction to a performance fraction.
 
         Performance scales with the dynamic share of power: at the idle
         floor no work is done, at full power performance is 1.
         """
-        f = (power_fraction - self.idle_power_fraction) / (1.0 - self.idle_power_fraction)
+        f = (power_fraction - IDLE_POWER_FRACTION) / (1.0 - IDLE_POWER_FRACTION)
         return float(np.clip(f, 0.0, 1.0))
 
     def run(
@@ -87,16 +75,17 @@ class ThrottleGovernor:
         chain: ThermalChain,
         demand_power_w: float,
         duration_s: float,
-        dt_s: float = 1.0,
     ) -> SustainedOperation:
         """Run a constant-demand workload under the governor.
 
         ``demand_power_w`` is what the workload would draw unthrottled;
-        the governor modulates the granted fraction.
+        the governor modulates the granted fraction once per
+        :data:`CONTROL_PERIOD_S`.
         """
         if not 0 < demand_power_w < math.inf:
             raise ValueError(
                 f"demand_power_w must be positive and finite, got {demand_power_w!r}")
+        dt_s = CONTROL_PERIOD_S
         steps = step_count(duration_s, dt_s)
         fraction = 1.0
         powers = np.empty(steps)
@@ -110,10 +99,10 @@ class ThrottleGovernor:
             perfs[i] = self.performance_of(fraction)
             temps[i] = t_die
             throttled[i] = fraction < 1.0
-            if t_die > self.throttle_temp_c:
-                fraction = max(fraction - self.step_fraction, self.min_power_fraction)
-            elif t_die < self.release_temp_c and fraction < 1.0:
-                fraction = min(fraction + self.step_fraction / 2, 1.0)
+            if t_die > DIE_LIMIT_C:
+                fraction = max(fraction - STEP_FRACTION, MIN_POWER_FRACTION)
+            elif t_die < RELEASE_TEMP_C and fraction < 1.0:
+                fraction = min(fraction + STEP_FRACTION / 2, 1.0)
         return SustainedOperation(
             mean_power_w=float(powers.mean()),
             mean_performance_fraction=float(perfs.mean()),
@@ -128,7 +117,6 @@ def sustained_performance(
     demand_power_w: float,
     boundary_temps_c: list[float],
     duration_s: float = 600.0,
-    governor: ThrottleGovernor | None = None,
 ) -> list[SustainedOperation]:
     """Sweep the sink temperature and report sustained operation at each.
 
@@ -137,7 +125,7 @@ def sustained_performance(
     liquid cooling sustains full performance across the whole hot-water
     range while air cooling throttles as the room warms.
     """
-    gov = governor if governor is not None else ThrottleGovernor()
+    gov = ThrottleGovernor()
     out = []
     for temp in boundary_temps_c:
         chain = chain_factory(temp)

@@ -27,7 +27,7 @@ import numpy as np
 from ..hardware.cluster import Cluster
 from ..monitoring.gateway import EnergyGateway
 from ..monitoring.mqtt import MqttBroker
-from ..power.trace import PowerTrace, trace_from_function
+from ..power.trace import trace_from_function
 from ..prediction.evaluate import PredictionScore, chronological_split, evaluate_model
 from ..prediction.models import JobPowerModel
 from ..scheduler.job import Job, JobRecord

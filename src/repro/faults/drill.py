@@ -232,7 +232,7 @@ class FaultDrill:
         self.broker.bind_observability(self.obs)
         self.injector = FaultInjector(self.env, log=self.log, seed=cfg.seed)
         self.shelf = RackLevelSupply(
-            PsuModel(rating_w=cfg.shelf_psu_rating_w), n_psus=SHELF_PSUS, min_active=2
+            PsuModel(rating_w=cfg.shelf_psu_rating_w), n_psus=SHELF_PSUS
         )
         self.policy = PowerAwareScheduler(
             cfg.power_budget_w,

@@ -14,21 +14,34 @@ patterns and checks its behaviour against the acceptance envelope:
 * **sensor sanity** — the gateway's rail readings must sum to the node
   reading within tolerance and must not be stuck.
 
-The suite returns a structured report; a node ships only when every
-check passes.  Fault injection hooks let the tests (and the factory)
-verify the suite actually catches broken hardware.
+The acceptance envelope is one set of module constants: the power band,
+the soak on 35 degC bench coolant, the die limit the firmware throttles
+at (:data:`repro.cooling.throttling.DIE_LIMIT_C`) and the rail-sum
+tolerance.  The suite returns a structured report; a node ships only
+when every check passes.  Measured rail readings can be injected into
+:meth:`BurnInSuite.run` (a faulty gateway) to verify the suite actually
+catches broken instrumentation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from ..cooling.thermal import LIQUID_COOLED_CPU, LIQUID_COOLED_GPU, ThermalChain
+from ..cooling.thermal import LIQUID_COOLED_CPU, LIQUID_COOLED_GPU
+from ..cooling.throttling import DIE_LIMIT_C
 from .node import ComputeNode
 
 __all__ = ["BurnInCheck", "BurnInReport", "BurnInSuite"]
+
+#: Power-virus acceptance band: a short node reads too low, a damaged VRM
+#: too high.
+POWER_BAND_W = (1700.0, 2100.0)
+#: Bench coolant temperature of the thermal soak.
+COOLANT_TEMP_C = 35.0
+#: Allowed relative gap between the rail sum and the node reading.
+RAIL_SUM_TOLERANCE = 0.02
+#: Length of the thermal soak.
+SOAK_DURATION_S = 1800.0
 
 
 @dataclass(frozen=True)
@@ -61,30 +74,13 @@ class BurnInReport:
 class BurnInSuite:
     """The acceptance-test harness for Garrison nodes."""
 
-    def __init__(
-        self,
-        power_band_w: tuple[float, float] = (1700.0, 2100.0),
-        die_limit_c: float = 83.0,
-        coolant_temp_c: float = 35.0,
-        rail_sum_tolerance: float = 0.02,
-        soak_duration_s: float = 1800.0,
-    ):
-        lo, hi = power_band_w
-        if lo <= 0 or hi <= lo:
-            raise ValueError("invalid power acceptance band")
-        self.power_band_w = (float(lo), float(hi))
-        self.die_limit_c = float(die_limit_c)
-        self.coolant_temp_c = float(coolant_temp_c)
-        self.rail_sum_tolerance = float(rail_sum_tolerance)
-        self.soak_duration_s = float(soak_duration_s)
-
     # -- individual stress patterns ------------------------------------------------
     def power_virus_check(self, node: ComputeNode) -> list[BurnInCheck]:
         """Everything flat out: power band + thermal soak per die."""
         node.apply_power_cap(None)
         node.set_utilization(cpu=1.0, gpu=1.0, memory_intensity=1.0)
         p = node.power_w()
-        lo, hi = self.power_band_w
+        lo, hi = POWER_BAND_W
         checks = [
             BurnInCheck(
                 name="power-virus power band",
@@ -97,17 +93,17 @@ class BurnInSuite:
         worst_gpu = max(bd.gpus)
         worst_cpu = max(bd.cpus)
         for label, watts, chain in (
-            ("GPU", worst_gpu, LIQUID_COOLED_GPU(self.coolant_temp_c)),
-            ("CPU", worst_cpu, LIQUID_COOLED_CPU(self.coolant_temp_c)),
+            ("GPU", worst_gpu, LIQUID_COOLED_GPU(COOLANT_TEMP_C)),
+            ("CPU", worst_cpu, LIQUID_COOLED_CPU(COOLANT_TEMP_C)),
         ):
-            chain.run(watts, duration_s=self.soak_duration_s, dt_s=10.0)
+            chain.run(watts, duration_s=SOAK_DURATION_S, dt_s=10.0)
             t = chain.die_temp_c
             checks.append(
                 BurnInCheck(
                     name=f"thermal soak ({label})",
-                    passed=t < self.die_limit_c,
-                    detail=f"die {t:.1f} degC after {self.soak_duration_s:.0f} s "
-                           f"(limit {self.die_limit_c:.0f})",
+                    passed=t < DIE_LIMIT_C,
+                    detail=f"die {t:.1f} degC after {SOAK_DURATION_S:.0f} s "
+                           f"(limit {DIE_LIMIT_C:.0f})",
                     value=t,
                 )
             )
@@ -176,9 +172,9 @@ class BurnInSuite:
             checks.append(
                 BurnInCheck(
                     name="rail sum matches node power",
-                    passed=err <= self.rail_sum_tolerance,
+                    passed=err <= RAIL_SUM_TOLERANCE,
                     detail=f"rail sum off by {err * 100:.2f}% "
-                           f"(tolerance {self.rail_sum_tolerance * 100:.0f}%)",
+                           f"(tolerance {RAIL_SUM_TOLERANCE * 100:.0f}%)",
                     value=err,
                 )
             )

@@ -22,6 +22,9 @@ from .specs import POWER8_PLUS, CpuSpec
 
 __all__ = ["PState", "CpuModel", "default_pstates"]
 
+#: DVFS operating points on a socket's p-state ladder.
+N_PSTATES = 8
+
 
 @dataclass(frozen=True)
 class PState:
@@ -35,8 +38,8 @@ class PState:
             raise ValueError("p-state frequency and voltage must be positive")
 
 
-def default_pstates(spec: CpuSpec = POWER8_PLUS, n_states: int = 8) -> list[PState]:
-    """Build a realistic p-state ladder for ``spec``.
+def default_pstates(spec: CpuSpec = POWER8_PLUS) -> list[PState]:
+    """Build a realistic :data:`N_PSTATES`-state p-state ladder for ``spec``.
 
     Frequencies are spaced linearly from ``min_clock_hz`` to
     ``max_clock_hz``; voltage follows an affine V(f) law (the usual
@@ -44,9 +47,7 @@ def default_pstates(spec: CpuSpec = POWER8_PLUS, n_states: int = 8) -> list[PSta
     the bottom state to 1.20 V at the top.  Returned fastest-first, matching
     how governors index them (index 0 = highest performance).
     """
-    if n_states < 2:
-        raise ValueError("need at least 2 p-states")
-    freqs = np.linspace(spec.max_clock_hz, spec.min_clock_hz, n_states)
+    freqs = np.linspace(spec.max_clock_hz, spec.min_clock_hz, N_PSTATES)
     f_span = spec.max_clock_hz - spec.min_clock_hz
     volts = 0.85 + (freqs - spec.min_clock_hz) / f_span * (1.20 - 0.85)
     return [PState(float(f), float(v)) for f, v in zip(freqs, volts)]
@@ -55,11 +56,9 @@ def default_pstates(spec: CpuSpec = POWER8_PLUS, n_states: int = 8) -> list[PSta
 class CpuModel:
     """Stateful POWER8+ socket: p-state, per-core gating, power & perf."""
 
-    def __init__(self, spec: CpuSpec = POWER8_PLUS, pstates: list[PState] | None = None):
+    def __init__(self, spec: CpuSpec = POWER8_PLUS):
         self.spec = spec
-        self.pstates = pstates if pstates is not None else default_pstates(spec)
-        if not self.pstates:
-            raise ValueError("empty p-state ladder")
+        self.pstates = default_pstates(spec)
         self._pstate_idx = 0
         self._active_cores = spec.cores
         # Calibrate the power model against (TDP @ top state, full util)

@@ -7,8 +7,8 @@ Captures the GPU behaviours the D.A.V.I.D.E. stack depends on:
   capper drives): the model throttles its clock until predicted power fits
   under the cap, exactly how the real closed-loop limiter behaves on
   average;
-* **FP64/FP32/FP16 peaks** at the resolved clock (the application models'
-  roofline reads them against the HBM2 bandwidth);
+* the **FP64 peak** at the resolved clock (the application models'
+  roofline reads it against the HBM2 bandwidth);
 * **sleep states** for the energy-proportionality API (Section IV).
 """
 
@@ -51,8 +51,9 @@ class GpuModel:
     # -- power limit (RAPL-equivalent knob on the GPU) ----------------------
     def set_power_limit(self, limit_w: float) -> None:
         """Set the board power limit; clamped to [idle floor, TDP]."""
-        if limit_w <= 0:
-            raise ValueError("power limit must be positive")
+        if not limit_w > 0:
+            # ``not >`` so a NaN limit is rejected too (NaN compares false).
+            raise ValueError(f"limit_w must be positive, got {limit_w!r}")
         self._power_limit_w = float(np.clip(limit_w, self.spec.idle_w, self.spec.tdp_w))
 
     # -- sleep (energy-proportionality API) ---------------------------------
@@ -110,8 +111,8 @@ class GpuModel:
         return self.operating_point(utilization).power_w
 
     # -- performance -----------------------------------------------------------
-    def peak_flops(self, precision: str = "fp64") -> float:
-        """Peak throughput at the *current* operating point (full util)."""
+    def peak_flops(self) -> float:
+        """FP64 peak at the *current* operating point (full util)."""
         op = self.operating_point(1.0)
         scale = op.clock_hz / self.spec.boost_clock_hz
-        return self.spec.peak_flops(precision) * scale
+        return self.spec.peak_flops() * scale

@@ -47,6 +47,10 @@ class Link(NamedTuple):
     medium: str   # 'nvlink' | 'pcie' | 'smp'
 
 
+#: The PCIe Gen3 x16 attach: every NIC, and every GPU on the PCIe fallback.
+_PCIE = Link(PCIE_GEN3_X16.bandwidth_Bps, PCIE_GEN3_X16.latency_s, "pcie")
+
+
 class NodeFabric:
     """The Garrison node's internal wiring: endpoints and link specs.
 
@@ -73,7 +77,6 @@ class NodeFabric:
         gpus_per_cpu: int = 2,
         nvlink: LinkSpec = NVLINK_1,
         nvlink_gang_width: int = 2,
-        pcie: LinkSpec = PCIE_GEN3_X16,
     ):
         if n_cpus < 1 or gpus_per_cpu < 1:
             raise ValueError("need at least one CPU and one GPU per CPU")
@@ -81,7 +84,6 @@ class NodeFabric:
         self.gpus_per_cpu = gpus_per_cpu
         self.nvlink = nvlink
         self.gang_width = nvlink_gang_width
-        self.pcie = pcie
         self.kinds: dict[str, str] = {}
         self.links: dict[tuple[str, str], Link] = {}
         gang = Link(nvlink.bandwidth_Bps * nvlink_gang_width, nvlink.latency_s, "nvlink")
@@ -89,7 +91,7 @@ class NodeFabric:
             cpu, nic = f"cpu{c}", f"nic{c}"
             self.kinds[cpu] = "cpu"
             self.kinds[nic] = "nic"
-            self.links[cpu, nic] = Link(pcie.bandwidth_Bps, pcie.latency_s, "pcie")
+            self.links[cpu, nic] = _PCIE
             local_gpus = [f"gpu{c * gpus_per_cpu + g}" for g in range(gpus_per_cpu)]
             for gpu in local_gpus:
                 self.kinds[gpu] = "gpu"
@@ -157,9 +159,7 @@ class NodeFabric:
             gpus_per_cpu=self.gpus_per_cpu,
             nvlink=self.nvlink,
             nvlink_gang_width=self.gang_width,
-            pcie=self.pcie,
         )
-        pcie = Link(self.pcie.bandwidth_Bps, self.pcie.latency_s, "pcie")
-        clone.links = {pair: pcie if link.medium == "nvlink" else link
+        clone.links = {pair: _PCIE if link.medium == "nvlink" else link
                        for pair, link in clone.links.items()}
         return clone

@@ -20,7 +20,7 @@ Three responsibilities, implemented against the rack model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +45,12 @@ class RackManagementController:
     #: Air-path thermal model: exhaust rise over inlet scales with the
     #: air-side heat and inversely with fan speed (mass flow).
     AIR_HEAT_CAPACITY_W_PER_K = 900.0   # at full fan speed
+    #: Air temperature at the rack inlet, and the exhaust the fans hold.
+    INLET_TEMP_C = 25.0
+    TARGET_EXHAUST_C = 45.0
 
-    def __init__(self, rack: Rack, inlet_temp_c: float = 25.0, target_exhaust_c: float = 45.0):
-        if target_exhaust_c <= inlet_temp_c:
-            raise ValueError("exhaust target must exceed the inlet temperature")
+    def __init__(self, rack: Rack):
         self.rack = rack
-        self.inlet_temp_c = float(inlet_temp_c)
-        self.target_exhaust_c = float(target_exhaust_c)
         self.audit_log: list[str] = []
         self._assets = self._build_inventory()
 
@@ -79,12 +78,11 @@ class RackManagementController:
 
         return heat_split_for_rack(self.rack).air_w
 
-    def exhaust_temp_c(self, fan_fraction: float | None = None) -> float:
-        """Predicted exhaust temperature at a fan speed (default: current)."""
-        frac = self.rack.fan_fraction if fan_fraction is None else fan_fraction
-        frac = max(frac, 0.05)
+    def exhaust_temp_c(self) -> float:
+        """Predicted exhaust temperature at the current fan speed."""
+        frac = max(self.rack.fan_fraction, 0.05)
         # Mass flow (and so heat capacity rate) scales linearly with speed.
-        return self.inlet_temp_c + self.air_heat_w() / (self.AIR_HEAT_CAPACITY_W_PER_K * frac)
+        return self.INLET_TEMP_C + self.air_heat_w() / (self.AIR_HEAT_CAPACITY_W_PER_K * frac)
 
     def optimize_fans(self) -> float:
         """Set the slowest fan speed that meets the exhaust target.
@@ -94,7 +92,7 @@ class RackManagementController:
         speed optimization' the module advertises.
         """
         needed = self.air_heat_w() / (
-            self.AIR_HEAT_CAPACITY_W_PER_K * (self.target_exhaust_c - self.inlet_temp_c)
+            self.AIR_HEAT_CAPACITY_W_PER_K * (self.TARGET_EXHAUST_C - self.INLET_TEMP_C)
         )
         fraction = float(np.clip(needed, 0.1, 1.0))
         self.rack.set_fan_fraction(fraction)

@@ -47,9 +47,8 @@ class CentaurLink:
 class MemorySubsystem:
     """Per-socket memory system built from ``channels`` Centaur links."""
 
-    def __init__(self, spec: MemorySpec = CENTAUR_DDR4, link: CentaurLink | None = None):
+    def __init__(self, spec: MemorySpec = CENTAUR_DDR4):
         self.spec = spec
-        self.link = link if link is not None else CentaurLink()
 
     @property
     def sustained_bandwidth_Bps(self) -> float:

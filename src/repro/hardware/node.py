@@ -133,8 +133,9 @@ class ComputeNode:
             for c in self.cpus:
                 c.set_pstate(0)
             return self.power_w()
-        if cap_w <= 0:
-            raise ValueError("power cap must be positive")
+        if not cap_w > 0:
+            # ``not >`` so a NaN cap is rejected too (NaN compares false).
+            raise ValueError(f"cap_w must be positive, got {cap_w!r}")
         self._power_cap_w = float(cap_w)
         # Uncapped demand per component at current utilization.
         for g in self.gpus:
@@ -170,7 +171,7 @@ class ComputeNode:
     @property
     def peak_flops(self) -> float:
         """Node FP64 peak at current operating points."""
-        return sum(c.peak_flops() for c in self.cpus) + sum(g.peak_flops("fp64") for g in self.gpus)
+        return sum(c.peak_flops() for c in self.cpus) + sum(g.peak_flops() for g in self.gpus)
 
     @property
     def nameplate_flops(self) -> float:

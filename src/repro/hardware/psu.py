@@ -22,6 +22,17 @@ import numpy as np
 
 __all__ = ["PsuModel", "NodeLevelSupply", "RackLevelSupply", "consolidation_savings"]
 
+#: Fixed overhead a PSU burns even at zero load (fans, controller), as a
+#: fraction of its rating.
+STANDBY_FRACTION = 0.01
+#: Node-level supply: 1+1 redundant PSUs in every node.
+PSUS_PER_NODE = 2
+#: The rack shelf keeps this many supplies on for redundancy ...
+MIN_ACTIVE_PSUS = 2
+#: ... and enables more to hold each active one at or below this
+#: fraction of its rating.
+TARGET_LOAD = 0.9
+
 
 @dataclass(frozen=True)
 class PsuModel:
@@ -37,9 +48,6 @@ class PsuModel:
     eff_20: float = 0.88
     eff_50: float = 0.92
     eff_100: float = 0.89
-    #: Fixed overhead burnt even at zero load (fans, controller), as a
-    #: fraction of rating.
-    standby_fraction: float = 0.01
 
     def __post_init__(self) -> None:
         if self.rating_w <= 0:
@@ -69,7 +77,7 @@ class PsuModel:
         """AC draw to deliver ``dc_load_w`` at the output."""
         if dc_load_w < 0:
             raise ValueError("load must be non-negative")
-        standby = self.standby_fraction * self.rating_w
+        standby = STANDBY_FRACTION * self.rating_w
         if dc_load_w == 0:
             return standby
         eff = self.efficiency(dc_load_w / self.rating_w)
@@ -77,22 +85,19 @@ class PsuModel:
 
 
 class NodeLevelSupply:
-    """Per-node supply: each node has ``psus_per_node`` redundant PSUs.
+    """Per-node supply: each node has :data:`PSUS_PER_NODE` redundant PSUs.
 
     With 1+1 redundancy both PSUs share the load (current sharing), so
     each runs at half the node load fraction — the inefficient regime the
     paper's consolidation argument targets.
     """
 
-    def __init__(self, psu: PsuModel, psus_per_node: int = 2):
-        if psus_per_node < 1:
-            raise ValueError("need at least one PSU per node")
+    def __init__(self, psu: PsuModel):
         self.psu = psu
-        self.psus_per_node = psus_per_node
 
     def total_psus(self, n_nodes: int) -> int:
         """PSU count across ``n_nodes`` nodes."""
-        return n_nodes * self.psus_per_node
+        return n_nodes * PSUS_PER_NODE
 
     def input_power_w(self, node_loads_w: list[float] | np.ndarray) -> float:
         """Facility AC power for the given per-node DC loads."""
@@ -101,29 +106,25 @@ class NodeLevelSupply:
             raise ValueError("node loads must be non-negative")
         total = 0.0
         for load in loads:
-            share = load / self.psus_per_node
-            total += self.psus_per_node * self.psu.input_power_w(share)
+            share = load / PSUS_PER_NODE
+            total += PSUS_PER_NODE * self.psu.input_power_w(share)
         return total
 
 
 class RackLevelSupply:
     """OpenRack power shelf: a pooled bank of PSUs feeding a 12 V busbar.
 
-    The shelf keeps ``min_active`` supplies always on for redundancy and
-    activates exactly as many further PSUs as needed to keep each active
-    unit at or below ``target_load`` of rating — the sweet-spot-tracking
-    behaviour of real shelf firmware.
+    The shelf keeps :data:`MIN_ACTIVE_PSUS` supplies always on for
+    redundancy and activates exactly as many further PSUs as needed to
+    keep each active unit at or below :data:`TARGET_LOAD` of rating — the
+    sweet-spot-tracking behaviour of real shelf firmware.
     """
 
-    def __init__(self, psu: PsuModel, n_psus: int = 6, min_active: int = 2, target_load: float = 0.9):
-        if n_psus < min_active or min_active < 1:
-            raise ValueError("invalid PSU counts")
-        if not 0 < target_load <= 1:
-            raise ValueError("target load must lie in (0, 1]")
+    def __init__(self, psu: PsuModel, n_psus: int = 6):
+        if n_psus < MIN_ACTIVE_PSUS:
+            raise ValueError(f"the shelf needs at least {MIN_ACTIVE_PSUS} PSUs, got {n_psus}")
         self.psu = psu
         self.n_psus = n_psus
-        self.min_active = min_active
-        self.target_load = target_load
         self._failed = 0
 
     # -- failure injection ---------------------------------------------------
@@ -159,8 +160,8 @@ class RackLevelSupply:
         """How many supplies the shelf enables for ``dc_load_w``."""
         if dc_load_w < 0:
             raise ValueError("load must be non-negative")
-        needed = int(np.ceil(dc_load_w / (self.psu.rating_w * self.target_load)))
-        lo = min(self.min_active, self.available_psus)
+        needed = int(np.ceil(dc_load_w / (self.psu.rating_w * TARGET_LOAD)))
+        lo = min(MIN_ACTIVE_PSUS, self.available_psus)
         return int(np.clip(max(needed, lo), lo, self.available_psus))
 
     def input_power_w(self, node_loads_w: list[float] | np.ndarray) -> float:
@@ -180,14 +181,13 @@ def consolidation_savings(
     node_loads_w: list[float] | np.ndarray,
     node_psu: PsuModel,
     rack_supply: RackLevelSupply,
-    psus_per_node: int = 2,
 ) -> dict[str, float]:
     """Compare node-level vs rack-level AC/DC conversion for one rack.
 
     Returns input powers, absolute and relative savings, and the PSU count
     reduction — the quantities behind the paper's "up to 5 %" claim.
     """
-    node_supply = NodeLevelSupply(node_psu, psus_per_node=psus_per_node)
+    node_supply = NodeLevelSupply(node_psu)
     loads = np.asarray(node_loads_w, dtype=float)
     p_node = node_supply.input_power_w(loads)
     p_rack = rack_supply.input_power_w(loads)

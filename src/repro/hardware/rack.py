@@ -42,7 +42,6 @@ class Rack:
         self.supply = RackLevelSupply(
             PsuModel(rating_w=spec.psu_rating_w, eff_20=0.90, eff_50=0.94, eff_100=0.91),
             n_psus=spec.n_psus,
-            min_active=2,
         )
         #: Fan-wall speed as a fraction of max; set by the cooling control.
         self.fan_fraction = 0.5

@@ -61,10 +61,9 @@ class CpuSpec:
     idle_w: float
     mem_channels: int             # Centaur links on POWER8
 
-    def peak_flops(self, clock_hz: float | None = None) -> float:
-        """Peak FP64 throughput at the given (default max) clock."""
-        clk = self.max_clock_hz if clock_hz is None else clock_hz
-        return self.cores * self.flops_per_cycle_per_core * clk
+    def peak_flops(self) -> float:
+        """Peak FP64 throughput at the max clock."""
+        return self.cores * self.flops_per_cycle_per_core * self.max_clock_hz
 
 
 @dataclass(frozen=True)
@@ -84,13 +83,9 @@ class GpuSpec:
     base_clock_hz: float
     boost_clock_hz: float
 
-    def peak_flops(self, precision: str = "fp64") -> float:
-        """Peak throughput for ``precision`` in {'fp64','fp32','fp16'}."""
-        table = {"fp64": self.fp64_flops, "fp32": self.fp32_flops, "fp16": self.fp16_flops}
-        try:
-            return table[precision]
-        except KeyError:
-            raise ValueError(f"unknown precision {precision!r}") from None
+    def peak_flops(self) -> float:
+        """Peak FP64 throughput."""
+        return self.fp64_flops
 
 
 @dataclass(frozen=True)

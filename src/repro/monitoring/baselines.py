@@ -19,15 +19,13 @@ error and usable bandwidth for each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from ..power.adc import AdcSpec, SarAdc
 from ..power.decimation import boxcar_decimate
-from ..power.sensors import HALL_SENSOR, SHUNT_SENSOR, PowerSensor, SensorSpec
+from ..power.sensors import HALL_SENSOR, SHUNT_SENSOR, PowerSensor
 from ..power.trace import PowerTrace
+from .gateway import DECIMATION, GatewayConfig
 
 __all__ = [
     "MonitoringSystem",
@@ -162,11 +160,15 @@ class PowerInsightMonitor(_EmbeddedAdcMonitor):
         super().__init__(adc_bits=12, rate_hz=1e3, rng=rng)
 
 
+#: The gateway's default acquisition, the one the comparison enters.
+_GATEWAY = GatewayConfig()
+
+
 class EnergyGatewayMonitor(MonitoringSystem):
     """The D.A.V.I.D.E. EG as a comparison entrant: 800 kS/s -> 50 kS/s."""
 
     name = "Energy Gateway (D.A.V.I.D.E.)"
-    sample_rate_hz = 50e3
+    sample_rate_hz = _GATEWAY.output_rate_hz
     integrating = True
     synchronized_timestamps = True
 
@@ -174,12 +176,10 @@ class EnergyGatewayMonitor(MonitoringSystem):
         self.rng = rng if rng is not None else np.random.default_rng(13)
         self.sensor = PowerSensor(SHUNT_SENSOR, rng=self.rng)
         self.adc = SarAdc(rng=self.rng)
-        self.adc_rate_hz = 800e3
-        self.decimation = 16
 
     def measure(self, truth: PowerTrace) -> PowerTrace:
-        raw = self.adc.acquire_power(truth, self.sensor, self.adc_rate_hz)
-        return boxcar_decimate(raw, self.decimation)
+        raw = self.adc.acquire_power(truth, self.sensor, _GATEWAY.adc_rate_hz)
+        return boxcar_decimate(raw, DECIMATION)
 
 
 def standard_monitors(seed: int = 0) -> list[MonitoringSystem]:

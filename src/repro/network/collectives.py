@@ -17,6 +17,10 @@ import numpy as np
 
 __all__ = ["CommModel", "EDR_DUAL_RAIL"]
 
+#: Message size where libraries switch from latency- to bandwidth-optimal
+#: collective algorithms.
+EAGER_THRESHOLD_B = 8192
+
 
 @dataclass(frozen=True)
 class CommModel:
@@ -24,9 +28,6 @@ class CommModel:
 
     alpha_s: float          # per-message latency (includes switch hops)
     beta_s_per_B: float     # inverse bandwidth per node
-    #: Message size where libraries switch from latency- to
-    #: bandwidth-optimal collective algorithms.
-    eager_threshold_B: int = 8192
 
     def __post_init__(self) -> None:
         if self.alpha_s < 0 or self.beta_s_per_B <= 0:
@@ -40,7 +41,7 @@ class CommModel:
         if n_ranks == 1:
             return 0.0
         lg = np.ceil(np.log2(n_ranks))
-        if nbytes <= self.eager_threshold_B:
+        if nbytes <= EAGER_THRESHOLD_B:
             return float(lg * (self.alpha_s + nbytes * self.beta_s_per_B))
         # Rabenseifner: reduce-scatter + allgather, 2*(p-1)/p of the data.
         return float(2 * lg * self.alpha_s + 2 * (n_ranks - 1) / n_ranks * nbytes * self.beta_s_per_B)
@@ -51,7 +52,7 @@ class CommModel:
         if n_ranks == 1:
             return 0.0
         lg = np.ceil(np.log2(n_ranks))
-        if nbytes <= self.eager_threshold_B:
+        if nbytes <= EAGER_THRESHOLD_B:
             return float(lg * (self.alpha_s + nbytes * self.beta_s_per_B))
         return float((lg + n_ranks - 1) * self.alpha_s
                      + 2 * (n_ranks - 1) / n_ranks * nbytes * self.beta_s_per_B)
@@ -86,12 +87,7 @@ class CommModel:
             raise ValueError("rank count must be >= 1")
 
 
-def EDR_DUAL_RAIL(hops: int = 4) -> CommModel:
-    """The D.A.V.I.D.E. fabric: dual-rail EDR through a two-level fat-tree.
-
-    alpha: ~0.6 us HCA-to-HCA plus ~0.1 us per switch hop (4 hops for the
-    worst leaf-spine-leaf path); beta: 25 GB/s aggregate injection.
-    """
-    if hops < 0:
-        raise ValueError("hops must be non-negative")
-    return CommModel(alpha_s=0.6e-6 + hops * 0.1e-6, beta_s_per_B=1.0 / 25e9)
+#: The D.A.V.I.D.E. fabric: dual-rail EDR through a two-level fat-tree.
+#: alpha: ~0.6 us HCA-to-HCA plus ~0.1 us per switch hop (4 hops for the
+#: worst leaf-spine-leaf path); beta: 25 GB/s aggregate injection.
+EDR_DUAL_RAIL = CommModel(alpha_s=0.6e-6 + 4 * 0.1e-6, beta_s_per_B=1.0 / 25e9)

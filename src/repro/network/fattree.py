@@ -5,10 +5,10 @@ infiniband with one card per CPU socket.  We will use a dual plane
 configuration ... The aggregate bandwidth per node is 200 Gb/s.  The
 topology will be fat-tree with no oversubscription."
 
-We size two-level (leaf/spine) folded-Clos fat-trees — the right shape
-for a 45-node system — parameterised by switch radix and oversubscription
-ratio: hosts fill leaves in index order, and every leaf has one link of
-the tree's bandwidth to every spine.  The dual-plane configuration is two
+We size two-level (leaf/spine) folded-Clos fat-trees of 36-port EDR
+switches — the right shape for a 45-node system — parameterised by the
+oversubscription ratio: hosts fill leaves in index order, and every leaf
+has one EDR link to every spine.  The dual-plane configuration is two
 independent such trees, one per rail (each rail lands on its own HCA, one
 per CPU socket, so MPI traffic never crosses the SMP bus).
 """
@@ -18,9 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..hardware.specs import EDR_IB, LinkSpec
+from ..hardware.specs import EDR_IB
 
 __all__ = ["FatTree", "DualRailFabric"]
+
+#: Ports per EDR switch, leaf and spine alike.
+SWITCH_RADIX = 36
 
 
 @dataclass(frozen=True)
@@ -42,28 +45,18 @@ class FatTree:
     (1.0 = non-blocking, 2.0 = 2:1 tapered).
     """
 
-    def __init__(
-        self,
-        n_nodes: int,
-        switch_radix: int = 36,
-        oversubscription: float = 1.0,
-        link: LinkSpec = EDR_IB,
-        plane: str = "rail0",
-    ):
+    def __init__(self, n_nodes: int, oversubscription: float = 1.0, plane: str = "rail0"):
         if n_nodes < 1:
             raise ValueError("need at least one node")
-        if switch_radix < 2:
-            raise ValueError("switch radix must be >= 2")
         if not 1.0 <= oversubscription < math.inf:
             raise ValueError(
                 f"oversubscription must be finite and >= 1.0, got {oversubscription!r}")
-        self.link = link
         self.plane = plane
         self.oversubscription = float(oversubscription)
         # Leaf sizing: with oversubscription r, a radix-k leaf serves
         # d = k*r/(1+r) hosts using u = k/(1+r) uplinks.
-        down = int(switch_radix * oversubscription / (1.0 + oversubscription))
-        up = switch_radix - down
+        down = int(SWITCH_RADIX * oversubscription / (1.0 + oversubscription))
+        up = SWITCH_RADIX - down
         if down < 1 or up < 1:
             raise ValueError("radix too small for the requested oversubscription")
         n_leaves = -(-n_nodes // down)  # ceil
@@ -121,11 +114,11 @@ class FatTree:
             local += min(s, t)
             surplus += min(max(s - t, 0), shape.n_spines)
             deficit += min(max(t - s, 0), shape.n_spines)
-        return float(self.link.bandwidth_Bps * (local + min(surplus, deficit)))
+        return float(EDR_IB.bandwidth_Bps * (local + min(surplus, deficit)))
 
     def full_bisection_Bps(self) -> float:
         """The non-blocking ideal: half the hosts' injection bandwidth."""
-        return (self.shape.n_nodes // 2) * self.link.bandwidth_Bps
+        return (self.shape.n_nodes // 2) * EDR_IB.bandwidth_Bps
 
     def is_nonblocking(self) -> bool:
         """Whether the bisection meets the full-bisection ideal."""
@@ -135,21 +128,20 @@ class FatTree:
 class DualRailFabric:
     """The dual-plane configuration: two independent fat-trees.
 
-    Each node has one HCA per CPU socket, each landing on its own rail;
+    Each node has one HCA per CPU socket, each landing on its own
+    non-blocking rail;
     aggregate injection per node is 2 x 100 Gb/s = 200 Gb/s and MPI
     traffic from either socket never crosses the SMP bus.
     """
 
-    def __init__(self, n_nodes: int, switch_radix: int = 36, oversubscription: float = 1.0):
-        self.rails = [
-            FatTree(n_nodes, switch_radix, oversubscription, plane=f"rail{r}") for r in range(2)
-        ]
+    def __init__(self, n_nodes: int):
+        self.rails = [FatTree(n_nodes, plane=f"rail{r}") for r in range(2)]
         self.n_nodes = n_nodes
 
     @property
     def node_injection_Bps(self) -> float:
         """Per-node aggregate injection bandwidth (paper: 200 Gb/s = 25 GB/s)."""
-        return sum(rail.link.bandwidth_Bps for rail in self.rails)
+        return len(self.rails) * EDR_IB.bandwidth_Bps
 
     def bisection_bandwidth_Bps(self) -> float:
         """Aggregate bisection across the two planes."""

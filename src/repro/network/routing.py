@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..hardware.specs import EDR_IB
 from .fattree import FatTree
 
 __all__ = ["RouteAnalysis", "dmodk_spine", "analyze_traffic", "permutation_traffic"]
@@ -60,7 +61,7 @@ def analyze_traffic(tree: FatTree, flows: list[tuple[int, int, float]]) -> Route
             loads[(tree._spine(spine), tree._leaf(dst_leaf))] += rate
     uplink_loads = [v for (a, b), v in loads.items() if "spine" in a or "spine" in b]
     hostlink_loads = [v for (a, b), v in loads.items() if "host" in a or "host" in b]
-    bw = tree.link.bandwidth_Bps
+    bw = EDR_IB.bandwidth_Bps
     congested = any(v > bw * (1 + 1e-9) for v in loads.values())
     return RouteAnalysis(
         max_uplink_load_Bps=max(uplink_loads, default=0.0),

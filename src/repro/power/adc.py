@@ -11,9 +11,9 @@ The model captures what determines measurement quality:
   including the aliasing that hits *undersampled* acquisition chains
   (the IPMI baseline's headline problem);
 * **12-bit quantization** over the input range, with optional dither;
-* **channel multiplexing**: 8 channels share the converter, so the
-  per-channel rate is the aggregate rate divided by active channels, and
-  channels are sampled at staggered phases (not simultaneously);
+* **one channel**: of the converter's 8 multiplexed inputs the gateway
+  uses one, for its node's 12 V rail, so samples fall on a uniform grid
+  from the trace's start;
 * **effective number of bits** degradation via input-referred noise.
 """
 
@@ -90,12 +90,7 @@ class SarAdc:
         """Mid-tread reconstruction of codes back to volts."""
         return (np.asarray(codes, dtype=float) + 0.5) * self.spec.lsb_v
 
-    def sample(
-        self,
-        analog: PowerTrace,
-        rate_hz: float,
-        channel_phase: float = 0.0,
-    ) -> PowerTrace:
+    def sample(self, analog: PowerTrace, rate_hz: float) -> PowerTrace:
         """Digitize an analog voltage trace at ``rate_hz``.
 
         ``analog`` must be a densely-sampled voltage trace standing in for
@@ -103,31 +98,19 @@ class SarAdc:
         at the ADC's instants (zero-order sample-and-hold is adequate when
         the analog trace is dense relative to the ADC rate).
 
-        ``channel_phase`` in [0, 1) staggers the sampling instants, as the
-        multiplexer does across channels.
-
         No anti-alias filter is applied here — aliasing is a *property of
         the acquisition chain*, and reproducing it (or avoiding it via the
         sensor's bandwidth + oversampling) is the point of experiment E03.
         """
         if rate_hz <= 0 or rate_hz > self.spec.max_rate_hz:
             raise ValueError(f"rate must be in (0, {self.spec.max_rate_hz}] Hz")
-        if not 0.0 <= channel_phase < 1.0:
-            raise ValueError("channel phase must lie in [0, 1)")
         t0, t1 = analog.times_s[0], analog.times_s[-1]
-        period = 1.0 / rate_hz
-        instants = np.arange(t0 + channel_phase * period, t1 + 1e-12, period)
+        instants = np.arange(t0, t1 + 1e-12, 1.0 / rate_hz)
         volts = np.interp(instants, analog.times_s, analog.power_w)  # trace holds volts here
         codes = self.quantize(volts)
         return PowerTrace(instants, self.codes_to_volts(codes))
 
-    def acquire_power(
-        self,
-        true_power: PowerTrace,
-        sensor: "PowerSensor",
-        rate_hz: float,
-        channel_phase: float = 0.0,
-    ) -> PowerTrace:
+    def acquire_power(self, true_power: PowerTrace, sensor: "PowerSensor", rate_hz: float) -> PowerTrace:
         """Full chain: true watts -> sensor volts -> ADC codes -> watts.
 
         This is one energy-gateway channel end to end, before decimation.
@@ -137,6 +120,6 @@ class SarAdc:
         if not isinstance(sensor, PowerSensor):
             raise TypeError("sensor must be a PowerSensor")
         volts = sensor.output_volts(true_power)
-        digitized = self.sample(volts, rate_hz, channel_phase=channel_phase)
+        digitized = self.sample(volts, rate_hz)
         watts = sensor.calibrate_codes_to_watts(digitized.power_w)
         return PowerTrace(digitized.times_s, watts)

@@ -129,11 +129,11 @@ class PowerTrace:
         ref_vals = np.interp(self.times_s, reference.times_s, reference.power_w)
         return float(np.sqrt(np.mean((self.power_w - ref_vals) ** 2)))
 
-    def correlation(self, other: "PowerTrace", rate_hz: float | None = None) -> float:
+    def correlation(self, other: "PowerTrace") -> float:
         """Pearson correlation with another trace over the overlap window.
 
-        Both traces are resampled to a common uniform grid first (defaults
-        to the coarser of the two rates).  This is the metric the PTP
+        Both traces are resampled to a common uniform grid first, at the
+        coarser of the two rates.  This is the metric the PTP
         experiment uses: clock skew between nodes destroys cross-node
         power-trace correlation.
         """
@@ -141,7 +141,7 @@ class PowerTrace:
         t1 = min(self.times_s[-1], other.times_s[-1])
         if t1 <= t0:
             raise ValueError("traces do not overlap")
-        rate = rate_hz or min(self.sample_rate_hz, other.sample_rate_hz)
+        rate = min(self.sample_rate_hz, other.sample_rate_hz)
         n = max(int((t1 - t0) * rate), 2)
         grid = np.linspace(t0, t1, n)
         a = np.interp(grid, self.times_s, self.power_w)

@@ -33,18 +33,28 @@ __all__ = [
 
 PowerFunction = Callable[[np.ndarray], np.ndarray]
 
+#: Node floor between compute bursts (the paper node's idle rails).
+IDLE_W = 600.0
+#: Busy plateau of a compute burst (toward the ~2 kW peak).
+COMPUTE_W = 1850.0
+#: Fraction of each phase period spent computing.
+DUTY = 0.7
+#: VRM switching frequency (what aliases IPMI).
+RIPPLE_HZ = 30e3
+#: Period of the slow envelope (thermal effects, job progress).
+DRIFT_PERIOD_S = 30.0
+
 
 def square_wave(
     low_w: float,
     high_w: float,
     period_s: float,
     duty: float = 0.5,
-    edge_s: float | None = None,
 ) -> PowerFunction:
     """Compute/communicate alternation: ``high_w`` for ``duty`` of each period.
 
-    ``edge_s`` gives the 10-90 transition a finite rise time (VRM slew);
-    defaults to 1 % of the period.
+    The transitions have a finite rise time (VRM slew) of 1 % of the
+    period.
     """
     if period_s <= 0:
         raise ValueError("period must be positive")
@@ -52,7 +62,7 @@ def square_wave(
         raise ValueError("duty must lie in (0, 1)")
     if high_w < low_w:
         raise ValueError("high power must be >= low power")
-    edge = period_s * 0.01 if edge_s is None else edge_s
+    edge = period_s * 0.01
 
     def fn(t: np.ndarray) -> np.ndarray:
         phase = np.mod(t, period_s) / period_s
@@ -79,25 +89,21 @@ def sine_ripple(amplitude_w: float, frequency_hz: float) -> PowerFunction:
 
 @dataclass(frozen=True)
 class PhaseAlternation:
-    """Parameters of an HPC job's phase structure."""
+    """Parameters of an HPC job's phase structure (between :data:`IDLE_W`
+    and :data:`COMPUTE_W` at :data:`DUTY`)."""
 
-    idle_w: float = 600.0          # node floor (paper node: idle rails)
-    compute_w: float = 1850.0      # busy plateau (toward the ~2 kW peak)
     phase_period_s: float = 0.02   # 20 ms compute/comm alternation
-    duty: float = 0.7              # fraction of time in compute
     ripple_w: float = 15.0         # VRM ripple amplitude
-    ripple_hz: float = 30e3        # VRM switching frequency (aliases IPMI)
     drift_w: float = 60.0          # slow envelope amplitude
-    drift_period_s: float = 30.0   # envelope period (thermal / job progress)
 
 
 def hpc_job_power(params: PhaseAlternation = PhaseAlternation()) -> PowerFunction:
     """Ground-truth continuous node power of a GPU-accelerated HPC job."""
-    base = square_wave(params.idle_w, params.compute_w, params.phase_period_s, params.duty)
-    ripple = sine_ripple(params.ripple_w, params.ripple_hz)
+    base = square_wave(IDLE_W, COMPUTE_W, params.phase_period_s, DUTY)
+    ripple = sine_ripple(params.ripple_w, RIPPLE_HZ)
 
     def fn(t: np.ndarray) -> np.ndarray:
-        drift = params.drift_w * np.sin(2 * np.pi * t / params.drift_period_s)
+        drift = params.drift_w * np.sin(2 * np.pi * t / DRIFT_PERIOD_S)
         return base(t) + ripple(t) + drift
 
     return fn

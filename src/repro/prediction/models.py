@@ -27,6 +27,9 @@ from .features import FeatureEncoder
 
 __all__ = ["RidgeRegressor", "KnnRegressor", "PerKeyMeanPredictor", "JobPowerModel"]
 
+#: Neighbours a k-NN prediction averages over.
+K_NEIGHBOURS = 5
+
 
 class _Standardizer:
     """Column-wise z-scoring with zero-variance guards."""
@@ -75,12 +78,10 @@ class RidgeRegressor:
 
 
 class KnnRegressor:
-    """Distance-weighted k-NN regression in standardized feature space."""
+    """Distance-weighted k-NN regression in standardized feature space,
+    over the :data:`K_NEIGHBOURS` nearest training jobs."""
 
-    def __init__(self, k: int = 5):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = int(k)
+    def __init__(self):
         self._fitted = False
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KnnRegressor":
@@ -100,7 +101,7 @@ class KnnRegressor:
         if not self._fitted:
             raise RuntimeError("model not fitted")
         Xq = self.scaler_.transform(np.asarray(X, dtype=float))
-        k = min(self.k, self.X_.shape[0])
+        k = min(K_NEIGHBOURS, self.X_.shape[0])
         out = np.empty(Xq.shape[0])
         for i, q in enumerate(Xq):
             d2 = ((self.X_ - q) ** 2).sum(axis=1)
@@ -156,10 +157,10 @@ class JobPowerModel:
         return cls(kind="ridge", encoder=enc, regressor=reg)
 
     @classmethod
-    def fit_knn(cls, jobs: list[Job], k: int = 5) -> "JobPowerModel":
+    def fit_knn(cls, jobs: list[Job]) -> "JobPowerModel":
         """Train the k-NN pipeline on a job history."""
         enc = FeatureEncoder().fit(jobs)
-        reg = KnnRegressor(k=k).fit(enc.encode_all(jobs), enc.target(jobs))
+        reg = KnnRegressor().fit(enc.encode_all(jobs), enc.target(jobs))
         return cls(kind="knn", encoder=enc, regressor=reg)
 
     @classmethod

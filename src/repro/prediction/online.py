@@ -21,28 +21,33 @@ from .features import FeatureEncoder
 
 __all__ = ["OnlineRidge", "OnlineJobPowerModel"]
 
+#: RLS forgetting factor: old evidence decays with a time constant of
+#: ~1/(1 - 0.995) = 200 jobs.
+FORGETTING = 0.995
+#: Initial inverse-covariance scale (a weak prior on the weights).
+DELTA = 1e3
+#: Jobs the online model sees before it trusts its own predictions ...
+MIN_SAMPLES = 10
+#: ... and the conservative per-node prior it answers with until then.
+PRIOR_PER_NODE_W = 1800.0
+
 
 class OnlineRidge:
     """Recursive least squares on standardized-on-the-fly features.
 
     State: weight vector w and inverse covariance P, updated per sample
-    with forgetting factor ``lam`` in (0, 1] (1 = ordinary RLS, <1 decays
-    old evidence with time constant ~1/(1-lam) samples).
+    with the forgetting factor :data:`FORGETTING`, which decays old
+    evidence over ~200 samples (a factor of 1 would be ordinary RLS).
     """
 
-    def __init__(self, n_features: int, lam: float = 0.995, delta: float = 1e3):
+    def __init__(self, n_features: int):
         if n_features < 1:
             raise ValueError("need at least one feature")
-        if not 0.0 < lam <= 1.0:
-            raise ValueError("forgetting factor must lie in (0, 1]")
-        if delta <= 0:
-            raise ValueError("delta must be positive")
         self.n_features = int(n_features)
-        self.lam = float(lam)
         # +1 for the intercept column.
         d = self.n_features + 1
         self.w = np.zeros(d)
-        self.P = np.eye(d) * delta
+        self.P = np.eye(d) * DELTA
         self.samples_seen = 0
 
     def _phi(self, x: np.ndarray) -> np.ndarray:
@@ -57,9 +62,9 @@ class OnlineRidge:
         y_hat = float(self.w @ phi)
         error = float(y) - y_hat
         Pphi = self.P @ phi
-        gain = Pphi / (self.lam + float(phi @ Pphi))
+        gain = Pphi / (FORGETTING + float(phi @ Pphi))
         self.w = self.w + gain * error
-        self.P = (self.P - np.outer(gain, Pphi)) / self.lam
+        self.P = (self.P - np.outer(gain, Pphi)) / FORGETTING
         # Symmetrize against numerical drift.
         self.P = (self.P + self.P.T) / 2.0
         self.samples_seen += 1
@@ -83,26 +88,13 @@ class OnlineJobPowerModel:
 
     Wire :meth:`observe` to the scheduler's ``on_job_end`` hook (or feed
     it accounting bills); call the instance as the power-aware
-    dispatcher's predictor.  Before ``min_samples`` jobs have been seen
-    the model falls back to a conservative prior.
+    dispatcher's predictor.  Before :data:`MIN_SAMPLES` jobs have been
+    seen the model falls back to the conservative :data:`PRIOR_PER_NODE_W`.
     """
 
-    def __init__(
-        self,
-        encoder: FeatureEncoder,
-        lam: float = 0.995,
-        prior_per_node_w: float = 1800.0,
-        min_samples: int = 10,
-        obs: Optional[Observability] = None,
-    ):
-        if prior_per_node_w <= 0:
-            raise ValueError("prior must be positive")
-        if min_samples < 1:
-            raise ValueError("min samples must be >= 1")
+    def __init__(self, encoder: FeatureEncoder, obs: Optional[Observability] = None):
         self.encoder = encoder
-        self.rls = OnlineRidge(encoder.n_features, lam=lam)
-        self.prior_per_node_w = float(prior_per_node_w)
-        self.min_samples = int(min_samples)
+        self.rls = OnlineRidge(encoder.n_features)
         # Observability handles, resolved once (no-op when not wired in).
         self.obs = obs if obs is not None else null_observability()
         m = self.obs.metrics
@@ -127,15 +119,15 @@ class OnlineJobPowerModel:
 
     def predict_per_node(self, job: Job) -> float:
         """Per-node prediction, clipped to the physical range."""
-        if self.rls.samples_seen < self.min_samples:
-            return self.prior_per_node_w
+        if self.rls.samples_seen < MIN_SAMPLES:
+            return PRIOR_PER_NODE_W
         raw = self.rls.predict(self.encoder.encode(job))
         return float(np.clip(raw, 300.0, 2200.0))
 
     def predict_per_node_batch(self, jobs: list[Job]) -> np.ndarray:
         """Per-node predictions for a whole queue in one matmul."""
-        if self.rls.samples_seen < self.min_samples:
-            return np.full(len(jobs), self.prior_per_node_w)
+        if self.rls.samples_seen < MIN_SAMPLES:
+            return np.full(len(jobs), PRIOR_PER_NODE_W)
         raw = self.rls.predict_batch(self.encoder.encode_batch(jobs))
         return np.clip(raw, 300.0, 2200.0)
 

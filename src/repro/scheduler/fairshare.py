@@ -21,8 +21,7 @@ This module implements the fairness half:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .job import JobRecord

@@ -20,7 +20,7 @@ predictors of experiment E08 learn.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -52,7 +52,8 @@ class UserStatement:
         return self.total_energy_j / 3.6e6
 
 
-#: Electricity price a bill charges, per kWh.
+#: Electricity price per kWh: what a bill charges, and what the TCO
+#: model (:class:`repro.analysis.TcoModel`) pays.
 PRICE_PER_KWH = 0.25
 #: The TSDB metric carrying each node's measured power.
 POWER_METRIC = "node_power"

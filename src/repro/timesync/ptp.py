@@ -18,7 +18,8 @@ the mercy of interrupt latency — tens of microseconds.  Path asymmetry
 adds a bias the protocol cannot observe.
 
 The slave runs a PI servo on successive offset measurements and steers a
-:class:`repro.timesync.clocks.DisciplinedClock`.
+:class:`repro.timesync.clocks.DisciplinedClock`; the NTP client of
+:mod:`repro.timesync.ntp` runs the same servo loop.
 """
 
 from __future__ import annotations
@@ -71,31 +72,89 @@ class PtpExchange:
     delay_estimate_s: float
 
 
-class PtpSlave:
-    """A gateway clock synchronizing to the master over a network path."""
+class _SyncLoop:
+    """The servo loop PTP and NTP share.
+
+    Every ``PERIOD_S`` the slave runs its protocol's :meth:`exchange`,
+    steps the disciplined clock by ``SERVO_KP`` of the offset it trusts,
+    and integrates that offset per sync interval into the rate
+    correction.  Subclasses supply ``exchange``, the two constants and,
+    for a clock filter, :meth:`_trusted`.
+    """
+
+    PERIOD_S: float
+    SERVO_KP: float
+
+    def __init__(self, local_clock: LocalClock, path: NetworkPathSpec,
+                 rng: np.random.Generator | None):
+        self.clock = DisciplinedClock(local_clock)
+        self.path = path
+        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self._prev: PtpExchange | None = None
+        self.history: list[PtpExchange] = []
+
+    def _stamp_noise(self) -> float:
+        return float(self.rng.normal(0.0, self.path.timestamp_error_s))
+
+    def exchange(self, true_time_s: float) -> PtpExchange:
+        """One protocol round at ``true_time_s``."""
+        raise NotImplementedError
+
+    def _trusted(self, ex: PtpExchange) -> PtpExchange:
+        """The exchange whose offset the servo acts on: the latest one."""
+        return ex
+
+    def step(self, true_time_s: float) -> PtpExchange:
+        """Run a round and feed the PI servo."""
+        ex = self.exchange(true_time_s)
+        offset = self._trusted(ex).offset_estimate_s
+        rate = self.clock._rate_correction
+        if self._prev is not None:
+            dt = ex.true_time_s - self._prev.true_time_s
+            if dt > 0:
+                # Integral action on frequency: residual offset per sync
+                # interval is the uncorrected rate error.
+                rate += 0.3 * offset / dt
+        self.clock.apply_servo(self.SERVO_KP * offset, rate, true_time_s)
+        self._prev = ex
+        self.history.append(ex)
+        return ex
+
+    def synchronize(self, duration_s: float) -> np.ndarray:
+        """Run rounds every ``PERIOD_S`` for ``duration_s`` from time 0.
+
+        Returns the residual clock error half a period after each round.
+        """
+        if duration_s <= 0:
+            raise ValueError("duration must be positive")
+        times = np.arange(0.0, duration_s, self.PERIOD_S)
+        residuals = np.empty(times.size)
+        for i, t in enumerate(times):
+            self.step(float(t))
+            residuals[i] = self.clock.error_s(float(t) + self.PERIOD_S * 0.5)
+        return residuals
+
+    def steady_state_error_s(self, duration_s: float) -> float:
+        """RMS residual error over the second half of a sync run."""
+        residuals = self.synchronize(duration_s)
+        tail = residuals[residuals.size // 2:]
+        return float(np.sqrt(np.mean(tail**2)))
+
+
+class PtpSlave(_SyncLoop):
+    """A gateway clock synchronizing to the master over a network path,
+    once a second."""
+
+    PERIOD_S = 1.0
+    SERVO_KP = 0.7
 
     def __init__(
         self,
         local_clock: LocalClock,
         path: NetworkPathSpec = HW_TIMESTAMPING,
-        period_s: float = 1.0,
-        servo_kp: float = 0.7,
         rng: np.random.Generator | None = None,
     ):
-        if not period_s > 0:
-            # ``not >`` so a NaN period is rejected too (NaN compares false).
-            raise ValueError(f"period_s must be positive, got {period_s!r}")
-        self.clock = DisciplinedClock(local_clock)
-        self.path = path
-        self.period_s = float(period_s)
-        self.servo_kp = float(servo_kp)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self._prev: PtpExchange | None = None
-        self.history: list[PtpExchange] = []
-
-    # -- one protocol round --------------------------------------------------
-    def _stamp_noise(self) -> float:
-        return float(self.rng.normal(0.0, self.path.timestamp_error_s))
+        super().__init__(local_clock, path, rng)
 
     def exchange(self, true_time_s: float) -> PtpExchange:
         """Run one two-step SYNC/DELAY_REQ round at ``true_time_s``.
@@ -121,38 +180,3 @@ class PtpSlave:
         offset = ((t2 - t1) - (t4 - t3)) / 2.0
         delay = ((t2 - t1) + (t4 - t3)) / 2.0
         return PtpExchange(true_time_s=true_time_s, offset_estimate_s=offset, delay_estimate_s=delay)
-
-    def step(self, true_time_s: float) -> PtpExchange:
-        """Run a round and feed the PI servo."""
-        ex = self.exchange(true_time_s)
-        rate = self.clock._rate_correction
-        if self._prev is not None:
-            dt = ex.true_time_s - self._prev.true_time_s
-            if dt > 0:
-                # Integral action on frequency: residual offset per sync
-                # interval is the uncorrected rate error.
-                rate += 0.3 * ex.offset_estimate_s / dt
-        self.clock.apply_servo(self.servo_kp * ex.offset_estimate_s, rate, true_time_s)
-        self._prev = ex
-        self.history.append(ex)
-        return ex
-
-    def synchronize(self, duration_s: float, start_s: float = 0.0) -> np.ndarray:
-        """Run rounds every ``period_s`` for ``duration_s``.
-
-        Returns the residual clock error sampled just after each round.
-        """
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        times = np.arange(start_s, start_s + duration_s, self.period_s)
-        residuals = np.empty(times.size)
-        for i, t in enumerate(times):
-            self.step(float(t))
-            residuals[i] = self.clock.error_s(float(t) + self.period_s * 0.5)
-        return residuals
-
-    def steady_state_error_s(self, duration_s: float = 120.0) -> float:
-        """RMS residual error over the second half of a sync run."""
-        residuals = self.synchronize(duration_s)
-        tail = residuals[residuals.size // 2:]
-        return float(np.sqrt(np.mean(tail**2)))

@@ -15,13 +15,19 @@ from repro.analysis import (
 
 class TestTco:
     def model(self):
-        return TcoModel(capex=2_000_000.0, it_power_w=100e3, pue=1.1,
-                        electricity_price_per_kwh=0.25, lifetime_years=5.0)
+        return TcoModel(capex=2_000_000.0, it_power_w=100e3)
 
     def test_annual_energy(self):
         m = self.model()
-        # 100 kW * 1.1 * 8760 h * 0.85 util = ~819 MWh/yr.
+        # 100 kW * 1.1 PUE * 8760 h * 0.85 util = ~819 MWh/yr.
         assert m.annual_energy_kwh == pytest.approx(819e3, rel=0.01)
+
+    def test_billed_at_the_accounting_price(self):
+        from repro.telemetry.accounting import PRICE_PER_KWH
+
+        m = self.model()
+        assert m.annual_energy_cost == m.annual_energy_kwh * PRICE_PER_KWH
+        assert m.lifetime_energy_cost == pytest.approx(5 * m.annual_energy_cost)
 
     def test_energy_is_significant_tco_slice(self):
         # The paper's motivation: electricity is a large share of TCO.
@@ -38,9 +44,7 @@ class TestTco:
         with pytest.raises(ValueError):
             TcoModel(capex=-1.0, it_power_w=1e3)
         with pytest.raises(ValueError):
-            TcoModel(capex=1.0, it_power_w=1e3, pue=0.9)
-        with pytest.raises(ValueError):
-            TcoModel(capex=1.0, it_power_w=1e3, utilization=0.0)
+            TcoModel(capex=1.0, it_power_w=0.0)
 
 
 class TestSnapshot:
@@ -73,8 +77,6 @@ class TestSnapshot:
     def test_entry_validation(self):
         with pytest.raises(ValueError):
             SystemEntry("x", rmax_pflops=0.0, power_mw=1.0)
-        with pytest.raises(ValueError):
-            davide_projection(linpack_efficiency=0.0)
 
     def test_unknown_system_in_ratio(self):
         with pytest.raises(KeyError):

@@ -38,7 +38,7 @@ class TestApplicationModel:
             ApplicationModel(name="x", phases=(Phase(name="p"),), n_iterations=0)
 
     def test_factories_validate_scale(self):
-        for factory in (quantum_espresso, nemo, specfem3d, bqcd):
+        for factory in (quantum_espresso, specfem3d, bqcd):
             with pytest.raises(ValueError):
                 factory(scale=0.0)
 
@@ -49,14 +49,14 @@ class TestApplicationModel:
 class TestExecutionPlatforms:
     @pytest.mark.parametrize("factory", [quantum_espresso, nemo, specfem3d, bqcd])
     def test_gpu_beats_cpu_for_all_apps(self, factory):
-        app = factory(scale=0.5, n_iterations=5)
+        app = factory(n_iterations=5)
         cpu = ExecutionPlatform.cpu_only().run(app, n_nodes=4)
         gpu = ExecutionPlatform.gpu_nvlink().run(app, n_nodes=4)
         assert gpu.time_to_solution_s < cpu.time_to_solution_s
 
     @pytest.mark.parametrize("factory", [quantum_espresso, nemo, specfem3d, bqcd])
     def test_gpu_saves_energy_for_all_apps(self, factory):
-        app = factory(scale=0.5, n_iterations=5)
+        app = factory(n_iterations=5)
         cpu = ExecutionPlatform.cpu_only().run(app, n_nodes=4)
         gpu = ExecutionPlatform.gpu_nvlink().run(app, n_nodes=4)
         assert gpu.energy_to_solution_j < cpu.energy_to_solution_j
@@ -76,7 +76,7 @@ class TestExecutionPlatforms:
 
     def test_nvlink_matters_less_for_nemo(self):
         # NEMO has no device-peer traffic: NVLink gain should be marginal.
-        app = nemo(scale=1.0, n_iterations=5)
+        app = nemo(n_iterations=5)
         pcie = ExecutionPlatform.gpu_pcie().run(app, n_nodes=4)
         nvlink = ExecutionPlatform.gpu_nvlink().run(app, n_nodes=4)
         gain = pcie.time_to_solution_s / nvlink.time_to_solution_s
@@ -84,7 +84,7 @@ class TestExecutionPlatforms:
 
     def test_nemo_speedup_tracks_bandwidth_ratio(self):
         # Bandwidth-bound: GPU/CPU speedup ~ aggregate HBM / socket DDR.
-        app = nemo(scale=1.0, n_iterations=5)
+        app = nemo(n_iterations=5)
         cpu = ExecutionPlatform.cpu_only().run(app, n_nodes=1)
         gpu = ExecutionPlatform.gpu_nvlink().run(app, n_nodes=1)
         speedup = cpu.time_to_solution_s / gpu.time_to_solution_s
@@ -92,7 +92,7 @@ class TestExecutionPlatforms:
         assert speedup == pytest.approx(bw_ratio, rel=0.35)
 
     def test_single_node_run_has_no_network_comm(self):
-        app = nemo(scale=1.0, n_iterations=5)
+        app = nemo(n_iterations=5)
         report = ExecutionPlatform.gpu_nvlink().run(app, n_nodes=1)
         halo = [t for t in report.phase_timings if t.phase.comm is CommKind.HALO]
         assert all(t.comm_s == 0.0 for t in halo)
@@ -119,14 +119,14 @@ class TestExecutionReport:
         assert trace.mean_power_w() > 500.0
 
     def test_energy_consistent_with_mean_power(self):
-        app = nemo(scale=0.5, n_iterations=10)
+        app = nemo(n_iterations=10)
         report = ExecutionPlatform.gpu_nvlink().run(app, n_nodes=2)
         assert report.energy_to_solution_j == pytest.approx(
             report.mean_power_w * report.time_to_solution_s, rel=1e-9
         )
 
     def test_cpu_platform_sleeps_gpus_for_power(self):
-        app = nemo(scale=0.5, n_iterations=5)
+        app = nemo(n_iterations=5)
         cpu_report = ExecutionPlatform.cpu_only().run(app, n_nodes=1)
         # With GPUs asleep, node power must sit well below the GPU envelope.
         assert cpu_report.mean_power_w < 1100.0

@@ -194,7 +194,10 @@ class TestLiquidLoop:
     def test_cold_water_violates_dew_point(self):
         loop = self.loop()
         op = loop.operating_point(heat_w=500.0, facility_inlet_c=5.0)
-        violations = loop.check_constraints(op, room_temp_c=25.0, relative_humidity=0.8)
+        # The room (25 degC, 50 % RH) has its dew point near 13.9 degC.
+        assert dew_point_c(LiquidLoop.ROOM_TEMP_C, LiquidLoop.ROOM_RELATIVE_HUMIDITY) == \
+            pytest.approx(13.9, abs=0.1)
+        violations = loop.check_constraints(op)
         assert any("dew point" in v for v in violations)
 
     def test_overload_violates_secondary_max(self):
@@ -217,9 +220,33 @@ class TestThrottling:
         assert result.mean_performance_fraction < 1.0
 
     def test_throttle_keeps_die_near_threshold(self):
-        gov = ThrottleGovernor(throttle_temp_c=83.0)
+        gov = ThrottleGovernor()
         result = gov.run(AIR_COOLED_GPU(40.0), demand_power_w=300.0, duration_s=2400.0)
         assert result.max_die_temp_c < 95.0  # overshoot bounded
+
+    def test_hysteresis_steps_down_above_limit_and_up_below_release(self):
+        """Above the 83 degC limit power steps down by a tenth of the
+        demand, inside the 78-83 degC band it holds, below 78 degC it
+        steps back up by half a notch; it never drops under 40 %."""
+
+        class ScriptedChain:
+            def __init__(self, temps):
+                self.temps, self.powers = iter(temps), []
+
+            def step(self, power_w, dt_s):
+                assert dt_s == 1.0
+                self.powers.append(power_w)
+                return next(self.temps)
+
+        chain = ScriptedChain([90.0, 90.0, 80.0, 80.0, 75.0, 75.0, 80.0])
+        run = ThrottleGovernor().run(chain, demand_power_w=100.0, duration_s=7.0)
+        assert chain.powers == pytest.approx([100.0, 90.0, 80.0, 80.0, 80.0, 85.0, 90.0])
+        assert run.throttled_fraction == pytest.approx(6 / 7)
+        hot = ScriptedChain([100.0] * 9)
+        ThrottleGovernor().run(hot, demand_power_w=100.0, duration_s=9.0)
+        assert hot.powers == pytest.approx([100.0, 90.0, 80.0, 70.0, 60.0, 50.0, 40.0, 40.0, 40.0])
+        # Performance scales with the power above the 20 % idle floor.
+        assert ThrottleGovernor().performance_of(0.6) == pytest.approx(0.5)
 
     def test_sweep_shows_air_degradation_liquid_flat(self):
         temps = [30.0, 36.0, 42.0]
@@ -230,10 +257,6 @@ class TestThrottling:
         assert air[-1].mean_performance_fraction < 1.0
 
     def test_governor_validation(self):
-        with pytest.raises(ValueError):
-            ThrottleGovernor(throttle_temp_c=80.0, release_temp_c=85.0)
-        with pytest.raises(ValueError):
-            ThrottleGovernor(step_fraction=0.0)
         gov = ThrottleGovernor()
         with pytest.raises(ValueError):
             gov.run(LIQUID_COOLED_GPU(), demand_power_w=0.0, duration_s=10.0)

@@ -9,13 +9,14 @@ They skip where NetworkX is not installed.
 """
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hardware import NodeFabric, TransferCost, phase2_fabric
-from repro.hardware.specs import NVLINK_1, PCIE_GEN3_X16
-from repro.network import FatTree
+from repro.hardware.specs import EDR_IB, NVLINK_1, PCIE_GEN3_X16
+from repro.network import FatTree, fattree
 
 nx = pytest.importorskip("networkx")
 
@@ -88,7 +89,7 @@ def test_fabric_wiring_and_every_transfer_match_networkx(fabric, graph):
 
 def _reference_max_flow(tree):
     """The bisection as ``nx.maximum_flow`` over the whole tree."""
-    shape, bw, inf = tree.shape, tree.link.bandwidth_Bps, float("inf")
+    shape, bw, inf = tree.shape, EDR_IB.bandwidth_Bps, float("inf")
     g = nx.Graph()
     for leaf, spine in itertools.product(range(shape.n_leaves), range(shape.n_spines)):
         g.add_edge(f"leaf{leaf}", f"spine{spine}", capacity=bw)
@@ -111,5 +112,8 @@ def _reference_max_flow(tree):
        radix=st.integers(min_value=2, max_value=48),
        oversubscription=st.floats(min_value=1.0, max_value=8.0))
 def test_bisection_matches_networkx_max_flow(n, radix, oversubscription):
-    tree = FatTree(n_nodes=n, switch_radix=radix, oversubscription=oversubscription)
+    """The closed form holds for any switch radix, not only for the 36
+    ports of the machine's EDR switches."""
+    with mock.patch.object(fattree, "SWITCH_RADIX", radix):
+        tree = FatTree(n_nodes=n, oversubscription=oversubscription)
     assert tree.bisection_bandwidth_Bps() == _reference_max_flow(tree)

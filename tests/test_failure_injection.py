@@ -94,25 +94,30 @@ class TestSyncLoss:
         slave = PtpSlave(local, HW_TIMESTAMPING, rng=np.random.default_rng(6))
         slave.synchronize(60.0)
         _ = slave.clock.error_s(660.0)  # holdover gap
-        slave.synchronize(30.0, start_s=660.0)
+        for t in range(660, 690):  # the grandmaster is back: one round a second
+            slave.step(float(t))
         assert abs(slave.clock.error_s(690.0)) < 50e-6
 
 
 class TestCoolingFailures:
-    def test_pump_failure_halves_flow_and_violates_constraints(self):
+    def test_pump_failure_halves_flow_and_violates_constraints(self, monkeypatch):
         """One of the redundant pumps fails: flow halves, the loop runs
         hotter; at the hot end of the envelope, constraints trip."""
-        from repro.cooling import HeatExchanger, LiquidLoop
+        import dataclasses
 
-        healthy = LiquidLoop(HeatExchanger(4000.0), secondary_flow_lpm=30.0)
-        degraded = LiquidLoop(HeatExchanger(4000.0), secondary_flow_lpm=15.0)
-        op_ok = healthy.operating_point(heat_w=22e3, facility_inlet_c=35.0)
-        op_bad = degraded.operating_point(heat_w=22e3, facility_inlet_c=35.0)
+        from repro.cooling import HeatExchanger, LiquidLoop, liquid
+        from repro.hardware.specs import DAVIDE_RACK
+
+        loop = LiquidLoop(HeatExchanger(4000.0))
+        op_ok = loop.operating_point(heat_w=22e3, facility_inlet_c=35.0)
+        monkeypatch.setattr(liquid, "DAVIDE_RACK",
+                            dataclasses.replace(DAVIDE_RACK, coolant_flow_lpm=15.0))
+        op_bad = loop.operating_point(heat_w=22e3, facility_inlet_c=35.0)
         # Degraded flow runs the return visibly hotter.
         assert op_bad["secondary_return_c"] > op_ok["secondary_return_c"] + 5.0
         # At a 44 degC facility inlet the degraded loop busts the supply cap.
-        hot_bad = degraded.operating_point(heat_w=30e3, facility_inlet_c=44.0)
-        assert degraded.check_constraints(hot_bad) != []
+        hot_bad = loop.operating_point(heat_w=30e3, facility_inlet_c=44.0)
+        assert loop.check_constraints(hot_bad) != []
 
     def test_fan_wall_failure_forces_throttling(self):
         """Losing the fan wall (air path) on an air-cooled part drives the

@@ -159,14 +159,13 @@ class TestComparisonHarness:
 
 
 class TestChannelMultiplexing:
-    def test_rails_sampled_at_staggered_phases(self):
-        """The 8-channel mux staggers rail sampling instants (III-A1)."""
+    def test_one_rail_sampled_on_a_grid_from_the_trace_start(self):
+        """The gateway uses one of the 8 mux inputs (III-A1), for the
+        node's 12 V rail: samples start with the trace, one period apart."""
         adc = EnergyGateway(0, MqttBroker()).adc
-        n = adc.spec.n_channels
         volts = trace_from_function(lambda t: np.full_like(t, 1.0), 0.001, 1e6)
-        t0, t1, t4 = (adc.sample(volts, 100e3, channel_phase=k / n).times_s[0]
-                      for k in (0, 1, 4))
-        period = 1.0 / 100e3
-        assert n == 8
-        assert t1 - t0 == pytest.approx(period / 8, rel=1e-6)
-        assert t4 - t0 == pytest.approx(4 * period / 8, rel=1e-6)
+        instants = adc.sample(volts, 100e3).times_s
+        assert adc.spec.n_channels == 8
+        assert instants[0] == volts.times_s[0]
+        assert len(instants) == 101
+        assert np.diff(instants) == pytest.approx(np.full(100, 1.0 / 100e3), rel=1e-6)

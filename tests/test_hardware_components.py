@@ -107,19 +107,16 @@ class TestGpuModel:
 
     def test_throttle_reduces_peak_flops(self):
         gpu = GpuModel()
-        full = gpu.peak_flops("fp64")
+        full = gpu.peak_flops()
+        assert full == TESLA_P100.fp64_flops
         gpu.set_power_limit(180.0)
-        assert gpu.peak_flops("fp64") < full
+        assert gpu.peak_flops() < full
 
     def test_precision_peaks_match_paper(self):
         gpu = GpuModel()
         assert gpu.spec.fp64_flops == pytest.approx(5.3 * TERA)
         assert gpu.spec.fp32_flops == pytest.approx(10.6 * TERA)
         assert gpu.spec.fp16_flops == pytest.approx(21.2 * TERA)
-
-    def test_unknown_precision_rejected(self):
-        with pytest.raises(ValueError):
-            GpuModel().peak_flops("fp8")
 
     def test_sleep_state(self):
         gpu = GpuModel()
@@ -224,7 +221,7 @@ class TestPsuModels:
         assert psu.input_power_w(1000) > 1000
 
     def test_rack_shelf_activates_minimum_psus(self):
-        shelf = RackLevelSupply(PsuModel(rating_w=6000), n_psus=6, min_active=2)
+        shelf = RackLevelSupply(PsuModel(rating_w=6000), n_psus=6)
         assert shelf.active_psus(100.0) == 2
         assert shelf.active_psus(30000.0) == 6
 
@@ -237,7 +234,7 @@ class TestPsuModels:
         # 15 nodes at ~1.3 kW each: node PSUs run at ~33% of a 2 kW rating,
         # the shelf runs few PSUs near the sweet spot.
         node_psu = PsuModel(rating_w=2000)
-        shelf = RackLevelSupply(PsuModel(rating_w=6000), n_psus=6, min_active=2)
+        shelf = RackLevelSupply(PsuModel(rating_w=6000), n_psus=6)
         result = consolidation_savings([1300.0] * 15, node_psu, shelf)
         assert result["savings_fraction"] > 0.0
         assert result["savings_fraction"] <= 0.08  # "up to 5%" ballpark
@@ -245,8 +242,12 @@ class TestPsuModels:
         assert result["rack_level_psus"] == 6
 
     def test_node_level_supply_counts(self):
-        sup = NodeLevelSupply(PsuModel(rating_w=2000), psus_per_node=2)
+        sup = NodeLevelSupply(PsuModel(rating_w=2000))
         assert sup.total_psus(15) == 30
+
+    def test_rack_shelf_needs_its_redundant_pair(self):
+        with pytest.raises(ValueError, match="at least 2 PSUs, got 1"):
+            RackLevelSupply(PsuModel(rating_w=6000), n_psus=1)
 
     @given(st.floats(min_value=0.05, max_value=1.0))
     def test_efficiency_bounded(self, load):

@@ -187,19 +187,20 @@ def test_runtime_paths_run_where_networkx_cannot_be_imported():
         import json
         from repro.cluster import ClusterBuilder
         from repro.hardware import NodeFabric, phase2_fabric
+        from repro.hardware.specs import EDR_IB
         from repro.network import FatTree, analyze_traffic, permutation_traffic
         drill = ClusterBuilder(n_nodes=4, seed=0).build_drill().run()
         phase2 = phase2_fabric().transfer("cpu0", "gpu1", 1e6)
         pcie = NodeFabric().pcie_fallback().transfer("gpu0", "gpu3", 1e6)
-        tree = FatTree(n_nodes=72, switch_radix=36, oversubscription=2.0)
-        flows = permutation_traffic(72, tree.link.bandwidth_Bps,
+        tree = FatTree(n_nodes=72, oversubscription=2.0)
+        flows = permutation_traffic(72, EDR_IB.bandwidth_Bps,
                                     shift=tree.shape.hosts_per_leaf)
         print(json.dumps({
             "drill_ok": drill.ok,
             "phase2": [phase2.bandwidth_Bps, list(phase2.path)],
             "pcie": [pcie.bandwidth_Bps, list(pcie.path)],
             "congested": analyze_traffic(tree, flows).congested,
-            "bisection_links": tree.bisection_bandwidth_Bps() / tree.link.bandwidth_Bps,
+            "bisection_links": tree.bisection_bandwidth_Bps() / EDR_IB.bandwidth_Bps,
         }))
     """))
     assert out["drill_ok"]

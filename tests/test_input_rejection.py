@@ -42,7 +42,7 @@ import numpy as np
 import pytest
 
 from repro.cooling import LIQUID_COOLED_GPU, ThrottleGovernor
-from repro.hardware import ComputeNode
+from repro.hardware import ComputeNode, GpuModel
 from repro.monitoring import CappingAgent, GatewayArray, GatewayDaemon, MqttBroker
 from repro.network import FatTree
 from repro.runtime import ConfigError, load
@@ -61,7 +61,6 @@ from repro.scheduler import (
 )
 from repro.scheduler.cache import KEY_VERSION
 from repro.sim import Environment
-from repro.timesync import LocalClock, NtpClient, PtpSlave
 
 needs_tomllib = pytest.mark.skipif(
     importlib.util.find_spec("tomllib") is None,
@@ -274,23 +273,14 @@ class TestNonFiniteThermalInputs:
          lambda: ThrottleGovernor().run(LIQUID_COOLED_GPU(), float("inf"), 10.0)),
         ("duration_s", _NAN,
          lambda: ThrottleGovernor().run(LIQUID_COOLED_GPU(), 300.0, _NAN)),
-        ("dt_s", _NAN,
-         lambda: ThrottleGovernor().run(LIQUID_COOLED_GPU(), 300.0, 10.0, dt_s=_NAN)),
         ("boundary_temp_c", _NAN, lambda: LIQUID_COOLED_GPU(coolant_temp_c=_NAN)),
         ("boundary_temp_c", float("inf"),
          lambda: LIQUID_COOLED_GPU(coolant_temp_c=float("inf"))),
         ("temp_c", _NAN, lambda: LIQUID_COOLED_GPU().reset(_NAN)),
-        ("throttle_temp_c", _NAN, lambda: ThrottleGovernor(throttle_temp_c=_NAN)),
-        ("release_temp_c", _NAN, lambda: ThrottleGovernor(release_temp_c=_NAN)),
-        ("idle_power_fraction", _NAN,
-         lambda: ThrottleGovernor(idle_power_fraction=_NAN)),
-        ("idle_power_fraction", 1.0,
-         lambda: ThrottleGovernor(idle_power_fraction=1.0)),
     ], ids=["step-power-nan", "step-power-inf", "step-dt-nan", "run-power-nan",
             "run-duration-nan", "run-dt-nan", "governor-demand-nan",
-            "governor-demand-inf", "governor-duration-nan", "governor-dt-nan",
-            "coolant-nan", "coolant-inf", "reset-nan", "throttle-temp-nan",
-            "release-temp-nan", "idle-fraction-nan", "idle-fraction-one"])
+            "governor-demand-inf", "governor-duration-nan",
+            "coolant-nan", "coolant-inf", "reset-nan"])
     def test_names_the_field(self, field, value, call):
         with pytest.raises(ValueError, match=rf"{field} must be .*, got {value!r}"):
             call()
@@ -299,8 +289,9 @@ class TestNonFiniteThermalInputs:
         chain = LIQUID_COOLED_GPU()
         die = chain.step(300.0, float("inf"))
         assert die == pytest.approx(35.0 + 300.0 * (0.05 + 0.065))
-        run = ThrottleGovernor().run(LIQUID_COOLED_GPU(), 300.0, 10.0, dt_s=float("inf"))
-        assert run.max_die_temp_c == pytest.approx(die)
+        # ``run`` takes one step of an infinite dt_s: the steady state.
+        series = LIQUID_COOLED_GPU().run(300.0, 10.0, dt_s=float("inf"))
+        assert series.tolist() == [die]
 
 
 class TestFatTreeOversubscription:
@@ -314,7 +305,7 @@ class TestFatTreeOversubscription:
         with pytest.raises(ValueError,
                            match=rf"oversubscription must be finite and >= 1\.0, "
                                  rf"got {value!r}"):
-            FatTree(45, 36, value)
+            FatTree(45, value)
 
 
 class TestNaNCapOrPeriod:
@@ -330,17 +321,40 @@ class TestNaNCapOrPeriod:
         ("cap_w", lambda env, node, broker: CappingAgent(
             env, node, broker, cap_w=_NAN)),
         ("cap_w", lambda env, node, broker: PowerAwareScheduler(cap_w=_NAN)),
-        ("period_s", lambda env, node, broker: NtpClient(
-            LocalClock(), period_s=_NAN)),
-        ("period_s", lambda env, node, broker: PtpSlave(
-            LocalClock(), period_s=_NAN)),
     ], ids=["GatewayDaemon", "GatewayArray", "CappingAgent",
-            "PowerAwareScheduler", "NtpClient", "PtpSlave"])
+            "PowerAwareScheduler"])
     def test_constructor_rejects_it(self, field, build):
         env = Environment()
         broker = MqttBroker(clock=lambda: env.now)
         with pytest.raises(ValueError, match=rf"{field} must be positive, got nan"):
             build(env, ComputeNode(node_id=0), broker)
+
+
+class TestNaNPowerLimit:
+    """The hardware power-limit actuators.  Unchecked, ``limit_w <= 0``
+    lets a NaN through and ``np.clip`` keeps it: the board limit turns
+    NaN and every GPU rail reads NaN watts."""
+
+    def test_gpu_limit_names_limit_w(self):
+        gpu = GpuModel()
+        with pytest.raises(ValueError, match="limit_w must be positive, got nan"):
+            gpu.set_power_limit(_NAN)
+        assert gpu.power_w() == 300.0  # the limit it had is kept
+
+    def test_node_cap_names_cap_w(self):
+        node = ComputeNode()
+        node.set_utilization(cpu=1.0, gpu=1.0, memory_intensity=1.0)
+        with pytest.raises(ValueError, match="cap_w must be positive, got nan"):
+            node.apply_power_cap(_NAN)
+        assert all(np.isfinite(node.power_breakdown().gpus))
+
+    def test_an_infinite_limit_still_means_none(self):
+        gpu = GpuModel()
+        gpu.set_power_limit(float("inf"))
+        assert gpu._power_limit_w == gpu.spec.tdp_w
+        node = ComputeNode()
+        node.set_utilization(cpu=1.0, gpu=1.0, memory_intensity=1.0)
+        assert node.apply_power_cap(float("inf")) == node.apply_power_cap(None)
 
 
 #: A small valid config of each kind, in the JSON spelling.

@@ -8,8 +8,9 @@ from repro.analysis import HplModel, davide_projection
 
 class TestHplModel:
     def test_max_n_from_memory(self):
-        m = HplModel(n_nodes=45, host_memory_per_node_bytes=256 * 1024**3)
-        # sqrt(45 * 256 GiB * 0.8 / 8 B) ~= 1.11e6.
+        m = HplModel()
+        # The whole pilot: sqrt(45 * 256 GiB * 0.8 / 8 B) ~= 1.11e6.
+        assert m.N_NODES == 45
         assert m.max_n() == pytest.approx(1.11e6, rel=0.01)
 
     def test_efficiency_rises_with_n(self):
@@ -40,19 +41,17 @@ class TestHplModel:
         # Compute-dominated at these sizes: close to 8x for 2x N.
         assert t2 / t1 == pytest.approx(8.0, rel=0.15)
 
-    def test_more_nodes_more_rmax_lower_efficiency_at_fixed_n(self):
-        small = HplModel(n_nodes=16)
-        big = HplModel(n_nodes=64)
-        n = small.max_n() // 2
-        p_small, p_big = small.point(n), big.point(n)
+    def test_more_nodes_more_rmax_lower_efficiency_at_fixed_n(self, monkeypatch):
+        m = HplModel()
+        monkeypatch.setattr(HplModel, "N_NODES", 16)
+        n = m.max_n() // 2
+        p_small = m.point(n)
+        monkeypatch.setattr(HplModel, "N_NODES", 64)
+        p_big = m.point(n)
         assert p_big.rmax_flops > p_small.rmax_flops
         assert p_big.efficiency < p_small.efficiency  # same N, more overhead
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            HplModel(n_nodes=0)
-        with pytest.raises(ValueError):
-            HplModel(host_memory_per_node_bytes=0)
         m = HplModel()
         with pytest.raises(ValueError):
             m.point(0)

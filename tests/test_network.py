@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.hardware.specs import EDR_IB
 from repro.network import (
     EDR_DUAL_RAIL,
     CommModel,
@@ -10,30 +11,31 @@ from repro.network import (
     FatTree,
     analyze_traffic,
     dmodk_spine,
+    fattree,
     permutation_traffic,
 )
 
 
 class TestFatTree:
     def test_davide_tree_is_nonblocking(self):
-        tree = FatTree(n_nodes=45, switch_radix=36, oversubscription=1.0)
+        tree = FatTree(n_nodes=45, oversubscription=1.0)
         assert tree.is_nonblocking()
         assert tree.bisection_bandwidth_Bps() >= tree.full_bisection_Bps() * 0.999
 
     def test_oversubscribed_tree_loses_bisection(self):
-        full = FatTree(n_nodes=45, switch_radix=36, oversubscription=1.0)
-        tapered = FatTree(n_nodes=45, switch_radix=36, oversubscription=2.0)
+        full = FatTree(n_nodes=45, oversubscription=1.0)
+        tapered = FatTree(n_nodes=45, oversubscription=2.0)
         assert not tapered.is_nonblocking()
         assert tapered.bisection_bandwidth_Bps() < full.bisection_bandwidth_Bps()
 
     def test_leaf_sizing_nonblocking_radix36(self):
-        tree = FatTree(n_nodes=45, switch_radix=36, oversubscription=1.0)
+        tree = FatTree(n_nodes=45, oversubscription=1.0)
         assert tree.shape.hosts_per_leaf == 18
         assert tree.shape.uplinks_per_leaf == 18
         assert tree.shape.n_leaves == 3
 
     def test_leaf_of_host(self):
-        tree = FatTree(n_nodes=45, switch_radix=36)
+        tree = FatTree(n_nodes=45)
         assert tree.leaf_of(0) == 0
         assert tree.leaf_of(18) == 1
         assert tree.leaf_of(44) == 2
@@ -44,21 +46,21 @@ class TestFatTree:
         with pytest.raises(ValueError):
             FatTree(n_nodes=0)
         with pytest.raises(ValueError):
-            FatTree(n_nodes=4, switch_radix=1)
-        with pytest.raises(ValueError):
             FatTree(n_nodes=4, oversubscription=0.5)
 
     @pytest.mark.parametrize("n, radix, oversubscription, links", [
         (45, 36, 1.0, 22), (72, 36, 1.0, 36), (72, 36, 2.0, 24),
         (72, 36, 4.0, 16), (7, 4, 3.0, 1)])
-    def test_bisection_in_link_units(self, n, radix, oversubscription, links):
-        tree = FatTree(n_nodes=n, switch_radix=radix, oversubscription=oversubscription)
-        assert tree.bisection_bandwidth_Bps() == links * tree.link.bandwidth_Bps
+    def test_bisection_in_link_units(self, n, radix, oversubscription, links, monkeypatch):
+        # The machine's switches have 36 ports; the sizing holds for any.
+        monkeypatch.setattr(fattree, "SWITCH_RADIX", radix)
+        tree = FatTree(n_nodes=n, oversubscription=oversubscription)
+        assert tree.bisection_bandwidth_Bps() == links * EDR_IB.bandwidth_Bps
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=2, max_value=40))
     def test_bisection_never_exceeds_full(self, n):
-        tree = FatTree(n_nodes=n, switch_radix=36)
+        tree = FatTree(n_nodes=n)
         assert tree.bisection_bandwidth_Bps() <= tree.full_bisection_Bps() * 1.001
 
 
@@ -83,37 +85,37 @@ class TestRouting:
             dmodk_spine(0, 0)
 
     def test_intra_leaf_traffic_uses_no_uplinks(self):
-        tree = FatTree(n_nodes=45, switch_radix=36)
+        tree = FatTree(n_nodes=45)
         flows = [(0, 1, 1e9), (2, 3, 1e9)]  # all inside leaf 0
         analysis = analyze_traffic(tree, flows)
         assert analysis.max_uplink_load_Bps == 0.0
         assert analysis.max_hostlink_load_Bps == 1e9
 
     def test_nonblocking_tree_carries_permutation_uncongested(self):
-        tree = FatTree(n_nodes=36, switch_radix=36, oversubscription=1.0)
-        flows = permutation_traffic(36, tree.link.bandwidth_Bps, shift=tree.shape.hosts_per_leaf)
+        tree = FatTree(n_nodes=36, oversubscription=1.0)
+        flows = permutation_traffic(36, EDR_IB.bandwidth_Bps, shift=tree.shape.hosts_per_leaf)
         analysis = analyze_traffic(tree, flows)
         assert not analysis.congested
 
     def test_oversubscribed_tree_congests_on_adversarial_shift(self):
         # 3 leaves of 24 hosts with only 12 uplinks each: a full-leaf shift
         # puts 24 wire-rate flows onto 12 uplinks -> 2x overload.
-        tree = FatTree(n_nodes=72, switch_radix=36, oversubscription=2.0)
-        flows = permutation_traffic(72, tree.link.bandwidth_Bps, shift=tree.shape.hosts_per_leaf)
+        tree = FatTree(n_nodes=72, oversubscription=2.0)
+        flows = permutation_traffic(72, EDR_IB.bandwidth_Bps, shift=tree.shape.hosts_per_leaf)
         analysis = analyze_traffic(tree, flows)
         assert analysis.congested
         # The same pattern on a non-blocking tree sails through.
-        full = FatTree(n_nodes=72, switch_radix=36, oversubscription=1.0)
-        flows = permutation_traffic(72, full.link.bandwidth_Bps, shift=full.shape.hosts_per_leaf)
+        full = FatTree(n_nodes=72, oversubscription=1.0)
+        flows = permutation_traffic(72, EDR_IB.bandwidth_Bps, shift=full.shape.hosts_per_leaf)
         assert not analyze_traffic(full, flows).congested
 
     def test_self_flows_ignored(self):
-        tree = FatTree(n_nodes=8, switch_radix=36)
+        tree = FatTree(n_nodes=8)
         analysis = analyze_traffic(tree, [(3, 3, 1e9)])
         assert analysis.max_hostlink_load_Bps == 0.0
 
     def test_negative_rate_rejected(self):
-        tree = FatTree(n_nodes=8, switch_radix=36)
+        tree = FatTree(n_nodes=8)
         with pytest.raises(ValueError):
             analyze_traffic(tree, [(0, 1, -1.0)])
 
@@ -124,7 +126,7 @@ class TestRouting:
 
 class TestCommModel:
     def model(self):
-        return EDR_DUAL_RAIL()
+        return EDR_DUAL_RAIL
 
     def test_collectives_zero_for_single_rank(self):
         m = self.model()
@@ -166,8 +168,6 @@ class TestCommModel:
             m.halo_exchange_time_s(1, -1)
         with pytest.raises(ValueError):
             CommModel(alpha_s=-1, beta_s_per_B=1)
-        with pytest.raises(ValueError):
-            EDR_DUAL_RAIL(hops=-1)
 
     @given(st.integers(min_value=2, max_value=128), st.floats(min_value=1.0, max_value=1e8))
     def test_allreduce_monotone_in_size(self, ranks, nbytes):

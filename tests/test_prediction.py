@@ -101,21 +101,23 @@ class TestRidge:
 
 
 class TestKnn:
-    def test_exact_neighbor_lookup(self):
+    def test_exact_neighbor_lookup(self, monkeypatch):
+        from repro.prediction import models
+
         X = np.array([[0.0], [1.0], [2.0], [10.0]])
         y = np.array([0.0, 1.0, 2.0, 10.0])
-        model = KnnRegressor(k=1).fit(X, y)
+        monkeypatch.setattr(models, "K_NEIGHBOURS", 1)
+        model = KnnRegressor().fit(X, y)
         assert model.predict(np.array([[1.9]]))[0] == pytest.approx(2.0)
 
     def test_k_larger_than_dataset_clamped(self):
+        # Two training points under the five neighbours a prediction asks for.
         X = np.array([[0.0], [1.0]])
         y = np.array([0.0, 2.0])
-        model = KnnRegressor(k=10).fit(X, y)
+        model = KnnRegressor().fit(X, y)
         assert 0.0 < model.predict(np.array([[0.5]]))[0] < 2.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            KnnRegressor(k=0)
         with pytest.raises(RuntimeError):
             KnnRegressor().predict(np.zeros((1, 1)))
 

@@ -96,7 +96,7 @@ def _build(owner, **kw):
 
     env, node, broker = _env_node_broker()
     space, objective, config = _explore_problem()
-    calls = {**_retired_calls(env, node, broker, space, kw),
+    calls = {**_retired_calls(env, node, broker, space, kw), **_retired_model_calls(kw),
         "GatewayDaemon": lambda: GatewayDaemon(env, node, broker, **kw),
         "GatewayArray": lambda: GatewayArray(env, [node], broker, **kw),
         "CappingAgent": lambda: CappingAgent(env, node, broker, **kw),
@@ -199,6 +199,81 @@ def _retired_calls(env, node, broker, space, kw):
     }
 
 
+def _retired_model_calls(kw):
+    """The owners of the physical models' options retired as constants."""
+    from repro.analysis import (HplModel, TcoModel, davide_projection,
+                                efficiency_ratio, project_exascale)
+    from repro.apps import ExecutionPlatform, UnifiedMemoryModel, nemo
+    from repro.cooling import (LIQUID_COOLED_GPU, DatacenterCooling, HeatExchanger,
+                               HeatSplit, LiquidLoop, ThrottleGovernor,
+                               sustained_performance)
+    from repro.hardware import (BurnInSuite, CpuModel, GpuModel, MemorySubsystem,
+                                NodeFabric, NodeLevelSupply, PsuModel, Rack,
+                                RackLevelSupply, RackManagementController,
+                                consolidation_savings, default_pstates)
+    from repro.hardware.specs import POWER8_PLUS, TESLA_P100
+    from repro.network import CommModel, DualRailFabric, FatTree
+    from repro.power import PhaseAlternation, PowerTrace, SarAdc, square_wave
+    from repro.prediction import (JobPowerModel, KnnRegressor, OnlineJobPowerModel,
+                                  OnlineRidge)
+    from repro.timesync import LocalClock, NtpClient, PtpSlave
+
+    psu = PsuModel(rating_w=2_000.0)
+    loop = LiquidLoop(HeatExchanger(4_000.0))
+    trace = PowerTrace(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+    return {
+        "TcoModel": lambda: TcoModel(capex=1.0, it_power_w=1.0, **kw),
+        "project_exascale": lambda: project_exascale(**kw),
+        "HplModel": lambda: HplModel(**kw),
+        "efficiency_ratio": lambda: efficiency_ratio("Titan", "Cori", **kw),
+        "davide_projection": lambda: davide_projection(**kw),
+        "ExecutionPlatform": lambda: ExecutionPlatform("p", **kw),
+        "nemo": lambda: nemo(**kw),
+        "UnifiedMemoryModel": lambda: UnifiedMemoryModel(**kw),
+        "DatacenterCooling": lambda: DatacenterCooling(**kw),
+        "DatacenterCooling.pue":
+            lambda: DatacenterCooling().pue(1.0, HeatSplit(0.0, 0.0), 10.0, **kw),
+        "LiquidLoop": lambda: LiquidLoop(HeatExchanger(4_000.0), **kw),
+        "LiquidLoop.check_constraints":
+            lambda: loop.check_constraints(loop.operating_point(1e3, 35.0), **kw),
+        "sustained_performance":
+            lambda: sustained_performance(LIQUID_COOLED_GPU, 300.0, [35.0], 1.0, **kw),
+        "ThrottleGovernor": lambda: ThrottleGovernor(**kw),
+        "ThrottleGovernor.run":
+            lambda: ThrottleGovernor().run(LIQUID_COOLED_GPU(), 300.0, 1.0, **kw),
+        "PsuModel": lambda: PsuModel(rating_w=1.0, **kw),
+        "BurnInSuite": lambda: BurnInSuite(**kw),
+        "default_pstates": lambda: default_pstates(**kw),
+        "CpuModel": lambda: CpuModel(**kw),
+        "GpuModel.peak_flops": lambda: GpuModel().peak_flops(**kw),
+        "GpuSpec.peak_flops": lambda: TESLA_P100.peak_flops(**kw),
+        "CpuSpec.peak_flops": lambda: POWER8_PLUS.peak_flops(**kw),
+        "NodeFabric": lambda: NodeFabric(**kw),
+        "MemorySubsystem": lambda: MemorySubsystem(**kw),
+        "RackManagementController": lambda: RackManagementController(Rack(), **kw),
+        "RackManagementController.exhaust_temp_c":
+            lambda: RackManagementController(Rack()).exhaust_temp_c(**kw),
+        "RackLevelSupply": lambda: RackLevelSupply(psu, **kw),
+        "NodeLevelSupply": lambda: NodeLevelSupply(psu, **kw),
+        "consolidation_savings":
+            lambda: consolidation_savings([1.0], psu, RackLevelSupply(psu), **kw),
+        "CommModel": lambda: CommModel(alpha_s=1e-6, beta_s_per_B=1e-9, **kw),
+        "DualRailFabric": lambda: DualRailFabric(4, **kw),
+        "FatTree": lambda: FatTree(4, **kw),
+        "PhaseAlternation": lambda: PhaseAlternation(**kw),
+        "SarAdc.sample": lambda: SarAdc().sample(trace, 1.0, **kw),
+        "SarAdc.acquire_power": lambda: SarAdc().acquire_power(trace, None, 1.0, **kw),
+        "PowerTrace.correlation": lambda: trace.correlation(trace, **kw),
+        "square_wave": lambda: square_wave(0.0, 1.0, 1.0, **kw),
+        "fit_knn": lambda: JobPowerModel.fit_knn([], **kw),
+        "KnnRegressor": lambda: KnnRegressor(**kw),
+        "OnlineRidge": lambda: OnlineRidge(1, **kw),
+        "OnlineJobPowerModel": lambda: OnlineJobPowerModel(None, **kw),
+        "NtpClient.synchronize": lambda: NtpClient(LocalClock()).synchronize(1.0, **kw),
+        "PtpSlave.synchronize": lambda: PtpSlave(LocalClock()).synchronize(1.0, **kw),
+    }
+
+
 #: The one spelling each callable takes for its cadence, ceiling, seed
 #: and core.
 _CANONICAL = {
@@ -207,8 +282,8 @@ _CANONICAL = {
     "CappingAgent": dict(cap_w=1_500.0),
     "ClusterSimulator": dict(cap_w=5_000.0, core="reference"),
     "PowerAwareScheduler": dict(cap_w=40_000.0),
-    "NtpClient": dict(period_s=32.0),
-    "PtpSlave": dict(period_s=2.0),
+    "NtpClient": dict(rng=np.random.default_rng(5)),
+    "PtpSlave": dict(rng=np.random.default_rng(5)),
     "explore": dict(searcher="random", budget=2, seed=0),
     "Scenario": dict(cap_w=20_000.0),
 }
@@ -293,6 +368,47 @@ _REMOVED_SPELLINGS = [
     ("TimeSeriesDB.sample_count", ("key",)),
     ("DavideConfig", ("gateway", "measurement_window_s", "idle_node_power_w",
                       "price_per_kwh", "train_fraction", "headroom_margin")),
+    # The physical models' one machine: analysis, apps, cooling,
+    # hardware, network, power, prediction and timesync.
+    ("TcoModel", ("electricity_price_per_kwh", "lifetime_years",
+                  "maintenance_fraction_per_year", "pue", "utilization")),
+    ("project_exascale", ("efficiency_gains", "linpack_efficiency", "node",
+                          "target_flops")),
+    ("HplModel", ("comm", "host_memory_per_node_bytes", "n_nodes", "node")),
+    ("efficiency_ratio", ("entries",)),
+    ("davide_projection", ("linpack_efficiency", "peak_pflops", "power_kw")),
+    ("ExecutionPlatform", ("comm",)), ("nemo", ("scale",)),
+    ("UnifiedMemoryModel", ("gpu",)),
+    ("DatacenterCooling", ("air_supply_c",)), ("DatacenterCooling.pue", ("overhead_w",)),
+    ("LiquidLoop", ("secondary_flow_lpm", "facility_flow_lpm", "pump_power_w")),
+    ("LiquidLoop.check_constraints", ("room_temp_c", "relative_humidity")),
+    ("sustained_performance", ("governor",)),
+    ("ThrottleGovernor", ("throttle_temp_c", "release_temp_c", "step_fraction",
+                          "min_power_fraction", "idle_power_fraction")),
+    ("ThrottleGovernor.run", ("dt_s",)),
+    ("PsuModel", ("standby_fraction",)),
+    ("BurnInSuite", ("power_band_w", "die_limit_c", "coolant_temp_c",
+                     "rail_sum_tolerance", "soak_duration_s")),
+    ("default_pstates", ("n_states",)), ("CpuModel", ("pstates",)),
+    ("GpuModel.peak_flops", ("precision",)), ("GpuSpec.peak_flops", ("precision",)),
+    ("CpuSpec.peak_flops", ("clock_hz",)),
+    ("NodeFabric", ("pcie",)), ("MemorySubsystem", ("link",)),
+    ("RackManagementController", ("inlet_temp_c", "target_exhaust_c")),
+    ("RackManagementController.exhaust_temp_c", ("fan_fraction",)),
+    ("RackLevelSupply", ("min_active", "target_load")),
+    ("NodeLevelSupply", ("psus_per_node",)), ("consolidation_savings", ("psus_per_node",)),
+    ("CommModel", ("eager_threshold_B",)),
+    ("DualRailFabric", ("switch_radix", "oversubscription")),
+    ("FatTree", ("switch_radix", "link")),
+    ("PhaseAlternation", ("compute_w", "idle_w", "duty", "ripple_hz", "drift_period_s")),
+    ("SarAdc.sample", ("channel_phase",)), ("SarAdc.acquire_power", ("channel_phase",)),
+    ("PowerTrace.correlation", ("rate_hz",)), ("square_wave", ("edge_s",)),
+    ("fit_knn", ("k",)), ("KnnRegressor", ("k",)),
+    ("OnlineRidge", ("lam", "delta")),
+    ("OnlineJobPowerModel", ("lam", "min_samples", "prior_per_node_w")),
+    ("NtpClient", ("path", "period_s", "servo_kp", "filter_depth")),
+    ("NtpClient.synchronize", ("start_s",)),
+    ("PtpSlave", ("period_s", "servo_kp")), ("PtpSlave.synchronize", ("start_s",)),
 ) for name in names]
 
 #: Kernel, tracer and model names with no caller left, by the package
@@ -450,6 +566,22 @@ class TestKeywords:
     def test_removed_method(self, module, owner, name):
         cls = getattr(importlib.import_module(module), owner)
         assert not hasattr(cls, name)
+
+    def test_edr_dual_rail_is_one_fabric(self):
+        """The fabric's hop count is a constant: ``EDR_DUAL_RAIL`` is the
+        one ``CommModel``, not a factory."""
+        from repro.network import EDR_DUAL_RAIL, CommModel
+
+        assert isinstance(EDR_DUAL_RAIL, CommModel)
+        with pytest.raises(TypeError, match="'CommModel' object is not callable"):
+            EDR_DUAL_RAIL(hops=4)
+
+    def test_sync_run_length_has_no_default(self):
+        from repro.timesync import LocalClock, PtpSlave
+
+        with pytest.raises(TypeError, match="missing 1 required positional argument: "
+                                            "'duration_s'"):
+            PtpSlave(LocalClock()).steady_state_error_s()
 
     def test_daemon_seed_seeds_noise_stream(self):
         daemon = _build("GatewayDaemon", rng=np.random.default_rng(7))

@@ -228,7 +228,7 @@ class TestSensorWatchdog:
 
 class TestPsuShelfFailure:
     def test_capacity_derates_and_restores(self):
-        shelf = RackLevelSupply(PsuModel(rating_w=3000.0), n_psus=6, min_active=2)
+        shelf = RackLevelSupply(PsuModel(rating_w=3000.0), n_psus=6)
         full = shelf.capacity_w
         assert shelf.fail_psu() == 5
         assert shelf.capacity_w == pytest.approx(full * 5 / 6)
@@ -239,19 +239,19 @@ class TestPsuShelfFailure:
         assert shelf.capacity_w == pytest.approx(full)
 
     def test_cannot_kill_last_psu(self):
-        shelf = RackLevelSupply(PsuModel(rating_w=3000.0), n_psus=2, min_active=1)
+        shelf = RackLevelSupply(PsuModel(rating_w=3000.0), n_psus=2)
         shelf.fail_psu()
         with pytest.raises(ValueError, match="last"):
             shelf.fail_psu()
 
     def test_restore_requires_a_failure(self):
-        shelf = RackLevelSupply(PsuModel(rating_w=3000.0), n_psus=2, min_active=1)
+        shelf = RackLevelSupply(PsuModel(rating_w=3000.0), n_psus=2)
         with pytest.raises(ValueError):
             shelf.restore_psu()
 
     def test_active_psus_clamp_to_available(self):
-        shelf = RackLevelSupply(PsuModel(rating_w=3000.0), n_psus=4, min_active=3)
+        shelf = RackLevelSupply(PsuModel(rating_w=3000.0), n_psus=3)
         for _ in range(2):
             shelf.fail_psu()
-        # min_active=3 but only 2 survive: the shelf runs what it has.
-        assert shelf.active_psus(1000.0) == 2
+        # The shelf keeps two on, but only one survives: it runs what it has.
+        assert shelf.active_psus(1000.0) == 1

@@ -239,8 +239,8 @@ class TestBatchPrediction:
     def test_online_batch_prior_and_trained(self):
         jobs = _workload(9, n=120)
         enc = FeatureEncoder().fit(jobs)
-        online = OnlineJobPowerModel(enc, min_samples=5)
-        # Before min_samples: the prior, for every queue entry.
+        online = OnlineJobPowerModel(enc)
+        # Before its tenth sample: the prior, for every queue entry.
         assert np.all(online.predict_batch(jobs[:4])
                       == np.array([online(j) for j in jobs[:4]]))
         result = ClusterSimulator(N_NODES, FifoScheduler()).run(jobs[:30])

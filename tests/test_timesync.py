@@ -11,6 +11,7 @@ from repro.timesync import (
     DisciplinedClock,
     LocalClock,
     NtpClient,
+    PtpExchange,
     PtpSlave,
 )
 
@@ -63,7 +64,8 @@ class TestDisciplinedClock:
 class TestPtp:
     def test_hw_timestamping_reaches_sub_10us(self):
         local = LocalClock(XO_CHEAP, rng=np.random.default_rng(0))
-        slave = PtpSlave(local, HW_TIMESTAMPING, period_s=1.0, rng=np.random.default_rng(1))
+        slave = PtpSlave(local, HW_TIMESTAMPING, rng=np.random.default_rng(1))
+        assert slave.PERIOD_S == 1.0
         assert slave.steady_state_error_s(duration_s=120.0) < 10e-6
 
     def test_sw_timestamping_much_worse(self):
@@ -93,9 +95,6 @@ class TestPtp:
         assert len(slave.history) == 10
 
     def test_validation(self):
-        local = LocalClock()
-        with pytest.raises(ValueError):
-            PtpSlave(local, period_s=0.0)
         slave = PtpSlave(LocalClock())
         with pytest.raises(ValueError):
             slave.synchronize(0.0)
@@ -105,7 +104,7 @@ class TestNtp:
     def test_ntp_converges_but_coarser_than_ptp(self):
         local_ntp = LocalClock(XO_CHEAP, rng=np.random.default_rng(4))
         local_ptp = LocalClock(XO_CHEAP, rng=np.random.default_rng(4))
-        ntp = NtpClient(local_ntp, period_s=16.0, rng=np.random.default_rng(5))
+        ntp = NtpClient(local_ntp, rng=np.random.default_rng(5))
         ptp = PtpSlave(local_ptp, HW_TIMESTAMPING, rng=np.random.default_rng(5))
         ntp_err = ntp.steady_state_error_s(duration_s=1600.0)
         ptp_err = ptp.steady_state_error_s(duration_s=120.0)
@@ -120,11 +119,43 @@ class TestNtp:
         ex = ntp.exchange(0.0)
         assert ex.offset_estimate_s == pytest.approx(0.02, abs=2e-3)
 
+    def test_clock_filter_trusts_the_lower_delay_of_two(self):
+        """Each poll the servo acts on the lower-delay of the previous and
+        the current exchange (a tie keeps the previous one), at half its
+        offset."""
+        client = NtpClient(LocalClock(TCXO, rng=np.random.default_rng(0), initial_offset_s=0.0))
+        script = iter([PtpExchange(0.0, 1e-3, 5e-4),     # first poll: only itself
+                       PtpExchange(16.0, 9e-3, 9e-4),    # slower: the previous wins
+                       PtpExchange(32.0, 2e-3, 1e-4),    # faster: it wins
+                       PtpExchange(48.0, 7e-3, 1e-4)])   # a tie: the previous wins
+        client.exchange = lambda true_time_s: next(script)
+        applied, servo = [], client.clock.apply_servo
+        client.clock.apply_servo = lambda off, rate, t: applied.append(off) or servo(off, rate, t)
+        for t in (0.0, 16.0, 32.0, 48.0):
+            client.step(t)
+        assert applied == pytest.approx([0.5e-3, 0.5e-3, 1e-3, 1e-3])
+        assert [ex.true_time_s for ex in client.history] == [0.0, 16.0, 32.0, 48.0]
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            NtpClient(LocalClock(), period_s=0.0)
-        with pytest.raises(ValueError):
-            NtpClient(LocalClock(), filter_depth=0)
         client = NtpClient(LocalClock())
         with pytest.raises(ValueError):
             client.synchronize(-1.0)
+
+
+class TestOneServoLoop:
+    def test_ptp_and_ntp_share_the_loop(self):
+        for name in ("step", "synchronize", "steady_state_error_s", "_stamp_noise"):
+            assert getattr(NtpClient, name) is getattr(PtpSlave, name)
+        assert NtpClient.exchange is not PtpSlave.exchange
+        assert (PtpSlave.PERIOD_S, PtpSlave.SERVO_KP) == (1.0, 0.7)
+        assert (NtpClient.PERIOD_S, NtpClient.SERVO_KP) == (16.0, 0.5)
+
+    def test_e12_residuals_pinned(self):
+        """E12's PTP (HW stamps) and NTP rows, bit for bit: the shared
+        loop keeps each protocol's draw order."""
+        ptp = PtpSlave(LocalClock(XO_CHEAP, rng=np.random.default_rng(0)),
+                       HW_TIMESTAMPING, rng=np.random.default_rng(1))
+        ntp = NtpClient(LocalClock(XO_CHEAP, rng=np.random.default_rng(0)),
+                        rng=np.random.default_rng(1))
+        assert ptp.steady_state_error_s(120.0) == 1.5580252849130282e-06
+        assert ntp.steady_state_error_s(1600.0) == 8.191192741669546e-05
