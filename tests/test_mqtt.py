@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.monitoring import (
+    Message,
     MqttBroker,
     topic_matches,
     validate_filter,
@@ -112,6 +113,61 @@ class TestBrokerRouting:
         broker.publish("t", 1)
         assert broker.published_count == 1
         assert broker.delivered_count == 2
+
+
+class TestMessageRecord:
+    """What ``Message`` promises: an immutable record with seven fields
+    in a fixed order, one object per publish shared by every
+    subscriber."""
+
+    FIELDS = ("topic", "payload", "qos", "retain", "timestamp", "message_id",
+              "duplicate")
+
+    def test_every_field_is_read_only(self):
+        msg = Message("t", {"p": 1.0}, 1, True, 2.5, 7, False)
+        for name in self.FIELDS + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(msg, name, None)
+        assert msg == Message("t", {"p": 1.0}, 1, True, 2.5, 7, False)
+
+    def test_positional_and_keyword_construction_agree(self):
+        values = ("a/b", [1, 2], 1, True, 3.5, 42, True)
+        positional = Message(*values)
+        assert positional == Message(**dict(zip(self.FIELDS, values)))
+        assert [getattr(positional, name) for name in self.FIELDS] == list(values)
+
+    def test_defaults(self):
+        msg = Message("t", None)
+        assert msg == Message(topic="t", payload=None, qos=0, retain=False,
+                              timestamp=0.0, message_id=0, duplicate=False)
+        defaults = [getattr(msg, name) for name in self.FIELDS[2:]]
+        assert [type(v) for v in defaults] == [int, bool, float, int, bool]
+
+    def test_every_subscriber_receives_the_published_object(self):
+        broker = MqttBroker()
+        got = []
+        pushed = [broker.connect(f"cb{i}") for i in range(2)]
+        for client in pushed:
+            client.on_message = got.append
+            client.subscribe("davide/+/power/node")
+        queued = broker.connect("queued")
+        queued.subscribe("davide/#", qos=1)
+        msg = broker.publish("davide/node0/power/node", {"p": 1500.0}, qos=1)
+        assert len(got) == 2
+        assert all(m is msg for m in got + [queued.poll()])
+
+    def test_redelivered_duplicate_keeps_id_and_stamp(self):
+        now = {"t": 5.0}
+        broker = MqttBroker(clock=lambda: now["t"])
+        sub = broker.connect("s")
+        sub.subscribe("t", qos=1)
+        first = broker.publish("t", {"p": 1.0}, qos=1, retain=True)
+        now["t"] = 9.0
+        (dup,) = sub.redeliver_inflight()
+        assert dup is not first and not first.duplicate
+        assert dup.duplicate
+        assert (dup.message_id, dup.timestamp) == (first.message_id, 5.0)
+        assert dup == first._replace(duplicate=True)
 
 
 class TestRetainedMessages:

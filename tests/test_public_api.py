@@ -200,10 +200,12 @@ def _retired_calls(env, node, broker, space, kw):
 
 
 def _retired_model_calls(kw):
-    """The owners of the physical models' options retired as constants."""
+    """The owners of the physical models' options retired as constants
+    or removed."""
     from repro.analysis import (HplModel, TcoModel, davide_projection,
                                 efficiency_ratio, project_exascale)
-    from repro.apps import ExecutionPlatform, UnifiedMemoryModel, nemo
+    from repro.apps import ExecutionPlatform, Phase, UnifiedMemoryModel, nemo
+    from repro.apps.base import PhaseTiming
     from repro.cooling import (LIQUID_COOLED_GPU, DatacenterCooling, HeatExchanger,
                                HeatSplit, LiquidLoop, ThrottleGovernor,
                                sustained_performance)
@@ -228,6 +230,9 @@ def _retired_model_calls(kw):
         "efficiency_ratio": lambda: efficiency_ratio("Titan", "Cori", **kw),
         "davide_projection": lambda: davide_projection(**kw),
         "ExecutionPlatform": lambda: ExecutionPlatform("p", **kw),
+        "Phase": lambda: Phase("p", **kw),
+        "PhaseTiming": lambda: PhaseTiming(phase=None, compute_s=0.0, comm_s=0.0,
+                                           power_w=0.0, **kw),
         "nemo": lambda: nemo(**kw),
         "UnifiedMemoryModel": lambda: UnifiedMemoryModel(**kw),
         "DatacenterCooling": lambda: DatacenterCooling(**kw),
@@ -409,6 +414,9 @@ _REMOVED_SPELLINGS = [
     ("NtpClient", ("path", "period_s", "servo_kp", "filter_depth")),
     ("NtpClient.synchronize", ("start_s",)),
     ("PtpSlave", ("period_s", "servo_kp")), ("PtpSlave.synchronize", ("start_s",)),
+    # The CPU<->GPU transfer term, zero on every platform because no
+    # application set its bytes.
+    ("Phase", ("h2d_bytes", "d2h_bytes")), ("PhaseTiming", ("transfer_s",)),
 ) for name in names]
 
 #: Kernel, tracer and model names with no caller left, by the package
@@ -453,6 +461,7 @@ _REMOVED_METHODS = [
 ] + [(module, owner, name) for module, owner, names in (
     ("repro.analysis", "HplModel", ("efficiency_curve",)),
     ("repro.apps", "ApplicationModel", ("total_flops_per_node",)),
+    ("repro.apps", "ExecutionPlatform", ("_transfer_time",)),
     ("repro.capping", "SensorWatchdog", ("stale_sources", "value")),
     ("repro.capping", "DvfsGovernor",
      ("cap_to_power", "power_at", "most_efficient_state")),
