@@ -34,8 +34,11 @@ a batched queue view:
   cursor; every policy, FIFO included, decides through one admission
   path.  Queue-order policies answer through
   :meth:`~repro.scheduler.policies.ReadyView.prefix_fit` (a scan
-  bounded by the number of jobs that start, not the backlog) and the
-  frozen context dataclass is built only when a policy asks for it.
+  bounded by the number of jobs that start, not the backlog); the
+  reservation policies read the running set from state kept per start
+  and stop (release list, running prices) and the backlog through
+  NumPy queue columns.  The frozen context dataclass is built only for
+  a policy without ``select_batch``.
   The queue is spliced one way: the chosen slots (reported in
   ``ReadyView.picked``, or else found by one identity scan from the
   head that stops at the last of them) advance the cursor over their
@@ -84,6 +87,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["run_array"]
 
 _INF = float("inf")
+_NAN = float("nan")
 
 # Lane field columns (one row per running job).  _DYN caches the job's
 # controllable power share max(true_power - idle_floor, 0) — a per-lane
@@ -188,33 +192,43 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
     q_head = 0
     # Queue columns aligned index-for-index with q_recs (dead prefix
     # [0:q_head] included): qcol_n[i] is q_recs[i].job.n_nodes, qcol_w[i]
-    # its requested walltime.  EASY's backfill scan reads them as NumPy
+    # its requested walltime, qcol_p[i] its predicted power (NaN until a
+    # pricing policy writes it).  The backfill scans read them as NumPy
     # slices, turning the O(backlog) per-decision candidate walk into a
     # few C passes (see ReadyView.qn).  Amortized-doubling capacity.
     q_cap = 256
     qcol_n = np.empty(q_cap, dtype=np.int64)
     qcol_w = np.empty(q_cap, dtype=np.float64)
+    qcol_p = np.empty(q_cap, dtype=np.float64)
+
+    def _q_grow() -> None:
+        nonlocal q_cap, qcol_n, qcol_w, qcol_p
+        q_cap *= 2
+        qcol_n = np.resize(qcol_n, q_cap)
+        qcol_w = np.resize(qcol_w, q_cap)
+        qcol_p = np.resize(qcol_p, q_cap)
 
     def _q_append(rec: JobRecord) -> None:
-        nonlocal q_cap, qcol_n, qcol_w
         i = len(q_recs)
         if i >= q_cap:
-            q_cap *= 2
-            qcol_n = np.resize(qcol_n, q_cap)
-            qcol_w = np.resize(qcol_w, q_cap)
+            _q_grow()
         job = rec.job
         qcol_n[i] = job.n_nodes
         qcol_w[i] = job.walltime_req_s
+        qcol_p[i] = _NAN  # a fresh record: priced at its first decision
         q_recs.append(rec)
 
-    # --- incremental release list (EASY head reservation) --------------
-    # Sorted (requested_end, n_nodes, job_id, record) per running job,
-    # maintained only when the policy opts in (wants_releases): insort
-    # on start, bisect-remove on completion/requeue.  requested_end =
+    # --- incremental release list (EASY / power-aware reservation) -----
+    # Sorted (requested_end, n_nodes, price, job_id, record) per running
+    # job, and the job id -> price map in start order, maintained only
+    # when the policy opts in (wants_releases): insort on start,
+    # bisect-remove on completion/requeue.  requested_end =
     # start_time_s + walltime_req_s is the same two floats whenever it
-    # is computed, so removal keys rebuild bit-identically.
+    # is computed and a running job's price never changes, so removal
+    # keys rebuild bit-identically.
     track_releases = bool(getattr(policy, "wants_releases", False))
-    releases: list[tuple[float, int, int, JobRecord]] = []
+    releases: list[tuple[float, int, float, int, JobRecord]] = []
+    run_prices: dict[int, float] = {}  # insertion-ordered (start order)
 
     fresh_jids: list[int] = []  # started since last trim application
     trace_t_l: list[float] = []
@@ -257,8 +271,9 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         )
 
     view = ReadyView(
-        q_recs, 0, 0, _make_ctx,
+        q_recs, 0, 0,
         releases=releases if track_releases else None,
+        running_prices=run_prices if track_releases else None,
     )
 
     def _stop(jid: int) -> JobRecord:
@@ -318,20 +333,17 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         lane_recs.pop()
         del running_recs[jid]
         if track_releases:
-            _release_remove(rec)
+            job = rec.job
+            key = (rec.start_time_s + job.walltime_req_s, job.n_nodes,
+                   run_prices.pop(jid), jid)
+            # The 4-tuple prefix sorts immediately before the unique
+            # 5-tuple entry.
+            del releases[bisect_left(releases, key)]
         if track_owner:
             for node_id in rec.nodes:
                 del node_owner[node_id]
         ledger.remove(rec.job)
         return rec
-
-    def _release_remove(rec: JobRecord) -> None:
-        """Drop a finished/requeued job's entry from the release list."""
-        job = rec.job
-        key = (rec.start_time_s + job.walltime_req_s, job.n_nodes, job.job_id)
-        i = bisect_left(releases, key)
-        # The 3-tuple prefix sorts immediately before the unique 4-tuple.
-        del releases[i]
 
     def _apply_trim(rho: float, speed: float) -> None:
         """Vectorized ``_set_speed`` over every lane (eager, masked).
@@ -507,7 +519,6 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
 
     def _requeue_insert(rec: JobRecord) -> None:
         """Re-insert a crashed job at its (submit, id) queue position."""
-        nonlocal q_cap, qcol_n, qcol_w
         key = (rec.job.submit_time_s, rec.job.job_id)
         lo, hi = q_head, len(q_recs)
         while lo < hi:
@@ -519,14 +530,15 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
                 hi = mid
         n_q = len(q_recs)
         if n_q >= q_cap:
-            q_cap *= 2
-            qcol_n = np.resize(qcol_n, q_cap)
-            qcol_w = np.resize(qcol_w, q_cap)
+            _q_grow()
         # .copy() on the RHS: overlapping same-array slice assignment.
         qcol_n[lo + 1 : n_q + 1] = qcol_n[lo:n_q].copy()
         qcol_w[lo + 1 : n_q + 1] = qcol_w[lo:n_q].copy()
+        qcol_p[lo + 1 : n_q + 1] = qcol_p[lo:n_q].copy()
         qcol_n[lo] = rec.job.n_nodes
         qcol_w[lo] = rec.job.walltime_req_s
+        price = rec.predicted_power_w
+        qcol_p[lo] = _NAN if price is None else price
         q_recs.insert(lo, rec)
 
     def _start_one(rec: JobRecord) -> None:
@@ -565,7 +577,11 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         fresh_jids.append(jid)
         running_recs[jid] = rec
         if track_releases:
-            insort(releases, (now + job.walltime_req_s, k, jid, rec))
+            price = rec.predicted_power_w
+            if price is None:  # a policy that never prices
+                price = 0.0
+            run_prices[jid] = price
+            insort(releases, (now + job.walltime_req_s, k, price, jid, rec))
         if track_owner:
             for node_id in alloc:
                 node_owner[node_id] = jid
@@ -584,6 +600,7 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
             view.now_s = now
             view.qn = qcol_n
             view.qw = qcol_w
+            view.qp = qcol_p
             view.picked = None
             chosen = policy_select_batch(view)
             picked = view.picked
@@ -633,6 +650,8 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
             qcol_n[j0 : j0 + seg.size] = seg
             seg = qcol_w[j0:n_q][keep]
             qcol_w[j0 : j0 + seg.size] = seg
+            seg = qcol_p[j0:n_q][keep]
+            qcol_p[j0 : j0 + seg.size] = seg
         power_dirty = True
         ctx_dirty = True
 
@@ -797,12 +816,14 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
                 if on_requeue is not None:
                     on_requeue(rec)
         # Submissions arrive in (submit, id) order: appends keep the
-        # backing queue sorted.
+        # backing queue sorted, after this trip's requeue inserts.
+        first_new = submit_idx
         while t_submit <= now + 1e-12:
             job = pending[submit_idx]
             _q_append(records[job.job_id])
             submit_idx += 1
             t_submit = pending[submit_idx].submit_time_s if submit_idx < n_jobs else _INF
+        view.n_new = submit_idx - first_new
         try_start()
 
     makespan = now

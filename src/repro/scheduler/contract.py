@@ -243,8 +243,10 @@ def _resolve_ledger(
     rho = (cap_w - floor) / dynamic
     if rho < 0.0:
         rho = 0.0
-    # Speed floor limits how hard the hardware can throttle.
-    rho = float(np.clip(rho, rho_min, 1.0))
+    # Speed floor limits how hard the hardware can throttle.  A scalar
+    # clip: rho is finite and non-negative here, so min/max pick the
+    # same float np.clip would, without its array dispatch.
+    rho = float(min(max(rho, rho_min), 1.0))
     if rho >= 1.0:
         return demand, demand, 1.0, 1.0
     system = floor + ledger.running_dynamic_w * rho

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from heapq import merge as _heap_merge
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -45,37 +45,52 @@ class ReadyView:
     The array core maintains the queue as a backing list plus a cursor —
     ``recs[head:]`` is the pending queue in (submit, id) order — so a
     batch policy never forces the per-event O(queue) defensive copy the
-    ``select`` entry point requires, and queue-order policies skip
-    building the (costly) frozen :class:`SchedulerContext` entirely.
-    The full context stays available through :meth:`ctx` for policies
-    that need the running set.
+    ``select`` entry point requires, and never needs the (costly) frozen
+    :class:`SchedulerContext`: what a policy reads of the running set is
+    kept here by the core, per start and stop.
 
-    A batch decision must equal ``policy.select(view.tail(), view.ctx())``
-    record-for-record: the differential harness pins this by running the
-    same scenarios through cores that use either entry point.
+    A batch decision must equal ``policy.select(recs[head:], ctx)``
+    record-for-record, where ``ctx`` is the context the reference core
+    builds at the same instant: the differential harness pins this by
+    running the same scenarios through cores that use either entry point.
+
+    ``n_new`` counts the jobs appended since the previous decision.  Every
+    event-loop trip of the core ends in a decision, and a trip's requeues
+    are inserted before its submissions are appended, so those arrivals
+    are exactly ``recs[-n_new:]`` (when ``n_new`` is non-zero).
 
     ``releases`` is the core-maintained sorted list of
-    ``(requested_end_s, n_nodes, job_id, record)`` tuples, one per
-    running job — the exact multiset EASY's head-reservation scan
-    rebuilds (and re-sorts) from ``ctx.running`` on every decision.
+    ``(requested_end_s, n_nodes, price, job_id, record)`` tuples, one
+    per running job, where ``price`` is the record's
+    ``predicted_power_w`` (0.0 for policies that never price).  It is
+    the exact ``(end, n)`` multiset EASY's head-reservation scan
+    rebuilds (and re-sorts) from ``ctx.running`` on every decision, and
+    the exact ``(end, n, price)`` sequence power-aware's scan sorts.
     Cores maintain it incrementally (one ``insort`` per start, one
     bisect-remove per completion/requeue) only when the policy opts in
     via the ``wants_releases`` class attribute; otherwise it stays
-    ``None``.  Because a
-    job's requested end is ``start_time_s + walltime_req_s`` — the same
-    two floats whenever the sum is computed — the incremental list holds
-    bit-identical keys to the per-decision rebuild, and full
-    ``(end, n)`` ties (the only entries whose relative order the extra
-    ``job_id`` key can permute) are interchangeable in any prefix scan.
+    ``None``.  Because a job's requested end is ``start_time_s +
+    walltime_req_s`` — the same two floats whenever the sum is computed
+    — and a running job's price never changes, the incremental list
+    holds bit-identical keys to the per-decision rebuild, and entries
+    that tie on all three sort fields (the only ones whose relative
+    order the extra ``job_id`` key can permute) hold equal floats, so
+    they are interchangeable in any prefix scan.
 
-    ``qn`` / ``qw`` are optional NumPy columns aligned with ``recs``
+    ``running_prices`` (with ``releases``) maps each running job's id to
+    its release entry's price, in start order: the order of
+    ``ctx.running``, so ``sum(view.running_prices.values())`` adds the
+    same floats in the same order as a sum over the running records.
+
+    ``qn`` / ``qw`` / ``qp`` are NumPy columns aligned with ``recs``
     (``qn[i]`` is ``recs[i].job.n_nodes`` as int64, ``qw[i]`` the
-    requested walltime as float64), maintained by the core alongside
-    the backing list.  They let EASY's backfill scan reduce the backlog
-    to a candidate mask in C instead of touching every record from
-    Python; elementwise float64 ops are IEEE-identical to the scalar
-    comparisons, so the decision is unchanged.  ``None`` (the default)
-    selects the pure-Python scan.
+    requested walltime and ``qp[i]`` the record's ``predicted_power_w``
+    as float64, NaN while unpriced), maintained by the core alongside
+    the backing list.  They let a backfill scan reduce the backlog to a
+    candidate mask in C instead of touching every record from Python;
+    elementwise float64 ops are IEEE-identical to the scalar
+    comparisons, so the decision is unchanged.  A policy that prices
+    the arrivals writes their prices into ``qp[-n_new:]`` itself.
 
     ``picked`` is an out-channel: a ``select_batch`` policy that knows
     the queue indices of its selection stores them (ascending, aligned
@@ -85,8 +100,8 @@ class ReadyView:
     """
 
     __slots__ = (
-        "recs", "head", "n_free", "now_s", "releases", "qn", "qw",
-        "picked", "_ctx_factory",
+        "recs", "head", "n_free", "now_s", "n_new", "releases",
+        "running_prices", "qn", "qw", "qp", "picked",
     )
 
     def __init__(
@@ -94,30 +109,24 @@ class ReadyView:
         recs: list[JobRecord],
         head: int,
         n_free: int,
-        ctx_factory: Callable[[], SchedulerContext],
         now_s: float = 0.0,
         releases: list[tuple] | None = None,
+        running_prices: dict[int, float] | None = None,
     ):
         self.recs = recs
         self.head = head
         self.n_free = n_free
         self.now_s = now_s
+        self.n_new = 0
         self.releases = releases
+        self.running_prices = running_prices
         self.qn: np.ndarray | None = None
         self.qw: np.ndarray | None = None
+        self.qp: np.ndarray | None = None
         self.picked: list[int] | None = None
-        self._ctx_factory = ctx_factory
 
     def __len__(self) -> int:
         return len(self.recs) - self.head
-
-    def tail(self) -> list[JobRecord]:
-        """The pending queue as a fresh list (safe for policies to mutate)."""
-        return self.recs[self.head:]
-
-    def ctx(self) -> SchedulerContext:
-        """The full scheduling context (built lazily by the core)."""
-        return self._ctx_factory()
 
     def prefix_fit(self, free: int) -> int:
         """How many queue-order head jobs fit in ``free`` nodes.
@@ -256,8 +265,8 @@ class EasyBackfillScheduler:
             # Lazy merge: the reservation scan usually stops after a
             # few entries, so never materialize the merged list.
             # Mixed tuple widths compare by common prefix; a 2-tuple
-            # sorting before an equal-(end, n) 3/4-tuple is a full
-            # tie, which any prefix-sum scan treats identically.
+            # sorting before an equal-(end, n) release entry is a full
+            # tie for EASY's scan, which reads only those two fields.
             releases = _heap_merge(rel, fresh)
         else:
             releases = rel

@@ -24,6 +24,8 @@ the simulator's reactive trim (``ClusterSimulator(cap_w=...)`` in
 
 from __future__ import annotations
 
+import math
+from heapq import merge as _heap_merge
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -56,6 +58,17 @@ class _NameplatePredictor:
         return nodes * self.nominal_node_power_w
 
 
+def _price(job: Job, value) -> float:
+    """A predictor's output as a price, refused unless finite: a NaN or
+    infinite price compares false or absorbs every sum, which switches
+    the power envelope off for every later decision."""
+    price = float(value)
+    if not math.isfinite(price):
+        raise ValueError(
+            f"job {job.job_id}: predicted power must be finite, got {price!r}")
+    return price
+
+
 def request_based_predictor(nominal_node_power_w: float = 2000.0) -> PowerPredictor:
     """The no-ML fallback: assume every node draws its nameplate power.
 
@@ -69,6 +82,10 @@ def request_based_predictor(nominal_node_power_w: float = 2000.0) -> PowerPredic
 
 class PowerAwareScheduler:
     """EASY backfill under a system power envelope with power reservations."""
+
+    #: Opt-in: cores that see this keep the priced release list and the
+    #: running-price map (``ReadyView.releases`` / ``running_prices``).
+    wants_releases = True
 
     def __init__(
         self,
@@ -94,11 +111,15 @@ class PowerAwareScheduler:
         self._m_select = m.counter("scheduler_select_calls_total")
         self._m_admitted = m.counter("scheduler_admitted_total")
         self._m_backfilled = m.counter("scheduler_backfills_total")
+        # Set once any job prices below its idle floor (a negative
+        # marginal): accepting such a job *raises* the backfill headroom,
+        # so from then on the batch mask may not prune on power.
+        self._negative_marginal = False
 
     # -- power bookkeeping ---------------------------------------------------
     def _predicted(self, rec: JobRecord) -> float:
         if rec.predicted_power_w is None:
-            rec.predicted_power_w = float(self.predictor(rec.job))
+            rec.predicted_power_w = _price(rec.job, self.predictor(rec.job))
         return rec.predicted_power_w
 
     def _prefill(self, queue: Sequence[JobRecord]) -> None:
@@ -107,6 +128,9 @@ class PowerAwareScheduler:
         Duck-typed on ``predictor.predict_batch``: plain callables fall
         back to per-job pricing inside :meth:`_predicted`.  Prices stick
         to the record, so each job is encoded at most once per life.
+        Every decision prices all of its queue, so the unpriced jobs are
+        exactly the arrivals since the previous decision: the batches
+        :meth:`_price_arrivals` hands the predictor on the batch path.
         """
         batch = getattr(self.predictor, "predict_batch", None)
         if batch is None:
@@ -116,7 +140,7 @@ class PowerAwareScheduler:
             return
         prices = batch([r.job for r in unpriced])
         for rec, price in zip(unpriced, prices):
-            rec.predicted_power_w = float(price)
+            rec.predicted_power_w = _price(rec.job, price)
 
     def _effective_budget(self) -> float:
         return self.cap_w * (1.0 - HEADROOM_MARGIN)
@@ -129,18 +153,162 @@ class PowerAwareScheduler:
         idle_nodes = max(ctx.total_nodes - busy_nodes, 0)
         return self._effective_budget() - (running_power + idle_nodes * self.idle_node_power_w)
 
+    def _price_arrivals(self, view: ReadyView) -> None:
+        """Price the ``view.n_new`` jobs that arrived since the last decision.
+
+        One ``predict_batch`` call when the predictor has one: the batches
+        :meth:`_prefill` prices on the scalar path, which matters because
+        an online predictor's price depends on *when* a job is encoded.
+        A plain callable is priced per job here, at the job's first
+        decision, where the scalar path prices it when it first touches
+        it; for a pure predictor (every one :mod:`repro.scheduler.campaign`
+        builds) the values are the same, and every job is priced before
+        it starts.  Prices go on the records and into ``view.qp``.
+        """
+        recs = view.recs
+        end = len(recs)
+        lo = end - view.n_new
+        arrivals = recs[lo:end]
+        batch = getattr(self.predictor, "predict_batch", None)
+        if batch is not None:
+            raw = batch([r.job for r in arrivals])
+        else:
+            predictor = self.predictor
+            raw = [predictor(r.job) for r in arrivals]
+        prices = [_price(r.job, value) for r, value in zip(arrivals, raw)]
+        for rec, price in zip(arrivals, prices):
+            rec.predicted_power_w = price
+        view.qp[lo:end] = prices
+        if not self._negative_marginal:
+            idle = self.idle_node_power_w
+            self._negative_marginal = any(
+                price - rec.job.n_nodes * idle < 0.0
+                for rec, price in zip(arrivals, prices)
+            )
+
     # -- policy interface ---------------------------------------------------------
     def select_batch(self, view: ReadyView) -> list[JobRecord]:
-        """Batched entry point: delegate through the view's context factory.
+        """:meth:`select`'s decision, in time proportional to what starts.
 
-        The power envelope needs the full running view for its head power
-        reservation, and pricing timing must match :meth:`select` exactly
-        (an online predictor's price depends on *when* a job is encoded),
-        so there is no cheap partial path here — the hook exists so the
-        array core drives every policy through one dispatch and the
-        context is built by the view's cached factory.
+        Record for record equal to ``select(view.recs[view.head:], ctx)``
+        with the context the reference core builds at the same instant,
+        but read from state the core keeps per start and stop:
+
+        * every queued record carries its price (:meth:`_price_arrivals`);
+        * the running draw is builtin ``sum`` over
+          ``view.running_prices``, the same floats in the same (start)
+          order as :meth:`power_headroom_w`'s sum, and the idle nodes are
+          ``view.n_free``: every alive node is free or held by exactly
+          one running job;
+        * phase 3 masks candidates on the ``qn``/``qp`` columns under the
+          *initial* shadow-free nodes and backfill headroom, and only if
+          one survives scans the price-keyed release list (merged with
+          the jobs just started, in :meth:`select`'s ``sorted((end, n,
+          price))`` order) for the head's reservation and replays the
+          survivors with the exact scalar checks.  Shadow-free nodes only
+          shrink, and the headroom only shrinks while no accepted job has
+          a negative marginal, so the power test joins the mask only
+          while no priced job has one.
         """
-        return self.select(view.tail(), view.ctx())
+        self._m_select.inc()
+        if view.n_new:
+            self._price_arrivals(view)
+        free = view.n_free
+        if free == 0:
+            return []  # every job needs a node: nothing can start
+        idle = self.idle_node_power_w
+        running_prices = view.running_prices
+        headroom = self._effective_budget() - (
+            sum(running_prices.values()) + free * idle
+        )
+        recs = view.recs
+        end = len(recs)
+        i = view.head
+        started: list[JobRecord] = []
+        # Phase 1: FIFO admission under nodes AND power.
+        while i < end:
+            rec = recs[i]
+            n = rec.job.n_nodes
+            if n > free:
+                break
+            marginal = rec.predicted_power_w - n * idle
+            if marginal > headroom:
+                break
+            started.append(rec)
+            self._m_admitted.inc()
+            free -= n
+            headroom -= marginal
+            i += 1
+        picked = list(range(view.head, i))
+        view.picked = picked
+        if i == end:
+            return started
+        head = recs[i]
+        need = head.job.n_nodes
+        head_price = head.predicted_power_w
+        # Over-budget escape hatch (see select): nothing ran, nothing
+        # started, so every alive node is free.
+        if not started and not running_prices and need <= free:
+            if head_price + (free - need) * idle > self._effective_budget():
+                self._m_admitted.inc()
+                picked.append(i)
+                return [head]
+        head_marginal = head_price - need * idle
+        backfill_headroom = headroom
+        if need <= free and head_marginal > headroom:
+            backfill_headroom = headroom - head_marginal
+        lo = i + 1
+        stop = end
+        if self.backfill_depth is not None:
+            stop = min(end, lo + self.backfill_depth)
+        if lo >= stop or free == 0:
+            return started
+        # Phase 3's mask: a job that fails here fails every later check.
+        n_col = view.qn[lo:stop]
+        fits = n_col <= free
+        if not self._negative_marginal:
+            fits &= view.qp[lo:stop] - n_col * idle <= backfill_headroom
+        survivors = fits.nonzero()[0]
+        if not survivors.size:
+            return started
+        # Phase 2: the head's node and power reservation.
+        now_s = view.now_s
+        releases = view.releases
+        if started:
+            releases = _heap_merge(releases, sorted(
+                (now_s + r.job.walltime_req_s, r.job.n_nodes, r.predicted_power_w)
+                for r in started
+            ))
+        avail, reservation_time, spare_at_res = free, now_s, free - need
+        power_at_res = headroom
+        for item in releases:  # (end, n, price, ...)
+            n = item[1]
+            avail += n
+            power_at_res += item[2] - n * idle
+            if avail >= need and power_at_res >= head_marginal:
+                reservation_time = item[0]
+                spare_at_res = avail - need
+                break
+        # Phase 3: replay the survivors with select's exact checks.
+        shadow_free = free
+        for off in survivors.tolist():
+            rec = recs[lo + off]
+            n = rec.job.n_nodes
+            if n > shadow_free:
+                continue
+            marginal = rec.predicted_power_w - n * idle
+            if marginal > backfill_headroom:
+                continue
+            finishes_before = now_s + rec.job.walltime_req_s <= reservation_time
+            if finishes_before or n <= spare_at_res:
+                started.append(rec)
+                picked.append(lo + off)
+                self._m_backfilled.inc()
+                shadow_free -= n
+                backfill_headroom -= marginal
+                if not finishes_before:
+                    spare_at_res -= n
+        return started
 
     def select(self, queue: Sequence[JobRecord], ctx: SchedulerContext) -> list[JobRecord]:
         """Start jobs under both the node constraint and the power envelope."""

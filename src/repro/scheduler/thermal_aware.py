@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .job import JobRecord
-from .policies import SchedulerContext
+from .policies import ReadyView, SchedulerContext
 from .power_aware import PowerAwareScheduler, PowerPredictor
 
 __all__ = ["TimeVaryingBudgetScheduler", "heat_wave_budget"]
@@ -56,6 +56,9 @@ class TimeVaryingBudgetScheduler:
     """
 
     name = "time-varying-budget"
+    #: The inner dispatcher's batch path reads the core's priced
+    #: release list and running-price map.
+    wants_releases = True
 
     def __init__(
         self,
@@ -88,3 +91,8 @@ class TimeVaryingBudgetScheduler:
         """Re-target the inner dispatcher at the current budget and delegate."""
         self._inner.cap_w = self.effective_budget_w(ctx.now_s)
         return self._inner.select(queue, ctx)
+
+    def select_batch(self, view: ReadyView) -> list[JobRecord]:
+        """Re-target at the current budget and take the batch path."""
+        self._inner.cap_w = self.effective_budget_w(view.now_s)
+        return self._inner.select_batch(view)

@@ -103,6 +103,34 @@ def day_night_budget(day_budget_w: float, night_budget_w: float,
 
     return budget
 
+
+#: The power predictors a power-aware or time-varying scenario draws.
+PREDICTOR_KINDS = ("nameplate", "oracle", "scaled")
+
+
+class _ScaledPredictor:
+    """A per-job scaled truth: each job's price is its true power times
+    a factor in [0.2, 1.4) fixed by its id, so jobs that tie on
+    ``(end, n)`` price differently and some price below their idle
+    floor (a negative marginal).  Pure, with a batched form."""
+
+    def __call__(self, job: Job) -> float:
+        return job.true_power_w * (0.2 + 1.2 * ((job.job_id * 7919) % 1000) / 1000.0)
+
+    def predict_batch(self, jobs: list[Job]) -> np.ndarray:
+        return np.array([self(job) for job in jobs], dtype=float)
+
+
+def _oracle(job: Job) -> float:
+    return job.true_power_w
+
+
+def _draw_predictor(seed: int, stream: int) -> str:
+    """The predictor kind, from its own stream: the other dimensions of
+    every seed stay as they were before predictors were drawn."""
+    return random.Random(stream ^ (seed * 0x9E3779B1)).choice(PREDICTOR_KINDS)
+
+
 _RECORD_FIELDS = (
     "state",
     "start_time_s",
@@ -113,6 +141,7 @@ _RECORD_FIELDS = (
     "work_progressed_s",
     "stretch",
     "requeues",
+    "predicted_power_w",
 )
 
 _RESULT_FIELDS = (
@@ -145,6 +174,8 @@ class HarnessScenario:
     policy_kind: str  # fifo | easy | power-aware | time-varying
     cap_w: Optional[float]
     outages: tuple[NodeOutage, ...] = ()
+    #: One of PREDICTOR_KINDS; "nameplate" is each policy's old default.
+    predictor_kind: str = "nameplate"
 
     repro_hint = "--seed"
 
@@ -154,16 +185,20 @@ class HarnessScenario:
             return FifoScheduler()
         if self.policy_kind == "easy":
             return EasyBackfillScheduler()
+        predictor = {"nameplate": None, "oracle": _oracle,
+                     "scaled": _ScaledPredictor()}[self.predictor_kind]
         if self.policy_kind == "power-aware":
             assert self.cap_w is not None
             return PowerAwareScheduler(
                 cap_w=self.cap_w,
-                predictor=request_based_predictor(2 * BUDGET_PER_NODE_W),
+                predictor=(request_based_predictor(2 * BUDGET_PER_NODE_W)
+                           if predictor is None else predictor),
             )
         if self.policy_kind == "time-varying":
             assert self.cap_w is not None
             return TimeVaryingBudgetScheduler(
                 day_night_budget(self.cap_w, 0.8 * self.cap_w),
+                predictor=predictor,
             )
         raise ValueError(f"unknown policy kind {self.policy_kind!r}")
 
@@ -185,7 +220,9 @@ def random_scenario(seed: int) -> HarnessScenario:
     time-varying budget), cap schedule (uncapped, or 55–90 % of the
     nameplate budget), and outage pattern (none, or 1–4 crash/repair
     cycles inside the busy window).  Tiny clusters + heavy caps maximize
-    event collisions — the regime where core divergence hides.
+    event collisions — the regime where core divergence hides.  The two
+    pricing policies also draw a predictor (:data:`PREDICTOR_KINDS`),
+    from a stream of its own so the other dimensions keep their seeds.
     """
     rng = random.Random(seed)
     n_nodes = rng.choice((4, 8, 16, 24, 32, 64))
@@ -214,6 +251,10 @@ def random_scenario(seed: int) -> HarnessScenario:
         f"{policy_kind}/n{n_nodes}/j{n_jobs}/load{load_factor}"
         f"/cap{cap_fraction}/out{len(outages)}"
     )
+    predictor_kind = "nameplate"
+    if policy_kind in ("power-aware", "time-varying"):
+        predictor_kind = _draw_predictor(seed, 0x9ED)
+        label += f"/pred-{predictor_kind}"
     return HarnessScenario(
         seed=seed,
         label=label,
@@ -223,6 +264,7 @@ def random_scenario(seed: int) -> HarnessScenario:
         policy_kind=policy_kind,
         cap_w=cap_w,
         outages=tuple(outages),
+        predictor_kind=predictor_kind,
     )
 
 
@@ -271,6 +313,10 @@ def cap_heavy_scenario(seed: int) -> CapHeavyScenario:
         f"cap-heavy/{policy_kind}/n{n_nodes}/j{n_jobs}/load{load_factor}"
         f"/cap{cap_fraction}/out{len(outages)}"
     )
+    predictor_kind = "nameplate"
+    if policy_kind in ("power-aware", "time-varying"):
+        predictor_kind = _draw_predictor(seed, 0xCA9ED)
+        label += f"/pred-{predictor_kind}"
     return CapHeavyScenario(
         seed=seed,
         label=label,
@@ -280,6 +326,7 @@ def cap_heavy_scenario(seed: int) -> CapHeavyScenario:
         policy_kind=policy_kind,
         cap_w=cap_w,
         outages=tuple(outages),
+        predictor_kind=predictor_kind,
     )
 
 
@@ -322,6 +369,9 @@ _ENERGY_REL = 1e-6
 #: Relative slack on time above the cap: the core and the check sum the
 #: same intervals in different orders.
 _OVERDEMAND_REL = 1e-9
+#: Relative slack on a job's progressed work against its true runtime:
+#: the work is summed over trim segments (worst seen: 3.6e-13).
+_WORK_REL = 1e-9
 
 
 def _completes_once(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
@@ -381,6 +431,27 @@ def _final_run_covers_runtime(result: SimulationResult, jobs: Sequence[Job], n_n
     return None
 
 
+def _work_is_conserved(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
+    """A job that ran once progressed exactly its true runtime of work,
+    and its stretch is its elapsed running time over that work; a
+    requeued job's lost lives only add work."""
+    for rec in result.records:
+        job_id, runtime = rec.job.job_id, rec.job.true_runtime_s
+        work, elapsed = rec.work_progressed_s, rec.elapsed_running_s
+        if rec.requeues:
+            if work < runtime * (1.0 - _WORK_REL):
+                return (f"requeued job {job_id} progressed {work!r} s of work, "
+                        f"less than its true runtime {runtime!r} s")
+            continue
+        if not math.isclose(work, runtime, rel_tol=_WORK_REL):
+            return (f"job {job_id} progressed {work!r} s of work, its true "
+                    f"runtime is {runtime!r} s")
+        if rec.stretch != elapsed / work:
+            return (f"job {job_id} has stretch {rec.stretch!r}, elapsed over "
+                    f"work is {elapsed / work!r}")
+    return None
+
+
 def _requeues_add_up(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
     """Per-record requeues sum to the run's ``n_requeues``."""
     total = sum(rec.requeues for rec in result.records)
@@ -419,6 +490,7 @@ INVARIANTS: dict[str, Callable[[SimulationResult, Sequence[Job], int], Optional[
     "completes_once": _completes_once,
     "no_node_double_booked": _no_node_double_booked,
     "final_run_covers_runtime": _final_run_covers_runtime,
+    "work_is_conserved": _work_is_conserved,
     "requeues_add_up": _requeues_add_up,
     "energy_is_trace_integral": _energy_is_trace_integral,
     "above_cap_only_in_overdemand": _above_cap_only_in_overdemand,

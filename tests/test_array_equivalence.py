@@ -21,6 +21,7 @@ import pytest
 from repro.scheduler import ClusterSimulator, NodeOutage
 from tests.diff_harness import (
     CORES,
+    PREDICTOR_KINDS,
     HarnessScenario,
     assert_cap_heavy_equivalent,
     assert_equivalent,
@@ -63,6 +64,8 @@ def test_cap_heavy_sweep_is_actually_cap_heavy():
     assert "time-varying" in kinds  # step caps: rho moves between events
     assert "easy" in kinds  # deep-backlog decision cascades
     assert any(s.outages for s in scenarios)
+    assert {s.predictor_kind for s in scenarios
+            if s.policy_kind in ("power-aware", "time-varying")} == set(PREDICTOR_KINDS)
 
 
 #: rho_min = nextafter(1, 0) ** 1e15 is about 0.895, and on [rho_min, 1]
@@ -150,6 +153,11 @@ def test_sweep_covers_the_scenario_space():
     scenarios = [random_scenario(seed) for seed in range(N_SWEEP_SEEDS)]
     kinds = {s.policy_kind for s in scenarios}
     assert kinds == {"fifo", "easy", "power-aware", "time-varying"}
+    # Both pricing policies see every predictor: prices that differ
+    # between (end, n) ties, and prices below the idle floor.
+    for kind in ("power-aware", "time-varying"):
+        assert {s.predictor_kind for s in scenarios
+                if s.policy_kind == kind} == set(PREDICTOR_KINDS)
     assert any(s.cap_w is None for s in scenarios)
     assert any(s.cap_w is not None for s in scenarios)
     assert any(s.outages for s in scenarios)

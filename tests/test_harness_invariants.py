@@ -9,6 +9,7 @@ copy corrupted in the one way that check exists to see (it must fail).
 
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -80,6 +81,21 @@ def _run_shorter_than_runtime(result):
     rec.end_time_s = rec.start_time_s + 0.5 * rec.job.true_runtime_s
 
 
+def _work_short_of_runtime(result):
+    rec = next(r for r in result.records if not r.requeues)
+    rec.work_progressed_s *= 1.0 - 1e-6
+
+
+def _stretch_not_elapsed_over_work(result):
+    rec = next(r for r in result.records if not r.requeues)
+    rec.stretch = math.nextafter(rec.elapsed_running_s / rec.work_progressed_s, 2.0)
+
+
+def _requeued_work_short_of_runtime(result):
+    rec = next(r for r in result.records if r.requeues)
+    rec.work_progressed_s = 0.5 * rec.job.true_runtime_s
+
+
 def _requeue_not_counted(result):
     result.records[0].requeues += 1
 
@@ -105,6 +121,9 @@ CORRUPTIONS = [
     ("completes_once", _node_off_the_machine),
     ("no_node_double_booked", _overlapping_runs),
     ("final_run_covers_runtime", _run_shorter_than_runtime),
+    ("work_is_conserved", _work_short_of_runtime),
+    ("work_is_conserved", _stretch_not_elapsed_over_work),
+    ("work_is_conserved", _requeued_work_short_of_runtime),
     ("requeues_add_up", _requeue_not_counted),
     ("energy_is_trace_integral", _energy_off_the_trace),
     ("above_cap_only_in_overdemand", _overdemand_undercounted),
@@ -133,6 +152,16 @@ def test_corrupted_result_breaks_its_invariant(clean, name, corrupt):
     assert detail is not None
     with pytest.raises(AssertionError, match=r"(?s)broken invariant .*--cap-heavy-seed 3"):
         check_invariants(SCENARIO, "array", bad, jobs)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_array_core_alone_holds_every_invariant(seed):
+    """No second core to compare with: the invariants alone must catch
+    arithmetic both cores share, such as an epoch replay that credits a
+    trimmed segment's work at full speed."""
+    scenario = random_scenario(seed)
+    jobs = scenario.build_jobs()
+    check_invariants(scenario, "array", run_core(scenario, "array", jobs), jobs)
 
 
 def test_uncapped_run_reporting_overdemand_breaks_the_cap_check():

@@ -513,6 +513,7 @@ _REMOVED_METHODS = [
     ("repro.prediction", "FeatureEncoder", ("feature_names",)),
     ("repro.scheduler", "Job", ("node_seconds_requested", "with_runtime_stretch")),
     ("repro.scheduler", "JobRecord", ("turnaround_s", "bounded_slowdown")),
+    ("repro.scheduler", "ReadyView", ("tail", "ctx", "_ctx_factory")),
     ("repro.scheduler", "SchedulerMonitorPlugin", ("system_power_w",)),
     ("repro.scheduler", "CampaignService", ("job", "poll", "jobs")),
     ("repro.sim", "Environment", ("attach_hooks",)),
