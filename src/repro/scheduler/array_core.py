@@ -11,18 +11,20 @@ those costs are the bottleneck.  This core, the default backend, keeps
 all per-running-job state in NumPy *lanes* and drives policies through
 a batched queue view:
 
-* **SoA lanes** — one row of a ``(max_running, 12)`` float64 array per
+* **SoA lanes** — one row of a ``(max_running, 11)`` float64 array per
   running job (remaining work, speed, granted power, segment start,
   ETA, energy/elapsed/work accumulators, true power, idle floor,
-  controllable power share, accounting-settled time), with
-  swap-remove compaction and a job-id -> lane map.  Completion events
-  touch one contiguous row; a trim change is ~10 vector ops over the
-  compact prefix instead of a Python loop.
+  controllable power share), with swap-remove compaction and a
+  job-id -> lane map.  Completion events touch one contiguous row; a
+  trim change is ~13 vector ops over the compact prefix instead of a
+  Python loop.
 * **batched trim** — when ``_resolve_ledger`` moves the ratio, the
   ``_set_speed`` arithmetic (settle + new segment + new ETA) runs
-  vectorized over every lane.  NumPy's elementwise float64 ops are
+  vectorized over every lane, unmasked when the speed moved (every
+  lane is then "changed").  NumPy's elementwise float64 ops are
   IEEE-754 identical to the scalar contract helpers, so the lanes hold
-  bit-for-bit the values ``_Running`` objects would.
+  bit-for-bit the values ``_Running`` objects would, accumulators
+  included, at every loop top.
 * **hybrid completion calendar** — while the trim is stable, a heap of
   ``(eta, job_id)`` answers "next completion" in O(log n).  A trim
   change invalidates every ETA at once, and a crash-requeue leaves its
@@ -47,9 +49,10 @@ a batched queue view:
   configuration, FIFO with no cap and no outages
   (:func:`_run_fifo_uncapped`).
 * **deferred record flush** — accumulators live in the lanes (seeded
-  from the record at start, in case of a requeued earlier life) and are
-  written back only at completion/requeue, when downstream consumers
-  (hooks, fair-share charging, digests) observe them.
+  from the record at start, in case of a requeued earlier life),
+  settled through the open segment's start, and are written back only
+  at completion/requeue, when downstream consumers (hooks, fair-share
+  charging, digests) observe them.
 
 Equal-timestamp events batch: all completions within ``_ETA_EPS`` of
 the event time drain together and settle in ascending job id (the
@@ -70,13 +73,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .contract import (
-    _EPOCH_CATCHUP,
-    _ETA_EPS,
-    _PowerLedger,
-    _replay_epoch_acct,
-    _resolve_ledger,
-)
+from .contract import _ETA_EPS, _PowerLedger, _resolve_ledger
 from .job import Job, JobRecord, JobState
 from .policies import FifoScheduler, ReadyView, SchedulerContext
 from .simulate import SimulationResult
@@ -92,14 +89,12 @@ _NAN = float("nan")
 # Lane field columns (one row per running job).  _DYN caches the job's
 # controllable power share max(true_power - idle_floor, 0) — a per-lane
 # constant the trim-epoch path reuses so granted power is two vector ops
-# instead of a compare + where + multiply + add.  _ASEG is the start of
-# the first *accounting*-pending segment: the lane's energy / elapsed /
-# work accumulators are settled through _ASEG, while the kinematic
-# fields (_REM/_SPD/_GRT/_SEG/_ETA) are always current (see the
-# trim-epoch machinery in run_array).
+# instead of a compare + where + multiply + add.  Every field is current
+# at each loop top: the accumulators (_ENG/_ELP/_WRK) are settled through
+# _SEG, the start of the open segment.
 (_REM, _SPD, _GRT, _SEG, _ETA, _ENG, _ELP, _WRK, _PWR, _FLR,
- _DYN, _ASEG) = range(12)
-_NFIELDS = 12
+ _DYN) = range(11)
+_NFIELDS = 11
 
 #: Rebuild the completion heap after this many trim-stable events.  In
 #: array mode "next completion" is an O(running) vector min; the heap is
@@ -162,20 +157,6 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
     lane_recs: list[JobRecord] = []  # lane -> record
     pos: dict[int, int] = {}  # job id -> lane
     pos_pop = pos.pop
-
-    # --- trim-epoch history (capped path) ------------------------------
-    # One entry per applied trim change: (t, rho, speed).  Kinematics
-    # (remaining work, speed, granted, segment, ETA) are updated eagerly
-    # and cheaply on every epoch — exact ETAs are what "next completion"
-    # needs — while the per-lane accumulators (energy/elapsed/work) are
-    # settled lazily: each lane replays its pending epochs' exact
-    # per-segment `_settle` sequence only when the lane is individually
-    # touched (completion, requeue), with a vectorized whole-array
-    # catch-up once the oldest lane lags by _EPOCH_CATCHUP epochs.
-    epochs: list[tuple[float, float, float]] = []
-    # lane -> index of the first accounting-pending epoch (== len(epochs)
-    # when the lane is fully settled).  Swap-removed alongside F.
-    acct_idx = np.zeros(max_running, dtype=np.int64)
 
     # --- completion calendar (hybrid heap / vector-min) ----------------
     eta_heap: list[tuple[float, int]] = []
@@ -282,16 +263,11 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         The one lane-stop routine, shared by completion and crash-requeue.
         First the flush, the scalar twin of the contract's ``_settle``:
         same ops on the same values, so the record fields land
-        bit-identical.  Pending trim epochs (lazy accounting) replay
-        through the contract's :func:`_replay_epoch_acct`, which walks
-        ``epochs[k:]`` reproducing the exact per-segment ``_settle``
-        sequence the eager core would have run.  Every pending epoch is
-        speed-changing by construction (granted-only moves are applied
-        eagerly), so every positive-length segment settles — exactly the
-        scalar contract's change condition.  The final open segment then
-        settles at the lane's current speed/granted.  Stretch is a pure
-        function of the totals (elapsed / work), so deferring it to the
-        flush reproduces the reference's last-settle value.
+        bit-identical.  The lane's accumulators are settled through the
+        open segment's start, so only that segment is billed here, at
+        the lane's current speed/granted.  Stretch is a pure function of
+        the totals (elapsed / work), so deferring it to the flush
+        reproduces the reference's last-settle value.
 
         Then the last lane fills the hole (swap-remove) and the job's
         running-record, release-list, node-owner and ledger entries go.
@@ -300,17 +276,9 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         lane = pos_pop(jid)
         rec = lane_recs[lane]
         row = F[lane]
-        k = acct_idx[lane]
-        if k < len(epochs):
-            energy, elapsed, workt = _replay_epoch_acct(
-                epochs, k, row[_ASEG],
-                row[_PWR], row[_FLR], row[_DYN],
-                row[_ENG], row[_ELP], row[_WRK],
-            )
-        else:
-            energy = row[_ENG]
-            elapsed = row[_ELP]
-            workt = row[_WRK]
+        energy = row[_ENG]
+        elapsed = row[_ELP]
+        workt = row[_WRK]
         dt = now - row[_SEG]
         if dt > 0.0:
             energy = energy + row[_GRT] * dt
@@ -324,7 +292,6 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         last = len(lane_jid) - 1
         if lane != last:
             F[lane] = F[last]
-            acct_idx[lane] = acct_idx[last]
             moved = lane_jid[last]
             lane_jid[lane] = moved
             lane_recs[lane] = lane_recs[last]
@@ -356,9 +323,11 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         on a fresh ``_Running``.
 
         Only the rare granted-only trim moves (rho moved but two trim
-        ratios rounded to one speed float) still take this masked path —
-        a per-lane change test is unavoidable there.  The common
-        speed-changing move takes ``_apply_epoch`` instead.
+        ratios rounded to one speed float) take this masked path: it
+        settles only the lanes whose granted power moved, as
+        ``_set_speed`` does, because a segment split in two rounds
+        differently.  The common speed-changing move takes
+        ``_apply_epoch`` instead.
         """
         n = len(lane_jid)
         if not n:
@@ -393,20 +362,23 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         rows[:, _ETA][changed] = now + rem[changed] / speed
 
     def _apply_epoch(rho: float, speed: float, prev_speed: float) -> None:
-        """Record one speed-changing trim epoch; update kinematics only.
+        """Apply one speed-changing trim epoch to every lane, unmasked.
 
         Requires ``speed != prev_speed``, which makes *every* lane
         "changed" under the scalar contract (a lane's stored speed is
         either ``prev_speed`` — the speed column is uniform after any
         full application — or the 0.0 sentinel of a lane opened at this
-        same timestamp, whose segment has zero length).  That collapses
-        the masked ``_set_speed`` vectorization to ~9 unmasked in-place
-        vector ops:
+        same timestamp, whose segment has zero length).  So the contract
+        settles every lane, and the masked ``_set_speed`` vectorization
+        collapses to in-place vector ops over the compact prefix:
 
-        * ``work = dt * prev_speed`` multiplies by the same float the
-          per-lane speed column holds, so the debit is bit-identical;
-          sentinel lanes have ``dt == 0`` and ``x - 0.0 * s == x``
-          exactly, reproducing their skipped settle;
+        * the settle is ``_settle``'s operations in its order, on the
+          same floats: ``work = dt * prev_speed`` multiplies by the float
+          the speed column holds, then ``rem -= work``, ``energy +=
+          granted * dt`` at the pre-epoch granted power, ``elapsed +=
+          dt``, ``progressed += work``.  A sentinel lane has ``dt ==
+          0`` and adds ``-0.0`` or ``0.0`` to values that are ``>=
+          +0.0``: exact no-ops, as ``_settle``'s ``dt > 0`` skip is;
         * granted power is ``floor + dynpos * rho`` with the cached
           ``dynpos = max(power - floor, 0)`` lane constant — the same
           operands the masked path's ``where`` produces, and the exact
@@ -414,21 +386,24 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
           first segment bit-identically;
         * the new ETA ``now + rem / speed`` re-rounds for every lane,
           exactly as the scalar ``_set_speed`` does for changed lanes.
-
-        The accounting accumulators are *not* touched: the epoch entry
-        appended here lets ``_stop``'s replay (or ``_acct_catchup``)
-        reproduce the deferred ``_settle`` sequence exactly.
         """
-        epochs.append((now, rho, speed))
         n = len(lane_jid)
         if not n:
             return
         rows = F[:n]
         seg = rows[:, _SEG]
-        rem = rows[:, _REM]
-        rem -= (now - seg) * prev_speed
-        seg[:] = now
         grt = rows[:, _GRT]
+        dt = now - seg
+        work = dt * prev_speed
+        rem = rows[:, _REM]
+        rem -= work
+        eng = rows[:, _ENG]
+        eng += grt * dt
+        elp = rows[:, _ELP]
+        elp += dt
+        wrk = rows[:, _WRK]
+        wrk += work
+        seg[:] = now
         if rho >= 1.0:
             grt[:] = rows[:, _PWR]
         else:
@@ -438,52 +413,6 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         eta = rows[:, _ETA]
         np.divide(rem, speed, out=eta)
         eta += now
-
-    def _acct_catchup() -> None:
-        """Vectorized replay of every lane's pending accounting epochs.
-
-        The masked twin of ``_replay_epoch_acct``: epoch k's segment is
-        billed, for every lane whose pending range covers it, at the
-        uniform pre-epoch (rho, speed) — uniform because a lane synced
-        at epoch j joined at exactly the state epochs[j-1] established.
-        Per-lane accumulation order is segment order, identical to the
-        scalar replay, so the floats land bit-for-bit the same.
-        """
-        n_epochs = len(epochs)
-        n = len(lane_jid)
-        if not n or not n_epochs:
-            return
-        av = acct_idx[:n]
-        kmin = int(av.min())
-        if kmin >= n_epochs:
-            return
-        rows = F[:n]
-        t_prev = rows[:, _ASEG].copy()
-        eng = rows[:, _ENG]
-        elp = rows[:, _ELP]
-        wrk = rows[:, _WRK]
-        pwr = rows[:, _PWR]
-        flr = rows[:, _FLR]
-        dyn = rows[:, _DYN]
-        for k in range(kmin, n_epochs):
-            t_k, _rho_k, _speed_k = epochs[k]
-            if k:
-                _, prev_rho, prev_speed = epochs[k - 1]
-            else:
-                prev_rho = prev_speed = 1.0
-            covered = av <= k
-            m = covered & (t_prev < t_k)
-            if m.any():
-                dtm = t_k - t_prev[m]
-                if prev_rho >= 1.0:
-                    eng[m] += pwr[m] * dtm
-                else:
-                    eng[m] += (flr[m] + dyn[m] * prev_rho) * dtm
-                elp[m] += dtm
-                wrk[m] += dtm * prev_speed
-            t_prev[covered] = t_k
-        rows[:, _ASEG] = t_prev
-        av[:] = n_epochs
 
     def _open_fresh(jid: int, rho: float, speed: float) -> None:
         """Open a just-started job's first segment (trim unchanged).
@@ -566,13 +495,12 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
         floor = k * idle_w
         dynamic = power - floor
         dynpos = dynamic if dynamic > 0.0 else 0.0
-        acct_idx[lane] = len(epochs)
         # Sentinel speed/granted: the first segment opens at the next
         # loop top, after power is re-resolved.
         F[lane] = (
             runtime, 0.0, -1.0, now, _INF,
             rec.energy_j, rec.elapsed_running_s,
-            rec.work_progressed_s, power, floor, dynpos, now,
+            rec.work_progressed_s, power, floor, dynpos,
         )
         fresh_jids.append(jid)
         running_recs[jid] = rec
@@ -669,27 +597,13 @@ def run_array(sim: "ClusterSimulator", jobs: Sequence[Job]) -> SimulationResult:
                 # ETA shifts at once, so drop the heap (vector-min
                 # mode) instead of rebuilding it per change.
                 if speed != cur_speed:
-                    # Speed-changing move (the common case): record
-                    # one trim epoch, update the kinematic lanes
-                    # with the cheap unmasked path, and defer the
-                    # accounting settle to replay/catch-up.
+                    # Speed-changing move (the common case): settle
+                    # and reopen every lane with the unmasked path.
                     _apply_epoch(rho, speed, cur_speed)
-                    if lane_jid and len(epochs) - int(
-                        acct_idx[: len(lane_jid)].min()
-                    ) >= _EPOCH_CATCHUP:
-                        _acct_catchup()
                 else:
                     # Granted-only move (two trim ratios rounded to
-                    # one speed float): catch accounting up, run
-                    # the masked eager path, and record the rho
-                    # move so later replays bill the granted power
-                    # history correctly.
-                    _acct_catchup()
+                    # one speed float): the masked path.
                     _apply_trim(rho, speed)
-                    epochs.append((now, rho, speed))
-                    n_live = len(lane_jid)
-                    acct_idx[:n_live] = len(epochs)
-                    F[:n_live, _ASEG] = F[:n_live, _SEG]
                 cur_rho, cur_speed = rho, speed
                 eta_heap = []
                 heap_valid = False

@@ -29,7 +29,6 @@ import dataclasses
 import hashlib
 import math
 import multiprocessing
-import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ import numpy as np
 
 from .cache import ResultStore, scenario_key
 from .fairshare import EnergyFairShareScheduler
-from .job import Job
+from .job import Job, _is_count
 from .policies import IDLE_NODE_POWER_W, EasyBackfillScheduler, FifoScheduler, SchedulingPolicy
 from .power_aware import PowerAwareScheduler, request_based_predictor
 from .simulate import ClusterSimulator, NodeOutage, SimulationResult
@@ -61,12 +60,6 @@ __all__ = [
 
 #: The policy names a scenario (and so a config file) may use.
 POLICIES = ("fifo", "easy", "power-aware")
-
-
-def _is_count(value) -> bool:
-    """A non-bool integer >= 0 (``np.int64`` included)."""
-    return (not isinstance(value, bool)
-            and isinstance(value, numbers.Integral) and value >= 0)
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,15 @@ The contract, stated once (DESIGN.md §9–10 documents it in prose):
   ETA (``now + remaining/speed``).  The stored value *is* the ETA; no
   core may recompute it later (recomputation re-rounds).
 
-The array core vectorizes ``_settle``/``_set_speed`` over NumPy lanes;
-that is contract-preserving because IEEE-754 elementwise double
-arithmetic in NumPy performs bit-for-bit the same operations as CPython
-floats — pinned by ``tests/test_sched_contract.py`` (helper properties
-in isolation) and ``tests/diff_harness.py`` (whole-simulation
-differential fuzzing of the array core against the reference).
+The array core vectorizes ``_settle``/``_set_speed`` over NumPy lanes
+and settles a lane's accumulators at every trim change that moves it,
+as the reference does (DESIGN.md §14); that is contract-preserving
+because IEEE-754 elementwise double arithmetic in NumPy performs
+bit-for-bit the same operations as CPython floats — pinned by
+``tests/test_sched_contract.py`` (helper properties in isolation) and
+``tests/diff_harness.py`` (whole-simulation differential fuzzing of the
+array core against the reference, plus core-independent invariants on
+every result).
 """
 
 from __future__ import annotations
@@ -40,25 +43,17 @@ from .job import Job, JobRecord
 
 __all__ = [
     "_ETA_EPS",
-    "_EPOCH_CATCHUP",
     "_Running",
     "_PowerLedger",
     "_settle",
     "_set_speed",
     "_resolve_ledger",
-    "_replay_epoch_acct",
 ]
 
 #: Completion slack: a job whose stored ETA is within this many seconds
 #: of the current event time is considered finished (absolute, matching
 #: the submission/outage epsilons used by every core).
 _ETA_EPS = 1e-9
-
-#: Epoch-settled accounting catch-up threshold (DESIGN.md §14): once the
-#: oldest lane lags the trim-epoch history by this many epochs, a core
-#: replays the pending epochs over all lanes at once, bounding the
-#: per-flush scalar replay length.
-_EPOCH_CATCHUP = 32
 
 
 class _Running:
@@ -163,58 +158,6 @@ def _set_speed(r: _Running, rho: float, speed: float, idle_node_power_w: float,
     r.seg_start_s = now
     r.eta_s = now + r.remaining_work_s / speed
     return True
-
-
-def _replay_epoch_acct(
-    epochs: list[tuple[float, float, float]],
-    k: int,
-    t_prev: float,
-    pwr: float,
-    flr: float,
-    dynpos: float,
-    eng: float,
-    elp: float,
-    wrk: float,
-) -> tuple[float, float, float]:
-    """Replay one job's pending accounting epochs scalarly.
-
-    ``epochs`` is the system-wide trim history as ``(t, rho, speed)``
-    tuples — one entry per applied speed change — and ``k`` the index of
-    the first epoch this job has *not* yet been billed for, with
-    ``t_prev`` the time its accounting was last settled.  The segment
-    ``[t_prev, t_k]`` ran at the rho/speed in effect *before* epoch
-    ``k`` (``epochs[k-1]``, or the untrimmed 1.0/1.0 state before any
-    epoch), so each iteration bills exactly the :func:`_settle` the
-    eager path would have run at that boundary:
-
-    * ``granted = pwr`` when the prior rho was >= 1, else
-      ``flr + dynpos * rho`` — the same expression, reading the same
-      per-job constants (``pwr`` true power, ``flr`` idle floor,
-      ``dynpos = max(pwr - flr, 0)``), as :func:`_set_speed`;
-    * energy += granted * dt, elapsed += dt, work += dt * speed, in the
-      contract's operation order, so the accumulators land bit-identical
-      to the per-event settle sequence.
-
-    Zero-length segments (same-timestamp cascades) are exact no-ops,
-    matching ``_settle``'s ``dt > 0`` guard.  Returns the settled
-    ``(energy, elapsed, work)`` accumulators.
-    """
-    if k:
-        _, prev_rho, prev_speed = epochs[k - 1]
-    else:
-        prev_rho = prev_speed = 1.0
-    for i in range(k, len(epochs)):
-        t_k, rho_k, speed_k = epochs[i]
-        dt = t_k - t_prev
-        if dt > 0.0:
-            granted = pwr if prev_rho >= 1.0 else flr + dynpos * prev_rho
-            eng += granted * dt
-            elp += dt
-            wrk += dt * prev_speed
-        t_prev = t_k
-        prev_rho = rho_k
-        prev_speed = speed_k
-    return eng, elp, wrk
 
 
 def _resolve_ledger(

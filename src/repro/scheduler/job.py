@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,6 +21,12 @@ __all__ = ["JobState", "Job", "JobRecord"]
 _FINITE_FIELDS = (
     "walltime_req_s", "submit_time_s", "true_runtime_s", "true_power_per_node_w",
 )
+
+
+def _is_count(value) -> bool:
+    """A non-bool integer >= 0 (``np.int64`` included)."""
+    return (not isinstance(value, bool)
+            and isinstance(value, numbers.Integral) and value >= 0)
 
 
 class JobState(enum.Enum):

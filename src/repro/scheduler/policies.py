@@ -15,7 +15,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .job import JobRecord
+from .job import JobRecord, _is_count
 
 __all__ = [
     "SchedulerContext",
@@ -203,8 +203,9 @@ class EasyBackfillScheduler:
     wants_releases = True
 
     def __init__(self, backfill_depth: int | None = None):
-        if backfill_depth is not None and backfill_depth < 0:
-            raise ValueError("backfill depth must be non-negative")
+        if backfill_depth is not None and not _is_count(backfill_depth):
+            raise ValueError(f"backfill_depth must be a non-negative integer, "
+                             f"got {backfill_depth!r}")
         self.backfill_depth = backfill_depth
 
     def select(self, queue: Sequence[JobRecord], ctx: SchedulerContext) -> list[JobRecord]:

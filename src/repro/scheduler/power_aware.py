@@ -32,7 +32,7 @@ import numpy as np
 
 from ..observability import Observability, null_observability
 
-from .job import Job, JobRecord
+from .job import Job, JobRecord, _is_count
 from .policies import IDLE_NODE_POWER_W, ReadyView, SchedulerContext
 
 __all__ = ["PowerAwareScheduler", "request_based_predictor"]
@@ -98,8 +98,9 @@ class PowerAwareScheduler:
         if not cap_w > 0:
             # ``not >`` so a NaN cap is rejected too (NaN compares false).
             raise ValueError(f"cap_w must be positive, got {cap_w!r}")
-        if backfill_depth is not None and backfill_depth < 0:
-            raise ValueError("backfill depth must be non-negative")
+        if backfill_depth is not None and not _is_count(backfill_depth):
+            raise ValueError(f"backfill_depth must be a non-negative integer, "
+                             f"got {backfill_depth!r}")
         self.cap_w = float(cap_w)
         self.backfill_depth = backfill_depth
         self.predictor = predictor if predictor is not None else request_based_predictor()

@@ -61,7 +61,7 @@ from .contract import (
     _set_speed,
     _settle,
 )
-from .job import Job, JobRecord, JobState
+from .job import Job, JobRecord, JobState, _is_count
 from .policies import IDLE_NODE_POWER_W, SchedulerContext, SchedulingPolicy
 
 __all__ = ["NodeOutage", "SimulationResult", "ClusterSimulator", "SIMULATOR_CORES"]
@@ -247,8 +247,8 @@ class ClusterSimulator:
         (the default) the structure-of-arrays core.  Both produce
         float-identical results."""
         core = resolve_core(core)
-        if n_nodes < 1:
-            raise ValueError("need at least one node")
+        if not _is_count(n_nodes) or n_nodes < 1:
+            raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
         if cap_w is not None and not cap_w > 0:
             # ``not >`` so a NaN cap is rejected too (NaN compares false).
             raise ValueError(f"reactive cap must be positive, got cap_w={cap_w!r}")
@@ -299,6 +299,7 @@ class ClusterSimulator:
         """Simulate the full job stream to completion."""
         if not jobs:
             raise ValueError("empty job stream")
+        seen: set[int] = set()
         for job in jobs:
             if job.n_nodes > self.n_nodes:
                 # Caught up front, so the error names the job instead of
@@ -307,6 +308,11 @@ class ClusterSimulator:
                     f"simulation stalled: job {job.job_id} needs {job.n_nodes} "
                     f"nodes but the machine has {self.n_nodes}"
                 )
+            # Records are keyed by job id: a repeat would drop a job or
+            # record one twice.
+            if job.job_id in seen:
+                raise ValueError(f"job id {job.job_id} appears twice in the job stream")
+            seen.add(job.job_id)
         if self.core == "reference":
             return self._run_reference(jobs)
         from .array_core import run_array

@@ -9,9 +9,9 @@ that have historically diverged cores (policy x cap schedule x outage
 pattern x workload shape), runs each scenario through both cores, and
 compares field by field.  Before comparing, every result on every
 core must pass :data:`INVARIANTS`, physical and bookkeeping checks
-that read only the result, its jobs and the machine size (nothing from
-``scheduler/contract.py``), so arithmetic the cores share cannot vouch
-for itself.
+that read only the result, its jobs, the machine size and its outages
+(nothing from ``scheduler/contract.py``), so arithmetic the cores share
+cannot vouch for itself.
 
 Use it three ways:
 
@@ -21,7 +21,7 @@ Use it three ways:
   or reproduce one failure with ``python tests/diff_harness.py --seed N``.
 
 **Cap-heavy mode** (``--cap-heavy N`` / ``--cap-heavy-seed N``) draws
-from a sampler biased to where the epoch-settled trim path actually
+from a sampler biased to where the trim-epoch path actually
 runs: every scenario capped at 40–65 % of nameplate (rho binds and
 moves on nearly every event), oversubscribed backlogs, step caps via
 the time-varying policy, and outage/requeue interleavings.
@@ -74,7 +74,11 @@ from repro.scheduler.campaign import (
     run_campaign,
 )
 from repro.scheduler.job import Job, JobState
-from repro.scheduler.policies import EasyBackfillScheduler, FifoScheduler
+from repro.scheduler.policies import (
+    IDLE_NODE_POWER_W,
+    EasyBackfillScheduler,
+    FifoScheduler,
+)
 from repro.scheduler.power_aware import PowerAwareScheduler, request_based_predictor
 from repro.scheduler.simulate import (
     SIMULATOR_CORES,
@@ -280,12 +284,12 @@ def cap_heavy_scenario(seed: int) -> CapHeavyScenario:
 
     Every draw is capped, and capped *tight*: 40–65 % of the nameplate
     budget, so rho binds essentially the whole run and moves on nearly
-    every start/completion — the regime the epoch-settled trim path
+    every start/completion — the regime the trim-epoch path
     (DESIGN.md §14) rewrites.  Oversubscribed workloads keep a deep
     backlog (many same-timestamp decision cascades), the time-varying
     policy adds *step* caps on top (rho jumps at budget edges, not just
     at job events), and occasional outages interleave requeue flushes
-    with pending accounting epochs.  Uncapped/loose-cap coverage stays
+    with trim epochs.  Uncapped/loose-cap coverage stays
     with :func:`random_scenario`; this sampler exists to fuzz the trim
     machinery where it actually runs.
     """
@@ -356,8 +360,8 @@ def _fail(scenario, detail: str, what: str = "divergence") -> None:
 # --------------------------------------------------------------------------
 # core-independent invariants of one result
 # --------------------------------------------------------------------------
-# Each check takes (result, jobs, n_nodes) and returns None when it holds
-# or a detail string when it does not.
+# Each check takes (result, jobs, n_nodes, outages) and returns None when
+# it holds or a detail string when it does not.
 
 #: Slack on instants the cores settle with an epsilon (submission,
 #: completion), in seconds.
@@ -372,9 +376,13 @@ _OVERDEMAND_REL = 1e-9
 #: Relative slack on a job's progressed work against its true runtime:
 #: the work is summed over trim segments (worst seen: 3.6e-13).
 _WORK_REL = 1e-9
+#: Relative slack on the energy balance: the jobs' and the machine's
+#: energy are summed over different intervals (worst seen: 1.2e-15).
+_BALANCE_REL = 1e-9
 
 
-def _completes_once(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
+def _completes_once(result: SimulationResult, jobs: Sequence[Job], n_nodes: int,
+                    outages: Sequence[NodeOutage]):
     """Each job completes once, after its submit, with end > start, on as
     many distinct nodes of the machine as it asked for."""
     by_id = {job.job_id: job for job in jobs}
@@ -407,7 +415,8 @@ def _completes_once(result: SimulationResult, jobs: Sequence[Job], n_nodes: int)
     return None
 
 
-def _no_node_double_booked(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
+def _no_node_double_booked(result: SimulationResult, jobs: Sequence[Job], n_nodes: int,
+                           outages: Sequence[NodeOutage]):
     """No node runs two jobs at once."""
     runs = sorted(
         (node, rec.start_time_s, rec.end_time_s, rec.job.job_id)
@@ -420,7 +429,8 @@ def _no_node_double_booked(result: SimulationResult, jobs: Sequence[Job], n_node
     return None
 
 
-def _final_run_covers_runtime(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
+def _final_run_covers_runtime(result: SimulationResult, jobs: Sequence[Job], n_nodes: int,
+                              outages: Sequence[NodeOutage]):
     """A cap only stretches a run: the final run lasts at least the
     job's true runtime."""
     for rec in result.records:
@@ -431,7 +441,8 @@ def _final_run_covers_runtime(result: SimulationResult, jobs: Sequence[Job], n_n
     return None
 
 
-def _work_is_conserved(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
+def _work_is_conserved(result: SimulationResult, jobs: Sequence[Job], n_nodes: int,
+                       outages: Sequence[NodeOutage]):
     """A job that ran once progressed exactly its true runtime of work,
     and its stretch is its elapsed running time over that work; a
     requeued job's lost lives only add work."""
@@ -452,7 +463,8 @@ def _work_is_conserved(result: SimulationResult, jobs: Sequence[Job], n_nodes: i
     return None
 
 
-def _requeues_add_up(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
+def _requeues_add_up(result: SimulationResult, jobs: Sequence[Job], n_nodes: int,
+                     outages: Sequence[NodeOutage]):
     """Per-record requeues sum to the run's ``n_requeues``."""
     total = sum(rec.requeues for rec in result.records)
     if total != result.n_requeues:
@@ -460,7 +472,8 @@ def _requeues_add_up(result: SimulationResult, jobs: Sequence[Job], n_nodes: int
     return None
 
 
-def _energy_is_trace_integral(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
+def _energy_is_trace_integral(result: SimulationResult, jobs: Sequence[Job], n_nodes: int,
+                              outages: Sequence[NodeOutage]):
     """Total energy equals the power trace's step integral."""
     t, p = result.power_trace.times_s, result.power_trace.power_w
     integral = float(np.sum(np.diff(t) * p[:-1]))
@@ -470,7 +483,43 @@ def _energy_is_trace_integral(result: SimulationResult, jobs: Sequence[Job], n_n
     return None
 
 
-def _above_cap_only_in_overdemand(result: SimulationResult, jobs: Sequence[Job], n_nodes: int):
+def _down_node_seconds(outages: Sequence[NodeOutage], makespan_s: float) -> float:
+    """Node-seconds of ``[0, makespan_s]`` the outages hold nodes down.
+
+    A crash on a node that is already down extends its outage, so each
+    node's outages merge into their union before clipping."""
+    spans: dict[int, list[tuple[float, float]]] = {}
+    for outage in outages:
+        spans.setdefault(outage.node_id, []).append(
+            (outage.at_s, outage.at_s + outage.duration_s))
+    down_s = 0.0
+    for node_spans in spans.values():
+        reach = 0.0  # the merged outages so far end here
+        for start, end in sorted(node_spans):
+            lo, hi = max(start, reach), min(end, makespan_s)
+            if hi > lo:
+                down_s += hi - lo
+            reach = max(reach, end)
+    return down_s
+
+
+def _energy_closes(result: SimulationResult, jobs: Sequence[Job], n_nodes: int,
+                   outages: Sequence[NodeOutage]):
+    """Total energy is the jobs' energy plus the idle draw of every alive
+    node no job holds: alive node-seconds less the jobs' running
+    node-seconds, at the idle node power."""
+    alive_s = n_nodes * result.makespan_s - _down_node_seconds(outages, result.makespan_s)
+    jobs_j = sum(rec.energy_j for rec in result.records)
+    held_s = sum(rec.job.n_nodes * rec.elapsed_running_s for rec in result.records)
+    balance = jobs_j + IDLE_NODE_POWER_W * (alive_s - held_s)
+    if not math.isclose(balance, result.total_energy_j, rel_tol=_BALANCE_REL):
+        return (f"total energy {result.total_energy_j!r} J, jobs {jobs_j!r} J "
+                f"plus idle alive nodes make {balance!r} J")
+    return None
+
+
+def _above_cap_only_in_overdemand(result: SimulationResult, jobs: Sequence[Job], n_nodes: int,
+                                  outages: Sequence[NodeOutage]):
     """Post-trim power exceeds the cap only while demand does, so the
     trace spends at most ``overdemand_s`` above the cap."""
     if result.cap_w is None:
@@ -486,13 +535,15 @@ def _above_cap_only_in_overdemand(result: SimulationResult, jobs: Sequence[Job],
 
 
 #: Every core-independent check, by name, in the order they run.
-INVARIANTS: dict[str, Callable[[SimulationResult, Sequence[Job], int], Optional[str]]] = {
+INVARIANTS: dict[str, Callable[
+    [SimulationResult, Sequence[Job], int, Sequence[NodeOutage]], Optional[str]]] = {
     "completes_once": _completes_once,
     "no_node_double_booked": _no_node_double_booked,
     "final_run_covers_runtime": _final_run_covers_runtime,
     "work_is_conserved": _work_is_conserved,
     "requeues_add_up": _requeues_add_up,
     "energy_is_trace_integral": _energy_is_trace_integral,
+    "energy_closes": _energy_closes,
     "above_cap_only_in_overdemand": _above_cap_only_in_overdemand,
 }
 
@@ -502,7 +553,7 @@ def check_invariants(
 ) -> None:
     """Fail with the reproducing seed if ``result`` breaks any invariant."""
     for name, check in INVARIANTS.items():
-        detail = check(result, jobs, scenario.n_nodes)
+        detail = check(result, jobs, scenario.n_nodes, scenario.outages)
         if detail is not None:
             _fail(scenario, f"{core}: {name}: {detail}", what="broken invariant")
 

@@ -43,9 +43,9 @@ def test_cores_equivalent(seed):
 @pytest.mark.parametrize("seed", range(N_CAP_HEAVY_SEEDS))
 def test_cores_equivalent_cap_heavy(seed):
     """Tight-cap fuzzing: rho binds and moves on nearly every event, so
-    the epoch-settled trim path (lazy accounting replay, vectorized
-    catch-up, same-timestamp cascade batching) is exercised constantly
-    rather than incidentally."""
+    the trim-epoch path (the unmasked whole-lane settle, same-timestamp
+    cascade batching) is exercised constantly rather than
+    incidentally."""
     assert_cap_heavy_equivalent(seed)
 
 

@@ -14,8 +14,10 @@ import math
 import numpy as np
 import pytest
 
+from repro.scheduler.simulate import NodeOutage
 from tests.diff_harness import (
     INVARIANTS,
+    _down_node_seconds,
     cap_heavy_scenario,
     check_invariants,
     random_scenario,
@@ -104,6 +106,11 @@ def _energy_off_the_trace(result):
     return dataclasses.replace(result, total_energy_j=result.total_energy_j * 1.001)
 
 
+def _job_energy_unbilled(result):
+    rec = max(result.records, key=lambda r: r.energy_j)
+    rec.energy_j *= 0.5
+
+
 def _overdemand_undercounted(result):
     t, p = result.power_trace.times_s, result.power_trace.power_w
     above_s = float(np.sum(np.diff(t)[p[:-1] > result.cap_w]))
@@ -126,6 +133,7 @@ CORRUPTIONS = [
     ("work_is_conserved", _requeued_work_short_of_runtime),
     ("requeues_add_up", _requeue_not_counted),
     ("energy_is_trace_integral", _energy_off_the_trace),
+    ("energy_closes", _job_energy_unbilled),
     ("above_cap_only_in_overdemand", _overdemand_undercounted),
 ]
 
@@ -145,10 +153,10 @@ def test_clean_results_hold_every_invariant(clean, core):
 def test_corrupted_result_breaks_its_invariant(clean, name, corrupt):
     jobs, result = clean
     check = INVARIANTS[name]
-    assert check(result, jobs, SCENARIO.n_nodes) is None
+    assert check(result, jobs, SCENARIO.n_nodes, SCENARIO.outages) is None
     bad = copy.deepcopy(result)
     bad = corrupt(bad) or bad
-    detail = check(bad, jobs, SCENARIO.n_nodes)
+    detail = check(bad, jobs, SCENARIO.n_nodes, SCENARIO.outages)
     assert detail is not None
     with pytest.raises(AssertionError, match=r"(?s)broken invariant .*--cap-heavy-seed 3"):
         check_invariants(SCENARIO, "array", bad, jobs)
@@ -157,8 +165,9 @@ def test_corrupted_result_breaks_its_invariant(clean, name, corrupt):
 @pytest.mark.parametrize("seed", range(5))
 def test_array_core_alone_holds_every_invariant(seed):
     """No second core to compare with: the invariants alone must catch
-    arithmetic both cores share, such as an epoch replay that credits a
-    trimmed segment's work at full speed."""
+    arithmetic both cores share, such as a trim-epoch settle that
+    credits a trimmed segment's work at full speed or bills it no
+    energy."""
     scenario = random_scenario(seed)
     jobs = scenario.build_jobs()
     check_invariants(scenario, "array", run_core(scenario, "array", jobs), jobs)
@@ -169,9 +178,9 @@ def test_uncapped_run_reporting_overdemand_breaks_the_cap_check():
     jobs = scenario.build_jobs()
     result = run_core(scenario, "array", jobs)
     check = INVARIANTS["above_cap_only_in_overdemand"]
-    assert check(result, jobs, scenario.n_nodes) is None
+    assert check(result, jobs, scenario.n_nodes, scenario.outages) is None
     bad = dataclasses.replace(result, overdemand_s=1.0)
-    assert "uncapped" in check(bad, jobs, scenario.n_nodes)
+    assert "uncapped" in check(bad, jobs, scenario.n_nodes, scenario.outages)
 
 
 def test_power_above_the_cap_outside_overdemand_breaks_the_cap_check(clean):
@@ -188,4 +197,27 @@ def test_power_above_the_cap_outside_overdemand_breaks_the_cap_check(clean):
         result, power_trace=trace,
         overdemand_s=float(np.sum(np.diff(result.power_trace.times_s)[
             result.power_trace.power_w[:-1] > result.cap_w])))
-    assert INVARIANTS["above_cap_only_in_overdemand"](bad, jobs, SCENARIO.n_nodes)
+    assert INVARIANTS["above_cap_only_in_overdemand"](
+        bad, jobs, SCENARIO.n_nodes, SCENARIO.outages)
+
+
+def test_energy_balance_needs_the_down_time(clean):
+    """Billing the crashed nodes' down time as idle draw breaks the
+    balance: the outages are part of the check's input."""
+    jobs, result = clean
+    check = INVARIANTS["energy_closes"]
+    assert check(result, jobs, SCENARIO.n_nodes, SCENARIO.outages) is None
+    assert check(result, jobs, SCENARIO.n_nodes, ()) is not None
+
+
+def test_down_node_seconds_merges_and_clips():
+    """A crash on a down node extends its outage (union, not sum), and
+    only down time inside the run counts."""
+    outages = [NodeOutage(at_s=10.0, node_id=0, duration_s=20.0),   # 10-30
+               NodeOutage(at_s=20.0, node_id=0, duration_s=5.0),    # inside
+               NodeOutage(at_s=25.0, node_id=0, duration_s=15.0),   # to 40
+               NodeOutage(at_s=5.0, node_id=1, duration_s=10.0),    # 5-15
+               NodeOutage(at_s=90.0, node_id=1, duration_s=50.0)]   # clipped
+    assert _down_node_seconds(outages, 100.0) == 30.0 + 10.0 + 10.0
+    assert _down_node_seconds(outages, 35.0) == 25.0 + 10.0
+    assert _down_node_seconds((), 100.0) == 0.0

@@ -53,6 +53,7 @@ from repro.scheduler import (
     CampaignConfig,
     ClusterSimulator,
     DirectoryResultStore,
+    EasyBackfillScheduler,
     FifoScheduler,
     Job,
     PowerAwareScheduler,
@@ -253,6 +254,50 @@ class TestNonFiniteAndInfeasibleInputs:
         sim = ClusterSimulator(4, FifoScheduler())
         with pytest.raises(RuntimeError, match="job 3 needs 5 nodes"):
             sim.run([_job(0), _job(3, n_nodes=5)])
+
+
+class TestCountsAndJobIds:
+    """Sizes are counts, and a job stream names each job once.
+
+    Unchecked, a NaN backfill depth passes a ``< 0`` test and scans the
+    whole queue, 2.5 dies in a slice and ``True`` runs as depth 1; a
+    ``True`` machine runs one node and 16.5 dies in ``range()``.  A
+    repeated job id kills the array core's generic path with a bare
+    ``KeyError``, and the other paths return one job's record twice,
+    or drop the other job that shares the id."""
+
+    @pytest.mark.parametrize("build", [
+        EasyBackfillScheduler,
+        lambda **kwargs: PowerAwareScheduler(1000.0, **kwargs),
+    ], ids=["easy", "power-aware"])
+    def test_backfill_depth_is_a_count(self, build):
+        for depth in (_NAN, 2.5, 3.0, True, -1):
+            with pytest.raises(ValueError, match=rf"backfill_depth must be a "
+                                                 rf"non-negative integer, got {depth!r}"):
+                build(backfill_depth=depth)
+        assert build(backfill_depth=np.int64(8)).backfill_depth == 8
+
+    @pytest.mark.parametrize("n_nodes", [True, 16.5, 4.0, 0, -2, _NAN],
+                             ids=["bool", "fraction", "float", "zero", "negative", "nan"])
+    def test_machine_size_is_a_positive_count(self, n_nodes):
+        with pytest.raises(ValueError,
+                           match=rf"n_nodes must be a positive integer, got {n_nodes!r}"):
+            ClusterSimulator(n_nodes, FifoScheduler())
+
+    def test_machine_size_may_be_a_numpy_integer(self):
+        result = ClusterSimulator(np.int64(4), FifoScheduler()).run([_job(0), _job(1)])
+        assert len(result.records) == 2
+
+    @pytest.mark.parametrize("core", SIMULATOR_CORES)
+    @pytest.mark.parametrize("policy, cap_w", [
+        (FifoScheduler, None), (EasyBackfillScheduler, None), (FifoScheduler, 20000.0),
+    ], ids=["fifo", "easy", "fifo-capped"])
+    def test_a_repeated_job_id_is_named(self, core, policy, cap_w):
+        sim = ClusterSimulator(16, policy(), cap_w=cap_w, core=core)
+        job0, job1 = _job(0), _job(1)
+        for stream in ([job0, job0, job1], [job0, job1, _job(0, runtime=50.0)]):
+            with pytest.raises(ValueError, match="job id 0 appears twice"):
+                sim.run(stream)
 
 
 class TestNonFiniteThermalInputs:
